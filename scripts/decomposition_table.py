@@ -52,9 +52,8 @@ def main(argv: list[str] | None = None) -> int:
         pts = sample_sphere(n, opts.samples, seed=opts.seed).points
         worst = 0.0
         if blk is not None:
-            for a_mat in blk:
-                res = eigenfield_residuals(lc, st.field, a_mat, pts, rate=2.0)
-                worst = max(worst, max(res.values()))
+            res = eigenfield_residuals(lc, st.field, blk, pts, rate=2.0)
+            worst = max(res.values())
 
         closed_zero = (n + 1) ** 2
         closed_two = n * (n + 1)

@@ -50,39 +50,6 @@ def so_basis(d: int) -> list[np.ndarray]:
     return basis
 
 
-def commutant_skew_basis(mats, d: int, tol: float = 1e-10) -> list[np.ndarray]:
-    """Orthonormal (Frobenius) basis of skew matrices commuting with every
-    matrix in ``mats``."""
-    base = so_basis(d)
-    rows = []
-    for A in base:
-        rows.append(np.concatenate([(A @ M - M @ A).ravel() for M in mats]))
-    R = np.stack(rows, axis=0)          # (n_basis, n_constraints)
-    _, svals, Vt = np.linalg.svd(R.T, full_matrices=True)
-    n = len(base)
-    svals = np.concatenate([svals, np.zeros(n - len(svals))])
-    null = Vt[svals < tol * max(1.0, svals.max(initial=0.0))]
-    out = [sum(ci * Ai for ci, Ai in zip(c, base)) for c in null]
-    # orthonormalize in the Frobenius inner product for determinism
-    cleaned = []
-    for B in out:
-        W = B.copy()
-        for C in cleaned:
-            W = W - (np.sum(W * C)) * C
-        nrm = np.linalg.norm(W)
-        if nrm > 1e-8:
-            cleaned.append(W / nrm)
-    return cleaned
-
-
-def max_commutator_residual(mats, X: np.ndarray) -> float:
-    """Largest entry of any bracket between ``X`` and the given matrices."""
-    worst = 0.0
-    for M in mats:
-        worst = max(worst, float(np.abs(field_bracket(X, M)).max()))
-    return worst
-
-
 class IsometryAlgebra:
     """Lie algebra of linear Killing generators, closed under the field bracket."""
 
@@ -137,21 +104,30 @@ class IsometryAlgebra:
                     raise ValueError("basis is not closed under the field bracket")
 
     def ad_matrix(self, X: np.ndarray) -> np.ndarray:
-        """Matrix of Y -> [X, Y] (field bracket) in the algebra basis."""
-        cols = [self.coords(field_bracket(X, Bj)) for Bj in self.basis]
-        return np.stack(cols, axis=1)
+        """Matrix of Y -> [X, Y] (field bracket) in the algebra basis; raises
+        if a bracket leaves the algebra."""
+        d, n = self.ambient_dim, self.dim
+        brackets = field_bracket(X, np.stack(self.basis)).reshape(n, d * d).T
+        K = self._pinv @ brackets
+        resid = np.abs(self._flat @ K - brackets).max(axis=0)
+        scale = np.maximum(1.0, np.abs(brackets).max(axis=0))
+        if np.any(resid > 1e-8 * scale):
+            raise ValueError(f"bracket lies outside the algebra "
+                             f"(residual {float(resid.max()):.3e})")
+        return K
 
     def killing_gram(self) -> np.ndarray:
-        n = self.dim
-        G = np.empty((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                G[i, j] = G[j, i] = killing_inner(self.basis[i], self.basis[j])
-        return G
+        """Gram matrix of the trace pairing -tr(AB) on the basis."""
+        d, n = self.ambient_dim, self.dim
+        flat_t = self._flat.reshape(d, d, n).transpose(1, 0, 2).reshape(d * d, n)
+        return -(self._flat.T @ flat_t)
 
     def element(self, coeffs) -> np.ndarray:
-        return (self._flat @ np.asarray(coeffs, dtype=float)).reshape(
-            self.ambient_dim, self.ambient_dim)
+        """Matrix with the given basis coefficients; a stack (k, n) of
+        coefficient rows gives a stack (k, d, d) of matrices."""
+        c = np.asarray(coeffs, dtype=float)
+        d = self.ambient_dim
+        return (c @ self._flat.T).reshape(*c.shape[:-1], d, d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,10 +145,6 @@ class Decomposition:
     blocks: tuple[tuple[np.ndarray, ...], ...]
     coeffs: tuple[np.ndarray, ...]
     s_eigenvalues: np.ndarray
-
-    @property
-    def multiplicities(self) -> tuple[int, ...]:
-        return tuple(len(b) for b in self.blocks)
 
     @property
     def zero_block_dim(self) -> int:
@@ -235,7 +207,7 @@ def standard_decomposition(algebra: IsometryAlgebra, xi: np.ndarray,
     for mean, idx in zip(means, clusters):
         rate = 0.0 if -mean <= gap_tol * scale else float(np.sqrt(-mean))
         C = Li.T @ vecs[:, idx]  # original-basis coordinates, one column each
-        gens = tuple(algebra.element(C[:, j]) for j in range(C.shape[1]))
+        gens = tuple(algebra.element(C.T))
         entries.append((rate, C, gens))
     entries.sort(key=lambda e: e[0])
     return Decomposition(
@@ -247,35 +219,40 @@ def standard_decomposition(algebra: IsometryAlgebra, xi: np.ndarray,
     )
 
 
-def eigenfield_residuals(lc, xi_field, a_mat: np.ndarray, points,
+def eigenfield_residuals(lc, xi_field, mats, points,
                          rate: float | None = None) -> dict[str, float]:
-    """Pointwise identities satisfied by a nonzero-rate eigenblock generator.
+    """Pointwise identities satisfied by nonzero-rate eigenblock generators.
 
     For A in a nonzero-rate block of the decomposition along xi, the field
     x -> A x is orthogonal to xi everywhere, and the field bracket with xi
     cancels the metric dual of contracting A x into the two-form of xi's dual
-    one-form.  Returns max residuals {"orthogonality", "bracket_identity"};
-    when the block rate is given, also "eigenvalue_identity": the square of
-    the raised two-form applied to A x equals -(rate^2) A x.
+    one-form.  ``mats`` is one generator (d, d) or a block (b, d, d); the
+    structure tensors are computed once per sample and shared by the whole
+    block.  Returns max residuals over generators and samples
+    {"orthogonality", "bracket_identity"}; when the block rate is given, also
+    "eigenvalue_identity": the square of the raised two-form applied to A x
+    equals -(rate^2) A x.
     """
     xi_mat = xi_field.matrix
     if xi_mat is None:
         raise ValueError("xi_field must be linear to evaluate bracket identities")
+    mats = np.asarray(mats, dtype=float)
+    mats = mats.reshape(-1, *mats.shape[-2:])
+    brackets = field_bracket(xi_mat, mats)
     orth = 0.0
     brk = 0.0
     eig = 0.0
     for p in points:
         x = p.coords
         st = lc.structure_at(xi_field, p)
-        a = a_mat @ x
-        orth = max(orth, abs(st.g(a, st.xi)))
-        w = st.frame @ (st.frame.T @ (st.dxi.T @ a))
-        br_vec = field_bracket(xi_mat, a_mat) @ x
-        brk = max(brk, float(np.linalg.norm(br_vec + w)))
+        a = mats @ x                                    # (b, d): one row per field
+        orth = max(orth, float(np.abs(a @ st.metric_matrix @ st.xi).max()))
+        w = a @ st.dxi @ st.frame @ st.frame.T
+        brk = max(brk, float(np.linalg.norm(brackets @ x + w, axis=1).max()))
         if rate is not None:
             # raised two-form = 2 phi on the g-orthonormal frame
-            af = st.frame.T @ (st.metric_matrix @ a)
-            ev = 4.0 * (st.phi_frame @ (st.phi_frame @ af)) + rate**2 * af
+            af = a @ st.metric_matrix.T @ st.frame
+            ev = 4.0 * (af @ st.phi_frame.T @ st.phi_frame.T) + rate**2 * af
             eig = max(eig, float(np.abs(ev).max()))
     out = {"orthogonality": orth, "bracket_identity": brk}
     if rate is not None:

@@ -58,6 +58,10 @@ EXIT_NUMERICAL = 3
 
 VERIFY_EXAMPLES = ("round", "quaternionic", "hopf-lift", "gF", "irregular")
 DECOMPOSE_EXAMPLES = ("round", "gF", "irregular")
+# sphere index used when n is not set: build_deformed needs n >= 3
+DEFAULT_N = {"gF": 3}
+# kept samples the hopf-lift battery needs: the rank of the 4x4 linear fit
+HOPF_MIN_KEPT = 4
 
 
 @dataclass
@@ -65,7 +69,7 @@ class RunConfig:
     """Effective run parameters; echoed verbatim into every report."""
 
     example: str = "round"
-    n: int = 2
+    n: int | None = None    # resolved per example by build_config
     m: int = 1
     c: float = 0.3
     a: str = "irr:sqrt2m1"
@@ -120,7 +124,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             overrides[key] = val
     if getattr(args, "no_timestamp", False):
         overrides["no_timestamp"] = True
-    return replace(cfg, **overrides)
+    cfg = replace(cfg, **overrides)
+    if cfg.n is None:
+        cfg = replace(cfg, n=DEFAULT_N.get(cfg.example, 2))
+    return cfg
 
 
 def _merge(name: str, parts: list[CheckResult], tol: float,
@@ -160,14 +167,10 @@ def _battery_round(cfg: RunConfig) -> VerificationReport:
     alg = rs.isometry_algebra()
     dec = standard_decomposition(alg, rs.j0)
     nz = [k for k, lam in enumerate(dec.rates) if lam > 0.5][0]
-    worst = {"orthogonality": 0.0, "bracket_identity": 0.0, "eigenvalue_identity": 0.0}
-    for a_mat in dec.blocks[nz]:
-        res = eigenfield_residuals(lc, rs.field, a_mat, pts, rate=dec.rates[nz])
-        for key in worst:
-            worst[key] = max(worst[key], res[key])
+    res = eigenfield_residuals(lc, rs.field, dec.blocks[nz], pts, rate=dec.rates[nz])
     rep.add(CheckResult(name="eigenfield_identities",
-                        max_residual=max(worst.values()),
-                        mean_residual=float(np.mean(list(worst.values()))),
+                        max_residual=max(res.values()),
+                        mean_residual=float(np.mean(list(res.values()))),
                         tolerance=1e-6,
                         detail="orthogonality + bracket + eigenvalue identities "
                                "over the whole nonzero-rate block"))
@@ -233,6 +236,11 @@ def _battery_hopf(cfg: RunConfig) -> VerificationReport:
     pts = sample_sphere(1, cfg.samples, cfg.seed).points
     verify.covariant_canary(lc, rs.field, pts[0])
     kept = hopf_sample_filter(pts)
+    if len(kept) < HOPF_MIN_KEPT:
+        raise ValueError(
+            f"hopf-lift keeps {len(kept)} of {len(pts)} samples after dropping "
+            f"base points near the anchor antipode; the 4x4 linear fit of each "
+            f"lift needs at least {HOPF_MIN_KEPT} (raise --samples)")
 
     rep = VerificationReport(title="circle-bundle lift of base rotation fields",
                              config=asdict(cfg))
@@ -256,19 +264,14 @@ def _battery_hopf(cfg: RunConfig) -> VerificationReport:
     waypoint = hopf_projection(kept[1].coords)
     alt = replace(bundle, anchor=waypoint)
     leg0 = lift_potential(bundle, gens[0], waypoint)
+    ys = hopf_projection(np.stack([p.coords for p in kept[2:]]))
+    # keep the second leg away from the waypoint's antipode
+    ys = ys[ys @ waypoint / bundle.base_radius**2 >= -0.8][:8]
+    n_path = len(ys)
     worst_path = 0.0
-    n_path = 0
-    for p in kept[2:]:
-        y = hopf_projection(p.coords)
-        cos_w = float(y @ waypoint) / bundle.base_radius**2
-        if cos_w < -0.8:
-            continue  # keep the second leg away from the waypoint's antipode
-        direct = lift_potential(bundle, gens[0], y)
-        two_leg = leg0 + lift_potential(alt, gens[0], y)
-        worst_path = max(worst_path, abs(direct - two_leg))
-        n_path += 1
-        if n_path >= 8:
-            break
+    if n_path:
+        two_leg = leg0 + lift_potential(alt, gens[0], ys)
+        worst_path = float(np.abs(lift_potential(bundle, gens[0], ys) - two_leg).max())
     rep.add(CheckResult(name="potential_path_independence", max_residual=worst_path,
                         mean_residual=worst_path, tolerance=1e-6,
                         detail=f"two-leg vs direct quadrature at {n_path} targets"))
@@ -276,7 +279,7 @@ def _battery_hopf(cfg: RunConfig) -> VerificationReport:
     # pushdown: fitted lifts project onto the base generators; the kernel of
     # the projection on span{lifts, circle generator} is the circle generator
     xs = np.stack([p.coords for p in kept[:40]])
-    ys = np.stack([hopf_projection(x) for x in xs])
+    ys = hopf_projection(xs)
 
     def pushdown_matrix(B: np.ndarray) -> tuple[np.ndarray, float]:
         vals = np.stack([hopf_differential(x) @ (B @ x) for x in xs])
@@ -470,15 +473,10 @@ def cmd_decompose(cfg: RunConfig) -> int:
     for rate, block in zip(dec.rates, dec.blocks):
         if rate == 0.0:
             continue
-        worst = {"orthogonality": 0.0, "bracket_identity": 0.0,
-                 "eigenvalue_identity": 0.0}
-        for a_mat in block:
-            res = eigenfield_residuals(lc, fld, a_mat, pts, rate=rate)
-            for key in worst:
-                worst[key] = max(worst[key], res[key])
+        res = eigenfield_residuals(lc, fld, block, pts, rate=rate)
         rep.add(CheckResult(name=f"eigenfield_identities_rate_{rate:g}",
-                            max_residual=max(worst.values()),
-                            mean_residual=float(np.mean(list(worst.values()))),
+                            max_residual=max(res.values()),
+                            mean_residual=float(np.mean(list(res.values()))),
                             tolerance=1e-6))
     summary = [(round(lam, 9), dim) for lam, dim in dec.summary()]
     rep.extras["table"] = "; ".join(

@@ -8,8 +8,9 @@ Builders for the example families exercised by the verification batteries:
   * ``build_flip_fixture``  — mixed right/left quaternionic triple on R^8,
                               the (4,4) splitting + sign-flip fixture;
   * ``build_hopf``          — circle bundle over the half-radius 2-sphere;
-                              lifting base Killing fields with a quadrature
-                              potential reproduces linear ambient fields;
+                              lifting base Killing fields with a
+                              Gauss–Legendre potential reproduces linear
+                              ambient fields;
   * ``build_deformed``      — boundary-localized metric deformation keeping
                               the contact structure but breaking the wedge
                               identity and CR integrability (strength c);
@@ -30,7 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import IsometryAlgebra, commutant_skew_basis, so_basis
+from .algebra import IsometryAlgebra, so_basis
 from .flows import ExactScalar, RotationProfile
 from .metrics import (
     MetricDegeneracyError,
@@ -225,14 +226,10 @@ class HopfBundle:
     j0: np.ndarray
     base_radius: float
     anchor: np.ndarray       # base point where lift potentials vanish
-    quadrature_steps: int
-
-    def vertical_basis(self) -> list[np.ndarray]:
-        """Generators commuting with the circle action (fiberwise unitary)."""
-        return commutant_skew_basis([self.j0], 4)
+    quadrature_steps: int    # Gauss–Legendre nodes on each anchor-to-y arc
 
 
-def build_hopf(quadrature_steps: int = 10_000) -> HopfBundle:
+def build_hopf(quadrature_steps: int = 16) -> HopfBundle:
     j0 = std_complex_structure(4)
     return HopfBundle(metric=round_metric(4), field=linear_field(j0, name="fiber_field"),
                       j0=j0, base_radius=0.5, anchor=np.array([0.0, 0.0, -0.5]),
@@ -240,11 +237,14 @@ def build_hopf(quadrature_steps: int = 10_000) -> HopfBundle:
 
 
 def hopf_projection(x: np.ndarray) -> np.ndarray:
-    """Quotient map S^3 -> S^2(1/2); fibers are the circle-field orbits."""
-    x0, x1, x2, x3 = x
-    return np.array([x0 * x2 + x1 * x3,
+    """Quotient map S^3 -> S^2(1/2); fibers are the circle-field orbits.
+
+    ``x`` is one point (4,) or a stack (N, 4); the result is (3,) or (N, 3).
+    """
+    x0, x1, x2, x3 = np.asarray(x, dtype=float).T
+    return np.stack([x0 * x2 + x1 * x3,
                      x1 * x2 - x0 * x3,
-                     0.5 * (x0 * x0 + x1 * x1 - x2 * x2 - x3 * x3)])
+                     0.5 * (x0 * x0 + x1 * x1 - x2 * x2 - x3 * x3)], axis=-1)
 
 
 def hopf_differential(x: np.ndarray) -> np.ndarray:
@@ -317,57 +317,60 @@ def so3_basis() -> list[np.ndarray]:
             np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])]
 
 
-def lift_potential(bundle: HopfBundle, base_gen: np.ndarray, y: np.ndarray,
-                   n_steps: int | None = None) -> float:
+def lift_potential(bundle: HopfBundle, base_gen: np.ndarray,
+                   y: np.ndarray) -> float | np.ndarray:
     """Potential f at y with df = -(base field) contracted into the curvature
     two-form, normalized to vanish at the bundle anchor.
 
-    Quadrature: composite Simpson along the great-circle arc from the anchor
-    to y.  Base points too close to the anchor's antipode are refused (the
-    batteries filter samples instead of integrating through the bad chart).
+    ``y`` is one base point (3,), giving a float, or a stack (N, 3), giving
+    an (N,) array.  Quadrature: Gauss–Legendre with
+    ``bundle.quadrature_steps`` nodes along each great-circle arc from the
+    anchor to y, all arcs lifted in one batch.  Base points too close to the
+    anchor's antipode are refused (the batteries filter samples instead of
+    integrating through the bad chart).
     """
-    if n_steps is None:
-        n_steps = bundle.quadrature_steps
-    if n_steps % 2 != 0:
-        n_steps += 1
+    ys = np.atleast_2d(np.asarray(y, dtype=float))
     r = bundle.base_radius
     a = bundle.anchor / r
-    b = np.asarray(y, dtype=float) / r
-    cos_t = float(np.clip(a @ b, -1.0, 1.0))
-    theta = math.acos(cos_t)
-    if theta < 1e-9:
-        return 0.0
-    if theta > math.pi - 0.2:
+    b = ys / r
+    theta = np.arccos(np.clip(b @ a, -1.0, 1.0))
+    if np.any(theta > math.pi - 0.2):
         raise ValueError("base point too close to the anchor antipode; "
                          "filter samples before lifting")
-    ts = np.linspace(0.0, 1.0, n_steps + 1)
-    sin_t = math.sin(theta)
-    gam = (np.outer(np.sin((1 - ts) * theta), a)
-           + np.outer(np.sin(ts * theta), b)) * (r / sin_t)
-    dgam = (np.outer(-theta * np.cos((1 - ts) * theta), a)
-            + np.outer(theta * np.cos(ts * theta), b)) * (r / sin_t)
-    xs = _batched_sections(gam)
-    x_vals = gam @ base_gen.T
-    lift_x = horizontal_lift_batch(bundle.j0, xs, gam, x_vals)
-    lift_d = horizontal_lift_batch(bundle.j0, xs, gam, dgam)
-    # integrand: F(X, gamma') with F(u, v) = 2 <j0 u*, v*>
-    integrand = 2.0 * np.einsum("ni,ni->n", lift_x @ bundle.j0.T, lift_d)
-    h = 1.0 / n_steps
-    w = np.ones(n_steps + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return float(-(h / 3.0) * (w @ integrand))
+    out = np.zeros(len(ys))
+    live = theta >= 1e-9
+    if live.any():
+        nodes, weights = np.polynomial.legendre.leggauss(bundle.quadrature_steps)
+        ts = 0.5 * (nodes + 1.0)                      # nodes mapped onto [0, 1]
+        th = theta[live, None, None]                  # (M, 1, 1)
+        t = ts[None, :, None]                         # (1, K, 1)
+        scale = r / np.sin(th)
+        bl = b[live, None, :]
+        gam = (np.sin((1 - t) * th) * a + np.sin(t * th) * bl) * scale
+        dgam = th * (np.cos(t * th) * bl - np.cos((1 - t) * th) * a) * scale
+        pts = gam.reshape(-1, 3)
+        xs = _batched_sections(pts)
+        lifts = horizontal_lift_batch(
+            bundle.j0, np.concatenate([xs, xs]), np.concatenate([pts, pts]),
+            np.concatenate([pts @ base_gen.T, dgam.reshape(-1, 3)]))
+        lift_x, lift_d = np.split(lifts, 2)
+        # integrand: F(X, gamma') with F(u, v) = 2 <j0 u*, v*>
+        integrand = 2.0 * np.einsum("ni,ni->n", lift_x @ bundle.j0.T, lift_d)
+        out[live] = -integrand.reshape(-1, len(ts)) @ (0.5 * weights)
+    return float(out[0]) if np.ndim(y) == 1 else out
 
 
 def lifted_field_value(bundle: HopfBundle, base_gen: np.ndarray,
-                       x: np.ndarray, n_steps: int | None = None) -> np.ndarray:
+                       x: np.ndarray) -> np.ndarray:
     """Value at x of the lift of the base Killing field: horizontal lift of
-    the base value plus the potential times the circle field."""
-    y = hopf_projection(x)
-    f = lift_potential(bundle, base_gen, y, n_steps=n_steps)
-    lift = horizontal_lift_batch(bundle.j0, x[None, :], y[None, :],
-                                 (base_gen @ y)[None, :])[0]
-    return lift + f * (bundle.j0 @ x)
+    the base value plus the potential times the circle field.  ``x`` is one
+    point (4,) or a stack (N, 4)."""
+    xs = np.atleast_2d(np.asarray(x, dtype=float))
+    ys = hopf_projection(xs)
+    f = lift_potential(bundle, base_gen, ys)
+    lift = horizontal_lift_batch(bundle.j0, xs, ys, ys @ base_gen.T)
+    out = lift + f[:, None] * (xs @ bundle.j0.T)
+    return out[0] if np.ndim(x) == 1 else out
 
 
 def fit_linear_generator(xs: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, float]:
@@ -391,8 +394,7 @@ def hopf_sample_filter(points: Sequence[SpherePoint], margin: float = 0.05,
 
 
 def solve_lift(bundle: HopfBundle, base_gen: np.ndarray,
-               points: Sequence[SpherePoint],
-               n_steps: int | None = None) -> tuple[np.ndarray, float]:
+               points: Sequence[SpherePoint]) -> tuple[np.ndarray, float]:
     """Lift a base Killing generator through sampled potentials and fit the
     resulting ambient field by one linear generator.
 
@@ -401,9 +403,7 @@ def solve_lift(bundle: HopfBundle, base_gen: np.ndarray,
     Killing — field.
     """
     xs = np.stack([p.coords for p in points])
-    vals = np.stack([lifted_field_value(bundle, base_gen, p.coords, n_steps=n_steps)
-                     for p in points])
-    return fit_linear_generator(xs, vals)
+    return fit_linear_generator(xs, lifted_field_value(bundle, base_gen, xs))
 
 
 # ---------------------------------------------------------------------------

@@ -96,3 +96,48 @@ def orbit_min_distance_grid(gen, x0, t_max: float, n: int = 200_000,
     phases = np.exp(np.multiply.outer(ts, evals))
     pos = (phases * c0) @ evecs.T
     return float(np.linalg.norm(pos.real - x0, axis=1).min())
+
+
+def adjoint_rates(lams, tol: float = 1e-9):
+    """Closed-form spectrum of ad(xi) on so(2k) for xi rotating k coordinate
+    planes at rates ``lams``.
+
+    Each pair of planes i < j carries a 4-dimensional invariant subspace
+    on which ad(xi) rotates at |l_i + l_j| and |l_i - l_j|, each with
+    multiplicity 2; each plane's own rotation generator commutes with xi and
+    adds one zero rate.  Returns sorted (rate, multiplicity) pairs, rates
+    closer than ``tol`` merged.
+    """
+    rates = [0.0] * len(lams)
+    for i, li in enumerate(lams):
+        for lj in lams[i + 1:]:
+            rates += [abs(li + lj)] * 2 + [abs(li - lj)] * 2
+    rates.sort()
+    out: list[tuple[float, int]] = []
+    for r in rates:
+        if out and r - out[-1][0] <= tol:
+            out[-1] = (out[-1][0], out[-1][1] + 1)
+        else:
+            out.append((r, 1))
+    return out
+
+
+def eigenfield_residuals_per_generator(lc, xi_field, mats, points, rate):
+    """Reference for the batched eigenfield identities: one generator and one
+    sample at a time, as plain matrix-vector products."""
+    xi_mat = xi_field.matrix
+    orth = brk = eig = 0.0
+    for A in mats:
+        br = A @ xi_mat - xi_mat @ A
+        for p in points:
+            x = p.coords
+            st = lc.structure_at(xi_field, p)
+            a = A @ x
+            orth = max(orth, abs(float(a @ st.metric_matrix @ st.xi)))
+            w = st.frame @ (st.frame.T @ (st.dxi.T @ a))
+            brk = max(brk, float(np.linalg.norm(br @ x + w)))
+            af = st.frame.T @ (st.metric_matrix @ a)
+            ev = 4.0 * (st.phi_frame @ (st.phi_frame @ af)) + rate**2 * af
+            eig = max(eig, float(np.abs(ev).max()))
+    return {"orthogonality": orth, "bracket_identity": brk,
+            "eigenvalue_identity": eig}

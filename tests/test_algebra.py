@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from killinglab import (
     DegenerateClusterError,
     IsometryAlgebra,
+    LeviCivita,
     build_round,
     field_bracket,
     killing_inner,
@@ -20,7 +21,11 @@ from killinglab.algebra import centralizer_check, eigenfield_residuals
 from killinglab.constructions import J2
 from killinglab.metrics import linear_field
 
-from oracles import brute_force_decomposition
+from oracles import (
+    adjoint_rates,
+    brute_force_decomposition,
+    eigenfield_residuals_per_generator,
+)
 
 
 def test_so_basis_dimension_and_skewness():
@@ -132,6 +137,32 @@ def test_well_separated_rates_split_cleanly():
     assert len(dec.rates) > 1
 
 
+def test_adjoint_spectrum_of_j0_on_so6():
+    """J0 on so(6): the commutant u(3) at rate 0 and a rate-2 block of 6."""
+    alg = IsometryAlgebra(so_basis(6), name="so(6)", validate=False)
+    dec = standard_decomposition(alg, np.kron(np.eye(3), J2))
+    assert [(round(r, 9), m) for r, m in dec.summary()] == [(0.0, 9), (2.0, 6)]
+    assert adjoint_rates([1.0, 1.0, 1.0]) == [(0.0, 9), (2.0, 6)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_adjoint_spectrum_matches_closed_form(n):
+    """xi = J0 + a J1 on so(2n+2), a = sqrt(2) - 1, rotates its planes at
+    (sqrt 2, 1, ..., 1); the blocks must carry the rates |l_i +- l_j| (i < j)
+    with multiplicity 2 each plus one zero rate per plane."""
+    d = 2 * n + 2
+    a = np.sqrt(2.0) - 1.0
+    lams = [1.0 + a] + [1.0] * n
+    xi = np.zeros((d, d))
+    for k, lam in enumerate(lams):
+        xi[2 * k:2 * k + 2, 2 * k:2 * k + 2] = lam * J2
+    alg = IsometryAlgebra(so_basis(d), name=f"so({d})", validate=False)
+    got = standard_decomposition(alg, xi).summary()
+    want = adjoint_rates(lams)
+    assert [m for _, m in got] == [m for _, m in want]
+    assert np.allclose([r for r, _ in got], [r for r, _ in want], rtol=0, atol=1e-9)
+
+
 # -- eigenfield identities ----------------------------------------------------
 
 def test_eigenfield_identities_on_round(lc_round1, round1, pts1):
@@ -166,3 +197,23 @@ def test_centralizer_check_flags_non_central():
     probe = so_basis(4)[0]
     out = centralizer_check(alg, [probe])
     assert not out["ok"]
+
+
+@pytest.mark.parametrize("example", ["round", "deformed"])
+def test_eigenfield_residuals_block_matches_per_generator(example, round1, lc_round1,
+                                                          pts1, deformed, pts3):
+    """One call on a whole block (here with a commutant element mixed in, so
+    the identities fail on one row) gives the max of the per-generator,
+    per-sample reference."""
+    if example == "round":
+        st, lc, pts = round1, lc_round1, pts1[:10]
+    else:
+        st, lc, pts = deformed, LeviCivita(deformed.metric), pts3[:4]
+    dec = standard_decomposition(st.isometry_algebra(), st.j0)
+    rate = dec.rates[-1]
+    mats = list(dec.blocks[-1]) + [dec.blocks[0][-1]]
+    got = eigenfield_residuals(lc, st.field, np.stack(mats), pts, rate=rate)
+    want = eigenfield_residuals_per_generator(lc, st.field, mats, pts, rate)
+    assert want["eigenvalue_identity"] > 0.1
+    for key, val in want.items():
+        assert got[key] == pytest.approx(val, rel=1e-12, abs=1e-14)

@@ -80,6 +80,25 @@ def test_exit_codes_usage_errors():
     assert run_cli("decompose", "--example", "quaternionic", *FAST)[0] == 2
 
 
+def test_verify_gf_default_n():
+    """gF needs n >= 3; with n unset the run uses 3 instead of failing."""
+    code, out, err = run_cli("verify", "--example", "gF", "--samples", "20",
+                             "--format", "json", "--no-timestamp")
+    assert code == 0, err
+    assert json.loads(out)["config"]["n"] == 3
+
+
+def test_hopf_lift_too_few_kept_samples():
+    """Too few samples for the lift fit is refused with its real cause."""
+    code, _, err = run_cli("verify", "--example", "hopf-lift",
+                           "--samples", "2", "--no-timestamp")
+    assert code == 2
+    assert "of 2 samples" in err
+    assert "antipode" in err
+    assert "at least 4" in err
+    assert "skew" not in err
+
+
 def test_exit_codes_numerical_failures():
     code, _, err = run_cli("verify", "--example", "round", "--n", "1",
                            "--fd-step", "1e30", *FAST)

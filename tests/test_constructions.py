@@ -215,6 +215,33 @@ def test_lift_refuses_antipode(hopf):
         lift_potential(hopf, gen, antipode)
 
 
+def test_lift_potential_is_moment_map(hopf):
+    """Closed form: the potential of the k-th rotation generator is the moment
+    map y[k] - anchor[k].  Seeded base points, the anchor itself, and a ring
+    of arcs just inside the pi - 0.2 cutoff; the batched (N, 3) call and the
+    per-point calls must both match it."""
+    rng = np.random.default_rng(20)
+    v = rng.standard_normal((600, 3))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    v = v[np.arccos(-v[:, 2]) <= math.pi - 0.2]      # anchor direction is -e3
+    cut = math.pi - 0.2 - 1e-7
+    phi = np.linspace(0.0, 2.0 * math.pi, 48, endpoint=False)
+    ring = np.stack([math.sin(cut) * np.cos(phi), math.sin(cut) * np.sin(phi),
+                     np.full_like(phi, -math.cos(cut))], axis=1)
+    ys = np.concatenate([hopf.anchor[None, :], 0.5 * v, 0.5 * ring])
+    assert len(ys) >= 500
+    for k, gen in enumerate(so3_basis()):
+        want = ys[:, k] - hopf.anchor[k]
+        batched = lift_potential(hopf, gen, ys)
+        assert batched.shape == (len(ys),)
+        assert np.abs(batched - want).max() < 1e-12
+        single = [lift_potential(hopf, gen, y) for y in ys]
+        assert all(isinstance(f, float) for f in single)
+        assert np.abs(np.array(single) - want).max() < 1e-12
+    with pytest.raises(ValueError, match="antipode"):
+        lift_potential(hopf, so3_basis()[0], np.stack([ys[1], -hopf.anchor]))
+
+
 def test_pushdown_matches_base(hopf):
     """d(projection) maps each fitted lift back onto its base generator."""
     pts = hopf_sample_filter(sample_sphere(1, 50, seed=42).points)[:25]
