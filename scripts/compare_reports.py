@@ -1,0 +1,88 @@
+#!/usr/bin/env python3
+"""Compare two directories of battery reports written by run_all_examples.py.
+
+For every report and every check it prints the verdict on each side
+(``pass`` / ``as_expected``) and how far the max and mean residuals moved,
+absolute and relative to the first directory.  Exits 1 if any verdict
+changed or a report or check is present on one side only, else 0.
+
+Usage:
+    python3 scripts/run_all_examples.py --samples 200 --out A_DIR   # before
+    python3 scripts/run_all_examples.py --samples 200 --out B_DIR   # after
+    python3 scripts/compare_reports.py A_DIR B_DIR
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import pathlib
+import sys
+
+
+def movement(a: float, b: float) -> tuple[float, float]:
+    """Absolute and relative (to a) distance between two residuals."""
+    diff = abs(b - a)
+    if diff == 0.0:
+        return 0.0, 0.0
+    return diff, diff / abs(a) if a != 0.0 else math.inf
+
+
+def verdict(check: dict | None) -> str:
+    if check is None:
+        return "missing"
+    return (f"{'pass' if check['pass'] else 'FAIL'}/"
+            f"{'ok' if check['as_expected'] else 'UNEXPECTED'}")
+
+
+def compare_report(a: dict, b: dict) -> tuple[list[dict], bool]:
+    """One row per check name (order of ``a``, then checks only in ``b``),
+    and whether any verdict differs."""
+    checks_a = {c["name"]: c for c in a["checks"]}
+    checks_b = {c["name"]: c for c in b["checks"]}
+    names = list(checks_a) + [n for n in checks_b if n not in checks_a]
+    rows, changed = [], False
+    for name in names:
+        ca, cb = checks_a.get(name), checks_b.get(name)
+        row = {"name": name, "verdict_a": verdict(ca), "verdict_b": verdict(cb)}
+        row["changed"] = row["verdict_a"] != row["verdict_b"]
+        if ca is not None and cb is not None:
+            row["max"] = movement(ca["max_residual"], cb["max_residual"])
+            row["mean"] = movement(ca["mean_residual"], cb["mean_residual"])
+        changed = changed or row["changed"]
+        rows.append(row)
+    return rows, changed
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("a_dir", type=pathlib.Path)
+    ap.add_argument("b_dir", type=pathlib.Path)
+    opts = ap.parse_args(argv)
+
+    files = sorted({p.name for d in (opts.a_dir, opts.b_dir) for p in d.glob("*.json")})
+    any_changed = False
+    for fname in files:
+        pa, pb = opts.a_dir / fname, opts.b_dir / fname
+        if not (pa.exists() and pb.exists()):
+            print(f"{fname}: only in {pa.parent if pa.exists() else pb.parent}")
+            any_changed = True
+            continue
+        rows, changed = compare_report(json.loads(pa.read_text()), json.loads(pb.read_text()))
+        any_changed = any_changed or changed
+        print(f"{fname}")
+        print(f"  {'check':<34} {'verdict A -> B':<32} {'max abs':>9} {'max rel':>9} "
+              f"{'mean abs':>9} {'mean rel':>9}")
+        for r in rows:
+            moved = (f"{r['max'][0]:9.2e} {r['max'][1]:9.2e} {r['mean'][0]:9.2e} "
+                     f"{r['mean'][1]:9.2e}" if "max" in r else "")
+            flag = "  VERDICT CHANGED" if r["changed"] else ""
+            print(f"  {r['name']:<34} {r['verdict_a'] + ' -> ' + r['verdict_b']:<32} "
+                  f"{moved}{flag}")
+    print("\nverdicts changed" if any_changed else "\nverdicts identical")
+    return 1 if any_changed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

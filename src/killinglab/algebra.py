@@ -70,9 +70,15 @@ class IsometryAlgebra:
         self.name = name
         self.ambient_dim = d
         self._flat = np.stack([b.ravel() for b in mats], axis=1)  # (d*d, n)
-        if np.linalg.matrix_rank(self._flat, tol=1e-10) != len(mats):
+        # One SVD gives the rank (singular values above 1e-10, as
+        # matrix_rank(tol=1e-10)) and the pseudo-inverse (cutoff
+        # 1e-15 * s.max(), as the default of np.linalg.pinv).
+        u, s, vt = np.linalg.svd(self._flat, full_matrices=False)
+        if int(np.count_nonzero(s > 1e-10)) != len(mats):
             raise ValueError("basis matrices are linearly dependent")
-        self._pinv = np.linalg.pinv(self._flat)
+        large = s > 1e-15 * s.max()
+        s_inv = np.divide(1.0, s, where=large, out=np.zeros_like(s))
+        self._pinv = vt.T @ (s_inv[:, None] * u.T)
         if validate:
             self.validate_closure(closure_tol)
 

@@ -41,7 +41,7 @@ from .metrics import (
     linear_field,
     round_metric,
 )
-from .sphere import SpherePoint
+from .sphere import SpherePoint, matvec, rowdot
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -429,15 +429,16 @@ class DeformedStructure:
         return IsometryAlgebra(basis, name="deformation_invariance", validate=False)
 
 
-def smooth_transition(t: float) -> float:
-    """C-infinity monotone step: 0 for t <= 0, 1 for t >= 1."""
-    if t <= 0.0:
-        return 0.0
-    if t >= 1.0:
-        return 1.0
-    b0 = math.exp(-1.0 / t)
-    b1 = math.exp(-1.0 / (1.0 - t))
-    return b0 / (b0 + b1)
+def smooth_transition(t):
+    """C-infinity monotone step: 0 for t <= 0, 1 for t >= 1; t is a scalar
+    (giving a float) or an array."""
+    t = np.asarray(t, dtype=float)
+    out = np.array(t >= 1.0, dtype=float)
+    mid = (t > 0.0) & (t < 1.0)
+    b0 = np.exp(-1.0 / t[mid])
+    b1 = np.exp(-1.0 / (1.0 - t[mid]))
+    out[mid] = b0 / (b0 + b1)
+    return float(out) if out.ndim == 0 else out
 
 
 DEFORM_SUPPORT_LO = 0.05
@@ -468,35 +469,33 @@ def build_deformed(n: int = 3, c: float = 0.3) -> DeformedStructure:
     j0 = std_complex_structure(d)
     lo, hi = DEFORM_SUPPORT_LO, DEFORM_SUPPORT_HI
 
+    # Each callable takes one point (d,) or a stack (..., d).
     def x_vec(x: np.ndarray) -> np.ndarray:
-        x2 = x[-4:]
-        n2 = float(x2 @ x2)
-        out = np.zeros(d)
-        if n2 < 1e-14:
-            return out
-        w = RIGHT_J @ x2
-        xi2 = LEFT_I @ x2
-        w = w - (float(w @ xi2) / n2) * xi2
-        out[-4:] = w
+        x2 = x[..., -4:]
+        n2 = rowdot(x2, x2)
+        live = n2 >= 1e-14
+        w = matvec(RIGHT_J, x2)
+        xi2 = matvec(LEFT_I, x2)
+        coef = np.where(live, rowdot(w, xi2) / np.where(live, n2, 1.0), 0.0)
+        out = np.zeros(x.shape)
+        out[..., -4:] = np.where(live[..., None], w - coef[..., None] * xi2, 0.0)
         return out
 
-    def f_of(x: np.ndarray) -> float:
+    def f_of(x: np.ndarray):
         v = x_vec(x)
-        s = float(v @ v)
-        return c * smooth_transition((s - lo) / (hi - lo))
+        return c * smooth_transition((rowdot(v, v) - lo) / (hi - lo))
 
     eye = np.eye(d)
 
     def matrix_func(x: np.ndarray) -> np.ndarray:
-        F = f_of(x)
-        if F == 0.0:
-            return eye
+        F = np.asarray(f_of(x))[..., None, None]
         X = x_vec(x)
-        nx = float(np.linalg.norm(X))
+        nx = np.sqrt(rowdot(X, X))[..., None]
+        nx = np.where(nx > 0.0, nx, 1.0)  # F = 0 there, so M = Id
         Xh = X / nx
-        Yh = (j0 @ X) / nx
-        return (eye + (math.exp(-2.0 * F) - 1.0) * np.outer(Xh, Xh)
-                + (math.exp(2.0 * F) - 1.0) * np.outer(Yh, Yh))
+        Yh = matvec(j0, X) / nx
+        return (eye + (np.exp(-2.0 * F) - 1.0) * (Xh[..., :, None] * Xh[..., None, :])
+                + (np.exp(2.0 * F) - 1.0) * (Yh[..., :, None] * Yh[..., None, :]))
 
     metric = MetricField("deformed", matrix_func, dim=d, exact_round=False,
                          name=f"deformed(c={c})")
@@ -557,15 +556,15 @@ def build_irregular(n: int = 2, a: ExactScalar | None = None) -> IrregularStruct
     coef = 2.0 * a_val + a_val * a_val
 
     def matrix_func(x: np.ndarray) -> np.ndarray:
-        x1sq = float(x[0] * x[0] + x[1] * x[1])
+        x1sq = (x[..., 0] * x[..., 0] + x[..., 1] * x[..., 1])[..., None, None]
         alpha = 1.0 / (1.0 + a_val * x1sq)
-        t0 = j0 @ x
-        t = gen @ x
+        t0 = matvec(j0, x)
+        t = matvec(gen, x)
         t_sq = 1.0 + coef * x1sq
-        outer00 = np.outer(t0, t0)
-        cross = np.outer(t, t0)
+        outer00 = t0[..., :, None] * t0[..., None, :]
+        cross = t[..., :, None] * t0[..., None, :]
         return (alpha * alpha * outer00
-                + alpha * (eye - alpha * (cross + cross.T)
+                + alpha * (eye - alpha * (cross + np.swapaxes(cross, -1, -2))
                            + alpha * alpha * t_sq * outer00))
 
     metric = MetricField("irregular", matrix_func, dim=d, exact_round=False,

@@ -5,10 +5,13 @@ M(x) on R^d with g_x(u, v) = u^T M(x) v for tangent vectors u, v at x.
 The round metric is M = Id; deformed metrics supply their own M.
 
 Differentiation strategy:
-  * round metric + (projected-)linear field  ->  closed forms, no stepping;
-  * anything else  ->  stereographic chart, closed-form chart Jacobian,
-    central finite differences applied to metric components and field
-    components only.
+  * round metric + linear field  ->  closed forms, no stepping;
+  * anything else  ->  stereographic chart with closed-form Jacobian J.  At
+    each point one chart endomorphism H = dX^T + Gamma X of the covariant
+    derivative is built and pushed forward as N = J H J^T / lam^2.  The
+    derivatives of metric and field components come from ``central_diff``,
+    which evaluates the whole +-h stencil of a point, or of a stack of
+    points, in one call of the component function.
 
 Every finite-difference covariant derivative can be wrapped in a Richardson
 step-halving guard; disagreement beyond ``RICHARDSON_REL_TOL`` raises
@@ -17,7 +20,7 @@ step-halving guard; disagreement beyond ``RICHARDSON_REL_TOL`` raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -25,10 +28,12 @@ import numpy as np
 from .sphere import (
     Chart,
     SpherePoint,
-    TangentVector,
     chart_for_point,
+    chart_index,
     default_atlas,
+    matvec,
     orthonormal_tangent_frame,
+    rowdot,
 )
 
 DEFAULT_FD_STEP = 1e-4
@@ -47,6 +52,28 @@ class MetricDegeneracyError(ValueError):
     """A metric stopped being positive definite on the tangent space."""
 
 
+def central_diff(f: Callable[[np.ndarray], np.ndarray], U: np.ndarray, h: float,
+                 center: bool = False):
+    """Central differences of f along every coordinate axis at U (..., m).
+
+    The stencil U +- h e_l is built as one (..., 2m, m) stack, with U itself
+    appended as row 2m when ``center`` is set, and f is called once on it; f
+    maps (..., k, m) to (..., k, *shape).  Returns D (..., m, *shape) with
+    D[..., l, :] = (f(U + h e_l) - f(U - h e_l)) / 2h, or (f(U), D) with
+    ``center``.
+    """
+    U = np.asarray(U, dtype=float)
+    m = U.shape[-1]
+    shift = h * np.eye(m)
+    stencil = [U[..., None, :] + shift, U[..., None, :] - shift]
+    if center:
+        stencil.append(U[..., None, :])
+    axis = U.ndim - 1
+    vals = np.moveaxis(f(np.concatenate(stencil, axis=-2)), axis, 0)
+    diff = np.moveaxis((vals[:m] - vals[m:2 * m]) / (2 * h), 0, axis)
+    return (vals[2 * m], diff) if center else diff
+
+
 # ---------------------------------------------------------------------------
 # fields and metrics
 # ---------------------------------------------------------------------------
@@ -55,9 +82,9 @@ class MetricDegeneracyError(ValueError):
 class VectorField:
     """Tangent vector field given by an ambient-coordinates callable.
 
-    ``kind`` is "linear" (value A x with A skew, hence tangent), or
-    "projected-linear" (value E x projected to the tangent space), or
-    "general".  ``matrix`` keeps the generator for the two linear kinds.
+    ``kind`` is "linear" (value A x with A skew, hence tangent; ``matrix``
+    keeps A) or "general".  ``value`` takes one point (d,) or a stack
+    (..., d); a general callable sees one point at a time.
     """
 
     kind: str
@@ -66,10 +93,11 @@ class VectorField:
     name: str = ""
 
     def value(self, x: np.ndarray) -> np.ndarray:
-        return self.func(np.asarray(x, dtype=float))
-
-    def at(self, p: SpherePoint) -> TangentVector:
-        return TangentVector(p, self.value(p.coords))
+        x = np.asarray(x, dtype=float)
+        if self.kind == "linear" or x.ndim == 1:
+            return self.func(x)
+        out = np.stack([self.func(row) for row in x.reshape(-1, x.shape[-1])])
+        return out.reshape(x.shape[:-1] + out.shape[1:])
 
 
 def linear_field(A, name: str = "") -> VectorField:
@@ -79,19 +107,8 @@ def linear_field(A, name: str = "") -> VectorField:
     if np.abs(A + A.T).max() > 1e-12 * scale:
         raise ValueError("linear_field requires a skew-symmetric generator")
     A.setflags(write=False)
-    return VectorField("linear", lambda x: A @ x, matrix=A, name=name)
-
-
-def projected_linear_field(E, name: str = "") -> VectorField:
-    """Field x -> E x - <E x, x> x, the tangential part of a linear map."""
-    E = np.array(E, dtype=float)
-    E.setflags(write=False)
-
-    def val(x: np.ndarray) -> np.ndarray:
-        w = E @ x
-        return w - np.dot(w, x) * x
-
-    return VectorField("projected-linear", val, matrix=E, name=name)
+    return VectorField("linear", lambda x: A @ x if x.ndim == 1 else matvec(A, x),
+                       matrix=A, name=name)
 
 
 def general_field(func: Callable[[np.ndarray], np.ndarray], name: str = "") -> VectorField:
@@ -100,7 +117,8 @@ def general_field(func: Callable[[np.ndarray], np.ndarray], name: str = "") -> V
 
 @dataclass(frozen=True, eq=False)
 class MetricField:
-    """Riemannian metric as an ambient Gram-operator field."""
+    """Riemannian metric as an ambient Gram-operator field; ``matrix_func``
+    maps one point (d,) to (d, d) and a stack (..., d) to (..., d, d)."""
 
     kind: str
     matrix_func: Callable[[np.ndarray], np.ndarray]
@@ -116,7 +134,9 @@ def round_metric(dim: int) -> MetricField:
     """Induced metric of the unit embedding; Gram operator is the identity."""
     eye = np.eye(dim)
     eye.setflags(write=False)
-    return MetricField("round", lambda x: eye, dim=dim, exact_round=True, name="round")
+    return MetricField(
+        "round", lambda x: eye if x.ndim == 1 else np.broadcast_to(eye, x.shape[:-1] + eye.shape),
+        dim=dim, exact_round=True, name="round")
 
 
 def check_positive_definite(metric: MetricField, x: np.ndarray, tol: float = 1e-10) -> None:
@@ -192,13 +212,6 @@ class StructureTensors:
     def dim(self) -> int:
         return self.point.dim
 
-    def g(self, u: np.ndarray, v: np.ndarray) -> float:
-        return float(u @ self.metric_matrix @ v)
-
-    def eta(self, u: np.ndarray) -> float:
-        """Metric dual one-form of the field, evaluated on an ambient vector."""
-        return float(self.xi @ self.metric_matrix @ u)
-
 
 # ---------------------------------------------------------------------------
 # Levi-Civita machinery
@@ -223,77 +236,81 @@ class LeviCivita:
         self.metric = metric
         self.fd_step = float(fd_step)
         self.atlas = tuple(atlas) if atlas is not None else default_atlas(metric.dim)
-        self._gamma_cache: dict = {}
+
+    def _use_exact(self, fld: VectorField, method: str) -> bool:
+        """Exact-vs-FD dispatch: "auto" takes the closed form when the metric is
+        round and the field linear; "exact" / "fd" force a path."""
+        if method not in ("auto", "exact", "fd"):
+            raise ValueError(f"unknown method {method!r}")
+        exact_ok = self.metric.exact_round and fld.kind == "linear"
+        if method == "exact" and not exact_ok:
+            raise ValueError("exact covariant derivative needs round metric and linear field")
+        return exact_ok and method != "fd"
 
     # -- chart-level pieces -------------------------------------------------
+    # Each takes one chart point u (m,) or a stack (..., m) in the same chart.
 
     def chart_metric(self, chart: Chart, u: np.ndarray) -> np.ndarray:
         """Metric components g_ij(u) in chart coordinates."""
         J = chart.jacobian(u)
         M = self.metric.matrix_at(chart.point_coords(u))
-        return J.T @ M @ J
+        return np.swapaxes(J, -1, -2) @ M @ J
 
     def christoffel(self, chart: Chart, u: np.ndarray, step: float | None = None) -> np.ndarray:
-        """Christoffel symbols Gamma[k, i, j] in chart coordinates.
+        """Christoffel symbols Gamma[..., k, i, j] in chart coordinates.
 
         Round metric: closed conformal-factor form.  Otherwise: central
         differences of the chart metric components with the given step.
         """
+        u = np.asarray(u, dtype=float)
         m = chart.dim - 1
         if self.metric.exact_round:
-            s = float(u @ u) + 1.0
+            s = (rowdot(u, u) + 1.0)[..., None, None, None]
             eye = np.eye(m)
-            Gamma = (np.einsum("ik,j->kij", eye, u) + np.einsum("jk,i->kij", eye, u)
-                     - np.einsum("ij,k->kij", eye, u))
+            Gamma = (np.einsum("ik,...j->...kij", eye, u) + np.einsum("jk,...i->...kij", eye, u)
+                     - np.einsum("ij,...k->...kij", eye, u))
             return (-2.0 / s) * Gamma
         h = float(step) if step is not None else self.fd_step
-        key = (id(chart), h, u.tobytes())
-        hit = self._gamma_cache.get(key)
-        if hit is not None:
-            return hit
-        dg = np.empty((m, m, m))  # dg[l, i, j] = d g_ij / d u_l
-        for l in range(m):
-            e = np.zeros(m)
-            e[l] = h
-            dg[l] = (self.chart_metric(chart, u + e) - self.chart_metric(chart, u - e)) / (2 * h)
-        g = self.chart_metric(chart, u)
+        # dg[..., l, i, j] = d g_ij / d u_l
+        g, dg = central_diff(lambda v: self.chart_metric(chart, v), u, h, center=True)
         # Gamma_{kij} (lower) = (d_i g_jk + d_j g_ik - d_k g_ij) / 2
-        lower = 0.5 * (np.einsum("ijk->kij", dg) + np.einsum("jik->kij", dg)
-                       - np.einsum("kij->kij", dg))
-        Gamma = np.linalg.solve(g, lower.reshape(m, m * m)).reshape(m, m, m)
-        if len(self._gamma_cache) > 4096:
-            self._gamma_cache.clear()
-        self._gamma_cache[key] = Gamma
-        return Gamma
+        lower = 0.5 * (np.einsum("...ijk->...kij", dg) + np.einsum("...jik->...kij", dg)
+                       - dg)
+        Gamma = np.linalg.solve(g, lower.reshape(lower.shape[:-3] + (m, m * m)))
+        return Gamma.reshape(lower.shape)
 
     def field_chart_components(self, chart: Chart, u: np.ndarray,
                                fld: VectorField) -> np.ndarray:
         x = chart.point_coords(u)
         return chart.to_chart_vector(u, fld.value(x))
 
-    # -- first covariant derivative ------------------------------------------
-
-    def _nabla_exact(self, fld: VectorField, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Round metric + linear generator: tangential part of the flat derivative."""
-        E = fld.matrix
-        w = E @ v
-        if fld.kind == "projected-linear":
-            w = w - np.dot(E @ x, x) * v
-        return w - np.dot(w, x) * x
-
-    def _nabla_fd_chart(self, fld: VectorField, chart: Chart, u: np.ndarray,
-                        v_chart: np.ndarray, h: float) -> np.ndarray:
-        """Chart components of the covariant derivative along v (chart comps)."""
-        m = chart.dim - 1
-        dX = np.empty((m, m))  # dX[i, k] = d X^k / d u_i
-        for i in range(m):
-            e = np.zeros(m)
-            e[i] = h
-            dX[i] = (self.field_chart_components(chart, u + e, fld)
-                     - self.field_chart_components(chart, u - e, fld)) / (2 * h)
+    def _chart_nabla_endo(self, fld: VectorField, chart: Chart, u: np.ndarray,
+                          h: float) -> np.ndarray:
+        """Chart matrix H[..., k, j] = (nabla_{d_j} field)^k at chart point(s) u."""
+        Xc, dX = central_diff(lambda v: self.field_chart_components(chart, v, fld), u, h,
+                              center=True)
         Gamma = self.christoffel(chart, u, step=h)
-        Xc = self.field_chart_components(chart, u, fld)
-        return v_chart @ dX + np.einsum("kij,i,j->k", Gamma, v_chart, Xc)
+        # H[k, j] = d_j X^k + Gamma^k_{j l} X^l
+        return np.swapaxes(dX, -1, -2) + np.einsum("...kjl,...l->...kj", Gamma, Xc)
+
+    def _guarded_chart_endo(self, fld: VectorField, chart: Chart, u: np.ndarray,
+                            guard: bool) -> np.ndarray:
+        """H at fd_step; with ``guard``, H at fd_step / 2 once the two agree to
+        RICHARDSON_REL_TOL at every point."""
+        h = self.fd_step
+        H = self._chart_nabla_endo(fld, chart, u, h)
+        if not guard:
+            return H
+        H_half = self._chart_nabla_endo(fld, chart, u, h / 2)
+        rel = (np.linalg.norm(H - H_half, axis=(-2, -1))
+               / np.maximum(1.0, np.linalg.norm(H_half, axis=(-2, -1))))
+        if np.any(rel > RICHARDSON_REL_TOL):
+            raise NumericalQualityError(
+                f"covariant derivative unstable under step halving: rel drift "
+                f"{float(np.max(rel)):.3e} at fd_step={h:.3e}")
+        return H_half
+
+    # -- first covariant derivative ------------------------------------------
 
     def nabla(self, fld: VectorField, point: SpherePoint, direction: np.ndarray,
               method: str = "auto", guard: bool = True) -> np.ndarray:
@@ -301,68 +318,49 @@ class LeviCivita:
         ``direction`` (an ambient tangent vector) at ``point``.
 
         method: "auto" picks the closed form when available, else finite
-        differences; "exact" / "fd" force a path.  With ``guard`` the FD path
-        is recomputed at half step and must agree to RICHARDSON_REL_TOL.
+        differences; "exact" / "fd" force a path.  The FD path applies the
+        chart endomorphism H to the chart components of ``direction``; with
+        ``guard`` H is recomputed at half step and must agree to
+        RICHARDSON_REL_TOL.
         """
         x = point.coords
-        exact_ok = self.metric.exact_round and fld.matrix is not None \
-            and fld.kind in ("linear", "projected-linear")
-        if method not in ("auto", "exact", "fd"):
-            raise ValueError(f"unknown method {method!r}")
-        if method == "exact" and not exact_ok:
-            raise ValueError("exact covariant derivative needs round metric and linear field")
-        if exact_ok and method != "fd":
-            return self._nabla_exact(fld, x, np.asarray(direction, dtype=float))
-
+        direction = np.asarray(direction, dtype=float)
+        if self._use_exact(fld, method):
+            w = fld.matrix @ direction
+            return w - np.dot(w, x) * x
         chart = chart_for_point(point, self.atlas)
         u = chart.coords(point)
-        v_chart = chart.to_chart_vector(u, np.asarray(direction, dtype=float))
-        h = self.fd_step
-        out = self._nabla_fd_chart(fld, chart, u, v_chart, h)
-        if guard:
-            out_half = self._nabla_fd_chart(fld, chart, u, v_chart, h / 2)
-            rel = np.linalg.norm(out - out_half) / max(1.0, np.linalg.norm(out_half))
-            if rel > RICHARDSON_REL_TOL:
-                raise NumericalQualityError(
-                    f"covariant derivative unstable under step halving: rel drift {rel:.3e} "
-                    f"at fd_step={h:.3e}")
-            out = out_half
-        return chart.push(u, out)
+        H = self._guarded_chart_endo(fld, chart, u, guard)
+        return chart.push(u, H @ chart.to_chart_vector(u, direction))
 
-    def nabla_endo(self, fld: VectorField, point: SpherePoint,
+    def nabla_endo(self, fld: VectorField, point: SpherePoint | np.ndarray,
                    method: str = "auto", guard: bool = False) -> np.ndarray:
-        """Ambient matrix N with N v = nabla_v(field) for tangent v, N x = 0."""
-        x = point.coords
-        exact_ok = self.metric.exact_round and fld.matrix is not None \
-            and fld.kind in ("linear", "projected-linear")
-        if exact_ok and method != "fd":
-            proj = np.eye(x.shape[0]) - np.outer(x, x)
-            E = fld.matrix
-            N = proj @ E @ proj
-            if fld.kind == "projected-linear":
-                N = N - np.dot(E @ x, x) * proj
-            return N
-        F = orthonormal_tangent_frame(x)
-        cols = [self.nabla(fld, point, F[:, j], method=method, guard=guard)
-                for j in range(F.shape[1])]
-        return np.stack(cols, axis=1) @ F.T
+        """Ambient matrix N with N v = nabla_v(field) for tangent v, N x = 0.
+
+        ``point`` is a SpherePoint or a stack (K, d) of ambient points, which
+        gives (K, d, d).  Off the closed form each point is differentiated in
+        the chart ``chart_for_point`` gives it: N = J H J^T / lam^2, where
+        J^T x = 0 keeps N x = 0.
+        """
+        x = point.coords if isinstance(point, SpherePoint) else np.asarray(point, dtype=float)
+        if self._use_exact(fld, method):
+            proj = np.eye(x.shape[-1]) - x[..., :, None] * x[..., None, :]
+            return proj @ fld.matrix @ proj
+        xs = np.atleast_2d(x)
+        N = np.empty(xs.shape + xs.shape[-1:])
+        idx = chart_index(xs, self.atlas)
+        for c, chart in enumerate(self.atlas):
+            sel = idx == c
+            if not sel.any():
+                continue
+            u = chart.coords(xs[sel])
+            H = self._guarded_chart_endo(fld, chart, u, guard)
+            J = chart.jacobian(u)
+            lam2 = chart.conformal_factor(u) ** 2
+            N[sel] = J @ H @ np.swapaxes(J, -1, -2) / lam2[:, None, None]
+        return N[0] if x.ndim == 1 else N
 
     # -- second covariant derivative ------------------------------------------
-
-    def _chart_nabla_endo(self, fld: VectorField, chart: Chart, u: np.ndarray,
-                          h: float) -> np.ndarray:
-        """Chart matrix H[k, j] = (nabla_{d_j} field)^k at chart point u."""
-        m = chart.dim - 1
-        dX = np.empty((m, m))
-        for i in range(m):
-            e = np.zeros(m)
-            e[i] = h
-            dX[i] = (self.field_chart_components(chart, u + e, fld)
-                     - self.field_chart_components(chart, u - e, fld)) / (2 * h)
-        Gamma = self.christoffel(chart, u, step=h)
-        Xc = self.field_chart_components(chart, u, fld)
-        # H[k, j] = d_j X^k + Gamma^k_{j l} X^l
-        return dX.T + np.einsum("kjl,l->kj", Gamma, Xc)
 
     def second_nabla_frame(self, fld: VectorField, point: SpherePoint,
                            frame: np.ndarray, method: str = "auto") -> np.ndarray:
@@ -375,10 +373,8 @@ class LeviCivita:
         """
         x = point.coords
         k = frame.shape[1]
-        T = np.empty((x.shape[0], k, k))
-        exact_ok = self.metric.exact_round and fld.matrix is not None \
-            and fld.kind in ("linear", "projected-linear")
-        if exact_ok and method != "fd":
+        if self._use_exact(fld, method):
+            T = np.empty((x.shape[0], k, k))
             E = fld.matrix
             Ex = E @ x
             Ex_t = Ex - np.dot(Ex, x) * x
@@ -388,32 +384,23 @@ class LeviCivita:
                 for j in range(k):
                     v = frame[:, j]
                     # tangential part of (D_u H) v - <u, v> H x
-                    val = -np.dot(E @ v, x) * proj @ u - np.dot(u, v) * Ex_t
-                    if fld.kind == "projected-linear":
-                        val = val - (np.dot(E @ u, x) + np.dot(Ex, u)) * proj @ v
-                    T[:, i, j] = val
+                    T[:, i, j] = -np.dot(E @ v, x) * proj @ u - np.dot(u, v) * Ex_t
             return T
 
         chart = chart_for_point(point, self.atlas)
         u0 = chart.coords(point)
-        m = chart.dim - 1
         h_in = self.fd_step / SECOND_DERIV_INNER_SHRINK
         h_out = self.fd_step * SECOND_DERIV_OUTER_GROWTH
-        dH = np.empty((m, m, m))  # dH[i, k, j] = d_i H^k_j
-        for i in range(m):
-            e = np.zeros(m)
-            e[i] = h_out
-            dH[i] = (self._chart_nabla_endo(fld, chart, u0 + e, h_in)
-                     - self._chart_nabla_endo(fld, chart, u0 - e, h_in)) / (2 * h_out)
-        H0 = self._chart_nabla_endo(fld, chart, u0, h_in)
+        # dH[i, k, j] = d_i H^k_j
+        H0, dH = central_diff(lambda v: self._chart_nabla_endo(fld, chart, v, h_in),
+                              u0, h_out, center=True)
         Gamma = self.christoffel(chart, u0, step=h_in)
         # T_chart[k, i, j] = d_i H^k_j + Gamma^k_{i l} H^l_j - Gamma^l_{i j} H^k_l
         T_chart = (np.einsum("ikj->kij", dH)
                    + np.einsum("kil,lj->kij", Gamma, H0)
                    - np.einsum("lij,kl->kij", Gamma, H0))
         J = chart.jacobian(u0)
-        frame_chart = np.stack([chart.to_chart_vector(u0, frame[:, i]) for i in range(k)],
-                               axis=1)
+        frame_chart = chart.to_chart_vector(u0, frame.T).T
         return np.einsum("dk,kab,ai,bj->dij", J, T_chart, frame_chart, frame_chart)
 
     # -- derived structure ----------------------------------------------------

@@ -94,11 +94,6 @@ def project_tangent(p: SpherePoint, v) -> TangentVector:
     return TangentVector(p, w)
 
 
-def project_tangent_array(x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Raw-array tangent projection, no wrapping."""
-    return v - np.dot(v, x) * x
-
-
 def orthonormal_tangent_frame(x: np.ndarray) -> np.ndarray:
     """Euclidean orthonormal basis of x^perp, columns of a (d, d-1) array.
 
@@ -131,21 +126,7 @@ class Chart:
 
     @staticmethod
     def from_pole(pole: SpherePoint) -> "Chart":
-        q = pole.coords
-        d = q.shape[0]
-        cols = []
-        for i in range(d):
-            v = -q[i] * q
-            v[i] += 1.0
-            for c in cols:
-                v = v - np.dot(v, c) * c
-            n = np.linalg.norm(v)
-            if n < 0.5:  # the axis closest to the pole drops out here
-                continue
-            cols.append(v / n)
-            if len(cols) == d - 1:
-                break
-        return Chart(pole, _readonly(np.stack(cols, axis=1)))
+        return Chart(pole, _readonly(orthonormal_tangent_frame(pole.coords)))
 
     @property
     def dim(self) -> int:
@@ -154,41 +135,58 @@ class Chart:
     def contains(self, p: SpherePoint) -> bool:
         return float(np.linalg.norm(p.coords - self.pole.coords)) > POLE_EXCLUSION
 
-    def coords(self, p: SpherePoint) -> np.ndarray:
-        x = p.coords
+    # Every map below takes one chart point u of shape (m,) = (d-1,) or a
+    # stack (..., m), giving the per-row results for a stack.
+
+    def coords(self, p: SpherePoint | np.ndarray) -> np.ndarray:
+        """Chart coordinates of a point, or of a stack (..., d) of ambient points."""
+        x = p.coords if isinstance(p, SpherePoint) else np.asarray(p, dtype=float)
         q = self.pole.coords
-        if float(np.linalg.norm(x - q)) <= POLE_EXCLUSION:
+        if np.any(np.linalg.norm(x - q, axis=-1) <= POLE_EXCLUSION):
             raise ChartDomainError("point within pole exclusion radius of the chart")
-        denom = 1.0 - float(np.dot(x, q))
-        return (self.basis.T @ x) / denom
+        denom = 1.0 - rowdot(x, q)
+        return matvec(self.basis.T, x) / denom[..., None]
 
     def point_coords(self, u: np.ndarray) -> np.ndarray:
         """Chart inverse as a raw ambient array (exactly unit up to rounding)."""
-        s = float(np.dot(u, u)) + 1.0
-        return ((s - 2.0) * self.pole.coords + 2.0 * (self.basis @ u)) / s
+        u = np.asarray(u, dtype=float)
+        s = (rowdot(u, u) + 1.0)[..., None]
+        return ((s - 2.0) * self.pole.coords + 2.0 * matvec(self.basis, u)) / s
 
-    def point(self, u: np.ndarray) -> SpherePoint:
-        return SpherePoint(self.point_coords(np.asarray(u, dtype=float)))
-
-    def conformal_factor(self, u: np.ndarray) -> float:
+    def conformal_factor(self, u: np.ndarray) -> np.ndarray:
         """The chart inverse is conformal with J^T J = lam^2 I, lam = 2/(1+|u|^2)."""
-        return 2.0 / (1.0 + float(np.dot(u, u)))
+        u = np.asarray(u, dtype=float)
+        return 2.0 / (1.0 + rowdot(u, u))
 
     def jacobian(self, u: np.ndarray) -> np.ndarray:
-        """d(point)/du, shape (d, d-1); closed form, no finite differences."""
+        """d(point)/du, shape (..., d, d-1); closed form, no finite differences."""
         u = np.asarray(u, dtype=float)
-        s = float(np.dot(u, u)) + 1.0
-        core = self.pole.coords - self.basis @ u  # shape (d,)
-        return (4.0 / s**2) * np.outer(core, u) + (2.0 / s) * self.basis
+        s = (rowdot(u, u) + 1.0)[..., None, None]
+        core = self.pole.coords - matvec(self.basis, u)  # shape (..., d)
+        return (4.0 / s**2) * (core[..., :, None] * u[..., None, :]) + (2.0 / s) * self.basis
 
     def to_chart_vector(self, u: np.ndarray, ambient: np.ndarray) -> np.ndarray:
-        """Chart components of a tangent vector at point(u); exact by conformality."""
+        """Chart components of a tangent vector at point(u); exact by conformality.
+
+        ``ambient`` (..., d) broadcasts against ``u`` (..., m).
+        """
         lam2 = self.conformal_factor(u) ** 2
-        return (self.jacobian(u).T @ ambient) / lam2
+        J = self.jacobian(u)
+        return matvec(np.swapaxes(J, -1, -2), np.asarray(ambient, dtype=float)) / lam2[..., None]
 
     def push(self, u: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Ambient image of a chart-coordinate vector."""
-        return self.jacobian(u) @ w
+        return matvec(self.jacobian(u), w)
+
+
+def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot product over the last axis."""
+    return np.einsum("...i,...i->...", a, b)
+
+
+def matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """A @ v over the last axis of v, broadcasting stacked A and v."""
+    return (A @ v[..., None])[..., 0]
 
 
 def default_atlas(dim: int) -> tuple[Chart, Chart]:
@@ -198,11 +196,21 @@ def default_atlas(dim: int) -> tuple[Chart, Chart]:
     return (Chart.from_pole(SpherePoint(e1)), Chart.from_pole(SpherePoint(-e1)))
 
 
+def chart_index(x: np.ndarray, atlas: Sequence[Chart]) -> np.ndarray:
+    """Index of the atlas chart whose pole is farther from each point of x (..., d).
+
+    On the unit sphere the farther pole is the one with the smaller <x, pole>;
+    for the default atlas that is a mask on the sign of x[..., 0], the first
+    chart (pole +e1) winning ties.
+    """
+    poles = np.stack([c.pole.coords for c in atlas])
+    return np.argmin(np.asarray(x, dtype=float) @ poles.T, axis=-1)
+
+
 def chart_for_point(p: SpherePoint, atlas: Sequence[Chart] | None = None) -> Chart:
     """Chart of the atlas whose pole is farther from p."""
     charts = atlas if atlas is not None else default_atlas(p.dim)
-    dists = [float(np.linalg.norm(p.coords - c.pole.coords)) for c in charts]
-    return charts[int(np.argmax(dists))]
+    return charts[int(chart_index(p.coords, charts))]
 
 
 @dataclass(frozen=True, eq=False)

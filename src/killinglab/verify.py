@@ -37,10 +37,11 @@ from .metrics import (
     LeviCivita,
     StructureTensors,
     VectorField,
+    central_diff,
     g_orthonormal_frame,
 )
 from .report import CheckResult
-from .sphere import SpherePoint, chart_for_point, default_atlas
+from .sphere import SpherePoint, chart_for_point, matvec, rowdot
 
 # Sign relating the second covariant derivative of a unit Killing field to
 # the metric wedge of the field with the identity.  Fixed once by the round
@@ -59,6 +60,8 @@ TANGENCY_TOL = 1e-10
 def _check(name: str, per_point: Sequence[float], tol: float, expected: str = "pass",
            fail_floor: float | None = None, detail: str = "") -> CheckResult:
     arr = np.asarray(per_point, dtype=float)
+    if arr.size == 0:
+        raise ValueError(f"check '{name}' got no samples to evaluate")
     return CheckResult(name=name, max_residual=float(arr.max()),
                        mean_residual=float(arr.mean()), tolerance=tol,
                        expected=expected, fail_floor=fail_floor, detail=detail)
@@ -550,8 +553,12 @@ def nijenhuis_residual(lc: LeviCivita, fld: VectorField, point: SpherePoint,
     Frame fields are horizontal projections of constant ambient vectors
     seeded by the horizontal frame at the center, so they are smooth and
     reproduce the frame exactly at the center.  Brackets are coordinate
-    brackets of chart components (central differences with ``step``); all
-    stencil evaluations of the metric structure are shared across pairs.
+    brackets of chart components (central differences with ``step``); the
+    whole stencil is evaluated in one batch, each stencil point taking its
+    covariant derivative in the chart ``chart_for_point`` gives it.  At a
+    stencil point only xi, M and phi are needed, and phi is frame free:
+    phi = S D^T S M / 2 with S = J (J^T M J)^-1 J^T the inverse metric on the
+    tangent space and D the matrix of d(eta) (see metrics.StructureTensors).
 
     Torsion of a pair (X, Y):
       4 N(X, Y) = ([phiX, phiY] - phi [phiX, Y]^H - phi [X, phiY]^H - [X, Y])
@@ -563,65 +570,54 @@ def nijenhuis_residual(lc: LeviCivita, fld: VectorField, point: SpherePoint,
     x0 = point.coords
     st0 = lc.structure_at(fld, point, method=method)
     M0 = st0.metric_matrix
-    seeds = g_orthonormal_frame(M0, x0, exclude=[st0.xi])  # (d, k)
-    k = seeds.shape[1]
+    seeds = g_orthonormal_frame(M0, x0, exclude=[st0.xi]).T  # (k, d)
     chart = chart_for_point(point, lc.atlas)
     u0 = chart.coords(point)
-    m = chart.dim - 1
 
-    def horizontal_fields(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Chart components of the projected frame fields and their phi-images."""
+    def horizontal_fields(u: np.ndarray) -> np.ndarray:
+        """Chart components (P, 2, k, m) of the projected frame fields and of
+        their phi-images at the stencil points u (P, m)."""
         x = chart.point_coords(u)
-        p = SpherePoint(x)
-        st = lc.structure_at(fld, p, method=method)
-        M = st.metric_matrix
-        xi = st.xi
-        g_xx = float(xi @ M @ xi)
-        Xs = np.empty((k, x.shape[0]))
-        JXs = np.empty((k, x.shape[0]))
-        for i in range(k):
-            w = seeds[:, i] - np.dot(seeds[:, i], x) * x
-            w = w - (float(xi @ M @ w) / g_xx) * xi
-            Xs[i] = w
-            JXs[i] = st.phi_ambient @ w
-        to_ch = lambda arr: np.stack([chart.to_chart_vector(u, row) for row in arr])
-        return to_ch(Xs), to_ch(JXs)
+        J = chart.jacobian(u)
+        Jt = np.swapaxes(J, -1, -2)
+        M = lc.metric.matrix_at(x)
+        xi = fld.value(x)
+        N = lc.nabla_endo(fld, x, method=method)
+        D = np.swapaxes(N, -1, -2) @ M - M @ N
+        S = J @ np.linalg.solve(Jt @ M @ J, Jt)
+        phi = 0.5 * S @ np.swapaxes(D, -1, -2) @ S @ M
+        eta = matvec(M, xi)                                   # (P, d)
+        W = seeds - (seeds @ x[..., None]) * x[:, None, :]    # (P, k, d)
+        W = W - (W @ eta[..., None] / rowdot(xi, eta)[:, None, None]) * xi[:, None, :]
+        JW = W @ np.swapaxes(phi, -1, -2)
+        return chart.to_chart_vector(u[:, None, None, :], np.stack([W, JW], axis=1))
 
-    X0c, JX0c = horizontal_fields(u0)
-    dX = np.empty((m, k, m))
-    dJX = np.empty((m, k, m))
-    for l in range(m):
-        e = np.zeros(m)
-        e[l] = step
-        Xp, JXp = horizontal_fields(u0 + e)
-        Xm, JXm = horizontal_fields(u0 - e)
-        dX[l] = (Xp - Xm) / (2 * step)
-        dJX[l] = (JXp - JXm) / (2 * step)
+    (X0c, JX0c), d_fields = central_diff(horizontal_fields, u0, step, center=True)
+    dX, dJX = d_fields[:, 0], d_fields[:, 1]                  # (m, k, m)
 
-    def bracket(Uc, dU, Vc, dV) -> np.ndarray:
-        """Coordinate bracket [U, V]^k = U^l d_l V^k - V^l d_l U^k at the center."""
-        return np.einsum("l,lk->k", Uc, dV) - np.einsum("l,lk->k", Vc, dU)
+    def brackets(Uc, dU, Vc, dV) -> np.ndarray:
+        """Coordinate brackets [U_i, V_j]^k = U_i^l d_l V_j^k - V_j^l d_l U_i^k
+        at the center, pushed to ambient components, (k, k, d)."""
+        b = np.einsum("il,ljk->ijk", Uc, dV) - np.einsum("jl,lik->ijk", Vc, dU)
+        return chart.push(u0, b)
 
     xi0 = st0.xi
-    g00 = float(xi0 @ M0 @ xi0)
+    eta0 = M0 @ xi0
+    g00 = float(xi0 @ eta0)
 
     def proj_h(v: np.ndarray) -> np.ndarray:
-        w = v - np.dot(v, x0) * x0
-        return w - (float(xi0 @ M0 @ w) / g00) * xi0
+        w = v - rowdot(v, x0)[..., None] * x0
+        return w - (rowdot(w, eta0) / g00)[..., None] * xi0
 
-    phi0 = st0.phi_ambient
-    worst = 0.0
-    for i in range(k):
-        for j in range(i + 1, k):
-            b_jj = chart.push(u0, bracket(JX0c[i], dJX[:, i], JX0c[j], dJX[:, j]))
-            b_jx = chart.push(u0, bracket(JX0c[i], dJX[:, i], X0c[j], dX[:, j]))
-            b_xj = chart.push(u0, bracket(X0c[i], dX[:, i], JX0c[j], dJX[:, j]))
-            b_xx = chart.push(u0, bracket(X0c[i], dX[:, i], X0c[j], dX[:, j]))
-            N4 = (proj_h(b_jj) - phi0 @ proj_h(b_jx) - phi0 @ proj_h(b_xj)
-                  - proj_h(b_xx))
-            R = 0.25 * proj_h(N4)
-            worst = max(worst, float(np.sqrt(R @ M0 @ R)))
-    return worst
+    phi0_t = st0.phi_ambient.T
+    N4 = (proj_h(brackets(JX0c, dJX, JX0c, dJX))
+          - proj_h(brackets(JX0c, dJX, X0c, dX)) @ phi0_t
+          - proj_h(brackets(X0c, dX, JX0c, dJX)) @ phi0_t
+          - proj_h(brackets(X0c, dX, X0c, dX)))
+    R = 0.25 * proj_h(N4)
+    norms = np.sqrt(np.einsum("ijd,de,ije->ij", R, M0, R))
+    i, j = np.triu_indices(len(seeds), k=1)
+    return float(norms[i, j].max(initial=0.0))
 
 
 def check_nijenhuis(lc: LeviCivita, fld: VectorField, points, tol: float = NIJENHUIS_TOL,
@@ -647,22 +643,15 @@ def check_contact_form_preserved(lc_def: LeviCivita, lc_ref: LeviCivita,
     by central differences of the pulled-back covector; no connection enters,
     so the comparison resolves far below covariant-derivative noise.
     """
-    ambient = points[0].coords.shape[0]
-    chart_dim = ambient - 1
-    atlas = default_atlas(ambient)
     h = lc_def.fd_step
 
     def chart_covector(lc, chart, u):
         x = chart.point_coords(u)
-        return chart.jacobian(u).T @ (lc.metric.matrix_at(x) @ fld.value(x))
+        eta = matvec(lc.metric.matrix_at(x), fld.value(x))
+        return matvec(np.swapaxes(chart.jacobian(u), -1, -2), eta)
 
     def exterior(lc, chart, u):
-        grad = np.empty((chart_dim, chart_dim))
-        for i in range(chart_dim):
-            e = np.zeros(chart_dim)
-            e[i] = h
-            grad[i] = (chart_covector(lc, chart, u + e)
-                       - chart_covector(lc, chart, u - e)) / (2.0 * h)
+        grad = central_diff(lambda v: chart_covector(lc, chart, v), u, h)
         return grad - grad.T
 
     res = []
@@ -671,7 +660,7 @@ def check_contact_form_preserved(lc_def: LeviCivita, lc_ref: LeviCivita,
         xi = fld.value(x)
         eta_d = lc_def.metric.matrix_at(x) @ xi
         eta_r = lc_ref.metric.matrix_at(x) @ xi
-        chart = chart_for_point(p, atlas)
+        chart = chart_for_point(p, lc_def.atlas)
         u = chart.coords(p)
         res.append(max(float(np.abs(eta_d - eta_r).max()),
                        float(np.abs(exterior(lc_def, chart, u)
@@ -691,9 +680,7 @@ def check_transverse_derivative(lc: LeviCivita, fld: VectorField, j0: np.ndarray
         x = p.coords
         rows = np.stack([x, j0 @ x])
         _, _, vt = np.linalg.svd(rows)
-        worst = 0.0
-        for v in vt[2:]:
-            d = lc.nabla(fld, p, v)
-            worst = max(worst, float(np.abs(d - j0 @ v).max()))
-        res.append(worst)
+        V = vt[2:].T
+        N = lc.nabla_endo(fld, p, guard=True)
+        res.append(float(np.abs(N @ V - j0 @ V).max()))
     return _check(name, res, tol)

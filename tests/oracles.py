@@ -141,3 +141,73 @@ def eigenfield_residuals_per_generator(lc, xi_field, mats, points, rate):
             eig = max(eig, float(np.abs(ev).max()))
     return {"orthogonality": orth, "bracket_identity": brk,
             "eigenvalue_identity": eig}
+
+
+def nijenhuis_residual_per_point(lc, fld, point, step=None, method="auto"):
+    """Reference for the batched Nijenhuis stencil: the full structure bundle
+    (g-orthonormal frame included) at every stencil point, one point and one
+    frame pair at a time."""
+    from killinglab.metrics import g_orthonormal_frame
+    from killinglab.sphere import SpherePoint, chart_for_point
+
+    if step is None:
+        step = 1e-5 if lc.metric.exact_round else 1.5e-3
+    x0 = point.coords
+    st0 = lc.structure_at(fld, point, method=method)
+    M0 = st0.metric_matrix
+    seeds = g_orthonormal_frame(M0, x0, exclude=[st0.xi])
+    k = seeds.shape[1]
+    chart = chart_for_point(point, lc.atlas)
+    u0 = chart.coords(point)
+    m = chart.dim - 1
+
+    def horizontal_fields(u):
+        x = chart.point_coords(u)
+        st = lc.structure_at(fld, SpherePoint(x), method=method)
+        M = st.metric_matrix
+        xi = st.xi
+        g_xx = float(xi @ M @ xi)
+        Xs = np.empty((k, x.shape[0]))
+        JXs = np.empty((k, x.shape[0]))
+        for i in range(k):
+            w = seeds[:, i] - np.dot(seeds[:, i], x) * x
+            w = w - (float(xi @ M @ w) / g_xx) * xi
+            Xs[i] = w
+            JXs[i] = st.phi_ambient @ w
+        to_ch = lambda arr: np.stack([chart.to_chart_vector(u, row) for row in arr])
+        return to_ch(Xs), to_ch(JXs)
+
+    X0c, JX0c = horizontal_fields(u0)
+    dX = np.empty((m, k, m))
+    dJX = np.empty((m, k, m))
+    for l in range(m):
+        e = np.zeros(m)
+        e[l] = step
+        Xp, JXp = horizontal_fields(u0 + e)
+        Xm, JXm = horizontal_fields(u0 - e)
+        dX[l] = (Xp - Xm) / (2 * step)
+        dJX[l] = (JXp - JXm) / (2 * step)
+
+    def bracket(Uc, dU, Vc, dV):
+        return np.einsum("l,lk->k", Uc, dV) - np.einsum("l,lk->k", Vc, dU)
+
+    xi0 = st0.xi
+    g00 = float(xi0 @ M0 @ xi0)
+
+    def proj_h(v):
+        w = v - np.dot(v, x0) * x0
+        return w - (float(xi0 @ M0 @ w) / g00) * xi0
+
+    phi0 = st0.phi_ambient
+    worst = 0.0
+    for i in range(k):
+        for j in range(i + 1, k):
+            b_jj = chart.push(u0, bracket(JX0c[i], dJX[:, i], JX0c[j], dJX[:, j]))
+            b_jx = chart.push(u0, bracket(JX0c[i], dJX[:, i], X0c[j], dX[:, j]))
+            b_xj = chart.push(u0, bracket(X0c[i], dX[:, i], JX0c[j], dJX[:, j]))
+            b_xx = chart.push(u0, bracket(X0c[i], dX[:, i], X0c[j], dX[:, j]))
+            N4 = (proj_h(b_jj) - phi0 @ proj_h(b_jx) - phi0 @ proj_h(b_xj)
+                  - proj_h(b_xx))
+            R = 0.25 * proj_h(N4)
+            worst = max(worst, float(np.sqrt(R @ M0 @ R)))
+    return worst

@@ -1,0 +1,58 @@
+"""scripts/compare_reports.py on two synthetic report directories."""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_reports.py"
+
+
+def _check(name, max_res, mean_res, passed=True, as_expected=True):
+    return {"name": name, "max_residual": max_res, "mean_residual": mean_res,
+            "pass": passed, "as_expected": as_expected, "expected": "pass",
+            "tolerance": 1e-6}
+
+
+def _write(d: Path, fname: str, checks: list[dict]) -> None:
+    d.mkdir(exist_ok=True)
+    (d / fname).write_text(json.dumps({"checks": checks}))
+
+
+def _run(a: Path, b: Path) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, str(SCRIPT), str(a), str(b)],
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_identical_verdicts_report_movement(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    _write(a, "r.json", [_check("killing", 2e-8, 1e-8), _check("tangency", 0.0, 0.0)])
+    _write(b, "r.json", [_check("killing", 3e-8, 1e-8), _check("tangency", 0.0, 0.0)])
+    proc = _run(a, b)
+    assert proc.returncode == 0, proc.stdout
+    line = next(ln for ln in proc.stdout.splitlines() if "killing" in ln)
+    # max moved by 1e-8 absolute, 0.5 relative; mean did not move
+    assert line.split()[-4:] == ["1.00e-08", "5.00e-01", "0.00e+00", "0.00e+00"]
+    assert "verdicts identical" in proc.stdout
+
+
+def test_verdict_change_exits_one(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    _write(a, "r.json", [_check("killing", 2e-8, 1e-8)])
+    _write(b, "r.json", [_check("killing", 2e-5, 1e-5, passed=False, as_expected=False)])
+    proc = _run(a, b)
+    assert proc.returncode == 1
+    assert "VERDICT CHANGED" in proc.stdout
+
+
+def test_missing_report_or_check_exits_one(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    _write(a, "r.json", [_check("killing", 1e-8, 1e-8), _check("wedge", 1e-8, 1e-8)])
+    _write(b, "r.json", [_check("killing", 1e-8, 1e-8)])
+    _write(a, "only_a.json", [_check("killing", 1e-8, 1e-8)])
+    proc = _run(a, b)
+    assert proc.returncode == 1
+    assert "only_a.json: only in" in proc.stdout
+    assert "pass/ok -> missing" in proc.stdout
