@@ -180,7 +180,9 @@ class Chart:
 
 
 def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot product over the last axis."""
+    """Row-wise dot product over the last axis (np.dot for two vectors)."""
+    if a.ndim == 1 and b.ndim == 1:
+        return np.dot(a, b)
     return np.einsum("...i,...i->...", a, b)
 
 
