@@ -2,8 +2,11 @@
 """Compare two directories of battery reports written by run_all_examples.py.
 
 For every report and every check it prints the verdict on each side
-(``pass`` / ``as_expected``) and how far the max and mean residuals moved,
-absolute and relative to the first directory.  Exits 1 if any verdict
+(``pass`` / ``as_expected``), how far the max and mean residuals moved,
+absolute and relative to the first directory, and the larger of the two
+absolute movements as a fraction of the check's tolerance (``move/tol``): the
+scale that decides a verdict, where the relative column blows a rounding move
+on a residual near zero up to order one.  Exits 1 if any verdict
 changed or a report or check is present on one side only, else 0.
 
 Usage:
@@ -29,6 +32,13 @@ def movement(a: float, b: float) -> tuple[float, float]:
     return diff, diff / abs(a) if a != 0.0 else math.inf
 
 
+def per_tolerance(moved: float, tol: float) -> float:
+    """An absolute movement as a fraction of the check's tolerance."""
+    if moved == 0.0:
+        return 0.0
+    return moved / tol if tol > 0.0 else math.inf
+
+
 def verdict(check: dict | None) -> str:
     if check is None:
         return "missing"
@@ -50,6 +60,8 @@ def compare_report(a: dict, b: dict) -> tuple[list[dict], bool]:
         if ca is not None and cb is not None:
             row["max"] = movement(ca["max_residual"], cb["max_residual"])
             row["mean"] = movement(ca["mean_residual"], cb["mean_residual"])
+            row["per_tol"] = per_tolerance(max(row["max"][0], row["mean"][0]),
+                                           ca["tolerance"])
         changed = changed or row["changed"]
         rows.append(row)
     return rows, changed
@@ -72,11 +84,11 @@ def main(argv: list[str] | None = None) -> int:
         rows, changed = compare_report(json.loads(pa.read_text()), json.loads(pb.read_text()))
         any_changed = any_changed or changed
         print(f"{fname}")
-        print(f"  {'check':<34} {'verdict A -> B':<32} {'max abs':>9} {'max rel':>9} "
-              f"{'mean abs':>9} {'mean rel':>9}")
+        print(f"  {'check':<34} {'verdict A -> B':<32} {'move/tol':>9} {'max abs':>9} "
+              f"{'max rel':>9} {'mean abs':>9} {'mean rel':>9}")
         for r in rows:
-            moved = (f"{r['max'][0]:9.2e} {r['max'][1]:9.2e} {r['mean'][0]:9.2e} "
-                     f"{r['mean'][1]:9.2e}" if "max" in r else "")
+            moved = (f"{r['per_tol']:9.2e} {r['max'][0]:9.2e} {r['max'][1]:9.2e} "
+                     f"{r['mean'][0]:9.2e} {r['mean'][1]:9.2e}" if "max" in r else "")
             flag = "  VERDICT CHANGED" if r["changed"] else ""
             print(f"  {r['name']:<34} {r['verdict_a'] + ' -> ' + r['verdict_b']:<32} "
                   f"{moved}{flag}")

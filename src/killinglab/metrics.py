@@ -13,6 +13,9 @@ Differentiation strategy:
     which evaluates the whole +-h stencil of a point, or of a stack of
     points, in one call of the component function.
 
+Tangent frames are Gram-Schmidt in Cholesky form; frames and the derived
+structure take one point or a stack, so a check calls them once per sample set.
+
 Every finite-difference covariant derivative can be wrapped in a Richardson
 step-halving guard; disagreement beyond ``RICHARDSON_REL_TOL`` raises
 ``NumericalQualityError`` instead of returning a silently bad number.
@@ -30,10 +33,12 @@ from .sphere import (
     SpherePoint,
     chart_for_point,
     chart_index,
+    coords_of,
     default_atlas,
     matvec,
     orthonormal_tangent_frame,
     rowdot,
+    tangent_seeds,
 )
 
 DEFAULT_FD_STEP = 1e-4
@@ -153,35 +158,57 @@ def g_orthonormal_frame(metric_matrix: np.ndarray, x: np.ndarray,
                         exclude: Sequence[np.ndarray] = ()) -> np.ndarray:
     """g-orthonormal basis of the tangent space, columns of a (d, k) array.
 
-    Vectors in ``exclude`` are orthonormalized first and then dropped, so the
-    returned columns span the g-orthogonal complement of their span inside
-    T_x.  With no exclusions k = d - 1.
+    With no exclusions k = d - 1: Gram-Schmidt of the ``tangent_seeds`` T in
+    Cholesky form, T^T M T = L L^T and F = T L^-T; points (N, d) with metrics
+    (N, d, d) give (N, d, d-1), and a pivot below FRAME_RANK_TOL^2 raises
+    MetricDegeneracyError.  Vectors in ``exclude`` (one point only) are
+    orthonormalized first and then dropped, so the returned columns span the
+    g-orthogonal complement of their span inside T_x.
     """
     M = metric_matrix
+    x = np.asarray(x, dtype=float)
+    if not len(exclude):
+        T = tangent_seeds(x)
+        Tt = np.swapaxes(T, -1, -2)
+        G = Tt @ M @ T
+        try:
+            L = np.linalg.cholesky(G)
+        except np.linalg.LinAlgError:
+            raise _degeneracy(G, x) from None
+        if np.diagonal(L, axis1=-2, axis2=-1).min() < FRAME_RANK_TOL:
+            raise _degeneracy(G, x)
+        return np.swapaxes(np.linalg.solve(L, Tt), -1, -2)
     seeds = [np.asarray(v, dtype=float) for v in exclude]
     seeds += [c for c in orthonormal_tangent_frame(x).T]
     kept: list[np.ndarray] = []
-    n_excluded = 0
     for idx, v in enumerate(seeds):
         w = v.copy()
         for c in kept:
             w = w - (c @ M @ w) * c
         nrm = float(np.sqrt(max(w @ M @ w, 0.0)))
-        if idx < len(exclude):
-            if nrm < FRAME_RANK_TOL:
-                raise ValueError("excluded vectors are g-degenerate or dependent")
+        if nrm >= FRAME_RANK_TOL:
             kept.append(w / nrm)
-            n_excluded += 1
-            continue
-        if nrm < FRAME_RANK_TOL:
-            continue  # linearly dependent on what we already have
-        kept.append(w / nrm)
-    cols = kept[n_excluded:]
-    if len(cols) != x.shape[0] - 1 - n_excluded:
-        raise ValueError("tangent frame construction lost rank")
-    if not cols:
-        return np.zeros((x.shape[0], 0))
-    return np.stack(cols, axis=1)
+        elif idx < len(exclude):
+            raise ValueError("excluded vectors are g-degenerate or dependent")
+    if len(kept) != x.shape[0] - 1:
+        raise MetricDegeneracyError("tangent frame construction lost rank")
+    return np.array(kept[len(exclude):]).T.reshape(x.shape[0], -1)
+
+
+def _degeneracy(G: np.ndarray, x: np.ndarray) -> MetricDegeneracyError:
+    """Name the first point of x (..., d) and the first Cholesky pivot of its
+    tangent Gram matrix G (..., k, k) that falls below FRAME_RANK_TOL^2."""
+    G, x = G.reshape((-1,) + G.shape[-2:]), x.reshape(-1, x.shape[-1])
+    piv = np.empty(G.shape[:-1])
+    with np.errstate(all="ignore"):
+        for k in range(G.shape[-1]):  # Schur complements: piv[:, k] = L[:, k, k]^2
+            piv[:, k] = G[:, k, k]
+            G = G - G[:, :, k, None] * G[:, None, k, :] / piv[:, k, None, None]
+    bad = ~(piv >= FRAME_RANK_TOL ** 2)
+    i, k = np.argwhere(bad)[0] if bad.any() else np.unravel_index(np.argmin(piv), piv.shape)
+    return MetricDegeneracyError(
+        f"metric is not positive definite on the tangent space at x = "
+        f"{np.round(x[i], 6).tolist()}: Cholesky pivot {k} of its Gram matrix is {piv[i, k]:.3e}")
 
 
 # ---------------------------------------------------------------------------
@@ -196,10 +223,10 @@ class StructureTensors:
     of the field along v) for tangent v; ``dxi`` is the ambient matrix D of
     the exterior derivative of the field's metric-dual one-form, with
     d(eta)(u, v) = u^T D v; ``phi_frame``/``phi_ambient`` represent the
-    skew endomorphism defined by g(phi u, v) = d(eta)(u, v) / 2.
+    skew endomorphism defined by g(phi u, v) = d(eta)(u, v) / 2.  Built at
+    a stack of points (N, d), every field carries a leading axis of N.
     """
 
-    point: SpherePoint
     xi: np.ndarray
     metric_matrix: np.ndarray
     frame: np.ndarray
@@ -207,10 +234,6 @@ class StructureTensors:
     dxi: np.ndarray
     phi_frame: np.ndarray
     phi_ambient: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.point.dim
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +365,7 @@ class LeviCivita:
         the chart ``chart_for_point`` gives it: N = J H J^T / lam^2, where
         J^T x = 0 keeps N x = 0.
         """
-        x = point.coords if isinstance(point, SpherePoint) else np.asarray(point, dtype=float)
+        x = coords_of(point)
         if self._use_exact(fld, method):
             proj = np.eye(x.shape[-1]) - x[..., :, None] * x[..., None, :]
             return proj @ fld.matrix @ proj
@@ -362,33 +385,34 @@ class LeviCivita:
 
     # -- second covariant derivative ------------------------------------------
 
-    def second_nabla_frame(self, fld: VectorField, point: SpherePoint,
+    def second_nabla_frame(self, fld: VectorField, point: SpherePoint | np.ndarray,
                            frame: np.ndarray, method: str = "auto") -> np.ndarray:
         """Tensor T[:, i, j] = (nabla^2 field)(frame_i, frame_j), ambient values.
 
         T(u, v) = nabla_u (nabla field)(v); the closed form on the round
-        sphere with field A x is  <A x, v> u - <u, v> A x + corrections that
-        vanish for skew A.  The FD path differentiates the chart endomorphism
-        of the first covariant derivative: inner step h/3, outer step 10 h.
+        sphere with field E x is T(f_i, f_j) = -(x.E f_j) P f_i - (f_i.f_j) P E x,
+        P the tangent projector.  The FD path differentiates the chart
+        endomorphism of the first covariant derivative: inner step h/3, outer
+        step 10 h.  Points (N, d) with frames (N, d, k) give (N, d, k, k); the
+        FD path takes them one at a time.
         """
-        x = point.coords
-        k = frame.shape[1]
+        x = coords_of(point)
         if self._use_exact(fld, method):
-            T = np.empty((x.shape[0], k, k))
-            E = fld.matrix
-            Ex = E @ x
-            Ex_t = Ex - np.dot(Ex, x) * x
-            proj = np.eye(x.shape[0]) - np.outer(x, x)
-            for i in range(k):
-                u = frame[:, i]
-                for j in range(k):
-                    v = frame[:, j]
-                    # tangential part of (D_u H) v - <u, v> H x
-                    T[:, i, j] = -np.dot(E @ v, x) * proj @ u - np.dot(u, v) * Ex_t
+            Ef = fld.matrix @ frame
+            Pf = frame - x[..., :, None] * (x[..., None, :] @ frame)
+            Ex = matvec(fld.matrix, x)
+            PEx = Ex - rowdot(Ex, x)[..., None] * x
+            xEf = (x[..., None, :] @ Ef)[..., 0, :]
+            ff = np.swapaxes(frame, -1, -2) @ frame
+            T = np.einsum("...j,...di->...dij", -xEf, Pf)
+            T -= np.einsum("...ij,...d->...dij", ff, PEx)
             return T
+        if x.ndim == 2:
+            return np.stack([self.second_nabla_frame(fld, xr, Fr, method)
+                             for xr, Fr in zip(x, frame)])
 
-        chart = chart_for_point(point, self.atlas)
-        u0 = chart.coords(point)
+        chart = self.atlas[int(chart_index(x, self.atlas))]
+        u0 = chart.coords(x)
         h_in = self.fd_step / SECOND_DERIV_INNER_SHRINK
         h_out = self.fd_step * SECOND_DERIV_OUTER_GROWTH
         # dH[i, k, j] = d_i H^k_j
@@ -404,40 +428,42 @@ class LeviCivita:
         return np.einsum("dk,kab,ai,bj->dij", J, T_chart, frame_chart, frame_chart)
 
     # -- derived structure ----------------------------------------------------
+    # Each takes a SpherePoint or a stack (N, d), giving results stacked along N.
 
-    def lie_metric_frame(self, fld: VectorField, point: SpherePoint,
+    def lie_metric_frame(self, fld: VectorField, point: SpherePoint | np.ndarray,
                          method: str = "auto") -> np.ndarray:
         """Lie derivative of g along the field, as a matrix in a g-orthonormal
         frame; identically zero iff the field is Killing at this point."""
-        x = point.coords
+        x = coords_of(point)
         M = self.metric.matrix_at(x)
-        N = self.nabla_endo(fld, point, method=method)
         F = g_orthonormal_frame(M, x)
-        return F.T @ (N.T @ M + M @ N) @ F
+        N = self.nabla_endo(fld, x, method=method)
+        return np.swapaxes(F, -1, -2) @ (np.swapaxes(N, -1, -2) @ M + M @ N) @ F
 
-    def structure_at(self, fld: VectorField, point: SpherePoint,
+    def structure_at(self, fld: VectorField, point: SpherePoint | np.ndarray,
                      method: str = "auto") -> StructureTensors:
-        """Pointwise bundle: field value, metric, frame, first covariant
-        derivative, two-form of the dual one-form, and the half-two-form
-        endomorphism in frame and ambient forms."""
-        x = point.coords
+        """Bundle: field value, metric, frame, first covariant derivative,
+        two-form of the dual one-form, and the half-two-form endomorphism in
+        frame and ambient forms.  The frame comes first, so a degenerate
+        metric raises MetricDegeneracyError before any differencing."""
+        x = coords_of(point)
         M = self.metric.matrix_at(x)
-        xi = fld.value(x)
-        N = self.nabla_endo(fld, point, method=method)
-        D = N.T @ M - M @ N
         F = g_orthonormal_frame(M, x)
-        phi_frame = 0.5 * (F.T @ D @ F).T
-        phi_ambient = F @ phi_frame @ F.T @ M
-        return StructureTensors(point=point, xi=xi, metric_matrix=M, frame=F,
+        Ft = np.swapaxes(F, -1, -2)
+        xi = fld.value(x)
+        N = self.nabla_endo(fld, x, method=method)
+        D = np.swapaxes(N, -1, -2) @ M - M @ N
+        phi_frame = 0.5 * np.swapaxes(Ft @ D @ F, -1, -2)
+        phi_ambient = F @ phi_frame @ Ft @ M
+        return StructureTensors(xi=xi, metric_matrix=M, frame=F,
                                 nabla_endo=N, dxi=D, phi_frame=phi_frame,
                                 phi_ambient=phi_ambient)
 
-    def dxi_square_eigenvalues(self, fld: VectorField, point: SpherePoint,
+    def dxi_square_eigenvalues(self, fld: VectorField, point: SpherePoint | np.ndarray,
                                method: str = "auto") -> np.ndarray:
         """Sorted eigenvalues of the square of the two-form endomorphism
         (g(e u, v) = d(eta)(u, v)); round unit fields give -4 on the
         transverse space and 0 along the field."""
         st = self.structure_at(fld, point, method=method)
-        e_frame = (st.frame.T @ st.dxi @ st.frame).T
-        vals = np.linalg.eigvals(e_frame @ e_frame)
-        return np.sort(vals.real)
+        e_frame = np.swapaxes(np.swapaxes(st.frame, -1, -2) @ st.dxi @ st.frame, -1, -2)
+        return np.sort(np.linalg.eigvals(e_frame @ e_frame).real, axis=-1)

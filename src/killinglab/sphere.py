@@ -5,7 +5,8 @@ in R^(2n+2), a tangent vector is an ambient vector orthogonal to its base
 point.  Charts (stereographic projection from a pole) only enter where a
 metric has to be differentiated numerically; the chart inverse and its
 Jacobian are closed-form, so the only finite differences in the pipeline are
-the ones applied to metric components.
+the ones applied to metric components.  Tangent frames are Gram-Schmidt in
+Cholesky form and take one point (d,) or a stack of points (N, d).
 """
 
 from __future__ import annotations
@@ -94,27 +95,31 @@ def project_tangent(p: SpherePoint, v) -> TangentVector:
     return TangentVector(p, w)
 
 
+def coords_of(p: SpherePoint | np.ndarray) -> np.ndarray:
+    """Ambient coordinates of a SpherePoint, or a (..., d) array as floats."""
+    return p.coords if isinstance(p, SpherePoint) else np.asarray(p, dtype=float)
+
+
+def tangent_seeds(x: np.ndarray) -> np.ndarray:
+    """Seeds of the tangent space at x (d,) or at each row of x (N, d): with
+    the axis most parallel to x (argmax |x_i|) dropped, the other axes
+    projected to x^perp, e_i - x_i x, in index order, as (..., d, d-1) columns."""
+    d = x.shape[-1]
+    col = np.arange(d - 1)
+    idx = col + (col >= np.argmax(np.abs(x), axis=-1)[..., None])  # kept axes
+    x_idx = np.take_along_axis(x, idx, axis=-1)
+    return np.swapaxes(np.eye(d)[idx], -1, -2) - x[..., :, None] * x_idx[..., None, :]
+
+
 def orthonormal_tangent_frame(x: np.ndarray) -> np.ndarray:
     """Euclidean orthonormal basis of x^perp, columns of a (d, d-1) array.
 
-    Deterministic pivot: the ambient axis most parallel to x is dropped,
-    the remaining axes are Gram-Schmidt orthonormalized in index order.
+    Gram-Schmidt of the ``tangent_seeds`` T in Cholesky form: T^T T = L L^T
+    and the frame is T L^-T.  A stack (N, d) of points gives (N, d, d-1).
     """
-    d = x.shape[0]
-    drop = int(np.argmax(np.abs(x)))
-    cols = []
-    for i in range(d):
-        if i == drop:
-            continue
-        v = -x[i] * x
-        v[i] += 1.0  # e_i projected to the tangent space
-        for c in cols:
-            v = v - np.dot(v, c) * c
-        n = np.linalg.norm(v)
-        if n < 1e-8:
-            raise RuntimeError("degenerate tangent frame pivot")
-        cols.append(v / n)
-    return np.stack(cols, axis=1)
+    T = tangent_seeds(x)
+    Tt = np.swapaxes(T, -1, -2)
+    return np.swapaxes(np.linalg.solve(np.linalg.cholesky(Tt @ T), Tt), -1, -2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,7 +145,7 @@ class Chart:
 
     def coords(self, p: SpherePoint | np.ndarray) -> np.ndarray:
         """Chart coordinates of a point, or of a stack (..., d) of ambient points."""
-        x = p.coords if isinstance(p, SpherePoint) else np.asarray(p, dtype=float)
+        x = coords_of(p)
         q = self.pole.coords
         if np.any(np.linalg.norm(x - q, axis=-1) <= POLE_EXCLUSION):
             raise ChartDomainError("point within pole exclusion radius of the chart")

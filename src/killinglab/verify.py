@@ -35,7 +35,6 @@ import numpy as np
 from .algebra import field_bracket
 from .metrics import (
     LeviCivita,
-    StructureTensors,
     VectorField,
     central_diff,
     g_orthonormal_frame,
@@ -55,6 +54,7 @@ CONTACT_TOL = 1e-6
 NIJENHUIS_TOL = 1e-4
 UNIT_TOL = 1e-12
 TANGENCY_TOL = 1e-10
+CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 
 def _check(name: str, per_point: Sequence[float], tol: float, expected: str = "pass",
@@ -67,6 +67,18 @@ def _check(name: str, per_point: Sequence[float], tol: float, expected: str = "p
                        expected=expected, fail_floor=fail_floor, detail=detail)
 
 
+def _stack(name: str, points) -> np.ndarray:
+    """Ambient coordinates (N, d) of a sample of SpherePoints."""
+    if len(points) == 0:
+        raise ValueError(f"check '{name}' got no samples to evaluate")
+    return np.stack([p.coords for p in points])
+
+
+def _worst(R: np.ndarray) -> np.ndarray:
+    """Per-point max |entry| of a stack R (N, ...)."""
+    return np.abs(R).reshape(len(R), -1).max(axis=1)
+
+
 # ---------------------------------------------------------------------------
 # basic pointwise batteries
 # ---------------------------------------------------------------------------
@@ -74,19 +86,16 @@ def _check(name: str, per_point: Sequence[float], tol: float, expected: str = "p
 def check_tangency(fld: VectorField, points, tol: float = TANGENCY_TOL,
                    name: str = "tangency") -> CheckResult:
     """<field, base point> must vanish: values live in the tangent bundle."""
-    res = [abs(float(np.dot(fld.value(p.coords), p.coords))) for p in points]
-    return _check(name, res, tol)
+    X = _stack(name, points)
+    return _check(name, np.abs(rowdot(fld.value(X), X)), tol)
 
 
 def check_unit_length(lc: LeviCivita, fld: VectorField, points,
                       tol: float = UNIT_TOL, name: str = "unit_length") -> CheckResult:
     """|g(xi, xi) - 1| over the sample."""
-    res = []
-    for p in points:
-        x = p.coords
-        v = fld.value(x)
-        res.append(abs(float(v @ lc.metric.matrix_at(x) @ v) - 1.0))
-    return _check(name, res, tol)
+    X = _stack(name, points)
+    v = fld.value(X)
+    return _check(name, np.abs(rowdot(v, matvec(lc.metric.matrix_at(X), v)) - 1.0), tol)
 
 
 def check_killing(lc: LeviCivita, fld: VectorField, points, tol: float,
@@ -99,12 +108,9 @@ def check_killing(lc: LeviCivita, fld: VectorField, points, tol: float,
     flagged degenerate in its detail string rather than reported as a clean
     pass.
     """
-    res = []
-    scale = 0.0
-    for p in points:
-        L = lc.lie_metric_frame(fld, p, method=method)
-        res.append(float(np.abs(L).max()))
-        scale = max(scale, float(np.abs(fld.value(p.coords)).max()))
+    X = _stack(name, points)
+    res = _worst(lc.lie_metric_frame(fld, X, method=method))
+    scale = float(np.abs(fld.value(X)).max())
     detail = "" if scale > 1e-12 else "degenerate: field vanishes on all samples"
     return _check(name, res, tol, expected, fail_floor, detail=detail)
 
@@ -118,19 +124,17 @@ def check_sasakian(lc: LeviCivita, fld: VectorField, points, tol: float,
     Evaluated on a g-orthonormal frame; the residual is the largest ambient
     norm of the defect over all frame pairs.
     """
-    res = []
-    for p in points:
-        x = p.coords
-        M = lc.metric.matrix_at(x)
-        F = g_orthonormal_frame(M, x)
-        T = lc.second_nabla_frame(fld, p, F, method=method)
-        xi = fld.value(x)
-        eta_f = F.T @ (M @ xi)           # eta(f_j)
-        k = F.shape[1]
-        expected_T = WEDGE_SIGN * (np.einsum("ij,d->dij", np.eye(k), xi)
-                                   - np.einsum("j,di->dij", eta_f, F))
-        defect = T - expected_T
-        res.append(float(np.sqrt((defect ** 2).sum(axis=0)).max()))
+    X = _stack(name, points)
+    M = lc.metric.matrix_at(X)
+    F = g_orthonormal_frame(M, X)
+    xi = fld.value(X)
+    eta_f = (matvec(M, xi)[:, None, :] @ F)[:, 0]          # eta(f_j), (N, k)
+    # defect = T - WEDGE_SIGN (delta_ij xi - eta(f_j) f_i), in place: T is the largest array
+    defect = lc.second_nabla_frame(fld, X, F, method=method)
+    diag = np.arange(F.shape[-1])
+    defect[..., diag, diag] -= WEDGE_SIGN * xi[..., None]
+    defect += np.einsum("nj,ndi->ndij", WEDGE_SIGN * eta_f, F)
+    res = np.sqrt(np.einsum("ndij,ndij->nij", defect, defect)).reshape(len(X), -1).max(axis=1)
     return _check(name, res, tol, expected, fail_floor)
 
 
@@ -139,15 +143,12 @@ def check_kcontact(lc: LeviCivita, fld: VectorField, points, tol: float = CONTAC
                    fail_floor: float | None = None,
                    name: str = "contact_endomorphism") -> CheckResult:
     """phi^2 = -Id + eta (x) xi together with phi xi = 0, frame components."""
-    res = []
-    for p in points:
-        st = lc.structure_at(fld, p, method=method)
-        xi_f = st.frame.T @ (st.metric_matrix @ st.xi)
-        k = st.frame.shape[1]
-        r1 = st.phi_frame @ st.phi_frame + np.eye(k) - np.outer(xi_f, xi_f)
-        r2 = st.phi_frame @ xi_f
-        res.append(max(float(np.abs(r1).max()), float(np.abs(r2).max())))
-    return _check(name, res, tol, expected, fail_floor)
+    st = lc.structure_at(fld, _stack(name, points), method=method)
+    xi_f = (matvec(st.metric_matrix, st.xi)[:, None, :] @ st.frame)[:, 0]  # (N, k)
+    k = st.frame.shape[-1]
+    r1 = st.phi_frame @ st.phi_frame + np.eye(k) - xi_f[:, :, None] * xi_f[:, None, :]
+    r2 = matvec(st.phi_frame, xi_f)
+    return _check(name, np.maximum(_worst(r1), _worst(r2)), tol, expected, fail_floor)
 
 
 def check_dxi_spectrum(lc: LeviCivita, fld: VectorField, points,
@@ -162,14 +163,11 @@ def check_dxi_spectrum(lc: LeviCivita, fld: VectorField, points,
     is what the expected-fail variant of this check pins down.
     """
     ref = np.sort(np.asarray(reference, dtype=float))
-    res = []
-    for p in points:
-        vals = lc.dxi_square_eigenvalues(fld, p, method=method)
-        if vals.shape != ref.shape:
-            raise ValueError(f"reference spectrum has {ref.shape[0]} entries; "
-                             f"the tangent space gives {vals.shape[0]}")
-        res.append(float(np.abs(vals - ref).max()))
-    return _check(name, res, tol, expected, fail_floor)
+    vals = lc.dxi_square_eigenvalues(fld, _stack(name, points), method=method)
+    if vals.shape[-1:] != ref.shape:
+        raise ValueError(f"reference spectrum has {ref.shape[0]} entries; "
+                         f"the tangent space gives {vals.shape[-1]}")
+    return _check(name, _worst(vals - ref), tol, expected, fail_floor)
 
 
 def covariant_canary(lc: LeviCivita, fld: VectorField, point: SpherePoint) -> float:
@@ -200,7 +198,7 @@ def measured_cyclic_sign(fields: Sequence[VectorField], tol: float = 1e-10) -> i
     if any(m is None for m in mats):
         raise ValueError("cyclic sign needs linear fields")
     eps_seen = set()
-    for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+    for a, b, c in CYCLIC:
         half = 0.5 * field_bracket(mats[a], mats[b])
         if np.abs(half - mats[c]).max() <= tol:
             eps_seen.add(1)
@@ -217,14 +215,10 @@ def check_triple_orthonormality(lc: LeviCivita, fields: Sequence[VectorField],
                                 points, tol: float,
                                 name: str = "triple_orthonormality") -> CheckResult:
     """g(xi_a, xi_b) = delta_ab at every sample."""
-    res = []
-    for p in points:
-        x = p.coords
-        M = lc.metric.matrix_at(x)
-        vals = np.stack([f.value(x) for f in fields])
-        gram = vals @ M @ vals.T
-        res.append(float(np.abs(gram - np.eye(len(fields))).max()))
-    return _check(name, res, tol)
+    X = _stack(name, points)
+    vals = np.stack([f.value(X) for f in fields], axis=1)        # (N, a, d)
+    gram = vals @ lc.metric.matrix_at(X) @ np.swapaxes(vals, -1, -2)
+    return _check(name, _worst(gram - np.eye(len(fields))), tol)
 
 
 def check_triple_brackets(fields: Sequence[VectorField], tol: float,
@@ -233,7 +227,7 @@ def check_triple_brackets(fields: Sequence[VectorField], tol: float,
     eps = measured_cyclic_sign(fields, tol=max(tol, 1e-6))
     mats = [f.matrix for f in fields]
     worst = 0.0
-    for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+    for a, b, c in CYCLIC:
         half = 0.5 * field_bracket(mats[a], mats[b])
         worst = max(worst, float(np.abs(half - eps * mats[c]).max()))
     return CheckResult(name=name, max_residual=worst, mean_residual=worst,
@@ -241,10 +235,15 @@ def check_triple_brackets(fields: Sequence[VectorField], tol: float,
                        detail=f"uniform bracket sign eps={eps:+d}")
 
 
-def _triple_psi(lc: LeviCivita, fields, p: SpherePoint, method: str):
+def _triple_psi(lc: LeviCivita, fields, p, method: str):
+    """Structures of the three fields at a SpherePoint or a stack (N, d), and
+    psi_a = -phi_a; ``eta(a, b)`` is eta_b (x) xi_a, stacked like the psis."""
     sts = [lc.structure_at(f, p, method=method) for f in fields]
-    psis = [-st.phi_ambient for st in sts]
-    return sts, psis
+    M = sts[0].metric_matrix
+
+    def eta(a: int, b: int) -> np.ndarray:
+        return sts[a].xi[..., :, None] * matvec(M, sts[b].xi)[..., None, :]
+    return sts, [-st.phi_ambient for st in sts], eta
 
 
 def check_triple_products(lc: LeviCivita, fields: Sequence[VectorField], points,
@@ -265,22 +264,16 @@ def check_triple_products(lc: LeviCivita, fields: Sequence[VectorField], points,
     if variant not in ("aligned", "transposed"):
         raise ValueError(f"unknown variant {variant!r}")
     eps = measured_cyclic_sign(fields)
-    res = []
-    for p in points:
-        sts, psis = _triple_psi(lc, fields, p, method)
-        M = sts[0].metric_matrix
-        F = sts[0].frame
-        worst = 0.0
-        for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-            corr = np.outer(sts[a].xi, M @ sts[b].xi)  # eta_b (x) xi_a
-            if variant == "aligned":
-                R = psis[a] @ psis[b] - eps * psis[c] - corr
-            else:
-                R = psis[b] @ psis[a] - eps * psis[c] + corr
-            worst = max(worst, float(np.abs(R @ F).max()))
-        res.append(worst)
-    default = "triple_products_" + variant
-    return _check(name or default, res, tol, expected, fail_floor,
+    name = name or "triple_products_" + variant
+    sts, psis, eta = _triple_psi(lc, fields, _stack(name, points), method)
+    res = 0.0
+    for a, b, c in CYCLIC:
+        if variant == "aligned":
+            R = psis[a] @ psis[b] - eps * psis[c] - eta(a, b)
+        else:
+            R = psis[b] @ psis[a] - eps * psis[c] + eta(a, b)
+        res = np.maximum(res, _worst(R @ sts[0].frame))
+    return _check(name, res, tol, expected, fail_floor,
                   detail=f"bracket sign eps={eps:+d}")
 
 
@@ -291,19 +284,11 @@ def check_anticommutators(lc: LeviCivita, fields: Sequence[VectorField], points,
 
     Sign-convention-free companion of the cyclic product identities.
     """
-    res = []
-    for p in points:
-        sts, psis = _triple_psi(lc, fields, p, method)
-        M = sts[0].metric_matrix
-        F = sts[0].frame
-        worst = 0.0
-        for a in range(3):
-            for b in range(a + 1, 3):
-                R = (psis[a] @ psis[b] + psis[b] @ psis[a]
-                     - np.outer(sts[b].xi, M @ sts[a].xi)
-                     - np.outer(sts[a].xi, M @ sts[b].xi))
-                worst = max(worst, float(np.abs(R @ F).max()))
-        res.append(worst)
+    sts, psis, eta = _triple_psi(lc, fields, _stack(name, points), method)
+    res = 0.0
+    for a, b in ((0, 1), (0, 2), (1, 2)):
+        R = psis[a] @ psis[b] + psis[b] @ psis[a] - eta(b, a) - eta(a, b)
+        res = np.maximum(res, _worst(R @ sts[0].frame))
     return _check(name, res, tol)
 
 
@@ -311,17 +296,12 @@ def check_squares(lc: LeviCivita, fields: Sequence[VectorField], points,
                   tol: float, method: str = "auto",
                   name: str = "structure_squares") -> CheckResult:
     """psi_a^2 = -Id + eta_a (x) xi_a on tangent vectors, for each a."""
-    res = []
-    for p in points:
-        sts, psis = _triple_psi(lc, fields, p, method)
-        M = sts[0].metric_matrix
-        F = sts[0].frame
-        d = p.dim
-        worst = 0.0
-        for a in range(3):
-            R = psis[a] @ psis[a] + np.eye(d) - np.outer(sts[a].xi, M @ sts[a].xi)
-            worst = max(worst, float(np.abs(R @ F).max()))
-        res.append(worst)
+    X = _stack(name, points)
+    sts, psis, eta = _triple_psi(lc, fields, X, method)
+    res = 0.0
+    for a in range(3):
+        R = psis[a] @ psis[a] + np.eye(X.shape[-1]) - eta(a, a)
+        res = np.maximum(res, _worst(R @ sts[0].frame))
     return _check(name, res, tol)
 
 
@@ -348,13 +328,11 @@ def check_pair_completion(lc: LeviCivita, f1: VectorField, f2: VectorField, poin
     triple = check_triple_products(lc, fields, points, tol=tol, method=method)
     # pointwise reconstruction: the covariant derivative of the second field
     # along the first reproduces the completed field up to a global sign
-    rec_plus = 0.0
-    rec_minus = 0.0
-    for p in points:
-        d = lc.nabla(f2, p, f1.value(p.coords), method=method)
-        t3 = f3.value(p.coords)
-        rec_plus = max(rec_plus, float(np.abs(d - t3).max()))
-        rec_minus = max(rec_minus, float(np.abs(d + t3).max()))
+    X = _stack(name, points)
+    d = matvec(lc.nabla_endo(f2, X, method=method, guard=True), f1.value(X))
+    t3 = f3.value(X)
+    rec_plus = float(np.abs(d - t3).max())
+    rec_minus = float(np.abs(d + t3).max())
     rec = min(rec_plus, rec_minus)
     sign = "+" if rec_plus <= rec_minus else "-"
     worst = max(unit.max_residual, triple.max_residual, rec)
@@ -441,7 +419,7 @@ def horizontal_split(lc: LeviCivita, fields: Sequence[VectorField],
     involution commuting with each psi_a, and its eigenspace dimensions are
     the splitting invariants (the round quaternionic frame gives (0, 4n)).
     """
-    sts, psis = _triple_psi(lc, fields, point, method)
+    sts, psis, _ = _triple_psi(lc, fields, point, method)
     x = point.coords
     M = sts[0].metric_matrix
     FD = g_orthonormal_frame(M, x, exclude=[st.xi for st in sts])
@@ -476,7 +454,7 @@ def quaternionic_relation_residual(J: Sequence[np.ndarray]) -> tuple[int | None,
     best_res = np.inf
     for eps in (1, -1):
         worst = 0.0
-        for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        for a, b, c in CYCLIC:
             worst = max(worst, float(np.abs(J[a] @ J[b] - eps * J[c]).max()))
         if worst < best_res:
             best, best_res = eps, worst
@@ -675,12 +653,7 @@ def check_transverse_derivative(lc: LeviCivita, fld: VectorField, j0: np.ndarray
     rotation: nabla_v (field) = J0 v for every v Euclidean-orthogonal to both
     the position and the reference circle direction J0 x.
     """
-    res = []
-    for p in points:
-        x = p.coords
-        rows = np.stack([x, j0 @ x])
-        _, _, vt = np.linalg.svd(rows)
-        V = vt[2:].T
-        N = lc.nabla_endo(fld, p, guard=True)
-        res.append(float(np.abs(N @ V - j0 @ V).max()))
-    return _check(name, res, tol)
+    X = _stack(name, points)
+    _, _, vt = np.linalg.svd(np.stack([X, matvec(j0, X)], axis=1))
+    V = np.swapaxes(vt[:, 2:], -1, -2)
+    return _check(name, _worst(lc.nabla_endo(fld, X, guard=True) @ V - j0 @ V), tol)

@@ -211,3 +211,51 @@ def nijenhuis_residual_per_point(lc, fld, point, step=None, method="auto"):
             R = 0.25 * proj_h(N4)
             worst = max(worst, float(np.sqrt(R @ M0 @ R)))
     return worst
+
+
+def orthonormal_tangent_frame_mgs(x):
+    """Reference Euclidean tangent frame at one point: drop the axis of
+    largest |x_i| (argmax breaks ties), project the other axes to x^perp and
+    run modified Gram-Schmidt on them in index order."""
+    d = x.shape[0]
+    drop = int(np.argmax(np.abs(x)))
+    cols = []
+    for i in range(d):
+        if i == drop:
+            continue
+        v = -x[i] * x
+        v[i] += 1.0
+        for c in cols:
+            v = v - np.dot(v, c) * c
+        cols.append(v / np.linalg.norm(v))
+    return np.stack(cols, axis=1)
+
+
+def g_orthonormal_frame_mgs(M, x):
+    """Reference g-orthonormal tangent frame at one point: modified
+    Gram-Schmidt in the inner product u^T M v of the reference Euclidean
+    frame's columns, in order."""
+    kept = []
+    for v in orthonormal_tangent_frame_mgs(x).T:
+        w = v.copy()
+        for c in kept:
+            w = w - (c @ M @ w) * c
+        kept.append(w / np.sqrt(w @ M @ w))
+    return np.stack(kept, axis=1)
+
+
+def second_nabla_round_loop(E, x, frame):
+    """Reference closed-form second covariant derivative of the field E x on
+    the round sphere, T[:, i, j] = -(x.E f_j) P f_i - (f_i.f_j) P E x, one
+    frame pair at a time."""
+    k = frame.shape[1]
+    T = np.empty((x.shape[0], k, k))
+    Ex = E @ x
+    Ex_t = Ex - np.dot(Ex, x) * x
+    proj = np.eye(x.shape[0]) - np.outer(x, x)
+    for i in range(k):
+        u = frame[:, i]
+        for j in range(k):
+            v = frame[:, j]
+            T[:, i, j] = -np.dot(E @ v, x) * proj @ u - np.dot(u, v) * Ex_t
+    return T

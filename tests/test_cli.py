@@ -202,3 +202,13 @@ def test_main_callable_in_process(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "verdict:" in out
+
+
+def test_support_fraction_does_not_depend_on_the_sign_of_c(capsys):
+    """F = c chi is negative for c < 0; the support is where F != 0."""
+    fractions = []
+    for c in ("0.3", "-0.3"):
+        main(["verify", "--example", "gF", "--n", "3", "--c", c, "--samples", "40",
+              "--format", "json", "--no-timestamp"])
+        fractions.append(json.loads(capsys.readouterr().out)["extras"]["support_fraction"])
+    assert fractions[0] == fractions[1] == 0.925

@@ -56,3 +56,21 @@ def test_missing_report_or_check_exits_one(tmp_path):
     assert proc.returncode == 1
     assert "only_a.json: only in" in proc.stdout
     assert "pass/ok -> missing" in proc.stdout
+
+
+def test_movement_per_tolerance_column(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    # a rounding move on a residual near zero: half of it relative, but only
+    # 6e-10 of the 1e-6 tolerance that decides the verdict
+    _write(a, "r.json", [_check("squares", 1.2e-15, 4e-16), _check("tangency", 0.0, 0.0)])
+    _write(b, "r.json", [_check("squares", 1.8e-15, 5e-16), _check("tangency", 0.0, 0.0)])
+    proc = _run(a, b)
+    assert proc.returncode == 0, proc.stdout
+    header = next(ln for ln in proc.stdout.splitlines() if "verdict A -> B" in ln)
+    cols = header.split()
+    assert cols.index("move/tol") < cols.index("max")
+    rows = {ln.split()[0]: ln.split() for ln in proc.stdout.splitlines()
+            if ln.startswith("  ") and "->" in ln and "verdict" not in ln}
+    # move/tol, max abs, max rel, mean abs, mean rel
+    assert rows["squares"][-5:] == ["6.00e-10", "6.00e-16", "5.00e-01", "1.00e-16", "2.50e-01"]
+    assert rows["tangency"][-5] == "0.00e+00"
