@@ -481,15 +481,17 @@ def build_deformed(n: int = 3, c: float = 0.3) -> DeformedStructure:
         out[..., -4:] = np.where(live[..., None], w - coef[..., None] * xi2, 0.0)
         return out
 
-    def f_of(x: np.ndarray):
-        v = x_vec(x)
+    def f_of_vec(v: np.ndarray):
         return c * smooth_transition((rowdot(v, v) - lo) / (hi - lo))
+
+    def f_of(x: np.ndarray):
+        return f_of_vec(x_vec(x))
 
     eye = np.eye(d)
 
     def matrix_func(x: np.ndarray) -> np.ndarray:
-        F = np.asarray(f_of(x))[..., None, None]
         X = x_vec(x)
+        F = np.asarray(f_of_vec(X))[..., None, None]
         nx = np.sqrt(rowdot(X, X))[..., None]
         nx = np.where(nx > 0.0, nx, 1.0)  # F = 0 there, so M = Id
         Xh = X / nx

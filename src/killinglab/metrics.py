@@ -13,8 +13,10 @@ Differentiation strategy:
     which evaluates the whole +-h stencil of a point, or of a stack of
     points, in one call of the component function.
 
-Tangent frames are Gram-Schmidt in Cholesky form; frames and the derived
-structure take one point or a stack, so a check calls them once per sample set.
+Tangent frames are Gram-Schmidt in Cholesky form; frames, the derived
+structure and the second covariant derivative take one point or a stack, so a
+check calls them once per sample set.  Nested stencils (a stencil of stencils)
+run in chunks of STENCIL_CHUNK sample points, which bounds their memory.
 
 Every finite-difference covariant derivative can be wrapped in a Richardson
 step-halving guard; disagreement beyond ``RICHARDSON_REL_TOL`` raises
@@ -47,6 +49,11 @@ RICHARDSON_REL_TOL = 1e-3
 SECOND_DERIV_INNER_SHRINK = 3.0   # inner first-derivative step = h / 3
 SECOND_DERIV_OUTER_GROWTH = 10.0  # outer second-derivative step = 10 h
 FRAME_RANK_TOL = 1e-8
+# A Cholesky pivot of a Gram matrix carries an absolute error near sqrt(eps),
+# about FRAME_RANK_TOL itself, so it cannot tell a dependent seed from a kept
+# one there; an ``exclude=`` frame with a smaller pivot takes the loop.
+FRAME_FALLBACK_PIVOT = FRAME_RANK_TOL ** 0.5
+STENCIL_CHUNK = 16  # sample points per nested-stencil batch
 
 
 class NumericalQualityError(RuntimeError):
@@ -158,12 +165,17 @@ def g_orthonormal_frame(metric_matrix: np.ndarray, x: np.ndarray,
                         exclude: Sequence[np.ndarray] = ()) -> np.ndarray:
     """g-orthonormal basis of the tangent space, columns of a (d, k) array.
 
-    With no exclusions k = d - 1: Gram-Schmidt of the ``tangent_seeds`` T in
-    Cholesky form, T^T M T = L L^T and F = T L^-T; points (N, d) with metrics
-    (N, d, d) give (N, d, d-1), and a pivot below FRAME_RANK_TOL^2 raises
-    MetricDegeneracyError.  Vectors in ``exclude`` (one point only) are
-    orthonormalized first and then dropped, so the returned columns span the
-    g-orthogonal complement of their span inside T_x.
+    Gram-Schmidt of seed columns S in Cholesky form, S^T M S = L L^T and
+    F = S L^-T; points (N, d) with metrics (N, d, d) give (N, d, k).  With no
+    exclusions S is ``tangent_seeds``, k = d - 1, and a pivot below
+    FRAME_RANK_TOL raises MetricDegeneracyError.  Vectors in ``exclude``
+    (each (d,), or (N, d) for a stack) come first in S, followed by the first
+    d - 1 - len(exclude) columns of ``orthonormal_tangent_frame``, and their
+    columns are dropped, so the frame spans the g-orthogonal complement of
+    their span inside T_x.  A point whose pivot falls below
+    FRAME_FALLBACK_PIVOT, or whose excluded vectors leave T_x, runs the
+    Gram-Schmidt loop ``_exclude_frame_loop``, which drops dependent seeds
+    and refuses exclusions that are dependent or not tangent.
     """
     M = metric_matrix
     x = np.asarray(x, dtype=float)
@@ -178,10 +190,39 @@ def g_orthonormal_frame(metric_matrix: np.ndarray, x: np.ndarray,
         if np.diagonal(L, axis1=-2, axis2=-1).min() < FRAME_RANK_TOL:
             raise _degeneracy(G, x)
         return np.swapaxes(np.linalg.solve(L, Tt), -1, -2)
-    seeds = [np.asarray(v, dtype=float) for v in exclude]
-    seeds += [c for c in orthonormal_tangent_frame(x).T]
+    d, e = x.shape[-1], len(exclude)
+    V = np.stack([np.broadcast_to(v, x.shape) for v in exclude], axis=-1)  # (..., d, e)
+    k = max(d - 1 - e, 0)
+    S = np.concatenate([V, orthonormal_tangent_frame(x)[..., :k]], axis=-1)
+    S, V, xs = S.reshape(-1, d, S.shape[-1]), V.reshape(-1, d, e), x.reshape(-1, d)
+    Ms = np.broadcast_to(M, x.shape + (d,)).reshape(-1, d, d)
+    St = np.swapaxes(S, -1, -2)
+    G = St @ Ms @ S
+    try:
+        L = np.linalg.cholesky(G)
+        ok = np.diagonal(L, axis1=-2, axis2=-1).min(axis=-1) >= FRAME_FALLBACK_PIVOT
+    except np.linalg.LinAlgError:
+        ok = (_pivots(G) >= FRAME_FALLBACK_PIVOT ** 2).all(axis=-1)
+        L = np.zeros_like(G)
+        L[ok] = np.linalg.cholesky(G[ok])
+    ok &= np.abs(np.einsum("nde,nd->ne", V, xs)).max(axis=-1) <= FRAME_RANK_TOL  # V in T_x
+    Qt = np.linalg.solve(L[ok], St[ok])
+    # a second pass (CholeskyQR2) takes the g-orthogonality lost to cond(S)^2 back to rounding
+    Q = np.swapaxes(Qt, -1, -2)
+    Qt = np.linalg.solve(np.linalg.cholesky(Qt @ Ms[ok] @ Q), Qt)
+    F = np.empty((len(xs), d, k))
+    F[ok] = np.swapaxes(Qt, -1, -2)[..., e:]
+    for i in np.flatnonzero(~ok):  # near-dependent or non-tangent seeds only
+        F[i] = _exclude_frame_loop(Ms[i], xs[i], V[i].T)
+    return F.reshape(x.shape + (k,))
+
+
+def _exclude_frame_loop(M: np.ndarray, x: np.ndarray, exclude: np.ndarray) -> np.ndarray:
+    """``exclude=`` frame at one point by modified Gram-Schmidt of the rows of
+    ``exclude`` followed by all columns of ``orthonormal_tangent_frame``; a
+    seed whose g-norm after projection falls below FRAME_RANK_TOL is dropped."""
     kept: list[np.ndarray] = []
-    for idx, v in enumerate(seeds):
+    for idx, v in enumerate([*exclude, *orthonormal_tangent_frame(x).T]):
         w = v.copy()
         for c in kept:
             w = w - (c @ M @ w) * c
@@ -195,20 +236,40 @@ def g_orthonormal_frame(metric_matrix: np.ndarray, x: np.ndarray,
     return np.array(kept[len(exclude):]).T.reshape(x.shape[0], -1)
 
 
+def _pivots(G: np.ndarray) -> np.ndarray:
+    """Squared Cholesky pivots (N, k) of a stack G (N, k, k), by Schur
+    complements; a non-positive pivot gives non-finite or negative entries
+    from there on instead of an exception."""
+    piv = np.empty(G.shape[:-1])
+    with np.errstate(all="ignore"):
+        for k in range(G.shape[-1]):  # piv[:, k] = L[:, k, k]^2
+            piv[:, k] = G[:, k, k]
+            G = G - G[:, :, k, None] * G[:, None, k, :] / piv[:, k, None, None]
+    return piv
+
+
 def _degeneracy(G: np.ndarray, x: np.ndarray) -> MetricDegeneracyError:
     """Name the first point of x (..., d) and the first Cholesky pivot of its
     tangent Gram matrix G (..., k, k) that falls below FRAME_RANK_TOL^2."""
     G, x = G.reshape((-1,) + G.shape[-2:]), x.reshape(-1, x.shape[-1])
-    piv = np.empty(G.shape[:-1])
-    with np.errstate(all="ignore"):
-        for k in range(G.shape[-1]):  # Schur complements: piv[:, k] = L[:, k, k]^2
-            piv[:, k] = G[:, k, k]
-            G = G - G[:, :, k, None] * G[:, None, k, :] / piv[:, k, None, None]
+    piv = _pivots(G)
     bad = ~(piv >= FRAME_RANK_TOL ** 2)
     i, k = np.argwhere(bad)[0] if bad.any() else np.unravel_index(np.argmin(piv), piv.shape)
     return MetricDegeneracyError(
         f"metric is not positive definite on the tangent space at x = "
         f"{np.round(x[i], 6).tolist()}: Cholesky pivot {k} of its Gram matrix is {piv[i, k]:.3e}")
+
+
+def chart_groups(x: np.ndarray, atlas: Sequence[Chart], chunked: bool = False):
+    """(chart, rows) pairs covering the points x (N, d): the row indices that
+    ``chart_index`` gives each chart, with ``chunked`` in slices of at most
+    STENCIL_CHUNK rows."""
+    idx = chart_index(x, atlas)
+    for c, chart in enumerate(atlas):
+        rows = np.flatnonzero(idx == c)
+        size = STENCIL_CHUNK if chunked else max(len(rows), 1)
+        for start in range(0, len(rows), size):
+            yield chart, rows[start:start + size]
 
 
 # ---------------------------------------------------------------------------
@@ -360,28 +421,24 @@ class LeviCivita:
                    method: str = "auto", guard: bool = False) -> np.ndarray:
         """Ambient matrix N with N v = nabla_v(field) for tangent v, N x = 0.
 
-        ``point`` is a SpherePoint or a stack (K, d) of ambient points, which
-        gives (K, d, d).  Off the closed form each point is differentiated in
-        the chart ``chart_for_point`` gives it: N = J H J^T / lam^2, where
+        ``point`` is a SpherePoint or a stack (..., d) of ambient points, which
+        gives (..., d, d).  Off the closed form each point is differentiated in
+        the chart ``chart_index`` gives it: N = J H J^T / lam^2, where
         J^T x = 0 keeps N x = 0.
         """
         x = coords_of(point)
         if self._use_exact(fld, method):
             proj = np.eye(x.shape[-1]) - x[..., :, None] * x[..., None, :]
             return proj @ fld.matrix @ proj
-        xs = np.atleast_2d(x)
+        xs = x.reshape(-1, x.shape[-1])
         N = np.empty(xs.shape + xs.shape[-1:])
-        idx = chart_index(xs, self.atlas)
-        for c, chart in enumerate(self.atlas):
-            sel = idx == c
-            if not sel.any():
-                continue
-            u = chart.coords(xs[sel])
+        for chart, rows in chart_groups(xs, self.atlas):
+            u = chart.coords(xs[rows])
             H = self._guarded_chart_endo(fld, chart, u, guard)
             J = chart.jacobian(u)
             lam2 = chart.conformal_factor(u) ** 2
-            N[sel] = J @ H @ np.swapaxes(J, -1, -2) / lam2[:, None, None]
-        return N[0] if x.ndim == 1 else N
+            N[rows] = J @ H @ np.swapaxes(J, -1, -2) / lam2[:, None, None]
+        return N.reshape(x.shape + x.shape[-1:])
 
     # -- second covariant derivative ------------------------------------------
 
@@ -393,8 +450,9 @@ class LeviCivita:
         sphere with field E x is T(f_i, f_j) = -(x.E f_j) P f_i - (f_i.f_j) P E x,
         P the tangent projector.  The FD path differentiates the chart
         endomorphism of the first covariant derivative: inner step h/3, outer
-        step 10 h.  Points (N, d) with frames (N, d, k) give (N, d, k, k); the
-        FD path takes them one at a time.
+        step 10 h, each point in the chart ``chart_index`` gives it, the points
+        of a chart in chunks of STENCIL_CHUNK.  Points (N, d) with frames
+        (N, d, k) give (N, d, k, k).
         """
         x = coords_of(point)
         if self._use_exact(fld, method):
@@ -407,25 +465,25 @@ class LeviCivita:
             T = np.einsum("...j,...di->...dij", -xEf, Pf)
             T -= np.einsum("...ij,...d->...dij", ff, PEx)
             return T
-        if x.ndim == 2:
-            return np.stack([self.second_nabla_frame(fld, xr, Fr, method)
-                             for xr, Fr in zip(x, frame)])
-
-        chart = self.atlas[int(chart_index(x, self.atlas))]
-        u0 = chart.coords(x)
+        xs, fs = x.reshape(-1, x.shape[-1]), frame.reshape((-1,) + frame.shape[-2:])
+        T = np.empty(fs.shape + fs.shape[-1:])
         h_in = self.fd_step / SECOND_DERIV_INNER_SHRINK
         h_out = self.fd_step * SECOND_DERIV_OUTER_GROWTH
-        # dH[i, k, j] = d_i H^k_j
-        H0, dH = central_diff(lambda v: self._chart_nabla_endo(fld, chart, v, h_in),
-                              u0, h_out, center=True)
-        Gamma = self.christoffel(chart, u0, step=h_in)
-        # T_chart[k, i, j] = d_i H^k_j + Gamma^k_{i l} H^l_j - Gamma^l_{i j} H^k_l
-        T_chart = (np.einsum("ikj->kij", dH)
-                   + np.einsum("kil,lj->kij", Gamma, H0)
-                   - np.einsum("lij,kl->kij", Gamma, H0))
-        J = chart.jacobian(u0)
-        frame_chart = chart.to_chart_vector(u0, frame.T).T
-        return np.einsum("dk,kab,ai,bj->dij", J, T_chart, frame_chart, frame_chart)
+        for chart, rows in chart_groups(xs, self.atlas, chunked=True):
+            u0 = chart.coords(xs[rows])
+            # dH[n, i, k, j] = d_i H^k_j
+            H0, dH = central_diff(lambda v: self._chart_nabla_endo(fld, chart, v, h_in),
+                                  u0, h_out, center=True)
+            Gamma = self.christoffel(chart, u0, step=h_in)
+            # T_chart[n, k, i, j] = d_i H^k_j + Gamma^k_{i l} H^l_j - Gamma^l_{i j} H^k_l
+            T_chart = (np.einsum("nikj->nkij", dH)
+                       + np.einsum("nkil,nlj->nkij", Gamma, H0)
+                       - np.einsum("nlij,nkl->nkij", Gamma, H0))
+            Fc = chart.to_chart_vector(u0[:, None, :], np.swapaxes(fs[rows], -1, -2))
+            Fc = Fc[:, None]                                      # (n, 1, k, m)
+            Tf = Fc @ T_chart @ np.swapaxes(Fc, -1, -2)           # (n, m, k, k)
+            T[rows] = np.einsum("ndm,nmij->ndij", chart.jacobian(u0), Tf)
+        return T.reshape(frame.shape + frame.shape[-1:])
 
     # -- derived structure ----------------------------------------------------
     # Each takes a SpherePoint or a stack (N, d), giving results stacked along N.

@@ -37,10 +37,11 @@ from .metrics import (
     LeviCivita,
     VectorField,
     central_diff,
+    chart_groups,
     g_orthonormal_frame,
 )
 from .report import CheckResult
-from .sphere import SpherePoint, chart_for_point, matvec, rowdot
+from .sphere import SpherePoint, coords_of, matvec, rowdot
 
 # Sign relating the second covariant derivative of a unit Killing field to
 # the metric wedge of the field with the identity.  Fixed once by the round
@@ -349,94 +350,101 @@ def check_pair_completion(lc: LeviCivita, f1: VectorField, f2: VectorField, poin
 
 @dataclass(frozen=True)
 class InvolutionSplit:
-    """Eigenstructure of a g-self-adjoint involution in frame coordinates."""
+    """Eigenstructure of a g-self-adjoint involution in frame coordinates;
+    split at a stack of operators, every field carries the stack's axes."""
 
-    dim_plus: int
-    dim_minus: int
-    involution_residual: float
-    symmetry_residual: float
+    dim_plus: int | np.ndarray
+    dim_minus: int | np.ndarray
+    involution_residual: float | np.ndarray
+    symmetry_residual: float | np.ndarray
     eigenvalues: np.ndarray
     projector_plus: np.ndarray  # frame coordinates
 
     @property
     def ok(self) -> bool:
-        if self.eigenvalues.size == 0:
-            return True
-        return (self.involution_residual < 1e-8 and self.symmetry_residual < 1e-8
-                and float(np.abs(np.abs(self.eigenvalues) - 1.0).max()) < 1e-8)
+        ev = np.abs(np.abs(self.eigenvalues) - 1.0)
+        return bool(np.all(self.involution_residual < 1e-8)
+                    and np.all(self.symmetry_residual < 1e-8) and np.all(ev < 1e-8))
 
 
 def involution_split(P: np.ndarray) -> InvolutionSplit:
-    """Split a (numerically) symmetric involution into +1/-1 eigenspaces."""
+    """Split a (numerically) symmetric involution (k, k), or each of a stack
+    (..., k, k), into +1/-1 eigenspaces."""
     P = np.asarray(P, dtype=float)
-    if P.shape[0] == 0:
-        return InvolutionSplit(dim_plus=0, dim_minus=0, involution_residual=0.0,
-                               symmetry_residual=0.0, eigenvalues=np.zeros(0),
-                               projector_plus=np.zeros((0, 0)))
-    inv_res = float(np.abs(P @ P - np.eye(P.shape[0])).max())
-    sym_res = float(np.abs(P - P.T).max())
-    vals, vecs = np.linalg.eigh(0.5 * (P + P.T))
-    plus = vecs[:, vals > 0.0]
+    Pt = np.swapaxes(P, -1, -2)
+    vals, vecs = np.linalg.eigh(0.5 * (P + Pt))
+    plus = vals > 0.0
     return InvolutionSplit(
-        dim_plus=int((vals > 0.0).sum()),
-        dim_minus=int((vals < 0.0).sum()),
-        involution_residual=inv_res,
-        symmetry_residual=sym_res,
+        dim_plus=_item(plus.sum(axis=-1)),
+        dim_minus=_item((vals < 0.0).sum(axis=-1)),
+        involution_residual=_item(_max_entry(P @ P - np.eye(P.shape[-1]))),
+        symmetry_residual=_item(_max_entry(P - Pt)),
         eigenvalues=vals,
-        projector_plus=plus @ plus.T)
+        projector_plus=(vecs * plus[..., None, :]) @ np.swapaxes(vecs, -1, -2))
+
+
+def _max_entry(R: np.ndarray) -> np.ndarray:
+    """max |entry| over the last two axes of R (..., a, b); 0 when empty."""
+    return np.abs(R).max(axis=(-2, -1), initial=0.0)
+
+
+def _item(a: np.ndarray):
+    """A 0-d result as a Python scalar, a stacked one as it is."""
+    return a.item() if a.ndim == 0 else a
 
 
 @dataclass(frozen=True)
 class SplittingResult:
-    """Splitting of the horizontal space by the triple product operator."""
+    """Splitting of the horizontal space by the triple product operator; at
+    a stack of points every field carries a leading axis of N."""
 
     split: InvolutionSplit
     horizontal_frame: np.ndarray      # (d, d-4) g-orthonormal columns
     p_frame: np.ndarray               # operator in that frame
-    invariance_residual: float        # defect of P mapping the space to itself
-    commutation_residual: float       # defect of [P, psi_a] on the space
+    invariance_residual: float | np.ndarray   # defect of P mapping the space to itself
+    commutation_residual: float | np.ndarray  # defect of [P, psi_a] on the space
 
     @property
-    def dim_plus(self) -> int:
+    def dim_plus(self) -> int | np.ndarray:
         return self.split.dim_plus
 
     @property
-    def dim_minus(self) -> int:
+    def dim_minus(self) -> int | np.ndarray:
         return self.split.dim_minus
 
     @property
     def ok(self) -> bool:
-        return (self.split.ok and self.invariance_residual < 1e-8
-                and self.commutation_residual < 1e-8)
+        return bool(self.split.ok and np.all(self.invariance_residual < 1e-8)
+                    and np.all(self.commutation_residual < 1e-8))
 
 
 def horizontal_split(lc: LeviCivita, fields: Sequence[VectorField],
-                     point: SpherePoint, method: str = "auto") -> SplittingResult:
-    """Diagonalize psi_1 psi_2 psi_3 on the common horizontal space at a point.
+                     points: SpherePoint | np.ndarray,
+                     method: str = "auto") -> SplittingResult:
+    """Diagonalize psi_1 psi_2 psi_3 on the common horizontal space at a
+    SpherePoint or at each point of a stack (N, d).
 
     The horizontal space is the g-orthocomplement of the three generators in
     the tangent space; the triple product restricted there is a g-self-adjoint
     involution commuting with each psi_a, and its eigenspace dimensions are
     the splitting invariants (the round quaternionic frame gives (0, 4n)).
+    On a dim-3 total space the horizontal space is empty and so is the split.
     """
-    sts, psis, _ = _triple_psi(lc, fields, point, method)
-    x = point.coords
+    x = coords_of(points)
+    sts, psis, _ = _triple_psi(lc, fields, x, method)
     M = sts[0].metric_matrix
     FD = g_orthonormal_frame(M, x, exclude=[st.xi for st in sts])
+    FDt_M = np.swapaxes(FD, -1, -2) @ M
     P_amb = psis[0] @ psis[1] @ psis[2]
-    P_frame = FD.T @ M @ P_amb @ FD
-    if FD.shape[1] == 0:  # dim-3 total space: nothing horizontal to split
-        return SplittingResult(split=involution_split(P_frame), horizontal_frame=FD,
-                               p_frame=P_frame, invariance_residual=0.0,
-                               commutation_residual=0.0)
-    inv_res = float(np.abs(P_amb @ FD - FD @ P_frame).max())
+    P_frame = FDt_M @ P_amb @ FD
     comm = 0.0
     for psi in psis:
-        psi_f = FD.T @ M @ psi @ FD
-        comm = max(comm, float(np.abs(P_frame @ psi_f - psi_f @ P_frame).max()))
+        psi_f = FDt_M @ psi @ FD
+        comm = np.maximum(comm, _max_entry(P_frame @ psi_f - psi_f @ P_frame))
     return SplittingResult(split=involution_split(P_frame), horizontal_frame=FD,
-                           p_frame=P_frame, invariance_residual=inv_res,
-                           commutation_residual=comm)
+                           p_frame=P_frame,
+                           invariance_residual=_item(_max_entry(P_amb @ FD - FD @ P_frame)),
+                           commutation_residual=_item(comm))
 
 
 def flip_operator(projector_plus: np.ndarray) -> np.ndarray:
@@ -524,37 +532,51 @@ def check_flip_quaternionic(J: Sequence[np.ndarray], M: np.ndarray,
 # CR integrability (Nijenhuis-type torsion on the horizontal distribution)
 # ---------------------------------------------------------------------------
 
-def nijenhuis_residual(lc: LeviCivita, fld: VectorField, point: SpherePoint,
-                       step: float | None = None, method: str = "auto") -> float:
-    """Max torsion of phi on the horizontal distribution at one point.
+def nijenhuis_residual(lc: LeviCivita, fld: VectorField, points: SpherePoint | np.ndarray,
+                       step: float | None = None, method: str = "auto"):
+    """Max torsion of phi on the horizontal distribution at a SpherePoint (a
+    float) or at each point of a stack (N, d) (an (N,) array).
 
     Frame fields are horizontal projections of constant ambient vectors
-    seeded by the horizontal frame at the center, so they are smooth and
+    seeded by the horizontal frame at their center, so they are smooth and
     reproduce the frame exactly at the center.  Brackets are coordinate
-    brackets of chart components (central differences with ``step``); the
-    whole stencil is evaluated in one batch, each stencil point taking its
-    covariant derivative in the chart ``chart_for_point`` gives it.  At a
-    stencil point only xi, M and phi are needed, and phi is frame free:
-    phi = S D^T S M / 2 with S = J (J^T M J)^-1 J^T the inverse metric on the
-    tangent space and D the matrix of d(eta) (see metrics.StructureTensors).
+    brackets of chart components, by central differences with ``step``
+    (default 15 fd_step off the round metric, fd_step / 10 on it).  The
+    centers are grouped by chart and their stencils evaluated together, in
+    chunks of STENCIL_CHUNK centers, each stencil point taking its covariant
+    derivative in the chart ``chart_index`` gives it.  At a stencil point
+    only xi, M and phi are needed, and phi is frame free: phi = S D^T S M / 2
+    with S = J (J^T M J)^-1 J^T the inverse metric on the tangent space and D
+    the matrix of d(eta) (see metrics.StructureTensors).
 
     Torsion of a pair (X, Y):
       4 N(X, Y) = ([phiX, phiY] - phi [phiX, Y]^H - phi [X, phiY]^H - [X, Y])
-    projected to the horizontal space; residual is the largest g-norm over
-    frame pairs.
+    projected to the horizontal space; the residual is the largest g-norm
+    over frame pairs.
     """
     if step is None:
-        step = 1e-5 if lc.metric.exact_round else 1.5e-3
-    x0 = point.coords
-    st0 = lc.structure_at(fld, point, method=method)
-    M0 = st0.metric_matrix
-    seeds = g_orthonormal_frame(M0, x0, exclude=[st0.xi]).T  # (k, d)
-    chart = chart_for_point(point, lc.atlas)
-    u0 = chart.coords(point)
+        step = lc.fd_step / 10 if lc.metric.exact_round else 15 * lc.fd_step
+    x = coords_of(points)
+    X0 = x.reshape(-1, x.shape[-1])
+    st0 = lc.structure_at(fld, X0, method=method)
+    seeds = np.swapaxes(g_orthonormal_frame(st0.metric_matrix, X0, exclude=[st0.xi]), -1, -2)
+    res = np.empty(len(X0))
+    for chart, rows in chart_groups(X0, lc.atlas, chunked=True):
+        res[rows] = _chart_torsion(lc, fld, chart, X0[rows], seeds[rows], st0.metric_matrix[rows],
+                                   st0.xi[rows], st0.phi_ambient[rows], step, method)
+    return float(res[0]) if x.ndim == 1 else res
+
+
+def _chart_torsion(lc: LeviCivita, fld: VectorField, chart, x0: np.ndarray,
+                   seeds: np.ndarray, M0: np.ndarray, xi0: np.ndarray, phi0: np.ndarray,
+                   step: float, method: str) -> np.ndarray:
+    """``nijenhuis_residual`` at centers x0 (n, d) of one chart, with their
+    horizontal seeds (n, k, d), metrics, fields and phi."""
+    u0 = chart.coords(x0)
 
     def horizontal_fields(u: np.ndarray) -> np.ndarray:
-        """Chart components (P, 2, k, m) of the projected frame fields and of
-        their phi-images at the stencil points u (P, m)."""
+        """Chart components (n, P, 2, k, m) of the projected frame fields and
+        of their phi-images at the stencil points u (n, P, m)."""
         x = chart.point_coords(u)
         J = chart.jacobian(u)
         Jt = np.swapaxes(J, -1, -2)
@@ -564,38 +586,40 @@ def nijenhuis_residual(lc: LeviCivita, fld: VectorField, point: SpherePoint,
         D = np.swapaxes(N, -1, -2) @ M - M @ N
         S = J @ np.linalg.solve(Jt @ M @ J, Jt)
         phi = 0.5 * S @ np.swapaxes(D, -1, -2) @ S @ M
-        eta = matvec(M, xi)                                   # (P, d)
-        W = seeds - (seeds @ x[..., None]) * x[:, None, :]    # (P, k, d)
-        W = W - (W @ eta[..., None] / rowdot(xi, eta)[:, None, None]) * xi[:, None, :]
+        eta = matvec(M, xi)                                   # (n, P, d)
+        W = seeds[:, None] - (seeds[:, None] @ x[..., None]) * x[..., None, :]  # (n, P, k, d)
+        W = W - (W @ eta[..., None] / rowdot(xi, eta)[..., None, None]) * xi[..., None, :]
         JW = W @ np.swapaxes(phi, -1, -2)
-        return chart.to_chart_vector(u[:, None, None, :], np.stack([W, JW], axis=1))
+        return chart.to_chart_vector(u[..., None, None, :], np.stack([W, JW], axis=-3))
 
-    (X0c, JX0c), d_fields = central_diff(horizontal_fields, u0, step, center=True)
-    dX, dJX = d_fields[:, 0], d_fields[:, 1]                  # (m, k, m)
+    center, d_fields = central_diff(horizontal_fields, u0, step, center=True)
+    X0c, JX0c = center[:, 0], center[:, 1]                   # (n, k, m)
+    dX, dJX = d_fields[:, :, 0], d_fields[:, :, 1]            # (n, m, k, m)
+    Jc = chart.jacobian(u0)[:, None, None]                    # (n, 1, 1, d, m)
 
     def brackets(Uc, dU, Vc, dV) -> np.ndarray:
         """Coordinate brackets [U_i, V_j]^k = U_i^l d_l V_j^k - V_j^l d_l U_i^k
-        at the center, pushed to ambient components, (k, k, d)."""
-        b = np.einsum("il,ljk->ijk", Uc, dV) - np.einsum("jl,lik->ijk", Vc, dU)
-        return chart.push(u0, b)
+        at the centers, pushed to ambient components, (n, k, k, d)."""
+        b = np.einsum("nil,nljk->nijk", Uc, dV) - np.einsum("njl,nlik->nijk", Vc, dU)
+        return matvec(Jc, b)
 
-    xi0 = st0.xi
-    eta0 = M0 @ xi0
-    g00 = float(xi0 @ eta0)
+    eta0 = matvec(M0, xi0)
+    xb, xib, etab = x0[:, None, None], xi0[:, None, None], eta0[:, None, None]
+    g00 = rowdot(xi0, eta0)[:, None, None]
 
     def proj_h(v: np.ndarray) -> np.ndarray:
-        w = v - rowdot(v, x0)[..., None] * x0
-        return w - (rowdot(w, eta0) / g00)[..., None] * xi0
+        w = v - rowdot(v, xb)[..., None] * xb
+        return w - (rowdot(w, etab) / g00)[..., None] * xib
 
-    phi0_t = st0.phi_ambient.T
+    phi0_t = np.swapaxes(phi0, -1, -2)[:, None]
     N4 = (proj_h(brackets(JX0c, dJX, JX0c, dJX))
           - proj_h(brackets(JX0c, dJX, X0c, dX)) @ phi0_t
           - proj_h(brackets(X0c, dX, JX0c, dJX)) @ phi0_t
           - proj_h(brackets(X0c, dX, X0c, dX)))
     R = 0.25 * proj_h(N4)
-    norms = np.sqrt(np.einsum("ijd,de,ije->ij", R, M0, R))
-    i, j = np.triu_indices(len(seeds), k=1)
-    return float(norms[i, j].max(initial=0.0))
+    norms = np.sqrt(np.einsum("nijd,nde,nije->nij", R, M0, R))
+    i, j = np.triu_indices(seeds.shape[1], k=1)
+    return norms[:, i, j].max(axis=-1, initial=0.0)
 
 
 def check_nijenhuis(lc: LeviCivita, fld: VectorField, points, tol: float = NIJENHUIS_TOL,
@@ -603,7 +627,7 @@ def check_nijenhuis(lc: LeviCivita, fld: VectorField, points, tol: float = NIJEN
                     expected: str = "pass", fail_floor: float | None = None,
                     name: str = "cr_torsion") -> CheckResult:
     """Horizontal Nijenhuis-type torsion over a sample of points."""
-    res = [nijenhuis_residual(lc, fld, p, step=step, method=method) for p in points]
+    res = nijenhuis_residual(lc, fld, _stack(name, points), step=step, method=method)
     return _check(name, res, tol, expected, fail_floor)
 
 
@@ -618,32 +642,31 @@ def check_contact_form_preserved(lc_def: LeviCivita, lc_ref: LeviCivita,
 
     The one-forms are compared pointwise in ambient components.  Their
     exterior derivatives are compared in chart components, each side computed
-    by central differences of the pulled-back covector; no connection enters,
-    so the comparison resolves far below covariant-derivative noise.
+    by central differences of the pulled-back covector over the points of a
+    chart at once; no connection enters, so the comparison resolves far
+    below covariant-derivative noise.
     """
-    h = lc_def.fd_step
-
-    def chart_covector(lc, chart, u):
-        x = chart.point_coords(u)
-        eta = matvec(lc.metric.matrix_at(x), fld.value(x))
-        return matvec(np.swapaxes(chart.jacobian(u), -1, -2), eta)
-
-    def exterior(lc, chart, u):
-        grad = central_diff(lambda v: chart_covector(lc, chart, v), u, h)
-        return grad - grad.T
-
-    res = []
-    for p in points:
-        x = p.coords
-        xi = fld.value(x)
-        eta_d = lc_def.metric.matrix_at(x) @ xi
-        eta_r = lc_ref.metric.matrix_at(x) @ xi
-        chart = chart_for_point(p, lc_def.atlas)
-        u = chart.coords(p)
-        res.append(max(float(np.abs(eta_d - eta_r).max()),
-                       float(np.abs(exterior(lc_def, chart, u)
-                                    - exterior(lc_ref, chart, u)).max())))
+    X = _stack(name, points)
+    xi = fld.value(X)
+    res = _worst(matvec(lc_def.metric.matrix_at(X), xi) - matvec(lc_ref.metric.matrix_at(X), xi))
+    for chart, rows in chart_groups(X, lc_def.atlas):
+        u = chart.coords(X[rows])
+        ext = [_exterior_derivative(lc, fld, chart, u, lc_def.fd_step) for lc in (lc_def, lc_ref)]
+        res[rows] = np.maximum(res[rows], _worst(ext[0] - ext[1]))
     return _check(name, res, tol)
+
+
+def _exterior_derivative(lc: LeviCivita, fld: VectorField, chart, u: np.ndarray,
+                        h: float) -> np.ndarray:
+    """Chart components (..., m, m) of d(eta), eta the metric dual of the
+    field, at chart points u (..., m), by central differences with step h."""
+    def chart_covector(v: np.ndarray) -> np.ndarray:
+        x = chart.point_coords(v)
+        eta = matvec(lc.metric.matrix_at(x), fld.value(x))
+        return matvec(np.swapaxes(chart.jacobian(v), -1, -2), eta)
+
+    grad = central_diff(chart_covector, u, h)
+    return grad - np.swapaxes(grad, -1, -2)
 
 
 def check_transverse_derivative(lc: LeviCivita, fld: VectorField, j0: np.ndarray,

@@ -146,16 +146,17 @@ def eigenfield_residuals_per_generator(lc, xi_field, mats, points, rate):
 def nijenhuis_residual_per_point(lc, fld, point, step=None, method="auto"):
     """Reference for the batched Nijenhuis stencil: the full structure bundle
     (g-orthonormal frame included) at every stencil point, one point and one
-    frame pair at a time."""
-    from killinglab.metrics import g_orthonormal_frame
+    frame pair at a time, with the horizontal seeds from the Gram-Schmidt
+    loop.  The default step is 15 fd_step off the round metric and
+    fd_step / 10 on it."""
     from killinglab.sphere import SpherePoint, chart_for_point
 
     if step is None:
-        step = 1e-5 if lc.metric.exact_round else 1.5e-3
+        step = lc.fd_step / 10 if lc.metric.exact_round else 15 * lc.fd_step
     x0 = point.coords
     st0 = lc.structure_at(fld, point, method=method)
     M0 = st0.metric_matrix
-    seeds = g_orthonormal_frame(M0, x0, exclude=[st0.xi])
+    seeds = g_orthonormal_frame_exclude_mgs(M0, x0, [st0.xi])
     k = seeds.shape[1]
     chart = chart_for_point(point, lc.atlas)
     u0 = chart.coords(point)
@@ -242,6 +243,114 @@ def g_orthonormal_frame_mgs(M, x):
             w = w - (c @ M @ w) * c
         kept.append(w / np.sqrt(w @ M @ w))
     return np.stack(kept, axis=1)
+
+
+def g_orthonormal_frame_exclude_mgs(M, x, exclude):
+    """Reference ``exclude=`` frame at one point: modified Gram-Schmidt in the
+    inner product u^T M v of the excluded vectors followed by the reference
+    Euclidean frame's columns; a seed whose g-norm after projection falls
+    below 1e-8 is dropped (an excluded one raises ValueError), and the
+    columns kept after the excluded vectors are returned, (d, d-1-len(exclude))."""
+    exclude = [np.asarray(v, dtype=float) for v in exclude]
+    kept = []
+    for idx, v in enumerate(exclude + list(orthonormal_tangent_frame_mgs(x).T)):
+        w = v.copy()
+        for c in kept:
+            w = w - (c @ M @ w) * c
+        nrm = float(np.sqrt(max(w @ M @ w, 0.0)))
+        if nrm >= 1e-8:
+            kept.append(w / nrm)
+        elif idx < len(exclude):
+            raise ValueError("excluded vectors are g-degenerate or dependent")
+    assert len(kept) == x.shape[0] - 1, "tangent frame construction lost rank"
+    return np.array(kept[len(exclude):]).T.reshape(x.shape[0], -1)
+
+
+def second_nabla_fd_per_point(lc, fld, x, frame):
+    """Reference finite-difference second covariant derivative at one point
+    x (d,) on a frame (d, k): the chart endomorphism of the first covariant
+    derivative differenced one axis at a time in the chart of x, then
+    contracted one frame pair at a time, (d, k, k)."""
+    from killinglab.metrics import SECOND_DERIV_INNER_SHRINK, SECOND_DERIV_OUTER_GROWTH
+    from killinglab.sphere import SpherePoint, chart_for_point
+
+    chart = chart_for_point(SpherePoint(x), lc.atlas)
+    u0 = chart.coords(x)
+    m = u0.shape[0]
+    h_in = lc.fd_step / SECOND_DERIV_INNER_SHRINK
+    h_out = lc.fd_step * SECOND_DERIV_OUTER_GROWTH
+    H0 = lc._chart_nabla_endo(fld, chart, u0, h_in)
+    dH = np.empty((m, m, m))  # dH[i, k, j] = d_i H^k_j
+    for i in range(m):
+        e = np.zeros(m)
+        e[i] = h_out
+        dH[i] = (lc._chart_nabla_endo(fld, chart, u0 + e, h_in)
+                 - lc._chart_nabla_endo(fld, chart, u0 - e, h_in)) / (2 * h_out)
+    Gamma = lc.christoffel(chart, u0, step=h_in)
+    T_chart = (np.einsum("ikj->kij", dH) + np.einsum("kil,lj->kij", Gamma, H0)
+               - np.einsum("lij,kl->kij", Gamma, H0))
+    J = chart.jacobian(u0)
+    fc = np.stack([chart.to_chart_vector(u0, f) for f in frame.T], axis=1)  # (m, k)
+    k = frame.shape[1]
+    T = np.empty((x.shape[0], k, k))
+    for i in range(k):
+        for j in range(k):
+            T[:, i, j] = J @ np.einsum("kab,a,b->k", T_chart, fc[:, i], fc[:, j])
+    return T
+
+
+def contact_form_residual_per_point(lc_def, lc_ref, fld, point):
+    """Reference for the contact-form comparison at one point: the larger of
+    the one-form defect and the defect of its exterior derivative, each side
+    differenced one chart axis at a time with step lc_def.fd_step."""
+    from killinglab.sphere import chart_for_point
+
+    x = point.coords
+    h = lc_def.fd_step
+    chart = chart_for_point(point, lc_def.atlas)
+    u0 = chart.coords(point)
+    m = u0.shape[0]
+
+    def exterior(lc):
+        def covector(u):
+            y = chart.point_coords(u)
+            return chart.jacobian(u).T @ (lc.metric.matrix_at(y) @ fld.value(y))
+        grad = np.empty((m, m))
+        for l in range(m):
+            e = np.zeros(m)
+            e[l] = h
+            grad[l] = (covector(u0 + e) - covector(u0 - e)) / (2 * h)
+        return grad - grad.T
+
+    xi = fld.value(x)
+    one = np.abs(lc_def.metric.matrix_at(x) @ xi - lc_ref.metric.matrix_at(x) @ xi).max()
+    return max(float(one), float(np.abs(exterior(lc_def) - exterior(lc_ref)).max()))
+
+
+def horizontal_split_per_point(lc, fields, point):
+    """Reference horizontal split at one point: the structures of the three
+    fields, the horizontal frame from the Gram-Schmidt loop, and the
+    eigenstructure of psi_1 psi_2 psi_3 there.  Returns dim_plus, dim_minus
+    and the involution, symmetry, invariance and commutation residuals."""
+    sts = [lc.structure_at(f, point) for f in fields]
+    M = sts[0].metric_matrix
+    psis = [-st.phi_ambient for st in sts]
+    FD = g_orthonormal_frame_exclude_mgs(M, point.coords, [st.xi for st in sts])
+    P_amb = psis[0] @ psis[1] @ psis[2]
+    P = FD.T @ M @ P_amb @ FD
+    k = P.shape[0]
+    vals = np.linalg.eigvalsh(0.5 * (P + P.T))
+    out = {"dim_plus": int((vals > 0).sum()), "dim_minus": int((vals < 0).sum()),
+           "involution": 0.0, "symmetry": 0.0, "invariance": 0.0, "commutation": 0.0}
+    if k:
+        out["involution"] = float(np.abs(P @ P - np.eye(k)).max())
+        out["symmetry"] = float(np.abs(P - P.T).max())
+        out["invariance"] = float(np.abs(P_amb @ FD - FD @ P).max())
+        for psi in psis:
+            psi_f = FD.T @ M @ psi @ FD
+            out["commutation"] = max(out["commutation"],
+                                     float(np.abs(P @ psi_f - psi_f @ P).max()))
+    return out
 
 
 def second_nabla_round_loop(E, x, frame):

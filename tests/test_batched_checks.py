@@ -1,0 +1,246 @@
+"""Whole-sample Nijenhuis stencil, finite-difference second derivative,
+contact-form comparison, horizontal split and ``exclude=`` frame against the
+one-point references in tests/oracles.py."""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from killinglab import metrics
+from killinglab.constructions import (
+    build_deformed,
+    build_irregular,
+    build_quaternionic,
+    build_round,
+)
+from killinglab.metrics import LeviCivita, MetricDegeneracyError, g_orthonormal_frame
+from killinglab.sphere import (
+    SpherePoint,
+    chart_index,
+    matvec,
+    orthonormal_tangent_frame,
+    rowdot,
+    sample_sphere,
+)
+from killinglab.verify import (
+    check_contact_form_preserved,
+    check_nijenhuis,
+    horizontal_split,
+    nijenhuis_residual,
+)
+
+from oracles import (
+    contact_form_residual_per_point,
+    g_orthonormal_frame_exclude_mgs,
+    horizontal_split_per_point,
+    nijenhuis_residual_per_point,
+    second_nabla_fd_per_point,
+)
+
+LABELS = ["round", "gF", "irregular", "quaternionic"]
+
+
+def _structure(label: str):
+    """Metric, fields and the sphere's n for each example."""
+    if label == "round":
+        rs = build_round(2)
+        return rs.metric, [rs.field], 2
+    if label == "quaternionic":
+        qs = build_quaternionic(1)
+        return qs.metric, list(qs.fields), 3
+    if label == "gF":
+        ds = build_deformed(n=3, c=0.3)
+        return ds.metric, [ds.field], 3
+    ir = build_irregular(n=2)
+    return ir.metric, [ir.field], 2
+
+
+def _mixed_sample(n: int, count: int, seed: int) -> np.ndarray:
+    """Unit points (count, d) in both charts, the first three with |x0| < 1e-3,
+    where a stencil of step 1.5e-3 crosses from one chart into the other."""
+    X = sample_sphere(n, count, seed=seed).arrays()
+    X[:3, 0] = [5e-4, -3e-4, 0.0]
+    X /= np.linalg.norm(X, axis=1)[:, None]
+    assert set(chart_index(X, LeviCivita(build_round(n).metric).atlas)) == {0, 1}
+    return X
+
+
+def _rel(a, b) -> float:
+    return float(np.abs(a - b).max() / max(1.0, float(np.abs(b).max())))
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_batched_nijenhuis_matches_reference(label):
+    metric, fields, n = _structure(label)
+    lc = LeviCivita(metric)
+    X = _mixed_sample(n, 7, seed=23)
+    got = nijenhuis_residual(lc, fields[0], X)
+    ref = [nijenhuis_residual_per_point(lc, fields[0], SpherePoint(x)) for x in X]
+    assert got.shape == (len(X),)
+    assert np.abs(got - ref).max() <= 1e-9
+    assert nijenhuis_residual(lc, fields[0], SpherePoint(X[4])) == pytest.approx(got[4], abs=1e-12)
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_batched_fd_second_nabla_matches_reference(label):
+    metric, fields, n = _structure(label)
+    lc = LeviCivita(metric)
+    X = _mixed_sample(n, 6, seed=29)
+    F = g_orthonormal_frame(metric.matrix_at(X), X)
+    T = lc.second_nabla_frame(fields[0], X, F, method="fd")
+    for i, x in enumerate(X):
+        ref = second_nabla_fd_per_point(lc, fields[0], x, F[i])
+        assert _rel(T[i], ref) <= 1e-12
+        assert _rel(lc.second_nabla_frame(fields[0], SpherePoint(x), F[i], method="fd"),
+                    ref) <= 1e-12
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_contact_form_matches_reference(label):
+    metric, fields, n = _structure(label)
+    lc, lc_round = LeviCivita(metric), LeviCivita(build_round(n).metric)
+    X = _mixed_sample(n, 8, seed=31)
+    pts = [SpherePoint(x) for x in X]
+    ref = np.array([contact_form_residual_per_point(lc, lc_round, fields[0], p) for p in pts])
+    r = check_contact_form_preserved(lc, lc_round, fields[0], pts, tol=1e-8)
+    # an O(1) one-form differenced at step 1e-4 carries rounding times 1 / 2h
+    scale = max(1.0, float(ref.max()))
+    assert abs(r.max_residual - ref.max()) <= 1e-10 * scale
+    assert abs(r.mean_residual - ref.mean()) <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_stacked_horizontal_split_matches_reference(m):
+    qs = build_quaternionic(m)
+    lc = LeviCivita(qs.metric)
+    X = _mixed_sample(2 * m + 1, 6, seed=37)
+    sp = horizontal_split(lc, qs.fields, X)
+    assert sp.ok and sp.horizontal_frame.shape == (6, 4 * m + 4, 4 * m)
+    for i, x in enumerate(X):
+        ref = horizontal_split_per_point(lc, qs.fields, SpherePoint(x))
+        assert (sp.dim_plus[i], sp.dim_minus[i]) == (ref["dim_plus"], ref["dim_minus"])
+        for got, key in ((sp.split.involution_residual, "involution"),
+                         (sp.split.symmetry_residual, "symmetry"),
+                         (sp.invariance_residual, "invariance"),
+                         (sp.commutation_residual, "commutation")):
+            assert got[i] <= 1e-13 and ref[key] <= 1e-13
+        one = horizontal_split(lc, qs.fields, SpherePoint(x))
+        assert isinstance(one.dim_plus, int) and isinstance(one.invariance_residual, float)
+        assert np.abs(one.p_frame - sp.p_frame[i]).max(initial=0.0) <= 1e-14
+
+
+# -- chunking and defaults ---------------------------------------------------------
+
+@pytest.mark.parametrize("label", ["gF", "irregular"])
+def test_results_do_not_depend_on_the_chunk_size(label, monkeypatch):
+    metric, fields, n = _structure(label)
+    lc = LeviCivita(metric)
+    X = _mixed_sample(n, 9, seed=41)
+    F = g_orthonormal_frame(metric.matrix_at(X), X)
+    runs = []
+    for chunk in (1, 7, len(X)):
+        monkeypatch.setattr(metrics, "STENCIL_CHUNK", chunk)
+        runs.append((nijenhuis_residual(lc, fields[0], X),
+                     lc.second_nabla_frame(fields[0], X, F, method="fd")))
+    for nij, T in runs[1:]:
+        assert _rel(nij, runs[0][0]) <= 1e-14
+        assert _rel(T, runs[0][1]) <= 1e-14
+
+
+def test_nijenhuis_step_follows_fd_step():
+    ds, rs = build_deformed(n=3, c=0.3), build_round(2)
+    for st, n, ratio in ((ds, 3, 15.0), (rs, 2, 0.1)):
+        X = _mixed_sample(n, 4, seed=43)
+        for h in (2e-4, 5e-5):
+            lc = LeviCivita(st.metric, fd_step=h)
+            default = nijenhuis_residual(lc, st.field, X)
+            assert np.array_equal(default, nijenhuis_residual(lc, st.field, X, step=ratio * h))
+            # an explicit step still overrides
+            assert not np.array_equal(default,
+                                      nijenhuis_residual(lc, st.field, X, step=3 * ratio * h))
+
+
+def test_checks_on_empty_sample_name_the_check(round2, lc_round2):
+    with pytest.raises(ValueError, match="'cr_torsion' got no samples to evaluate"):
+        check_nijenhuis(lc_round2, round2.field, [])
+    with pytest.raises(ValueError, match="'contact_form_preserved' got no samples to evaluate"):
+        check_contact_form_preserved(lc_round2, lc_round2, round2.field, [], tol=1e-8)
+
+
+def test_deformed_metric_matches_its_defining_formula():
+    ds = build_deformed(n=3, c=0.3)
+    X = _mixed_sample(3, 15, seed=47)
+    for x in (X[5], X, np.stack([X, X[::-1]])):
+        V = ds.x_field.func(x)
+        F = np.asarray(ds.f_of(x))[..., None, None]
+        nv = np.sqrt(rowdot(V, V))[..., None]
+        nv = np.where(nv > 0.0, nv, 1.0)
+        Xh, Yh = V / nv, matvec(ds.j0, V) / nv
+        ref = (np.eye(8) + (np.exp(-2.0 * F) - 1.0) * (Xh[..., :, None] * Xh[..., None, :])
+               + (np.exp(2.0 * F) - 1.0) * (Yh[..., :, None] * Yh[..., None, :]))
+        assert np.array_equal(ds.metric.matrix_at(x), ref)
+
+
+# -- the exclude= frame --------------------------------------------------------------
+
+def _tangent_exclusions(X: np.ndarray, e: int, seed: int) -> list[np.ndarray]:
+    """e random tangent vectors (N, d) at each point of X."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(e):
+        v = rng.standard_normal(X.shape)
+        out.append(v - np.einsum("ni,ni->n", v, X)[:, None] * X)
+    return out
+
+
+def _spd(n: int, d: int, seed: int) -> np.ndarray:
+    A = np.random.default_rng(seed).standard_normal((n, d, d)) * 0.4
+    return np.eye(d) + A @ np.swapaxes(A, -1, -2)
+
+
+@pytest.mark.parametrize("d", [4, 8, 12])
+@pytest.mark.parametrize("e", [1, 3])
+def test_cholesky_exclude_frame_matches_gram_schmidt(d, e, monkeypatch):
+    X = np.random.default_rng(d + e).standard_normal((7, d))
+    X /= np.linalg.norm(X, axis=1)[:, None]
+    M = _spd(7, d, seed=50 + d)
+    V = _tangent_exclusions(X, e, seed=60 + d)
+    if e < d - 1:
+        # row 0: the first Euclidean frame column lies within 1e-10 of the span
+        # of the exclusions, so the loop drops it and takes the next one
+        V[0][0] = orthonormal_tangent_frame(X[0])[:, 0] + 1e-10 * V[0][0]
+    fallback = []
+    loop = metrics._exclude_frame_loop
+    monkeypatch.setattr(metrics, "_exclude_frame_loop",
+                        lambda M_, x_, v_: fallback.append(x_) or loop(M_, x_, v_))
+    F = g_orthonormal_frame(M, X, exclude=V)
+    assert len(fallback) == (e < d - 1) and all(np.array_equal(x, X[0]) for x in fallback)
+    assert F.shape == (7, d, d - 1 - e)
+    for i in range(7):
+        ref = g_orthonormal_frame_exclude_mgs(M[i], X[i], [v[i] for v in V])
+        assert np.abs(F[i] - ref).max(initial=0.0) <= 1e-13
+        one = g_orthonormal_frame(M[i], X[i], exclude=[v[i] for v in V])
+        assert np.abs(one - ref).max(initial=0.0) <= 1e-13
+
+
+def test_dependent_or_normal_exclusions_and_whole_tangent_space():
+    X = np.random.default_rng(3).standard_normal((4, 6))
+    X /= np.linalg.norm(X, axis=1)[:, None]
+    v = _tangent_exclusions(X, 1, seed=4)[0]
+    with pytest.raises(ValueError, match="dependent"):
+        g_orthonormal_frame(np.eye(6), X, exclude=[v, 2.0 * v])
+    with pytest.raises(ValueError, match="dependent"):
+        g_orthonormal_frame(np.eye(6), X[1], exclude=[v[1], -v[1]])
+    # an exclusion with a normal component leaves no g-orthogonal tangent frame
+    w = v.copy()
+    w[2] += 1e-6 * X[2]
+    with pytest.raises(MetricDegeneracyError, match="lost rank"):
+        g_orthonormal_frame(np.eye(6), X, exclude=[w])
+    # the whole tangent space excluded: an empty frame at each point
+    e1 = np.eye(4)[0]
+    tangent = list(np.eye(4)[1:])
+    assert g_orthonormal_frame(np.eye(4), e1, exclude=tangent).shape == (4, 0)
+    stack = np.stack([e1, -e1])
+    F = g_orthonormal_frame(np.eye(4), stack, exclude=[np.stack([t, t]) for t in tangent])
+    assert F.shape == (2, 4, 0)
