@@ -49,10 +49,10 @@ def main(argv: list[str] | None = None) -> int:
         dim2 = 0 if blk is None else len(blk)
 
         lc = LeviCivita(st.metric)
-        pts = sample_sphere(n, opts.samples, seed=opts.seed).points
+        X = sample_sphere(n, opts.samples, seed=opts.seed).coords
         worst = 0.0
         if blk is not None:
-            res = eigenfield_residuals(lc, st.field, blk, pts, rate=2.0)
+            res = eigenfield_residuals(lc, st.field, blk, X, rate=2.0)
             worst = max(res.values())
 
         closed_zero = (n + 1) ** 2

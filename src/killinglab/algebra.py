@@ -245,7 +245,7 @@ def eigenfield_residuals(lc, xi_field, mats, points,
     mats = np.asarray(mats, dtype=float)
     mats = mats.reshape(-1, *mats.shape[-2:])
     brackets = field_bracket(xi_mat, mats)
-    xs = np.stack([p.coords for p in points])
+    xs = np.asarray(points, dtype=float)
     st = lc.structure_at(xi_field, xs)
     a = np.einsum("bde,ne->nbd", mats, xs)          # (N, b, d): one row per field
     Ft = np.swapaxes(st.frame, -1, -2)

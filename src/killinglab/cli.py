@@ -149,25 +149,25 @@ def _merge(name: str, parts: list[CheckResult], tol: float,
 def _battery_round(cfg: RunConfig) -> VerificationReport:
     rs = build_round(cfg.n)
     lc = LeviCivita(rs.metric, fd_step=cfg.fd_step)
-    pts = sample_sphere(cfg.n, cfg.samples, cfg.seed).points
-    verify.covariant_canary(lc, rs.field, pts[0])
+    X = sample_sphere(cfg.n, cfg.samples, cfg.seed).coords
+    verify.covariant_canary(lc, rs.field, X[0])
 
     rep = VerificationReport(title=f"round unit Killing structure on S^{2 * cfg.n + 1}",
                              config=asdict(cfg))
-    rep.add(verify.check_tangency(rs.field, pts))
-    rep.add(verify.check_unit_length(lc, rs.field, pts))
-    rep.add(verify.check_killing(lc, rs.field, pts, tol=verify.EXACT_TOL))
-    rep.add(verify.check_sasakian(lc, rs.field, pts, tol=verify.EXACT_TOL))
-    rep.add(verify.check_kcontact(lc, rs.field, pts))
+    rep.add(verify.check_tangency(rs.field, X))
+    rep.add(verify.check_unit_length(lc, rs.field, X))
+    rep.add(verify.check_killing(lc, rs.field, X, tol=verify.EXACT_TOL))
+    rep.add(verify.check_sasakian(lc, rs.field, X, tol=verify.EXACT_TOL))
+    rep.add(verify.check_kcontact(lc, rs.field, X))
     reference = [-4.0] * (2 * cfg.n) + [0.0]
-    rep.add(verify.check_dxi_spectrum(lc, rs.field, pts, reference=reference,
+    rep.add(verify.check_dxi_spectrum(lc, rs.field, X, reference=reference,
                                       tol=1e-8))
-    rep.add(verify.check_nijenhuis(lc, rs.field, pts))
+    rep.add(verify.check_nijenhuis(lc, rs.field, X))
 
     alg = rs.isometry_algebra()
     dec = standard_decomposition(alg, rs.j0)
     nz = [k for k, lam in enumerate(dec.rates) if lam > 0.5][0]
-    res = eigenfield_residuals(lc, rs.field, dec.blocks[nz], pts, rate=dec.rates[nz])
+    res = eigenfield_residuals(lc, rs.field, dec.blocks[nz], X, rate=dec.rates[nz])
     rep.add(CheckResult(name="eigenfield_identities",
                         max_residual=max(res.values()),
                         mean_residual=float(np.mean(list(res.values()))),
@@ -182,32 +182,32 @@ def _battery_round(cfg: RunConfig) -> VerificationReport:
 def _battery_quaternionic(cfg: RunConfig) -> VerificationReport:
     qs = build_quaternionic(cfg.m)
     lc = LeviCivita(qs.metric, fd_step=cfg.fd_step)
-    pts = sample_sphere(2 * cfg.m + 1, cfg.samples, cfg.seed).points
-    verify.covariant_canary(lc, qs.fields[0], pts[0])
+    X = sample_sphere(2 * cfg.m + 1, cfg.samples, cfg.seed).coords
+    verify.covariant_canary(lc, qs.fields[0], X[0])
 
     rep = VerificationReport(
         title=f"right-multiplication contact triple on S^{4 * cfg.m + 3}",
         config=asdict(cfg))
-    rep.add(verify.check_triple_orthonormality(lc, qs.fields, pts, tol=1e-10))
+    rep.add(verify.check_triple_orthonormality(lc, qs.fields, X, tol=1e-10))
     rep.add(verify.check_triple_brackets(qs.fields, tol=1e-12))
     rep.add(_merge("triple_killing",
-                   [verify.check_killing(lc, f, pts, tol=verify.EXACT_TOL)
+                   [verify.check_killing(lc, f, X, tol=verify.EXACT_TOL)
                     for f in qs.fields], tol=verify.EXACT_TOL))
     rep.add(_merge("triple_wedge_second_derivative",
-                   [verify.check_sasakian(lc, f, pts, tol=verify.EXACT_TOL)
+                   [verify.check_sasakian(lc, f, X, tol=verify.EXACT_TOL)
                     for f in qs.fields], tol=verify.EXACT_TOL))
-    rep.add(verify.check_triple_products(lc, qs.fields, pts, tol=1e-10,
+    rep.add(verify.check_triple_products(lc, qs.fields, X, tol=1e-10,
                                          variant="aligned"))
-    rep.add(verify.check_triple_products(lc, qs.fields, pts, tol=1e-10,
+    rep.add(verify.check_triple_products(lc, qs.fields, X, tol=1e-10,
                                          variant="transposed", expected="fail",
                                          fail_floor=1e-2,
                                          name="triple_products_transposed"))
-    rep.add(verify.check_anticommutators(lc, qs.fields, pts, tol=1e-10))
-    rep.add(verify.check_squares(lc, qs.fields, pts, tol=1e-10))
-    rep.add(verify.check_pair_completion(lc, qs.fields[0], qs.fields[1], pts,
+    rep.add(verify.check_anticommutators(lc, qs.fields, X, tol=1e-10))
+    rep.add(verify.check_squares(lc, qs.fields, X, tol=1e-10))
+    rep.add(verify.check_pair_completion(lc, qs.fields[0], qs.fields[1], X,
                                          tol=1e-6))
 
-    sp = verify.horizontal_split(lc, qs.fields, np.stack([p.coords for p in pts[:10]]))
+    sp = verify.horizontal_split(lc, qs.fields, X[:10])
     worst = float(np.max([sp.split.involution_residual, sp.split.symmetry_residual,
                           sp.invariance_residual, sp.commutation_residual,
                           sp.split.dim_plus]))
@@ -229,12 +229,12 @@ def _battery_hopf(cfg: RunConfig) -> VerificationReport:
     bundle = build_hopf()
     rs = build_round(1)
     lc = LeviCivita(rs.metric, fd_step=cfg.fd_step)
-    pts = sample_sphere(1, cfg.samples, cfg.seed).points
-    verify.covariant_canary(lc, rs.field, pts[0])
-    kept = hopf_sample_filter(pts)
+    X = sample_sphere(1, cfg.samples, cfg.seed).coords
+    verify.covariant_canary(lc, rs.field, X[0])
+    kept = hopf_sample_filter(X)
     if len(kept) < HOPF_MIN_KEPT:
         raise ValueError(
-            f"hopf-lift keeps {len(kept)} of {len(pts)} samples after dropping "
+            f"hopf-lift keeps {len(kept)} of {len(X)} samples after dropping "
             f"base points near the anchor antipode; the 4x4 linear fit of each "
             f"lift needs at least {HOPF_MIN_KEPT} (raise --samples)")
 
@@ -253,14 +253,14 @@ def _battery_hopf(cfg: RunConfig) -> VerificationReport:
                         mean_residual=skew, tolerance=1e-10))
     rep.add(_merge("lift_killing",
                    [verify.check_killing(lc, linear_field(B, name=f"lift{i}"),
-                                         pts, tol=1e-5)
+                                         X, tol=1e-5)
                     for i, B in enumerate(mats)], tol=1e-5))
 
     # path independence: direct potential vs a two-leg path through a waypoint
-    waypoint = hopf_projection(kept[1].coords)
+    waypoint = hopf_projection(kept[1])
     alt = replace(bundle, anchor=waypoint)
     leg0 = lift_potential(bundle, gens[0], waypoint)
-    ys = hopf_projection(np.stack([p.coords for p in kept[2:]]))
+    ys = hopf_projection(kept[2:])
     # keep the second leg away from the waypoint's antipode
     ys = ys[ys @ waypoint / bundle.base_radius**2 >= -0.8][:8]
     n_path = len(ys)
@@ -274,7 +274,7 @@ def _battery_hopf(cfg: RunConfig) -> VerificationReport:
 
     # pushdown: fitted lifts project onto the base generators; the kernel of
     # the projection on span{lifts, circle generator} is the circle generator
-    xs = np.stack([p.coords for p in kept[:40]])
+    xs = kept[:40]
     ys = hopf_projection(xs)
 
     def pushdown_matrix(B: np.ndarray) -> tuple[np.ndarray, float]:
@@ -319,9 +319,9 @@ def _battery_hopf(cfg: RunConfig) -> VerificationReport:
     return rep
 
 
-def _deformed_scaling_check(lc: LeviCivita, ds, pts, tol: float) -> CheckResult:
+def _deformed_scaling_check(lc: LeviCivita, ds, xs: np.ndarray, tol: float) -> CheckResult:
     """Pinned transverse scaling: phi X = e^{-2F} J0 X and phi J0 X = -e^{2F} X."""
-    xs = np.stack([p.coords for p in pts])
+    xs = np.asarray(xs, dtype=float)
     X = ds.x_field.value(xs)
     keep = rowdot(X, X) >= 1e-12
     arr = np.array([np.inf])
@@ -343,59 +343,58 @@ def _battery_deformed(cfg: RunConfig) -> VerificationReport:
     ds = build_deformed(n=cfg.n, c=cfg.c)
     lc = LeviCivita(ds.metric, fd_step=cfg.fd_step)
     lc_round = LeviCivita(build_round(cfg.n).metric, fd_step=cfg.fd_step)
-    pts = sample_sphere(cfg.n, cfg.samples, cfg.seed).points
-    verify.covariant_canary(lc, ds.field, pts[0])
+    X = sample_sphere(cfg.n, cfg.samples, cfg.seed).coords
+    verify.covariant_canary(lc, ds.field, X[0])
 
     rep = VerificationReport(
         title=f"boundary-localized deformation on S^{2 * cfg.n + 1} (c={cfg.c})",
         config=asdict(cfg))
-    rep.add(verify.check_tangency(ds.field, pts))
-    rep.add(verify.check_unit_length(lc, ds.field, pts))
-    rep.add(verify.check_killing(lc, ds.field, pts, tol=1e-6))
-    rep.add(verify.check_kcontact(lc, ds.field, pts))
-    rep.add(verify.check_contact_form_preserved(lc, lc_round, ds.field, pts,
+    rep.add(verify.check_tangency(ds.field, X))
+    rep.add(verify.check_unit_length(lc, ds.field, X))
+    rep.add(verify.check_killing(lc, ds.field, X, tol=1e-6))
+    rep.add(verify.check_kcontact(lc, ds.field, X))
+    rep.add(verify.check_contact_form_preserved(lc, lc_round, ds.field, X,
                                                 tol=1e-8))
     reference = [-4.0] * (2 * cfg.n) + [0.0]
-    rep.add(verify.check_dxi_spectrum(lc, ds.field, pts, reference=reference,
+    rep.add(verify.check_dxi_spectrum(lc, ds.field, X, reference=reference,
                                       tol=1e-5))
-    rep.add(_deformed_scaling_check(lc, ds, pts, tol=1e-6))
-    rep.add(verify.check_sasakian(lc, ds.field, pts, tol=verify.FD_TOL,
+    rep.add(_deformed_scaling_check(lc, ds, X, tol=1e-6))
+    rep.add(verify.check_sasakian(lc, ds.field, X, tol=verify.FD_TOL,
                                   expected="fail", fail_floor=1e-2))
-    rep.add(verify.check_nijenhuis(lc, ds.field, pts, expected="fail",
+    rep.add(verify.check_nijenhuis(lc, ds.field, X, expected="fail",
                                    fail_floor=1e-3))
 
     alg = ds.isometry_algebra()
     rep.add(_merge("invariance_algebra_killing",
                    [verify.check_killing(lc, linear_field(B, name=f"inv{i}"),
-                                         pts[:min(len(pts), 40)], tol=1e-5)
+                                         X[:40], tol=1e-5)
                     for i, B in enumerate(alg.basis)], tol=1e-5))
     dec = standard_decomposition(alg, ds.j0)
     rep.extras["decomposition"] = [(round(lam, 9), dim)
                                    for lam, dim in dec.summary()]
-    on_support = sum(1 for p in pts if ds.f_of(p.coords) != 0.0)
-    rep.extras["support_fraction"] = on_support / len(pts)
+    rep.extras["support_fraction"] = np.count_nonzero(ds.f_of(X)) / len(X)
     return rep
 
 
 def _battery_irregular(cfg: RunConfig) -> VerificationReport:
     ir = build_irregular(n=cfg.n, a=parse_rate(cfg.a))
     lc = LeviCivita(ir.metric, fd_step=cfg.fd_step)
-    pts = sample_sphere(cfg.n, cfg.samples, cfg.seed).points
-    verify.covariant_canary(lc, ir.field, pts[0])
+    X = sample_sphere(cfg.n, cfg.samples, cfg.seed).coords
+    verify.covariant_canary(lc, ir.field, X[0])
 
     rep = VerificationReport(
         title=f"irregular unit Killing structure on S^{2 * cfg.n + 1} (a={cfg.a})",
         config=asdict(cfg))
-    rep.add(verify.check_tangency(ir.field, pts))
-    rep.add(verify.check_unit_length(lc, ir.field, pts))
-    rep.add(verify.check_killing(lc, ir.field, pts, tol=1e-6))
-    rep.add(verify.check_kcontact(lc, ir.field, pts))
-    rep.add(verify.check_sasakian(lc, ir.field, pts, tol=verify.FD_TOL))
-    rep.add(verify.check_nijenhuis(lc, ir.field, pts))
+    rep.add(verify.check_tangency(ir.field, X))
+    rep.add(verify.check_unit_length(lc, ir.field, X))
+    rep.add(verify.check_killing(lc, ir.field, X, tol=1e-6))
+    rep.add(verify.check_kcontact(lc, ir.field, X))
+    rep.add(verify.check_sasakian(lc, ir.field, X, tol=verify.FD_TOL))
+    rep.add(verify.check_nijenhuis(lc, ir.field, X))
     reference = [-4.0] * (2 * cfg.n) + [0.0]
-    rep.add(verify.check_dxi_spectrum(lc, ir.field, pts, reference=reference,
+    rep.add(verify.check_dxi_spectrum(lc, ir.field, X, reference=reference,
                                       tol=1e-5))
-    rep.add(verify.check_transverse_derivative(lc, ir.field, ir.j0, pts,
+    rep.add(verify.check_transverse_derivative(lc, ir.field, ir.j0, X,
                                                tol=verify.FD_TOL))
 
     alg = ir.isometry_algebra()
@@ -406,7 +405,7 @@ def _battery_irregular(cfg: RunConfig) -> VerificationReport:
                         detail="J0, J1 commute with and belong to the algebra"))
     rep.add(_merge("invariance_algebra_killing",
                    [verify.check_killing(lc, linear_field(B, name=f"inv{i}"),
-                                         pts[:min(len(pts), 40)], tol=1e-5)
+                                         X[:40], tol=1e-5)
                     for i, B in enumerate(alg.basis)], tol=1e-5))
 
     dec = standard_decomposition(alg, ir.field.matrix)
@@ -415,7 +414,7 @@ def _battery_irregular(cfg: RunConfig) -> VerificationReport:
     cls = classify(ir.profile())
     rep.extras["flow"] = {"kind": cls.kind,
                           "closure_torus_dim": cls.closure_torus_dim}
-    probe = numeric_orbit_probe(ir.field.matrix, pts[0].coords, t_max=60.0)
+    probe = numeric_orbit_probe(ir.field.matrix, X[0], t_max=60.0)
     rep.extras["orbit_probe"] = {"returns": len(probe.return_times),
                                  "min_distance": probe.min_distance}
     return rep
@@ -465,11 +464,11 @@ def cmd_decompose(cfg: RunConfig) -> int:
     rep = VerificationReport(
         title=f"adjoint-square decomposition ({cfg.example}, S^{2 * cfg.n + 1})",
         config=asdict(cfg))
-    pts = sample_sphere(cfg.n, min(cfg.samples, 40), cfg.seed).points
+    X = sample_sphere(cfg.n, min(cfg.samples, 40), cfg.seed).coords
     for rate, block in zip(dec.rates, dec.blocks):
         if rate == 0.0:
             continue
-        res = eigenfield_residuals(lc, fld, block, pts, rate=rate)
+        res = eigenfield_residuals(lc, fld, block, X, rate=rate)
         rep.add(CheckResult(name=f"eigenfield_identities_rate_{rate:g}",
                             max_residual=max(res.values()),
                             mean_residual=float(np.mean(list(res.values()))),

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -41,7 +41,7 @@ from .metrics import (
     linear_field,
     round_metric,
 )
-from .sphere import SpherePoint, matvec, rowdot
+from .sphere import matvec, rowdot
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -381,20 +381,16 @@ def fit_linear_generator(xs: np.ndarray, values: np.ndarray) -> tuple[np.ndarray
     return B, resid
 
 
-def hopf_sample_filter(points: Sequence[SpherePoint], margin: float = 0.05,
-                       ) -> list[SpherePoint]:
-    """Drop samples whose base image sits near the anchor antipode (there the
-    quadrature path and the section gauge both degenerate)."""
-    kept = []
-    for p in points:
-        y = hopf_projection(p.coords)
-        if 0.5 - y[2] > margin:
-            kept.append(p)
-    return kept
+def hopf_sample_filter(xs: np.ndarray, margin: float = 0.05) -> np.ndarray:
+    """The rows of a sample xs (N, 4) whose base image sits away from the
+    anchor antipode (there the quadrature path and the section gauge both
+    degenerate)."""
+    xs = np.asarray(xs, dtype=float)
+    return xs[0.5 - hopf_projection(xs)[:, 2] > margin]
 
 
 def solve_lift(bundle: HopfBundle, base_gen: np.ndarray,
-               points: Sequence[SpherePoint]) -> tuple[np.ndarray, float]:
+               xs: np.ndarray) -> tuple[np.ndarray, float]:
     """Lift a base Killing generator through sampled potentials and fit the
     resulting ambient field by one linear generator.
 
@@ -402,7 +398,7 @@ def solve_lift(bundle: HopfBundle, base_gen: np.ndarray,
     check that the lift construction lands on a linear — hence genuinely
     Killing — field.
     """
-    xs = np.stack([p.coords for p in points])
+    xs = np.asarray(xs, dtype=float)
     return fit_linear_generator(xs, lifted_field_value(bundle, base_gen, xs))
 
 

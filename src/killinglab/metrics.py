@@ -32,10 +32,8 @@ import numpy as np
 
 from .sphere import (
     Chart,
-    SpherePoint,
     chart_for_point,
     chart_index,
-    coords_of,
     default_atlas,
     matvec,
     orthonormal_tangent_frame,
@@ -149,16 +147,6 @@ def round_metric(dim: int) -> MetricField:
     return MetricField(
         "round", lambda x: eye if x.ndim == 1 else np.broadcast_to(eye, x.shape[:-1] + eye.shape),
         dim=dim, exact_round=True, name="round")
-
-
-def check_positive_definite(metric: MetricField, x: np.ndarray, tol: float = 1e-10) -> None:
-    """Raise MetricDegeneracyError if g is not positive definite on T_x."""
-    F = orthonormal_tangent_frame(x)
-    G = F.T @ metric.matrix_at(x) @ F
-    lo = float(np.linalg.eigvalsh(0.5 * (G + G.T))[0])
-    if lo <= tol:
-        raise MetricDegeneracyError(
-            f"metric '{metric.name or metric.kind}' has tangent eigenvalue {lo} <= {tol}")
 
 
 def g_orthonormal_frame(metric_matrix: np.ndarray, x: np.ndarray,
@@ -396,10 +384,10 @@ class LeviCivita:
 
     # -- first covariant derivative ------------------------------------------
 
-    def nabla(self, fld: VectorField, point: SpherePoint, direction: np.ndarray,
+    def nabla(self, fld: VectorField, x: np.ndarray, direction: np.ndarray,
               method: str = "auto", guard: bool = True) -> np.ndarray:
         """Ambient components of the covariant derivative of ``fld`` along
-        ``direction`` (an ambient tangent vector) at ``point``.
+        ``direction`` (an ambient tangent vector) at the point x (d,).
 
         method: "auto" picks the closed form when available, else finite
         differences; "exact" / "fd" force a path.  The FD path applies the
@@ -407,26 +395,26 @@ class LeviCivita:
         ``guard`` H is recomputed at half step and must agree to
         RICHARDSON_REL_TOL.
         """
-        x = point.coords
+        x = np.asarray(x, dtype=float)
         direction = np.asarray(direction, dtype=float)
         if self._use_exact(fld, method):
             w = fld.matrix @ direction
             return w - np.dot(w, x) * x
-        chart = chart_for_point(point, self.atlas)
-        u = chart.coords(point)
+        chart = chart_for_point(x, self.atlas)
+        u = chart.coords(x)
         H = self._guarded_chart_endo(fld, chart, u, guard)
         return chart.push(u, H @ chart.to_chart_vector(u, direction))
 
-    def nabla_endo(self, fld: VectorField, point: SpherePoint | np.ndarray,
+    def nabla_endo(self, fld: VectorField, x: np.ndarray,
                    method: str = "auto", guard: bool = False) -> np.ndarray:
         """Ambient matrix N with N v = nabla_v(field) for tangent v, N x = 0.
 
-        ``point`` is a SpherePoint or a stack (..., d) of ambient points, which
-        gives (..., d, d).  Off the closed form each point is differentiated in
+        ``x`` is one ambient point (d,) or a stack (..., d), which gives
+        (..., d, d).  Off the closed form each point is differentiated in
         the chart ``chart_index`` gives it: N = J H J^T / lam^2, where
         J^T x = 0 keeps N x = 0.
         """
-        x = coords_of(point)
+        x = np.asarray(x, dtype=float)
         if self._use_exact(fld, method):
             proj = np.eye(x.shape[-1]) - x[..., :, None] * x[..., None, :]
             return proj @ fld.matrix @ proj
@@ -442,7 +430,7 @@ class LeviCivita:
 
     # -- second covariant derivative ------------------------------------------
 
-    def second_nabla_frame(self, fld: VectorField, point: SpherePoint | np.ndarray,
+    def second_nabla_frame(self, fld: VectorField, x: np.ndarray,
                            frame: np.ndarray, method: str = "auto") -> np.ndarray:
         """Tensor T[:, i, j] = (nabla^2 field)(frame_i, frame_j), ambient values.
 
@@ -454,7 +442,7 @@ class LeviCivita:
         of a chart in chunks of STENCIL_CHUNK.  Points (N, d) with frames
         (N, d, k) give (N, d, k, k).
         """
-        x = coords_of(point)
+        x = np.asarray(x, dtype=float)
         if self._use_exact(fld, method):
             Ef = fld.matrix @ frame
             Pf = frame - x[..., :, None] * (x[..., None, :] @ frame)
@@ -486,25 +474,25 @@ class LeviCivita:
         return T.reshape(frame.shape + frame.shape[-1:])
 
     # -- derived structure ----------------------------------------------------
-    # Each takes a SpherePoint or a stack (N, d), giving results stacked along N.
+    # Each takes one point (d,) or a stack (N, d), giving results stacked along N.
 
-    def lie_metric_frame(self, fld: VectorField, point: SpherePoint | np.ndarray,
+    def lie_metric_frame(self, fld: VectorField, x: np.ndarray,
                          method: str = "auto") -> np.ndarray:
         """Lie derivative of g along the field, as a matrix in a g-orthonormal
         frame; identically zero iff the field is Killing at this point."""
-        x = coords_of(point)
+        x = np.asarray(x, dtype=float)
         M = self.metric.matrix_at(x)
         F = g_orthonormal_frame(M, x)
         N = self.nabla_endo(fld, x, method=method)
         return np.swapaxes(F, -1, -2) @ (np.swapaxes(N, -1, -2) @ M + M @ N) @ F
 
-    def structure_at(self, fld: VectorField, point: SpherePoint | np.ndarray,
+    def structure_at(self, fld: VectorField, x: np.ndarray,
                      method: str = "auto") -> StructureTensors:
         """Bundle: field value, metric, frame, first covariant derivative,
         two-form of the dual one-form, and the half-two-form endomorphism in
         frame and ambient forms.  The frame comes first, so a degenerate
         metric raises MetricDegeneracyError before any differencing."""
-        x = coords_of(point)
+        x = np.asarray(x, dtype=float)
         M = self.metric.matrix_at(x)
         F = g_orthonormal_frame(M, x)
         Ft = np.swapaxes(F, -1, -2)
@@ -517,11 +505,11 @@ class LeviCivita:
                                 nabla_endo=N, dxi=D, phi_frame=phi_frame,
                                 phi_ambient=phi_ambient)
 
-    def dxi_square_eigenvalues(self, fld: VectorField, point: SpherePoint | np.ndarray,
+    def dxi_square_eigenvalues(self, fld: VectorField, x: np.ndarray,
                                method: str = "auto") -> np.ndarray:
         """Sorted eigenvalues of the square of the two-form endomorphism
         (g(e u, v) = d(eta)(u, v)); round unit fields give -4 on the
         transverse space and 0 along the field."""
-        st = self.structure_at(fld, point, method=method)
+        st = self.structure_at(fld, x, method=method)
         e_frame = np.swapaxes(np.swapaxes(st.frame, -1, -2) @ st.dxi @ st.frame, -1, -2)
         return np.sort(np.linalg.eigvals(e_frame @ e_frame).real, axis=-1)

@@ -1,12 +1,12 @@
-"""Points, tangent vectors, stereographic charts and seeded sampling on odd spheres.
+"""Seeded samples, stereographic charts and tangent frames on odd spheres.
 
 Everything lives in ambient coordinates: a point of S^(2n+1) is a unit vector
-in R^(2n+2), a tangent vector is an ambient vector orthogonal to its base
-point.  Charts (stereographic projection from a pole) only enter where a
-metric has to be differentiated numerically; the chart inverse and its
-Jacobian are closed-form, so the only finite differences in the pipeline are
-the ones applied to metric components.  Tangent frames are Gram-Schmidt in
-Cholesky form and take one point (d,) or a stack of points (N, d).
+in R^(2n+2), a sample of N points one (N, d) array.  Charts (stereographic
+projection from a pole) only enter where a metric has to be differentiated
+numerically; the chart inverse and its Jacobian are closed-form, so the only
+finite differences in the pipeline are the ones applied to metric
+components.  Tangent frames are Gram-Schmidt in Cholesky form and take one
+point (d,) or a stack of points (N, d).
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from typing import Sequence
 import numpy as np
 
 UNIT_TOL = 1e-12        # |x| - 1 allowed on construction
-TANGENCY_TOL = 1e-10    # <v, x> allowed on construction
 POLE_EXCLUSION = 1e-6   # chart refuses points this close to its pole
 DEFAULT_POLE_MARGIN = 1e-3
 
@@ -49,6 +48,10 @@ class SpherePoint:
         if abs(r - 1.0) > UNIT_TOL:
             raise ValueError(f"|coords| = {r} is not 1 within {UNIT_TOL}")
 
+    def __array__(self, dtype=None, copy=None):
+        """The coordinates, so ``np.asarray`` takes a point or a sequence of them."""
+        return np.array(self.coords, dtype=dtype, copy=copy)
+
     @property
     def dim(self) -> int:
         """Ambient dimension 2n+2."""
@@ -60,44 +63,11 @@ class SpherePoint:
         return self.coords.shape[0] - 1
 
 
-@dataclass(frozen=True, eq=False)
-class TangentVector:
-    """Ambient vector attached to a point and orthogonal to it."""
-
-    base: SpherePoint
-    vec: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "vec", _readonly(self.vec))
-        if self.vec.shape != self.base.coords.shape:
-            raise ValueError("tangent vector and base point have mismatched shapes")
-        ip = float(np.dot(self.vec, self.base.coords))
-        scale = 1.0 + float(np.linalg.norm(self.vec))
-        if abs(ip) > TANGENCY_TOL * scale:
-            raise ValueError(f"<v, base> = {ip} violates tangency within {TANGENCY_TOL}")
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.vec))
-
-
 def sphere_point(coords, normalize: bool = False) -> SpherePoint:
     x = np.asarray(coords, dtype=float)
     if normalize:
         x = x / np.linalg.norm(x)
     return SpherePoint(x)
-
-
-def project_tangent(p: SpherePoint, v) -> TangentVector:
-    """Orthogonal projection of an ambient vector onto T_p."""
-    v = np.asarray(v, dtype=float)
-    w = v - np.dot(v, p.coords) * p.coords
-    return TangentVector(p, w)
-
-
-def coords_of(p: SpherePoint | np.ndarray) -> np.ndarray:
-    """Ambient coordinates of a SpherePoint, or a (..., d) array as floats."""
-    return p.coords if isinstance(p, SpherePoint) else np.asarray(p, dtype=float)
 
 
 def tangent_seeds(x: np.ndarray) -> np.ndarray:
@@ -137,15 +107,16 @@ class Chart:
     def dim(self) -> int:
         return self.pole.dim
 
-    def contains(self, p: SpherePoint) -> bool:
-        return float(np.linalg.norm(p.coords - self.pole.coords)) > POLE_EXCLUSION
+    def contains(self, x: np.ndarray) -> bool:
+        x = np.asarray(x, dtype=float)
+        return float(np.linalg.norm(x - self.pole.coords)) > POLE_EXCLUSION
 
     # Every map below takes one chart point u of shape (m,) = (d-1,) or a
     # stack (..., m), giving the per-row results for a stack.
 
-    def coords(self, p: SpherePoint | np.ndarray) -> np.ndarray:
-        """Chart coordinates of a point, or of a stack (..., d) of ambient points."""
-        x = coords_of(p)
+    def coords(self, x: np.ndarray) -> np.ndarray:
+        """Chart coordinates of a point (d,), or of a stack (..., d) of ambient points."""
+        x = np.asarray(x, dtype=float)
         q = self.pole.coords
         if np.any(np.linalg.norm(x - q, axis=-1) <= POLE_EXCLUSION):
             raise ChartDomainError("point within pole exclusion radius of the chart")
@@ -214,30 +185,39 @@ def chart_index(x: np.ndarray, atlas: Sequence[Chart]) -> np.ndarray:
     return np.argmin(np.asarray(x, dtype=float) @ poles.T, axis=-1)
 
 
-def chart_for_point(p: SpherePoint, atlas: Sequence[Chart] | None = None) -> Chart:
-    """Chart of the atlas whose pole is farther from p."""
-    charts = atlas if atlas is not None else default_atlas(p.dim)
-    return charts[int(chart_index(p.coords, charts))]
+def chart_for_point(x: np.ndarray, atlas: Sequence[Chart] | None = None) -> Chart:
+    """Chart of the atlas whose pole is farther from the point x (d,)."""
+    x = np.asarray(x, dtype=float)
+    charts = atlas if atlas is not None else default_atlas(x.shape[-1])
+    return charts[int(chart_index(x, charts))]
 
 
 @dataclass(frozen=True, eq=False)
 class SampleSet:
-    """Deterministic batch of sphere points; regeneration is bit-for-bit."""
+    """Seeded sample as one read-only (N, d) array; regeneration is bit-for-bit."""
 
-    points: tuple[SpherePoint, ...]
+    coords: np.ndarray
     seed: int
-    count: int
 
     def __post_init__(self):
-        if len(self.points) != self.count:
-            raise ValueError("count does not match number of points")
+        object.__setattr__(self, "coords", _readonly(self.coords))
+
+    @property
+    def count(self) -> int:
+        return self.coords.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.points[0].dim
+        return self.coords.shape[1]
+
+    @property
+    def points(self) -> tuple[SpherePoint, ...]:
+        """The rows as SpherePoints."""
+        return tuple(SpherePoint(row) for row in self.coords)
 
     def arrays(self) -> np.ndarray:
-        return np.stack([p.coords for p in self.points], axis=0)
+        """A fresh, writable copy of ``coords``."""
+        return self.coords.copy()
 
 
 def sample_sphere(n: int, count: int, seed: int,
@@ -253,20 +233,15 @@ def sample_sphere(n: int, count: int, seed: int,
     if count < 1:
         raise ValueError("count must be >= 1")
     d = 2 * n + 2
+    e1 = np.eye(d)[0]
     rng = np.random.default_rng(seed)
-    kept: list[np.ndarray] = []
+    kept = np.empty((0, d))
     while len(kept) < count:
         batch = rng.standard_normal((max(count, 64), d))
         norms = np.linalg.norm(batch, axis=1)
         batch = batch[norms > 1e-8] / norms[norms > 1e-8, None]
-        for row in batch:
-            if abs(row[0] - 1.0) < 1e-12 or abs(row[0] + 1.0) < 1e-12:
-                continue
-            dplus = np.linalg.norm(row - np.eye(d)[0])
-            dminus = np.linalg.norm(row + np.eye(d)[0])
-            if dplus <= pole_margin or dminus <= pole_margin:
-                continue
-            kept.append(row)
-            if len(kept) == count:
-                break
-    return SampleSet(tuple(SpherePoint(row) for row in kept), seed, count)
+        ok = ((np.abs(np.abs(batch[:, 0]) - 1.0) >= 1e-12)
+              & (np.linalg.norm(batch - e1, axis=1) > pole_margin)
+              & (np.linalg.norm(batch + e1, axis=1) > pole_margin))
+        kept = np.concatenate([kept, batch[ok][:count - len(kept)]])
+    return SampleSet(kept, seed)

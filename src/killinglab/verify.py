@@ -1,10 +1,11 @@
 """Verification batteries for unit Killing structures on odd spheres.
 
-Each check function walks a sample of sphere points, accumulates a pointwise
-residual for one tensor identity, and returns a CheckResult carrying the max
-and mean residual against a tolerance.  Checks aimed at deliberately broken
-structures are declared ``expected="fail"`` with a fail floor: the identity
-must be violated *by a margin*, so numerical luck cannot fake a verdict.
+Each check function takes a sample of sphere points as one (N, d) array,
+evaluates a pointwise residual for one tensor identity at every point, and
+returns a CheckResult carrying the max and mean residual against a tolerance.
+Checks aimed at deliberately broken structures are declared
+``expected="fail"`` with a fail floor: the identity must be violated *by a
+margin*, so numerical luck cannot fake a verdict.
 
 Identity zoo, for a unit Killing field xi with dual one-form eta and
 half-two-form endomorphism phi (see metrics.StructureTensors):
@@ -32,6 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import sphere
 from .algebra import field_bracket
 from .metrics import (
     LeviCivita,
@@ -39,9 +41,10 @@ from .metrics import (
     central_diff,
     chart_groups,
     g_orthonormal_frame,
+    linear_field,
 )
 from .report import CheckResult
-from .sphere import SpherePoint, coords_of, matvec, rowdot
+from .sphere import matvec, rowdot
 
 # Sign relating the second covariant derivative of a unit Killing field to
 # the metric wedge of the field with the identity.  Fixed once by the round
@@ -69,10 +72,17 @@ def _check(name: str, per_point: Sequence[float], tol: float, expected: str = "p
 
 
 def _stack(name: str, points) -> np.ndarray:
-    """Ambient coordinates (N, d) of a sample of SpherePoints."""
-    if len(points) == 0:
+    """The sample (N, d) as a float array: an (N, d) array or a sequence of
+    SpherePoints, refused unless it is non-empty, 2-D and on the unit sphere."""
+    X = np.asarray(points, dtype=float)
+    if X.size == 0:
         raise ValueError(f"check '{name}' got no samples to evaluate")
-    return np.stack([p.coords for p in points])
+    if X.ndim != 2:
+        raise ValueError(f"check '{name}' needs an (N, d) sample, got shape {X.shape}")
+    off = float(np.abs(np.linalg.norm(X, axis=1) - 1.0).max())
+    if off > sphere.UNIT_TOL:
+        raise ValueError(f"check '{name}' got a sample off the unit sphere: ||x| - 1| = {off:.3e}")
+    return X
 
 
 def _worst(R: np.ndarray) -> np.ndarray:
@@ -171,7 +181,7 @@ def check_dxi_spectrum(lc: LeviCivita, fld: VectorField, points,
     return _check(name, _worst(vals - ref), tol, expected, fail_floor)
 
 
-def covariant_canary(lc: LeviCivita, fld: VectorField, point: SpherePoint) -> float:
+def covariant_canary(lc: LeviCivita, fld: VectorField, x: np.ndarray) -> float:
     """One guarded finite-difference covariant derivative.
 
     Raises metrics.NumericalQualityError when the configured step cannot
@@ -179,9 +189,8 @@ def covariant_canary(lc: LeviCivita, fld: VectorField, point: SpherePoint) -> fl
     a finite-difference pass so a bad --fd-step surfaces as a numerical
     failure instead of silent garbage.
     """
-    x = point.coords
     F = g_orthonormal_frame(lc.metric.matrix_at(x), x)
-    out = lc.nabla(fld, point, F[:, 0], method="fd", guard=True)
+    out = lc.nabla(fld, x, F[:, 0], method="fd", guard=True)
     return float(np.linalg.norm(out))
 
 
@@ -236,15 +245,20 @@ def check_triple_brackets(fields: Sequence[VectorField], tol: float,
                        detail=f"uniform bracket sign eps={eps:+d}")
 
 
-def _triple_psi(lc: LeviCivita, fields, p, method: str):
-    """Structures of the three fields at a SpherePoint or a stack (N, d), and
-    psi_a = -phi_a; ``eta(a, b)`` is eta_b (x) xi_a, stacked like the psis."""
-    sts = [lc.structure_at(f, p, method=method) for f in fields]
-    M = sts[0].metric_matrix
+def _triple_psi(lc: LeviCivita, fields, x: np.ndarray, method: str):
+    """Metric M, g-orthonormal frame F, the fields xi_a and psi_a = -phi_a of
+    the three fields at a point (d,) or a stack (N, d), stacked alike;
+    ``eta(a, b)`` is eta_b (x) xi_a.  Only these are kept of each structure."""
+    xis, psis = [], []
+    for f in fields:
+        st = lc.structure_at(f, x, method=method)
+        xis.append(st.xi)
+        psis.append(-st.phi_ambient)
+    M, F = st.metric_matrix, st.frame
 
     def eta(a: int, b: int) -> np.ndarray:
-        return sts[a].xi[..., :, None] * matvec(M, sts[b].xi)[..., None, :]
-    return sts, [-st.phi_ambient for st in sts], eta
+        return xis[a][..., :, None] * matvec(M, xis[b])[..., None, :]
+    return M, F, xis, psis, eta
 
 
 def check_triple_products(lc: LeviCivita, fields: Sequence[VectorField], points,
@@ -266,14 +280,14 @@ def check_triple_products(lc: LeviCivita, fields: Sequence[VectorField], points,
         raise ValueError(f"unknown variant {variant!r}")
     eps = measured_cyclic_sign(fields)
     name = name or "triple_products_" + variant
-    sts, psis, eta = _triple_psi(lc, fields, _stack(name, points), method)
+    _, F, _, psis, eta = _triple_psi(lc, fields, _stack(name, points), method)
     res = 0.0
     for a, b, c in CYCLIC:
         if variant == "aligned":
             R = psis[a] @ psis[b] - eps * psis[c] - eta(a, b)
         else:
             R = psis[b] @ psis[a] - eps * psis[c] + eta(a, b)
-        res = np.maximum(res, _worst(R @ sts[0].frame))
+        res = np.maximum(res, _worst(R @ F))
     return _check(name, res, tol, expected, fail_floor,
                   detail=f"bracket sign eps={eps:+d}")
 
@@ -285,11 +299,11 @@ def check_anticommutators(lc: LeviCivita, fields: Sequence[VectorField], points,
 
     Sign-convention-free companion of the cyclic product identities.
     """
-    sts, psis, eta = _triple_psi(lc, fields, _stack(name, points), method)
+    _, F, _, psis, eta = _triple_psi(lc, fields, _stack(name, points), method)
     res = 0.0
     for a, b in ((0, 1), (0, 2), (1, 2)):
         R = psis[a] @ psis[b] + psis[b] @ psis[a] - eta(b, a) - eta(a, b)
-        res = np.maximum(res, _worst(R @ sts[0].frame))
+        res = np.maximum(res, _worst(R @ F))
     return _check(name, res, tol)
 
 
@@ -298,11 +312,11 @@ def check_squares(lc: LeviCivita, fields: Sequence[VectorField], points,
                   name: str = "structure_squares") -> CheckResult:
     """psi_a^2 = -Id + eta_a (x) xi_a on tangent vectors, for each a."""
     X = _stack(name, points)
-    sts, psis, eta = _triple_psi(lc, fields, X, method)
+    _, F, _, psis, eta = _triple_psi(lc, fields, X, method)
     res = 0.0
     for a in range(3):
         R = psis[a] @ psis[a] + np.eye(X.shape[-1]) - eta(a, a)
-        res = np.maximum(res, _worst(R @ sts[0].frame))
+        res = np.maximum(res, _worst(R @ F))
     return _check(name, res, tol)
 
 
@@ -315,8 +329,6 @@ def check_pair_completion(lc: LeviCivita, f1: VectorField, f2: VectorField, poin
     the cyclic product identity hold; the residual aggregates unit length
     and the aligned triple identity for the completed family.
     """
-    from .metrics import linear_field
-
     A1, A2 = f1.matrix, f2.matrix
     if A1 is None or A2 is None:
         raise ValueError("pair completion needs linear fields")
@@ -324,12 +336,11 @@ def check_pair_completion(lc: LeviCivita, f1: VectorField, f2: VectorField, poin
     if np.abs(A3 + A3.T).max() > 1e-12 * max(1.0, np.abs(A3).max()):
         raise ValueError("bracket of the pair is not skew")
     f3 = linear_field(A3, name="completed")
-    fields = [f1, f2, f3]
-    unit = check_unit_length(lc, f3, points, tol=max(tol, UNIT_TOL))
-    triple = check_triple_products(lc, fields, points, tol=tol, method=method)
+    X = _stack(name, points)
+    unit = check_unit_length(lc, f3, X, tol=max(tol, UNIT_TOL))
+    triple = check_triple_products(lc, [f1, f2, f3], X, tol=tol, method=method)
     # pointwise reconstruction: the covariant derivative of the second field
     # along the first reproduces the completed field up to a global sign
-    X = _stack(name, points)
     d = matvec(lc.nabla_endo(f2, X, method=method, guard=True), f1.value(X))
     t3 = f3.value(X)
     rec_plus = float(np.abs(d - t3).max())
@@ -418,11 +429,10 @@ class SplittingResult:
                     and np.all(self.commutation_residual < 1e-8))
 
 
-def horizontal_split(lc: LeviCivita, fields: Sequence[VectorField],
-                     points: SpherePoint | np.ndarray,
+def horizontal_split(lc: LeviCivita, fields: Sequence[VectorField], x: np.ndarray,
                      method: str = "auto") -> SplittingResult:
     """Diagonalize psi_1 psi_2 psi_3 on the common horizontal space at a
-    SpherePoint or at each point of a stack (N, d).
+    point (d,) or at each point of a stack (N, d).
 
     The horizontal space is the g-orthocomplement of the three generators in
     the tangent space; the triple product restricted there is a g-self-adjoint
@@ -430,10 +440,8 @@ def horizontal_split(lc: LeviCivita, fields: Sequence[VectorField],
     the splitting invariants (the round quaternionic frame gives (0, 4n)).
     On a dim-3 total space the horizontal space is empty and so is the split.
     """
-    x = coords_of(points)
-    sts, psis, _ = _triple_psi(lc, fields, x, method)
-    M = sts[0].metric_matrix
-    FD = g_orthonormal_frame(M, x, exclude=[st.xi for st in sts])
+    M, _, xis, psis, _ = _triple_psi(lc, fields, x, method)
+    FD = g_orthonormal_frame(M, x, exclude=xis)
     FDt_M = np.swapaxes(FD, -1, -2) @ M
     P_amb = psis[0] @ psis[1] @ psis[2]
     P_frame = FDt_M @ P_amb @ FD
@@ -532,9 +540,9 @@ def check_flip_quaternionic(J: Sequence[np.ndarray], M: np.ndarray,
 # CR integrability (Nijenhuis-type torsion on the horizontal distribution)
 # ---------------------------------------------------------------------------
 
-def nijenhuis_residual(lc: LeviCivita, fld: VectorField, points: SpherePoint | np.ndarray,
+def nijenhuis_residual(lc: LeviCivita, fld: VectorField, x: np.ndarray,
                        step: float | None = None, method: str = "auto"):
-    """Max torsion of phi on the horizontal distribution at a SpherePoint (a
+    """Max torsion of phi on the horizontal distribution at a point (d,) (a
     float) or at each point of a stack (N, d) (an (N,) array).
 
     Frame fields are horizontal projections of constant ambient vectors
@@ -556,7 +564,7 @@ def nijenhuis_residual(lc: LeviCivita, fld: VectorField, points: SpherePoint | n
     """
     if step is None:
         step = lc.fd_step / 10 if lc.metric.exact_round else 15 * lc.fd_step
-    x = coords_of(points)
+    x = np.asarray(x, dtype=float)
     X0 = x.reshape(-1, x.shape[-1])
     st0 = lc.structure_at(fld, X0, method=method)
     seeds = np.swapaxes(g_orthonormal_frame(st0.metric_matrix, X0, exclude=[st0.xi]), -1, -2)

@@ -368,3 +368,26 @@ def second_nabla_round_loop(E, x, frame):
             v = frame[:, j]
             T[:, i, j] = -np.dot(E @ v, x) * proj @ u - np.dot(u, v) * Ex_t
     return T
+
+
+def sample_sphere_loop(n, count, seed, pole_margin=1e-3):
+    """Reference sampler: the same generator stream and batch size as
+    ``sample_sphere``, each normalised row accepted or rejected on its own
+    (not within 1e-12 of +-e1, farther than pole_margin from both poles)."""
+    d = 2 * n + 2
+    e1 = np.eye(d)[0]
+    rng = np.random.default_rng(seed)
+    kept = []
+    while len(kept) < count:
+        batch = rng.standard_normal((max(count, 64), d))
+        norms = np.linalg.norm(batch, axis=1)
+        batch = batch[norms > 1e-8] / norms[norms > 1e-8, None]
+        for row in batch:
+            if abs(row[0] - 1.0) < 1e-12 or abs(row[0] + 1.0) < 1e-12:
+                continue
+            if np.linalg.norm(row - e1) <= pole_margin or np.linalg.norm(row + e1) <= pole_margin:
+                continue
+            kept.append(row)
+            if len(kept) == count:
+                break
+    return np.array(kept)

@@ -251,12 +251,12 @@ def test_09_circle_bundle_lift():
 
     # path independence: reroute every potential through a waypoint anchor
     from dataclasses import replace
-    waypoint = hopf_projection(pts[1].coords)
+    waypoint = hopf_projection(pts[1])
     alt = replace(bundle, anchor=waypoint)
     leg0 = lift_potential(bundle, gens[0], waypoint)
     path_worst, tested = 0.0, 0
     for p in pts[2:]:
-        y = hopf_projection(p.coords)
+        y = hopf_projection(p)
         if float(waypoint @ y) / 0.25 < -0.8:
             continue
         path_worst = max(path_worst, abs(
@@ -271,7 +271,7 @@ def test_09_circle_bundle_lift():
     rows = []
     for B in list(fits) + [bundle.j0]:
         rows.append(np.concatenate(
-            [hopf_differential(p.coords) @ (B @ p.coords) for p in pts[:10]]))
+            [hopf_differential(p) @ (B @ p) for p in pts[:10]]))
     u, sv, _ = np.linalg.svd(np.stack(rows))
     kvec = u[:, -1]
     e_fiber = np.array([0.0, 0.0, 0.0, 1.0])

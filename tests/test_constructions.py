@@ -188,13 +188,13 @@ def test_lift_potential_path_independence(hopf):
     up to one global constant (fixed by evaluating at the new anchor)."""
     pts = hopf_sample_filter(sample_sphere(1, 40, seed=42).points)
     gen = so3_basis()[0]
-    waypoint = hopf_projection(pts[1].coords)
+    waypoint = hopf_projection(pts[1])
     alt = replace(hopf, anchor=waypoint)
     leg0 = lift_potential(hopf, gen, waypoint)
     worst = 0.0
     tested = 0
     for p in pts[2:]:
-        y = hopf_projection(p.coords)
+        y = hopf_projection(p)
         cos_w = float(waypoint @ y) / (0.5 * 0.5)
         if cos_w < -0.8:
             continue  # near the alternate anchor's antipode: quadrature refuses
@@ -247,8 +247,7 @@ def test_pushdown_matches_base(hopf):
     pts = hopf_sample_filter(sample_sphere(1, 50, seed=42).points)[:25]
     for gen in so3_basis():
         B, _ = solve_lift(hopf, gen, pts)
-        for p in pts[:8]:
-            x = p.coords
+        for x in pts[:8]:
             got = hopf_differential(x) @ (B @ x)
             want = gen @ hopf_projection(x)
             assert np.abs(got - want).max() < 1e-8
@@ -262,8 +261,7 @@ def test_pushdown_kernel_is_fiber_direction(hopf):
     rows = []
     for B in fits + [hopf.j0]:
         coef = []
-        for p in pts[:10]:
-            x = p.coords
+        for x in pts[:10]:
             coef.append(hopf_differential(x) @ (B @ x))
         rows.append(np.concatenate(coef))
     A = np.stack(rows)  # (4, 30): pushdown action of the four generators

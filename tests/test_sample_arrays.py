@@ -1,0 +1,85 @@
+"""The sample as one (N, d) array: the one-pass sampler against the per-row
+loop in tests/oracles.py, and the checks' single entry conversion, which
+takes an array or SpherePoints alike and refuses a sample that is empty,
+not 2-D or off the unit sphere."""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from killinglab.algebra import eigenfield_residuals, standard_decomposition
+from killinglab.metrics import LeviCivita
+from killinglab.sphere import sample_sphere
+from killinglab.verify import check_killing, check_nijenhuis, check_triple_products
+
+from oracles import sample_sphere_loop
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+@pytest.mark.parametrize("pole_margin", [1e-3, 0.5, 1.2])
+def test_one_pass_sampler_matches_row_loop(n, pole_margin):
+    for count in (1, 63, 64, 65, 200):
+        for seed in (0, 7, 42):
+            got = sample_sphere(n, count, seed, pole_margin=pole_margin).coords
+            assert np.array_equal(got, sample_sphere_loop(n, count, seed, pole_margin))
+
+
+def test_sample_coords_read_only_and_arrays_a_writable_copy():
+    s = sample_sphere(2, 30, seed=5)
+    assert s.coords.shape == (30, 6) and (s.count, s.dim) == (30, 6)
+    assert not s.coords.flags.writeable
+    with pytest.raises(ValueError):
+        s.coords[0, 0] = 2.0
+    a = s.arrays()
+    assert a.flags.writeable and np.array_equal(a, s.coords)
+    a[0, 0] = 2.0
+    assert s.coords[0, 0] != 2.0
+    assert np.array_equal(np.stack([p.coords for p in s.points]), s.coords)
+
+
+def _three_forms(n: int, count: int, seed: int):
+    s = sample_sphere(n, count, seed)
+    return s.coords, s.points, list(s.points)
+
+
+def test_checks_agree_on_array_and_point_samples(round2, lc_round2, quat1):
+    forms = _three_forms(2, 12, 3)
+    for check in (lambda X: check_killing(lc_round2, round2.field, X, tol=1e-10),
+                  lambda X: check_nijenhuis(lc_round2, round2.field, X)):
+        results = [check(X) for X in forms]
+        assert results[0] == results[1] == results[2]
+
+    lc_q = LeviCivita(quat1.metric)
+    results = [check_triple_products(lc_q, quat1.fields, X, tol=1e-10)
+               for X in _three_forms(3, 12, 3)]
+    assert results[0] == results[1] == results[2]
+
+    dec = standard_decomposition(round2.isometry_algebra(), round2.j0)
+    k = next(i for i, lam in enumerate(dec.rates) if lam > 0.5)
+    results = [eigenfield_residuals(lc_round2, round2.field, dec.blocks[k], X,
+                                    rate=dec.rates[k]) for X in forms]
+    assert results[0] == results[1] == results[2]
+
+
+@pytest.mark.parametrize("name", ["killing", "cr_torsion", "triple_products_aligned"])
+def test_checks_refuse_bad_samples_by_name(name, round2, lc_round2, quat1):
+    if name == "triple_products_aligned":
+        lc_q = LeviCivita(quat1.metric)
+        run = lambda X: check_triple_products(lc_q, quat1.fields, X, tol=1e-10)
+        n = 3
+    elif name == "killing":
+        run = lambda X: check_killing(lc_round2, round2.field, X, tol=1e-10)
+        n = 2
+    else:
+        run = lambda X: check_nijenhuis(lc_round2, round2.field, X)
+        n = 2
+    X = sample_sphere(n, 6, seed=1).arrays()
+    with pytest.raises(ValueError, match=f"'{name}' needs an \\(N, d\\) sample"):
+        run(X[0])
+    scaled = X.copy()
+    scaled[2] *= 1.001
+    with pytest.raises(ValueError, match=f"'{name}' got a sample off the unit sphere"):
+        run(scaled)
+    with pytest.raises(ValueError, match=f"'{name}' got no samples to evaluate"):
+        run(X[:0])

@@ -1,4 +1,4 @@
-"""Charts, points, tangent projection, and deterministic sampling."""
+"""Charts, points, and deterministic sampling."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from killinglab.sphere import (
     chart_for_point,
     default_atlas,
     orthonormal_tangent_frame,
-    project_tangent,
     sphere_point,
 )
 
@@ -65,18 +64,6 @@ def test_chart_roundtrip(v):
     u = chart.coords(p)
     back = chart.point_coords(u)
     assert np.abs(back - p.coords).max() < 1e-12
-
-
-@settings(max_examples=40, deadline=None)
-@given(unit_vectors(6))
-def test_tangent_projection_is_tangent_and_idempotent(v):
-    p = sphere_point(v, normalize=True)
-    rng = np.random.default_rng(0)
-    w = rng.standard_normal(6)
-    t1 = project_tangent(p, w).vec
-    t2 = project_tangent(p, t1).vec
-    assert abs(float(p.coords @ t1)) < 1e-12
-    assert np.abs(t1 - t2).max() < 1e-12
 
 
 def test_chart_rejects_points_near_pole():
