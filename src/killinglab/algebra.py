@@ -6,10 +6,14 @@ bracket.  The field bracket of x -> A x and x -> B x is x -> (BA - AB) x
 (the sign follows the flow commutator and is frozen by a finite-difference
 conformance test).
 
+An algebra factors its basis once, by one QR of the trace-form coordinates
+(sqrt 2 times the strict upper triangle); coordinates, membership, the
+adjoint, the Killing gram R^T R and the decomposition all reuse Q and R.
+
 The main operation is ``standard_decomposition``: split an algebra into the
 kernel and the rotation-rate eigenblocks of the adjoint action of a chosen
 unit Killing generator, using eigenvalue clustering of the squared adjoint
-in a trace-form orthonormal basis.
+in the trace-form orthonormal basis Q.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 CLUSTER_TOL = 1e-8   # eigenvalues closer than this fall into one cluster
 GAP_TOL = 1e-6       # distinct clusters must be separated by more than this
@@ -51,34 +56,36 @@ def so_basis(d: int) -> list[np.ndarray]:
 
 
 class IsometryAlgebra:
-    """Lie algebra of linear Killing generators, closed under the field bracket."""
+    """Lie algebra of linear Killing generators, closed under the field bracket.
+
+    The basis is one read-only (n, d, d) stack with the one factorisation
+    S = Q R (diag R > 0) of its trace-form coordinates; ``_solve`` reuses it."""
 
     def __init__(self, basis, name: str = "", validate: bool = True,
                  closure_tol: float = CLOSURE_TOL):
-        mats = [np.array(b, dtype=float) for b in basis]
+        mats = [np.asarray(b, dtype=float) for b in basis]
         if not mats:
             raise ValueError("empty basis")
         d = mats[0].shape[0]
-        for b in mats:
-            if b.shape != (d, d):
-                raise ValueError("basis matrices have mismatched shapes")
-            scale = max(1.0, float(np.abs(b).max()))
-            if np.abs(b + b.T).max() > SKEW_TOL * scale:
-                raise ValueError("basis matrices must be skew-symmetric")
-            b.setflags(write=False)
-        self.basis = mats
+        if any(b.shape != (d, d) for b in mats):
+            raise ValueError("basis matrices have mismatched shapes")
+        stack = np.array(mats)
+        scale = np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))
+        if np.any(np.abs(stack + stack.swapaxes(1, 2)).max(axis=(1, 2)) > SKEW_TOL * scale):
+            raise ValueError("basis matrices must be skew-symmetric")
+        stack.setflags(write=False)
+        self._stack = stack
+        self.basis = list(stack)
         self.name = name
         self.ambient_dim = d
-        self._flat = np.stack([b.ravel() for b in mats], axis=1)  # (d*d, n)
-        # One SVD gives the rank (singular values above 1e-10, as
-        # matrix_rank(tol=1e-10)) and the pseudo-inverse (cutoff
-        # 1e-15 * s.max(), as the default of np.linalg.pinv).
-        u, s, vt = np.linalg.svd(self._flat, full_matrices=False)
-        if int(np.count_nonzero(s > 1e-10)) != len(mats):
+        self._upper = np.triu_indices(d, 1)
+        # |R_kk| >= the least singular value of S, and QR does not square the
+        # condition number as a Cholesky of the gram would.
+        q, r = np.linalg.qr(self._skew_coords(stack).T)
+        if len(mats) > d * (d - 1) // 2 or np.abs(np.diag(r)).min() <= 1e-10:
             raise ValueError("basis matrices are linearly dependent")
-        large = s > 1e-15 * s.max()
-        s_inv = np.divide(1.0, s, where=large, out=np.zeros_like(s))
-        self._pinv = vt.T @ (s_inv[:, None] * u.T)
+        signs = np.sign(np.diag(r))
+        self._q, self._r = q * signs, r * signs[:, None]
         if validate:
             self.validate_closure(closure_tol)
 
@@ -86,15 +93,28 @@ class IsometryAlgebra:
     def dim(self) -> int:
         return len(self.basis)
 
-    def coords(self, A: np.ndarray, tol: float | None = 1e-8) -> np.ndarray:
-        """Coefficients of A in the basis; raises if A is not in the span."""
-        c = self._pinv @ np.asarray(A, dtype=float).ravel()
-        if tol is not None:
-            resid = float(np.abs(self._flat @ c - np.asarray(A).ravel()).max())
-            scale = max(1.0, float(np.abs(A).max()))
-            if resid > tol * scale:
-                raise ValueError(f"matrix lies outside the algebra (residual {resid:.3e})")
+    def _skew_coords(self, mats: np.ndarray) -> np.ndarray:
+        """sqrt 2 times the strict upper triangles of a stack (..., d, d): on
+        skew matrices their Euclidean product is ``killing_inner``."""
+        return np.sqrt(2.0) * mats[..., self._upper[0], self._upper[1]]
+
+    def _solve(self, targets, tol: float, refusal: str) -> np.ndarray:
+        """Basis coordinates R^-1 Q^T s(A) (n, k) of a stack (k, d, d) of
+        matrices A, one column each; raises ``refusal`` unless every full
+        matrix, not only its upper triangle, is rebuilt to
+        ``tol * max(1, |A|max)``."""
+        targets = np.asarray(targets, dtype=float)
+        if targets.shape[1:] != self._stack.shape[1:]:
+            raise ValueError(f"{refusal} (shape {targets.shape[1:]})")
+        c = solve_triangular(self._r, self._q.T @ self._skew_coords(targets).T)
+        resid = np.abs(self.element(c.T) - targets).max(axis=(1, 2))
+        if np.any(resid > tol * np.maximum(1.0, np.abs(targets).max(axis=(1, 2)))):
+            raise ValueError(f"{refusal} (residual {float(resid.max()):.3e})")
         return c
+
+    def coords(self, A: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+        """Coefficients of A in the basis; raises if A is not in the span."""
+        return self._solve([A], tol, "matrix lies outside the algebra")[:, 0]
 
     def contains(self, A: np.ndarray, tol: float = 1e-8) -> bool:
         try:
@@ -104,36 +124,26 @@ class IsometryAlgebra:
             return False
 
     def validate_closure(self, tol: float = CLOSURE_TOL) -> None:
-        for i, Bi in enumerate(self.basis):
-            for Bj in self.basis[i + 1:]:
-                if not self.contains(field_bracket(Bi, Bj), tol=tol):
-                    raise ValueError("basis is not closed under the field bracket")
+        """Brackets of each basis element with all later ones, solved at once."""
+        for i, Bi in enumerate(self.basis[:-1]):
+            self._solve(field_bracket(Bi, self._stack[i + 1:]), tol,
+                        "basis is not closed under the field bracket")
 
     def ad_matrix(self, X: np.ndarray) -> np.ndarray:
         """Matrix of Y -> [X, Y] (field bracket) in the algebra basis; raises
         if a bracket leaves the algebra."""
-        d, n = self.ambient_dim, self.dim
-        brackets = field_bracket(X, np.stack(self.basis)).reshape(n, d * d).T
-        K = self._pinv @ brackets
-        resid = np.abs(self._flat @ K - brackets).max(axis=0)
-        scale = np.maximum(1.0, np.abs(brackets).max(axis=0))
-        if np.any(resid > 1e-8 * scale):
-            raise ValueError(f"bracket lies outside the algebra "
-                             f"(residual {float(resid.max()):.3e})")
-        return K
+        return self._solve(field_bracket(X, self._stack), 1e-8,
+                           "bracket lies outside the algebra")
 
     def killing_gram(self) -> np.ndarray:
-        """Gram matrix of the trace pairing -tr(AB) on the basis."""
-        d, n = self.ambient_dim, self.dim
-        flat_t = self._flat.reshape(d, d, n).transpose(1, 0, 2).reshape(d * d, n)
-        return -(self._flat.T @ flat_t)
+        """Gram matrix of the trace pairing -tr(AB) on the basis: S^T S = R^T R."""
+        return self._r.T @ self._r
 
     def element(self, coeffs) -> np.ndarray:
         """Matrix with the given basis coefficients; a stack (k, n) of
         coefficient rows gives a stack (k, d, d) of matrices."""
         c = np.asarray(coeffs, dtype=float)
-        d = self.ambient_dim
-        return (c @ self._flat.T).reshape(*c.shape[:-1], d, d)
+        return np.tensordot(c, self._stack, axes=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,7 +170,8 @@ class Decomposition:
         return 0
 
     def summary(self) -> list[tuple[float, int]]:
-        return [(lam, len(blk)) for lam, blk in zip(self.rates, self.blocks)]
+        """(rate rounded to 9 decimals, block dimension) per block."""
+        return [(round(lam, 9), len(blk)) for lam, blk in zip(self.rates, self.blocks)]
 
 
 def standard_decomposition(algebra: IsometryAlgebra, xi: np.ndarray,
@@ -178,14 +189,10 @@ def standard_decomposition(algebra: IsometryAlgebra, xi: np.ndarray,
     xi = np.asarray(xi, dtype=float)
     if not algebra.contains(xi):
         raise ValueError("xi must belong to the algebra")
-    G = algebra.killing_gram()
-    try:
-        L = np.linalg.cholesky(G)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("trace pairing is not positive definite on this basis") from exc
-    Li = np.linalg.inv(L)
+    # K_on = R K R^-1 is ad(xi) in the trace-orthonormal basis Q.
+    R = algebra._r
     K = algebra.ad_matrix(xi)
-    K_on = L.T @ K @ Li.T
+    K_on = solve_triangular(R, (R @ K).T, trans="T").T
     skew_resid = float(np.abs(K_on + K_on.T).max())
     if skew_resid > 1e-8 * max(1.0, float(np.abs(K_on).max())):
         raise ValueError(f"adjoint of xi is not skew in the trace pairing "
@@ -209,20 +216,13 @@ def standard_decomposition(algebra: IsometryAlgebra, xi: np.ndarray,
                 f"adjoint-square eigenvalue clusters at {m1:.6e} and {m2:.6e} are "
                 f"closer than the resolvable gap {gap_tol:.1e} * {scale:.3g}")
 
-    entries = []  # (rate, coeff matrix, generators)
-    for mean, idx in zip(means, clusters):
-        rate = 0.0 if -mean <= gap_tol * scale else float(np.sqrt(-mean))
-        C = Li.T @ vecs[:, idx]  # original-basis coordinates, one column each
-        gens = tuple(algebra.element(C.T))
-        entries.append((rate, C, gens))
-    entries.sort(key=lambda e: e[0])
-    return Decomposition(
-        xi=xi,
-        rates=tuple(e[0] for e in entries),
-        blocks=tuple(e[2] for e in entries),
-        coeffs=tuple(e[1] for e in entries),
-        s_eigenvalues=vals,
-    )
+    C = solve_triangular(R, vecs)  # basis coordinates, one column per eigenvector
+    gens = algebra.element(C.T)
+    rates = [0.0 if -m <= gap_tol * scale else float(np.sqrt(-m)) for m in means]
+    blocks = sorted(zip(rates, clusters))
+    return Decomposition(xi=xi, rates=tuple(rate for rate, _ in blocks),
+                         blocks=tuple(tuple(gens[k] for k in idx) for _, idx in blocks),
+                         coeffs=tuple(C[:, idx] for _, idx in blocks), s_eigenvalues=vals)
 
 
 def eigenfield_residuals(lc, xi_field, mats, points,
@@ -269,12 +269,9 @@ def centralizer_check(alg: "IsometryAlgebra", mats, member_tol: float = 1e-8,
     Returns the max commutator entry against the whole basis and whether each
     generator lies in the algebra's span, plus the combined boolean verdict.
     """
-    worst = 0.0
-    members = []
-    for m in mats:
-        for b in alg.basis:
-            worst = max(worst, float(np.abs(field_bracket(m, b)).max()))
-        members.append(alg.contains(m, tol=member_tol))
+    worst = max((float(np.abs(field_bracket(m, alg._stack)).max()) for m in mats),
+                default=0.0)
+    members = [alg.contains(m, tol=member_tol) for m in mats]
     return {
         "max_commutator": worst,
         "central": worst <= central_tol,

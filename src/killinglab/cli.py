@@ -174,8 +174,7 @@ def _battery_round(cfg: RunConfig) -> VerificationReport:
                         tolerance=1e-6,
                         detail="orthogonality + bracket + eigenvalue identities "
                                "over the whole nonzero-rate block"))
-    rep.extras["decomposition"] = [(round(lam, 9), dim)
-                                   for lam, dim in dec.summary()]
+    rep.extras["decomposition"] = dec.summary()
     return rep
 
 
@@ -370,8 +369,7 @@ def _battery_deformed(cfg: RunConfig) -> VerificationReport:
                                          X[:40], tol=1e-5)
                     for i, B in enumerate(alg.basis)], tol=1e-5))
     dec = standard_decomposition(alg, ds.j0)
-    rep.extras["decomposition"] = [(round(lam, 9), dim)
-                                   for lam, dim in dec.summary()]
+    rep.extras["decomposition"] = dec.summary()
     rep.extras["support_fraction"] = np.count_nonzero(ds.f_of(X)) / len(X)
     return rep
 
@@ -409,8 +407,7 @@ def _battery_irregular(cfg: RunConfig) -> VerificationReport:
                     for i, B in enumerate(alg.basis)], tol=1e-5))
 
     dec = standard_decomposition(alg, ir.field.matrix)
-    rep.extras["decomposition"] = [(round(lam, 9), dim)
-                                   for lam, dim in dec.summary()]
+    rep.extras["decomposition"] = dec.summary()
     cls = classify(ir.profile())
     rep.extras["flow"] = {"kind": cls.kind,
                           "closure_torus_dim": cls.closure_torus_dim}
@@ -473,7 +470,7 @@ def cmd_decompose(cfg: RunConfig) -> int:
                             max_residual=max(res.values()),
                             mean_residual=float(np.mean(list(res.values()))),
                             tolerance=1e-6))
-    summary = [(round(lam, 9), dim) for lam, dim in dec.summary()]
+    summary = dec.summary()
     rep.extras["table"] = "; ".join(
         [f"g0: {dec.zero_block_dim}"]
         + [f"lambda={lam:g}: {dim}" for lam, dim in summary if lam != 0.0])

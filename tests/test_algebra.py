@@ -68,6 +68,65 @@ def test_ad_matrix_is_skew_in_trace_pairing():
     assert np.abs(G @ K + K.T @ G).max() < 1e-12
 
 
+# -- refusals -----------------------------------------------------------------
+
+def test_refuses_empty_basis():
+    with pytest.raises(ValueError, match="empty basis"):
+        IsometryAlgebra([])
+
+
+def test_refuses_mismatched_shapes():
+    with pytest.raises(ValueError, match="mismatched shapes"):
+        IsometryAlgebra([so_basis(4)[0], so_basis(3)[0]], validate=False)
+
+
+def test_refuses_non_skew_basis_matrix():
+    sym = np.zeros((4, 4))
+    sym[0, 1] = sym[1, 0] = 1.0
+    with pytest.raises(ValueError, match="skew-symmetric"):
+        IsometryAlgebra(so_basis(4)[:2] + [sym], validate=False)
+
+
+def test_refuses_exactly_dependent_basis():
+    basis = so_basis(4)
+    with pytest.raises(ValueError, match="linearly dependent"):
+        IsometryAlgebra(basis + [basis[0] + basis[1]], validate=False)
+
+
+def test_refuses_basis_dependent_to_1e_12():
+    basis = so_basis(4)
+    with pytest.raises(ValueError, match="linearly dependent"):
+        IsometryAlgebra(basis[:3] + [basis[0] * (1 + 1e-12)], validate=False)
+
+
+def test_refuses_basis_not_closed():
+    with pytest.raises(ValueError, match="not closed"):
+        IsometryAlgebra(so_basis(4)[:2], validate=True)
+
+
+def test_decomposition_refuses_xi_outside_subalgebra():
+    """so(3) on the first three coordinates of R^4; E_03 is skew but outside."""
+    basis = so_basis(4)
+    alg = IsometryAlgebra([basis[0], basis[1], basis[3]], name="so(3)")
+    with pytest.raises(ValueError, match="xi must belong"):
+        standard_decomposition(alg, basis[2])
+
+
+def test_contains_rejects_non_skew_matrix_with_upper_triangle_in_span():
+    """The upper triangle of E_01 alone matches E_01 above the diagonal."""
+    alg = IsometryAlgebra(so_basis(4), name="so(4)")
+    upper = np.triu(so_basis(4)[0])
+    assert not alg.contains(upper)
+    with pytest.raises(ValueError, match="outside the algebra"):
+        alg.coords(upper)
+
+
+def test_contains_rejects_matrix_of_another_size():
+    alg = IsometryAlgebra(so_basis(4), name="so(4)")
+    assert not alg.contains(so_basis(3)[0])
+    assert not alg.contains(so_basis(5)[0])
+
+
 # -- standard decomposition ---------------------------------------------------
 
 def test_decomposition_s3():
@@ -145,7 +204,16 @@ def test_adjoint_spectrum_of_j0_on_so6():
     assert adjoint_rates([1.0, 1.0, 1.0]) == [(0.0, 9), (2.0, 6)]
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_adjoint_spectrum_of_j0_on_so42():
+    """The same closed form at scale: J0 on so(42) has the commutant u(21)
+    at rate 0 and a rate-2 block of 420."""
+    alg = IsometryAlgebra(so_basis(42), name="so(42)", validate=False)
+    dec = standard_decomposition(alg, np.kron(np.eye(21), J2))
+    assert dec.summary() == [(0.0, 441), (2.0, 420)]
+    assert adjoint_rates([1.0] * 21) == [(0.0, 441), (2.0, 420)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 20])
 def test_adjoint_spectrum_matches_closed_form(n):
     """xi = J0 + a J1 on so(2n+2), a = sqrt(2) - 1, rotates its planes at
     (sqrt 2, 1, ..., 1); the blocks must carry the rates |l_i +- l_j| (i < j)

@@ -140,9 +140,13 @@ def test_check_on_empty_sample_names_the_check(round1, lc_round1):
         check_killing(lc_round1, round1.field, [], tol=1e-10)
 
 
-def test_algebra_single_svd_matches_numpy():
-    alg = IsometryAlgebra(so_basis(6), validate=False)
-    assert np.abs(alg._pinv - np.linalg.pinv(alg._flat)).max() <= 1e-15
+def test_algebra_coords_recover_integer_combinations():
+    basis6 = so_basis(6)
+    alg = IsometryAlgebra(basis6, validate=False)
+    ints = np.random.default_rng(3).integers(-9, 10, size=(5, len(basis6)))
+    for c in ints:
+        A = sum(int(k) * B for k, B in zip(c, basis6))
+        assert np.abs(alg.coords(A) - c).max() <= 1e-12
     basis = so_basis(4)
     with pytest.raises(ValueError, match="linearly dependent"):
         IsometryAlgebra(basis + [basis[0] + basis[1]], validate=False)
