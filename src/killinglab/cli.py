@@ -58,6 +58,8 @@ EXIT_NUMERICAL = 3
 
 VERIFY_EXAMPLES = ("round", "quaternionic", "hopf-lift", "gF", "irregular")
 DECOMPOSE_EXAMPLES = ("round", "gF", "irregular")
+EXAMPLES = {"verify": VERIFY_EXAMPLES, "decompose": DECOMPOSE_EXAMPLES}
+FORMATS = ("text", "json")
 # sphere index used when n is not set: build_deformed needs n >= 3
 DEFAULT_N = {"gF": 3}
 # kept samples the hopf-lift battery needs: the rank of the 4x4 linear fit
@@ -115,6 +117,12 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         unknown = set(file_vals) - set(asdict(cfg)) - {"rates", "horizon"}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        # a file value gets the choices its flag would (classify-flow takes no example)
+        choices = {"example": EXAMPLES.get(getattr(args, "command", None)), "format": FORMATS}
+        for key, allowed in choices.items():
+            if allowed and key in file_vals and file_vals[key] not in allowed:
+                raise ValueError(f"config key '{key}' = {file_vals[key]!r} is not one of "
+                                 f"{', '.join(allowed)}")
         cfg = replace(cfg, **{k: v for k, v in file_vals.items()
                               if k in asdict(cfg)})
     overrides = {}
@@ -277,7 +285,7 @@ def _battery_hopf(cfg: RunConfig) -> VerificationReport:
     ys = hopf_projection(xs)
 
     def pushdown_matrix(B: np.ndarray) -> tuple[np.ndarray, float]:
-        vals = np.stack([hopf_differential(x) @ (B @ x) for x in xs])
+        vals = matvec(hopf_differential(xs), matvec(B, xs))
         sol, *_ = np.linalg.lstsq(ys, vals, rcond=None)
         P = sol.T
         return P, float(np.abs(ys @ sol - vals).max())
@@ -531,9 +539,8 @@ def cmd_classify_flow(args: argparse.Namespace, cfg: RunConfig) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(parser: argparse.ArgumentParser, *, with_example: bool,
-                examples: tuple[str, ...] = VERIFY_EXAMPLES) -> None:
-    if with_example:
+def _add_common(parser: argparse.ArgumentParser, examples: tuple[str, ...] = ()) -> None:
+    if examples:
         parser.add_argument("--example", choices=examples, default=None,
                             help="which construction to run")
     parser.add_argument("--n", type=int, default=None,
@@ -549,7 +556,7 @@ def _add_common(parser: argparse.ArgumentParser, *, with_example: bool,
                         help="number of sample points")
     parser.add_argument("--fd-step", dest="fd_step", type=float, default=None,
                         help="finite-difference step")
-    parser.add_argument("--format", choices=("text", "json"), default=None,
+    parser.add_argument("--format", choices=FORMATS, default=None,
                         help="report format")
     parser.add_argument("--no-timestamp", dest="no_timestamp",
                         action="store_true", default=False,
@@ -566,12 +573,12 @@ def make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run an example's check battery")
-    _add_common(p_verify, with_example=True)
+    _add_common(p_verify, EXAMPLES["verify"])
 
     p_dec = sub.add_parser("decompose",
                            help="adjoint-square decomposition of an example's "
                                 "invariance algebra")
-    _add_common(p_dec, with_example=True, examples=DECOMPOSE_EXAMPLES)
+    _add_common(p_dec, EXAMPLES["decompose"])
 
     p_cls = sub.add_parser("classify-flow",
                            help="classify a rotation-rate profile")
@@ -582,7 +589,7 @@ def make_parser() -> argparse.ArgumentParser:
                        help="cross-check with a matrix-exponential orbit probe")
     p_cls.add_argument("--horizon", type=float, default=None,
                        help="orbit probe time horizon")
-    _add_common(p_cls, with_example=False)
+    _add_common(p_cls)
     return parser
 
 

@@ -248,12 +248,13 @@ def hopf_projection(x: np.ndarray) -> np.ndarray:
 
 
 def hopf_differential(x: np.ndarray) -> np.ndarray:
-    """Jacobian of hopf_projection, shape (3, 4)."""
-    x0, x1, x2, x3 = x
-    return np.array([
-        [x2, x3, x0, x1],
-        [-x3, x2, x1, -x0],
-        [x0, x1, -x2, -x3]])
+    """Jacobian of hopf_projection at one point (4,) or a stack (N, 4); the
+    result is (3, 4) or (N, 3, 4)."""
+    x0, x1, x2, x3 = np.moveaxis(np.asarray(x, dtype=float), -1, 0)
+    return np.stack([np.stack(row, axis=-1) for row in (
+        (x2, x3, x0, x1),
+        (-x3, x2, x1, -x0),
+        (x0, x1, -x2, -x3))], axis=-2)
 
 
 def hopf_section(y: np.ndarray, guard: float = 1e-12) -> np.ndarray:
@@ -270,15 +271,6 @@ def _batched_sections(ys: np.ndarray) -> np.ndarray:
     return np.stack([ys[:, 0] / w, ys[:, 1] / w, w, np.zeros(len(ys))], axis=1)
 
 
-def _batched_differentials(xs: np.ndarray) -> np.ndarray:
-    x0, x1, x2, x3 = xs[:, 0], xs[:, 1], xs[:, 2], xs[:, 3]
-    rows = [
-        np.stack([x2, x3, x0, x1], axis=1),
-        np.stack([-x3, x2, x1, -x0], axis=1),
-        np.stack([x0, x1, -x2, -x3], axis=1)]
-    return np.stack(rows, axis=1)  # (N, 3, 4)
-
-
 def horizontal_lift_batch(j0: np.ndarray, xs: np.ndarray, ys: np.ndarray,
                           us: np.ndarray) -> np.ndarray:
     """Horizontal lifts of base vectors us at base points ys to fiber points xs.
@@ -288,7 +280,7 @@ def horizontal_lift_batch(j0: np.ndarray, xs: np.ndarray, ys: np.ndarray,
     direction is added to make the pushforward Gram invertible).
     """
     xis = xs @ j0.T
-    dpis = _batched_differentials(xs)
+    dpis = hopf_differential(xs)
     PH = (np.eye(4)[None, :, :]
           - np.einsum("ni,nj->nij", xs, xs)
           - np.einsum("ni,nj->nij", xis, xis))

@@ -4,7 +4,7 @@ A metric is stored as an ambient Gram operator: a symmetric matrix field
 M(x) on R^d with g_x(u, v) = u^T M(x) v for tangent vectors u, v at x.
 The round metric is M = Id; deformed metrics supply their own M.
 
-Differentiation strategy:
+Differentiation strategy, chosen from the metric and the field alone:
   * round metric + linear field  ->  closed forms, no stepping;
   * anything else  ->  stereographic chart with closed-form Jacobian J.  At
     each point one chart endomorphism H = dX^T + Gamma X of the covariant
@@ -18,9 +18,12 @@ structure and the second covariant derivative take one point or a stack, so a
 check calls them once per sample set.  Nested stencils (a stencil of stencils)
 run in chunks of STENCIL_CHUNK sample points, which bounds their memory.
 
-Every finite-difference covariant derivative can be wrapped in a Richardson
-step-halving guard; disagreement beyond ``RICHARDSON_REL_TOL`` raises
-``NumericalQualityError`` instead of returning a silently bad number.
+Finite differences on the round metric are asked for through the inputs: a
+copy of a linear field with ``kind="general"`` takes the chart path.  A
+finite-difference covariant derivative can be wrapped in a Richardson
+step-halving guard where a caller asks for it (``guard=True``); disagreement
+beyond ``RICHARDSON_REL_TOL`` raises ``NumericalQualityError`` instead of
+returning a silently bad number.
 """
 
 from __future__ import annotations
@@ -94,7 +97,8 @@ class VectorField:
 
     ``kind`` is "linear" (value A x with A skew, hence tangent; ``matrix``
     keeps A) or "general".  ``value`` takes one point (d,) or a stack
-    (..., d); a general callable sees one point at a time.
+    (..., d) and calls ``func`` once on it, so ``func`` of either kind maps
+    (..., d) to (..., d).
     """
 
     kind: str
@@ -103,11 +107,7 @@ class VectorField:
     name: str = ""
 
     def value(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.kind == "linear" or x.ndim == 1:
-            return self.func(x)
-        out = np.stack([self.func(row) for row in x.reshape(-1, x.shape[-1])])
-        return out.reshape(x.shape[:-1] + out.shape[1:])
+        return self.func(np.asarray(x, dtype=float))
 
 
 def linear_field(A, name: str = "") -> VectorField:
@@ -309,15 +309,10 @@ class LeviCivita:
         self.fd_step = float(fd_step)
         self.atlas = tuple(atlas) if atlas is not None else default_atlas(metric.dim)
 
-    def _use_exact(self, fld: VectorField, method: str) -> bool:
-        """Exact-vs-FD dispatch: "auto" takes the closed form when the metric is
-        round and the field linear; "exact" / "fd" force a path."""
-        if method not in ("auto", "exact", "fd"):
-            raise ValueError(f"unknown method {method!r}")
-        exact_ok = self.metric.exact_round and fld.kind == "linear"
-        if method == "exact" and not exact_ok:
-            raise ValueError("exact covariant derivative needs round metric and linear field")
-        return exact_ok and method != "fd"
+    def _use_exact(self, fld: VectorField) -> bool:
+        """Exact-vs-FD dispatch: the closed form needs the round metric and a
+        linear field."""
+        return self.metric.exact_round and fld.kind == "linear"
 
     # -- chart-level pieces -------------------------------------------------
     # Each takes one chart point u (m,) or a stack (..., m) in the same chart.
@@ -385,19 +380,19 @@ class LeviCivita:
     # -- first covariant derivative ------------------------------------------
 
     def nabla(self, fld: VectorField, x: np.ndarray, direction: np.ndarray,
-              method: str = "auto", guard: bool = True) -> np.ndarray:
+              guard: bool = True) -> np.ndarray:
         """Ambient components of the covariant derivative of ``fld`` along
         ``direction`` (an ambient tangent vector) at the point x (d,).
 
-        method: "auto" picks the closed form when available, else finite
-        differences; "exact" / "fd" force a path.  The FD path applies the
-        chart endomorphism H to the chart components of ``direction``; with
+        The closed form serves the round metric with a linear field; every
+        other pair takes finite differences, which apply the chart
+        endomorphism H to the chart components of ``direction``.  With
         ``guard`` H is recomputed at half step and must agree to
         RICHARDSON_REL_TOL.
         """
         x = np.asarray(x, dtype=float)
         direction = np.asarray(direction, dtype=float)
-        if self._use_exact(fld, method):
+        if self._use_exact(fld):
             w = fld.matrix @ direction
             return w - np.dot(w, x) * x
         chart = chart_for_point(x, self.atlas)
@@ -406,7 +401,7 @@ class LeviCivita:
         return chart.push(u, H @ chart.to_chart_vector(u, direction))
 
     def nabla_endo(self, fld: VectorField, x: np.ndarray,
-                   method: str = "auto", guard: bool = False) -> np.ndarray:
+                   guard: bool = False) -> np.ndarray:
         """Ambient matrix N with N v = nabla_v(field) for tangent v, N x = 0.
 
         ``x`` is one ambient point (d,) or a stack (..., d), which gives
@@ -415,7 +410,7 @@ class LeviCivita:
         J^T x = 0 keeps N x = 0.
         """
         x = np.asarray(x, dtype=float)
-        if self._use_exact(fld, method):
+        if self._use_exact(fld):
             proj = np.eye(x.shape[-1]) - x[..., :, None] * x[..., None, :]
             return proj @ fld.matrix @ proj
         xs = x.reshape(-1, x.shape[-1])
@@ -431,7 +426,7 @@ class LeviCivita:
     # -- second covariant derivative ------------------------------------------
 
     def second_nabla_frame(self, fld: VectorField, x: np.ndarray,
-                           frame: np.ndarray, method: str = "auto") -> np.ndarray:
+                           frame: np.ndarray) -> np.ndarray:
         """Tensor T[:, i, j] = (nabla^2 field)(frame_i, frame_j), ambient values.
 
         T(u, v) = nabla_u (nabla field)(v); the closed form on the round
@@ -443,7 +438,7 @@ class LeviCivita:
         (N, d, k) give (N, d, k, k).
         """
         x = np.asarray(x, dtype=float)
-        if self._use_exact(fld, method):
+        if self._use_exact(fld):
             Ef = fld.matrix @ frame
             Pf = frame - x[..., :, None] * (x[..., None, :] @ frame)
             Ex = matvec(fld.matrix, x)
@@ -476,18 +471,16 @@ class LeviCivita:
     # -- derived structure ----------------------------------------------------
     # Each takes one point (d,) or a stack (N, d), giving results stacked along N.
 
-    def lie_metric_frame(self, fld: VectorField, x: np.ndarray,
-                         method: str = "auto") -> np.ndarray:
+    def lie_metric_frame(self, fld: VectorField, x: np.ndarray) -> np.ndarray:
         """Lie derivative of g along the field, as a matrix in a g-orthonormal
         frame; identically zero iff the field is Killing at this point."""
         x = np.asarray(x, dtype=float)
         M = self.metric.matrix_at(x)
         F = g_orthonormal_frame(M, x)
-        N = self.nabla_endo(fld, x, method=method)
+        N = self.nabla_endo(fld, x)
         return np.swapaxes(F, -1, -2) @ (np.swapaxes(N, -1, -2) @ M + M @ N) @ F
 
-    def structure_at(self, fld: VectorField, x: np.ndarray,
-                     method: str = "auto") -> StructureTensors:
+    def structure_at(self, fld: VectorField, x: np.ndarray) -> StructureTensors:
         """Bundle: field value, metric, frame, first covariant derivative,
         two-form of the dual one-form, and the half-two-form endomorphism in
         frame and ambient forms.  The frame comes first, so a degenerate
@@ -497,7 +490,7 @@ class LeviCivita:
         F = g_orthonormal_frame(M, x)
         Ft = np.swapaxes(F, -1, -2)
         xi = fld.value(x)
-        N = self.nabla_endo(fld, x, method=method)
+        N = self.nabla_endo(fld, x)
         D = np.swapaxes(N, -1, -2) @ M - M @ N
         phi_frame = 0.5 * np.swapaxes(Ft @ D @ F, -1, -2)
         phi_ambient = F @ phi_frame @ Ft @ M
@@ -505,11 +498,10 @@ class LeviCivita:
                                 nabla_endo=N, dxi=D, phi_frame=phi_frame,
                                 phi_ambient=phi_ambient)
 
-    def dxi_square_eigenvalues(self, fld: VectorField, x: np.ndarray,
-                               method: str = "auto") -> np.ndarray:
+    def dxi_square_eigenvalues(self, fld: VectorField, x: np.ndarray) -> np.ndarray:
         """Sorted eigenvalues of the square of the two-form endomorphism
         (g(e u, v) = d(eta)(u, v)); round unit fields give -4 on the
         transverse space and 0 along the field."""
-        st = self.structure_at(fld, x, method=method)
+        st = self.structure_at(fld, x)
         e_frame = np.swapaxes(np.swapaxes(st.frame, -1, -2) @ st.dxi @ st.frame, -1, -2)
         return np.sort(np.linalg.eigvals(e_frame @ e_frame).real, axis=-1)

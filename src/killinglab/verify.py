@@ -28,7 +28,7 @@ half-two-form endomorphism phi (see metrics.StructureTensors):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -110,7 +110,7 @@ def check_unit_length(lc: LeviCivita, fld: VectorField, points,
 
 
 def check_killing(lc: LeviCivita, fld: VectorField, points, tol: float,
-                  method: str = "auto", expected: str = "pass",
+                  expected: str = "pass",
                   fail_floor: float | None = None,
                   name: str = "killing") -> CheckResult:
     """Max entry of the Lie derivative of g along the field, frame components.
@@ -120,14 +120,14 @@ def check_killing(lc: LeviCivita, fld: VectorField, points, tol: float,
     pass.
     """
     X = _stack(name, points)
-    res = _worst(lc.lie_metric_frame(fld, X, method=method))
+    res = _worst(lc.lie_metric_frame(fld, X))
     scale = float(np.abs(fld.value(X)).max())
     detail = "" if scale > 1e-12 else "degenerate: field vanishes on all samples"
     return _check(name, res, tol, expected, fail_floor, detail=detail)
 
 
 def check_sasakian(lc: LeviCivita, fld: VectorField, points, tol: float,
-                   method: str = "auto", expected: str = "pass",
+                   expected: str = "pass",
                    fail_floor: float | None = None,
                    name: str = "wedge_second_derivative") -> CheckResult:
     """Residual of nabla^2 xi(u,v) = WEDGE_SIGN (g(u,v) xi - eta(v) u).
@@ -141,7 +141,7 @@ def check_sasakian(lc: LeviCivita, fld: VectorField, points, tol: float,
     xi = fld.value(X)
     eta_f = (matvec(M, xi)[:, None, :] @ F)[:, 0]          # eta(f_j), (N, k)
     # defect = T - WEDGE_SIGN (delta_ij xi - eta(f_j) f_i), in place: T is the largest array
-    defect = lc.second_nabla_frame(fld, X, F, method=method)
+    defect = lc.second_nabla_frame(fld, X, F)
     diag = np.arange(F.shape[-1])
     defect[..., diag, diag] -= WEDGE_SIGN * xi[..., None]
     defect += np.einsum("nj,ndi->ndij", WEDGE_SIGN * eta_f, F)
@@ -150,11 +150,11 @@ def check_sasakian(lc: LeviCivita, fld: VectorField, points, tol: float,
 
 
 def check_kcontact(lc: LeviCivita, fld: VectorField, points, tol: float = CONTACT_TOL,
-                   method: str = "auto", expected: str = "pass",
+                   expected: str = "pass",
                    fail_floor: float | None = None,
                    name: str = "contact_endomorphism") -> CheckResult:
     """phi^2 = -Id + eta (x) xi together with phi xi = 0, frame components."""
-    st = lc.structure_at(fld, _stack(name, points), method=method)
+    st = lc.structure_at(fld, _stack(name, points))
     xi_f = (matvec(st.metric_matrix, st.xi)[:, None, :] @ st.frame)[:, 0]  # (N, k)
     k = st.frame.shape[-1]
     r1 = st.phi_frame @ st.phi_frame + np.eye(k) - xi_f[:, :, None] * xi_f[:, None, :]
@@ -163,8 +163,7 @@ def check_kcontact(lc: LeviCivita, fld: VectorField, points, tol: float = CONTAC
 
 
 def check_dxi_spectrum(lc: LeviCivita, fld: VectorField, points,
-                       reference: Sequence[float], tol: float,
-                       method: str = "auto", expected: str = "pass",
+                       reference: Sequence[float], tol: float, expected: str = "pass",
                        fail_floor: float | None = None,
                        name: str = "two_form_square_spectrum") -> CheckResult:
     """Eigenvalues of the squared two-form endomorphism against a reference.
@@ -174,7 +173,7 @@ def check_dxi_spectrum(lc: LeviCivita, fld: VectorField, points,
     is what the expected-fail variant of this check pins down.
     """
     ref = np.sort(np.asarray(reference, dtype=float))
-    vals = lc.dxi_square_eigenvalues(fld, _stack(name, points), method=method)
+    vals = lc.dxi_square_eigenvalues(fld, _stack(name, points))
     if vals.shape[-1:] != ref.shape:
         raise ValueError(f"reference spectrum has {ref.shape[0]} entries; "
                          f"the tangent space gives {vals.shape[-1]}")
@@ -182,7 +181,8 @@ def check_dxi_spectrum(lc: LeviCivita, fld: VectorField, points,
 
 
 def covariant_canary(lc: LeviCivita, fld: VectorField, x: np.ndarray) -> float:
-    """One guarded finite-difference covariant derivative.
+    """One guarded finite-difference covariant derivative, of a general copy
+    of the field so that it takes finite differences on every metric.
 
     Raises metrics.NumericalQualityError when the configured step cannot
     produce trustworthy derivatives; batteries run this before committing to
@@ -190,7 +190,7 @@ def covariant_canary(lc: LeviCivita, fld: VectorField, x: np.ndarray) -> float:
     failure instead of silent garbage.
     """
     F = g_orthonormal_frame(lc.metric.matrix_at(x), x)
-    out = lc.nabla(fld, x, F[:, 0], method="fd", guard=True)
+    out = lc.nabla(replace(fld, kind="general"), x, F[:, 0], guard=True)
     return float(np.linalg.norm(out))
 
 
@@ -245,13 +245,13 @@ def check_triple_brackets(fields: Sequence[VectorField], tol: float,
                        detail=f"uniform bracket sign eps={eps:+d}")
 
 
-def _triple_psi(lc: LeviCivita, fields, x: np.ndarray, method: str):
+def _triple_psi(lc: LeviCivita, fields, x: np.ndarray):
     """Metric M, g-orthonormal frame F, the fields xi_a and psi_a = -phi_a of
     the three fields at a point (d,) or a stack (N, d), stacked alike;
     ``eta(a, b)`` is eta_b (x) xi_a.  Only these are kept of each structure."""
     xis, psis = [], []
     for f in fields:
-        st = lc.structure_at(f, x, method=method)
+        st = lc.structure_at(f, x)
         xis.append(st.xi)
         psis.append(-st.phi_ambient)
     M, F = st.metric_matrix, st.frame
@@ -262,9 +262,8 @@ def _triple_psi(lc: LeviCivita, fields, x: np.ndarray, method: str):
 
 
 def check_triple_products(lc: LeviCivita, fields: Sequence[VectorField], points,
-                          tol: float, variant: str = "aligned", method: str = "auto",
-                          expected: str = "pass", fail_floor: float | None = None,
-                          name: str | None = None) -> CheckResult:
+                          tol: float, variant: str = "aligned", expected: str = "pass",
+                          fail_floor: float | None = None, name: str | None = None) -> CheckResult:
     """Cyclic products of the triple's structure endomorphisms psi_a = -phi_a.
 
     With eps the measured bracket sign ([xi_a, xi_b] = 2 eps xi_c):
@@ -280,7 +279,7 @@ def check_triple_products(lc: LeviCivita, fields: Sequence[VectorField], points,
         raise ValueError(f"unknown variant {variant!r}")
     eps = measured_cyclic_sign(fields)
     name = name or "triple_products_" + variant
-    _, F, _, psis, eta = _triple_psi(lc, fields, _stack(name, points), method)
+    _, F, _, psis, eta = _triple_psi(lc, fields, _stack(name, points))
     res = 0.0
     for a, b, c in CYCLIC:
         if variant == "aligned":
@@ -293,13 +292,12 @@ def check_triple_products(lc: LeviCivita, fields: Sequence[VectorField], points,
 
 
 def check_anticommutators(lc: LeviCivita, fields: Sequence[VectorField], points,
-                          tol: float, method: str = "auto",
-                          name: str = "triple_anticommutators") -> CheckResult:
+                          tol: float, name: str = "triple_anticommutators") -> CheckResult:
     """psi_a psi_b + psi_b psi_a = eta_a (x) xi_b + eta_b (x) xi_a for a != b.
 
     Sign-convention-free companion of the cyclic product identities.
     """
-    _, F, _, psis, eta = _triple_psi(lc, fields, _stack(name, points), method)
+    _, F, _, psis, eta = _triple_psi(lc, fields, _stack(name, points))
     res = 0.0
     for a, b in ((0, 1), (0, 2), (1, 2)):
         R = psis[a] @ psis[b] + psis[b] @ psis[a] - eta(b, a) - eta(a, b)
@@ -308,11 +306,10 @@ def check_anticommutators(lc: LeviCivita, fields: Sequence[VectorField], points,
 
 
 def check_squares(lc: LeviCivita, fields: Sequence[VectorField], points,
-                  tol: float, method: str = "auto",
-                  name: str = "structure_squares") -> CheckResult:
+                  tol: float, name: str = "structure_squares") -> CheckResult:
     """psi_a^2 = -Id + eta_a (x) xi_a on tangent vectors, for each a."""
     X = _stack(name, points)
-    _, F, _, psis, eta = _triple_psi(lc, fields, X, method)
+    _, F, _, psis, eta = _triple_psi(lc, fields, X)
     res = 0.0
     for a in range(3):
         R = psis[a] @ psis[a] + np.eye(X.shape[-1]) - eta(a, a)
@@ -321,8 +318,7 @@ def check_squares(lc: LeviCivita, fields: Sequence[VectorField], points,
 
 
 def check_pair_completion(lc: LeviCivita, f1: VectorField, f2: VectorField, points,
-                          tol: float, method: str = "auto",
-                          name: str = "pair_completion") -> CheckResult:
+                          tol: float, name: str = "pair_completion") -> CheckResult:
     """Half the bracket of two triple generators completes the triple.
 
     xi_3 := [xi_1, xi_2] / 2 must be another unit Killing generator making
@@ -338,10 +334,10 @@ def check_pair_completion(lc: LeviCivita, f1: VectorField, f2: VectorField, poin
     f3 = linear_field(A3, name="completed")
     X = _stack(name, points)
     unit = check_unit_length(lc, f3, X, tol=max(tol, UNIT_TOL))
-    triple = check_triple_products(lc, [f1, f2, f3], X, tol=tol, method=method)
+    triple = check_triple_products(lc, [f1, f2, f3], X, tol=tol)
     # pointwise reconstruction: the covariant derivative of the second field
     # along the first reproduces the completed field up to a global sign
-    d = matvec(lc.nabla_endo(f2, X, method=method, guard=True), f1.value(X))
+    d = matvec(lc.nabla_endo(f2, X, guard=True), f1.value(X))
     t3 = f3.value(X)
     rec_plus = float(np.abs(d - t3).max())
     rec_minus = float(np.abs(d + t3).max())
@@ -429,8 +425,8 @@ class SplittingResult:
                     and np.all(self.commutation_residual < 1e-8))
 
 
-def horizontal_split(lc: LeviCivita, fields: Sequence[VectorField], x: np.ndarray,
-                     method: str = "auto") -> SplittingResult:
+def horizontal_split(lc: LeviCivita, fields: Sequence[VectorField],
+                     x: np.ndarray) -> SplittingResult:
     """Diagonalize psi_1 psi_2 psi_3 on the common horizontal space at a
     point (d,) or at each point of a stack (N, d).
 
@@ -440,7 +436,7 @@ def horizontal_split(lc: LeviCivita, fields: Sequence[VectorField], x: np.ndarra
     the splitting invariants (the round quaternionic frame gives (0, 4n)).
     On a dim-3 total space the horizontal space is empty and so is the split.
     """
-    M, _, xis, psis, _ = _triple_psi(lc, fields, x, method)
+    M, _, xis, psis, _ = _triple_psi(lc, fields, x)
     FD = g_orthonormal_frame(M, x, exclude=xis)
     FDt_M = np.swapaxes(FD, -1, -2) @ M
     P_amb = psis[0] @ psis[1] @ psis[2]
@@ -541,7 +537,7 @@ def check_flip_quaternionic(J: Sequence[np.ndarray], M: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def nijenhuis_residual(lc: LeviCivita, fld: VectorField, x: np.ndarray,
-                       step: float | None = None, method: str = "auto"):
+                       step: float | None = None):
     """Max torsion of phi on the horizontal distribution at a point (d,) (a
     float) or at each point of a stack (N, d) (an (N,) array).
 
@@ -566,18 +562,18 @@ def nijenhuis_residual(lc: LeviCivita, fld: VectorField, x: np.ndarray,
         step = lc.fd_step / 10 if lc.metric.exact_round else 15 * lc.fd_step
     x = np.asarray(x, dtype=float)
     X0 = x.reshape(-1, x.shape[-1])
-    st0 = lc.structure_at(fld, X0, method=method)
+    st0 = lc.structure_at(fld, X0)
     seeds = np.swapaxes(g_orthonormal_frame(st0.metric_matrix, X0, exclude=[st0.xi]), -1, -2)
     res = np.empty(len(X0))
     for chart, rows in chart_groups(X0, lc.atlas, chunked=True):
         res[rows] = _chart_torsion(lc, fld, chart, X0[rows], seeds[rows], st0.metric_matrix[rows],
-                                   st0.xi[rows], st0.phi_ambient[rows], step, method)
+                                   st0.xi[rows], st0.phi_ambient[rows], step)
     return float(res[0]) if x.ndim == 1 else res
 
 
 def _chart_torsion(lc: LeviCivita, fld: VectorField, chart, x0: np.ndarray,
                    seeds: np.ndarray, M0: np.ndarray, xi0: np.ndarray, phi0: np.ndarray,
-                   step: float, method: str) -> np.ndarray:
+                   step: float) -> np.ndarray:
     """``nijenhuis_residual`` at centers x0 (n, d) of one chart, with their
     horizontal seeds (n, k, d), metrics, fields and phi."""
     u0 = chart.coords(x0)
@@ -590,7 +586,7 @@ def _chart_torsion(lc: LeviCivita, fld: VectorField, chart, x0: np.ndarray,
         Jt = np.swapaxes(J, -1, -2)
         M = lc.metric.matrix_at(x)
         xi = fld.value(x)
-        N = lc.nabla_endo(fld, x, method=method)
+        N = lc.nabla_endo(fld, x)
         D = np.swapaxes(N, -1, -2) @ M - M @ N
         S = J @ np.linalg.solve(Jt @ M @ J, Jt)
         phi = 0.5 * S @ np.swapaxes(D, -1, -2) @ S @ M
@@ -631,11 +627,10 @@ def _chart_torsion(lc: LeviCivita, fld: VectorField, chart, x0: np.ndarray,
 
 
 def check_nijenhuis(lc: LeviCivita, fld: VectorField, points, tol: float = NIJENHUIS_TOL,
-                    step: float | None = None, method: str = "auto",
-                    expected: str = "pass", fail_floor: float | None = None,
-                    name: str = "cr_torsion") -> CheckResult:
+                    step: float | None = None, expected: str = "pass",
+                    fail_floor: float | None = None, name: str = "cr_torsion") -> CheckResult:
     """Horizontal Nijenhuis-type torsion over a sample of points."""
-    res = nijenhuis_residual(lc, fld, _stack(name, points), step=step, method=method)
+    res = nijenhuis_residual(lc, fld, _stack(name, points), step=step)
     return _check(name, res, tol, expected, fail_floor)
 
 

@@ -143,7 +143,7 @@ def eigenfield_residuals_per_generator(lc, xi_field, mats, points, rate):
             "eigenvalue_identity": eig}
 
 
-def nijenhuis_residual_per_point(lc, fld, point, step=None, method="auto"):
+def nijenhuis_residual_per_point(lc, fld, point, step=None):
     """Reference for the batched Nijenhuis stencil: the full structure bundle
     (g-orthonormal frame included) at every stencil point, one point and one
     frame pair at a time, with the horizontal seeds from the Gram-Schmidt
@@ -154,7 +154,7 @@ def nijenhuis_residual_per_point(lc, fld, point, step=None, method="auto"):
     if step is None:
         step = lc.fd_step / 10 if lc.metric.exact_round else 15 * lc.fd_step
     x0 = point.coords
-    st0 = lc.structure_at(fld, point, method=method)
+    st0 = lc.structure_at(fld, point)
     M0 = st0.metric_matrix
     seeds = g_orthonormal_frame_exclude_mgs(M0, x0, [st0.xi])
     k = seeds.shape[1]
@@ -164,7 +164,7 @@ def nijenhuis_residual_per_point(lc, fld, point, step=None, method="auto"):
 
     def horizontal_fields(u):
         x = chart.point_coords(u)
-        st = lc.structure_at(fld, SpherePoint(x), method=method)
+        st = lc.structure_at(fld, SpherePoint(x))
         M = st.metric_matrix
         xi = st.xi
         g_xx = float(xi @ M @ xi)

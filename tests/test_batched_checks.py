@@ -4,6 +4,8 @@ one-point references in tests/oracles.py."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -88,12 +90,12 @@ def test_batched_fd_second_nabla_matches_reference(label):
     lc = LeviCivita(metric)
     X = _mixed_sample(n, 6, seed=29)
     F = g_orthonormal_frame(metric.matrix_at(X), X)
-    T = lc.second_nabla_frame(fields[0], X, F, method="fd")
+    general = replace(fields[0], kind="general")  # finite differences on the round metric too
+    T = lc.second_nabla_frame(general, X, F)
     for i, x in enumerate(X):
         ref = second_nabla_fd_per_point(lc, fields[0], x, F[i])
         assert _rel(T[i], ref) <= 1e-12
-        assert _rel(lc.second_nabla_frame(fields[0], SpherePoint(x), F[i], method="fd"),
-                    ref) <= 1e-12
+        assert _rel(lc.second_nabla_frame(general, SpherePoint(x), F[i]), ref) <= 1e-12
 
 
 @pytest.mark.parametrize("label", LABELS)
@@ -142,7 +144,7 @@ def test_results_do_not_depend_on_the_chunk_size(label, monkeypatch):
     for chunk in (1, 7, len(X)):
         monkeypatch.setattr(metrics, "STENCIL_CHUNK", chunk)
         runs.append((nijenhuis_residual(lc, fields[0], X),
-                     lc.second_nabla_frame(fields[0], X, F, method="fd")))
+                     lc.second_nabla_frame(fields[0], X, F)))
     for nij, T in runs[1:]:
         assert _rel(nij, runs[0][0]) <= 1e-14
         assert _rel(T, runs[0][1]) <= 1e-14

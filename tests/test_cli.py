@@ -149,6 +149,19 @@ def test_config_file_unknown_key(tmp_path):
     assert "unknown config keys" in err
 
 
+@pytest.mark.parametrize("command, line", [
+    ("verify", "example = nope"),
+    ("decompose", "example = quaternionic"),  # a verify example, not a decompose one
+    ("verify", "format = yaml"),
+])
+def test_config_file_value_outside_the_flag_choices(tmp_path, capsys, command, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    assert main([command, "--config", str(cfg), "--samples", "15"]) == 2
+    key = line.split(" =")[0]
+    assert f"usage error: config key '{key}'" in capsys.readouterr().err
+
+
 def test_decompose_round():
     code, out, err = run_cli("decompose", "--example", "round", "--n", "2",
                              "--format", "json", *FAST)

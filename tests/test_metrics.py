@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from killinglab.metrics import (
     g_orthonormal_frame,
     general_field,
 )
-from killinglab.sphere import default_atlas, sphere_point
+from killinglab.sphere import default_atlas, rowdot, sphere_point
 
 from oracles import metric_pullback_drift, stereographic_metric_closed_form
 
@@ -50,9 +52,44 @@ def test_nabla_exact_vs_fd(round2, lc_round2, pts2):
     for p in pts2[:6]:
         v = np.random.default_rng(3).standard_normal(6)
         v = v - (v @ p.coords) * p.coords
-        a = lc_round2.nabla(round2.field, p, v, method="exact")
-        b = lc_round2.nabla(round2.field, p, v, method="fd")
+        a = lc_round2.nabla(round2.field, p, v)
+        b = lc_round2.nabla(replace(round2.field, kind="general"), p, v)
         assert np.abs(a - b).max() < 1e-9
+
+
+class _FiniteDifferences(Exception):
+    pass
+
+
+def test_dispatch_follows_the_metric_and_the_field(monkeypatch, round2, irregular):
+    """Closed forms for the round metric with a linear field; finite
+    differences for a general copy of that field, and for a linear field on
+    another metric."""
+    def no_fd(*args):
+        raise _FiniteDifferences
+
+    monkeypatch.setattr(LeviCivita, "_chart_nabla_endo", no_fd)
+    X = sample_sphere(2, 5, seed=3).coords
+    lc = LeviCivita(round2.metric)
+    F = g_orthonormal_frame(lc.metric.matrix_at(X), X)
+    lc.nabla_endo(round2.field, X)
+    lc.second_nabla_frame(round2.field, X, F)
+    lc.structure_at(round2.field, X)
+    for lc, fld in ((lc, replace(round2.field, kind="general")),
+                    (LeviCivita(irregular.metric), irregular.field)):
+        F = g_orthonormal_frame(lc.metric.matrix_at(X), X)
+        for call in (lambda: lc.nabla_endo(fld, X), lambda: lc.second_nabla_frame(fld, X, F),
+                     lambda: lc.structure_at(fld, X)):
+            with pytest.raises(_FiniteDifferences):
+                call()
+
+
+def test_general_field_is_called_once_on_a_stack():
+    shapes = []
+    fld = general_field(lambda x: shapes.append(x.shape) or np.zeros_like(x))
+    X = sample_sphere(2, 7, seed=1).coords
+    assert fld.value(X).shape == X.shape
+    assert shapes == [X.shape]
 
 
 def test_nabla_is_tangent(round2, lc_round2, pts2):
@@ -67,8 +104,8 @@ def test_second_nabla_exact_vs_fd(round1, lc_round1, pts1):
     from killinglab.sphere import orthonormal_tangent_frame
     p = pts1[0]
     F = orthonormal_tangent_frame(p.coords)
-    a = lc_round1.second_nabla_frame(round1.field, p, F, method="exact")
-    b = lc_round1.second_nabla_frame(round1.field, p, F, method="fd")
+    a = lc_round1.second_nabla_frame(round1.field, p, F)
+    b = lc_round1.second_nabla_frame(replace(round1.field, kind="general"), p, F)
     assert np.abs(a - b).max() < 1e-5
 
 
@@ -83,7 +120,7 @@ def test_lie_metric_frame_zero_for_killing(round2, lc_round2, pts2):
 def test_lie_metric_frame_nonzero_for_non_killing(lc_round2, pts2):
     E = np.zeros((6, 6))
     E[0, 1] = 1.0  # not skew: shear, not an isometry generator
-    fld = general_field(lambda x: E @ x - (x @ (E @ x)) * x, name="shear")
+    fld = general_field(lambda x: x @ E.T - rowdot(x, x @ E.T)[..., None] * x, name="shear")
     worst = max(np.abs(lc_round2.lie_metric_frame(fld, p)).max() for p in pts2[:10])
     assert worst > 0.1
     assert metric_pullback_drift(E, pts2[:10]) > 0.1
@@ -111,7 +148,7 @@ def test_richardson_guard_rejects_tiny_step(round1, pts1):
         v = np.random.default_rng(0).standard_normal(4)
         v = v - (v @ p.coords) * p.coords
         try:
-            lc.nabla(round1.field, p, v, method="fd", guard=True)
+            lc.nabla(replace(round1.field, kind="general"), p, v, guard=True)
         except NumericalQualityError as e:
             assert "step halving" in str(e)
             hit = True
