@@ -7,8 +7,10 @@ bracket.  The field bracket of x -> A x and x -> B x is x -> (BA - AB) x
 conformance test).
 
 An algebra factors its basis once, by one QR of the trace-form coordinates
-(sqrt 2 times the strict upper triangle); coordinates, membership, the
-adjoint, the Killing gram R^T R and the decomposition all reuse Q and R.
+(sqrt 2 times the strict upper triangle).  Membership, closure and the
+decomposition project onto the trace-orthonormal basis Q; R serves only
+coordinates in the given basis (``coords``, ``ad_matrix``) and the Killing
+gram R^T R.
 
 The main operation is ``standard_decomposition``: split an algebra into the
 kernel and the rotation-rate eigenblocks of the adjoint action of a chosen
@@ -21,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 CLUSTER_TOL = 1e-8   # eigenvalues closer than this fall into one cluster
 GAP_TOL = 1e-6       # distinct clusters must be separated by more than this
@@ -59,7 +60,8 @@ class IsometryAlgebra:
     """Lie algebra of linear Killing generators, closed under the field bracket.
 
     The basis is one read-only (n, d, d) stack with the one factorisation
-    S = Q R (diag R > 0) of its trace-form coordinates; ``_solve`` reuses it."""
+    S = Q R (diag R > 0) of its trace-form coordinates; ``_project`` works
+    in Q, and only basis coordinates need R."""
 
     def __init__(self, basis, name: str = "", validate: bool = True,
                  closure_tol: float = CLOSURE_TOL):
@@ -98,52 +100,57 @@ class IsometryAlgebra:
         skew matrices their Euclidean product is ``killing_inner``."""
         return np.sqrt(2.0) * mats[..., self._upper[0], self._upper[1]]
 
-    def _solve(self, targets, tol: float, refusal: str) -> np.ndarray:
-        """Basis coordinates R^-1 Q^T s(A) (n, k) of a stack (k, d, d) of
-        matrices A, one column each; raises ``refusal`` unless every full
-        matrix, not only its upper triangle, is rebuilt to
-        ``tol * max(1, |A|max)``."""
+    def _unskew(self, coords: np.ndarray) -> np.ndarray:
+        """Skew matrices (..., d, d) with the given ``_skew_coords`` (..., m)."""
+        half = coords / np.sqrt(2.0)
+        out = np.zeros(coords.shape[:-1] + self._stack.shape[1:])
+        out[..., self._upper[0], self._upper[1]] = half
+        out[..., self._upper[1], self._upper[0]] = -half
+        return out
+
+    def _project(self, targets, tol: float, refusal: str) -> np.ndarray:
+        """Coordinates y = Q^T s(A) (n, k) of a stack (k, d, d) of matrices A
+        in the trace-orthonormal basis, one column each; raises ``refusal``
+        unless every full matrix, not only its upper triangle, is rebuilt as
+        the skew matrix with coordinates Q y to ``tol * max(1, |A|max)``."""
         targets = np.asarray(targets, dtype=float)
         if targets.shape[1:] != self._stack.shape[1:]:
             raise ValueError(f"{refusal} (shape {targets.shape[1:]})")
-        c = solve_triangular(self._r, self._q.T @ self._skew_coords(targets).T)
-        resid = np.abs(self.element(c.T) - targets).max(axis=(1, 2))
+        y = self._q.T @ self._skew_coords(targets).T
+        resid = self._unskew((self._q @ y).T)
+        resid -= targets
+        resid = np.abs(resid, out=resid).max(axis=(1, 2))
         if np.any(resid > tol * np.maximum(1.0, np.abs(targets).max(axis=(1, 2)))):
             raise ValueError(f"{refusal} (residual {float(resid.max()):.3e})")
-        return c
+        return y
 
     def coords(self, A: np.ndarray, tol: float = 1e-8) -> np.ndarray:
         """Coefficients of A in the basis; raises if A is not in the span."""
-        return self._solve([A], tol, "matrix lies outside the algebra")[:, 0]
+        y = self._project([A], tol, "matrix lies outside the algebra")
+        return np.linalg.solve(self._r, y[:, 0])
 
     def contains(self, A: np.ndarray, tol: float = 1e-8) -> bool:
         try:
-            self.coords(A, tol=tol)
+            self._project([A], tol, "matrix lies outside the algebra")
             return True
         except ValueError:
             return False
 
     def validate_closure(self, tol: float = CLOSURE_TOL) -> None:
-        """Brackets of each basis element with all later ones, solved at once."""
+        """Brackets of each basis element with all later ones, projected at once."""
         for i, Bi in enumerate(self.basis[:-1]):
-            self._solve(field_bracket(Bi, self._stack[i + 1:]), tol,
-                        "basis is not closed under the field bracket")
+            self._project(field_bracket(Bi, self._stack[i + 1:]), tol,
+                          "basis is not closed under the field bracket")
 
     def ad_matrix(self, X: np.ndarray) -> np.ndarray:
         """Matrix of Y -> [X, Y] (field bracket) in the algebra basis; raises
         if a bracket leaves the algebra."""
-        return self._solve(field_bracket(X, self._stack), 1e-8,
-                           "bracket lies outside the algebra")
+        return np.linalg.solve(self._r, self._project(field_bracket(X, self._stack), 1e-8,
+                                                      "bracket lies outside the algebra"))
 
     def killing_gram(self) -> np.ndarray:
         """Gram matrix of the trace pairing -tr(AB) on the basis: S^T S = R^T R."""
         return self._r.T @ self._r
-
-    def element(self, coeffs) -> np.ndarray:
-        """Matrix with the given basis coefficients; a stack (k, n) of
-        coefficient rows gives a stack (k, d, d) of matrices."""
-        c = np.asarray(coeffs, dtype=float)
-        return np.tensordot(c, self._stack, axes=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,15 +158,15 @@ class Decomposition:
     """Splitting of an algebra along the adjoint action of a generator.
 
     ``rates[k]`` is the rotation rate (>= 0, zero block first) and
-    ``blocks[k]`` the matching tuple of generators; ``coeffs[k]`` holds their
-    coordinates in the source algebra's basis, columns per generator.
-    ``s_eigenvalues`` are the raw eigenvalues of the squared adjoint.
+    ``blocks[k]`` the matching tuple of generators, eigenvectors of the
+    squared adjoint taken in the trace-orthonormal basis Q, so each block is
+    trace-orthonormal.  ``s_eigenvalues`` are the raw eigenvalues of the
+    squared adjoint.
     """
 
     xi: np.ndarray
     rates: tuple[float, ...]
     blocks: tuple[tuple[np.ndarray, ...], ...]
-    coeffs: tuple[np.ndarray, ...]
     s_eigenvalues: np.ndarray
 
     @property
@@ -189,10 +196,10 @@ def standard_decomposition(algebra: IsometryAlgebra, xi: np.ndarray,
     xi = np.asarray(xi, dtype=float)
     if not algebra.contains(xi):
         raise ValueError("xi must belong to the algebra")
-    # K_on = R K R^-1 is ad(xi) in the trace-orthonormal basis Q.
-    R = algebra._r
-    K = algebra.ad_matrix(xi)
-    K_on = solve_triangular(R, (R @ K).T, trans="T").T
+    # ad(xi) in the trace-orthonormal basis E_j = unskew(q_j): column j is
+    # Q^T s([xi, E_j]).  The E stack is freed before the projection.
+    K_on = algebra._project(field_bracket(xi, algebra._unskew(algebra._q.T)), 1e-8,
+                            "bracket lies outside the algebra")
     skew_resid = float(np.abs(K_on + K_on.T).max())
     if skew_resid > 1e-8 * max(1.0, float(np.abs(K_on).max())):
         raise ValueError(f"adjoint of xi is not skew in the trace pairing "
@@ -216,13 +223,12 @@ def standard_decomposition(algebra: IsometryAlgebra, xi: np.ndarray,
                 f"adjoint-square eigenvalue clusters at {m1:.6e} and {m2:.6e} are "
                 f"closer than the resolvable gap {gap_tol:.1e} * {scale:.3g}")
 
-    C = solve_triangular(R, vecs)  # basis coordinates, one column per eigenvector
-    gens = algebra.element(C.T)
+    gens = algebra._unskew((algebra._q @ vecs).T)
     rates = [0.0 if -m <= gap_tol * scale else float(np.sqrt(-m)) for m in means]
     blocks = sorted(zip(rates, clusters))
     return Decomposition(xi=xi, rates=tuple(rate for rate, _ in blocks),
                          blocks=tuple(tuple(gens[k] for k in idx) for _, idx in blocks),
-                         coeffs=tuple(C[:, idx] for _, idx in blocks), s_eigenvalues=vals)
+                         s_eigenvalues=vals)
 
 
 def eigenfield_residuals(lc, xi_field, mats, points,

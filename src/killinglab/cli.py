@@ -82,9 +82,22 @@ class RunConfig:
     no_timestamp: bool = False
 
 
-_INT_KEYS = {"n", "m", "seed", "samples"}
-_FLOAT_KEYS = {"c", "fd_step"}
-_BOOL_KEYS = {"no_timestamp"}
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+               "0": False, "false": False, "no": False, "off": False}
+
+
+def _parse_bool(val: str) -> bool:
+    if val.lower() not in _BOOL_WORDS:
+        raise ValueError(val)
+    return _BOOL_WORDS[val.lower()]
+
+
+# config keys that are not strings: parser and the kind named in a refusal
+_TYPED_KEYS = {
+    **dict.fromkeys(("n", "m", "seed", "samples"), (int, "an integer")),
+    **dict.fromkeys(("c", "fd_step"), (float, "a number")),
+    "no_timestamp": (_parse_bool, f"a boolean ({'/'.join(_BOOL_WORDS)})"),
+}
 
 
 def load_config_file(path: str) -> dict:
@@ -99,14 +112,14 @@ def load_config_file(path: str) -> dict:
                 raise ValueError(f"malformed config line: {raw.strip()!r}")
             key, val = (s.strip() for s in line.split("=", 1))
             key = key.replace("-", "_")
-            if key in _INT_KEYS:
-                out[key] = int(val)
-            elif key in _FLOAT_KEYS:
-                out[key] = float(val)
-            elif key in _BOOL_KEYS:
-                out[key] = val.lower() in ("1", "true", "yes", "on")
-            else:
+            if key not in _TYPED_KEYS:
                 out[key] = val
+                continue
+            parse, kind = _TYPED_KEYS[key]
+            try:
+                out[key] = parse(val)
+            except ValueError:
+                raise ValueError(f"config key '{key}' = {val!r} is not {kind}") from None
     return out
 
 
@@ -130,8 +143,6 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         val = getattr(args, key, None)
         if val is not None:
             overrides[key] = val
-    if getattr(args, "no_timestamp", False):
-        overrides["no_timestamp"] = True
     cfg = replace(cfg, **overrides)
     if cfg.n is None:
         cfg = replace(cfg, n=DEFAULT_N.get(cfg.example, 2))
@@ -559,7 +570,7 @@ def _add_common(parser: argparse.ArgumentParser, examples: tuple[str, ...] = ())
     parser.add_argument("--format", choices=FORMATS, default=None,
                         help="report format")
     parser.add_argument("--no-timestamp", dest="no_timestamp",
-                        action="store_true", default=False,
+                        action="store_true", default=None,  # None: unset, the file decides
                         help="suppress the timestamp field in JSON reports")
     parser.add_argument("--config", type=str, default=None,
                         help="flat key=value config file; flags override it")

@@ -6,8 +6,8 @@ is a question about Q-linear dependence of the rates, which floats cannot
 answer.  Rates are therefore carried exactly as p + q*sqrt(k) with rational
 p, q (``ExactScalar``); classification over Q is exact integer arithmetic.
 
-A numeric probe (matrix exponential along the flow, coarse grid plus
-bounded scalar refinement of near-returns) cross-checks the exact verdicts.
+A numeric probe (matrix exponential along the flow, coarse grid plus a
+bounded Brent refinement of near-returns) cross-checks the exact verdicts.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from itertools import combinations
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 TAG_VALUES = {
     "sqrt2": math.sqrt(2.0),
@@ -237,6 +236,80 @@ class OrbitProbe:
         return self.return_times[0] if self.return_times else None
 
 
+_GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))
+_SQRT_EPS = math.sqrt(2.2e-16)
+
+
+def _bounded_min(func, a: float, b: float, xatol: float) -> tuple[float, float]:
+    """Minimum (x, func(x)) of a scalar function on [a, b] by Brent's method.
+
+    Golden-section steps with parabolic interpolation (Brent, *Algorithms for
+    Minimization without Derivatives*, 1973, ch. 5), operation for operation
+    as scipy's ``minimize_scalar(method="bounded")``, so the result is the
+    same to the last bit.  Stops when x is known to ``xatol`` or after
+    500 evaluations.
+    """
+    fulc = a + _GOLDEN_MEAN * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabolic fit through the last three points
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm - xf >= 0.0 else -tol1
+            else:
+                golden = True
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = _GOLDEN_MEAN * e
+        x = xf + (1.0 if rat >= 0.0 else -1.0) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= 500:
+            break
+    return xf, fx
+
+
 def numeric_orbit_probe(xi: np.ndarray, x0: np.ndarray, t_max: float,
                         coarse_step: float = 2.0 * math.pi / 512.0,
                         candidate_threshold: float = 0.25,
@@ -245,11 +318,12 @@ def numeric_orbit_probe(xi: np.ndarray, x0: np.ndarray, t_max: float,
                         max_candidates: int = 4096) -> OrbitProbe:
     """Scan |exp(t xi) x0 - x0| on a coarse grid and refine its local minima.
 
-    Local minima below ``candidate_threshold`` are polished with bounded
-    scalar minimization; polished minima below ``return_tol`` count as
-    returns.  ``min_distance`` is the smallest distance seen anywhere past
-    the initial departure from x0, so an orbit that never returns reports a
-    large floor instead of a spurious period.
+    Local minima below ``candidate_threshold`` are polished by Brent's
+    bounded minimization (``_bounded_min``) over one coarse step on either
+    side; polished minima below ``return_tol`` count as returns.
+    ``min_distance`` is the smallest distance seen anywhere past the initial
+    departure from x0, so an orbit that never returns reports a large floor
+    instead of a spurious period.
     """
     xi = np.asarray(xi, dtype=float)
     x0 = np.asarray(x0, dtype=float)
@@ -297,10 +371,7 @@ def numeric_orbit_probe(xi: np.ndarray, x0: np.ndarray, t_max: float,
 
     returns: list[tuple[float, float]] = []
     for t in candidates:
-        res = minimize_scalar(dist_scalar, bounds=(t - coarse_step, t + coarse_step),
-                              method="bounded", options={"xatol": 1e-12})
-        d_ref = float(res.fun)
-        t_ref = float(res.x)
+        t_ref, d_ref = _bounded_min(dist_scalar, t - coarse_step, t + coarse_step, 1e-12)
         min_dist = min(min_dist, d_ref)
         if d_ref < return_tol and t_ref > coarse_step:
             if not returns or t_ref - returns[-1][0] > 10 * coarse_step:

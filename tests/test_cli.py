@@ -162,6 +162,44 @@ def test_config_file_value_outside_the_flag_choices(tmp_path, capsys, command, l
     assert f"usage error: config key '{key}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("word, stamped", [("YES", False), ("on", False), ("0", True),
+                                           ("Off", True)])
+def test_config_file_boolean_words(tmp_path, capsys, word, stamped):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"no_timestamp = {word}\n")
+    assert main(["verify", "--config", str(cfg), "--samples", "5", "--format", "json"]) == 0
+    assert ("generated_at" in json.loads(capsys.readouterr().out)) == stamped
+
+
+@pytest.mark.parametrize("line, message", [
+    ("no_timestamp = maybe", "config key 'no_timestamp' = 'maybe' is not a boolean"),
+    ("samples = abc", "config key 'samples' = 'abc' is not an integer"),
+    ("seed = 1.5", "config key 'seed' = '1.5' is not an integer"),
+    ("fd_step = x", "config key 'fd_step' = 'x' is not a number"),
+], ids=["bool", "int", "int-given-float", "float"])
+def test_config_file_value_of_the_wrong_type(tmp_path, capsys, line, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    assert main(["verify", "--config", str(cfg)]) == 2
+    assert f"usage error: {message}" in capsys.readouterr().err
+
+
+def test_cli_process_never_loads_scipy():
+    """numpy is the only runtime dependency: no command imports scipy."""
+    script = (
+        "import sys\n"
+        "from killinglab.cli import main\n"
+        "for argv in (['verify', '--example', 'round', '--samples', '5'],\n"
+        "             ['decompose', '--example', 'round', '--n', '2'],\n"
+        "             ['classify-flow', '1', '2', '--probe']):\n"
+        "    assert main(argv + ['--no-timestamp']) == 0, argv\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def test_decompose_round():
     code, out, err = run_cli("decompose", "--example", "round", "--n", "2",
                              "--format", "json", *FAST)

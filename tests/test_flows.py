@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from killinglab import ExactScalar, RotationProfile, classify, numeric_orbit_probe, parse_rate
+from killinglab import cli, flows
 from killinglab.flows import rational_subprofiles, rotation_profile
 
 from oracles import orbit_min_distance_grid
@@ -198,3 +199,40 @@ def test_probe_min_distance_matches_grid_oracle():
     oracle = orbit_min_distance_grid(gen, x0, 60.0)
     assert probe.min_distance <= oracle + 1e-9
     assert probe.min_distance > 0.5 * oracle
+
+
+# -- bounded Brent minimizer, against scipy's as the oracle --------------------
+
+def _scipy_bounded(func, a, b, xatol):
+    from scipy.optimize import minimize_scalar
+    res = minimize_scalar(func, bounds=(a, b), method="bounded", options={"xatol": xatol})
+    return res.x, res.fun
+
+
+@pytest.mark.parametrize("rates", [("1", "irr:golden"), ("1", "2")])
+def test_bounded_min_equals_scipy_on_the_probe_refinements(monkeypatch, rates):
+    """Every refinement `classify-flow --probe` makes, bit for bit."""
+    calls = []
+    real = flows._bounded_min
+
+    def record(func, a, b, xatol):
+        got = real(func, a, b, xatol)
+        calls.append((func, a, b, xatol, got))
+        return got
+
+    monkeypatch.setattr(flows, "_bounded_min", record)
+    assert cli.main(["classify-flow", *rates, "--probe", "--no-timestamp"]) == 0
+    assert calls
+    for func, a, b, xatol, got in calls:
+        assert xatol == 1e-12
+        assert got == _scipy_bounded(func, a, b, xatol)
+
+
+@pytest.mark.parametrize("func", [
+    lambda x: x,                                         # minimum on the lower bound
+    lambda x: 1.0,                                       # constant
+    lambda x: 0.3 - x if x < 0.3 else 1e3 * (x - 0.3),   # parabolic steps rejected
+], ids=["on-bound", "constant", "kinked"])
+def test_bounded_min_equals_scipy(func):
+    got = flows._bounded_min(func, -1.0, 2.0, 1e-12)
+    assert got == _scipy_bounded(func, -1.0, 2.0, 1e-12)
