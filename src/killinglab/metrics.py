@@ -6,6 +6,11 @@ The round metric is M = Id; deformed metrics supply their own M.
 
 Differentiation strategy, chosen from the metric and the field alone:
   * round metric + linear field  ->  closed forms, no stepping;
+  * the Lie derivative of g along a linear field x -> A x on any other
+    metric  ->  the field's exact flow e^(tA) (``skew_exp``): the symmetric
+    difference quotient of the pulled-back metric at flow time FLOW_TIME
+    (``flow_lie_frame``), exact for a Killing field and independent of the
+    finite-difference step;
   * anything else  ->  stereographic chart with closed-form Jacobian J.  At
     each point one chart endomorphism H = dX^T + Gamma X of the covariant
     derivative is built and pushed forward as N = J H J^T / lam^2.  The
@@ -55,6 +60,10 @@ FRAME_RANK_TOL = 1e-8
 # one there; an ``exclude=`` frame with a smaller pivot takes the loop.
 FRAME_FALLBACK_PIVOT = FRAME_RANK_TOL ** 0.5
 STENCIL_CHUNK = 16  # sample points per nested-stencil batch
+# Flow time t of ``flow_lie_frame``.  A Killing field reads rounding over t
+# (~4e-13 on gF and irregular), any other field L_xi g + O(t^2) (~1e-5
+# relative on gF); a smaller t raises the first, a larger one the second.
+FLOW_TIME = 1e-3
 
 
 class NumericalQualityError(RuntimeError):
@@ -85,6 +94,13 @@ def central_diff(f: Callable[[np.ndarray], np.ndarray], U: np.ndarray, h: float,
     vals = np.moveaxis(f(np.concatenate(stencil, axis=-2)), axis, 0)
     diff = np.moveaxis((vals[:m] - vals[m:2 * m]) / (2 * h), 0, axis)
     return (vals[2 * m], diff) if center else diff
+
+
+def skew_exp(A: np.ndarray) -> np.ndarray:
+    """e^A of a real skew-symmetric A (d, d): iA is Hermitian, iA = V W V^H
+    by ``eigh``, so e^A = V e^(-iW) V^H, real up to rounding."""
+    w, V = np.linalg.eigh(1j * np.asarray(A, dtype=float))
+    return ((V * np.exp(-1j * w)) @ V.conj().T).real
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +310,8 @@ class LeviCivita:
 
     def __init__(self, metric: MetricField, fd_step: float = DEFAULT_FD_STEP,
                  atlas: Sequence[Chart] | None = None):
-        if fd_step <= 0:
-            raise ValueError("fd_step must be positive")
+        if not fd_step > 0:  # also refuses NaN, for which every comparison is false
+            raise ValueError(f"fd_step must be a positive number, got {fd_step!r}")
         if fd_step > MAX_FD_STEP:
             # Stereographic charts of the unit sphere have O(1) coordinate
             # scale; a difference step beyond a few hundredths samples the
@@ -473,12 +489,39 @@ class LeviCivita:
 
     def lie_metric_frame(self, fld: VectorField, x: np.ndarray) -> np.ndarray:
         """Lie derivative of g along the field, as a matrix in a g-orthonormal
-        frame; identically zero iff the field is Killing at this point."""
+        frame; identically zero iff the field is Killing at this point.
+
+        A linear field on a metric other than the round one takes the
+        exact-flow quotient ``flow_lie_frame``; every other pair takes
+        N^T M + M N with N from ``nabla_endo``."""
         x = np.asarray(x, dtype=float)
+        if fld.kind == "linear" and not self.metric.exact_round:
+            return self.flow_lie_frame(fld.matrix, x)
         M = self.metric.matrix_at(x)
         F = g_orthonormal_frame(M, x)
         N = self.nabla_endo(fld, x)
         return np.swapaxes(F, -1, -2) @ (np.swapaxes(N, -1, -2) @ M + M @ N) @ F
+
+    def flow_lie_frame(self, A: np.ndarray, x: np.ndarray,
+                       t: float = FLOW_TIME) -> np.ndarray:
+        """Lie derivative of g along x -> A x from its exact flow E_s = e^(sA).
+
+        With F the g-orthonormal frame at x (d,), or at each row of (N, d),
+        and P(s) = F^T E_s^T M(E_s x) E_s F, returns (P(t) - P(-t)) / 2t.  E_s
+        is an isometry when the field is Killing, so P(s) = F^T M(x) F for
+        every s and the quotient vanishes up to rounding over t; for any other
+        field it is L_xi g + O(t^2).  No chart, Christoffel symbol or field
+        derivative enters.  E_-t = E_t^T since E_t is orthogonal, and one
+        metric call covers x, E_t x and E_-t x.
+        """
+        x = np.asarray(x, dtype=float)
+        E = skew_exp(t * A)
+        Es = np.stack([np.eye(len(E)), E, E.T]).reshape((3,) + (1,) * (x.ndim - 1) + E.shape)
+        M = self.metric.matrix_at((Es @ x[..., None])[..., 0])
+        F = g_orthonormal_frame(M[0], x)
+        EF = Es[1:] @ F
+        P = np.swapaxes(EF, -1, -2) @ M[1:] @ EF
+        return (P[0] - P[1]) / (2.0 * t)
 
     def structure_at(self, fld: VectorField, x: np.ndarray) -> StructureTensors:
         """Bundle: field value, metric, frame, first covariant derivative,

@@ -184,6 +184,21 @@ def test_config_file_value_of_the_wrong_type(tmp_path, capsys, line, message):
     assert f"usage error: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("example", ["round", "gF", "irregular"])
+def test_fd_step_nan_flag_is_refused_by_name(capsys, example):
+    assert main(["verify", "--example", example, "--fd-step", "nan", "--samples", "5"]) == 2
+    err = capsys.readouterr().err
+    assert "usage error: fd_step must be a positive number, got nan" in err
+    assert "infs or NaNs" not in err
+
+
+def test_fd_step_nan_config_value_is_refused_by_name(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("example = gF\nfd_step = nan\n")
+    assert main(["verify", "--config", str(cfg), "--samples", "5"]) == 2
+    assert "usage error: fd_step must be a positive number, got nan" in capsys.readouterr().err
+
+
 def test_cli_process_never_loads_scipy():
     """numpy is the only runtime dependency: no command imports scipy."""
     script = (
