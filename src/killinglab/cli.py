@@ -46,6 +46,7 @@ from .metrics import (
     LeviCivita,
     MetricDegeneracyError,
     NumericalQualityError,
+    StructureTensors,
     linear_field,
 )
 from .report import CheckResult, VerificationReport
@@ -173,20 +174,22 @@ def _battery_round(cfg: RunConfig) -> VerificationReport:
 
     rep = VerificationReport(title=f"round unit Killing structure on S^{2 * cfg.n + 1}",
                              config=asdict(cfg))
+    st = lc.structure_at(rs.field, X)
+    T = lc.second_nabla_frame(rs.field, X, st.frame)
     rep.add(verify.check_tangency(rs.field, X))
     rep.add(verify.check_unit_length(lc, rs.field, X))
-    rep.add(verify.check_killing(lc, rs.field, X, tol=verify.EXACT_TOL))
-    rep.add(verify.check_sasakian(lc, rs.field, X, tol=verify.EXACT_TOL))
-    rep.add(verify.check_kcontact(lc, rs.field, X))
+    rep.add(verify.check_killing(lc, rs.field, X, tol=verify.EXACT_TOL, frame=st.frame))
+    rep.add(verify.check_sasakian(lc, rs.field, X, tol=verify.EXACT_TOL, frame=st.frame, T=T))
+    rep.add(verify.check_kcontact(lc, rs.field, X, st=st))
     reference = [-4.0] * (2 * cfg.n) + [0.0]
     rep.add(verify.check_dxi_spectrum(lc, rs.field, X, reference=reference,
-                                      tol=1e-8))
-    rep.add(verify.check_nijenhuis(lc, rs.field, X))
+                                      tol=1e-8, st=st))
+    rep.add(verify.check_nijenhuis(lc, rs.field, X, st=st, T=T))
 
     alg = rs.isometry_algebra()
     dec = standard_decomposition(alg, rs.j0)
     nz = [k for k, lam in enumerate(dec.rates) if lam > 0.5][0]
-    res = eigenfield_residuals(lc, rs.field, dec.blocks[nz], X, rate=dec.rates[nz])
+    res = eigenfield_residuals(lc, rs.field, dec.blocks[nz], X, rate=dec.rates[nz], st=st)
     rep.add(CheckResult(name="eigenfield_identities",
                         max_residual=max(res.values()),
                         mean_residual=float(np.mean(list(res.values()))),
@@ -214,14 +217,16 @@ def _battery_quaternionic(cfg: RunConfig) -> VerificationReport:
     rep.add(_merge("triple_wedge_second_derivative",
                    [verify.check_sasakian(lc, f, X, tol=verify.EXACT_TOL)
                     for f in qs.fields], tol=verify.EXACT_TOL))
+    triple = verify.triple_psi(lc, qs.fields, X)
     rep.add(verify.check_triple_products(lc, qs.fields, X, tol=1e-10,
-                                         variant="aligned"))
+                                         variant="aligned", triple=triple))
     rep.add(verify.check_triple_products(lc, qs.fields, X, tol=1e-10,
                                          variant="transposed", expected="fail",
                                          fail_floor=1e-2,
-                                         name="triple_products_transposed"))
-    rep.add(verify.check_anticommutators(lc, qs.fields, X, tol=1e-10))
-    rep.add(verify.check_squares(lc, qs.fields, X, tol=1e-10))
+                                         name="triple_products_transposed",
+                                         triple=triple))
+    rep.add(verify.check_anticommutators(lc, qs.fields, X, tol=1e-10, triple=triple))
+    rep.add(verify.check_squares(lc, qs.fields, X, tol=1e-10, triple=triple))
     rep.add(verify.check_pair_completion(lc, qs.fields[0], qs.fields[1], X,
                                          tol=1e-6))
 
@@ -337,16 +342,17 @@ def _battery_hopf(cfg: RunConfig) -> VerificationReport:
     return rep
 
 
-def _deformed_scaling_check(lc: LeviCivita, ds, xs: np.ndarray, tol: float) -> CheckResult:
+def _deformed_scaling_check(lc: LeviCivita, ds, xs: np.ndarray, tol: float,
+                            st: StructureTensors | None = None) -> CheckResult:
     """Pinned transverse scaling: phi X = e^{-2F} J0 X and phi J0 X = -e^{2F} X."""
     xs = np.asarray(xs, dtype=float)
     X = ds.x_field.value(xs)
     keep = rowdot(X, X) >= 1e-12
     arr = np.array([np.inf])
     if keep.any():
+        phi = (lc.structure_at(ds.field, xs) if st is None else st).phi_ambient[keep]
         xs, X = xs[keep], X[keep]
         F = ds.f_of(xs)[:, None]
-        phi = lc.structure_at(ds.field, xs).phi_ambient
         J0X = matvec(ds.j0, X)
         r1 = np.abs(matvec(phi, X) - np.exp(-2 * F) * J0X).max(axis=1)
         r2 = np.abs(matvec(phi, J0X) + np.exp(2 * F) * X).max(axis=1)
@@ -355,6 +361,14 @@ def _deformed_scaling_check(lc: LeviCivita, ds, xs: np.ndarray, tol: float) -> C
                        max_residual=float(arr.max()),
                        mean_residual=float(arr.mean()), tolerance=tol,
                        detail=f"{int(keep.sum())} samples carry the transverse plane")
+
+
+def _invariance_killing(lc: LeviCivita, alg, X: np.ndarray, frame: np.ndarray) -> CheckResult:
+    """Killing checks of an algebra's basis on X, all on one g-orthonormal frame."""
+    return _merge("invariance_algebra_killing",
+                  [verify.check_killing(lc, linear_field(B, name=f"inv{i}"), X, tol=1e-5,
+                                        frame=frame)
+                   for i, B in enumerate(alg.basis)], tol=1e-5)
 
 
 def _battery_deformed(cfg: RunConfig) -> VerificationReport:
@@ -367,26 +381,25 @@ def _battery_deformed(cfg: RunConfig) -> VerificationReport:
     rep = VerificationReport(
         title=f"boundary-localized deformation on S^{2 * cfg.n + 1} (c={cfg.c})",
         config=asdict(cfg))
+    st = lc.structure_at(ds.field, X)
+    T = lc.second_nabla_frame(ds.field, X, st.frame)
     rep.add(verify.check_tangency(ds.field, X))
     rep.add(verify.check_unit_length(lc, ds.field, X))
-    rep.add(verify.check_killing(lc, ds.field, X, tol=1e-6))
-    rep.add(verify.check_kcontact(lc, ds.field, X))
+    rep.add(verify.check_killing(lc, ds.field, X, tol=1e-6, frame=st.frame))
+    rep.add(verify.check_kcontact(lc, ds.field, X, st=st))
     rep.add(verify.check_contact_form_preserved(lc, lc_round, ds.field, X,
                                                 tol=1e-8))
     reference = [-4.0] * (2 * cfg.n) + [0.0]
     rep.add(verify.check_dxi_spectrum(lc, ds.field, X, reference=reference,
-                                      tol=1e-5))
-    rep.add(_deformed_scaling_check(lc, ds, X, tol=1e-6))
+                                      tol=1e-5, st=st))
+    rep.add(_deformed_scaling_check(lc, ds, X, tol=1e-6, st=st))
     rep.add(verify.check_sasakian(lc, ds.field, X, tol=verify.FD_TOL,
-                                  expected="fail", fail_floor=1e-2))
+                                  expected="fail", fail_floor=1e-2, frame=st.frame, T=T))
     rep.add(verify.check_nijenhuis(lc, ds.field, X, expected="fail",
-                                   fail_floor=1e-3))
+                                   fail_floor=1e-3, st=st, T=T))
 
     alg = ds.isometry_algebra()
-    rep.add(_merge("invariance_algebra_killing",
-                   [verify.check_killing(lc, linear_field(B, name=f"inv{i}"),
-                                         X[:40], tol=1e-5)
-                    for i, B in enumerate(alg.basis)], tol=1e-5))
+    rep.add(_invariance_killing(lc, alg, X[:40], st.frame[:40]))
     dec = standard_decomposition(alg, ds.j0)
     rep.extras["decomposition"] = dec.summary()
     rep.extras["support_fraction"] = np.count_nonzero(ds.f_of(X)) / len(X)
@@ -402,15 +415,17 @@ def _battery_irregular(cfg: RunConfig) -> VerificationReport:
     rep = VerificationReport(
         title=f"irregular unit Killing structure on S^{2 * cfg.n + 1} (a={cfg.a})",
         config=asdict(cfg))
+    st = lc.structure_at(ir.field, X)
+    T = lc.second_nabla_frame(ir.field, X, st.frame)
     rep.add(verify.check_tangency(ir.field, X))
     rep.add(verify.check_unit_length(lc, ir.field, X))
-    rep.add(verify.check_killing(lc, ir.field, X, tol=1e-6))
-    rep.add(verify.check_kcontact(lc, ir.field, X))
-    rep.add(verify.check_sasakian(lc, ir.field, X, tol=verify.FD_TOL))
-    rep.add(verify.check_nijenhuis(lc, ir.field, X))
+    rep.add(verify.check_killing(lc, ir.field, X, tol=1e-6, frame=st.frame))
+    rep.add(verify.check_kcontact(lc, ir.field, X, st=st))
+    rep.add(verify.check_sasakian(lc, ir.field, X, tol=verify.FD_TOL, frame=st.frame, T=T))
+    rep.add(verify.check_nijenhuis(lc, ir.field, X, st=st, T=T))
     reference = [-4.0] * (2 * cfg.n) + [0.0]
     rep.add(verify.check_dxi_spectrum(lc, ir.field, X, reference=reference,
-                                      tol=1e-5))
+                                      tol=1e-5, st=st))
     rep.add(verify.check_transverse_derivative(lc, ir.field, ir.j0, X,
                                                tol=verify.FD_TOL))
 
@@ -420,10 +435,7 @@ def _battery_irregular(cfg: RunConfig) -> VerificationReport:
     rep.add(CheckResult(name="central_pair", max_residual=cen_res,
                         mean_residual=cen_res, tolerance=1e-10,
                         detail="J0, J1 commute with and belong to the algebra"))
-    rep.add(_merge("invariance_algebra_killing",
-                   [verify.check_killing(lc, linear_field(B, name=f"inv{i}"),
-                                         X[:40], tol=1e-5)
-                    for i, B in enumerate(alg.basis)], tol=1e-5))
+    rep.add(_invariance_killing(lc, alg, X[:40], st.frame[:40]))
 
     dec = standard_decomposition(alg, ir.field.matrix)
     rep.extras["decomposition"] = dec.summary()

@@ -14,14 +14,14 @@ Differentiation strategy, chosen from the metric and the field alone:
   * anything else  ->  stereographic chart with closed-form Jacobian J.  At
     each point one chart endomorphism H = dX^T + Gamma X of the covariant
     derivative is built and pushed forward as N = J H J^T / lam^2.  The
-    derivatives of metric and field components come from ``central_diff``,
-    which evaluates the whole +-h stencil of a point, or of a stack of
-    points, in one call of the component function.
+    derivatives of metric and field components come from one ``central_diff``
+    call over the whole +-h stencil of a point, or of a stack of points, with
+    one Jacobian per stencil point.
 
 Tangent frames are Gram-Schmidt in Cholesky form; frames, the derived
 structure and the second covariant derivative take one point or a stack, so a
-check calls them once per sample set.  Nested stencils (a stencil of stencils)
-run in chunks of STENCIL_CHUNK sample points, which bounds their memory.
+battery builds them once per sample set and shares them between its checks.
+Nested stencils run in chunks of STENCIL_CHUNK points, bounding their memory.
 
 Finite differences on the round metric are asked for through the inputs: a
 copy of a linear field with ``kind="general"`` takes the chart path.  A
@@ -276,6 +276,16 @@ def chart_groups(x: np.ndarray, atlas: Sequence[Chart], chunked: bool = False):
             yield chart, rows[start:start + size]
 
 
+def _christoffel(g: np.ndarray, dg: np.ndarray) -> np.ndarray:
+    """Christoffel symbols Gamma[..., k, i, j] from the chart metric g (..., m, m)
+    and its derivatives dg[..., l, i, j] = d g_ij / d u_l."""
+    m = g.shape[-1]
+    # Gamma_{kij} (lower) = (d_i g_jk + d_j g_ik - d_k g_ij) / 2
+    lower = 0.5 * (np.einsum("...ijk->...kij", dg) + np.einsum("...jik->...kij", dg) - dg)
+    Gamma = np.linalg.solve(g, lower.reshape(lower.shape[:-3] + (m, m * m)))
+    return Gamma.reshape(lower.shape)
+
+
 # ---------------------------------------------------------------------------
 # structure bundle
 # ---------------------------------------------------------------------------
@@ -354,27 +364,30 @@ class LeviCivita:
                      - np.einsum("ij,...k->...kij", eye, u))
             return (-2.0 / s) * Gamma
         h = float(step) if step is not None else self.fd_step
-        # dg[..., l, i, j] = d g_ij / d u_l
         g, dg = central_diff(lambda v: self.chart_metric(chart, v), u, h, center=True)
-        # Gamma_{kij} (lower) = (d_i g_jk + d_j g_ik - d_k g_ij) / 2
-        lower = 0.5 * (np.einsum("...ijk->...kij", dg) + np.einsum("...jik->...kij", dg)
-                       - dg)
-        Gamma = np.linalg.solve(g, lower.reshape(lower.shape[:-3] + (m, m * m)))
-        return Gamma.reshape(lower.shape)
+        return _christoffel(g, dg)
 
-    def field_chart_components(self, chart: Chart, u: np.ndarray,
-                               fld: VectorField) -> np.ndarray:
+    def _chart_metric_and_field(self, chart: Chart, u: np.ndarray,
+                                fld: VectorField) -> np.ndarray:
+        """[g | X] (..., m, m + 1): chart metric g_ij(u) and, as the last
+        column, the field's chart components X^i, from one Jacobian per point."""
         x = chart.point_coords(u)
-        return chart.to_chart_vector(u, fld.value(x))
+        J = chart.jacobian(u)
+        Jt = np.swapaxes(J, -1, -2)
+        g = Jt @ self.metric.matrix_at(x) @ J
+        Xc = matvec(Jt, fld.value(x)) / (chart.conformal_factor(u) ** 2)[..., None]
+        return np.concatenate([g, Xc[..., None]], axis=-1)
 
     def _chart_nabla_endo(self, fld: VectorField, chart: Chart, u: np.ndarray,
                           h: float) -> np.ndarray:
         """Chart matrix H[..., k, j] = (nabla_{d_j} field)^k at chart point(s) u."""
-        Xc, dX = central_diff(lambda v: self.field_chart_components(chart, v, fld), u, h,
-                              center=True)
-        Gamma = self.christoffel(chart, u, step=h)
+        vals, dvals = central_diff(lambda v: self._chart_metric_and_field(chart, v, fld), u, h,
+                                   center=True)
+        Gamma = (self.christoffel(chart, u) if self.metric.exact_round
+                 else _christoffel(vals[..., :-1], dvals[..., :-1]))
+        Xc = np.ascontiguousarray(vals[..., -1])  # einsum sums a strided operand in another order
         # H[k, j] = d_j X^k + Gamma^k_{j l} X^l
-        return np.swapaxes(dX, -1, -2) + np.einsum("...kjl,...l->...kj", Gamma, Xc)
+        return np.swapaxes(dvals[..., -1], -1, -2) + np.einsum("...kjl,...l->...kj", Gamma, Xc)
 
     def _guarded_chart_endo(self, fld: VectorField, chart: Chart, u: np.ndarray,
                             guard: bool) -> np.ndarray:
@@ -487,40 +500,43 @@ class LeviCivita:
     # -- derived structure ----------------------------------------------------
     # Each takes one point (d,) or a stack (N, d), giving results stacked along N.
 
-    def lie_metric_frame(self, fld: VectorField, x: np.ndarray) -> np.ndarray:
+    def lie_metric_frame(self, fld: VectorField, x: np.ndarray,
+                         frame: np.ndarray | None = None) -> np.ndarray:
         """Lie derivative of g along the field, as a matrix in a g-orthonormal
         frame; identically zero iff the field is Killing at this point.
 
+        ``frame``, ``g_orthonormal_frame(M, x)``, is built here when not given.
         A linear field on a metric other than the round one takes the
         exact-flow quotient ``flow_lie_frame``; every other pair takes
         N^T M + M N with N from ``nabla_endo``."""
         x = np.asarray(x, dtype=float)
         if fld.kind == "linear" and not self.metric.exact_round:
-            return self.flow_lie_frame(fld.matrix, x)
+            return self.flow_lie_frame(fld.matrix, x, frame=frame)
         M = self.metric.matrix_at(x)
-        F = g_orthonormal_frame(M, x)
+        F = g_orthonormal_frame(M, x) if frame is None else frame
         N = self.nabla_endo(fld, x)
         return np.swapaxes(F, -1, -2) @ (np.swapaxes(N, -1, -2) @ M + M @ N) @ F
 
-    def flow_lie_frame(self, A: np.ndarray, x: np.ndarray,
-                       t: float = FLOW_TIME) -> np.ndarray:
+    def flow_lie_frame(self, A: np.ndarray, x: np.ndarray, t: float = FLOW_TIME,
+                       frame: np.ndarray | None = None) -> np.ndarray:
         """Lie derivative of g along x -> A x from its exact flow E_s = e^(sA).
 
-        With F the g-orthonormal frame at x (d,), or at each row of (N, d),
-        and P(s) = F^T E_s^T M(E_s x) E_s F, returns (P(t) - P(-t)) / 2t.  E_s
+        With F the g-orthonormal frame at x (d,), or at each row of (N, d)
+        (``frame``, built here when not given), and
+        P(s) = F^T E_s^T M(E_s x) E_s F, returns (P(t) - P(-t)) / 2t.  E_s
         is an isometry when the field is Killing, so P(s) = F^T M(x) F for
         every s and the quotient vanishes up to rounding over t; for any other
         field it is L_xi g + O(t^2).  No chart, Christoffel symbol or field
         derivative enters.  E_-t = E_t^T since E_t is orthogonal, and one
-        metric call covers x, E_t x and E_-t x.
+        metric call covers E_t x and E_-t x.
         """
         x = np.asarray(x, dtype=float)
+        if frame is None:
+            frame = g_orthonormal_frame(self.metric.matrix_at(x), x)
         E = skew_exp(t * A)
-        Es = np.stack([np.eye(len(E)), E, E.T]).reshape((3,) + (1,) * (x.ndim - 1) + E.shape)
-        M = self.metric.matrix_at((Es @ x[..., None])[..., 0])
-        F = g_orthonormal_frame(M[0], x)
-        EF = Es[1:] @ F
-        P = np.swapaxes(EF, -1, -2) @ M[1:] @ EF
+        Es = np.stack([E, E.T]).reshape((2,) + (1,) * (x.ndim - 1) + E.shape)
+        EF = Es @ frame
+        P = np.swapaxes(EF, -1, -2) @ self.metric.matrix_at((Es @ x[..., None])[..., 0]) @ EF
         return (P[0] - P[1]) / (2.0 * t)
 
     def structure_at(self, fld: VectorField, x: np.ndarray) -> StructureTensors:
@@ -541,10 +557,12 @@ class LeviCivita:
                                 nabla_endo=N, dxi=D, phi_frame=phi_frame,
                                 phi_ambient=phi_ambient)
 
-    def dxi_square_eigenvalues(self, fld: VectorField, x: np.ndarray) -> np.ndarray:
+    def dxi_square_eigenvalues(self, fld: VectorField, x: np.ndarray,
+                               st: StructureTensors | None = None) -> np.ndarray:
         """Sorted eigenvalues of the square of the two-form endomorphism
         (g(e u, v) = d(eta)(u, v)); round unit fields give -4 on the
-        transverse space and 0 along the field."""
-        st = self.structure_at(fld, x)
+        transverse space and 0 along the field.  ``st`` is
+        ``structure_at(fld, x)``, built here when not given."""
+        st = self.structure_at(fld, x) if st is None else st
         e_frame = np.swapaxes(np.swapaxes(st.frame, -1, -2) @ st.dxi @ st.frame, -1, -2)
         return np.sort(np.linalg.eigvals(e_frame @ e_frame).real, axis=-1)

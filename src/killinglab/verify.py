@@ -23,7 +23,12 @@ half-two-form endomorphism phi (see metrics.StructureTensors):
                    horizontal distribution vanishes iff the structure is
                    integrable (it does for the round and the inhomogeneous
                    examples, and must not for the boundary-localized
-                   deformation).
+                   deformation); contracted pointwise from nabla^2 xi.
+
+A battery passes what several checks read, built once on its sample: ``st`` =
+``lc.structure_at(fld, X)``, ``frame`` = ``st.frame``, ``T`` =
+``lc.second_nabla_frame(fld, X, st.frame)``, ``triple`` = ``triple_psi``;
+a check left without them builds its own, with identical results.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from . import sphere
 from .algebra import field_bracket
 from .metrics import (
     LeviCivita,
+    StructureTensors,
     VectorField,
     central_diff,
     chart_groups,
@@ -112,7 +118,7 @@ def check_unit_length(lc: LeviCivita, fld: VectorField, points,
 def check_killing(lc: LeviCivita, fld: VectorField, points, tol: float,
                   expected: str = "pass",
                   fail_floor: float | None = None,
-                  name: str = "killing") -> CheckResult:
+                  name: str = "killing", frame: np.ndarray | None = None) -> CheckResult:
     """Max entry of the Lie derivative of g along the field, frame components.
 
     An identically vanishing field is trivially Killing; the result is then
@@ -120,7 +126,7 @@ def check_killing(lc: LeviCivita, fld: VectorField, points, tol: float,
     pass.
     """
     X = _stack(name, points)
-    res = _worst(lc.lie_metric_frame(fld, X))
+    res = _worst(lc.lie_metric_frame(fld, X, frame=frame))
     scale = float(np.abs(fld.value(X)).max())
     detail = "" if scale > 1e-12 else "degenerate: field vanishes on all samples"
     return _check(name, res, tol, expected, fail_floor, detail=detail)
@@ -129,7 +135,8 @@ def check_killing(lc: LeviCivita, fld: VectorField, points, tol: float,
 def check_sasakian(lc: LeviCivita, fld: VectorField, points, tol: float,
                    expected: str = "pass",
                    fail_floor: float | None = None,
-                   name: str = "wedge_second_derivative") -> CheckResult:
+                   name: str = "wedge_second_derivative",
+                   frame: np.ndarray | None = None, T: np.ndarray | None = None) -> CheckResult:
     """Residual of nabla^2 xi(u,v) = WEDGE_SIGN (g(u,v) xi - eta(v) u).
 
     Evaluated on a g-orthonormal frame; the residual is the largest ambient
@@ -137,11 +144,11 @@ def check_sasakian(lc: LeviCivita, fld: VectorField, points, tol: float,
     """
     X = _stack(name, points)
     M = lc.metric.matrix_at(X)
-    F = g_orthonormal_frame(M, X)
+    F = g_orthonormal_frame(M, X) if frame is None else frame
     xi = fld.value(X)
     eta_f = (matvec(M, xi)[:, None, :] @ F)[:, 0]          # eta(f_j), (N, k)
-    # defect = T - WEDGE_SIGN (delta_ij xi - eta(f_j) f_i), in place: T is the largest array
-    defect = lc.second_nabla_frame(fld, X, F)
+    # defect = T - WEDGE_SIGN (delta_ij xi - eta(f_j) f_i), in place (on a copy of a shared T)
+    defect = lc.second_nabla_frame(fld, X, F) if T is None else T.copy()
     diag = np.arange(F.shape[-1])
     defect[..., diag, diag] -= WEDGE_SIGN * xi[..., None]
     defect += np.einsum("nj,ndi->ndij", WEDGE_SIGN * eta_f, F)
@@ -152,9 +159,11 @@ def check_sasakian(lc: LeviCivita, fld: VectorField, points, tol: float,
 def check_kcontact(lc: LeviCivita, fld: VectorField, points, tol: float = CONTACT_TOL,
                    expected: str = "pass",
                    fail_floor: float | None = None,
-                   name: str = "contact_endomorphism") -> CheckResult:
+                   name: str = "contact_endomorphism",
+                   st: StructureTensors | None = None) -> CheckResult:
     """phi^2 = -Id + eta (x) xi together with phi xi = 0, frame components."""
-    st = lc.structure_at(fld, _stack(name, points))
+    X = _stack(name, points)
+    st = lc.structure_at(fld, X) if st is None else st
     xi_f = (matvec(st.metric_matrix, st.xi)[:, None, :] @ st.frame)[:, 0]  # (N, k)
     k = st.frame.shape[-1]
     r1 = st.phi_frame @ st.phi_frame + np.eye(k) - xi_f[:, :, None] * xi_f[:, None, :]
@@ -165,7 +174,8 @@ def check_kcontact(lc: LeviCivita, fld: VectorField, points, tol: float = CONTAC
 def check_dxi_spectrum(lc: LeviCivita, fld: VectorField, points,
                        reference: Sequence[float], tol: float, expected: str = "pass",
                        fail_floor: float | None = None,
-                       name: str = "two_form_square_spectrum") -> CheckResult:
+                       name: str = "two_form_square_spectrum",
+                       st: StructureTensors | None = None) -> CheckResult:
     """Eigenvalues of the squared two-form endomorphism against a reference.
 
     The round unit structure gives -4 transversally and 0 along the field;
@@ -173,7 +183,7 @@ def check_dxi_spectrum(lc: LeviCivita, fld: VectorField, points,
     is what the expected-fail variant of this check pins down.
     """
     ref = np.sort(np.asarray(reference, dtype=float))
-    vals = lc.dxi_square_eigenvalues(fld, _stack(name, points))
+    vals = lc.dxi_square_eigenvalues(fld, _stack(name, points), st=st)
     if vals.shape[-1:] != ref.shape:
         raise ValueError(f"reference spectrum has {ref.shape[0]} entries; "
                          f"the tangent space gives {vals.shape[-1]}")
@@ -245,7 +255,7 @@ def check_triple_brackets(fields: Sequence[VectorField], tol: float,
                        detail=f"uniform bracket sign eps={eps:+d}")
 
 
-def _triple_psi(lc: LeviCivita, fields, x: np.ndarray):
+def triple_psi(lc: LeviCivita, fields, x: np.ndarray):
     """Metric M, g-orthonormal frame F, the fields xi_a and psi_a = -phi_a of
     the three fields at a point (d,) or a stack (N, d), stacked alike;
     ``eta(a, b)`` is eta_b (x) xi_a.  Only these are kept of each structure."""
@@ -263,7 +273,8 @@ def _triple_psi(lc: LeviCivita, fields, x: np.ndarray):
 
 def check_triple_products(lc: LeviCivita, fields: Sequence[VectorField], points,
                           tol: float, variant: str = "aligned", expected: str = "pass",
-                          fail_floor: float | None = None, name: str | None = None) -> CheckResult:
+                          fail_floor: float | None = None, name: str | None = None,
+                          triple=None) -> CheckResult:
     """Cyclic products of the triple's structure endomorphisms psi_a = -phi_a.
 
     With eps the measured bracket sign ([xi_a, xi_b] = 2 eps xi_c):
@@ -279,7 +290,8 @@ def check_triple_products(lc: LeviCivita, fields: Sequence[VectorField], points,
         raise ValueError(f"unknown variant {variant!r}")
     eps = measured_cyclic_sign(fields)
     name = name or "triple_products_" + variant
-    _, F, _, psis, eta = _triple_psi(lc, fields, _stack(name, points))
+    X = _stack(name, points)
+    _, F, _, psis, eta = triple_psi(lc, fields, X) if triple is None else triple
     res = 0.0
     for a, b, c in CYCLIC:
         if variant == "aligned":
@@ -292,12 +304,14 @@ def check_triple_products(lc: LeviCivita, fields: Sequence[VectorField], points,
 
 
 def check_anticommutators(lc: LeviCivita, fields: Sequence[VectorField], points,
-                          tol: float, name: str = "triple_anticommutators") -> CheckResult:
+                          tol: float, name: str = "triple_anticommutators",
+                          triple=None) -> CheckResult:
     """psi_a psi_b + psi_b psi_a = eta_a (x) xi_b + eta_b (x) xi_a for a != b.
 
     Sign-convention-free companion of the cyclic product identities.
     """
-    _, F, _, psis, eta = _triple_psi(lc, fields, _stack(name, points))
+    X = _stack(name, points)
+    _, F, _, psis, eta = triple_psi(lc, fields, X) if triple is None else triple
     res = 0.0
     for a, b in ((0, 1), (0, 2), (1, 2)):
         R = psis[a] @ psis[b] + psis[b] @ psis[a] - eta(b, a) - eta(a, b)
@@ -306,10 +320,10 @@ def check_anticommutators(lc: LeviCivita, fields: Sequence[VectorField], points,
 
 
 def check_squares(lc: LeviCivita, fields: Sequence[VectorField], points,
-                  tol: float, name: str = "structure_squares") -> CheckResult:
+                  tol: float, name: str = "structure_squares", triple=None) -> CheckResult:
     """psi_a^2 = -Id + eta_a (x) xi_a on tangent vectors, for each a."""
     X = _stack(name, points)
-    _, F, _, psis, eta = _triple_psi(lc, fields, X)
+    _, F, _, psis, eta = triple_psi(lc, fields, X) if triple is None else triple
     res = 0.0
     for a in range(3):
         R = psis[a] @ psis[a] + np.eye(X.shape[-1]) - eta(a, a)
@@ -436,7 +450,7 @@ def horizontal_split(lc: LeviCivita, fields: Sequence[VectorField],
     the splitting invariants (the round quaternionic frame gives (0, 4n)).
     On a dim-3 total space the horizontal space is empty and so is the split.
     """
-    M, _, xis, psis, _ = _triple_psi(lc, fields, x)
+    M, _, xis, psis, _ = triple_psi(lc, fields, x)
     FD = g_orthonormal_frame(M, x, exclude=xis)
     FDt_M = np.swapaxes(FD, -1, -2) @ M
     P_amb = psis[0] @ psis[1] @ psis[2]
@@ -537,100 +551,51 @@ def check_flip_quaternionic(J: Sequence[np.ndarray], M: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def nijenhuis_residual(lc: LeviCivita, fld: VectorField, x: np.ndarray,
-                       step: float | None = None):
+                       st: StructureTensors | None = None, T: np.ndarray | None = None):
     """Max torsion of phi on the horizontal distribution at a point (d,) (a
     float) or at each point of a stack (N, d) (an (N,) array).
 
-    Frame fields are horizontal projections of constant ambient vectors
-    seeded by the horizontal frame at their center, so they are smooth and
-    reproduce the frame exactly at the center.  Brackets are coordinate
-    brackets of chart components, by central differences with ``step``
-    (default 15 fd_step off the round metric, fd_step / 10 on it).  The
-    centers are grouped by chart and their stencils evaluated together, in
-    chunks of STENCIL_CHUNK centers, each stencil point taking its covariant
-    derivative in the chart ``chart_index`` gives it.  At a stencil point
-    only xi, M and phi are needed, and phi is frame free: phi = S D^T S M / 2
-    with S = J (J^T M J)^-1 J^T the inverse metric on the tangent space and D
-    the matrix of d(eta) (see metrics.StructureTensors).
+    For the torsion-free Levi-Civita connection the Nijenhuis tensor is
+    pointwise in phi and its covariant derivative (Blair, *Riemannian
+    Geometry of Contact and Symplectic Manifolds*, 2nd ed., ch. 6):
 
-    Torsion of a pair (X, Y):
-      4 N(X, Y) = ([phiX, phiY] - phi [phiX, Y]^H - phi [X, phiY]^H - [X, Y])
-    projected to the horizontal space; the residual is the largest g-norm
-    over frame pairs.
+      [phi, phi](X, Y) = (nabla_{phi X} phi) Y - (nabla_{phi Y} phi) X
+                         + phi (nabla_Y phi) X - phi (nabla_X phi) Y.
+
+    phi is the g-skew part of nabla xi (metrics.StructureTensors) and nabla
+    commutes with the g-adjoint, so in the g-orthonormal frame f_i of
+    ``st.frame``, nabla_{f_i} phi is the skew part of the matrix
+    g(f_a, T(f_i, f_j)) with T = nabla^2 xi.  X and Y run over the horizontal
+    frame ``g_orthonormal_frame(M, x, exclude=[xi])``; the residual is the
+    largest g-norm over frame pairs of the horizontal part of [phi, phi] / 4.
     """
-    if step is None:
-        step = lc.fd_step / 10 if lc.metric.exact_round else 15 * lc.fd_step
     x = np.asarray(x, dtype=float)
-    X0 = x.reshape(-1, x.shape[-1])
-    st0 = lc.structure_at(fld, X0)
-    seeds = np.swapaxes(g_orthonormal_frame(st0.metric_matrix, X0, exclude=[st0.xi]), -1, -2)
-    res = np.empty(len(X0))
-    for chart, rows in chart_groups(X0, lc.atlas, chunked=True):
-        res[rows] = _chart_torsion(lc, fld, chart, X0[rows], seeds[rows], st0.metric_matrix[rows],
-                                   st0.xi[rows], st0.phi_ambient[rows], step)
-    return float(res[0]) if x.ndim == 1 else res
-
-
-def _chart_torsion(lc: LeviCivita, fld: VectorField, chart, x0: np.ndarray,
-                   seeds: np.ndarray, M0: np.ndarray, xi0: np.ndarray, phi0: np.ndarray,
-                   step: float) -> np.ndarray:
-    """``nijenhuis_residual`` at centers x0 (n, d) of one chart, with their
-    horizontal seeds (n, k, d), metrics, fields and phi."""
-    u0 = chart.coords(x0)
-
-    def horizontal_fields(u: np.ndarray) -> np.ndarray:
-        """Chart components (n, P, 2, k, m) of the projected frame fields and
-        of their phi-images at the stencil points u (n, P, m)."""
-        x = chart.point_coords(u)
-        J = chart.jacobian(u)
-        Jt = np.swapaxes(J, -1, -2)
-        M = lc.metric.matrix_at(x)
-        xi = fld.value(x)
-        N = lc.nabla_endo(fld, x)
-        D = np.swapaxes(N, -1, -2) @ M - M @ N
-        S = J @ np.linalg.solve(Jt @ M @ J, Jt)
-        phi = 0.5 * S @ np.swapaxes(D, -1, -2) @ S @ M
-        eta = matvec(M, xi)                                   # (n, P, d)
-        W = seeds[:, None] - (seeds[:, None] @ x[..., None]) * x[..., None, :]  # (n, P, k, d)
-        W = W - (W @ eta[..., None] / rowdot(xi, eta)[..., None, None]) * xi[..., None, :]
-        JW = W @ np.swapaxes(phi, -1, -2)
-        return chart.to_chart_vector(u[..., None, None, :], np.stack([W, JW], axis=-3))
-
-    center, d_fields = central_diff(horizontal_fields, u0, step, center=True)
-    X0c, JX0c = center[:, 0], center[:, 1]                   # (n, k, m)
-    dX, dJX = d_fields[:, :, 0], d_fields[:, :, 1]            # (n, m, k, m)
-    Jc = chart.jacobian(u0)[:, None, None]                    # (n, 1, 1, d, m)
-
-    def brackets(Uc, dU, Vc, dV) -> np.ndarray:
-        """Coordinate brackets [U_i, V_j]^k = U_i^l d_l V_j^k - V_j^l d_l U_i^k
-        at the centers, pushed to ambient components, (n, k, k, d)."""
-        b = np.einsum("nil,nljk->nijk", Uc, dV) - np.einsum("njl,nlik->nijk", Vc, dU)
-        return matvec(Jc, b)
-
-    eta0 = matvec(M0, xi0)
-    xb, xib, etab = x0[:, None, None], xi0[:, None, None], eta0[:, None, None]
-    g00 = rowdot(xi0, eta0)[:, None, None]
-
-    def proj_h(v: np.ndarray) -> np.ndarray:
-        w = v - rowdot(v, xb)[..., None] * xb
-        return w - (rowdot(w, etab) / g00)[..., None] * xib
-
-    phi0_t = np.swapaxes(phi0, -1, -2)[:, None]
-    N4 = (proj_h(brackets(JX0c, dJX, JX0c, dJX))
-          - proj_h(brackets(JX0c, dJX, X0c, dX)) @ phi0_t
-          - proj_h(brackets(X0c, dX, JX0c, dJX)) @ phi0_t
-          - proj_h(brackets(X0c, dX, X0c, dX)))
-    R = 0.25 * proj_h(N4)
-    norms = np.sqrt(np.einsum("nijd,nde,nije->nij", R, M0, R))
-    i, j = np.triu_indices(seeds.shape[1], k=1)
-    return norms[:, i, j].max(axis=-1, initial=0.0)
+    st = lc.structure_at(fld, x) if st is None else st
+    T = lc.second_nabla_frame(fld, x, st.frame) if T is None else T
+    FtM = np.swapaxes(st.frame, -1, -2) @ st.metric_matrix      # ambient -> frame coordinates
+    A = np.einsum("...ad,...dij->...iaj", FtM, T)
+    dphi = 0.5 * (A - np.swapaxes(A, -1, -2))                    # dphi[..., i, :, :]: nabla_{f_i} phi
+    phi, H = st.phi_frame, FtM @ g_orthonormal_frame(st.metric_matrix, x, exclude=[st.xi])
+    dphi_H = dphi @ H[..., None, :, :]                           # [..., i, a, q]: (nabla_{f_i} phi) H_q
+    # [..., p, q, :]: (nabla_{phi H_p} phi) H_q and (nabla_{H_p} phi) H_q
+    along_phi = np.einsum("...ip,...iaq->...pqa", phi @ H, dphi_H)
+    along = np.einsum("...ip,...iaq->...pqa", H, dphi_H)
+    N = (along_phi - np.swapaxes(along_phi, -2, -3)
+         - (along - np.swapaxes(along, -2, -3)) @ np.swapaxes(phi, -1, -2)[..., None, :, :])
+    xi_f = matvec(FtM, st.xi)
+    N_xi = np.einsum("...pqa,...a->...pq", N, xi_f) / rowdot(xi_f, xi_f)[..., None, None]
+    norms = 0.25 * np.linalg.norm(N - N_xi[..., None] * xi_f[..., None, None, :], axis=-1)
+    i, j = np.triu_indices(H.shape[-1], k=1)
+    res = norms[..., i, j].max(axis=-1, initial=0.0)
+    return float(res) if x.ndim == 1 else res
 
 
 def check_nijenhuis(lc: LeviCivita, fld: VectorField, points, tol: float = NIJENHUIS_TOL,
-                    step: float | None = None, expected: str = "pass",
-                    fail_floor: float | None = None, name: str = "cr_torsion") -> CheckResult:
+                    expected: str = "pass", fail_floor: float | None = None,
+                    name: str = "cr_torsion", st: StructureTensors | None = None,
+                    T: np.ndarray | None = None) -> CheckResult:
     """Horizontal Nijenhuis-type torsion over a sample of points."""
-    res = nijenhuis_residual(lc, fld, _stack(name, points), step=step)
+    res = nijenhuis_residual(lc, fld, _stack(name, points), st=st, T=T)
     return _check(name, res, tol, expected, fail_floor)
 
 

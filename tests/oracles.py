@@ -144,11 +144,12 @@ def eigenfield_residuals_per_generator(lc, xi_field, mats, points, rate):
 
 
 def nijenhuis_residual_per_point(lc, fld, point, step=None):
-    """Reference for the batched Nijenhuis stencil: the full structure bundle
-    (g-orthonormal frame included) at every stencil point, one point and one
-    frame pair at a time, with the horizontal seeds from the Gram-Schmidt
-    loop.  The default step is 15 fd_step off the round metric and
-    fd_step / 10 on it."""
+    """A second discretisation of the horizontal Nijenhuis torsion, free of
+    nabla^2 xi: coordinate brackets of horizontal frame fields by central
+    differences in a chart, with the full structure bundle (g-orthonormal
+    frame included) at every stencil point, one point and one frame pair at
+    a time, and the horizontal seeds from the Gram-Schmidt loop.  The default
+    step is 15 fd_step off the round metric and fd_step / 10 on it."""
     from killinglab.sphere import SpherePoint, chart_for_point
 
     if step is None:
@@ -212,6 +213,27 @@ def nijenhuis_residual_per_point(lc, fld, point, step=None):
             R = 0.25 * proj_h(N4)
             worst = max(worst, float(np.sqrt(R @ M0 @ R)))
     return worst
+
+
+def nijenhuis_stencil_and_bound(lc, fld, X):
+    """The stencil torsion S = ``nijenhuis_residual_per_point`` at each row of
+    X (N, d) at fd_step h, and a bound on its gap to the contracted torsion
+    C = ``verify.nijenhuis_residual`` at the same h:
+
+      |C(h) - S(h)| <= 2 (4/3) (|S(h) - S(h/2)| + |C(h) - C(h/2)|).
+
+    Both are O(h^2) discretisations of one torsion, so each lies within
+    (4/3) of its step-halving change of the exact value (Richardson); the
+    factor 2 is margin."""
+    from killinglab.metrics import LeviCivita
+    from killinglab.sphere import SpherePoint
+    from killinglab.verify import nijenhuis_residual
+
+    half = LeviCivita(lc.metric, fd_step=lc.fd_step / 2)
+    S, S_half = (np.array([nijenhuis_residual_per_point(c, fld, SpherePoint(x)) for x in X])
+                 for c in (lc, half))
+    C, C_half = (nijenhuis_residual(c, fld, X) for c in (lc, half))
+    return S, 2.0 * (4.0 / 3.0) * (np.abs(S - S_half) + np.abs(C - C_half))
 
 
 def orthonormal_tangent_frame_mgs(x):

@@ -1,4 +1,4 @@
-"""Whole-sample Nijenhuis stencil, finite-difference second derivative,
+"""Whole-sample Nijenhuis torsion, finite-difference second derivative,
 contact-form comparison, horizontal split and ``exclude=`` frame against the
 one-point references in tests/oracles.py."""
 
@@ -16,7 +16,12 @@ from killinglab.constructions import (
     build_quaternionic,
     build_round,
 )
-from killinglab.metrics import LeviCivita, MetricDegeneracyError, g_orthonormal_frame
+from killinglab.metrics import (
+    LeviCivita,
+    MetricDegeneracyError,
+    g_orthonormal_frame,
+    linear_field,
+)
 from killinglab.sphere import (
     SpherePoint,
     chart_index,
@@ -26,10 +31,18 @@ from killinglab.sphere import (
     sample_sphere,
 )
 from killinglab.verify import (
+    check_anticommutators,
     check_contact_form_preserved,
+    check_dxi_spectrum,
+    check_kcontact,
+    check_killing,
     check_nijenhuis,
+    check_sasakian,
+    check_squares,
+    check_triple_products,
     horizontal_split,
     nijenhuis_residual,
+    triple_psi,
 )
 
 from oracles import (
@@ -37,6 +50,7 @@ from oracles import (
     g_orthonormal_frame_exclude_mgs,
     horizontal_split_per_point,
     nijenhuis_residual_per_point,
+    nijenhuis_stencil_and_bound,
     second_nabla_fd_per_point,
 )
 
@@ -78,10 +92,26 @@ def test_batched_nijenhuis_matches_reference(label):
     lc = LeviCivita(metric)
     X = _mixed_sample(n, 7, seed=23)
     got = nijenhuis_residual(lc, fields[0], X)
-    ref = [nijenhuis_residual_per_point(lc, fields[0], SpherePoint(x)) for x in X]
     assert got.shape == (len(X),)
-    assert np.abs(got - ref).max() <= 1e-9
+    if metric.exact_round:
+        # nabla^2 xi in closed form: only the stencil reference carries FD noise
+        ref = [nijenhuis_residual_per_point(lc, fields[0], SpherePoint(x)) for x in X]
+        assert got.max() <= 1e-14 and np.abs(got - ref).max() <= 1e-9
+    else:
+        ref, bound = nijenhuis_stencil_and_bound(lc, fields[0], X)
+        assert np.all(np.abs(got - ref) <= bound)
     assert nijenhuis_residual(lc, fields[0], SpherePoint(X[4])) == pytest.approx(got[4], abs=1e-12)
+
+
+@pytest.mark.parametrize("build, n", [(build_round, 1), (build_round, 2), (build_round, 3),
+                                      (build_quaternionic, 0), (build_quaternionic, 1),
+                                      (build_quaternionic, 2)])
+def test_nijenhuis_closed_form_is_exact(build, n):
+    st = build(n)
+    lc = LeviCivita(st.metric)
+    X = sample_sphere(st.metric.dim // 2 - 1, 200, seed=42).coords
+    for fld in (st.fields if build is build_quaternionic else [st.field]):
+        assert check_nijenhuis(lc, fld, X).max_residual <= 1e-14
 
 
 @pytest.mark.parametrize("label", LABELS)
@@ -132,6 +162,59 @@ def test_stacked_horizontal_split_matches_reference(m):
         assert np.abs(one.p_frame - sp.p_frame[i]).max(initial=0.0) <= 1e-14
 
 
+# -- shared structures --------------------------------------------------------------
+
+@pytest.mark.parametrize("label", ["round", "gF", "irregular"])
+def test_shared_structure_and_second_derivative_give_identical_checks(label):
+    metric, fields, n = _structure(label)
+    fld, lc = fields[0], LeviCivita(metric)
+    X = sample_sphere(n, 30, seed=53).coords
+    st = lc.structure_at(fld, X)
+    T = lc.second_nabla_frame(fld, X, st.frame)
+    T_before = T.copy()
+    ref = [-4.0] * (2 * n) + [0.0]
+    for check, shared in ((lambda **kw: check_killing(lc, fld, X, tol=1e-6, **kw),
+                           {"frame": st.frame}),
+                          (lambda **kw: check_kcontact(lc, fld, X, **kw), {"st": st}),
+                          (lambda **kw: check_dxi_spectrum(lc, fld, X, reference=ref, tol=1e-5,
+                                                           **kw), {"st": st}),
+                          (lambda **kw: check_sasakian(lc, fld, X, tol=1e-5, **kw),
+                           {"frame": st.frame, "T": T}),
+                          (lambda **kw: check_nijenhuis(lc, fld, X, **kw), {"st": st, "T": T})):
+        assert check(**shared) == check()
+    assert np.array_equal(T, T_before)  # a shared T is read, never written
+
+
+def test_shared_structures_of_the_gf_and_quaternionic_batteries():
+    from killinglab.cli import _deformed_scaling_check, _invariance_killing
+
+    ds = build_deformed(n=3, c=0.3)
+    lc = LeviCivita(ds.metric)
+    X = sample_sphere(3, 30, seed=59).coords
+    st = lc.structure_at(ds.field, X)
+    assert (_deformed_scaling_check(lc, ds, X, tol=1e-6, st=st)
+            == _deformed_scaling_check(lc, ds, X, tol=1e-6))
+    alg = ds.isometry_algebra()
+    shared = _invariance_killing(lc, alg, X[:12], st.frame[:12])
+    own = [check_killing(lc, linear_field(B), X[:12], tol=1e-5) for B in alg.basis]
+    assert shared.max_residual == max(r.max_residual for r in own)
+    assert shared.mean_residual == np.mean([r.mean_residual for r in own])
+
+    qs = build_quaternionic(1)
+    lc = LeviCivita(qs.metric)
+    X = sample_sphere(3, 30, seed=61).coords
+    triple = triple_psi(lc, qs.fields, X)
+    for variant, expected, floor in (("aligned", "pass", None), ("transposed", "fail", 1e-2)):
+        assert (check_triple_products(lc, qs.fields, X, tol=1e-10, variant=variant,
+                                      expected=expected, fail_floor=floor, triple=triple)
+                == check_triple_products(lc, qs.fields, X, tol=1e-10, variant=variant,
+                                         expected=expected, fail_floor=floor))
+    assert (check_anticommutators(lc, qs.fields, X, tol=1e-10, triple=triple)
+            == check_anticommutators(lc, qs.fields, X, tol=1e-10))
+    assert (check_squares(lc, qs.fields, X, tol=1e-10, triple=triple)
+            == check_squares(lc, qs.fields, X, tol=1e-10))
+
+
 # -- chunking and defaults ---------------------------------------------------------
 
 @pytest.mark.parametrize("label", ["gF", "irregular"])
@@ -150,17 +233,15 @@ def test_results_do_not_depend_on_the_chunk_size(label, monkeypatch):
         assert _rel(T, runs[0][1]) <= 1e-14
 
 
-def test_nijenhuis_step_follows_fd_step():
-    ds, rs = build_deformed(n=3, c=0.3), build_round(2)
-    for st, n, ratio in ((ds, 3, 15.0), (rs, 2, 0.1)):
-        X = _mixed_sample(n, 4, seed=43)
-        for h in (2e-4, 5e-5):
-            lc = LeviCivita(st.metric, fd_step=h)
-            default = nijenhuis_residual(lc, st.field, X)
-            assert np.array_equal(default, nijenhuis_residual(lc, st.field, X, step=ratio * h))
-            # an explicit step still overrides
-            assert not np.array_equal(default,
-                                      nijenhuis_residual(lc, st.field, X, step=3 * ratio * h))
+def test_nijenhuis_converges_quadratically_in_fd_step():
+    for label in ("gF", "irregular"):
+        metric, fields, n = _structure(label)
+        X = _mixed_sample(n, 6, seed=43)
+        r = [nijenhuis_residual(LeviCivita(metric, fd_step=h), fields[0], X)
+             for h in (4e-4, 2e-4, 1e-4, 5e-5)]
+        for a, b, c in zip(r, r[1:], r[2:]):
+            # O(h^2): halving the step quarters the change
+            assert 3.5 <= np.abs(a - b).max() / np.abs(b - c).max() <= 4.5
 
 
 def test_checks_on_empty_sample_name_the_check(round2, lc_round2):
