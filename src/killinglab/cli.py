@@ -427,7 +427,7 @@ def _battery_irregular(cfg: RunConfig) -> VerificationReport:
     rep.add(verify.check_dxi_spectrum(lc, ir.field, X, reference=reference,
                                       tol=1e-5, st=st))
     rep.add(verify.check_transverse_derivative(lc, ir.field, ir.j0, X,
-                                               tol=verify.FD_TOL))
+                                               tol=verify.FD_TOL, st=st))
 
     alg = ir.isometry_algebra()
     cen = centralizer_check(alg, [ir.j0, ir.j1])

@@ -16,12 +16,15 @@ Differentiation strategy, chosen from the metric and the field alone:
     derivative is built and pushed forward as N = J H J^T / lam^2.  The
     derivatives of metric and field components come from one ``central_diff``
     call over the whole +-h stencil of a point, or of a stack of points, with
-    one Jacobian per stencil point.
+    one Jacobian per stencil point.  The second covariant derivative takes
+    one call over the flat second-difference stencil (2m^2 + 1 points) and
+    forms Gamma, d Gamma, H and dH from it in closed algebra.
 
 Tangent frames are Gram-Schmidt in Cholesky form; frames, the derived
 structure and the second covariant derivative take one point or a stack, so a
 battery builds them once per sample set and shares them between its checks.
-Nested stencils run in chunks of STENCIL_CHUNK points, bounding their memory.
+Second-difference stencils run in chunks of STENCIL_CHUNK points, bounding
+their memory.
 
 Finite differences on the round metric are asked for through the inputs: a
 copy of a linear field with ``kind="general"`` takes the chart path.  A
@@ -52,14 +55,15 @@ from .sphere import (
 DEFAULT_FD_STEP = 1e-4
 MAX_FD_STEP = 0.02
 RICHARDSON_REL_TOL = 1e-3
-SECOND_DERIV_INNER_SHRINK = 3.0   # inner first-derivative step = h / 3
-SECOND_DERIV_OUTER_GROWTH = 10.0  # outer second-derivative step = 10 h
+# Flat second-difference step of ``second_nabla_frame`` over fd_step: its rounding
+# floor eps / h^2 is that of a step-fd_step/3 difference nested in a step-10 fd_step one.
+SECOND_DERIV_STEP_SCALE = (10.0 / 3.0) ** 0.5
 FRAME_RANK_TOL = 1e-8
 # A Cholesky pivot of a Gram matrix carries an absolute error near sqrt(eps),
 # about FRAME_RANK_TOL itself, so it cannot tell a dependent seed from a kept
 # one there; an ``exclude=`` frame with a smaller pivot takes the loop.
 FRAME_FALLBACK_PIVOT = FRAME_RANK_TOL ** 0.5
-STENCIL_CHUNK = 16  # sample points per nested-stencil batch
+STENCIL_CHUNK = 16  # sample points per second-difference stencil batch
 # Flow time t of ``flow_lie_frame``.  A Killing field reads rounding over t
 # (~4e-13 on gF and irregular), any other field L_xi g + O(t^2) (~1e-5
 # relative on gF); a smaller t raises the first, a larger one the second.
@@ -75,25 +79,48 @@ class MetricDegeneracyError(ValueError):
 
 
 def central_diff(f: Callable[[np.ndarray], np.ndarray], U: np.ndarray, h: float,
-                 center: bool = False):
+                 center: bool = False, second: bool = False):
     """Central differences of f along every coordinate axis at U (..., m).
 
     The stencil U +- h e_l is built as one (..., 2m, m) stack, with U itself
-    appended as row 2m when ``center`` is set, and f is called once on it; f
-    maps (..., k, m) to (..., k, *shape).  Returns D (..., m, *shape) with
-    D[..., l, :] = (f(U + h e_l) - f(U - h e_l)) / 2h, or (f(U), D) with
-    ``center``.
+    appended as row 2m when ``center`` or ``second`` is set, and f is called
+    once on it; f maps (..., k, m) to (..., k, *shape).  Returns D (..., m,
+    *shape) with D[..., l, :] = (f(U + h e_l) - f(U - h e_l)) / 2h, or (f(U), D)
+    with ``center``.  ``second`` appends U +- h e_i +- h e_j (i < j), the flat
+    stencil of 2m^2 + 1 points, and returns (f(U), D, D2) with D2 (..., m, m,
+    *shape) the O(h^2) pure and mixed second differences (Fornberg, Math.
+    Comp. 51 (1988)): (f(U + h e_i) - 2 f(U) + f(U - h e_i)) / h^2 and
+    (f(U +- (h e_i + h e_j)) - f(U +- (h e_i - h e_j))) / 4h^2, each sign summed.
     """
     U = np.asarray(U, dtype=float)
     m = U.shape[-1]
-    shift = h * np.eye(m)
-    stencil = [U[..., None, :] + shift, U[..., None, :] - shift]
-    if center:
-        stencil.append(U[..., None, :])
+    E = h * np.eye(m)
+    shift = [E, -E, np.zeros((1, m))] if center or second else [E, -E]
+    if second:
+        i, j = np.triu_indices(m, 1)
+        shift += [E[i] + E[j], -E[i] - E[j], E[i] - E[j], E[j] - E[i]]
     axis = U.ndim - 1
-    vals = np.moveaxis(f(np.concatenate(stencil, axis=-2)), axis, 0)
+    vals = np.moveaxis(f(U[..., None, :] + np.concatenate(shift)), axis, 0)
     diff = np.moveaxis((vals[:m] - vals[m:2 * m]) / (2 * h), 0, axis)
-    return (vals[2 * m], diff) if center else diff
+    if not second:
+        return (vals[2 * m], diff) if center else diff
+    f0, (pp, mm, pm, mp) = vals[2 * m], np.split(vals[2 * m + 1:], 4)
+    D2 = np.empty((m, m) + f0.shape)
+    D2[np.arange(m), np.arange(m)] = (vals[:m] - 2.0 * f0 + vals[m:2 * m]) / h ** 2
+    D2[i, j] = D2[j, i] = (pp + mm - pm - mp) / (4.0 * h ** 2)
+    return f0, diff, np.moveaxis(D2, (0, 1), (axis, axis + 1))
+
+
+def richardson_guard(A: np.ndarray, A_half: np.ndarray, h: float) -> np.ndarray:
+    """A_half, once the matrices A (..., r, c) at step h and A_half at h / 2
+    agree to RICHARDSON_REL_TOL in Frobenius norm at every point."""
+    rel = (np.linalg.norm(A - A_half, axis=(-2, -1))
+           / np.maximum(1.0, np.linalg.norm(A_half, axis=(-2, -1))))
+    if np.any(rel > RICHARDSON_REL_TOL):
+        raise NumericalQualityError(
+            f"covariant derivative unstable under step halving: rel drift "
+            f"{float(np.max(rel)):.3e} at fd_step={h:.3e}")
+    return A_half
 
 
 def skew_exp(A: np.ndarray) -> np.ndarray:
@@ -276,14 +303,19 @@ def chart_groups(x: np.ndarray, atlas: Sequence[Chart], chunked: bool = False):
             yield chart, rows[start:start + size]
 
 
+def _lower(dg: np.ndarray) -> np.ndarray:
+    """Christoffel symbols of the first kind [..., k, i, j] from the chart
+    metric derivatives dg[..., l, i, j] = d g_ij / d u_l."""
+    # Gamma_{kij} (lower) = (d_i g_jk + d_j g_ik - d_k g_ij) / 2
+    return 0.5 * (np.einsum("...ijk->...kij", dg) + np.einsum("...jik->...kij", dg) - dg)
+
+
 def _christoffel(g: np.ndarray, dg: np.ndarray) -> np.ndarray:
     """Christoffel symbols Gamma[..., k, i, j] from the chart metric g (..., m, m)
     and its derivatives dg[..., l, i, j] = d g_ij / d u_l."""
     m = g.shape[-1]
-    # Gamma_{kij} (lower) = (d_i g_jk + d_j g_ik - d_k g_ij) / 2
-    lower = 0.5 * (np.einsum("...ijk->...kij", dg) + np.einsum("...jik->...kij", dg) - dg)
-    Gamma = np.linalg.solve(g, lower.reshape(lower.shape[:-3] + (m, m * m)))
-    return Gamma.reshape(lower.shape)
+    lower = _lower(dg)
+    return np.linalg.solve(g, lower.reshape(lower.shape[:-3] + (m, m * m))).reshape(lower.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -349,11 +381,11 @@ class LeviCivita:
         M = self.metric.matrix_at(chart.point_coords(u))
         return np.swapaxes(J, -1, -2) @ M @ J
 
-    def christoffel(self, chart: Chart, u: np.ndarray, step: float | None = None) -> np.ndarray:
+    def christoffel(self, chart: Chart, u: np.ndarray) -> np.ndarray:
         """Christoffel symbols Gamma[..., k, i, j] in chart coordinates.
 
         Round metric: closed conformal-factor form.  Otherwise: central
-        differences of the chart metric components with the given step.
+        differences of the chart metric components at fd_step.
         """
         u = np.asarray(u, dtype=float)
         m = chart.dim - 1
@@ -363,8 +395,7 @@ class LeviCivita:
             Gamma = (np.einsum("ik,...j->...kij", eye, u) + np.einsum("jk,...i->...kij", eye, u)
                      - np.einsum("ij,...k->...kij", eye, u))
             return (-2.0 / s) * Gamma
-        h = float(step) if step is not None else self.fd_step
-        g, dg = central_diff(lambda v: self.chart_metric(chart, v), u, h, center=True)
+        g, dg = central_diff(lambda v: self.chart_metric(chart, v), u, self.fd_step, center=True)
         return _christoffel(g, dg)
 
     def _chart_metric_and_field(self, chart: Chart, u: np.ndarray,
@@ -395,16 +426,7 @@ class LeviCivita:
         RICHARDSON_REL_TOL at every point."""
         h = self.fd_step
         H = self._chart_nabla_endo(fld, chart, u, h)
-        if not guard:
-            return H
-        H_half = self._chart_nabla_endo(fld, chart, u, h / 2)
-        rel = (np.linalg.norm(H - H_half, axis=(-2, -1))
-               / np.maximum(1.0, np.linalg.norm(H_half, axis=(-2, -1))))
-        if np.any(rel > RICHARDSON_REL_TOL):
-            raise NumericalQualityError(
-                f"covariant derivative unstable under step halving: rel drift "
-                f"{float(np.max(rel)):.3e} at fd_step={h:.3e}")
-        return H_half
+        return richardson_guard(H, self._chart_nabla_endo(fld, chart, u, h / 2), h) if guard else H
 
     # -- first covariant derivative ------------------------------------------
 
@@ -460,11 +482,12 @@ class LeviCivita:
 
         T(u, v) = nabla_u (nabla field)(v); the closed form on the round
         sphere with field E x is T(f_i, f_j) = -(x.E f_j) P f_i - (f_i.f_j) P E x,
-        P the tangent projector.  The FD path differentiates the chart
-        endomorphism of the first covariant derivative: inner step h/3, outer
-        step 10 h, each point in the chart ``chart_index`` gives it, the points
-        of a chart in chunks of STENCIL_CHUNK.  Points (N, d) with frames
-        (N, d, k) give (N, d, k, k).
+        P the tangent projector.  The FD path differences [g | X] once over the
+        flat stencil (``central_diff`` with ``second``) of step fd_step *
+        SECOND_DERIV_STEP_SCALE and forms Gamma, d Gamma, H and dH from it;
+        each point in the chart ``chart_index`` gives it, the points of a
+        chart in chunks of STENCIL_CHUNK.  Points (N, d) with frames (N, d, k)
+        give (N, d, k, k).
         """
         x = np.asarray(x, dtype=float)
         if self._use_exact(fld):
@@ -479,18 +502,25 @@ class LeviCivita:
             return T
         xs, fs = x.reshape(-1, x.shape[-1]), frame.reshape((-1,) + frame.shape[-2:])
         T = np.empty(fs.shape + fs.shape[-1:])
-        h_in = self.fd_step / SECOND_DERIV_INNER_SHRINK
-        h_out = self.fd_step * SECOND_DERIV_OUTER_GROWTH
+        h = self.fd_step * SECOND_DERIV_STEP_SCALE
         for chart, rows in chart_groups(xs, self.atlas, chunked=True):
             u0 = chart.coords(xs[rows])
-            # dH[n, i, k, j] = d_i H^k_j
-            H0, dH = central_diff(lambda v: self._chart_nabla_endo(fld, chart, v, h_in),
-                                  u0, h_out, center=True)
-            Gamma = self.christoffel(chart, u0, step=h_in)
+            f0, d1, d2 = central_diff(lambda v: self._chart_metric_and_field(chart, v, fld),
+                                      u0, h, second=True)
+            g, dg, X, dX, ddX = f0[..., :-1], d1[..., :-1], f0[..., -1], d1[..., -1], d2[..., -1]
+            Gamma = _christoffel(g, dg)
+            # g d_p Gamma = d_p lower - (d_p g) Gamma, with dGamma[n, k, p, i, j] = d_p Gamma^k_ij
+            R = (np.einsum("npkij->nkpij", _lower(d2[..., :-1]))
+                 - np.einsum("npka,naij->nkpij", dg, Gamma))
+            dGamma = (np.linalg.inv(g) @ R.reshape(R.shape[:2] + (-1,))).reshape(R.shape)
+            # H^k_j = d_j X^k + Gamma^k_{jl} X^l and dH[n, i, k, j] = d_i H^k_j
+            H = np.swapaxes(dX, -1, -2) + np.einsum("nkjl,nl->nkj", Gamma, X)
+            dH = (np.swapaxes(ddX, -1, -2) + np.einsum("nkijl,nl->nikj", dGamma, X)
+                  + np.einsum("nkjl,nil->nikj", Gamma, dX))
             # T_chart[n, k, i, j] = d_i H^k_j + Gamma^k_{i l} H^l_j - Gamma^l_{i j} H^k_l
             T_chart = (np.einsum("nikj->nkij", dH)
-                       + np.einsum("nkil,nlj->nkij", Gamma, H0)
-                       - np.einsum("nlij,nkl->nkij", Gamma, H0))
+                       + np.einsum("nkil,nlj->nkij", Gamma, H)
+                       - np.einsum("nlij,nkl->nkij", Gamma, H))
             Fc = chart.to_chart_vector(u0[:, None, :], np.swapaxes(fs[rows], -1, -2))
             Fc = Fc[:, None]                                      # (n, 1, k, m)
             Tf = Fc @ T_chart @ np.swapaxes(Fc, -1, -2)           # (n, m, k, k)

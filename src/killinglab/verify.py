@@ -48,6 +48,7 @@ from .metrics import (
     chart_groups,
     g_orthonormal_frame,
     linear_field,
+    richardson_guard,
 )
 from .report import CheckResult
 from .sphere import matvec, rowdot
@@ -639,12 +640,17 @@ def _exterior_derivative(lc: LeviCivita, fld: VectorField, chart, u: np.ndarray,
 
 def check_transverse_derivative(lc: LeviCivita, fld: VectorField, j0: np.ndarray,
                                 points, tol: float,
-                                name: str = "transverse_derivative") -> CheckResult:
+                                name: str = "transverse_derivative",
+                                st: StructureTensors | None = None) -> CheckResult:
     """Covariant derivative along the transverse distribution is the reference
     rotation: nabla_v (field) = J0 v for every v Euclidean-orthogonal to both
-    the position and the reference circle direction J0 x.
+    the position and the reference circle direction J0 x, read from N at
+    fd_step / 2 once ``richardson_guard`` passes it against ``st.nabla_endo``.
     """
     X = _stack(name, points)
+    N = lc.nabla_endo(fld, X) if st is None else st.nabla_endo
+    half = LeviCivita(lc.metric, lc.fd_step / 2, lc.atlas)
+    N_half = richardson_guard(N, half.nabla_endo(fld, X), lc.fd_step)
     _, _, vt = np.linalg.svd(np.stack([X, matvec(j0, X)], axis=1))
     V = np.swapaxes(vt[:, 2:], -1, -2)
-    return _check(name, _worst(lc.nabla_endo(fld, X, guard=True) @ V - j0 @ V), tol)
+    return _check(name, _worst(N_half @ V - j0 @ V), tol)

@@ -288,19 +288,95 @@ def g_orthonormal_frame_exclude_mgs(M, x, exclude):
     return np.array(kept[len(exclude):]).T.reshape(x.shape[0], -1)
 
 
+def _contract_chart_second_nabla(chart, u0, T_chart, frame):
+    """Push the chart tensor T_chart[k, i, j] at u0 forward to ambient values
+    on the frame (d, k), one frame pair at a time, (d, k, k)."""
+    J = chart.jacobian(u0)
+    fc = np.stack([chart.to_chart_vector(u0, f) for f in frame.T], axis=1)  # (m, k)
+    k = frame.shape[1]
+    T = np.empty((J.shape[0], k, k))
+    for i in range(k):
+        for j in range(k):
+            T[:, i, j] = J @ np.einsum("kab,a,b->k", T_chart, fc[:, i], fc[:, j])
+    return T
+
+
+def _chart_torsion_free_hessian(Gamma, H, dH):
+    """T_chart[k, i, j] = d_i H^k_j + Gamma^k_{il} H^l_j - Gamma^l_{ij} H^k_l
+    from dH[i, k, j] = d_i H^k_j."""
+    return (np.einsum("ikj->kij", dH) + np.einsum("kil,lj->kij", Gamma, H)
+            - np.einsum("lij,kl->kij", Gamma, H))
+
+
 def second_nabla_fd_per_point(lc, fld, x, frame):
     """Reference finite-difference second covariant derivative at one point
-    x (d,) on a frame (d, k): the chart endomorphism of the first covariant
-    derivative differenced one axis at a time in the chart of x, then
-    contracted one frame pair at a time, (d, k, k)."""
-    from killinglab.metrics import SECOND_DERIV_INNER_SHRINK, SECOND_DERIV_OUTER_GROWTH
+    x (d,) on a frame (d, k), (d, k, k): the flat second-difference stencil
+    of step h = fd_step * SECOND_DERIV_STEP_SCALE in the chart of x, [g | X]
+    evaluated at one stencil point at a time, the first, pure second and
+    mixed second differences taken one axis pair at a time, and the
+    Christoffel symbols, their derivatives, H = dX^T + Gamma X and its
+    derivatives formed one index at a time from g^-1."""
+    from killinglab.metrics import SECOND_DERIV_STEP_SCALE
     from killinglab.sphere import SpherePoint, chart_for_point
 
     chart = chart_for_point(SpherePoint(x), lc.atlas)
     u0 = chart.coords(x)
     m = u0.shape[0]
-    h_in = lc.fd_step / SECOND_DERIV_INNER_SHRINK
-    h_out = lc.fd_step * SECOND_DERIV_OUTER_GROWTH
+    h = lc.fd_step * SECOND_DERIV_STEP_SCALE
+
+    def f(*steps):  # [g | X] at u0 + sum of sign * h e_axis over (axis, sign)
+        off = np.zeros(m)
+        for axis, sign in steps:
+            off[axis] = sign * h
+        # a one-row stack: a single point would take np.dot, which rounds otherwise
+        return lc._chart_metric_and_field(chart, (u0 + off)[None], fld)[0]
+
+    f0 = f()
+    D1 = np.empty((m,) + f0.shape)      # D1[l] = d_l [g | X]
+    D2 = np.empty((m, m) + f0.shape)    # D2[p, l] = d_p d_l [g | X]
+    for i in range(m):
+        fp, fm = f((i, 1)), f((i, -1))
+        D1[i] = (fp - fm) / (2.0 * h)
+        D2[i, i] = (fp - 2.0 * f0 + fm) / h ** 2
+        for j in range(i + 1, m):
+            D2[i, j] = D2[j, i] = (f((i, 1), (j, 1)) + f((i, -1), (j, -1))
+                                   - f((i, 1), (j, -1)) - f((i, -1), (j, 1))) / (4.0 * h ** 2)
+    g, X = f0[:, :m], f0[:, m]
+    dg, dX, ddg, ddX = D1[..., :m], D1[..., m], D2[..., :m], D2[..., m]
+    ginv = np.linalg.inv(g)
+
+    def lower(d):  # d[l, i, j] = d_l g_ij  ->  (d_i g_jk + d_j g_ik - d_k g_ij) / 2 at [k, i, j]
+        out = np.empty((m, m, m))
+        for k in range(m):
+            for i in range(m):
+                for j in range(m):
+                    out[k, i, j] = 0.5 * (d[i, j, k] + d[j, i, k] - d[k, i, j])
+        return out
+
+    Gamma = np.einsum("ka,aij->kij", ginv, lower(dg))
+    # g d_p Gamma = d_p lower - (d_p g) Gamma
+    dGamma = np.stack([np.einsum("ka,aij->kij", ginv,
+                                 lower(ddg[p]) - np.einsum("ka,aij->kij", dg[p], Gamma))
+                       for p in range(m)])
+    H = dX.T + Gamma @ X                                                    # H[k, j]
+    dH = np.stack([ddX[i].T + dGamma[i] @ X + Gamma @ dX[i] for i in range(m)])  # dH[i, k, j]
+    return _contract_chart_second_nabla(chart, u0, _chart_torsion_free_hessian(Gamma, H, dH),
+                                        frame)
+
+
+def second_nabla_nested_per_point(lc, fld, x, frame):
+    """A second discretisation of the second covariant derivative at one
+    point x (d,) on a frame (d, k), (d, k, k): the chart endomorphism H of the
+    first covariant derivative at inner step fd_step / 3, differenced one axis
+    at a time at outer step 10 fd_step, with the Christoffel symbols at the
+    centre from central differences of the chart metric at the inner step."""
+    from killinglab.metrics import LeviCivita
+    from killinglab.sphere import SpherePoint, chart_for_point
+
+    chart = chart_for_point(SpherePoint(x), lc.atlas)
+    u0 = chart.coords(x)
+    m = u0.shape[0]
+    h_in, h_out = lc.fd_step / 3.0, lc.fd_step * 10.0
     H0 = lc._chart_nabla_endo(fld, chart, u0, h_in)
     dH = np.empty((m, m, m))  # dH[i, k, j] = d_i H^k_j
     for i in range(m):
@@ -308,17 +384,29 @@ def second_nabla_fd_per_point(lc, fld, x, frame):
         e[i] = h_out
         dH[i] = (lc._chart_nabla_endo(fld, chart, u0 + e, h_in)
                  - lc._chart_nabla_endo(fld, chart, u0 - e, h_in)) / (2 * h_out)
-    Gamma = lc.christoffel(chart, u0, step=h_in)
-    T_chart = (np.einsum("ikj->kij", dH) + np.einsum("kil,lj->kij", Gamma, H0)
-               - np.einsum("lij,kl->kij", Gamma, H0))
-    J = chart.jacobian(u0)
-    fc = np.stack([chart.to_chart_vector(u0, f) for f in frame.T], axis=1)  # (m, k)
-    k = frame.shape[1]
-    T = np.empty((x.shape[0], k, k))
-    for i in range(k):
-        for j in range(k):
-            T[:, i, j] = J @ np.einsum("kab,a,b->k", T_chart, fc[:, i], fc[:, j])
-    return T
+    Gamma = LeviCivita(lc.metric, fd_step=h_in, atlas=lc.atlas).christoffel(chart, u0)
+    return _contract_chart_second_nabla(chart, u0, _chart_torsion_free_hessian(Gamma, H0, dH),
+                                        frame)
+
+
+def second_nabla_nested_and_bound(lc, fld, X, F):
+    """The nested-stencil B = ``second_nabla_nested_per_point`` at each row of
+    X (N, d) on the frames F (N, d, k) at fd_step h, and a bound per point on
+    its gap to the flat-stencil A = ``lc.second_nabla_frame`` at the same h:
+
+      max |A(h) - B(h)| <= 2 (4/3) (max |A(h) - A(h/2)| + max |B(h) - B(h/2)|).
+
+    Both are O(h^2) discretisations of one tensor, so each lies within (4/3)
+    of its step-halving change of the exact value (Richardson); the factor 2
+    is margin."""
+    from killinglab.metrics import LeviCivita
+
+    half = LeviCivita(lc.metric, fd_step=lc.fd_step / 2, atlas=lc.atlas)
+    B, B_half = (np.array([second_nabla_nested_per_point(c, fld, x, f) for x, f in zip(X, F)])
+                 for c in (lc, half))
+    A, A_half = (c.second_nabla_frame(fld, X, F) for c in (lc, half))
+    worst = lambda D: np.abs(D).reshape(len(X), -1).max(axis=1)
+    return B, 2.0 * (4.0 / 3.0) * (worst(A - A_half) + worst(B - B_half))
 
 
 def contact_form_residual_per_point(lc_def, lc_ref, fld, point):

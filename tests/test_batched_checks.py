@@ -31,6 +31,7 @@ from killinglab.sphere import (
     sample_sphere,
 )
 from killinglab.verify import (
+    WEDGE_SIGN,
     check_anticommutators,
     check_contact_form_preserved,
     check_dxi_spectrum,
@@ -52,6 +53,8 @@ from oracles import (
     nijenhuis_residual_per_point,
     nijenhuis_stencil_and_bound,
     second_nabla_fd_per_point,
+    second_nabla_nested_and_bound,
+    second_nabla_nested_per_point,
 )
 
 LABELS = ["round", "gF", "irregular", "quaternionic"]
@@ -126,6 +129,64 @@ def test_batched_fd_second_nabla_matches_reference(label):
         ref = second_nabla_fd_per_point(lc, fields[0], x, F[i])
         assert _rel(T[i], ref) <= 1e-12
         assert _rel(lc.second_nabla_frame(general, SpherePoint(x), F[i]), ref) <= 1e-12
+
+
+@pytest.mark.parametrize("label", ["gF", "irregular"])
+def test_flat_second_nabla_within_the_step_halving_bound_of_the_nested_one(label):
+    metric, fields, n = _structure(label)
+    lc = LeviCivita(metric)
+    X = _mixed_sample(n, 6, seed=31)
+    F = g_orthonormal_frame(metric.matrix_at(X), X)
+    nested, bound = second_nabla_nested_and_bound(lc, fields[0], X, F)
+    gap = np.abs(lc.second_nabla_frame(fields[0], X, F) - nested).reshape(len(X), -1).max(axis=1)
+    assert np.all(gap <= bound)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_flat_second_nabla_is_closer_to_the_exact_wedge_than_the_nested_one(n):
+    """The irregular structure is Sasakian, so nabla^2 xi(u, v) is the closed
+    form WEDGE_SIGN (g(u, v) xi - eta(v) u) on its g-orthonormal frame."""
+    ir = build_irregular(n=n)
+    lc = LeviCivita(ir.metric)
+    X = sample_sphere(n, 12, seed=67).coords
+    M = ir.metric.matrix_at(X)
+    F = g_orthonormal_frame(M, X)
+    xi = ir.field.value(X)
+    eta_f = (matvec(M, xi)[:, None, :] @ F)[:, 0]
+    exact = WEDGE_SIGN * (np.eye(F.shape[-1]) * xi[:, :, None, None]
+                          - np.einsum("nj,ndi->ndij", eta_f, F))
+    flat = np.abs(lc.second_nabla_frame(ir.field, X, F) - exact).max()
+    nested = max(np.abs(second_nabla_nested_per_point(lc, ir.field, x, f) - e).max()
+                 for x, f, e in zip(X, F, exact))
+    assert flat <= nested
+
+
+def test_second_nabla_converges_quadratically_in_fd_step():
+    metric, fields, n = _structure("gF")
+    X = _mixed_sample(n, 6, seed=71)
+    F = g_orthonormal_frame(metric.matrix_at(X), X)
+    T = [LeviCivita(metric, fd_step=h).second_nabla_frame(fields[0], X, F)
+         for h in (4e-4, 2e-4, 1e-4, 5e-5)]
+    for a, b, c in zip(T, T[1:], T[2:]):
+        # O(h^2): halving the step quarters the change
+        assert 3.5 <= np.abs(a - b).max() / np.abs(b - c).max() <= 4.5
+
+
+@pytest.mark.parametrize("label", ["gF", "irregular"])
+def test_second_nabla_evaluates_the_flat_stencil_once_per_point(label):
+    metric, fields, n = _structure(label)
+    rows = []
+
+    def counted(x):
+        rows.append(x.reshape(-1, x.shape[-1]).shape[0])
+        return metric.matrix_at(x)
+
+    lc = LeviCivita(metrics.MetricField(metric.kind, counted, metric.dim))
+    X = _mixed_sample(n, 2 * metrics.STENCIL_CHUNK + 3, seed=73)
+    F = g_orthonormal_frame(metric.matrix_at(X), X)
+    lc.second_nabla_frame(fields[0], X, F)
+    m = X.shape[-1] - 1
+    assert sum(rows) == len(X) * (2 * m * m + 1)
 
 
 @pytest.mark.parametrize("label", LABELS)

@@ -41,6 +41,7 @@ from killinglab.constructions import (
     solve_lift,
     split_fixture_operator,
 )
+from killinglab.metrics import NumericalQualityError
 from killinglab.verify import (
     check_contact_form_preserved,
     check_flip_quaternionic,
@@ -384,6 +385,38 @@ def test_irregular_transverse_derivative(irregular):
     r = check_transverse_derivative(lc, irregular.field, irregular.j0, pts,
                                     tol=1e-5)
     assert r.passed
+
+
+def test_transverse_derivative_differences_only_the_half_step(irregular, monkeypatch):
+    lc = LeviCivita(irregular.metric)
+    X = sample_sphere(irregular.n, 20, seed=42).coords
+    st = lc.structure_at(irregular.field, X)
+    steps = []
+    endo = LeviCivita._chart_nabla_endo
+
+    def recorded(self, fld, chart, u, h):
+        steps.append(h)
+        return endo(self, fld, chart, u, h)
+
+    monkeypatch.setattr(LeviCivita, "_chart_nabla_endo", recorded)
+    r = check_transverse_derivative(lc, irregular.field, irregular.j0, X, tol=1e-5, st=st)
+    assert set(steps) == {lc.fd_step / 2}
+    assert r == check_transverse_derivative(lc, irregular.field, irregular.j0, X, tol=1e-5)
+    # the residual reads the half-step N that nabla_endo(guard=True) returns
+    _, _, vt = np.linalg.svd(np.stack([X, X @ irregular.j0.T], axis=1))
+    V = np.swapaxes(vt[:, 2:], -1, -2)
+    D = lc.nabla_endo(irregular.field, X, guard=True) @ V - irregular.j0 @ V
+    assert r.max_residual == np.abs(D).max()
+
+
+def test_transverse_derivative_keeps_the_step_halving_guard(irregular):
+    lc = LeviCivita(irregular.metric, fd_step=1e-13)
+    X = sample_sphere(irregular.n, 5, seed=42).coords
+    message = "unstable under step halving: rel drift .* at fd_step=1.000e-13"
+    with pytest.raises(NumericalQualityError, match=message):
+        lc.nabla_endo(irregular.field, X, guard=True)
+    with pytest.raises(NumericalQualityError, match=message):
+        check_transverse_derivative(lc, irregular.field, irregular.j0, X, tol=1e-5)
 
 
 def test_irregular_flow_is_dense_in_two_torus(irregular):

@@ -68,7 +68,7 @@ def test_dispatch_follows_the_metric_and_the_field(monkeypatch, round2, irregula
     def no_fd(*args):
         raise _FiniteDifferences
 
-    monkeypatch.setattr(LeviCivita, "_chart_nabla_endo", no_fd)
+    monkeypatch.setattr(LeviCivita, "_chart_metric_and_field", no_fd)
     X = sample_sphere(2, 5, seed=3).coords
     lc = LeviCivita(round2.metric)
     F = g_orthonormal_frame(lc.metric.matrix_at(X), X)
