@@ -205,16 +205,6 @@ def build_flip_fixture() -> FlipFixture:
     return FlipFixture(J=J, metric_matrix=np.eye(8), projector_plus=proj, dim=8)
 
 
-def split_fixture_operator() -> np.ndarray:
-    """Direct (2,2) involution for the eigensplit machinery.
-
-    Dimensions (2, 2) cannot arise from an anticommuting triple (see
-    FlipFixture), so this fixture feeds the splitting code an explicit
-    self-adjoint involution instead.
-    """
-    return np.diag([1.0, 1.0, -1.0, -1.0])
-
-
 # ---------------------------------------------------------------------------
 # circle bundle over the half-radius 2-sphere
 # ---------------------------------------------------------------------------

@@ -11,14 +11,18 @@ Differentiation strategy, chosen from the metric and the field alone:
     difference quotient of the pulled-back metric at flow time FLOW_TIME
     (``flow_lie_frame``), exact for a Killing field and independent of the
     finite-difference step;
-  * anything else  ->  stereographic chart with closed-form Jacobian J.  At
-    each point one chart endomorphism H = dX^T + Gamma X of the covariant
-    derivative is built and pushed forward as N = J H J^T / lam^2.  The
-    derivatives of metric and field components come from one ``central_diff``
-    call over the whole +-h stencil of a point, or of a stack of points, with
-    one Jacobian per stencil point.  The second covariant derivative takes
-    one call over the flat second-difference stencil (2m^2 + 1 points) and
-    forms Gamma, d Gamma, H and dH from it in closed algebra.
+  * anything else  ->  finite differences in ambient coordinates, by the
+    Gauss formula: the Levi-Civita connection of S in (R^d, M~) is the
+    tangential part of the ambient one (do Carmo, *Riemannian Geometry*,
+    ch. 6).  The metric is extended off the sphere as M~(y) = P M(y^) P +
+    y^ y^T, y^ = y / |y|, P = Id - y^ y^T; on the sphere M~ agrees with M on
+    tangent vectors and makes x the unit normal, so the tangential part is
+    the Euclidean projection P.  ``metric_and_field`` gives [M~ | X] at a
+    stack of points, and one ``central_diff`` call over the d ambient axes
+    gives the ambient Christoffel symbols and H~ = dX^T + Gamma~ X, with
+    nabla X = P H~ P.  The second covariant derivative takes one call over
+    the flat second-difference stencil (2d^2 + 1 points) and forms Gamma~,
+    d Gamma~, H~ and dH~ from it in closed algebra.
 
 Tangent frames are Gram-Schmidt in Cholesky form; frames, the derived
 structure and the second covariant derivative take one point or a stack, so a
@@ -27,7 +31,7 @@ Second-difference stencils run in chunks of STENCIL_CHUNK points, bounding
 their memory.
 
 Finite differences on the round metric are asked for through the inputs: a
-copy of a linear field with ``kind="general"`` takes the chart path.  A
+copy of a linear field with ``kind="general"`` takes the ambient stencil.  A
 finite-difference covariant derivative can be wrapped in a Richardson
 step-halving guard where a caller asks for it (``guard=True``); disagreement
 beyond ``RICHARDSON_REL_TOL`` raises ``NumericalQualityError`` instead of
@@ -41,18 +45,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .sphere import (
-    Chart,
-    chart_for_point,
-    chart_index,
-    default_atlas,
-    matvec,
-    orthonormal_tangent_frame,
-    rowdot,
-    tangent_seeds,
-)
+from .sphere import matvec, orthonormal_tangent_frame, rowdot, tangent_seeds
 
 DEFAULT_FD_STEP = 1e-4
+# Stencil points x +- h e_l sit at distance ~h from x on a unit sphere, whose
+# curvature scale is 1.  A step beyond a few hundredths samples the metric far
+# outside the neighbourhood of the base point, where step halving cannot tell
+# a wrong value from a converged one (both halvings collapse to it).
 MAX_FD_STEP = 0.02
 RICHARDSON_REL_TOL = 1e-3
 # Flat second-difference step of ``second_nabla_frame`` over fd_step: its rounding
@@ -291,31 +290,20 @@ def _degeneracy(G: np.ndarray, x: np.ndarray) -> MetricDegeneracyError:
         f"{np.round(x[i], 6).tolist()}: Cholesky pivot {k} of its Gram matrix is {piv[i, k]:.3e}")
 
 
-def chart_groups(x: np.ndarray, atlas: Sequence[Chart], chunked: bool = False):
-    """(chart, rows) pairs covering the points x (N, d): the row indices that
-    ``chart_index`` gives each chart, with ``chunked`` in slices of at most
-    STENCIL_CHUNK rows."""
-    idx = chart_index(x, atlas)
-    for c, chart in enumerate(atlas):
-        rows = np.flatnonzero(idx == c)
-        size = STENCIL_CHUNK if chunked else max(len(rows), 1)
-        for start in range(0, len(rows), size):
-            yield chart, rows[start:start + size]
-
-
 def _lower(dg: np.ndarray) -> np.ndarray:
-    """Christoffel symbols of the first kind [..., k, i, j] from the chart
-    metric derivatives dg[..., l, i, j] = d g_ij / d u_l."""
+    """Christoffel symbols of the first kind [..., k, i, j] from the metric
+    derivatives dg[..., l, i, j] = d g_ij / d y_l."""
     # Gamma_{kij} (lower) = (d_i g_jk + d_j g_ik - d_k g_ij) / 2
     return 0.5 * (np.einsum("...ijk->...kij", dg) + np.einsum("...jik->...kij", dg) - dg)
 
 
 def _christoffel(g: np.ndarray, dg: np.ndarray) -> np.ndarray:
-    """Christoffel symbols Gamma[..., k, i, j] from the chart metric g (..., m, m)
-    and its derivatives dg[..., l, i, j] = d g_ij / d u_l."""
+    """Christoffel symbols Gamma[..., k, i, j] from the metric g (..., m, m)
+    and its derivatives dg[..., l, i, j] = d g_ij / d y_l."""
     m = g.shape[-1]
     lower = _lower(dg)
-    return np.linalg.solve(g, lower.reshape(lower.shape[:-3] + (m, m * m))).reshape(lower.shape)
+    # inv then matmul: a batched solve with m^2 right-hand sides takes ~4x as long
+    return (np.linalg.inv(g) @ lower.reshape(lower.shape[:-3] + (m, m * m))).reshape(lower.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -350,129 +338,90 @@ class StructureTensors:
 class LeviCivita:
     """Covariant differentiation for a metric field on an odd sphere."""
 
-    def __init__(self, metric: MetricField, fd_step: float = DEFAULT_FD_STEP,
-                 atlas: Sequence[Chart] | None = None):
+    def __init__(self, metric: MetricField, fd_step: float = DEFAULT_FD_STEP):
         if not fd_step > 0:  # also refuses NaN, for which every comparison is false
             raise ValueError(f"fd_step must be a positive number, got {fd_step!r}")
         if fd_step > MAX_FD_STEP:
-            # Stereographic charts of the unit sphere have O(1) coordinate
-            # scale; a difference step beyond a few hundredths samples the
-            # metric far outside the neighbourhood of the base point and the
-            # Richardson check cannot detect the failure (both halvings
-            # collapse to the same wrong value).
             raise NumericalQualityError(
-                f"fd_step={fd_step:g} exceeds the usable chart scale "
-                f"(max {MAX_FD_STEP:g} on unit-sphere charts)")
+                f"fd_step={fd_step:g} exceeds the usable difference scale "
+                f"(max {MAX_FD_STEP:g} on the unit sphere)")
         self.metric = metric
         self.fd_step = float(fd_step)
-        self.atlas = tuple(atlas) if atlas is not None else default_atlas(metric.dim)
 
     def _use_exact(self, fld: VectorField) -> bool:
         """Exact-vs-FD dispatch: the closed form needs the round metric and a
         linear field."""
         return self.metric.exact_round and fld.kind == "linear"
 
-    # -- chart-level pieces -------------------------------------------------
-    # Each takes one chart point u (m,) or a stack (..., m) in the same chart.
+    # -- the extended metric ---------------------------------------------------
+    # Each takes one ambient point y (d,) or a stack (..., d) near the sphere.
 
-    def chart_metric(self, chart: Chart, u: np.ndarray) -> np.ndarray:
-        """Metric components g_ij(u) in chart coordinates."""
-        J = chart.jacobian(u)
-        M = self.metric.matrix_at(chart.point_coords(u))
-        return np.swapaxes(J, -1, -2) @ M @ J
+    def extended_metric(self, y: np.ndarray) -> np.ndarray:
+        """M~(y) = P M(y^) P + y^ y^T with y^ = y / |y| and P = Id - y^ y^T,
+        positive wherever M is positive on the tangent space."""
+        y = np.asarray(y, dtype=float)
+        yh = y / np.sqrt(rowdot(y, y))[..., None]
+        M = self.metric.matrix_at(yh)
+        My = matvec(M, yh)
+        # P M P + y^ y^T = M - (y^ b^T + b y^T), b = (M - Id) y^ - (y^.M y^ - 1) y^ / 2,
+        # written about Id so that |y^| - 1 from rounding is kept, not rounded away
+        b = (My - yh) - (0.5 * (rowdot(yh, My) - 1.0))[..., None] * yh
+        return M - np.stack([yh, b], axis=-1) @ np.stack([b, yh], axis=-2)
 
-    def christoffel(self, chart: Chart, u: np.ndarray) -> np.ndarray:
-        """Christoffel symbols Gamma[..., k, i, j] in chart coordinates.
+    def metric_and_field(self, fld: VectorField, y: np.ndarray) -> np.ndarray:
+        """[M~ | X] (..., d, d + 1): ``extended_metric`` and, as the last
+        column, the field's value at y."""
+        return np.concatenate([self.extended_metric(y), fld.value(y)[..., None]], axis=-1)
 
-        Round metric: closed conformal-factor form.  Otherwise: central
-        differences of the chart metric components at fd_step.
+    def christoffel(self, x: np.ndarray) -> np.ndarray:
+        """Ambient Christoffel symbols Gamma~[..., k, i, j] of M~ at x.
+
+        Round metric: M~ = Id, so zero.  Otherwise: central differences of
+        M~ at fd_step.
         """
-        u = np.asarray(u, dtype=float)
-        m = chart.dim - 1
+        x = np.asarray(x, dtype=float)
         if self.metric.exact_round:
-            s = (rowdot(u, u) + 1.0)[..., None, None, None]
-            eye = np.eye(m)
-            Gamma = (np.einsum("ik,...j->...kij", eye, u) + np.einsum("jk,...i->...kij", eye, u)
-                     - np.einsum("ij,...k->...kij", eye, u))
-            return (-2.0 / s) * Gamma
-        g, dg = central_diff(lambda v: self.chart_metric(chart, v), u, self.fd_step, center=True)
+            return np.zeros(x.shape + x.shape[-1:] * 2)
+        g, dg = central_diff(self.extended_metric, x, self.fd_step, center=True)
         return _christoffel(g, dg)
 
-    def _chart_metric_and_field(self, chart: Chart, u: np.ndarray,
-                                fld: VectorField) -> np.ndarray:
-        """[g | X] (..., m, m + 1): chart metric g_ij(u) and, as the last
-        column, the field's chart components X^i, from one Jacobian per point."""
-        x = chart.point_coords(u)
-        J = chart.jacobian(u)
-        Jt = np.swapaxes(J, -1, -2)
-        g = Jt @ self.metric.matrix_at(x) @ J
-        Xc = matvec(Jt, fld.value(x)) / (chart.conformal_factor(u) ** 2)[..., None]
-        return np.concatenate([g, Xc[..., None]], axis=-1)
-
-    def _chart_nabla_endo(self, fld: VectorField, chart: Chart, u: np.ndarray,
-                          h: float) -> np.ndarray:
-        """Chart matrix H[..., k, j] = (nabla_{d_j} field)^k at chart point(s) u."""
-        vals, dvals = central_diff(lambda v: self._chart_metric_and_field(chart, v, fld), u, h,
-                                   center=True)
-        Gamma = (self.christoffel(chart, u) if self.metric.exact_round
-                 else _christoffel(vals[..., :-1], dvals[..., :-1]))
-        Xc = np.ascontiguousarray(vals[..., -1])  # einsum sums a strided operand in another order
-        # H[k, j] = d_j X^k + Gamma^k_{j l} X^l
-        return np.swapaxes(dvals[..., -1], -1, -2) + np.einsum("...kjl,...l->...kj", Gamma, Xc)
-
-    def _guarded_chart_endo(self, fld: VectorField, chart: Chart, u: np.ndarray,
-                            guard: bool) -> np.ndarray:
-        """H at fd_step; with ``guard``, H at fd_step / 2 once the two agree to
-        RICHARDSON_REL_TOL at every point."""
-        h = self.fd_step
-        H = self._chart_nabla_endo(fld, chart, u, h)
-        return richardson_guard(H, self._chart_nabla_endo(fld, chart, u, h / 2), h) if guard else H
-
     # -- first covariant derivative ------------------------------------------
+
+    def _endo(self, fld: VectorField, x: np.ndarray, h: float) -> np.ndarray:
+        """Ambient H~[..., k, j] = d_j X^k + Gamma~^k_{jl} X^l at x (..., d)
+        from central differences of [M~ | X] at step h."""
+        vals, dvals = central_diff(lambda y: self.metric_and_field(fld, y), x, h, center=True)
+        Gamma = _christoffel(vals[..., :-1], dvals[..., :-1])
+        X = np.ascontiguousarray(vals[..., -1])  # einsum sums a strided operand in another order
+        return np.swapaxes(dvals[..., -1], -1, -2) + np.einsum("...kjl,...l->...kj", Gamma, X)
 
     def nabla(self, fld: VectorField, x: np.ndarray, direction: np.ndarray,
               guard: bool = True) -> np.ndarray:
         """Ambient components of the covariant derivative of ``fld`` along
-        ``direction`` (an ambient tangent vector) at the point x (d,).
-
-        The closed form serves the round metric with a linear field; every
-        other pair takes finite differences, which apply the chart
-        endomorphism H to the chart components of ``direction``.  With
-        ``guard`` H is recomputed at half step and must agree to
-        RICHARDSON_REL_TOL.
-        """
-        x = np.asarray(x, dtype=float)
-        direction = np.asarray(direction, dtype=float)
-        if self._use_exact(fld):
-            w = fld.matrix @ direction
-            return w - np.dot(w, x) * x
-        chart = chart_for_point(x, self.atlas)
-        u = chart.coords(x)
-        H = self._guarded_chart_endo(fld, chart, u, guard)
-        return chart.push(u, H @ chart.to_chart_vector(u, direction))
+        ``direction`` (an ambient tangent vector) at x: ``nabla_endo`` applied
+        to it."""
+        return matvec(self.nabla_endo(fld, x, guard=guard), np.asarray(direction, dtype=float))
 
     def nabla_endo(self, fld: VectorField, x: np.ndarray,
                    guard: bool = False) -> np.ndarray:
         """Ambient matrix N with N v = nabla_v(field) for tangent v, N x = 0.
 
         ``x`` is one ambient point (d,) or a stack (..., d), which gives
-        (..., d, d).  Off the closed form each point is differentiated in
-        the chart ``chart_index`` gives it: N = J H J^T / lam^2, where
-        J^T x = 0 keeps N x = 0.
+        (..., d, d).  The closed form serves the round metric with a linear
+        field, N = P A P; every other pair takes N = P H~ P with H~ from
+        central differences of [M~ | X] at fd_step.  With ``guard`` H~ is
+        recomputed at half step and must agree to RICHARDSON_REL_TOL; the
+        half-step one is used.
         """
         x = np.asarray(x, dtype=float)
+        P = np.eye(x.shape[-1]) - x[..., :, None] * x[..., None, :]
         if self._use_exact(fld):
-            proj = np.eye(x.shape[-1]) - x[..., :, None] * x[..., None, :]
-            return proj @ fld.matrix @ proj
-        xs = x.reshape(-1, x.shape[-1])
-        N = np.empty(xs.shape + xs.shape[-1:])
-        for chart, rows in chart_groups(xs, self.atlas):
-            u = chart.coords(xs[rows])
-            H = self._guarded_chart_endo(fld, chart, u, guard)
-            J = chart.jacobian(u)
-            lam2 = chart.conformal_factor(u) ** 2
-            N[rows] = J @ H @ np.swapaxes(J, -1, -2) / lam2[:, None, None]
-        return N.reshape(x.shape + x.shape[-1:])
+            return P @ fld.matrix @ P
+        h = self.fd_step
+        H = self._endo(fld, x, h)
+        if guard:
+            H = richardson_guard(H, self._endo(fld, x, h / 2), h)
+        return P @ H @ P
 
     # -- second covariant derivative ------------------------------------------
 
@@ -482,12 +431,16 @@ class LeviCivita:
 
         T(u, v) = nabla_u (nabla field)(v); the closed form on the round
         sphere with field E x is T(f_i, f_j) = -(x.E f_j) P f_i - (f_i.f_j) P E x,
-        P the tangent projector.  The FD path differences [g | X] once over the
-        flat stencil (``central_diff`` with ``second``) of step fd_step *
-        SECOND_DERIV_STEP_SCALE and forms Gamma, d Gamma, H and dH from it;
-        each point in the chart ``chart_index`` gives it, the points of a
-        chart in chunks of STENCIL_CHUNK.  Points (N, d) with frames (N, d, k)
-        give (N, d, k, k).
+        P the tangent projector.  The FD path differences [M~ | X] once over
+        the flat stencil (``central_diff`` with ``second``) of step fd_step *
+        SECOND_DERIV_STEP_SCALE along the d ambient axes, forms Gamma~,
+        d Gamma~, H~ and dH~ from it, and takes the tangential part (Gauss):
+        with w(u) = u + Gamma~(u, x), the ambient derivative of the position,
+
+          T(u, v) = P[(D~_u H~) v] - (w(u)^T M~ v) P H~ x - (x^T H~ v) P w(u).
+
+        The points run in chunks of STENCIL_CHUNK.  Points (N, d) with frames
+        (N, d, k) give (N, d, k, k).
         """
         x = np.asarray(x, dtype=float)
         if self._use_exact(fld):
@@ -502,29 +455,32 @@ class LeviCivita:
             return T
         xs, fs = x.reshape(-1, x.shape[-1]), frame.reshape((-1,) + frame.shape[-2:])
         T = np.empty(fs.shape + fs.shape[-1:])
-        h = self.fd_step * SECOND_DERIV_STEP_SCALE
-        for chart, rows in chart_groups(xs, self.atlas, chunked=True):
-            u0 = chart.coords(xs[rows])
-            f0, d1, d2 = central_diff(lambda v: self._chart_metric_and_field(chart, v, fld),
-                                      u0, h, second=True)
+        d, h = xs.shape[-1], self.fd_step * SECOND_DERIV_STEP_SCALE
+        for start in range(0, len(xs), STENCIL_CHUNK):
+            rows = slice(start, start + STENCIL_CHUNK)
+            x0, F = xs[rows], fs[rows]
+            f0, d1, d2 = central_diff(lambda y: self.metric_and_field(fld, y), x0, h, second=True)
             g, dg, X, dX, ddX = f0[..., :-1], d1[..., :-1], f0[..., -1], d1[..., -1], d2[..., -1]
             Gamma = _christoffel(g, dg)
-            # g d_p Gamma = d_p lower - (d_p g) Gamma, with dGamma[n, k, p, i, j] = d_p Gamma^k_ij
-            R = (np.einsum("npkij->nkpij", _lower(d2[..., :-1]))
-                 - np.einsum("npka,naij->nkpij", dg, Gamma))
-            dGamma = (np.linalg.inv(g) @ R.reshape(R.shape[:2] + (-1,))).reshape(R.shape)
+            # g d_p Gamma = d_p lower - (d_p g) Gamma, with dGamma[n, p, k, i, j] = d_p Gamma^k_ij
+            R = _lower(d2[..., :-1])
+            R -= (dg @ Gamma.reshape(-1, 1, d, d * d)).reshape(R.shape)
+            dGamma = (np.linalg.inv(g)[:, None] @ R.reshape(R.shape[:3] + (-1,))).reshape(R.shape)
             # H^k_j = d_j X^k + Gamma^k_{jl} X^l and dH[n, i, k, j] = d_i H^k_j
             H = np.swapaxes(dX, -1, -2) + np.einsum("nkjl,nl->nkj", Gamma, X)
-            dH = (np.swapaxes(ddX, -1, -2) + np.einsum("nkijl,nl->nikj", dGamma, X)
+            dH = (np.swapaxes(ddX, -1, -2) + np.einsum("nikjl,nl->nikj", dGamma, X)
                   + np.einsum("nkjl,nil->nikj", Gamma, dX))
-            # T_chart[n, k, i, j] = d_i H^k_j + Gamma^k_{i l} H^l_j - Gamma^l_{i j} H^k_l
-            T_chart = (np.einsum("nikj->nkij", dH)
-                       + np.einsum("nkil,nlj->nkij", Gamma, H)
-                       - np.einsum("nlij,nkl->nkij", Gamma, H))
-            Fc = chart.to_chart_vector(u0[:, None, :], np.swapaxes(fs[rows], -1, -2))
-            Fc = Fc[:, None]                                      # (n, 1, k, m)
-            Tf = Fc @ T_chart @ np.swapaxes(Fc, -1, -2)           # (n, m, k, k)
-            T[rows] = np.einsum("ndm,nmij->ndij", chart.jacobian(u0), Tf)
+            # DH[n, k, i, j] = d_i H^k_j + Gamma^k_{i l} H^l_j - Gamma^l_{i j} H^k_l
+            DH = (np.einsum("nikj->nkij", dH)
+                  + np.einsum("nkil,nlj->nkij", Gamma, H)
+                  - np.einsum("nlij,nkl->nkij", Gamma, H))
+            Ft = np.swapaxes(F, -1, -2)
+            Tf = Ft[:, None] @ DH @ F[:, None]                            # (n, d, k, k)
+            W = F + np.einsum("nkab,nai,nb->nki", Gamma, F, x0)           # w(f_i)
+            c1 = np.swapaxes(W, -1, -2) @ g @ F                           # w(f_i)^T M~ f_j
+            c2 = (x0[:, None, :] @ H @ F)[:, 0]                           # x^T H~ f_j
+            Tf -= c1[:, None] * matvec(H, x0)[:, :, None, None] + c2[:, None, None, :] * W[..., None]
+            T[rows] = Tf - x0[:, :, None, None] * np.einsum("nd,ndij->nij", x0, Tf)[:, None]
         return T.reshape(frame.shape + frame.shape[-1:])
 
     # -- derived structure ----------------------------------------------------
@@ -556,7 +512,7 @@ class LeviCivita:
         P(s) = F^T E_s^T M(E_s x) E_s F, returns (P(t) - P(-t)) / 2t.  E_s
         is an isometry when the field is Killing, so P(s) = F^T M(x) F for
         every s and the quotient vanishes up to rounding over t; for any other
-        field it is L_xi g + O(t^2).  No chart, Christoffel symbol or field
+        field it is L_xi g + O(t^2).  No Christoffel symbol or field
         derivative enters.  E_-t = E_t^T since E_t is orthogonal, and one
         metric call covers E_t x and E_-t x.
         """

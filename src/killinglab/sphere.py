@@ -1,12 +1,12 @@
 """Seeded samples, stereographic charts and tangent frames on odd spheres.
 
 Everything lives in ambient coordinates: a point of S^(2n+1) is a unit vector
-in R^(2n+2), a sample of N points one (N, d) array.  Charts (stereographic
-projection from a pole) only enter where a metric has to be differentiated
-numerically; the chart inverse and its Jacobian are closed-form, so the only
-finite differences in the pipeline are the ones applied to metric
-components.  Tangent frames are Gram-Schmidt in Cholesky form and take one
-point (d,) or a stack of points (N, d).
+in R^(2n+2), a sample of N points one (N, d) array, and the finite
+differences of ``metrics`` step along the ambient axes.  Stereographic charts
+(projection from a pole, with closed-form inverse and Jacobian) are public API
+and serve as an independent discretisation to test against; samples keep
+clear of the default atlas's poles.  Tangent frames are Gram-Schmidt in
+Cholesky form and take one point (d,) or a stack of points (N, d).
 """
 
 from __future__ import annotations
@@ -57,17 +57,6 @@ class SpherePoint:
         """Ambient dimension 2n+2."""
         return self.coords.shape[0]
 
-    @property
-    def sphere_dim(self) -> int:
-        """Intrinsic dimension 2n+1."""
-        return self.coords.shape[0] - 1
-
-
-def sphere_point(coords, normalize: bool = False) -> SpherePoint:
-    x = np.asarray(coords, dtype=float)
-    if normalize:
-        x = x / np.linalg.norm(x)
-    return SpherePoint(x)
 
 
 def tangent_seeds(x: np.ndarray) -> np.ndarray:
@@ -106,10 +95,6 @@ class Chart:
     @property
     def dim(self) -> int:
         return self.pole.dim
-
-    def contains(self, x: np.ndarray) -> bool:
-        x = np.asarray(x, dtype=float)
-        return float(np.linalg.norm(x - self.pole.coords)) > POLE_EXCLUSION
 
     # Every map below takes one chart point u of shape (m,) = (d-1,) or a
     # stack (..., m), giving the per-row results for a stack.

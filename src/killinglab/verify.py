@@ -41,11 +41,11 @@ import numpy as np
 from . import sphere
 from .algebra import field_bracket
 from .metrics import (
+    SECOND_DERIV_STEP_SCALE,
     LeviCivita,
     StructureTensors,
     VectorField,
     central_diff,
-    chart_groups,
     g_orthonormal_frame,
     linear_field,
     richardson_guard,
@@ -193,15 +193,26 @@ def check_dxi_spectrum(lc: LeviCivita, fld: VectorField, points,
 
 def covariant_canary(lc: LeviCivita, fld: VectorField, x: np.ndarray) -> float:
     """One guarded finite-difference covariant derivative, of a general copy
-    of the field so that it takes finite differences on every metric.
+    of the field so that it takes finite differences on every metric, and
+    one guard on the pure second differences of [M~ | X] along the
+    g-orthonormal frame directions at x, at the step h_2 of
+    ``second_nabla_frame`` and at h_2 / 2.
 
     Raises metrics.NumericalQualityError when the configured step cannot
     produce trustworthy derivatives; batteries run this before committing to
     a finite-difference pass so a bad --fd-step surfaces as a numerical
     failure instead of silent garbage.
     """
+    x = np.asarray(x, dtype=float)
     F = g_orthonormal_frame(lc.metric.matrix_at(x), x)
     out = lc.nabla(replace(fld, kind="general"), x, F[:, 0], guard=True)
+    h = lc.fd_step * SECOND_DERIV_STEP_SCALE
+    # [M~ | X] at x + s f_i for s = h, -h, h/2, -h/2 and every frame column f_i, then at x
+    offsets = np.array([1.0, -1.0, 0.5, -0.5])[:, None, None] * h * F.T
+    f = lc.metric_and_field(fld, np.concatenate([(x + offsets).reshape(-1, x.shape[-1]), x[None]]))
+    f0, (fp, fm, fp2, fm2) = f[-1], f[:-1].reshape((4, -1) + f.shape[1:])
+    richardson_guard((fp + fm - 2.0 * f0) / h ** 2, (fp2 + fm2 - 2.0 * f0) / (h / 2) ** 2,
+                     lc.fd_step)
     return float(np.linalg.norm(out))
 
 
@@ -610,32 +621,22 @@ def check_contact_form_preserved(lc_def: LeviCivita, lc_ref: LeviCivita,
     """Metric-dual one-form and its exterior derivative agree between metrics.
 
     The one-forms are compared pointwise in ambient components.  Their
-    exterior derivatives are compared in chart components, each side computed
-    by central differences of the pulled-back covector over the points of a
-    chart at once; no connection enters, so the comparison resolves far
-    below covariant-derivative noise.
+    exterior derivatives are compared on the Euclidean tangent frame
+    ``orthonormal_tangent_frame``: each side differences the ambient one-form
+    M(y) X(y) along the d axes with step lc_def.fd_step and antisymmetrises,
+    which is d(eta) on tangent vectors because pull-back commutes with d.  No
+    connection enters, so the comparison resolves far below
+    covariant-derivative noise.
     """
     X = _stack(name, points)
     xi = fld.value(X)
     res = _worst(matvec(lc_def.metric.matrix_at(X), xi) - matvec(lc_ref.metric.matrix_at(X), xi))
-    for chart, rows in chart_groups(X, lc_def.atlas):
-        u = chart.coords(X[rows])
-        ext = [_exterior_derivative(lc, fld, chart, u, lc_def.fd_step) for lc in (lc_def, lc_ref)]
-        res[rows] = np.maximum(res[rows], _worst(ext[0] - ext[1]))
-    return _check(name, res, tol)
-
-
-def _exterior_derivative(lc: LeviCivita, fld: VectorField, chart, u: np.ndarray,
-                        h: float) -> np.ndarray:
-    """Chart components (..., m, m) of d(eta), eta the metric dual of the
-    field, at chart points u (..., m), by central differences with step h."""
-    def chart_covector(v: np.ndarray) -> np.ndarray:
-        x = chart.point_coords(v)
-        eta = matvec(lc.metric.matrix_at(x), fld.value(x))
-        return matvec(np.swapaxes(chart.jacobian(v), -1, -2), eta)
-
-    grad = central_diff(chart_covector, u, h)
-    return grad - np.swapaxes(grad, -1, -2)
+    G = [central_diff(lambda y: matvec(lc.metric.matrix_at(y), fld.value(y)), X, lc_def.fd_step)
+         for lc in (lc_def, lc_ref)]
+    D = G[0] - G[1]                                     # D[n, l, k] = d_l (eta_def - eta_ref)_k
+    E = sphere.orthonormal_tangent_frame(X)
+    ext = np.swapaxes(E, -1, -2) @ (D - np.swapaxes(D, -1, -2)) @ E
+    return _check(name, np.maximum(res, _worst(ext)), tol)
 
 
 def check_transverse_derivative(lc: LeviCivita, fld: VectorField, j0: np.ndarray,
@@ -649,7 +650,7 @@ def check_transverse_derivative(lc: LeviCivita, fld: VectorField, j0: np.ndarray
     """
     X = _stack(name, points)
     N = lc.nabla_endo(fld, X) if st is None else st.nabla_endo
-    half = LeviCivita(lc.metric, lc.fd_step / 2, lc.atlas)
+    half = LeviCivita(lc.metric, lc.fd_step / 2)
     N_half = richardson_guard(N, half.nabla_endo(fld, X), lc.fd_step)
     _, _, vt = np.linalg.svd(np.stack([X, matvec(j0, X)], axis=1))
     V = np.swapaxes(vt[:, 2:], -1, -2)

@@ -146,11 +146,12 @@ def eigenfield_residuals_per_generator(lc, xi_field, mats, points, rate):
 def nijenhuis_residual_per_point(lc, fld, point, step=None):
     """A second discretisation of the horizontal Nijenhuis torsion, free of
     nabla^2 xi: coordinate brackets of horizontal frame fields by central
-    differences in a chart, with the full structure bundle (g-orthonormal
-    frame included) at every stencil point, one point and one frame pair at
-    a time, and the horizontal seeds from the Gram-Schmidt loop.  The default
-    step is 15 fd_step off the round metric and fd_step / 10 on it."""
-    from killinglab.sphere import SpherePoint, chart_for_point
+    differences in a stereographic chart of ``default_atlas``, with the full
+    structure bundle (g-orthonormal frame included) at every stencil point,
+    one point and one frame pair at a time, and the horizontal seeds from the
+    Gram-Schmidt loop.  The default step is 15 fd_step off the round metric
+    and fd_step / 10 on it."""
+    from killinglab.sphere import SpherePoint
 
     if step is None:
         step = lc.fd_step / 10 if lc.metric.exact_round else 15 * lc.fd_step
@@ -159,7 +160,7 @@ def nijenhuis_residual_per_point(lc, fld, point, step=None):
     M0 = st0.metric_matrix
     seeds = g_orthonormal_frame_exclude_mgs(M0, x0, [st0.xi])
     k = seeds.shape[1]
-    chart = chart_for_point(point, lc.atlas)
+    chart = chart_of(x0)
     u0 = chart.coords(point)
     m = chart.dim - 1
 
@@ -288,6 +289,75 @@ def g_orthonormal_frame_exclude_mgs(M, x, exclude):
     return np.array(kept[len(exclude):]).T.reshape(x.shape[0], -1)
 
 
+def chart_of(x):
+    """The chart of ``default_atlas`` whose pole is farther from x (d,)."""
+    from killinglab.sphere import chart_for_point, default_atlas
+
+    return chart_for_point(x, default_atlas(x.shape[0]))
+
+
+def _axis_diff(f, u0, h):
+    """Central differences D[l] = (f(u0 + h e_l) - f(u0 - h e_l)) / 2h, one
+    axis at a time."""
+    D = []
+    for l in range(u0.shape[0]):
+        e = np.zeros(u0.shape[0])
+        e[l] = h
+        D.append((f(u0 + e) - f(u0 - e)) / (2.0 * h))
+    return np.stack(D)
+
+
+def _lower(d):
+    """d[l, i, j] = d_l g_ij  ->  (d_i g_jk + d_j g_ik - d_k g_ij) / 2 at [k, i, j],
+    one index at a time."""
+    m = d.shape[0]
+    out = np.empty((m, m, m))
+    for k in range(m):
+        for i in range(m):
+            for j in range(m):
+                out[k, i, j] = 0.5 * (d[i, j, k] + d[j, i, k] - d[k, i, j])
+    return out
+
+
+def _torsion_free_hessian(Gamma, H, dH):
+    """DH[k, i, j] = d_i H^k_j + Gamma^k_{il} H^l_j - Gamma^l_{ij} H^k_l
+    from dH[i, k, j] = d_i H^k_j."""
+    return (np.einsum("ikj->kij", dH) + np.einsum("kil,lj->kij", Gamma, H)
+            - np.einsum("lij,kl->kij", Gamma, H))
+
+
+# -- the stereographic chart discretisation, from the public Chart maps -----------
+
+def chart_metric_and_field(metric, fld, chart, u):
+    """[g | X] (m, m + 1) at one chart point u (m,): the pulled-back metric
+    J^T M J and the field's chart components."""
+    y = chart.point_coords(u)
+    J = chart.jacobian(u)
+    Xc = chart.to_chart_vector(u, fld.value(y))
+    return np.concatenate([J.T @ metric.matrix_at(y) @ J, Xc[:, None]], axis=1)
+
+
+def chart_endo(metric, fld, chart, u, h):
+    """Christoffel symbols Gamma[k, i, j] and H[k, j] = d_j X^k +
+    Gamma^k_{jl} X^l at one chart point u, from central differences of
+    [g | X] at step h one axis at a time."""
+    f0 = chart_metric_and_field(metric, fld, chart, u)
+    D = _axis_diff(lambda v: chart_metric_and_field(metric, fld, chart, v), u, h)
+    m = u.shape[0]
+    Gamma = np.einsum("ka,aij->kij", np.linalg.inv(f0[:, :m]), _lower(D[..., :m]))
+    return Gamma, D[..., m].T + Gamma @ f0[:, m]
+
+
+def chart_nabla_endo_per_point(lc, fld, x, h=None):
+    """Ambient covariant derivative N = J H J^T / lam^2 (d, d) at one point x
+    from ``chart_endo`` in its chart, at step h (default lc.fd_step)."""
+    chart = chart_of(x)
+    u0 = chart.coords(x)
+    _, H = chart_endo(lc.metric, fld, chart, u0, lc.fd_step if h is None else h)
+    J = chart.jacobian(u0)
+    return J @ H @ J.T / chart.conformal_factor(u0) ** 2
+
+
 def _contract_chart_second_nabla(chart, u0, T_chart, frame):
     """Push the chart tensor T_chart[k, i, j] at u0 forward to ambient values
     on the frame (d, k), one frame pair at a time, (d, k, k)."""
@@ -301,98 +371,86 @@ def _contract_chart_second_nabla(chart, u0, T_chart, frame):
     return T
 
 
-def _chart_torsion_free_hessian(Gamma, H, dH):
-    """T_chart[k, i, j] = d_i H^k_j + Gamma^k_{il} H^l_j - Gamma^l_{ij} H^k_l
-    from dH[i, k, j] = d_i H^k_j."""
-    return (np.einsum("ikj->kij", dH) + np.einsum("kil,lj->kij", Gamma, H)
-            - np.einsum("lij,kl->kij", Gamma, H))
+def second_nabla_nested_per_point(lc, fld, x, frame):
+    """A chart discretisation of the second covariant derivative at one point
+    x (d,) on a frame (d, k), (d, k, k), in the stereographic chart of x: the
+    chart endomorphism H of the first covariant derivative at inner step
+    fd_step / 3, differenced one axis at a time at outer step 10 fd_step, with
+    the Christoffel symbols at the centre at the inner step."""
+    chart = chart_of(x)
+    u0 = chart.coords(x)
+    h_in, h_out = lc.fd_step / 3.0, lc.fd_step * 10.0
+    Gamma, H0 = chart_endo(lc.metric, fld, chart, u0, h_in)
+    dH = _axis_diff(lambda u: chart_endo(lc.metric, fld, chart, u, h_in)[1], u0, h_out)
+    return _contract_chart_second_nabla(chart, u0, _torsion_free_hessian(Gamma, H0, dH), frame)
 
+
+# -- the ambient discretisation, one stencil offset at a time ----------------------
 
 def second_nabla_fd_per_point(lc, fld, x, frame):
-    """Reference finite-difference second covariant derivative at one point
-    x (d,) on a frame (d, k), (d, k, k): the flat second-difference stencil
-    of step h = fd_step * SECOND_DERIV_STEP_SCALE in the chart of x, [g | X]
-    evaluated at one stencil point at a time, the first, pure second and
-    mixed second differences taken one axis pair at a time, and the
-    Christoffel symbols, their derivatives, H = dX^T + Gamma X and its
-    derivatives formed one index at a time from g^-1."""
-    from killinglab.metrics import SECOND_DERIV_STEP_SCALE
-    from killinglab.sphere import SpherePoint, chart_for_point
+    """Reference for the batched ambient second covariant derivative at one
+    point x (d,) on a frame (d, k), (d, k, k): [M~ | X] from
+    ``lc.metric_and_field`` at one offset of the flat stencil of step h =
+    fd_step * SECOND_DERIV_STEP_SCALE at a time, the first, pure second and
+    mixed second differences taken one axis pair at a time, the Christoffel
+    symbols, their derivatives, H = dX^T + Gamma X and its derivatives formed
+    one index at a time from M~^-1, and the Gauss formula
 
-    chart = chart_for_point(SpherePoint(x), lc.atlas)
-    u0 = chart.coords(x)
-    m = u0.shape[0]
+      T(u, v) = P[(D_u H) v] - (w(u)^T M~ v) P H x - (x^T H v) P w(u),
+      w(u) = u + Gamma(u, x),
+
+    one frame pair at a time."""
+    from killinglab.metrics import SECOND_DERIV_STEP_SCALE
+
+    d = x.shape[0]
     h = lc.fd_step * SECOND_DERIV_STEP_SCALE
 
-    def f(*steps):  # [g | X] at u0 + sum of sign * h e_axis over (axis, sign)
-        off = np.zeros(m)
+    def f(*steps):  # [M~ | X] at x + sum of sign * h e_axis over (axis, sign)
+        off = np.zeros(d)
         for axis, sign in steps:
             off[axis] = sign * h
         # a one-row stack: a single point would take np.dot, which rounds otherwise
-        return lc._chart_metric_and_field(chart, (u0 + off)[None], fld)[0]
+        return lc.metric_and_field(fld, (x + off)[None])[0]
 
     f0 = f()
-    D1 = np.empty((m,) + f0.shape)      # D1[l] = d_l [g | X]
-    D2 = np.empty((m, m) + f0.shape)    # D2[p, l] = d_p d_l [g | X]
-    for i in range(m):
+    D1 = np.empty((d,) + f0.shape)      # D1[l] = d_l [M~ | X]
+    D2 = np.empty((d, d) + f0.shape)    # D2[p, l] = d_p d_l [M~ | X]
+    for i in range(d):
         fp, fm = f((i, 1)), f((i, -1))
         D1[i] = (fp - fm) / (2.0 * h)
         D2[i, i] = (fp - 2.0 * f0 + fm) / h ** 2
-        for j in range(i + 1, m):
+        for j in range(i + 1, d):
             D2[i, j] = D2[j, i] = (f((i, 1), (j, 1)) + f((i, -1), (j, -1))
                                    - f((i, 1), (j, -1)) - f((i, -1), (j, 1))) / (4.0 * h ** 2)
-    g, X = f0[:, :m], f0[:, m]
-    dg, dX, ddg, ddX = D1[..., :m], D1[..., m], D2[..., :m], D2[..., m]
+    g, X = f0[:, :d], f0[:, d]
+    dg, dX, ddg, ddX = D1[..., :d], D1[..., d], D2[..., :d], D2[..., d]
     ginv = np.linalg.inv(g)
-
-    def lower(d):  # d[l, i, j] = d_l g_ij  ->  (d_i g_jk + d_j g_ik - d_k g_ij) / 2 at [k, i, j]
-        out = np.empty((m, m, m))
-        for k in range(m):
-            for i in range(m):
-                for j in range(m):
-                    out[k, i, j] = 0.5 * (d[i, j, k] + d[j, i, k] - d[k, i, j])
-        return out
-
-    Gamma = np.einsum("ka,aij->kij", ginv, lower(dg))
+    Gamma = np.einsum("ka,aij->kij", ginv, _lower(dg))
     # g d_p Gamma = d_p lower - (d_p g) Gamma
     dGamma = np.stack([np.einsum("ka,aij->kij", ginv,
-                                 lower(ddg[p]) - np.einsum("ka,aij->kij", dg[p], Gamma))
-                       for p in range(m)])
+                                 _lower(ddg[p]) - np.einsum("ka,aij->kij", dg[p], Gamma))
+                       for p in range(d)])
     H = dX.T + Gamma @ X                                                    # H[k, j]
-    dH = np.stack([ddX[i].T + dGamma[i] @ X + Gamma @ dX[i] for i in range(m)])  # dH[i, k, j]
-    return _contract_chart_second_nabla(chart, u0, _chart_torsion_free_hessian(Gamma, H, dH),
-                                        frame)
-
-
-def second_nabla_nested_per_point(lc, fld, x, frame):
-    """A second discretisation of the second covariant derivative at one
-    point x (d,) on a frame (d, k), (d, k, k): the chart endomorphism H of the
-    first covariant derivative at inner step fd_step / 3, differenced one axis
-    at a time at outer step 10 fd_step, with the Christoffel symbols at the
-    centre from central differences of the chart metric at the inner step."""
-    from killinglab.metrics import LeviCivita
-    from killinglab.sphere import SpherePoint, chart_for_point
-
-    chart = chart_for_point(SpherePoint(x), lc.atlas)
-    u0 = chart.coords(x)
-    m = u0.shape[0]
-    h_in, h_out = lc.fd_step / 3.0, lc.fd_step * 10.0
-    H0 = lc._chart_nabla_endo(fld, chart, u0, h_in)
-    dH = np.empty((m, m, m))  # dH[i, k, j] = d_i H^k_j
-    for i in range(m):
-        e = np.zeros(m)
-        e[i] = h_out
-        dH[i] = (lc._chart_nabla_endo(fld, chart, u0 + e, h_in)
-                 - lc._chart_nabla_endo(fld, chart, u0 - e, h_in)) / (2 * h_out)
-    Gamma = LeviCivita(lc.metric, fd_step=h_in, atlas=lc.atlas).christoffel(chart, u0)
-    return _contract_chart_second_nabla(chart, u0, _chart_torsion_free_hessian(Gamma, H0, dH),
-                                        frame)
+    dH = np.stack([ddX[i].T + dGamma[i] @ X + Gamma @ dX[i] for i in range(d)])  # dH[i, k, j]
+    DH = _torsion_free_hessian(Gamma, H, dH)
+    P = np.eye(d) - np.outer(x, x)
+    k = frame.shape[1]
+    T = np.empty((d, k, k))
+    for i in range(k):
+        u = frame[:, i]
+        w = u + np.einsum("kab,a,b->k", Gamma, u, x)
+        for j in range(k):
+            v = frame[:, j]
+            T[:, i, j] = P @ (np.einsum("kab,a,b->k", DH, u, v)
+                              - (w @ g @ v) * (H @ x) - (x @ H @ v) * w)
+    return T
 
 
 def second_nabla_nested_and_bound(lc, fld, X, F):
-    """The nested-stencil B = ``second_nabla_nested_per_point`` at each row of
+    """The nested chart B = ``second_nabla_nested_per_point`` at each row of
     X (N, d) on the frames F (N, d, k) at fd_step h, and a bound per point on
-    its gap to the flat-stencil A = ``lc.second_nabla_frame`` at the same h:
+    its gap to the ambient flat-stencil A = ``lc.second_nabla_frame`` at the
+    same h:
 
       max |A(h) - B(h)| <= 2 (4/3) (max |A(h) - A(h/2)| + max |B(h) - B(h/2)|).
 
@@ -401,7 +459,7 @@ def second_nabla_nested_and_bound(lc, fld, X, F):
     is margin."""
     from killinglab.metrics import LeviCivita
 
-    half = LeviCivita(lc.metric, fd_step=lc.fd_step / 2, atlas=lc.atlas)
+    half = LeviCivita(lc.metric, fd_step=lc.fd_step / 2)
     B, B_half = (np.array([second_nabla_nested_per_point(c, fld, x, f) for x, f in zip(X, F)])
                  for c in (lc, half))
     A, A_half = (c.second_nabla_frame(fld, X, F) for c in (lc, half))
@@ -411,26 +469,15 @@ def second_nabla_nested_and_bound(lc, fld, X, F):
 
 def contact_form_residual_per_point(lc_def, lc_ref, fld, point):
     """Reference for the contact-form comparison at one point: the larger of
-    the one-form defect and the defect of its exterior derivative, each side
-    differenced one chart axis at a time with step lc_def.fd_step."""
-    from killinglab.sphere import chart_for_point
-
+    the one-form defect and the defect of its exterior derivative on the
+    reference Euclidean tangent frame, each side's ambient one-form M(y) X(y)
+    differenced one ambient axis at a time with step lc_def.fd_step."""
     x = point.coords
-    h = lc_def.fd_step
-    chart = chart_for_point(point, lc_def.atlas)
-    u0 = chart.coords(point)
-    m = u0.shape[0]
+    E = orthonormal_tangent_frame_mgs(x)
 
     def exterior(lc):
-        def covector(u):
-            y = chart.point_coords(u)
-            return chart.jacobian(u).T @ (lc.metric.matrix_at(y) @ fld.value(y))
-        grad = np.empty((m, m))
-        for l in range(m):
-            e = np.zeros(m)
-            e[l] = h
-            grad[l] = (covector(u0 + e) - covector(u0 - e)) / (2 * h)
-        return grad - grad.T
+        G = _axis_diff(lambda y: lc.metric.matrix_at(y) @ fld.value(y), x, lc_def.fd_step)
+        return E.T @ (G - G.T) @ E
 
     xi = fld.value(x)
     one = np.abs(lc_def.metric.matrix_at(x) @ xi - lc_ref.metric.matrix_at(x) @ xi).max()

@@ -39,7 +39,6 @@ from killinglab.constructions import (
     lifted_field_value,
     so3_basis,
     solve_lift,
-    split_fixture_operator,
 )
 from killinglab.metrics import NumericalQualityError
 from killinglab.verify import (
@@ -121,7 +120,9 @@ def test_flip_fixture_plus_space_dimension():
 
 
 def test_split_fixture_operator_two_by_two():
-    split = involution_split(split_fixture_operator())
+    """A direct (2, 2) self-adjoint involution, which no anticommuting triple
+    gives (see FlipFixture), fed to the eigensplit."""
+    split = involution_split(np.diag([1.0, 1.0, -1.0, -1.0]))
     assert (split.dim_plus, split.dim_minus) == (2, 2)
     assert split.ok
 
@@ -392,13 +393,13 @@ def test_transverse_derivative_differences_only_the_half_step(irregular, monkeyp
     X = sample_sphere(irregular.n, 20, seed=42).coords
     st = lc.structure_at(irregular.field, X)
     steps = []
-    endo = LeviCivita._chart_nabla_endo
+    endo = LeviCivita._endo
 
-    def recorded(self, fld, chart, u, h):
+    def recorded(self, fld, x, h):
         steps.append(h)
-        return endo(self, fld, chart, u, h)
+        return endo(self, fld, x, h)
 
-    monkeypatch.setattr(LeviCivita, "_chart_nabla_endo", recorded)
+    monkeypatch.setattr(LeviCivita, "_endo", recorded)
     r = check_transverse_derivative(lc, irregular.field, irregular.j0, X, tol=1e-5, st=st)
     assert set(steps) == {lc.fd_step / 2}
     assert r == check_transverse_derivative(lc, irregular.field, irregular.j0, X, tol=1e-5)

@@ -1,5 +1,5 @@
 """Killing checks of linear fields on non-round metrics by their exact flow
-e^(tA), against scipy's ``expm``, the chart finite differences of a general
+e^(tA), against scipy's ``expm``, the ambient finite differences of a general
 copy of the field, and the round closed form."""
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ def test_killing_flow_vanishes_at_every_time(label):
 @pytest.mark.parametrize("label", ["gF", "irregular"])
 def test_flow_agrees_with_finite_differences_on_a_non_killing_rotation(label):
     """Two independent discretisations of L_xi g: the flow quotient (error
-    O(t^2)) and the chart Christoffel stencil of a general copy (error O(h^2)).
+    O(t^2)) and the ambient Christoffel stencil of a general copy (error O(h^2)).
     Each error is estimated by step halving, err(s) ~ 4/3 |r(s) - r(s/2)|, and
     the two must agree within twice the sum of the estimates."""
     st, n = _structure(label)

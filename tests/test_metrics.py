@@ -21,9 +21,9 @@ from killinglab.metrics import (
     g_orthonormal_frame,
     general_field,
 )
-from killinglab.sphere import default_atlas, rowdot, sphere_point
+from killinglab.sphere import rowdot
 
-from oracles import metric_pullback_drift, stereographic_metric_closed_form
+from oracles import metric_pullback_drift
 
 
 def test_round_metric_is_ambient_identity(round2):
@@ -32,19 +32,14 @@ def test_round_metric_is_ambient_identity(round2):
     assert round2.metric.exact_round
 
 
-def test_chart_metric_conformal_closed_form(lc_round1):
-    chart = default_atlas(4)[0]
-    u = np.array([0.2, -0.6, 0.3])
-    got = lc_round1.chart_metric(chart, u)
-    assert np.abs(got - stereographic_metric_closed_form(u)).max() < 1e-12
-
-
 def test_christoffel_closed_form_matches_fd(lc_round1):
-    chart = default_atlas(4)[0]
-    u = np.array([0.3, 0.1, -0.4])
-    exact = lc_round1.christoffel(chart, u)
+    """The round metric extends to M~ = Id: its ambient Christoffel symbols
+    vanish in closed form and, differenced, to rounding over the step."""
+    x = sample_sphere(1, 3, seed=2).coords
+    exact = lc_round1.christoffel(x)
+    assert exact.shape == (3, 4, 4, 4) and not exact.any()
     general = MetricField("general", round_metric(4).matrix_func, dim=4)
-    fd = LeviCivita(general, fd_step=1e-5).christoffel(chart, u)
+    fd = LeviCivita(general, fd_step=1e-5).christoffel(x)
     assert np.abs(exact - fd).max() < 1e-8
 
 
@@ -68,7 +63,7 @@ def test_dispatch_follows_the_metric_and_the_field(monkeypatch, round2, irregula
     def no_fd(*args):
         raise _FiniteDifferences
 
-    monkeypatch.setattr(LeviCivita, "_chart_metric_and_field", no_fd)
+    monkeypatch.setattr(LeviCivita, "metric_and_field", no_fd)
     X = sample_sphere(2, 5, seed=3).coords
     lc = LeviCivita(round2.metric)
     F = g_orthonormal_frame(lc.metric.matrix_at(X), X)
@@ -135,9 +130,9 @@ def test_dxi_square_eigenvalues_round(round2, lc_round2, pts2):
 def test_fd_step_validation():
     with pytest.raises(ValueError):
         LeviCivita(round_metric(4), fd_step=0.0)
-    with pytest.raises(NumericalQualityError, match="chart scale"):
+    with pytest.raises(NumericalQualityError, match="difference scale"):
         LeviCivita(round_metric(4), fd_step=2 * MAX_FD_STEP)
-    with pytest.raises(NumericalQualityError, match="chart scale"):
+    with pytest.raises(NumericalQualityError, match="difference scale"):
         LeviCivita(round_metric(4), fd_step=1e30)
 
 
