@@ -1,19 +1,21 @@
 #!/usr/bin/env python3
-"""Per-check wall time of the finite-difference batteries, in milliseconds.
+"""Per-check wall time of the verification batteries, in milliseconds.
 
-Runs ``verify --example gF --n 3 --c 0.3`` and ``verify --example irregular
---n 2`` in-process on one BLAS thread, at the default 200 samples and seed
+Runs ``verify --example gF --n 3 --c 0.3``, ``--example irregular --n 2``,
+``--example round --n 2`` and ``--example quaternionic`` at ``--m 1`` and
+``--m 2`` in-process on one BLAS thread, at the default 200 samples and seed
 42 unless told otherwise, and prints for each row the median over
 ``--repeats`` runs after one warm-up run.
 
 A battery is a sequence of ``rep.add(check(...))`` calls, so a check's time
 is the wall time from the previous result (or from the report's creation) to
-its own result.  Two shared builds are split out of the check whose interval
-holds them, as rows of their own with their call counts:
-``LeviCivita.structure_at`` and ``LeviCivita.second_nabla_frame``.  The
-``setup`` row runs from the battery's start to the report's creation
-(metric, sample, step canary); ``extras`` from the last result to the end
-(decomposition, flow class, orbit probe).
+its own result.  Three shared builds are split out of the interval that holds
+them, as rows of their own with their call counts:
+``LeviCivita.structure_at``, ``LeviCivita.second_nabla_frame`` and
+``metrics.g_orthonormal_frame``; a build inside another one counts in its
+own row only.  The ``setup`` row runs from the battery's start to the
+report's creation (metric, sample, step canary); ``extras`` from the last
+result to the end (decomposition, flow class, orbit probe).
 
 Usage:
     python3 scripts/check_times.py [--samples N] [--seed S] [--repeats R]
@@ -39,62 +41,77 @@ from pathlib import Path  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from killinglab import cli  # noqa: E402
+from killinglab import cli, metrics, verify  # noqa: E402
 from killinglab.metrics import LeviCivita  # noqa: E402
 from killinglab.report import VerificationReport  # noqa: E402
 
-BATTERIES = (("gF", {"n": 3, "c": 0.3}), ("irregular", {"n": 2}))
-SHARED = ("structure_at", "second_nabla_frame")
+BATTERIES = (("gF", {"n": 3, "c": 0.3}), ("irregular", {"n": 2}), ("round", {"n": 2}),
+             ("quaternionic", {"m": 1}), ("quaternionic", {"m": 2}))
+# each shared build: the name of its row and the (owner, attribute) pairs that bind it
+SHARED = {"structure_at": [(LeviCivita, "structure_at")],
+          "second_nabla_frame": [(LeviCivita, "second_nabla_frame")],
+          # every module that binds it by name; a checkout whose cli does not is timed too
+          "g_orthonormal_frame": [(mod, "g_orthonormal_frame") for mod in (metrics, verify, cli)
+                                  if hasattr(mod, "g_orthonormal_frame")]}
 
 
 @contextmanager
 def clocked(times: dict, calls: dict):
     """Attribute wall time to check names while a battery runs."""
-    state = {"last": time.perf_counter(), "shared": 0.0}
-    originals = {"init": VerificationReport.__init__, "add": VerificationReport.add,
-                 **{name: getattr(LeviCivita, name) for name in SHARED}}
+    # open: the time of the shared builds nested in each shared build still running
+    state = {"last": time.perf_counter(), "shared": 0.0, "open": []}
+    init0, add0 = VerificationReport.__init__, VerificationReport.add
+    bound = [(owner, attr, getattr(owner, attr)) for pairs in SHARED.values()
+             for owner, attr in pairs]
+
+    def close(row: str, now: float) -> None:
+        times[row] += now - state["last"] - state["shared"]
+        state.update(last=now, shared=0.0)
 
     def init(self, *args, **kwargs):
-        originals["init"](self, *args, **kwargs)
-        now = time.perf_counter()
-        times["setup"] += now - state["last"]
-        state.update(last=now, shared=0.0)
+        init0(self, *args, **kwargs)
+        close("setup", time.perf_counter())
 
     def add(self, check):
-        now = time.perf_counter()
-        times[check.name] += now - state["last"] - state["shared"]
+        close(check.name, time.perf_counter())
         calls[check.name] += 1
-        state.update(last=now, shared=0.0)
-        return originals["add"](self, check)
+        return add0(self, check)
 
-    def shared(name):
-        def wrapper(self, *args, **kwargs):
+    def shared(name, fn):
+        def wrapper(*args, **kwargs):
+            state["open"].append(0.0)
             t0 = time.perf_counter()
-            out = originals[name](self, *args, **kwargs)
-            dt = time.perf_counter() - t0
-            times[name] += dt
-            calls[name] += 1
-            state["shared"] += dt
-            return out
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                dt = time.perf_counter() - t0
+                times[name] += dt - state["open"].pop()
+                calls[name] += 1
+                if state["open"]:
+                    state["open"][-1] += dt
+                else:
+                    state["shared"] += dt
         return wrapper
 
     VerificationReport.__init__, VerificationReport.add = init, add
-    for name in SHARED:
-        setattr(LeviCivita, name, shared(name))
+    for name, pairs in SHARED.items():
+        wrapper = shared(name, getattr(*pairs[0]))
+        for owner, attr in pairs:
+            setattr(owner, attr, wrapper)
     try:
-        yield state
+        yield close
     finally:
-        VerificationReport.__init__, VerificationReport.add = originals["init"], originals["add"]
-        for name in SHARED:
-            setattr(LeviCivita, name, originals[name])
+        VerificationReport.__init__, VerificationReport.add = init0, add0
+        for owner, attr, original in bound:
+            setattr(owner, attr, original)
 
 
 def run_once(example: str, cfg: cli.RunConfig) -> tuple[dict, dict, float]:
     times, calls = defaultdict(float), defaultdict(int)
     t0 = time.perf_counter()
-    with clocked(times, calls) as state:
+    with clocked(times, calls) as close:
         cli._BATTERIES[example](cfg)
-        times["extras"] += time.perf_counter() - state["last"]
+        close("extras", time.perf_counter())
     return times, calls, time.perf_counter() - t0
 
 
@@ -111,7 +128,8 @@ def main(argv=None) -> int:
         runs = [run_once(example, cfg) for _ in range(args.repeats)]
         total = statistics.median(r[2] for r in runs)
         calls = runs[0][1]
-        print(f"{example}: {1e3 * total:.1f} ms in all, median of {args.repeats}")
+        size = " ".join(f"--{k} {v}" for k, v in params.items())
+        print(f"{example} {size}: {1e3 * total:.1f} ms in all, median of {args.repeats}")
         for name in runs[0][0]:
             ms = 1e3 * statistics.median(r[0][name] for r in runs)
             note = f" ({calls[name]} calls)" if name in SHARED or calls[name] > 1 else ""

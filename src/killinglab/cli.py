@@ -47,6 +47,7 @@ from .metrics import (
     MetricDegeneracyError,
     NumericalQualityError,
     StructureTensors,
+    g_orthonormal_frame,
     linear_field,
 )
 from .report import CheckResult, VerificationReport
@@ -147,6 +148,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     cfg = replace(cfg, **overrides)
     if cfg.n is None:
         cfg = replace(cfg, n=DEFAULT_N.get(cfg.example, 2))
+    if cfg.samples < 1:
+        raise ValueError(f"samples must be >= 1, got {cfg.samples}")
+    if cfg.seed < 0:
+        raise ValueError(f"seed must be >= 0, got {cfg.seed}")
     return cfg
 
 
@@ -209,15 +214,16 @@ def _battery_quaternionic(cfg: RunConfig) -> VerificationReport:
     rep = VerificationReport(
         title=f"right-multiplication contact triple on S^{4 * cfg.m + 3}",
         config=asdict(cfg))
+    F = g_orthonormal_frame(qs.metric.matrix_at(X), X)
+    triple = verify.triple_psi(lc, qs.fields, X, frame=F)
     rep.add(verify.check_triple_orthonormality(lc, qs.fields, X, tol=1e-10))
     rep.add(verify.check_triple_brackets(qs.fields, tol=1e-12))
     rep.add(_merge("triple_killing",
-                   [verify.check_killing(lc, f, X, tol=verify.EXACT_TOL)
+                   [verify.check_killing(lc, f, X, tol=verify.EXACT_TOL, frame=F)
                     for f in qs.fields], tol=verify.EXACT_TOL))
     rep.add(_merge("triple_wedge_second_derivative",
-                   [verify.check_sasakian(lc, f, X, tol=verify.EXACT_TOL)
+                   [verify.check_sasakian(lc, f, X, tol=verify.EXACT_TOL, frame=F)
                     for f in qs.fields], tol=verify.EXACT_TOL))
-    triple = verify.triple_psi(lc, qs.fields, X)
     rep.add(verify.check_triple_products(lc, qs.fields, X, tol=1e-10,
                                          variant="aligned", triple=triple))
     rep.add(verify.check_triple_products(lc, qs.fields, X, tol=1e-10,
@@ -228,9 +234,9 @@ def _battery_quaternionic(cfg: RunConfig) -> VerificationReport:
     rep.add(verify.check_anticommutators(lc, qs.fields, X, tol=1e-10, triple=triple))
     rep.add(verify.check_squares(lc, qs.fields, X, tol=1e-10, triple=triple))
     rep.add(verify.check_pair_completion(lc, qs.fields[0], qs.fields[1], X,
-                                         tol=1e-6))
+                                         tol=1e-6, triple=triple))
 
-    sp = verify.horizontal_split(lc, qs.fields, X[:10])
+    sp = verify.horizontal_split(lc, qs.fields, X[:10], triple=triple.rows(slice(10)))
     worst = float(np.max([sp.split.involution_residual, sp.split.symmetry_residual,
                           sp.invariance_residual, sp.commutation_residual,
                           sp.split.dim_plus]))
@@ -274,9 +280,10 @@ def _battery_hopf(cfg: RunConfig) -> VerificationReport:
     skew = max(float(np.abs(B + B.T).max()) for B in mats)
     rep.add(CheckResult(name="lift_skewness", max_residual=skew,
                         mean_residual=skew, tolerance=1e-10))
+    frame = g_orthonormal_frame(rs.metric.matrix_at(X), X)
     rep.add(_merge("lift_killing",
                    [verify.check_killing(lc, linear_field(B, name=f"lift{i}"),
-                                         X, tol=1e-5)
+                                         X, tol=1e-5, frame=frame)
                     for i, B in enumerate(mats)], tol=1e-5))
 
     # path independence: direct potential vs a two-leg path through a waypoint

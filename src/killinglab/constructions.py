@@ -439,6 +439,8 @@ def build_deformed(n: int = 3, c: float = 0.3) -> DeformedStructure:
     """
     if n < 3:
         raise ValueError("need n >= 3 so the fixed block V1 has dimension >= 4")
+    if not math.isfinite(c):
+        raise ValueError(f"c must be a finite number, got {c!r}")
     if math.exp(-2.0 * abs(c)) < DEGENERACY_FLOOR:
         raise MetricDegeneracyError(
             f"deformation strength c={c} makes the metric numerically degenerate "

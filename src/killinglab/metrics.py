@@ -525,14 +525,16 @@ class LeviCivita:
         P = np.swapaxes(EF, -1, -2) @ self.metric.matrix_at((Es @ x[..., None])[..., 0]) @ EF
         return (P[0] - P[1]) / (2.0 * t)
 
-    def structure_at(self, fld: VectorField, x: np.ndarray) -> StructureTensors:
+    def structure_at(self, fld: VectorField, x: np.ndarray,
+                     frame: np.ndarray | None = None) -> StructureTensors:
         """Bundle: field value, metric, frame, first covariant derivative,
         two-form of the dual one-form, and the half-two-form endomorphism in
-        frame and ambient forms.  The frame comes first, so a degenerate
+        frame and ambient forms.  ``frame``, ``g_orthonormal_frame(M, x)``,
+        is built here when not given; it comes first, so a degenerate
         metric raises MetricDegeneracyError before any differencing."""
         x = np.asarray(x, dtype=float)
         M = self.metric.matrix_at(x)
-        F = g_orthonormal_frame(M, x)
+        F = g_orthonormal_frame(M, x) if frame is None else frame
         Ft = np.swapaxes(F, -1, -2)
         xi = fld.value(x)
         N = self.nabla_endo(fld, x)

@@ -25,10 +25,13 @@ half-two-form endomorphism phi (see metrics.StructureTensors):
                    examples, and must not for the boundary-localized
                    deformation); contracted pointwise from nabla^2 xi.
 
-A battery passes what several checks read, built once on its sample: ``st`` =
-``lc.structure_at(fld, X)``, ``frame`` = ``st.frame``, ``T`` =
-``lc.second_nabla_frame(fld, X, st.frame)``, ``triple`` = ``triple_psi``;
-a check left without them builds its own, with identical results.
+A battery passes what several checks read, built once on its sample:
+``frame`` = ``g_orthonormal_frame(M, X)`` (or ``st.frame``), ``st`` =
+``lc.structure_at(fld, X, frame=frame)``, ``T`` =
+``lc.second_nabla_frame(fld, X, frame)`` and ``triple`` =
+``triple_psi(lc, fields, X, frame=frame)``, of which ``triple.rows(sl)``
+serves a check on the rows ``X[sl]``; a check left without them builds its
+own, with identical results.
 """
 
 from __future__ import annotations
@@ -267,26 +270,42 @@ def check_triple_brackets(fields: Sequence[VectorField], tol: float,
                        detail=f"uniform bracket sign eps={eps:+d}")
 
 
-def triple_psi(lc: LeviCivita, fields, x: np.ndarray):
+@dataclass(frozen=True)
+class Triple:
     """Metric M, g-orthonormal frame F, the fields xi_a and psi_a = -phi_a of
-    the three fields at a point (d,) or a stack (N, d), stacked alike;
-    ``eta(a, b)`` is eta_b (x) xi_a.  Only these are kept of each structure."""
-    xis, psis = [], []
-    for f in fields:
-        st = lc.structure_at(f, x)
-        xis.append(st.xi)
-        psis.append(-st.phi_ambient)
-    M, F = st.metric_matrix, st.frame
+    a family of fields at a point (d,) or a stack (N, d), stacked alike.
+    Only these are kept of each field's structure."""
 
-    def eta(a: int, b: int) -> np.ndarray:
-        return xis[a][..., :, None] * matvec(M, xis[b])[..., None, :]
-    return M, F, xis, psis, eta
+    M: np.ndarray
+    F: np.ndarray
+    xis: list[np.ndarray]
+    psis: list[np.ndarray]
+
+    def eta(self, a: int, b: int) -> np.ndarray:
+        """eta_b (x) xi_a."""
+        return self.xis[a][..., :, None] * matvec(self.M, self.xis[b])[..., None, :]
+
+    def rows(self, sl: slice) -> Triple:
+        """The same triple at the rows ``sl`` of a stack."""
+        return Triple(self.M[sl], self.F[sl], [v[sl] for v in self.xis],
+                      [p[sl] for p in self.psis])
+
+
+def triple_psi(lc: LeviCivita, fields, x: np.ndarray,
+               frame: np.ndarray | None = None) -> Triple:
+    """The Triple of ``fields`` at x, one ``structure_at`` per field, all on
+    ``frame`` = ``g_orthonormal_frame(M, x)``, built here when not given."""
+    x = np.asarray(x, dtype=float)
+    M = lc.metric.matrix_at(x)
+    F = g_orthonormal_frame(M, x) if frame is None else frame
+    sts = [lc.structure_at(f, x, frame=F) for f in fields]
+    return Triple(M, F, [st.xi for st in sts], [-st.phi_ambient for st in sts])
 
 
 def check_triple_products(lc: LeviCivita, fields: Sequence[VectorField], points,
                           tol: float, variant: str = "aligned", expected: str = "pass",
                           fail_floor: float | None = None, name: str | None = None,
-                          triple=None) -> CheckResult:
+                          triple: Triple | None = None) -> CheckResult:
     """Cyclic products of the triple's structure endomorphisms psi_a = -phi_a.
 
     With eps the measured bracket sign ([xi_a, xi_b] = 2 eps xi_c):
@@ -303,7 +322,8 @@ def check_triple_products(lc: LeviCivita, fields: Sequence[VectorField], points,
     eps = measured_cyclic_sign(fields)
     name = name or "triple_products_" + variant
     X = _stack(name, points)
-    _, F, _, psis, eta = triple_psi(lc, fields, X) if triple is None else triple
+    tr = triple_psi(lc, fields, X) if triple is None else triple
+    F, psis, eta = tr.F, tr.psis, tr.eta
     res = 0.0
     for a, b, c in CYCLIC:
         if variant == "aligned":
@@ -317,13 +337,14 @@ def check_triple_products(lc: LeviCivita, fields: Sequence[VectorField], points,
 
 def check_anticommutators(lc: LeviCivita, fields: Sequence[VectorField], points,
                           tol: float, name: str = "triple_anticommutators",
-                          triple=None) -> CheckResult:
+                          triple: Triple | None = None) -> CheckResult:
     """psi_a psi_b + psi_b psi_a = eta_a (x) xi_b + eta_b (x) xi_a for a != b.
 
     Sign-convention-free companion of the cyclic product identities.
     """
     X = _stack(name, points)
-    _, F, _, psis, eta = triple_psi(lc, fields, X) if triple is None else triple
+    tr = triple_psi(lc, fields, X) if triple is None else triple
+    F, psis, eta = tr.F, tr.psis, tr.eta
     res = 0.0
     for a, b in ((0, 1), (0, 2), (1, 2)):
         R = psis[a] @ psis[b] + psis[b] @ psis[a] - eta(b, a) - eta(a, b)
@@ -332,10 +353,12 @@ def check_anticommutators(lc: LeviCivita, fields: Sequence[VectorField], points,
 
 
 def check_squares(lc: LeviCivita, fields: Sequence[VectorField], points,
-                  tol: float, name: str = "structure_squares", triple=None) -> CheckResult:
+                  tol: float, name: str = "structure_squares",
+                  triple: Triple | None = None) -> CheckResult:
     """psi_a^2 = -Id + eta_a (x) xi_a on tangent vectors, for each a."""
     X = _stack(name, points)
-    _, F, _, psis, eta = triple_psi(lc, fields, X) if triple is None else triple
+    tr = triple_psi(lc, fields, X) if triple is None else triple
+    F, psis, eta = tr.F, tr.psis, tr.eta
     res = 0.0
     for a in range(3):
         R = psis[a] @ psis[a] + np.eye(X.shape[-1]) - eta(a, a)
@@ -344,12 +367,17 @@ def check_squares(lc: LeviCivita, fields: Sequence[VectorField], points,
 
 
 def check_pair_completion(lc: LeviCivita, f1: VectorField, f2: VectorField, points,
-                          tol: float, name: str = "pair_completion") -> CheckResult:
+                          tol: float, name: str = "pair_completion",
+                          frame: np.ndarray | None = None,
+                          triple: Triple | None = None) -> CheckResult:
     """Half the bracket of two triple generators completes the triple.
 
     xi_3 := [xi_1, xi_2] / 2 must be another unit Killing generator making
     the cyclic product identity hold; the residual aggregates unit length
-    and the aligned triple identity for the completed family.
+    and the aligned triple identity for the completed family.  ``triple``,
+    whose first two fields are f1 and f2 (``triple_psi(lc, [f1, f2], X,
+    frame=frame)`` when not given), lends xi_3 its frame, so only xi_3's
+    structure is built here.
     """
     A1, A2 = f1.matrix, f2.matrix
     if A1 is None or A2 is None:
@@ -360,7 +388,10 @@ def check_pair_completion(lc: LeviCivita, f1: VectorField, f2: VectorField, poin
     f3 = linear_field(A3, name="completed")
     X = _stack(name, points)
     unit = check_unit_length(lc, f3, X, tol=max(tol, UNIT_TOL))
-    triple = check_triple_products(lc, [f1, f2, f3], X, tol=tol)
+    tr = triple_psi(lc, [f1, f2], X, frame=frame) if triple is None else triple
+    st3 = lc.structure_at(f3, X, frame=tr.F)
+    completed = Triple(tr.M, tr.F, [*tr.xis[:2], st3.xi], [*tr.psis[:2], -st3.phi_ambient])
+    products = check_triple_products(lc, [f1, f2, f3], X, tol=tol, triple=completed)
     # pointwise reconstruction: the covariant derivative of the second field
     # along the first reproduces the completed field up to a global sign
     d = matvec(lc.nabla_endo(f2, X, guard=True), f1.value(X))
@@ -369,8 +400,8 @@ def check_pair_completion(lc: LeviCivita, f1: VectorField, f2: VectorField, poin
     rec_minus = float(np.abs(d + t3).max())
     rec = min(rec_plus, rec_minus)
     sign = "+" if rec_plus <= rec_minus else "-"
-    worst = max(unit.max_residual, triple.max_residual, rec)
-    mean = (unit.mean_residual + triple.mean_residual + rec) / 3.0
+    worst = max(unit.max_residual, products.max_residual, rec)
+    mean = (unit.mean_residual + products.mean_residual + rec) / 3.0
     return CheckResult(name=name, max_residual=worst, mean_residual=mean,
                        tolerance=tol, expected="pass",
                        detail="unit + aligned cyclic products + covariant "
@@ -451,8 +482,9 @@ class SplittingResult:
                     and np.all(self.commutation_residual < 1e-8))
 
 
-def horizontal_split(lc: LeviCivita, fields: Sequence[VectorField],
-                     x: np.ndarray) -> SplittingResult:
+def horizontal_split(lc: LeviCivita, fields: Sequence[VectorField], x: np.ndarray,
+                     frame: np.ndarray | None = None,
+                     triple: Triple | None = None) -> SplittingResult:
     """Diagonalize psi_1 psi_2 psi_3 on the common horizontal space at a
     point (d,) or at each point of a stack (N, d).
 
@@ -461,9 +493,12 @@ def horizontal_split(lc: LeviCivita, fields: Sequence[VectorField],
     involution commuting with each psi_a, and its eigenspace dimensions are
     the splitting invariants (the round quaternionic frame gives (0, 4n)).
     On a dim-3 total space the horizontal space is empty and so is the split.
+    ``triple`` is ``triple_psi(lc, fields, x, frame=frame)``, built here when
+    not given.
     """
-    M, _, xis, psis, _ = triple_psi(lc, fields, x)
-    FD = g_orthonormal_frame(M, x, exclude=xis)
+    tr = triple_psi(lc, fields, x, frame=frame) if triple is None else triple
+    M, psis = tr.M, tr.psis
+    FD = g_orthonormal_frame(M, x, exclude=tr.xis)
     FDt_M = np.swapaxes(FD, -1, -2) @ M
     P_amb = psis[0] @ psis[1] @ psis[2]
     P_frame = FDt_M @ P_amb @ FD

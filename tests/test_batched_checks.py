@@ -4,7 +4,7 @@ one-point references in tests/oracles.py."""
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -40,6 +40,7 @@ from killinglab.verify import (
     check_kcontact,
     check_killing,
     check_nijenhuis,
+    check_pair_completion,
     check_sasakian,
     check_squares,
     check_triple_products,
@@ -305,6 +306,56 @@ def test_shared_structures_of_the_gf_and_quaternionic_batteries():
             == check_anticommutators(lc, qs.fields, X, tol=1e-10))
     assert (check_squares(lc, qs.fields, X, tol=1e-10, triple=triple)
             == check_squares(lc, qs.fields, X, tol=1e-10))
+
+
+def _same_arrays(a, b) -> bool:
+    """Every field of two dataclasses equal bit for bit, nested ones field by field."""
+    if not is_dataclass(a):
+        return np.array_equal(np.asarray(a), np.asarray(b))
+    fa, fb = vars(a), vars(b)
+    return fa.keys() == fb.keys() and all(_same_arrays(fa[k], fb[k]) for k in fa)
+
+
+@pytest.mark.parametrize("m", [0, 1])
+def test_shared_frame_and_triple_give_identical_results(m):
+    qs = build_quaternionic(m)
+    lc = LeviCivita(qs.metric)
+    X = sample_sphere(2 * m + 1, 30, seed=67).coords
+    F = g_orthonormal_frame(qs.metric.matrix_at(X), X)
+    for f in qs.fields:
+        assert _same_arrays(lc.structure_at(f, X, frame=F), lc.structure_at(f, X))
+    triple = triple_psi(lc, qs.fields, X, frame=F)
+    assert triple.F is F and _same_arrays(triple, triple_psi(lc, qs.fields, X))
+    own = check_pair_completion(lc, qs.fields[0], qs.fields[1], X, tol=1e-6)
+    assert check_pair_completion(lc, qs.fields[0], qs.fields[1], X, tol=1e-6, frame=F) == own
+    assert check_pair_completion(lc, qs.fields[0], qs.fields[1], X, tol=1e-6,
+                                 triple=triple) == own
+    own = horizontal_split(lc, qs.fields, X[:10])
+    for shared in ({"frame": F[:10]}, {"triple": triple.rows(slice(10))}):
+        assert _same_arrays(horizontal_split(lc, qs.fields, X[:10], **shared), own)
+
+
+def test_quaternionic_battery_builds_one_frame_and_one_structure_per_field(monkeypatch):
+    from killinglab import cli, verify
+
+    counts = {"g_orthonormal_frame": 0, "structure_at": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    frame = counted("g_orthonormal_frame", metrics.g_orthonormal_frame)
+    for module in (metrics, verify, cli):
+        monkeypatch.setattr(module, "g_orthonormal_frame", frame)
+    monkeypatch.setattr(LeviCivita, "structure_at",
+                        counted("structure_at", LeviCivita.structure_at))
+    rep = cli._BATTERIES["quaternionic"](cli.RunConfig(example="quaternionic", m=1,
+                                                       samples=20))
+    assert rep.all_as_expected
+    # step canary, battery frame, horizontal exclude= frame; xi_1..3 and the completed xi_3
+    assert counts["g_orthonormal_frame"] <= 3 and counts["structure_at"] <= 4
 
 
 # -- chunking and defaults ---------------------------------------------------------

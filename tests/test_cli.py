@@ -199,6 +199,36 @@ def test_fd_step_nan_config_value_is_refused_by_name(tmp_path, capsys):
     assert "usage error: fd_step must be a positive number, got nan" in capsys.readouterr().err
 
 
+BAD_VALUES = [
+    (["--samples", "0"], "samples = 0", "samples must be >= 1, got 0", "count must be"),
+    (["--seed", "-1"], "seed = -1", "seed must be >= 0, got -1", "non-negative integer"),
+    (["--example", "gF", "--c", "nan"], "example = gF\nc = nan",
+     "c must be a finite number, got nan", "infs or NaNs"),
+    (["--example", "gF", "--c=-inf"], "example = gF\nc = -inf",
+     "c must be a finite number, got -inf", "degenerate"),
+]
+BAD_IDS = ["samples-0", "seed-negative", "c-nan", "c-inf"]
+
+
+@pytest.mark.parametrize("flags, _line, message, old", BAD_VALUES, ids=BAD_IDS)
+def test_bad_flag_value_is_refused_by_name(capsys, flags, _line, message, old):
+    argv = ["verify", "--samples", "5", *flags]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"usage error: {message}" in err
+    assert old not in err
+
+
+@pytest.mark.parametrize("_flags, line, message, old", BAD_VALUES, ids=BAD_IDS)
+def test_bad_config_value_is_refused_by_name(tmp_path, capsys, _flags, line, message, old):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(("" if line.startswith("samples") else "samples = 5\n") + line + "\n")
+    assert main(["verify", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"usage error: {message}" in err
+    assert old not in err
+
+
 def test_cli_process_never_loads_scipy():
     """numpy is the only runtime dependency: no command imports scipy."""
     script = (
