@@ -371,11 +371,14 @@ def _deformed_scaling_check(lc: LeviCivita, ds, xs: np.ndarray, tol: float,
 
 
 def _invariance_killing(lc: LeviCivita, alg, X: np.ndarray, frame: np.ndarray) -> CheckResult:
-    """Killing checks of an algebra's basis on X, all on one g-orthonormal frame."""
+    """Killing checks of an algebra's basis on X, all on one g-orthonormal
+    frame, from one exact-flow quotient of the stacked basis: the one
+    ``lie_metric_frame`` takes for each generator on a non-round metric."""
+    lie = lc.flow_lie_frame(np.stack(alg.basis), X, frame=frame)
     return _merge("invariance_algebra_killing",
                   [verify.check_killing(lc, linear_field(B, name=f"inv{i}"), X, tol=1e-5,
-                                        frame=frame)
-                   for i, B in enumerate(alg.basis)], tol=1e-5)
+                                        lie=L)
+                   for i, (B, L) in enumerate(zip(alg.basis, lie))], tol=1e-5)
 
 
 def _battery_deformed(cfg: RunConfig) -> VerificationReport:
@@ -569,6 +572,22 @@ def cmd_classify_flow(args: argparse.Namespace, cfg: RunConfig) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that takes every string ``float()`` reads for a value.
+
+    argparse alone reads a leading '-' as a negative number only before
+    digits with at most a decimal point, and takes any other, as in ``--c
+    -1e-3`` or ``--c -inf``, for an unknown flag, refusing the option for its
+    missing value.  Subparsers inherit the class."""
+
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None  # a value, not an option
+
+
 def _add_common(parser: argparse.ArgumentParser, examples: tuple[str, ...] = ()) -> None:
     if examples:
         parser.add_argument("--example", choices=examples, default=None,
@@ -596,7 +615,7 @@ def _add_common(parser: argparse.ArgumentParser, examples: tuple[str, ...] = ())
 
 
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="killinglab",
         description="Numerical verification batteries for unit Killing fields "
                     "on odd spheres and their contact-type structures.")

@@ -21,7 +21,7 @@ Differentiation strategy, chosen from the metric and the field alone:
     stack of points, and one ``central_diff`` call over the d ambient axes
     gives the ambient Christoffel symbols and H~ = dX^T + Gamma~ X, with
     nabla X = P H~ P.  The second covariant derivative takes one call over
-    the flat second-difference stencil (2d^2 + 1 points) and forms Gamma~,
+    the flat second-difference stencil (d^2 + d + 1 points) and forms Gamma~,
     d Gamma~, H~ and dH~ from it in closed algebra.
 
 Tangent frames are Gram-Schmidt in Cholesky form; frames, the derived
@@ -85,11 +85,17 @@ def central_diff(f: Callable[[np.ndarray], np.ndarray], U: np.ndarray, h: float,
     appended as row 2m when ``center`` or ``second`` is set, and f is called
     once on it; f maps (..., k, m) to (..., k, *shape).  Returns D (..., m,
     *shape) with D[..., l, :] = (f(U + h e_l) - f(U - h e_l)) / 2h, or (f(U), D)
-    with ``center``.  ``second`` appends U +- h e_i +- h e_j (i < j), the flat
-    stencil of 2m^2 + 1 points, and returns (f(U), D, D2) with D2 (..., m, m,
-    *shape) the O(h^2) pure and mixed second differences (Fornberg, Math.
-    Comp. 51 (1988)): (f(U + h e_i) - 2 f(U) + f(U - h e_i)) / h^2 and
-    (f(U +- (h e_i + h e_j)) - f(U +- (h e_i - h e_j))) / 4h^2, each sign summed.
+    with ``center``.  ``second`` appends U +- h (e_i + e_j) (i < j), the flat
+    stencil of m^2 + m + 1 points, and returns (f(U), D, D2) with D2 (..., m,
+    m, *shape) the O(h^2) second differences: the pure ones (Fornberg, Math.
+    Comp. 51 (1988)) (f(U + h e_i) - 2 f(U) + f(U - h e_i)) / h^2 and the
+    seven-point mixed ones (Abramowitz & Stegun, *Handbook of Mathematical
+    Functions*, sec. 25.3), which reuse the points U +- h e_i:
+
+      (f(U + h(e_i + e_j)) + f(U - h(e_i + e_j)) - f(U +- h e_i) - f(U +- h e_j)
+       + 2 f(U)) / 2h^2, each sign summed.
+
+    Both are exact on cubics.
     """
     U = np.asarray(U, dtype=float)
     m = U.shape[-1]
@@ -97,16 +103,17 @@ def central_diff(f: Callable[[np.ndarray], np.ndarray], U: np.ndarray, h: float,
     shift = [E, -E, np.zeros((1, m))] if center or second else [E, -E]
     if second:
         i, j = np.triu_indices(m, 1)
-        shift += [E[i] + E[j], -E[i] - E[j], E[i] - E[j], E[j] - E[i]]
+        shift += [E[i] + E[j], -E[i] - E[j]]
     axis = U.ndim - 1
     vals = np.moveaxis(f(U[..., None, :] + np.concatenate(shift)), axis, 0)
     diff = np.moveaxis((vals[:m] - vals[m:2 * m]) / (2 * h), 0, axis)
     if not second:
         return (vals[2 * m], diff) if center else diff
-    f0, (pp, mm, pm, mp) = vals[2 * m], np.split(vals[2 * m + 1:], 4)
+    f0, (pp, mm) = vals[2 * m], np.split(vals[2 * m + 1:], 2)
+    axial = vals[:m] + vals[m:2 * m]  # f(U + h e_l) + f(U - h e_l)
     D2 = np.empty((m, m) + f0.shape)
     D2[np.arange(m), np.arange(m)] = (vals[:m] - 2.0 * f0 + vals[m:2 * m]) / h ** 2
-    D2[i, j] = D2[j, i] = (pp + mm - pm - mp) / (4.0 * h ** 2)
+    D2[i, j] = D2[j, i] = (pp + mm - axial[i] - axial[j] + 2.0 * f0) / (2.0 * h ** 2)
     return f0, diff, np.moveaxis(D2, (0, 1), (axis, axis + 1))
 
 
@@ -123,10 +130,11 @@ def richardson_guard(A: np.ndarray, A_half: np.ndarray, h: float) -> np.ndarray:
 
 
 def skew_exp(A: np.ndarray) -> np.ndarray:
-    """e^A of a real skew-symmetric A (d, d): iA is Hermitian, iA = V W V^H
-    by ``eigh``, so e^A = V e^(-iW) V^H, real up to rounding."""
+    """e^A of a real skew-symmetric A (d, d), or of each matrix of a stack
+    (..., d, d) by one batched ``eigh``: iA is Hermitian, iA = V W V^H, so
+    e^A = V e^(-iW) V^H, real up to rounding."""
     w, V = np.linalg.eigh(1j * np.asarray(A, dtype=float))
-    return ((V * np.exp(-1j * w)) @ V.conj().T).real
+    return ((V * np.exp(-1j * w)[..., None, :]) @ np.swapaxes(V.conj(), -1, -2)).real
 
 
 # ---------------------------------------------------------------------------
@@ -432,10 +440,11 @@ class LeviCivita:
         T(u, v) = nabla_u (nabla field)(v); the closed form on the round
         sphere with field E x is T(f_i, f_j) = -(x.E f_j) P f_i - (f_i.f_j) P E x,
         P the tangent projector.  The FD path differences [M~ | X] once over
-        the flat stencil (``central_diff`` with ``second``) of step fd_step *
-        SECOND_DERIV_STEP_SCALE along the d ambient axes, forms Gamma~,
-        d Gamma~, H~ and dH~ from it, and takes the tangential part (Gauss):
-        with w(u) = u + Gamma~(u, x), the ambient derivative of the position,
+        the flat stencil of d^2 + d + 1 points (``central_diff`` with
+        ``second``) of step fd_step * SECOND_DERIV_STEP_SCALE along the d
+        ambient axes, forms Gamma~, d Gamma~, H~ and dH~ from it, and takes
+        the tangential part (Gauss): with w(u) = u + Gamma~(u, x), the
+        ambient derivative of the position,
 
           T(u, v) = P[(D~_u H~) v] - (w(u)^T M~ v) P H~ x - (x^T H~ v) P w(u).
 
@@ -514,13 +523,16 @@ class LeviCivita:
         every s and the quotient vanishes up to rounding over t; for any other
         field it is L_xi g + O(t^2).  No Christoffel symbol or field
         derivative enters.  E_-t = E_t^T since E_t is orthogonal, and one
-        metric call covers E_t x and E_-t x.
+        metric call covers E_t x and E_-t x.  A stack of generators A (G, d,
+        d) takes one ``skew_exp`` and one metric call for all of them and
+        gives a leading axis of G, each slice bit-identical to its own call.
         """
         x = np.asarray(x, dtype=float)
         if frame is None:
             frame = g_orthonormal_frame(self.metric.matrix_at(x), x)
         E = skew_exp(t * A)
-        Es = np.stack([E, E.T]).reshape((2,) + (1,) * (x.ndim - 1) + E.shape)
+        Es = np.stack([E, np.swapaxes(E, -1, -2)])
+        Es = Es.reshape(Es.shape[:-2] + (1,) * (x.ndim - 1) + Es.shape[-2:])
         EF = Es @ frame
         P = np.swapaxes(EF, -1, -2) @ self.metric.matrix_at((Es @ x[..., None])[..., 0]) @ EF
         return (P[0] - P[1]) / (2.0 * t)

@@ -122,15 +122,17 @@ def check_unit_length(lc: LeviCivita, fld: VectorField, points,
 def check_killing(lc: LeviCivita, fld: VectorField, points, tol: float,
                   expected: str = "pass",
                   fail_floor: float | None = None,
-                  name: str = "killing", frame: np.ndarray | None = None) -> CheckResult:
+                  name: str = "killing", frame: np.ndarray | None = None,
+                  lie: np.ndarray | None = None) -> CheckResult:
     """Max entry of the Lie derivative of g along the field, frame components.
 
-    An identically vanishing field is trivially Killing; the result is then
-    flagged degenerate in its detail string rather than reported as a clean
-    pass.
+    ``lie`` is ``lc.lie_metric_frame(fld, points, frame=frame)``, built here
+    when not given.  An identically vanishing field is trivially Killing; the
+    result is then flagged degenerate in its detail string rather than
+    reported as a clean pass.
     """
     X = _stack(name, points)
-    res = _worst(lc.lie_metric_frame(fld, X, frame=frame))
+    res = _worst(lc.lie_metric_frame(fld, X, frame=frame) if lie is None else lie)
     scale = float(np.abs(fld.value(X)).max())
     detail = "" if scale > 1e-12 else "degenerate: field vanishes on all samples"
     return _check(name, res, tol, expected, fail_floor, detail=detail)

@@ -392,9 +392,11 @@ def second_nabla_fd_per_point(lc, fld, x, frame):
     point x (d,) on a frame (d, k), (d, k, k): [M~ | X] from
     ``lc.metric_and_field`` at one offset of the flat stencil of step h =
     fd_step * SECOND_DERIV_STEP_SCALE at a time, the first, pure second and
-    mixed second differences taken one axis pair at a time, the Christoffel
-    symbols, their derivatives, H = dX^T + Gamma X and its derivatives formed
-    one index at a time from M~^-1, and the Gauss formula
+    seven-point mixed second differences taken one axis pair at a time, the
+    last as (f(x + h(e_i + e_j)) + f(x - h(e_i + e_j)) - f(x +- h e_i) -
+    f(x +- h e_j) + 2 f(x)) / 2h^2, the Christoffel symbols, their
+    derivatives, H = dX^T + Gamma X and its derivatives formed one index at a
+    time from M~^-1, and the Gauss formula
 
       T(u, v) = P[(D_u H) v] - (w(u)^T M~ v) P H x - (x^T H v) P w(u),
       w(u) = u + Gamma(u, x),
@@ -415,13 +417,14 @@ def second_nabla_fd_per_point(lc, fld, x, frame):
     f0 = f()
     D1 = np.empty((d,) + f0.shape)      # D1[l] = d_l [M~ | X]
     D2 = np.empty((d, d) + f0.shape)    # D2[p, l] = d_p d_l [M~ | X]
-    for i in range(d):
-        fp, fm = f((i, 1)), f((i, -1))
+    pm = [(f((i, 1)), f((i, -1))) for i in range(d)]  # f(x + h e_i), f(x - h e_i)
+    axial = [fp + fm for fp, fm in pm]
+    for i, (fp, fm) in enumerate(pm):
         D1[i] = (fp - fm) / (2.0 * h)
         D2[i, i] = (fp - 2.0 * f0 + fm) / h ** 2
-        for j in range(i + 1, d):
+        for j in range(i + 1, d):  # the seven-point mixed difference
             D2[i, j] = D2[j, i] = (f((i, 1), (j, 1)) + f((i, -1), (j, -1))
-                                   - f((i, 1), (j, -1)) - f((i, -1), (j, 1))) / (4.0 * h ** 2)
+                                   - axial[i] - axial[j] + 2.0 * f0) / (2.0 * h ** 2)
     g, X = f0[:, :d], f0[:, d]
     dg, dX, ddg, ddX = D1[..., :d], D1[..., d], D2[..., :d], D2[..., d]
     ginv = np.linalg.inv(g)

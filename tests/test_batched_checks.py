@@ -218,7 +218,7 @@ def test_second_nabla_evaluates_the_flat_stencil_once_per_point(label):
     F = g_orthonormal_frame(metric.matrix_at(X), X)
     lc.second_nabla_frame(fields[0], X, F)
     d = X.shape[-1]
-    assert sum(rows) == len(X) * (2 * d * d + 1)
+    assert sum(rows) == len(X) * (d * d + d + 1)
 
 
 @pytest.mark.parametrize("label", LABELS)

@@ -15,6 +15,7 @@ from killinglab.metrics import (
     DEFAULT_FD_STEP,
     FLOW_TIME,
     LeviCivita,
+    g_orthonormal_frame,
     linear_field,
     skew_exp,
 )
@@ -45,6 +46,31 @@ def test_skew_exp_matches_scipy_expm(d, scale):
     E = skew_exp(A)
     assert np.abs(E - expm(A)).max() <= 1e-13 * max(1.0, np.abs(A).max())
     assert np.abs(E.T @ E - np.eye(d)).max() <= 1e-14
+
+
+def test_skew_exp_of_a_stack_equals_its_per_matrix_calls():
+    rng = np.random.default_rng(11)
+    G = rng.standard_normal((6, 8, 8))
+    A = G - np.swapaxes(G, -1, -2)
+    E = skew_exp(A)
+    assert E.shape == A.shape
+    assert all(np.array_equal(E[i], skew_exp(A[i])) for i in range(len(A)))
+
+
+@pytest.mark.parametrize("label", ["gF", "irregular"])
+def test_flow_of_a_stacked_algebra_basis_equals_its_per_generator_calls(label):
+    """One skew_exp and one metric call for the whole basis change no bit of
+    any generator's quotient, with the frame given or built."""
+    st, n = _structure(label)
+    lc = LeviCivita(st.metric)
+    basis = st.isometry_algebra().basis
+    X = sample_sphere(n, 40, seed=7).coords
+    F = g_orthonormal_frame(st.metric.matrix_at(X), X)
+    for x, frame in ((X, F), (X[0], None)):
+        L = lc.flow_lie_frame(np.stack(basis), x, frame=frame)
+        assert L.shape[0] == len(basis)
+        assert all(np.array_equal(L[i], lc.flow_lie_frame(B, x, frame=frame))
+                   for i, B in enumerate(basis))
 
 
 @pytest.mark.parametrize("label", ["gF", "irregular"])

@@ -18,6 +18,7 @@ from killinglab import (
 from killinglab.metrics import (
     MAX_FD_STEP,
     MetricField,
+    central_diff,
     g_orthonormal_frame,
     general_field,
 )
@@ -185,3 +186,55 @@ def test_g_orthonormal_frame_empty_exclusion():
 def test_linear_field_requires_skew():
     with pytest.raises(ValueError):
         linear_field(np.diag([1.0, 2.0, 3.0, 4.0]))
+
+
+# -- the flat second-difference stencil of central_diff ----------------------------
+
+def test_second_differences_are_exact_on_cubics():
+    """Every O(h^2) error term of the pure and seven-point mixed differences
+    carries a fourth derivative, so on a cubic D2 is the Hessian up to the
+    rounding of f over h^2."""
+    rng = np.random.default_rng(5)
+    m = 5
+    C = rng.standard_normal((m, m, m))
+    S = sum(np.transpose(C, p) for p in [(0, 1, 2), (0, 2, 1), (1, 0, 2),
+                                          (1, 2, 0), (2, 0, 1), (2, 1, 0)]) / 6.0
+    A, b = rng.standard_normal((m, m)), rng.standard_normal(m)
+
+    def f(V):
+        return (np.einsum("...a,...b,...c,abc->...", V, V, V, S)
+                + np.einsum("...a,ab,...b->...", V, A, V) + V @ b)
+
+    U = rng.standard_normal((3, m))
+    hessian = 6.0 * np.einsum("abc,nc->nab", S, U) + A + A.T
+    for h in (0.5, 0.1):
+        f0, _, D2 = central_diff(f, U, h, second=True)
+        assert np.array_equal(f0, f(U))
+        assert np.abs(D2 - hessian).max() <= 1e-13 / h ** 2
+
+
+def test_second_differences_converge_quadratically():
+    """On f(y) = exp(a.y) the error of D2 against a a^T f quarters when h halves."""
+    a = np.array([0.7, -1.2, 0.4, 0.9])
+    U = 0.5 * np.random.default_rng(6).standard_normal((2, 4))
+
+    def f(V):
+        return np.exp(V @ a)
+
+    exact = np.einsum("i,j,n->nij", a, a, f(U))
+    errs = [np.abs(central_diff(f, U, h, second=True)[2] - exact).max() for h in (1e-2, 5e-3)]
+    assert 3.5 <= errs[0] / errs[1] <= 4.5
+
+
+@pytest.mark.parametrize("m", [2, 6, 8])
+def test_second_difference_stencil_has_m_squared_plus_m_plus_one_rows(m):
+    """U, U +- h e_l and U +- h (e_i + e_j) for i < j: the mixed differences
+    reuse the axial points."""
+    rows = []
+
+    def f(V):
+        rows.append(V.shape[-2])
+        return V.sum(axis=-1)
+
+    central_diff(f, np.zeros((3, m)), 1e-3, second=True)
+    assert rows == [m * m + m + 1]
