@@ -2,20 +2,20 @@
 """Per-check wall time of the verification batteries, in milliseconds.
 
 Runs ``verify --example gF --n 3 --c 0.3``, ``--example irregular --n 2``,
-``--example round --n 2`` and ``--example quaternionic`` at ``--m 1`` and
-``--m 2`` in-process on one BLAS thread, at the default 200 samples and seed
-42 unless told otherwise, and prints for each row the median over
-``--repeats`` runs after one warm-up run.
+``--example round --n 2``, ``--example quaternionic`` at ``--m 1`` and
+``--m 2`` and ``--example hopf-lift`` in-process on one BLAS thread, at the
+default 200 samples and seed 42 unless told otherwise, and prints for each row
+the median over ``--repeats`` runs after one warm-up run.
 
-A battery is a sequence of ``rep.add(check(...))`` calls, so a check's time
-is the wall time from the previous result (or from the report's creation) to
-its own result.  Three shared builds are split out of the interval that holds
-them, as rows of their own with their call counts:
-``LeviCivita.structure_at``, ``LeviCivita.second_nabla_frame`` and
-``metrics.g_orthonormal_frame``; a build inside another one counts in its
-own row only.  The ``setup`` row runs from the battery's start to the
-report's creation (metric, sample, step canary); ``extras`` from the last
-result to the end (decomposition, flow class, orbit probe).
+The rows come from the report's own clock (``VerificationReport.clock``): a
+check's time is the wall time from the previous result (or from the report's
+opening) to its own result, and each shared build the battery times as a
+stage (``structure_at``, ``second_nabla_frame``, ``g_orthonormal_frame``,
+``triple_psi``) is a row of its own, out of the check that follows it.  A
+frame or structure built inside a stage or a check counts in that row.  The
+``setup`` row runs from the battery's start to the report's opening (metric,
+sample, step canary); ``extras`` from the last result to the end
+(decomposition, flow class, orbit probe).
 
 Usage:
     python3 scripts/check_times.py [--samples N] [--seed S] [--repeats R]
@@ -34,85 +34,23 @@ import argparse  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
-from collections import defaultdict  # noqa: E402
-from contextlib import contextmanager  # noqa: E402
 from dataclasses import replace  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from killinglab import cli, metrics, verify  # noqa: E402
-from killinglab.metrics import LeviCivita  # noqa: E402
-from killinglab.report import VerificationReport  # noqa: E402
+from killinglab import cli  # noqa: E402
 
 BATTERIES = (("gF", {"n": 3, "c": 0.3}), ("irregular", {"n": 2}), ("round", {"n": 2}),
-             ("quaternionic", {"m": 1}), ("quaternionic", {"m": 2}))
-# each shared build: the name of its row and the (owner, attribute) pairs that bind it
-SHARED = {"structure_at": [(LeviCivita, "structure_at")],
-          "second_nabla_frame": [(LeviCivita, "second_nabla_frame")],
-          # every module that binds it by name; a checkout whose cli does not is timed too
-          "g_orthonormal_frame": [(mod, "g_orthonormal_frame") for mod in (metrics, verify, cli)
-                                  if hasattr(mod, "g_orthonormal_frame")]}
+             ("quaternionic", {"m": 1}), ("quaternionic", {"m": 2}), ("hopf-lift", {}))
 
 
-@contextmanager
-def clocked(times: dict, calls: dict):
-    """Attribute wall time to check names while a battery runs."""
-    # open: the time of the shared builds nested in each shared build still running
-    state = {"last": time.perf_counter(), "shared": 0.0, "open": []}
-    init0, add0 = VerificationReport.__init__, VerificationReport.add
-    bound = [(owner, attr, getattr(owner, attr)) for pairs in SHARED.values()
-             for owner, attr in pairs]
-
-    def close(row: str, now: float) -> None:
-        times[row] += now - state["last"] - state["shared"]
-        state.update(last=now, shared=0.0)
-
-    def init(self, *args, **kwargs):
-        init0(self, *args, **kwargs)
-        close("setup", time.perf_counter())
-
-    def add(self, check):
-        close(check.name, time.perf_counter())
-        calls[check.name] += 1
-        return add0(self, check)
-
-    def shared(name, fn):
-        def wrapper(*args, **kwargs):
-            state["open"].append(0.0)
-            t0 = time.perf_counter()
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                dt = time.perf_counter() - t0
-                times[name] += dt - state["open"].pop()
-                calls[name] += 1
-                if state["open"]:
-                    state["open"][-1] += dt
-                else:
-                    state["shared"] += dt
-        return wrapper
-
-    VerificationReport.__init__, VerificationReport.add = init, add
-    for name, pairs in SHARED.items():
-        wrapper = shared(name, getattr(*pairs[0]))
-        for owner, attr in pairs:
-            setattr(owner, attr, wrapper)
-    try:
-        yield close
-    finally:
-        VerificationReport.__init__, VerificationReport.add = init0, add0
-        for owner, attr, original in bound:
-            setattr(owner, attr, original)
-
-
-def run_once(example: str, cfg: cli.RunConfig) -> tuple[dict, dict, float]:
-    times, calls = defaultdict(float), defaultdict(int)
+def run_once(example: str, cfg: cli.RunConfig) -> tuple[dict, float]:
+    """The rows of one battery run, in seconds, and its total."""
     t0 = time.perf_counter()
-    with clocked(times, calls) as close:
-        cli._BATTERIES[example](cfg)
-        close("extras", time.perf_counter())
-    return times, calls, time.perf_counter() - t0
+    rep = cli._BATTERIES[example](cfg)
+    rep.lap("extras")
+    return {"setup": rep.opened - t0, **rep.clock}, time.perf_counter() - t0
 
 
 def main(argv=None) -> int:
@@ -126,14 +64,11 @@ def main(argv=None) -> int:
                       seed=args.seed, **params)
         run_once(example, cfg)  # warm-up
         runs = [run_once(example, cfg) for _ in range(args.repeats)]
-        total = statistics.median(r[2] for r in runs)
-        calls = runs[0][1]
-        size = " ".join(f"--{k} {v}" for k, v in params.items())
-        print(f"{example} {size}: {1e3 * total:.1f} ms in all, median of {args.repeats}")
+        total = statistics.median(r[1] for r in runs)
+        size = "".join(f" --{k} {v}" for k, v in params.items())
+        print(f"{example}{size}: {1e3 * total:.2f} ms in all, median of {args.repeats}")
         for name in runs[0][0]:
-            ms = 1e3 * statistics.median(r[0][name] for r in runs)
-            note = f" ({calls[name]} calls)" if name in SHARED or calls[name] > 1 else ""
-            print(f"  {name:<34} {ms:8.1f}{note}")
+            print(f"  {name:<34} {1e3 * statistics.median(r[0][name] for r in runs):8.2f}")
     return 0
 
 

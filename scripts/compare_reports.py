@@ -7,7 +7,8 @@ absolute and relative to the first directory, and the larger of the two
 absolute movements as a fraction of the check's tolerance (``move/tol``): the
 scale that decides a verdict, where the relative column blows a rounding move
 on a residual near zero up to order one.  Exits 1 if any verdict
-changed or a report or check is present on one side only, else 0.
+changed, a report or check is present on one side only, or the checks both
+reports hold come in another order, else 0.
 
 Usage:
     python3 scripts/run_all_examples.py --samples 200 --out A_DIR   # before
@@ -67,6 +68,13 @@ def compare_report(a: dict, b: dict) -> tuple[list[dict], bool]:
     return rows, changed
 
 
+def check_order(a: dict, b: dict) -> tuple[list[str], list[str]]:
+    """The names of the checks both reports hold, in each report's order."""
+    names_a = [c["name"] for c in a["checks"]]
+    names_b = [c["name"] for c in b["checks"]]
+    return ([n for n in names_a if n in names_b], [n for n in names_b if n in names_a])
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("a_dir", type=pathlib.Path)
@@ -81,9 +89,13 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{fname}: only in {pa.parent if pa.exists() else pb.parent}")
             any_changed = True
             continue
-        rows, changed = compare_report(json.loads(pa.read_text()), json.loads(pb.read_text()))
-        any_changed = any_changed or changed
+        a, b = json.loads(pa.read_text()), json.loads(pb.read_text())
+        rows, changed = compare_report(a, b)
+        order_a, order_b = check_order(a, b)
+        any_changed = any_changed or changed or order_a != order_b
         print(f"{fname}")
+        if order_a != order_b:
+            print(f"  CHECK ORDER CHANGED: {order_a} -> {order_b}")
         print(f"  {'check':<34} {'verdict A -> B':<32} {'move/tol':>9} {'max abs':>9} "
               f"{'max rel':>9} {'mean abs':>9} {'mean rel':>9}")
         for r in rows:
@@ -92,7 +104,7 @@ def main(argv: list[str] | None = None) -> int:
             flag = "  VERDICT CHANGED" if r["changed"] else ""
             print(f"  {r['name']:<34} {r['verdict_a'] + ' -> ' + r['verdict_b']:<32} "
                   f"{moved}{flag}")
-    print("\nverdicts changed" if any_changed else "\nverdicts identical")
+    print("\nverdicts or check order changed" if any_changed else "\nverdicts identical")
     return 1 if any_changed else 0
 
 

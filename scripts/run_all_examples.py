@@ -24,10 +24,13 @@ import sys
 BATTERIES: list[tuple[str, list[str]]] = [
     ("round-s5", ["verify", "--example", "round", "--n", "2"]),
     ("quaternionic-s7", ["verify", "--example", "quaternionic", "--m", "1"]),
+    ("quaternionic-s11", ["verify", "--example", "quaternionic", "--m", "2"]),
     ("hopf-lift", ["verify", "--example", "hopf-lift"]),
     ("gF-s7", ["verify", "--example", "gF", "--n", "3", "--c", "0.3"]),
     ("irregular-s5", ["verify", "--example", "irregular"]),
     ("decompose-s5", ["decompose", "--example", "round", "--n", "2"]),
+    ("decompose-gF-s7", ["decompose", "--example", "gF", "--n", "3"]),
+    ("decompose-irr-s5", ["decompose", "--example", "irregular"]),
 ]
 
 

@@ -9,8 +9,7 @@ conformance test).
 An algebra factors its basis once, by one QR of the trace-form coordinates
 (sqrt 2 times the strict upper triangle).  Membership, closure and the
 decomposition project onto the trace-orthonormal basis Q; R serves only
-coordinates in the given basis (``coords``, ``ad_matrix``) and the Killing
-gram R^T R.
+coordinates in the given basis (``ad_matrix``) and the Killing gram R^T R.
 
 The main operation is ``standard_decomposition``: split an algebra into the
 kernel and the rotation-rate eigenblocks of the adjoint action of a chosen
@@ -123,11 +122,6 @@ class IsometryAlgebra:
         if np.any(resid > tol * np.maximum(1.0, np.abs(targets).max(axis=(1, 2)))):
             raise ValueError(f"{refusal} (residual {float(resid.max()):.3e})")
         return y
-
-    def coords(self, A: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-        """Coefficients of A in the basis; raises if A is not in the span."""
-        y = self._project([A], tol, "matrix lies outside the algebra")
-        return np.linalg.solve(self._r, y[:, 0])
 
     def contains(self, A: np.ndarray, tol: float = 1e-8) -> bool:
         try:

@@ -247,15 +247,6 @@ def hopf_differential(x: np.ndarray) -> np.ndarray:
         (x0, x1, -x2, -x3))], axis=-2)
 
 
-def hopf_section(y: np.ndarray, guard: float = 1e-12) -> np.ndarray:
-    """One point in the fiber over y (real-positive gauge on the last pair)."""
-    w_sq = 0.5 - y[2]
-    if w_sq <= guard:
-        return np.array([1.0, 0.0, 0.0, 0.0])
-    w = math.sqrt(w_sq)
-    return np.array([y[0] / w, y[1] / w, w, 0.0])
-
-
 def _batched_sections(ys: np.ndarray) -> np.ndarray:
     w = np.sqrt(0.5 - ys[:, 2])
     return np.stack([ys[:, 0] / w, ys[:, 1] / w, w, np.zeros(len(ys))], axis=1)

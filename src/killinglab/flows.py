@@ -195,33 +195,6 @@ def classify(profile: RotationProfile) -> FlowClassification:
         exceptional_periods=tuple(sorted(excl)))
 
 
-def rational_subprofiles(profile: RotationProfile) -> list[tuple[tuple[int, ...],
-                                                                 FlowClassification]]:
-    """Maximal plane subsets whose rates are pairwise Q-dependent.
-
-    Each subset spans an invariant subsphere on which the flow is periodic;
-    for an irregular flow these are exactly its families of closed orbits.
-    Returns (plane indices, classification of the restricted flow) pairs.
-    """
-    rates = profile.rates
-    groups: list[list[int]] = []
-    for i, r in enumerate(rates):
-        placed = False
-        for grp in groups:
-            s = rates[grp[0]]
-            if r.p * s.q - s.p * r.q == 0:
-                grp.append(i)
-                placed = True
-                break
-        if not placed:
-            groups.append([i])
-    out = []
-    for grp in groups:
-        sub = RotationProfile(tuple(rates[i] for i in grp))
-        out.append((tuple(grp), classify(sub)))
-    return out
-
-
 @dataclass(frozen=True)
 class OrbitProbe:
     """Numeric near-return survey of one orbit of a linear flow."""
@@ -230,10 +203,6 @@ class OrbitProbe:
     return_distances: tuple[float, ...]
     min_distance: float
     t_max: float
-
-    @property
-    def first_return(self) -> float | None:
-        return self.return_times[0] if self.return_times else None
 
 
 _GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))

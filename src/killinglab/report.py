@@ -7,14 +7,18 @@ residual must not only exceed the tolerance but clear the floor, so a
 wrong-for-the-wrong-reason near-zero residual is still flagged.
 
 Reports serialize with sorted keys and no incidental state, so a rerun with
-the same configuration is byte-identical (timestamps are optional).
+the same configuration is byte-identical (timestamps are optional).  A
+report's clock (the wall time of each check and shared build) stays out of
+its payload and its equality for the same reason.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from time import perf_counter
 
 SCHEMA_VERSION = 1
 
@@ -85,14 +89,44 @@ class CheckResult:
 
 @dataclass
 class VerificationReport:
-    """Named bundle of check results plus configuration and free-form extras."""
+    """Named bundle of check results plus configuration and free-form extras.
+
+    ``clock`` maps each check's name to its wall time in seconds: the time
+    since the previous ``add`` (or since the report opened, at the
+    ``perf_counter`` reading ``opened``), less the time of any ``stage`` in
+    between, which gets a row of its own.
+    """
 
     title: str
     config: dict = field(default_factory=dict)
     checks: list[CheckResult] = field(default_factory=list)
     extras: dict = field(default_factory=dict)
+    clock: dict[str, float] = field(default_factory=dict, init=False, repr=False,
+                                    compare=False)
+    opened: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.opened = self._mark = perf_counter()
+
+    def lap(self, name: str) -> None:
+        """Charge the time since the last add, stage or lap to ``clock[name]``."""
+        now = perf_counter()
+        self.clock[name] = self.clock.get(name, 0.0) + now - self._mark
+        self._mark = now
+
+    @contextmanager
+    def stage(self, name: str):
+        """Time a shared build as a row of its own.  The interval of the next
+        check runs on around it, and a stage nested in another counts in its
+        own row only."""
+        now = perf_counter()
+        owed, self._mark = now - self._mark, now
+        yield
+        self.lap(name)
+        self._mark -= owed
 
     def add(self, check: CheckResult) -> CheckResult:
+        self.lap(check.name)
         self.checks.append(check)
         return check
 

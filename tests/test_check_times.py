@@ -1,0 +1,36 @@
+"""scripts/check_times.py reads its rows from the report clock."""
+
+from __future__ import annotations
+
+import importlib.util
+import re
+import sys
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "check_times.py"
+HEADER = re.compile(r"^(\S.*): ([\d.]+) ms in all")
+
+
+def test_rows_cover_every_battery_and_sum_to_its_total(monkeypatch, capsys):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # the script sets it; restore after
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location("check_times", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.main(["--samples", "5", "--repeats", "1"]) == 0
+
+    batteries = {}
+    for line in capsys.readouterr().out.splitlines():
+        head = HEADER.match(line)
+        if head:
+            rows = batteries[head[1]] = {"total": float(head[2])}
+        else:
+            name, ms = line.split()
+            rows[name] = float(ms)
+    assert len(batteries) == len(module.BATTERIES)
+    for label, rows in batteries.items():
+        assert {"setup", "extras"} <= set(rows), label
+        if label.split()[0] in ("gF", "irregular", "round"):
+            assert {"structure_at", "second_nabla_frame"} <= set(rows), label
+        total = rows.pop("total")
+        assert abs(sum(rows.values()) - total) <= 0.05 * total, (label, rows, total)

@@ -231,12 +231,60 @@ def test_bad_config_value_is_refused_by_name(tmp_path, capsys, _flags, line, mes
 
 def test_negative_value_in_exponent_form_is_read_as_a_value(capsys):
     """argparse alone took "-1e-3" for a flag and refused --c for its missing value."""
-    code = main(["verify", "--example", "gF", "--c", "-1e-3", "--samples", "5",
+    code = main(["decompose", "--example", "gF", "--c", "-1e-3", "--samples", "5",
                  "--format", "json", "--no-timestamp"])
     doc = json.loads(capsys.readouterr().out)
-    # so near the round metric an expected-fail check may pass: 0 or 1, not a usage error
-    assert code in (0, 1)
+    assert code == 0
     assert doc["config"]["c"] == -1e-3
+
+
+@pytest.mark.parametrize("c", ["1e-3", "-1e-3", "0"])
+def test_gf_amplitude_too_small_for_the_fail_floors_is_refused_by_name(capsys, c):
+    """gF's Sasakian defects scale with |c|: below the bound the expected
+    failures fall under their floors and read as broken checks (exit 1)."""
+    assert main(["verify", "--example", "gF", "--c", c, "--samples", "20"]) == 2
+    err = capsys.readouterr().err
+    assert f"usage error: gF needs |c| >= 0.005, got c={float(c):g}" in err
+    assert "floors 0.01 and 0.001" in err
+
+
+def test_gf_amplitude_at_the_bound_meets_the_fail_floors(capsys):
+    for c in ("5e-3", "-5e-3"):
+        assert main(["verify", "--example", "gF", "--c", c, "--samples", "20"]) == 0, c
+    assert "UNEXPECTED" not in capsys.readouterr().out
+
+
+CHECK_ORDER = {
+    "round": ["tangency", "unit_length", "killing", "wedge_second_derivative",
+              "contact_endomorphism", "two_form_square_spectrum", "cr_torsion",
+              "eigenfield_identities"],
+    "quaternionic": ["triple_orthonormality", "triple_brackets", "triple_killing",
+                     "triple_wedge_second_derivative", "triple_products_aligned",
+                     "triple_products_transposed", "triple_anticommutators",
+                     "structure_squares", "pair_completion", "horizontal_split_plus_trivial",
+                     "unflipped_uniform_cyclic", "flipped_uniform_cyclic", "flipped_squares",
+                     "flipped_anticommutators", "flipped_pairing_symmetric",
+                     "flipped_pairing_skewness", "triple_product_commutes"],
+    "hopf-lift": ["lift_fit_defect", "lift_skewness", "lift_killing",
+                  "potential_path_independence", "pushdown_matches_base",
+                  "pushdown_kernel_is_vertical", "brackets_close_mod_vertical"],
+    "gF": ["tangency", "unit_length", "killing", "contact_endomorphism",
+           "contact_form_preserved", "two_form_square_spectrum",
+           "deformed_transverse_scaling", "wedge_second_derivative", "cr_torsion",
+           "invariance_algebra_killing"],
+    "irregular": ["tangency", "unit_length", "killing", "contact_endomorphism",
+                  "wedge_second_derivative", "cr_torsion", "two_form_square_spectrum",
+                  "transverse_derivative", "central_pair", "invariance_algebra_killing"],
+}
+
+
+def test_every_battery_keeps_its_check_order(capsys):
+    """compare_reports.py matches checks by name, so it alone misses a reorder."""
+    for example, names in CHECK_ORDER.items():
+        main(["verify", "--example", example, "--samples", "5", "--format", "json",
+              "--no-timestamp"])
+        doc = json.loads(capsys.readouterr().out)
+        assert [c["name"] for c in doc["checks"]] == names, example
 
 
 @pytest.mark.parametrize("flags, message", [

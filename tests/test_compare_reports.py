@@ -74,3 +74,13 @@ def test_movement_per_tolerance_column(tmp_path):
     # move/tol, max abs, max rel, mean abs, mean rel
     assert rows["squares"][-5:] == ["6.00e-10", "6.00e-16", "5.00e-01", "1.00e-16", "2.50e-01"]
     assert rows["tangency"][-5] == "0.00e+00"
+
+
+def test_check_order_change_exits_one(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    _write(a, "r.json", [_check("killing", 2e-8, 1e-8), _check("tangency", 0.0, 0.0)])
+    _write(b, "r.json", [_check("tangency", 0.0, 0.0), _check("killing", 2e-8, 1e-8)])
+    proc = _run(a, b)
+    assert proc.returncode == 1, proc.stdout
+    assert "CHECK ORDER CHANGED: ['killing', 'tangency'] -> ['tangency', 'killing']" in proc.stdout
+    assert "VERDICT CHANGED" not in proc.stdout

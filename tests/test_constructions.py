@@ -34,7 +34,6 @@ from killinglab.constructions import (
     hopf_differential,
     hopf_projection,
     hopf_sample_filter,
-    hopf_section,
     lift_potential,
     lifted_field_value,
     so3_basis,
@@ -142,14 +141,6 @@ def test_hopf_projection_constant_on_fibers(hopf):
     for t in (0.4, 1.1, 2.9):
         moved = expm(t * hopf.j0) @ x
         assert np.abs(hopf_projection(moved) - hopf_projection(x)).max() < 1e-12
-
-
-def test_hopf_section_is_a_section():
-    for y in (np.array([0.1, 0.2, 0.3]), np.array([0.0, 0.0, 0.5 - 1e-3])):
-        y = 0.5 * y / np.linalg.norm(y)
-        x = hopf_section(y)
-        assert abs(np.linalg.norm(x) - 1.0) < 1e-12
-        assert np.abs(hopf_projection(x) - y).max() < 1e-12
 
 
 def test_hopf_differential_kills_fiber(hopf):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from killinglab import ExactScalar, RotationProfile, classify, numeric_orbit_probe, parse_rate
 from killinglab import cli, flows
-from killinglab.flows import rational_subprofiles, rotation_profile
+from killinglab.flows import rotation_profile
 
 from oracles import orbit_min_distance_grid
 
@@ -140,16 +140,6 @@ def test_classify_scale_invariance(c):
     assert k1.generic_period == pytest.approx(k0.generic_period / float(c))
 
 
-def test_rational_subprofiles_grouping():
-    one = parse_rate("1")
-    two = parse_rate("2")
-    irr = ExactScalar(Fraction(0), Fraction(1), "sqrt2")
-    prof = RotationProfile((one, irr, two))
-    groups = rational_subprofiles(prof)
-    got = {idx: cls.kind for idx, cls in groups}
-    assert got == {(0, 2): "quasi-regular", (1,): "regular"}
-
-
 def test_rotation_profile_validates_spectrum():
     gen = block_gen(2.0, 3.0)
     prof = rotation_profile(gen, [parse_rate("2"), parse_rate("3")])
@@ -166,17 +156,17 @@ def test_probe_regular_orbit_returns_at_2pi():
     gen = block_gen(1.0, 1.0)
     x0 = np.array([0.6, 0.0, 0.8, 0.0])
     probe = numeric_orbit_probe(gen, x0, t_max=8.0)
-    assert probe.first_return == pytest.approx(2 * math.pi, abs=1e-5)
+    assert probe.return_times[0] == pytest.approx(2 * math.pi, abs=1e-5)
 
 
 def test_probe_generic_vs_exceptional_2_3():
     gen = block_gen(2.0, 3.0)
     generic = np.array([0.6, 0.0, 0.8, 0.0])
     pg = numeric_orbit_probe(gen, generic, t_max=8.0)
-    assert pg.first_return == pytest.approx(2 * math.pi, abs=1e-5)
+    assert pg.return_times[0] == pytest.approx(2 * math.pi, abs=1e-5)
     exceptional = np.array([0.0, 0.0, 0.6, 0.8])  # rate-3 plane only
     pe = numeric_orbit_probe(gen, exceptional, t_max=8.0)
-    assert pe.first_return == pytest.approx(2 * math.pi / 3, abs=1e-5)
+    assert pe.return_times[0] == pytest.approx(2 * math.pi / 3, abs=1e-5)
     # subsequent returns at multiples of the plane period
     diffs = np.diff(pe.return_times)
     assert np.abs(diffs - 2 * math.pi / 3).max() < 1e-4

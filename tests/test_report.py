@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 from pathlib import Path
 
 import jsonschema
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from killinglab import CheckResult, VerificationReport
+from killinglab import CheckResult, VerificationReport, report
 
 SCHEMA = json.loads(
     (Path(__file__).parent.parent / "src" / "killinglab" / "schema"
@@ -103,3 +104,45 @@ def test_render_text_markers():
     assert "UNEXPECTED" in text
     assert "verdict: 2/3 checks as expected" in text
     assert not rep.all_as_expected
+
+
+def _clocked_report(ticks: list[float], monkeypatch) -> VerificationReport:
+    """A report whose clock reads the given perf_counter values in turn."""
+    readings = iter(ticks)
+    monkeypatch.setattr(report, "perf_counter", lambda: next(readings))
+    return VerificationReport(title="demo")
+
+
+def test_clock_charges_each_stage_its_own_row_and_each_check_the_rest(monkeypatch):
+    # opened 0; outer stage 1..9 holding inner stage 2..5; check a at 10;
+    # stage 12..15; check b at 16; lap at 20
+    rep = _clocked_report([0.0, 1.0, 2.0, 5.0, 9.0, 10.0, 12.0, 15.0, 16.0, 20.0],
+                          monkeypatch)
+    with rep.stage("outer"):
+        with rep.stage("inner"):
+            pass
+    rep.add(make(name="a"))
+    with rep.stage("build"):
+        pass
+    rep.add(make(name="b"))
+    rep.lap("extras")
+    assert rep.opened == 0.0
+    assert rep.clock == {"inner": 3.0, "outer": 5.0, "a": 2.0, "build": 3.0, "b": 3.0,
+                         "extras": 4.0}
+    assert sum(rep.clock.values()) == 20.0
+
+
+def test_clock_stays_out_of_payload_and_equality():
+    reps = []
+    for pause in (0.0, 2e-3):
+        rep = VerificationReport(title="demo", config={"samples": 3})
+        with rep.stage("build"):
+            time.sleep(pause)
+        rep.add(make(name="a"))
+        reps.append(rep)
+    one, two = reps
+    assert one.clock != two.clock and one.opened != two.opened
+    assert one == two
+    assert one.to_json(include_timestamp=False) == two.to_json(include_timestamp=False)
+    assert one.render_text() == two.render_text()
+    assert not {"clock", "opened"} & set(one.to_dict())
