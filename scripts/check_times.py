@@ -10,9 +10,10 @@ the median over ``--repeats`` runs after one warm-up run.
 The rows come from the report's own clock (``VerificationReport.clock``): a
 check's time is the wall time from the previous result (or from the report's
 opening) to its own result, and each shared build the battery times as a
-stage (``structure_at``, ``second_nabla_frame``, ``g_orthonormal_frame``,
-``triple_psi``) is a row of its own, out of the check that follows it.  A
-frame or structure built inside a stage or a check counts in that row.  The
+stage (``structure_at``, ``second_nabla_frame``, ``triple_psi``, and
+``check_flip_quaternionic``, the one call that returns the seven flip checks)
+is a row of its own, out of the check that follows it.  A frame or structure
+built inside a stage or a check counts in that row.  The
 ``setup`` row runs from the battery's start to the report's opening (metric,
 sample, step canary); ``extras`` from the last result to the end
 (decomposition, flow class, orbit probe).

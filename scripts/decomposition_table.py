@@ -52,7 +52,7 @@ def main(argv: list[str] | None = None) -> int:
         X = sample_sphere(n, opts.samples, seed=opts.seed).coords
         worst = 0.0
         if blk is not None:
-            res = eigenfield_residuals(lc, st.field, blk, X, rate=2.0)
+            res = eigenfield_residuals(st.field, blk, lc.structure_at(st.field, X), rate=2.0)
             worst = max(res.values())
 
         closed_zero = (n + 1) ** 2

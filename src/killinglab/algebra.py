@@ -225,16 +225,15 @@ def standard_decomposition(algebra: IsometryAlgebra, xi: np.ndarray,
                          s_eigenvalues=vals)
 
 
-def eigenfield_residuals(lc, xi_field, mats, points,
-                         rate: float | None = None, st=None) -> dict[str, float]:
+def eigenfield_residuals(xi_field, mats, st, rate: float | None = None) -> dict[str, float]:
     """Pointwise identities satisfied by nonzero-rate eigenblock generators.
 
     For A in a nonzero-rate block of the decomposition along xi, the field
     x -> A x is orthogonal to xi everywhere, and the field bracket with xi
     cancels the metric dual of contracting A x into the two-form of xi's dual
     one-form.  ``mats`` is one generator (d, d) or a block (b, d, d); the
-    structure tensors ``st`` (built here when not given) cover the whole
-    sample and are shared by the whole block.  Returns max residuals over
+    structure tensors ``st`` = ``lc.structure_at(xi_field, X)`` cover the
+    sample X and are shared by the whole block.  Returns max residuals over
     generators and samples {"orthogonality", "bracket_identity"}; when the
     block rate is given, also "eigenvalue_identity": the square of the raised
     two-form applied to A x equals -(rate^2) A x.
@@ -245,8 +244,7 @@ def eigenfield_residuals(lc, xi_field, mats, points,
     mats = np.asarray(mats, dtype=float)
     mats = mats.reshape(-1, *mats.shape[-2:])
     brackets = field_bracket(xi_mat, mats)
-    xs = np.asarray(points, dtype=float)
-    st = lc.structure_at(xi_field, xs) if st is None else st
+    xs = st.x
     a = np.einsum("bde,ne->nbd", mats, xs)          # (N, b, d): one row per field
     Ft = np.swapaxes(st.frame, -1, -2)
     out = {"orthogonality": float(np.abs(a @ (st.metric_matrix @ st.xi[..., None])).max())}

@@ -219,25 +219,24 @@ def _unit_killing(cfg: RunConfig, title: str, killing_tol: float):
     return s, lc, X, rep, st, T
 
 
-def _spectrum_check(lc: LeviCivita, fld, X: np.ndarray, st: StructureTensors,
-                    tol: float) -> CheckResult:
+def _spectrum_check(st: StructureTensors, tol: float) -> CheckResult:
     """Squared two-form of a unit Killing field: -4 across the field, 0 along it."""
-    return verify.check_dxi_spectrum(lc, fld, X, reference=[-4.0] * (X.shape[1] - 2) + [0.0],
-                                     tol=tol, st=st)
+    return verify.check_dxi_spectrum(st, reference=[-4.0] * (st.x.shape[1] - 2) + [0.0],
+                                     tol=tol)
 
 
 def _battery_round(cfg: RunConfig) -> VerificationReport:
-    rs, lc, X, rep, st, T = _unit_killing(
+    rs, _, _, rep, st, T = _unit_killing(
         cfg, f"round unit Killing structure on S^{2 * cfg.n + 1}", verify.EXACT_TOL)
-    rep.add(verify.check_sasakian(lc, rs.field, X, tol=verify.EXACT_TOL, frame=st.frame, T=T))
-    rep.add(verify.check_kcontact(lc, rs.field, X, st=st))
-    rep.add(_spectrum_check(lc, rs.field, X, st, tol=1e-8))
-    rep.add(verify.check_nijenhuis(lc, rs.field, X, st=st, T=T))
+    rep.add(verify.check_sasakian(st, T, tol=verify.EXACT_TOL))
+    rep.add(verify.check_kcontact(st))
+    rep.add(_spectrum_check(st, tol=1e-8))
+    rep.add(verify.check_nijenhuis(st, T))
 
     alg = rs.isometry_algebra()
     dec = standard_decomposition(alg, rs.j0)
     nz = [k for k, lam in enumerate(dec.rates) if lam > 0.5][0]
-    res = eigenfield_residuals(lc, rs.field, dec.blocks[nz], X, rate=dec.rates[nz], st=st)
+    res = eigenfield_residuals(rs.field, dec.blocks[nz], st, rate=dec.rates[nz])
     rep.add(_eigenfield_check("eigenfield_identities", res,
                               detail="orthogonality + bracket + eigenvalue identities "
                                      "over the whole nonzero-rate block"))
@@ -249,31 +248,27 @@ def _battery_quaternionic(cfg: RunConfig) -> VerificationReport:
     qs = build_quaternionic(cfg.m)
     lc, X, rep = _open(cfg, qs.metric, qs.fields[0], 2 * cfg.m + 1,
                        f"right-multiplication contact triple on S^{4 * cfg.m + 3}")
-    with rep.stage("g_orthonormal_frame"):
-        F = g_orthonormal_frame(qs.metric.matrix_at(X), X)
     with rep.stage("triple_psi"):
-        triple = verify.triple_psi(lc, qs.fields, X, frame=F)
+        triple = verify.triple_psi(lc, qs.fields, X)
     rep.add(verify.check_triple_orthonormality(lc, qs.fields, X, tol=1e-10))
     rep.add(verify.check_triple_brackets(qs.fields, tol=1e-12))
     rep.add(_merge("triple_killing",
-                   [verify.check_killing(lc, f, X, tol=verify.EXACT_TOL, frame=F)
+                   [verify.check_killing(lc, f, X, tol=verify.EXACT_TOL, frame=triple.F)
                     for f in qs.fields], tol=verify.EXACT_TOL))
+    with rep.stage("second_nabla_frame"):
+        Ts = [lc.second_nabla_frame(f, X, triple.F) for f in qs.fields]
     rep.add(_merge("triple_wedge_second_derivative",
-                   [verify.check_sasakian(lc, f, X, tol=verify.EXACT_TOL, frame=F)
-                    for f in qs.fields], tol=verify.EXACT_TOL))
-    rep.add(verify.check_triple_products(lc, qs.fields, X, tol=1e-10,
-                                         variant="aligned", triple=triple))
-    rep.add(verify.check_triple_products(lc, qs.fields, X, tol=1e-10,
-                                         variant="transposed", expected="fail",
-                                         fail_floor=1e-2,
-                                         name="triple_products_transposed",
-                                         triple=triple))
-    rep.add(verify.check_anticommutators(lc, qs.fields, X, tol=1e-10, triple=triple))
-    rep.add(verify.check_squares(lc, qs.fields, X, tol=1e-10, triple=triple))
-    rep.add(verify.check_pair_completion(lc, qs.fields[0], qs.fields[1], X,
-                                         tol=1e-6, triple=triple))
+                   [verify.check_sasakian(st, T, tol=verify.EXACT_TOL)
+                    for st, T in zip(triple.sts, Ts)], tol=verify.EXACT_TOL))
+    rep.add(verify.check_triple_products(triple, tol=1e-10, variant="aligned"))
+    rep.add(verify.check_triple_products(triple, tol=1e-10, variant="transposed",
+                                         expected="fail", fail_floor=1e-2,
+                                         name="triple_products_transposed"))
+    rep.add(verify.check_anticommutators(triple, tol=1e-10))
+    rep.add(verify.check_squares(triple, tol=1e-10))
+    rep.add(verify.check_pair_completion(lc, triple, tol=1e-6))
 
-    sp = verify.horizontal_split(lc, qs.fields, X[:10], triple=triple.rows(slice(10)))
+    sp = verify.horizontal_split(triple.rows(slice(10)))
     worst = float(np.max([sp.split.involution_residual, sp.split.symmetry_residual,
                           sp.invariance_residual, sp.commutation_residual,
                           sp.split.dim_plus]))
@@ -282,8 +277,9 @@ def _battery_quaternionic(cfg: RunConfig) -> VerificationReport:
                     detail=f"(dim+, dim-) over samples: {[tuple(d) for d in dims.tolist()]}"))
 
     fixture = build_flip_fixture()
-    flip_checks, flip_extras = verify.check_flip_quaternionic(
-        fixture.J, fixture.metric_matrix, fixture.projector_plus)
+    with rep.stage("check_flip_quaternionic"):
+        flip_checks, flip_extras = verify.check_flip_quaternionic(
+            fixture.J, fixture.metric_matrix, fixture.projector_plus)
     for chk in flip_checks:
         rep.add(chk)
     rep.extras["flip_fixture"] = flip_extras
@@ -370,16 +366,14 @@ def _battery_hopf(cfg: RunConfig) -> VerificationReport:
     return rep
 
 
-def _deformed_scaling_check(lc: LeviCivita, ds, xs: np.ndarray, tol: float,
-                            st: StructureTensors | None = None) -> CheckResult:
+def _deformed_scaling_check(ds, st: StructureTensors, tol: float) -> CheckResult:
     """Pinned transverse scaling: phi X = e^{-2F} J0 X and phi J0 X = -e^{2F} X."""
-    xs = np.asarray(xs, dtype=float)
-    X = ds.x_field.value(xs)
+    X = ds.x_field.value(st.x)
     keep = rowdot(X, X) >= 1e-12
     arr = np.array([np.inf])
     if keep.any():
-        phi = (lc.structure_at(ds.field, xs) if st is None else st).phi_ambient[keep]
-        xs, X = xs[keep], X[keep]
+        phi = st.phi_ambient[keep]
+        xs, X = st.x[keep], X[keep]
         F = ds.f_of(xs)[:, None]
         J0X = matvec(ds.j0, X)
         r1 = np.abs(matvec(phi, X) - np.exp(-2 * F) * J0X).max(axis=1)
@@ -411,15 +405,14 @@ def _battery_deformed(cfg: RunConfig) -> VerificationReport:
     ds, lc, X, rep, st, T = _unit_killing(
         cfg, f"boundary-localized deformation on S^{2 * cfg.n + 1} (c={cfg.c})", 1e-6)
     lc_round = LeviCivita(build_round(cfg.n).metric, fd_step=cfg.fd_step)
-    rep.add(verify.check_kcontact(lc, ds.field, X, st=st))
+    rep.add(verify.check_kcontact(st))
     rep.add(verify.check_contact_form_preserved(lc, lc_round, ds.field, X,
                                                 tol=1e-8))
-    rep.add(_spectrum_check(lc, ds.field, X, st, tol=1e-5))
-    rep.add(_deformed_scaling_check(lc, ds, X, tol=1e-6, st=st))
-    rep.add(verify.check_sasakian(lc, ds.field, X, tol=verify.FD_TOL, expected="fail",
-                                  fail_floor=GF_WEDGE_FLOOR, frame=st.frame, T=T))
-    rep.add(verify.check_nijenhuis(lc, ds.field, X, expected="fail",
-                                   fail_floor=GF_TORSION_FLOOR, st=st, T=T))
+    rep.add(_spectrum_check(st, tol=1e-5))
+    rep.add(_deformed_scaling_check(ds, st, tol=1e-6))
+    rep.add(verify.check_sasakian(st, T, tol=verify.FD_TOL, expected="fail",
+                                  fail_floor=GF_WEDGE_FLOOR))
+    rep.add(verify.check_nijenhuis(st, T, expected="fail", fail_floor=GF_TORSION_FLOOR))
 
     alg = ds.isometry_algebra()
     rep.add(_invariance_killing(lc, alg, X[:40], st.frame[:40]))
@@ -432,12 +425,11 @@ def _battery_deformed(cfg: RunConfig) -> VerificationReport:
 def _battery_irregular(cfg: RunConfig) -> VerificationReport:
     ir, lc, X, rep, st, T = _unit_killing(
         cfg, f"irregular unit Killing structure on S^{2 * cfg.n + 1} (a={cfg.a})", 1e-6)
-    rep.add(verify.check_kcontact(lc, ir.field, X, st=st))
-    rep.add(verify.check_sasakian(lc, ir.field, X, tol=verify.FD_TOL, frame=st.frame, T=T))
-    rep.add(verify.check_nijenhuis(lc, ir.field, X, st=st, T=T))
-    rep.add(_spectrum_check(lc, ir.field, X, st, tol=1e-5))
-    rep.add(verify.check_transverse_derivative(lc, ir.field, ir.j0, X,
-                                               tol=verify.FD_TOL, st=st))
+    rep.add(verify.check_kcontact(st))
+    rep.add(verify.check_sasakian(st, T, tol=verify.FD_TOL))
+    rep.add(verify.check_nijenhuis(st, T))
+    rep.add(_spectrum_check(st, tol=1e-5))
+    rep.add(verify.check_transverse_derivative(lc, ir.field, ir.j0, st, tol=verify.FD_TOL))
 
     alg = ir.isometry_algebra()
     cen = centralizer_check(alg, [ir.j0, ir.j1])
@@ -492,11 +484,15 @@ def cmd_decompose(cfg: RunConfig) -> int:
     rep = VerificationReport(
         title=f"adjoint-square decomposition ({cfg.example}, S^{2 * cfg.n + 1})",
         config=asdict(cfg))
-    X = sample_sphere(cfg.n, min(cfg.samples, 40), cfg.seed).coords
+    st = lc.structure_at(s.field, sample_sphere(cfg.n, min(cfg.samples, 40), cfg.seed).coords)
     for rate, block in zip(dec.rates, dec.blocks):
-        if rate != 0.0:
+        if rate == 0.0:  # the commutant of xi, first
+            rep.add(_single("zero_block_commutes",
+                            float(np.abs(field_bracket(s.field.matrix, np.stack(block))).max()),
+                            1e-10, detail="[xi, A] = 0 for every A of the rate-0 block"))
+        else:
             rep.add(_eigenfield_check(f"eigenfield_identities_rate_{rate:g}",
-                                      eigenfield_residuals(lc, s.field, block, X, rate=rate)))
+                                      eigenfield_residuals(s.field, block, st, rate=rate)))
     summary = dec.summary()
     rep.extras["table"] = "; ".join(
         [f"g0: {dec.zero_block_dim}"]

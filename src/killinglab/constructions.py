@@ -273,17 +273,6 @@ def horizontal_lift_batch(j0: np.ndarray, xs: np.ndarray, ys: np.ndarray,
     return np.einsum("nij,naj,na->ni", PH, dpis, w3)
 
 
-def curvature_form(bundle: HopfBundle, y: np.ndarray, u: np.ndarray,
-                   v: np.ndarray) -> float:
-    """Two-form on the base measuring the bracket defect of horizontal lifts:
-    twice the complex pairing of the lifts at any fiber point."""
-    ys = y[None, :]
-    x = _batched_sections(ys)
-    lu = horizontal_lift_batch(bundle.j0, x, ys, u[None, :])
-    lv = horizontal_lift_batch(bundle.j0, x, ys, v[None, :])
-    return 2.0 * float((bundle.j0 @ lu[0]) @ lv[0])
-
-
 def so3_basis() -> list[np.ndarray]:
     return [np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]]),
             np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]),

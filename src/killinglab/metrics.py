@@ -45,7 +45,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .sphere import matvec, orthonormal_tangent_frame, rowdot, tangent_seeds
+from .sphere import matvec, orthonormal_tangent_frame, rowdot, tangent_seeds, unit_sample
 
 DEFAULT_FD_STEP = 1e-4
 # Stencil points x +- h e_l sit at distance ~h from x on a unit sphere, whose
@@ -326,10 +326,12 @@ class StructureTensors:
     of the field along v) for tangent v; ``dxi`` is the ambient matrix D of
     the exterior derivative of the field's metric-dual one-form, with
     d(eta)(u, v) = u^T D v; ``phi_frame``/``phi_ambient`` represent the
-    skew endomorphism defined by g(phi u, v) = d(eta)(u, v) / 2.  Built at
-    a stack of points (N, d), every field carries a leading axis of N.
+    skew endomorphism defined by g(phi u, v) = d(eta)(u, v) / 2.  ``x`` is
+    the point (d,) or the sample (N, d) it was built at; built at a sample,
+    every field carries a leading axis of N.
     """
 
+    x: np.ndarray
     xi: np.ndarray
     metric_matrix: np.ndarray
     frame: np.ndarray
@@ -337,6 +339,10 @@ class StructureTensors:
     dxi: np.ndarray
     phi_frame: np.ndarray
     phi_ambient: np.ndarray
+
+    def rows(self, sl: slice) -> StructureTensors:
+        """The same structure at the rows ``sl`` of a sample."""
+        return StructureTensors(**{k: v[sl] for k, v in vars(self).items()})
 
 
 # ---------------------------------------------------------------------------
@@ -543,8 +549,10 @@ class LeviCivita:
         two-form of the dual one-form, and the half-two-form endomorphism in
         frame and ambient forms.  ``frame``, ``g_orthonormal_frame(M, x)``,
         is built here when not given; it comes first, so a degenerate
-        metric raises MetricDegeneracyError before any differencing."""
-        x = np.asarray(x, dtype=float)
+        metric raises MetricDegeneracyError before any differencing.  ``x``,
+        one point (d,) or a sample (N, d), is refused unless non-empty and on
+        the unit sphere."""
+        x = unit_sample("structure_at", x, (1, 2))
         M = self.metric.matrix_at(x)
         F = g_orthonormal_frame(M, x) if frame is None else frame
         Ft = np.swapaxes(F, -1, -2)
@@ -553,16 +561,6 @@ class LeviCivita:
         D = np.swapaxes(N, -1, -2) @ M - M @ N
         phi_frame = 0.5 * np.swapaxes(Ft @ D @ F, -1, -2)
         phi_ambient = F @ phi_frame @ Ft @ M
-        return StructureTensors(xi=xi, metric_matrix=M, frame=F,
+        return StructureTensors(x=x, xi=xi, metric_matrix=M, frame=F,
                                 nabla_endo=N, dxi=D, phi_frame=phi_frame,
                                 phi_ambient=phi_ambient)
-
-    def dxi_square_eigenvalues(self, fld: VectorField, x: np.ndarray,
-                               st: StructureTensors | None = None) -> np.ndarray:
-        """Sorted eigenvalues of the square of the two-form endomorphism
-        (g(e u, v) = d(eta)(u, v)); round unit fields give -4 on the
-        transverse space and 0 along the field.  ``st`` is
-        ``structure_at(fld, x)``, built here when not given."""
-        st = self.structure_at(fld, x) if st is None else st
-        e_frame = np.swapaxes(np.swapaxes(st.frame, -1, -2) @ st.dxi @ st.frame, -1, -2)
-        return np.sort(np.linalg.eigvals(e_frame @ e_frame).real, axis=-1)

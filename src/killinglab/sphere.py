@@ -59,6 +59,23 @@ class SpherePoint:
 
 
 
+def unit_sample(owner: str, points, ndims: tuple[int, ...]) -> np.ndarray:
+    """``points`` (an array, a SpherePoint or a sequence of them) as a float
+    array, refused in the name of ``owner`` unless it is non-empty, has one of
+    the ``ndims`` (1: one point (d,), 2: a sample (N, d)) and lies on the unit
+    sphere."""
+    X = np.asarray(points, dtype=float)
+    if X.size == 0:
+        raise ValueError(f"{owner} got no samples to evaluate")
+    if X.ndim not in ndims:
+        shapes = " or ".join(("one point (d,)", "an (N, d) sample")[k - 1] for k in ndims)
+        raise ValueError(f"{owner} needs {shapes}, got shape {X.shape}")
+    off = float(np.abs(np.linalg.norm(X, axis=-1) - 1.0).max())
+    if off > UNIT_TOL:
+        raise ValueError(f"{owner} got a sample off the unit sphere: ||x| - 1| = {off:.3e}")
+    return X
+
+
 def tangent_seeds(x: np.ndarray) -> np.ndarray:
     """Seeds of the tangent space at x (d,) or at each row of x (N, d): with
     the axis most parallel to x (argmax |x_i|) dropped, the other axes

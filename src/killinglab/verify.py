@@ -25,18 +25,19 @@ half-two-form endomorphism phi (see metrics.StructureTensors):
                    examples, and must not for the boundary-localized
                    deformation); contracted pointwise from nabla^2 xi.
 
-A battery passes what several checks read, built once on its sample:
-``frame`` = ``g_orthonormal_frame(M, X)`` (or ``st.frame``), ``st`` =
-``lc.structure_at(fld, X, frame=frame)``, ``T`` =
-``lc.second_nabla_frame(fld, X, frame)`` and ``triple`` =
-``triple_psi(lc, fields, X, frame=frame)``, of which ``triple.rows(sl)``
-serves a check on the rows ``X[sl]``; a check left without them builds its
-own, with identical results.
+A check reads either the sample itself (``points``) or, and then only, the
+structures its battery built once on the sample: ``st`` =
+``lc.structure_at(fld, X)``, ``T`` = ``lc.second_nabla_frame(fld, X,
+st.frame)`` and ``triple`` = ``triple_psi(lc, fields, X)``, of which
+``triple.rows(sl)`` serves a check on the rows ``X[sl]``.  A bad sample is
+refused by name where it enters: by the check that takes ``points``, or by
+``structure_at``.  ``check_killing`` alone may be handed a shared frame or
+Lie derivative.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -84,15 +85,7 @@ def _check(name: str, per_point: Sequence[float], tol: float, expected: str = "p
 def _stack(name: str, points) -> np.ndarray:
     """The sample (N, d) as a float array: an (N, d) array or a sequence of
     SpherePoints, refused unless it is non-empty, 2-D and on the unit sphere."""
-    X = np.asarray(points, dtype=float)
-    if X.size == 0:
-        raise ValueError(f"check '{name}' got no samples to evaluate")
-    if X.ndim != 2:
-        raise ValueError(f"check '{name}' needs an (N, d) sample, got shape {X.shape}")
-    off = float(np.abs(np.linalg.norm(X, axis=1) - 1.0).max())
-    if off > sphere.UNIT_TOL:
-        raise ValueError(f"check '{name}' got a sample off the unit sphere: ||x| - 1| = {off:.3e}")
-    return X
+    return sphere.unit_sample(f"check '{name}'", points, (2,))
 
 
 def _worst(R: np.ndarray) -> np.ndarray:
@@ -138,38 +131,34 @@ def check_killing(lc: LeviCivita, fld: VectorField, points, tol: float,
     return _check(name, res, tol, expected, fail_floor, detail=detail)
 
 
-def check_sasakian(lc: LeviCivita, fld: VectorField, points, tol: float,
+def check_sasakian(st: StructureTensors, T: np.ndarray, tol: float,
                    expected: str = "pass",
                    fail_floor: float | None = None,
-                   name: str = "wedge_second_derivative",
-                   frame: np.ndarray | None = None, T: np.ndarray | None = None) -> CheckResult:
+                   name: str = "wedge_second_derivative") -> CheckResult:
     """Residual of nabla^2 xi(u,v) = WEDGE_SIGN (g(u,v) xi - eta(v) u).
 
-    Evaluated on a g-orthonormal frame; the residual is the largest ambient
-    norm of the defect over all frame pairs.
+    Evaluated on the g-orthonormal frame ``st.frame`` of T =
+    ``lc.second_nabla_frame(fld, st.x, st.frame)``; the residual is the
+    largest ambient norm of the defect over all frame pairs.
     """
-    X = _stack(name, points)
-    M = lc.metric.matrix_at(X)
-    F = g_orthonormal_frame(M, X) if frame is None else frame
-    xi = fld.value(X)
-    eta_f = (matvec(M, xi)[:, None, :] @ F)[:, 0]          # eta(f_j), (N, k)
-    # defect = T - WEDGE_SIGN (delta_ij xi - eta(f_j) f_i), in place (on a copy of a shared T)
-    defect = lc.second_nabla_frame(fld, X, F) if T is None else T.copy()
+    F, xi = st.frame, st.xi
+    eta_f = (matvec(st.metric_matrix, xi)[:, None, :] @ F)[:, 0]   # eta(f_j), (N, k)
+    # defect = (T - WEDGE_SIGN delta_ij xi) + WEDGE_SIGN eta(f_j) f_i, summed into the
+    # second term so that the shared T is only read
     diag = np.arange(F.shape[-1])
-    defect[..., diag, diag] -= WEDGE_SIGN * xi[..., None]
-    defect += np.einsum("nj,ndi->ndij", WEDGE_SIGN * eta_f, F)
-    res = np.sqrt(np.einsum("ndij,ndij->nij", defect, defect)).reshape(len(X), -1).max(axis=1)
+    defect = np.einsum("nj,ndi->ndij", WEDGE_SIGN * eta_f, F)
+    defect_diag = defect[..., diag, diag]
+    defect += T
+    defect[..., diag, diag] = (T[..., diag, diag] - WEDGE_SIGN * xi[..., None]) + defect_diag
+    res = np.sqrt(np.einsum("ndij,ndij->nij", defect, defect)).reshape(len(xi), -1).max(axis=1)
     return _check(name, res, tol, expected, fail_floor)
 
 
-def check_kcontact(lc: LeviCivita, fld: VectorField, points, tol: float = CONTACT_TOL,
+def check_kcontact(st: StructureTensors, tol: float = CONTACT_TOL,
                    expected: str = "pass",
                    fail_floor: float | None = None,
-                   name: str = "contact_endomorphism",
-                   st: StructureTensors | None = None) -> CheckResult:
+                   name: str = "contact_endomorphism") -> CheckResult:
     """phi^2 = -Id + eta (x) xi together with phi xi = 0, frame components."""
-    X = _stack(name, points)
-    st = lc.structure_at(fld, X) if st is None else st
     xi_f = (matvec(st.metric_matrix, st.xi)[:, None, :] @ st.frame)[:, 0]  # (N, k)
     k = st.frame.shape[-1]
     r1 = st.phi_frame @ st.phi_frame + np.eye(k) - xi_f[:, :, None] * xi_f[:, None, :]
@@ -177,19 +166,19 @@ def check_kcontact(lc: LeviCivita, fld: VectorField, points, tol: float = CONTAC
     return _check(name, np.maximum(_worst(r1), _worst(r2)), tol, expected, fail_floor)
 
 
-def check_dxi_spectrum(lc: LeviCivita, fld: VectorField, points,
-                       reference: Sequence[float], tol: float, expected: str = "pass",
-                       fail_floor: float | None = None,
-                       name: str = "two_form_square_spectrum",
-                       st: StructureTensors | None = None) -> CheckResult:
-    """Eigenvalues of the squared two-form endomorphism against a reference.
+def check_dxi_spectrum(st: StructureTensors, reference: Sequence[float], tol: float,
+                       expected: str = "pass", fail_floor: float | None = None,
+                       name: str = "two_form_square_spectrum") -> CheckResult:
+    """Sorted eigenvalues of the square of the two-form endomorphism e
+    (g(e u, v) = d(eta)(u, v)) against a reference.
 
     The round unit structure gives -4 transversally and 0 along the field;
     localized metric boundary deformations shift the transverse part, which
     is what the expected-fail variant of this check pins down.
     """
     ref = np.sort(np.asarray(reference, dtype=float))
-    vals = lc.dxi_square_eigenvalues(fld, _stack(name, points), st=st)
+    e_frame = np.swapaxes(np.swapaxes(st.frame, -1, -2) @ st.dxi @ st.frame, -1, -2)
+    vals = np.sort(np.linalg.eigvals(e_frame @ e_frame).real, axis=-1)
     if vals.shape[-1:] != ref.shape:
         raise ValueError(f"reference spectrum has {ref.shape[0]} entries; "
                          f"the tangent space gives {vals.shape[-1]}")
@@ -274,40 +263,50 @@ def check_triple_brackets(fields: Sequence[VectorField], tol: float,
 
 @dataclass(frozen=True)
 class Triple:
-    """Metric M, g-orthonormal frame F, the fields xi_a and psi_a = -phi_a of
-    a family of fields at a point (d,) or a stack (N, d), stacked alike.
-    Only these are kept of each field's structure."""
+    """A family of fields xi_a, their structures at one point (d,) or sample
+    (N, d) on one shared g-orthonormal frame (``triple_psi``), and psi_a =
+    -phi_a, stacked alike."""
 
-    M: np.ndarray
-    F: np.ndarray
-    xis: list[np.ndarray]
-    psis: list[np.ndarray]
+    fields: tuple[VectorField, ...]
+    sts: tuple[StructureTensors, ...]
+    psis: tuple[np.ndarray, ...] = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "psis", tuple(-st.phi_ambient for st in self.sts))
+
+    @property
+    def x(self) -> np.ndarray:
+        return self.sts[0].x
+
+    @property
+    def M(self) -> np.ndarray:
+        return self.sts[0].metric_matrix
+
+    @property
+    def F(self) -> np.ndarray:
+        return self.sts[0].frame
 
     def eta(self, a: int, b: int) -> np.ndarray:
         """eta_b (x) xi_a."""
-        return self.xis[a][..., :, None] * matvec(self.M, self.xis[b])[..., None, :]
+        return self.sts[a].xi[..., :, None] * matvec(self.M, self.sts[b].xi)[..., None, :]
 
     def rows(self, sl: slice) -> Triple:
-        """The same triple at the rows ``sl`` of a stack."""
-        return Triple(self.M[sl], self.F[sl], [v[sl] for v in self.xis],
-                      [p[sl] for p in self.psis])
+        """The same triple at the rows ``sl`` of a sample."""
+        return Triple(self.fields, tuple(st.rows(sl) for st in self.sts))
 
 
 def triple_psi(lc: LeviCivita, fields, x: np.ndarray,
                frame: np.ndarray | None = None) -> Triple:
     """The Triple of ``fields`` at x, one ``structure_at`` per field, all on
-    ``frame`` = ``g_orthonormal_frame(M, x)``, built here when not given."""
-    x = np.asarray(x, dtype=float)
-    M = lc.metric.matrix_at(x)
-    F = g_orthonormal_frame(M, x) if frame is None else frame
-    sts = [lc.structure_at(f, x, frame=F) for f in fields]
-    return Triple(M, F, [st.xi for st in sts], [-st.phi_ambient for st in sts])
+    the first one's frame: ``frame`` when given."""
+    first = lc.structure_at(fields[0], x, frame=frame)
+    return Triple(tuple(fields), (first, *(lc.structure_at(f, first.x, frame=first.frame)
+                                           for f in fields[1:])))
 
 
-def check_triple_products(lc: LeviCivita, fields: Sequence[VectorField], points,
-                          tol: float, variant: str = "aligned", expected: str = "pass",
-                          fail_floor: float | None = None, name: str | None = None,
-                          triple: Triple | None = None) -> CheckResult:
+def check_triple_products(triple: Triple, tol: float, variant: str = "aligned",
+                          expected: str = "pass", fail_floor: float | None = None,
+                          name: str | None = None) -> CheckResult:
     """Cyclic products of the triple's structure endomorphisms psi_a = -phi_a.
 
     With eps the measured bracket sign ([xi_a, xi_b] = 2 eps xi_c):
@@ -321,11 +320,9 @@ def check_triple_products(lc: LeviCivita, fields: Sequence[VectorField], points,
     """
     if variant not in ("aligned", "transposed"):
         raise ValueError(f"unknown variant {variant!r}")
-    eps = measured_cyclic_sign(fields)
+    eps = measured_cyclic_sign(triple.fields)
     name = name or "triple_products_" + variant
-    X = _stack(name, points)
-    tr = triple_psi(lc, fields, X) if triple is None else triple
-    F, psis, eta = tr.F, tr.psis, tr.eta
+    F, psis, eta = triple.F, triple.psis, triple.eta
     res = 0.0
     for a, b, c in CYCLIC:
         if variant == "aligned":
@@ -337,16 +334,13 @@ def check_triple_products(lc: LeviCivita, fields: Sequence[VectorField], points,
                   detail=f"bracket sign eps={eps:+d}")
 
 
-def check_anticommutators(lc: LeviCivita, fields: Sequence[VectorField], points,
-                          tol: float, name: str = "triple_anticommutators",
-                          triple: Triple | None = None) -> CheckResult:
+def check_anticommutators(triple: Triple, tol: float,
+                          name: str = "triple_anticommutators") -> CheckResult:
     """psi_a psi_b + psi_b psi_a = eta_a (x) xi_b + eta_b (x) xi_a for a != b.
 
     Sign-convention-free companion of the cyclic product identities.
     """
-    X = _stack(name, points)
-    tr = triple_psi(lc, fields, X) if triple is None else triple
-    F, psis, eta = tr.F, tr.psis, tr.eta
+    F, psis, eta = triple.F, triple.psis, triple.eta
     res = 0.0
     for a, b in ((0, 1), (0, 2), (1, 2)):
         R = psis[a] @ psis[b] + psis[b] @ psis[a] - eta(b, a) - eta(a, b)
@@ -354,33 +348,26 @@ def check_anticommutators(lc: LeviCivita, fields: Sequence[VectorField], points,
     return _check(name, res, tol)
 
 
-def check_squares(lc: LeviCivita, fields: Sequence[VectorField], points,
-                  tol: float, name: str = "structure_squares",
-                  triple: Triple | None = None) -> CheckResult:
+def check_squares(triple: Triple, tol: float, name: str = "structure_squares") -> CheckResult:
     """psi_a^2 = -Id + eta_a (x) xi_a on tangent vectors, for each a."""
-    X = _stack(name, points)
-    tr = triple_psi(lc, fields, X) if triple is None else triple
-    F, psis, eta = tr.F, tr.psis, tr.eta
+    F, psis, eta = triple.F, triple.psis, triple.eta
     res = 0.0
     for a in range(3):
-        R = psis[a] @ psis[a] + np.eye(X.shape[-1]) - eta(a, a)
+        R = psis[a] @ psis[a] + np.eye(F.shape[-2]) - eta(a, a)
         res = np.maximum(res, _worst(R @ F))
     return _check(name, res, tol)
 
 
-def check_pair_completion(lc: LeviCivita, f1: VectorField, f2: VectorField, points,
-                          tol: float, name: str = "pair_completion",
-                          frame: np.ndarray | None = None,
-                          triple: Triple | None = None) -> CheckResult:
-    """Half the bracket of two triple generators completes the triple.
+def check_pair_completion(lc: LeviCivita, triple: Triple, tol: float,
+                          name: str = "pair_completion") -> CheckResult:
+    """Half the bracket of the first two fields of ``triple`` completes the triple.
 
     xi_3 := [xi_1, xi_2] / 2 must be another unit Killing generator making
     the cyclic product identity hold; the residual aggregates unit length
-    and the aligned triple identity for the completed family.  ``triple``,
-    whose first two fields are f1 and f2 (``triple_psi(lc, [f1, f2], X,
-    frame=frame)`` when not given), lends xi_3 its frame, so only xi_3's
-    structure is built here.
+    and the aligned triple identity for the completed family.  ``triple``
+    lends xi_3 its frame, so only xi_3's structure is built here.
     """
+    f1, f2 = triple.fields[:2]
     A1, A2 = f1.matrix, f2.matrix
     if A1 is None or A2 is None:
         raise ValueError("pair completion needs linear fields")
@@ -388,18 +375,15 @@ def check_pair_completion(lc: LeviCivita, f1: VectorField, f2: VectorField, poin
     if np.abs(A3 + A3.T).max() > 1e-12 * max(1.0, np.abs(A3).max()):
         raise ValueError("bracket of the pair is not skew")
     f3 = linear_field(A3, name="completed")
-    X = _stack(name, points)
+    X = triple.x
     unit = check_unit_length(lc, f3, X, tol=max(tol, UNIT_TOL))
-    tr = triple_psi(lc, [f1, f2], X, frame=frame) if triple is None else triple
-    st3 = lc.structure_at(f3, X, frame=tr.F)
-    completed = Triple(tr.M, tr.F, [*tr.xis[:2], st3.xi], [*tr.psis[:2], -st3.phi_ambient])
-    products = check_triple_products(lc, [f1, f2, f3], X, tol=tol, triple=completed)
+    st3 = lc.structure_at(f3, X, frame=triple.F)
+    products = check_triple_products(Triple((f1, f2, f3), (*triple.sts[:2], st3)), tol=tol)
     # pointwise reconstruction: the covariant derivative of the second field
     # along the first reproduces the completed field up to a global sign
-    d = matvec(lc.nabla_endo(f2, X, guard=True), f1.value(X))
-    t3 = f3.value(X)
-    rec_plus = float(np.abs(d - t3).max())
-    rec_minus = float(np.abs(d + t3).max())
+    d = matvec(triple.sts[1].nabla_endo, triple.sts[0].xi)
+    rec_plus = float(np.abs(d - st3.xi).max())
+    rec_minus = float(np.abs(d + st3.xi).max())
     rec = min(rec_plus, rec_minus)
     sign = "+" if rec_plus <= rec_minus else "-"
     worst = max(unit.max_residual, products.max_residual, rec)
@@ -484,23 +468,18 @@ class SplittingResult:
                     and np.all(self.commutation_residual < 1e-8))
 
 
-def horizontal_split(lc: LeviCivita, fields: Sequence[VectorField], x: np.ndarray,
-                     frame: np.ndarray | None = None,
-                     triple: Triple | None = None) -> SplittingResult:
-    """Diagonalize psi_1 psi_2 psi_3 on the common horizontal space at a
-    point (d,) or at each point of a stack (N, d).
+def horizontal_split(triple: Triple) -> SplittingResult:
+    """Diagonalize psi_1 psi_2 psi_3 on the common horizontal space at the
+    point (d,) or at each point of the sample (N, d) of ``triple``.
 
     The horizontal space is the g-orthocomplement of the three generators in
     the tangent space; the triple product restricted there is a g-self-adjoint
     involution commuting with each psi_a, and its eigenspace dimensions are
     the splitting invariants (the round quaternionic frame gives (0, 4n)).
     On a dim-3 total space the horizontal space is empty and so is the split.
-    ``triple`` is ``triple_psi(lc, fields, x, frame=frame)``, built here when
-    not given.
     """
-    tr = triple_psi(lc, fields, x, frame=frame) if triple is None else triple
-    M, psis = tr.M, tr.psis
-    FD = g_orthonormal_frame(M, x, exclude=tr.xis)
+    M, psis = triple.M, triple.psis
+    FD = g_orthonormal_frame(M, triple.x, exclude=[st.xi for st in triple.sts])
     FDt_M = np.swapaxes(FD, -1, -2) @ M
     P_amb = psis[0] @ psis[1] @ psis[2]
     P_frame = FDt_M @ P_amb @ FD
@@ -599,10 +578,10 @@ def check_flip_quaternionic(J: Sequence[np.ndarray], M: np.ndarray,
 # CR integrability (Nijenhuis-type torsion on the horizontal distribution)
 # ---------------------------------------------------------------------------
 
-def nijenhuis_residual(lc: LeviCivita, fld: VectorField, x: np.ndarray,
-                       st: StructureTensors | None = None, T: np.ndarray | None = None):
-    """Max torsion of phi on the horizontal distribution at a point (d,) (a
-    float) or at each point of a stack (N, d) (an (N,) array).
+def nijenhuis_residual(st: StructureTensors, T: np.ndarray):
+    """Max torsion of phi on the horizontal distribution at the point (d,)
+    (a float) or at each point of the sample (N, d) (an (N,) array) of
+    ``st``, from T = ``lc.second_nabla_frame(fld, st.x, st.frame)``.
 
     For the torsion-free Levi-Civita connection the Nijenhuis tensor is
     pointwise in phi and its covariant derivative (Blair, *Riemannian
@@ -618,9 +597,7 @@ def nijenhuis_residual(lc: LeviCivita, fld: VectorField, x: np.ndarray,
     frame ``g_orthonormal_frame(M, x, exclude=[xi])``; the residual is the
     largest g-norm over frame pairs of the horizontal part of [phi, phi] / 4.
     """
-    x = np.asarray(x, dtype=float)
-    st = lc.structure_at(fld, x) if st is None else st
-    T = lc.second_nabla_frame(fld, x, st.frame) if T is None else T
+    x = st.x
     FtM = np.swapaxes(st.frame, -1, -2) @ st.metric_matrix      # ambient -> frame coordinates
     A = np.einsum("...ad,...dij->...iaj", FtM, T)
     dphi = 0.5 * (A - np.swapaxes(A, -1, -2))                    # dphi[..., i, :, :]: nabla_{f_i} phi
@@ -639,13 +616,11 @@ def nijenhuis_residual(lc: LeviCivita, fld: VectorField, x: np.ndarray,
     return float(res) if x.ndim == 1 else res
 
 
-def check_nijenhuis(lc: LeviCivita, fld: VectorField, points, tol: float = NIJENHUIS_TOL,
+def check_nijenhuis(st: StructureTensors, T: np.ndarray, tol: float = NIJENHUIS_TOL,
                     expected: str = "pass", fail_floor: float | None = None,
-                    name: str = "cr_torsion", st: StructureTensors | None = None,
-                    T: np.ndarray | None = None) -> CheckResult:
-    """Horizontal Nijenhuis-type torsion over a sample of points."""
-    res = nijenhuis_residual(lc, fld, _stack(name, points), st=st, T=T)
-    return _check(name, res, tol, expected, fail_floor)
+                    name: str = "cr_torsion") -> CheckResult:
+    """Horizontal Nijenhuis-type torsion over the sample of ``st``."""
+    return _check(name, nijenhuis_residual(st, T), tol, expected, fail_floor)
 
 
 # ---------------------------------------------------------------------------
@@ -677,18 +652,17 @@ def check_contact_form_preserved(lc_def: LeviCivita, lc_ref: LeviCivita,
 
 
 def check_transverse_derivative(lc: LeviCivita, fld: VectorField, j0: np.ndarray,
-                                points, tol: float,
-                                name: str = "transverse_derivative",
-                                st: StructureTensors | None = None) -> CheckResult:
+                                st: StructureTensors, tol: float,
+                                name: str = "transverse_derivative") -> CheckResult:
     """Covariant derivative along the transverse distribution is the reference
     rotation: nabla_v (field) = J0 v for every v Euclidean-orthogonal to both
     the position and the reference circle direction J0 x, read from N at
-    fd_step / 2 once ``richardson_guard`` passes it against ``st.nabla_endo``.
+    fd_step / 2 once ``richardson_guard`` passes it against ``st.nabla_endo``
+    (``st`` = ``lc.structure_at(fld, X)``).
     """
-    X = _stack(name, points)
-    N = lc.nabla_endo(fld, X) if st is None else st.nabla_endo
+    X = st.x
     half = LeviCivita(lc.metric, lc.fd_step / 2)
-    N_half = richardson_guard(N, half.nabla_endo(fld, X), lc.fd_step)
+    N_half = richardson_guard(st.nabla_endo, half.nabla_endo(fld, X), lc.fd_step)
     _, _, vt = np.linalg.svd(np.stack([X, matvec(j0, X)], axis=1))
     V = np.swapaxes(vt[:, 2:], -1, -2)
     return _check(name, _worst(N_half @ V - j0 @ V), tol)

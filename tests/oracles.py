@@ -3,12 +3,20 @@
 Everything here is computed from first principles with plain numpy, on
 purpose NOT reusing the package's own coefficient extraction, clustering,
 or covariant-derivative code, so that agreement between the two is a real
-cross-check rather than a tautology.
+cross-check rather than a tautology.  ``built`` alone is not an oracle: it
+makes what a battery builds once and passes its checks.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+
+def built(lc, fld, points):
+    """The structure st = ``lc.structure_at(fld, points)`` and T =
+    ``lc.second_nabla_frame(fld, st.x, st.frame)``, as a battery builds them."""
+    st = lc.structure_at(fld, points)
+    return st, lc.second_nabla_frame(fld, st.x, st.frame)
 
 
 def brute_force_decomposition(basis, xi, rel_gap: float = 1e-6):
@@ -122,6 +130,19 @@ def adjoint_rates(lams, tol: float = 1e-9):
     return out
 
 
+def curvature_form(bundle, y, u, v) -> float:
+    """Two-form on the base measuring the bracket defect of the horizontal
+    lifts of ``constructions.horizontal_lift_batch``: twice the complex
+    pairing of the lifts of u and v at the fiber point (y0 / w, y1 / w, w, 0),
+    w = sqrt(1/2 - y2), over y."""
+    from killinglab.constructions import horizontal_lift_batch
+
+    w = np.sqrt(0.5 - y[2])
+    x = np.array([[y[0] / w, y[1] / w, w, 0.0]])
+    lu, lv = (horizontal_lift_batch(bundle.j0, x, y[None, :], t[None, :])[0] for t in (u, v))
+    return 2.0 * float((bundle.j0 @ lu) @ lv)
+
+
 def eigenfield_residuals_per_generator(lc, xi_field, mats, points, rate):
     """Reference for the batched eigenfield identities: one generator and one
     sample at a time, as plain matrix-vector products."""
@@ -233,7 +254,7 @@ def nijenhuis_stencil_and_bound(lc, fld, X):
     half = LeviCivita(lc.metric, fd_step=lc.fd_step / 2)
     S, S_half = (np.array([nijenhuis_residual_per_point(c, fld, SpherePoint(x)) for x in X])
                  for c in (lc, half))
-    C, C_half = (nijenhuis_residual(c, fld, X) for c in (lc, half))
+    C, C_half = (nijenhuis_residual(*built(c, fld, X)) for c in (lc, half))
     return S, 2.0 * (4.0 / 3.0) * (np.abs(S - S_half) + np.abs(C - C_half))
 
 

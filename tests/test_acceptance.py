@@ -53,9 +53,10 @@ from killinglab.verify import (
     check_transverse_derivative,
     check_triple_brackets,
     check_triple_orthonormality,
+    triple_psi,
 )
 
-from oracles import brute_force_decomposition
+from oracles import brute_force_decomposition, built
 
 SEED = 42
 SAMPLES = 200
@@ -78,12 +79,13 @@ def test_01_round_identities():
         st = build_round(n)
         lc = LeviCivita(st.metric)
         pts = _pts(n)
+        s, T = built(lc, st.field, pts)
         checks = [
             check_killing(lc, st.field, pts, tol=1e-5),
             check_unit_length(lc, st.field, pts, tol=1e-5),
-            check_sasakian(lc, st.field, pts, tol=1e-5),
-            check_kcontact(lc, st.field, pts, tol=1e-5),
-            check_nijenhuis(lc, st.field, pts, tol=1e-5),
+            check_sasakian(s, T, tol=1e-5),
+            check_kcontact(s, tol=1e-5),
+            check_nijenhuis(s, T, tol=1e-5),
         ]
         ok = ok and all(c.passed for c in checks)
     _line(1, "round S^3/S^5/S^7: Killing, unit, wedge, contact, torsion < 1e-5", ok)
@@ -114,8 +116,9 @@ def test_03_eigenfield_identities():
         pts = _pts(n)
         dec = standard_decomposition(st.isometry_algebra(), st.j0)
         rate = dec.rates[-1]
+        s = lc.structure_at(st.field, pts)
         for A in dec.blocks[-1]:
-            res = eigenfield_residuals(lc, st.field, A, pts, rate=rate)
+            res = eigenfield_residuals(st.field, A, s, rate=rate)
             ok = (ok and res["orthogonality"] < 1e-6
                   and res["bracket_identity"] < 1e-6
                   and res["eigenvalue_identity"] < 1e-6)
@@ -133,11 +136,10 @@ def test_04_deformed_structure():
     pts = _pts(3)
     on_support = [p for p in pts if ds.f_of(p.coords) > 0.1 * ds.c]
 
-    kc = check_kcontact(lc, ds.field, pts, tol=1e-5)
-    sa = check_sasakian(lc, ds.field, on_support, tol=1e-5,
-                        expected="fail", fail_floor=1e-2)
-    nj = check_nijenhuis(lc, ds.field, on_support, expected="fail",
-                         fail_floor=1e-3)
+    kc = check_kcontact(lc.structure_at(ds.field, pts), tol=1e-5)
+    s, T = built(lc, ds.field, on_support)
+    sa = check_sasakian(s, T, tol=1e-5, expected="fail", fail_floor=1e-2)
+    nj = check_nijenhuis(s, T, expected="fail", fail_floor=1e-3)
     cf = check_contact_form_preserved(lc, lc_round, ds.field, pts, tol=1e-8)
     inv_ok = True
     for B in ds.isometry_algebra().basis:
@@ -160,13 +162,13 @@ def test_05_triple_structures():
         lc = LeviCivita(st.metric)
         pts = _pts((st.dim - 2) // 2)
         orth = check_triple_orthonormality(lc, st.fields, pts, tol=1e-10)
-        sq = check_squares(lc, st.fields, pts, tol=1e-10)
-        ac = check_anticommutators(lc, st.fields, pts, tol=1e-10)
-        al = check_triple_products(lc, st.fields, pts, tol=1e-10,
-                                   variant="aligned")
+        triple = triple_psi(lc, st.fields, pts)
+        sq = check_squares(triple, tol=1e-10)
+        ac = check_anticommutators(triple, tol=1e-10)
+        al = check_triple_products(triple, tol=1e-10, variant="aligned")
         br = check_triple_brackets(st.fields, tol=1e-12)
-        pc = check_pair_completion(lc, st.fields[0], st.fields[1], pts, tol=1e-6)
-        split = horizontal_split(lc, st.fields, pts[0])
+        pc = check_pair_completion(lc, triple, tol=1e-6)
+        split = horizontal_split(triple_psi(lc, st.fields, pts[0]))
         ok = (ok and orth.passed and sq.passed and ac.passed and al.passed
               and br.passed and pc.passed and split.dim_plus == 0 and split.ok)
     _line(5, "S^3/S^7 triples: orthonormal, square/anticommutator/cyclic "
@@ -193,8 +195,9 @@ def test_07_irregular_structure():
     st = build_irregular()
     lc = LeviCivita(st.metric)
     pts = _pts(st.n)
-    sa = check_sasakian(lc, st.field, pts, tol=1e-5)
-    td = check_transverse_derivative(lc, st.field, st.j0, pts, tol=1e-5)
+    s, T = built(lc, st.field, pts)
+    sa = check_sasakian(s, T, tol=1e-5)
+    td = check_transverse_derivative(lc, st.field, st.j0, s, tol=1e-5)
     cls = classify(st.profile())
     cen = centralizer_check(st.isometry_algebra(), [st.j0, st.j1])
     inv_ok = True

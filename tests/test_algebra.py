@@ -235,8 +235,9 @@ def test_eigenfield_identities_on_round(lc_round1, round1, pts1):
     dec = standard_decomposition(round1.isometry_algebra(), round1.j0)
     rate = dec.rates[-1]
     assert rate == pytest.approx(2.0)
+    st = lc_round1.structure_at(round1.field, pts1[:10])
     for A in dec.blocks[-1]:
-        res = eigenfield_residuals(lc_round1, round1.field, A, pts1[:10], rate=rate)
+        res = eigenfield_residuals(round1.field, A, st, rate=rate)
         assert res["orthogonality"] < 1e-10
         assert res["bracket_identity"] < 1e-10
         assert res["eigenvalue_identity"] < 1e-10
@@ -246,7 +247,8 @@ def test_eigenfield_identities_fail_for_commutant(lc_round1, round1, pts1):
     """A commuting generator is not an eigenfield: the -rate^2 identity breaks."""
     dec = standard_decomposition(round1.isometry_algebra(), round1.j0)
     A = dec.blocks[0][-1]  # a nonzero commutant element
-    res = eigenfield_residuals(lc_round1, round1.field, A, pts1[:10], rate=2.0)
+    res = eigenfield_residuals(round1.field, A, lc_round1.structure_at(round1.field, pts1[:10]),
+                               rate=2.0)
     assert res["eigenvalue_identity"] > 0.1
 
 
@@ -278,7 +280,7 @@ def test_eigenfield_residuals_block_matches_per_generator(example, round1, lc_ro
     dec = standard_decomposition(st.isometry_algebra(), st.j0)
     rate = dec.rates[-1]
     mats = list(dec.blocks[-1]) + [dec.blocks[0][-1]]
-    got = eigenfield_residuals(lc, st.field, np.stack(mats), pts, rate=rate)
+    got = eigenfield_residuals(st.field, np.stack(mats), lc.structure_at(st.field, pts), rate=rate)
     want = eigenfield_residuals_per_generator(lc, st.field, mats, pts, rate)
     assert want["eigenvalue_identity"] > 0.1
     for key, val in want.items():

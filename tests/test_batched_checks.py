@@ -34,22 +34,17 @@ from killinglab.sphere import (
 )
 from killinglab.verify import (
     WEDGE_SIGN,
-    check_anticommutators,
     check_contact_form_preserved,
-    check_dxi_spectrum,
-    check_kcontact,
     check_killing,
     check_nijenhuis,
-    check_pair_completion,
     check_sasakian,
-    check_squares,
-    check_triple_products,
     horizontal_split,
     nijenhuis_residual,
     triple_psi,
 )
 
 from oracles import (
+    built,
     chart_nabla_endo_per_point,
     contact_form_residual_per_point,
     g_orthonormal_frame_exclude_mgs,
@@ -100,7 +95,7 @@ def test_batched_nijenhuis_matches_reference(label):
     metric, fields, n = _structure(label)
     lc = LeviCivita(metric)
     X = _mixed_sample(n, 7, seed=23)
-    got = nijenhuis_residual(lc, fields[0], X)
+    got = nijenhuis_residual(*built(lc, fields[0], X))
     assert got.shape == (len(X),)
     if metric.exact_round:
         # nabla^2 xi in closed form: only the stencil reference carries FD noise
@@ -109,7 +104,8 @@ def test_batched_nijenhuis_matches_reference(label):
     else:
         ref, bound = nijenhuis_stencil_and_bound(lc, fields[0], X)
         assert np.all(np.abs(got - ref) <= bound)
-    assert nijenhuis_residual(lc, fields[0], SpherePoint(X[4])) == pytest.approx(got[4], abs=1e-12)
+    assert (nijenhuis_residual(*built(lc, fields[0], SpherePoint(X[4])))
+            == pytest.approx(got[4], abs=1e-12))
 
 
 @pytest.mark.parametrize("build, n", [(build_round, 1), (build_round, 2), (build_round, 3),
@@ -120,7 +116,7 @@ def test_nijenhuis_closed_form_is_exact(build, n):
     lc = LeviCivita(st.metric)
     X = sample_sphere(st.metric.dim // 2 - 1, 200, seed=42).coords
     for fld in (st.fields if build is build_quaternionic else [st.field]):
-        assert check_nijenhuis(lc, fld, X).max_residual <= 1e-14
+        assert check_nijenhuis(*built(lc, fld, X)).max_residual <= 1e-14
 
 
 @pytest.mark.parametrize("label", LABELS)
@@ -240,7 +236,7 @@ def test_stacked_horizontal_split_matches_reference(m):
     qs = build_quaternionic(m)
     lc = LeviCivita(qs.metric)
     X = _mixed_sample(2 * m + 1, 6, seed=37)
-    sp = horizontal_split(lc, qs.fields, X)
+    sp = horizontal_split(triple_psi(lc, qs.fields, X))
     assert sp.ok and sp.horizontal_frame.shape == (6, 4 * m + 4, 4 * m)
     for i, x in enumerate(X):
         ref = horizontal_split_per_point(lc, qs.fields, SpherePoint(x))
@@ -250,7 +246,7 @@ def test_stacked_horizontal_split_matches_reference(m):
                          (sp.invariance_residual, "invariance"),
                          (sp.commutation_residual, "commutation")):
             assert got[i] <= 1e-13 and ref[key] <= 1e-13
-        one = horizontal_split(lc, qs.fields, SpherePoint(x))
+        one = horizontal_split(triple_psi(lc, qs.fields, SpherePoint(x)))
         assert isinstance(one.dim_plus, int) and isinstance(one.invariance_residual, float)
         assert np.abs(one.p_frame - sp.p_frame[i]).max(initial=0.0) <= 1e-14
 
@@ -265,28 +261,20 @@ def test_shared_structure_and_second_derivative_give_identical_checks(label):
     st = lc.structure_at(fld, X)
     T = lc.second_nabla_frame(fld, X, st.frame)
     T_before = T.copy()
-    ref = [-4.0] * (2 * n) + [0.0]
-    for check, shared in ((lambda **kw: check_killing(lc, fld, X, tol=1e-6, **kw),
-                           {"frame": st.frame}),
-                          (lambda **kw: check_kcontact(lc, fld, X, **kw), {"st": st}),
-                          (lambda **kw: check_dxi_spectrum(lc, fld, X, reference=ref, tol=1e-5,
-                                                           **kw), {"st": st}),
-                          (lambda **kw: check_sasakian(lc, fld, X, tol=1e-5, **kw),
-                           {"frame": st.frame, "T": T}),
-                          (lambda **kw: check_nijenhuis(lc, fld, X, **kw), {"st": st, "T": T})):
-        assert check(**shared) == check()
+    assert (check_killing(lc, fld, X, tol=1e-6, frame=st.frame)
+            == check_killing(lc, fld, X, tol=1e-6))
+    check_sasakian(st, T, tol=1e-5)
+    check_nijenhuis(st, T)
     assert np.array_equal(T, T_before)  # a shared T is read, never written
 
 
 def test_shared_structures_of_the_gf_and_quaternionic_batteries():
-    from killinglab.cli import _deformed_scaling_check, _invariance_killing
+    from killinglab.cli import _invariance_killing
 
     ds = build_deformed(n=3, c=0.3)
     lc = LeviCivita(ds.metric)
     X = sample_sphere(3, 30, seed=59).coords
     st = lc.structure_at(ds.field, X)
-    assert (_deformed_scaling_check(lc, ds, X, tol=1e-6, st=st)
-            == _deformed_scaling_check(lc, ds, X, tol=1e-6))
     alg = ds.isometry_algebra()
     shared = _invariance_killing(lc, alg, X[:12], st.frame[:12])
     own = [check_killing(lc, linear_field(B), X[:12], tol=1e-5) for B in alg.basis]
@@ -297,19 +285,14 @@ def test_shared_structures_of_the_gf_and_quaternionic_batteries():
     lc = LeviCivita(qs.metric)
     X = sample_sphere(3, 30, seed=61).coords
     triple = triple_psi(lc, qs.fields, X)
-    for variant, expected, floor in (("aligned", "pass", None), ("transposed", "fail", 1e-2)):
-        assert (check_triple_products(lc, qs.fields, X, tol=1e-10, variant=variant,
-                                      expected=expected, fail_floor=floor, triple=triple)
-                == check_triple_products(lc, qs.fields, X, tol=1e-10, variant=variant,
-                                         expected=expected, fail_floor=floor))
-    assert (check_anticommutators(lc, qs.fields, X, tol=1e-10, triple=triple)
-            == check_anticommutators(lc, qs.fields, X, tol=1e-10))
-    assert (check_squares(lc, qs.fields, X, tol=1e-10, triple=triple)
-            == check_squares(lc, qs.fields, X, tol=1e-10))
+    assert all(s.frame is triple.F for s in triple.sts)  # one frame for the three fields
 
 
 def _same_arrays(a, b) -> bool:
-    """Every field of two dataclasses equal bit for bit, nested ones field by field."""
+    """Every field of two dataclasses equal bit for bit, nested ones (alone or
+    in a list or tuple) field by field."""
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(_same_arrays(u, v) for u, v in zip(a, b))
     if not is_dataclass(a):
         return np.array_equal(np.asarray(a), np.asarray(b))
     fa, fb = vars(a), vars(b)
@@ -326,13 +309,9 @@ def test_shared_frame_and_triple_give_identical_results(m):
         assert _same_arrays(lc.structure_at(f, X, frame=F), lc.structure_at(f, X))
     triple = triple_psi(lc, qs.fields, X, frame=F)
     assert triple.F is F and _same_arrays(triple, triple_psi(lc, qs.fields, X))
-    own = check_pair_completion(lc, qs.fields[0], qs.fields[1], X, tol=1e-6)
-    assert check_pair_completion(lc, qs.fields[0], qs.fields[1], X, tol=1e-6, frame=F) == own
-    assert check_pair_completion(lc, qs.fields[0], qs.fields[1], X, tol=1e-6,
-                                 triple=triple) == own
-    own = horizontal_split(lc, qs.fields, X[:10])
-    for shared in ({"frame": F[:10]}, {"triple": triple.rows(slice(10))}):
-        assert _same_arrays(horizontal_split(lc, qs.fields, X[:10], **shared), own)
+    # the rows of a triple are the triple of those rows
+    assert _same_arrays(horizontal_split(triple.rows(slice(10))),
+                        horizontal_split(triple_psi(lc, qs.fields, X[:10])))
 
 
 def test_quaternionic_battery_builds_one_frame_and_one_structure_per_field(monkeypatch):
@@ -369,7 +348,7 @@ def test_results_do_not_depend_on_the_chunk_size(label, monkeypatch):
     runs = []
     for chunk in (1, 7, len(X)):
         monkeypatch.setattr(metrics, "STENCIL_CHUNK", chunk)
-        runs.append((nijenhuis_residual(lc, fields[0], X),
+        runs.append((nijenhuis_residual(*built(lc, fields[0], X)),
                      lc.second_nabla_frame(fields[0], X, F)))
     for nij, T in runs[1:]:
         assert _rel(nij, runs[0][0]) <= 1e-14
@@ -385,7 +364,7 @@ def test_nijenhuis_converges_quadratically_in_fd_step():
     for label in ("gF", "irregular"):
         metric, fields, n = _structure(label)
         X = _mixed_sample(n, 6, seed=43)
-        r = [nijenhuis_residual(LeviCivita(metric, fd_step=h), fields[0], X)
+        r = [nijenhuis_residual(*built(LeviCivita(metric, fd_step=h), fields[0], X))
              for h in (1.6e-3, 8e-4, 4e-4, 2e-4)]
         for a, b, c in zip(r, r[1:], r[2:]):
             # O(h^2): halving the step quarters the change
@@ -393,8 +372,8 @@ def test_nijenhuis_converges_quadratically_in_fd_step():
 
 
 def test_checks_on_empty_sample_name_the_check(round2, lc_round2):
-    with pytest.raises(ValueError, match="'cr_torsion' got no samples to evaluate"):
-        check_nijenhuis(lc_round2, round2.field, [])
+    with pytest.raises(ValueError, match="structure_at got no samples to evaluate"):
+        lc_round2.structure_at(round2.field, np.empty((0, 6)))
     with pytest.raises(ValueError, match="'contact_form_preserved' got no samples to evaluate"):
         check_contact_form_preserved(lc_round2, lc_round2, round2.field, [], tol=1e-8)
 

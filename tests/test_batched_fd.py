@@ -13,7 +13,7 @@ from killinglab.metrics import central_diff
 from killinglab.sphere import SpherePoint, chart_for_point, chart_index, default_atlas
 from killinglab.verify import check_killing, nijenhuis_residual
 
-from oracles import nijenhuis_stencil_and_bound
+from oracles import built, nijenhuis_stencil_and_bound
 
 
 # -- central_diff --------------------------------------------------------------
@@ -133,7 +133,7 @@ def test_batched_nijenhuis_matches_per_point_reference(build, n):
         switched += len(set(chart_index(chart.point_coords(stencil), atlas))) > 1
     assert switched >= 2
     X = np.stack([p.coords for p in pts])
-    got = np.array([nijenhuis_residual(lc, st.field, p) for p in pts])
+    got = np.array([nijenhuis_residual(*built(lc, st.field, p)) for p in pts])
     ref, bound = nijenhuis_stencil_and_bound(lc, st.field, X)
     assert np.all(np.abs(got - ref) <= bound)
 

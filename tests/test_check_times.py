@@ -32,5 +32,8 @@ def test_rows_cover_every_battery_and_sum_to_its_total(monkeypatch, capsys):
         assert {"setup", "extras"} <= set(rows), label
         if label.split()[0] in ("gF", "irregular", "round"):
             assert {"structure_at", "second_nabla_frame"} <= set(rows), label
+        if label.split()[0] == "quaternionic":
+            assert {"triple_psi", "second_nabla_frame",
+                    "check_flip_quaternionic"} <= set(rows), label
         total = rows.pop("total")
         assert abs(sum(rows.values()) - total) <= 0.05 * total, (label, rows, total)

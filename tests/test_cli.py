@@ -330,6 +330,9 @@ def test_decompose_irregular_single_block():
     assert code == 0, err
     doc = json.loads(out)
     assert doc["extras"]["blocks"] == [[0.0, 5]]
+    # no nonzero rate, so no eigenfield identity: the rate-0 block is still checked
+    assert [(c["name"], c["as_expected"]) for c in doc["checks"]] == [
+        ("zero_block_commutes", True)]
 
 
 def test_classify_flow_rational():

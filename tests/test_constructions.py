@@ -29,7 +29,6 @@ from killinglab import (
 )
 from killinglab.algebra import centralizer_check, field_bracket
 from killinglab.constructions import (
-    curvature_form,
     fit_linear_generator,
     hopf_differential,
     hopf_projection,
@@ -46,6 +45,8 @@ from killinglab.verify import (
     check_transverse_derivative,
     involution_split,
 )
+
+from oracles import built, curvature_form
 
 
 # -- round ---------------------------------------------------------------------
@@ -300,7 +301,7 @@ def test_deformed_field_still_unit_killing(deformed):
     pts = sample_sphere(deformed.n, 25, seed=42).points
     assert check_unit_length(lc, deformed.field, pts, tol=1e-10).passed
     assert check_killing(lc, deformed.field, pts, tol=1e-6).passed
-    assert check_kcontact(lc, deformed.field, pts, tol=1e-6).passed
+    assert check_kcontact(lc.structure_at(deformed.field, pts), tol=1e-6).passed
 
 
 def test_deformed_contact_form_preserved(deformed, round3, lc_round3):
@@ -314,7 +315,8 @@ def test_deformed_transverse_scaling(deformed):
     from killinglab.cli import _deformed_scaling_check
     lc = LeviCivita(deformed.metric)
     pts = sample_sphere(deformed.n, 25, seed=42).points
-    assert _deformed_scaling_check(lc, deformed, pts, tol=1e-6).passed
+    assert _deformed_scaling_check(deformed, lc.structure_at(deformed.field, pts),
+                                   tol=1e-6).passed
 
 
 def test_deformed_breaks_wedge_identity_on_support(deformed):
@@ -322,7 +324,7 @@ def test_deformed_breaks_wedge_identity_on_support(deformed):
     xs = sample_sphere(deformed.n, 120, seed=42)
     on = [p for p in xs.points if deformed.f_of(p.coords) > 0.1 * deformed.c]
     assert len(on) >= 5
-    r = check_sasakian(lc, deformed.field, on[:12], tol=1e-5,
+    r = check_sasakian(*built(lc, deformed.field, on[:12]), tol=1e-5,
                        expected="fail", fail_floor=1e-2)
     assert r.as_expected
     assert r.max_residual > 1e-2
@@ -332,7 +334,7 @@ def test_deformed_breaks_cr_integrability(deformed):
     lc = LeviCivita(deformed.metric)
     xs = sample_sphere(deformed.n, 120, seed=42)
     on = [p for p in xs.points if deformed.f_of(p.coords) > 0.1 * deformed.c]
-    r = check_nijenhuis(lc, deformed.field, on[:12], expected="fail",
+    r = check_nijenhuis(*built(lc, deformed.field, on[:12]), expected="fail",
                         fail_floor=1e-3)
     assert r.as_expected
 
@@ -366,16 +368,17 @@ def test_irregular_field_identities(irregular):
     pts = sample_sphere(irregular.n, 25, seed=42).points
     assert check_unit_length(lc, irregular.field, pts, tol=1e-10).passed
     assert check_killing(lc, irregular.field, pts, tol=1e-6).passed
-    assert check_kcontact(lc, irregular.field, pts, tol=1e-6).passed
-    assert check_sasakian(lc, irregular.field, pts, tol=1e-5).passed
-    assert check_nijenhuis(lc, irregular.field, pts[:12]).passed
+    st, T = built(lc, irregular.field, pts)
+    assert check_kcontact(st, tol=1e-6).passed
+    assert check_sasakian(st, T, tol=1e-5).passed
+    assert check_nijenhuis(*built(lc, irregular.field, pts[:12])).passed
 
 
 def test_irregular_transverse_derivative(irregular):
     lc = LeviCivita(irregular.metric)
     pts = sample_sphere(irregular.n, 20, seed=42).points
-    r = check_transverse_derivative(lc, irregular.field, irregular.j0, pts,
-                                    tol=1e-5)
+    r = check_transverse_derivative(lc, irregular.field, irregular.j0,
+                                    lc.structure_at(irregular.field, pts), tol=1e-5)
     assert r.passed
 
 
@@ -391,9 +394,8 @@ def test_transverse_derivative_differences_only_the_half_step(irregular, monkeyp
         return endo(self, fld, x, h)
 
     monkeypatch.setattr(LeviCivita, "_endo", recorded)
-    r = check_transverse_derivative(lc, irregular.field, irregular.j0, X, tol=1e-5, st=st)
+    r = check_transverse_derivative(lc, irregular.field, irregular.j0, st, tol=1e-5)
     assert set(steps) == {lc.fd_step / 2}
-    assert r == check_transverse_derivative(lc, irregular.field, irregular.j0, X, tol=1e-5)
     # the residual reads the half-step N that nabla_endo(guard=True) returns
     _, _, vt = np.linalg.svd(np.stack([X, X @ irregular.j0.T], axis=1))
     V = np.swapaxes(vt[:, 2:], -1, -2)
@@ -407,8 +409,9 @@ def test_transverse_derivative_keeps_the_step_halving_guard(irregular):
     message = "unstable under step halving: rel drift .* at fd_step=1.000e-13"
     with pytest.raises(NumericalQualityError, match=message):
         lc.nabla_endo(irregular.field, X, guard=True)
+    st = lc.structure_at(irregular.field, X)
     with pytest.raises(NumericalQualityError, match=message):
-        check_transverse_derivative(lc, irregular.field, irregular.j0, X, tol=1e-5)
+        check_transverse_derivative(lc, irregular.field, irregular.j0, st, tol=1e-5)
 
 
 def test_irregular_flow_is_dense_in_two_torus(irregular):

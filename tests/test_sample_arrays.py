@@ -11,9 +11,9 @@ import pytest
 from killinglab.algebra import eigenfield_residuals, standard_decomposition
 from killinglab.metrics import LeviCivita
 from killinglab.sphere import sample_sphere
-from killinglab.verify import check_killing, check_nijenhuis, check_triple_products
+from killinglab.verify import check_killing, check_nijenhuis, check_triple_products, triple_psi
 
-from oracles import sample_sphere_loop
+from oracles import built, sample_sphere_loop
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
@@ -46,40 +46,45 @@ def _three_forms(n: int, count: int, seed: int):
 def test_checks_agree_on_array_and_point_samples(round2, lc_round2, quat1):
     forms = _three_forms(2, 12, 3)
     for check in (lambda X: check_killing(lc_round2, round2.field, X, tol=1e-10),
-                  lambda X: check_nijenhuis(lc_round2, round2.field, X)):
+                  lambda X: check_nijenhuis(*built(lc_round2, round2.field, X))):
         results = [check(X) for X in forms]
         assert results[0] == results[1] == results[2]
 
     lc_q = LeviCivita(quat1.metric)
-    results = [check_triple_products(lc_q, quat1.fields, X, tol=1e-10)
+    results = [check_triple_products(triple_psi(lc_q, quat1.fields, X), tol=1e-10)
                for X in _three_forms(3, 12, 3)]
     assert results[0] == results[1] == results[2]
 
     dec = standard_decomposition(round2.isometry_algebra(), round2.j0)
     k = next(i for i, lam in enumerate(dec.rates) if lam > 0.5)
-    results = [eigenfield_residuals(lc_round2, round2.field, dec.blocks[k], X,
+    results = [eigenfield_residuals(round2.field, dec.blocks[k],
+                                    lc_round2.structure_at(round2.field, X),
                                     rate=dec.rates[k]) for X in forms]
     assert results[0] == results[1] == results[2]
 
 
 @pytest.mark.parametrize("name", ["killing", "cr_torsion", "triple_products_aligned"])
 def test_checks_refuse_bad_samples_by_name(name, round2, lc_round2, quat1):
-    if name == "triple_products_aligned":
-        lc_q = LeviCivita(quat1.metric)
-        run = lambda X: check_triple_products(lc_q, quat1.fields, X, tol=1e-10)
-        n = 3
-    elif name == "killing":
-        run = lambda X: check_killing(lc_round2, round2.field, X, tol=1e-10)
-        n = 2
-    else:
-        run = lambda X: check_nijenhuis(lc_round2, round2.field, X)
-        n = 2
+    """The sample enters check_killing as its points, and the torsion and
+    triple checks through structure_at, which takes one point (d,) too: a
+    stack of samples is its bad shape."""
+    n = 3 if name == "triple_products_aligned" else 2
     X = sample_sphere(n, 6, seed=1).arrays()
-    with pytest.raises(ValueError, match=f"'{name}' needs an \\(N, d\\) sample"):
-        run(X[0])
+    if name == "killing":
+        run = lambda X: check_killing(lc_round2, round2.field, X, tol=1e-10)
+        owner, bad_shape = "check 'killing'", X[0]
+    elif name == "cr_torsion":
+        run = lambda X: check_nijenhuis(*built(lc_round2, round2.field, X))
+        owner, bad_shape = "structure_at", X[None]
+    else:
+        lc_q = LeviCivita(quat1.metric)
+        run = lambda X: check_triple_products(triple_psi(lc_q, quat1.fields, X), tol=1e-10)
+        owner, bad_shape = "structure_at", X[None]
+    with pytest.raises(ValueError, match=f"{owner} needs .*an \\(N, d\\) sample"):
+        run(bad_shape)
     scaled = X.copy()
     scaled[2] *= 1.001
-    with pytest.raises(ValueError, match=f"'{name}' got a sample off the unit sphere"):
+    with pytest.raises(ValueError, match=f"{owner} got a sample off the unit sphere"):
         run(scaled)
-    with pytest.raises(ValueError, match=f"'{name}' got no samples to evaluate"):
+    with pytest.raises(ValueError, match=f"{owner} got no samples to evaluate"):
         run(X[:0])

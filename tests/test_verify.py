@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import replace
 
 import numpy as np
@@ -31,10 +32,25 @@ from killinglab.verify import (
     involution_split,
     measured_cyclic_sign,
     quaternionic_relation_residual,
+    triple_psi,
 )
+
+from oracles import built
 
 
 # -- basic round identities ----------------------------------------------------
+
+def test_structure_reading_checks_have_one_path():
+    """A check that reads a shared structure takes it; none builds its own
+    when the argument is left out (check_killing's ``frame``/``lie`` aside)."""
+    from killinglab import verify
+
+    names = [n for n in vars(verify) if n.startswith("check_") and n != "check_killing"]
+    names += ["nijenhuis_residual", "horizontal_split"]
+    for name in names:
+        for p in inspect.signature(getattr(verify, name)).parameters.values():
+            assert not (p.name in ("st", "T", "frame", "triple") and p.default is None), (name, p)
+
 
 def test_tangency_and_unit_length(round2, lc_round2, pts2):
     assert check_tangency(round2.field, pts2).passed
@@ -55,13 +71,14 @@ def test_killing_flags_zero_field(lc_round1, pts1):
 
 
 def test_sasakian_round_exact(round2, lc_round2, pts2):
-    r = check_sasakian(lc_round2, round2.field, pts2, tol=1e-10)
+    r = check_sasakian(*built(lc_round2, round2.field, pts2), tol=1e-10)
     assert r.passed
     assert r.max_residual < 1e-13
 
 
 def test_sasakian_round_fd(round1, lc_round1, pts1):
-    r = check_sasakian(lc_round1, replace(round1.field, kind="general"), pts1[:8], tol=1e-5)
+    r = check_sasakian(*built(lc_round1, replace(round1.field, kind="general"), pts1[:8]),
+                       tol=1e-5)
     assert r.passed
 
 
@@ -72,7 +89,7 @@ def test_wedge_sign_locked(round1, lc_round1, pts1):
     orig = V.WEDGE_SIGN
     try:
         V.WEDGE_SIGN = +1.0
-        r = check_sasakian(lc_round1, round1.field, pts1[:8], tol=1e-10)
+        r = check_sasakian(*built(lc_round1, round1.field, pts1[:8]), tol=1e-10)
         assert not r.passed
         assert r.max_residual > 1.0
     finally:
@@ -80,26 +97,26 @@ def test_wedge_sign_locked(round1, lc_round1, pts1):
 
 
 def test_kcontact_round(round2, lc_round2, pts2):
-    r = check_kcontact(lc_round2, round2.field, pts2)
+    r = check_kcontact(lc_round2.structure_at(round2.field, pts2))
     assert r.passed
     assert r.max_residual < 1e-12
 
 
 def test_nijenhuis_round(round2, lc_round2, pts2):
-    r = check_nijenhuis(lc_round2, round2.field, pts2[:10])
+    r = check_nijenhuis(*built(lc_round2, round2.field, pts2[:10]))
     assert r.passed
     assert r.max_residual < 1e-9
 
 
 def test_dxi_spectrum_round(round2, lc_round2, pts2):
     ref = [-4.0] * 4 + [0.0]
-    r = check_dxi_spectrum(lc_round2, round2.field, pts2[:10], reference=ref, tol=1e-8)
+    r = check_dxi_spectrum(lc_round2.structure_at(round2.field, pts2[:10]), reference=ref, tol=1e-8)
     assert r.passed
 
 
 def test_dxi_spectrum_shape_mismatch(round2, lc_round2, pts2):
     with pytest.raises(ValueError):
-        check_dxi_spectrum(lc_round2, round2.field, pts2[:2],
+        check_dxi_spectrum(lc_round2.structure_at(round2.field, pts2[:2]),
                            reference=[-4.0, 0.0], tol=1e-8)
 
 
@@ -134,10 +151,9 @@ def test_triple_products_aligned_vs_transposed(quat1, pts3):
     """Exactly one product convention matches the realized frame."""
     from killinglab import LeviCivita
     lc = LeviCivita(quat1.metric)
-    ok = check_triple_products(lc, quat1.fields, pts3[:8], tol=1e-10,
-                               variant="aligned")
-    bad = check_triple_products(lc, quat1.fields, pts3[:8], tol=1e-10,
-                                variant="transposed")
+    triple = triple_psi(lc, quat1.fields, pts3[:8])
+    ok = check_triple_products(triple, tol=1e-10, variant="aligned")
+    bad = check_triple_products(triple, tol=1e-10, variant="transposed")
     assert ok.passed
     assert not bad.passed
     assert bad.max_residual > 1.0
@@ -147,21 +163,22 @@ def test_triple_products_rejects_unknown_variant(quat1, pts3):
     from killinglab import LeviCivita
     lc = LeviCivita(quat1.metric)
     with pytest.raises(ValueError):
-        check_triple_products(lc, quat1.fields, pts3[:2], tol=1e-10, variant="upside")
+        check_triple_products(triple_psi(lc, quat1.fields, pts3[:2]), tol=1e-10,
+                              variant="upside")
 
 
 def test_anticommutators_and_squares(quat1, pts3):
     from killinglab import LeviCivita
     lc = LeviCivita(quat1.metric)
-    assert check_anticommutators(lc, quat1.fields, pts3[:8], tol=1e-10).passed
-    assert check_squares(lc, quat1.fields, pts3[:8], tol=1e-10).passed
+    triple = triple_psi(lc, quat1.fields, pts3[:8])
+    assert check_anticommutators(triple, tol=1e-10).passed
+    assert check_squares(triple, tol=1e-10).passed
 
 
 def test_pair_completion(quat1, pts3):
     from killinglab import LeviCivita
     lc = LeviCivita(quat1.metric)
-    r = check_pair_completion(lc, quat1.fields[0], quat1.fields[1], pts3[:8],
-                              tol=1e-6)
+    r = check_pair_completion(lc, triple_psi(lc, quat1.fields, pts3[:8]), tol=1e-6)
     assert r.passed
     assert "reconstruction" in r.detail
 
@@ -173,7 +190,7 @@ def test_involution_split_of_product_operator(quat1, pts3):
     involution; on the round S^7 triple it is -Id there (empty + block)."""
     from killinglab import LeviCivita
     lc = LeviCivita(quat1.metric)
-    split = horizontal_split(lc, quat1.fields, pts3[0])
+    split = horizontal_split(triple_psi(lc, quat1.fields, pts3[0]))
     assert split.dim_plus == 0
     assert split.dim_minus == 4
     assert split.ok
@@ -182,7 +199,7 @@ def test_involution_split_of_product_operator(quat1, pts3):
 def test_involution_split_s3_is_empty(quat0, pts1):
     from killinglab import LeviCivita
     lc = LeviCivita(quat0.metric)
-    split = horizontal_split(lc, quat0.fields, pts1[0])
+    split = horizontal_split(triple_psi(lc, quat0.fields, pts1[0]))
     assert split.dim_plus == 0
     assert split.dim_minus == 0
     assert split.ok
