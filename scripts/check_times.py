@@ -19,10 +19,17 @@ sample, step canary); ``extras`` from the last result to the end
 (decomposition, flow class, orbit probe).
 
 Usage:
-    python3 scripts/check_times.py [--samples N] [--seed S] [--repeats R]
+    python3 scripts/check_times.py [--samples N] [--seed S] [--repeats R] [--json PATH]
 
 It imports killinglab from the ``src`` directory of its own checkout, so the
 copy of the script in another checkout measures that checkout.
+
+With ``--json PATH`` it also writes every battery's rows, each as the median
+and quartiles over the repeats in milliseconds, with the settings and the
+environment (Python, numpy, BLAS threads, ``nproc``, the checkout's git HEAD
+and whether its tree is dirty, and a SHA-256 of its ``src/killinglab`` sources,
+which names the measured code exactly); ``schema`` versions the layout.  The
+committed ``BENCH_<label>.json`` files at the repository root are such records.
 """
 
 from __future__ import annotations
@@ -32,15 +39,24 @@ import os
 os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy loads
 
 import argparse  # noqa: E402
+import hashlib  # noqa: E402
+import json  # noqa: E402
+import platform  # noqa: E402
 import statistics  # noqa: E402
+import subprocess  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 from dataclasses import replace  # noqa: E402
 from pathlib import Path  # noqa: E402
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+import numpy as np  # noqa: E402
 
 from killinglab import cli  # noqa: E402
+
+SCHEMA = 1
 
 BATTERIES = (("gF", {"n": 3, "c": 0.3}), ("irregular", {"n": 2}), ("round", {"n": 2}),
              ("quaternionic", {"m": 1}), ("quaternionic", {"m": 2}), ("hopf-lift", {}))
@@ -54,12 +70,45 @@ def run_once(example: str, cfg: cli.RunConfig) -> tuple[dict, float]:
     return {"setup": rep.opened - t0, **rep.clock}, time.perf_counter() - t0
 
 
+def _git(*args: str) -> str | None:
+    try:
+        proc = subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True,
+                              text=True, timeout=30)
+    except OSError:
+        return None
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def environment() -> dict:
+    """Where a record was taken, and of which code."""
+    digest = hashlib.sha256()
+    for path in sorted((ROOT / "src" / "killinglab").glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    status = _git("status", "--porcelain")
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+            "nproc": os.cpu_count(), "machine": platform.machine(),
+            "git_head": _git("rev-parse", "HEAD"),
+            "git_dirty": None if status is None else bool(status),
+            "src_sha256": digest.hexdigest()}
+
+
+def quartiles(values: list[float]) -> dict:
+    """Median and quartiles of times in seconds, in milliseconds."""
+    q1, med, q3 = np.percentile(1e3 * np.asarray(values), [25, 50, 75])
+    return {"median": round(float(med), 4), "q1": round(float(q1), 4),
+            "q3": round(float(q3), 4)}
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--samples", type=int, default=cli.RunConfig.samples)
     p.add_argument("--seed", type=int, default=cli.RunConfig.seed)
     p.add_argument("--repeats", type=int, default=3)
+    p.add_argument("--json", type=Path, default=None,
+                   help="also write the rows with quartiles to this file")
     args = p.parse_args(argv)
+    record = []
     for example, params in BATTERIES:
         cfg = replace(cli.RunConfig(), example=example, samples=args.samples,
                       seed=args.seed, **params)
@@ -70,6 +119,16 @@ def main(argv=None) -> int:
         print(f"{example}{size}: {1e3 * total:.2f} ms in all, median of {args.repeats}")
         for name in runs[0][0]:
             print(f"  {name:<34} {1e3 * statistics.median(r[0][name] for r in runs):8.2f}")
+        record.append({"battery": f"{example}{size}", "example": example, "params": params,
+                       "total_ms": quartiles([r[1] for r in runs]),
+                       "rows_ms": {name: quartiles([r[0][name] for r in runs])
+                                   for name in runs[0][0]}})
+    if args.json is not None:
+        doc = {"schema": SCHEMA, "environment": environment(),
+               "settings": {"samples": args.samples, "seed": args.seed,
+                            "repeats": args.repeats},
+               "batteries": record}
+        args.json.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     return 0
 
 

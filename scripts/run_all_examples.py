@@ -4,7 +4,8 @@
 Each battery is executed through the CLI in a fresh interpreter (the same
 path a user would take), the JSON report is parsed, and a compact summary
 table is printed.  Exits nonzero if any battery reports a check that did
-not behave as expected.
+not behave as expected.  The two ``classify-flow --probe`` rows run the
+numeric orbit probe, so ``compare_reports.py`` sees its checks too.
 
 Usage:
     python3 scripts/run_all_examples.py [--samples N] [--seed S] [--out DIR]
@@ -31,6 +32,8 @@ BATTERIES: list[tuple[str, list[str]]] = [
     ("decompose-s5", ["decompose", "--example", "round", "--n", "2"]),
     ("decompose-gF-s7", ["decompose", "--example", "gF", "--n", "3"]),
     ("decompose-irr-s5", ["decompose", "--example", "irregular"]),
+    ("classify-1-2", ["classify-flow", "1", "2", "--probe"]),
+    ("classify-1-golden", ["classify-flow", "1", "irr:golden", "--probe"]),
 ]
 
 
@@ -65,7 +68,7 @@ def main(argv: list[str] | None = None) -> int:
         all_ok = all_ok and ok
         worst = max((c["max_residual"] for c in checks
                      if c["expected"] == "pass"), default=0.0)
-        print(f"{label:<16} {'ok' if ok else 'UNEXPECTED':<10} "
+        print(f"{label:<18} {'ok' if ok else 'UNEXPECTED':<10} "
               f"{n_exp}/{len(checks)} checks as expected   "
               f"worst residual {worst:.3e}")
         if opts.out is not None:

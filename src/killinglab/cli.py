@@ -13,6 +13,7 @@ point of the deformed examples — is a first-class green result.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import asdict, dataclass, replace
 
@@ -131,7 +132,11 @@ def load_config_file(path: str) -> dict:
 def build_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     if getattr(args, "config", None):
-        file_vals = load_config_file(args.config)
+        try:
+            file_vals = load_config_file(args.config)
+        except OSError as exc:
+            raise ValueError(f"cannot read config file {args.config!r}: "
+                             f"{exc.strerror or exc}") from None
         unknown = set(file_vals) - set(asdict(cfg)) - {"rates", "horizon"}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -298,49 +303,46 @@ def _battery_hopf(cfg: RunConfig) -> VerificationReport:
             f"base points near the anchor antipode; the 4x4 linear fit of each "
             f"lift needs at least {HOPF_MIN_KEPT} (raise --samples)")
 
-    gens = so3_basis()
-    fits = [solve_lift(bundle, g, kept) for g in gens]
-    mats = [B for B, _ in fits]
-    defect = max(d for _, d in fits)
-    rep.add(CheckResult(name="lift_fit_defect", max_residual=defect,
-                        mean_residual=float(np.mean([d for _, d in fits])),
+    gens = np.stack(so3_basis())
+    mats, defects = solve_lift(bundle, gens, kept)  # all three in one quadrature
+    rep.add(CheckResult(name="lift_fit_defect", max_residual=float(defects.max()),
+                        mean_residual=float(defects.mean()),
                         tolerance=1e-8,
                         detail="largest pointwise defect of the linear fit"))
-    skew = max(float(np.abs(B + B.T).max()) for B in mats)
-    rep.add(_single("lift_skewness", skew, 1e-10))
+    rep.add(_single("lift_skewness", float(np.abs(mats + np.swapaxes(mats, 1, 2)).max()),
+                    1e-10))
     frame = g_orthonormal_frame(rs.metric.matrix_at(X), X)
     rep.add(_merge("lift_killing",
                    [verify.check_killing(lc, linear_field(B, name=f"lift{i}"),
                                          X, tol=1e-5, frame=frame)
                     for i, B in enumerate(mats)], tol=1e-5))
 
-    # path independence: direct potential vs a two-leg path through a waypoint
+    # path independence: direct potential vs a two-leg path through a waypoint;
+    # the waypoint's own potential (the first leg) rides in the direct quadrature
     waypoint = hopf_projection(kept[1])
     alt = replace(bundle, anchor=waypoint)
-    leg0 = lift_potential(bundle, gens[0], waypoint)
     ys = hopf_projection(kept[2:])
     # keep the second leg away from the waypoint's antipode
     ys = ys[ys @ waypoint / bundle.base_radius**2 >= -0.8][:8]
     n_path = len(ys)
+    direct = lift_potential(bundle, gens[0], np.vstack([waypoint, ys]))
     worst_path = 0.0
     if n_path:
-        two_leg = leg0 + lift_potential(alt, gens[0], ys)
-        worst_path = float(np.abs(lift_potential(bundle, gens[0], ys) - two_leg).max())
+        two_leg = direct[0] + lift_potential(alt, gens[0], ys)
+        worst_path = float(np.abs(direct[1:] - two_leg).max())
     rep.add(_single("potential_path_independence", worst_path, 1e-6,
                     detail=f"two-leg vs direct quadrature at {n_path} targets"))
 
     # pushdown: fitted lifts project onto the base generators; the kernel of
     # the projection on span{lifts, circle generator} is the circle generator
     xs = kept[:40]
-    ys = hopf_projection(xs)
-    downs = [fit_linear_generator(ys, matvec(hopf_differential(xs), matvec(B, xs)))
-             for B in mats + [bundle.j0]]
-    push_res = max(r for _, r in downs)
-    agree = max(float(np.abs(downs[i][0] - gens[i]).max()) for i in range(3))
-    rep.add(_single("pushdown_matches_base", max(push_res, agree), 1e-8,
+    ups = np.concatenate([mats, bundle.j0[None]])
+    downs, push_res = fit_linear_generator(
+        hopf_projection(xs), matvec(hopf_differential(xs), xs @ np.swapaxes(ups, 1, 2)))
+    agree = float(np.abs(downs[:3] - gens).max())
+    rep.add(_single("pushdown_matches_base", max(float(push_res.max()), agree), 1e-8,
                     detail="fitted lifts project onto the requested rotations"))
-    stacked = np.stack([P.ravel() for P, _ in downs])
-    u, sv, _ = np.linalg.svd(stacked)
+    u, sv, _ = np.linalg.svd(downs.reshape(4, -1))
     # left null vector = coefficients (in the {lift1..3, circle} basis) of the
     # combination the pushdown annihilates; it must be the circle generator
     kvec = u[:, -1]
@@ -464,11 +466,26 @@ EXAMPLES = {"verify": tuple(_BATTERIES), "decompose": tuple(_STRUCTURES)}
 # ---------------------------------------------------------------------------
 
 def _emit(rep: VerificationReport, cfg: RunConfig) -> int:
-    """Print the report; return its exit code."""
-    if cfg.format == "json":
-        print(rep.to_json(include_timestamp=not cfg.no_timestamp))
-    else:
-        print(rep.render_text())
+    """Print the report; return its exit code.
+
+    A reader that closes stdout early (``| head``) loses the rest of the
+    report silently: stdout is pointed at os.devnull, as in Python's recipe
+    for SIGPIPE, so the interpreter's final flush cannot raise again, and
+    the verdict still sets the exit code."""
+    try:
+        if cfg.format == "json":
+            print(rep.to_json(include_timestamp=not cfg.no_timestamp))
+        else:
+            print(rep.render_text())
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        except (AttributeError, OSError, ValueError):
+            pass  # a stdout with no file descriptor is never flushed at exit
+        finally:
+            os.close(devnull)
     return EXIT_OK if rep.all_as_expected else EXIT_CHECKS
 
 
@@ -632,7 +649,7 @@ def main(argv: list[str] | None = None) -> int:
             DegenerateClusterError) as exc:
         print(f"numerical quality failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ValueError, OSError) as exc:
+    except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

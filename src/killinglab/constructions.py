@@ -24,6 +24,7 @@ All generators are ambient matrices; all metrics are Gram-operator fields
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -211,12 +212,35 @@ def build_flip_fixture() -> FlipFixture:
 
 @dataclass(frozen=True, eq=False)
 class HopfBundle:
+    """The circle bundle S^3 -> S^2(1/2) with its lift data.
+
+    ``rule`` is the Gauss–Legendre rule of ``quadrature_steps`` nodes on
+    [0, 1], read from ``gauss_legendre_rule``: a function of the step count
+    alone, so a copy made by ``replace`` (a new anchor, say) reads the same
+    arrays and none can go stale.
+    """
+
     metric: MetricField
     field: VectorField
     j0: np.ndarray
     base_radius: float
     anchor: np.ndarray       # base point where lift potentials vanish
     quadrature_steps: int    # Gauss–Legendre nodes on each anchor-to-y arc
+
+    @property
+    def rule(self) -> tuple[np.ndarray, np.ndarray]:
+        return gauss_legendre_rule(self.quadrature_steps)
+
+
+@functools.cache
+def gauss_legendre_rule(steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the ``steps``-node Gauss–Legendre rule mapped onto
+    [0, 1], built once per step count; the arrays are read-only."""
+    nodes, weights = np.polynomial.legendre.leggauss(steps)
+    rule = (0.5 * (nodes + 1.0), 0.5 * weights)
+    for arr in rule:
+        arr.flags.writeable = False
+    return rule
 
 
 def build_hopf(quadrature_steps: int = 16) -> HopfBundle:
@@ -258,19 +282,21 @@ def horizontal_lift_batch(j0: np.ndarray, xs: np.ndarray, ys: np.ndarray,
 
     The lift is tangent, orthogonal to the circle field, and pushes forward
     to us; computed by a regularized batched 3x3 solve (the radial base
-    direction is added to make the pushforward Gram invertible).
+    direction is added to make the pushforward Gram invertible).  ``us`` is
+    (N, 3) or a stack (R, N, 3) of vectors at the same points; the lift is
+    linear in us, so one solve with R right-hand sides serves the stack, and
+    the result is (N, 4) or (R, N, 4).
     """
     xis = xs @ j0.T
     dpis = hopf_differential(xs)
-    PH = (np.eye(4)[None, :, :]
-          - np.einsum("ni,nj->nij", xs, xs)
-          - np.einsum("ni,nj->nij", xis, xis))
-    dph = np.einsum("nai,nij->naj", dpis, PH)          # (N, 3, 4)
-    G = np.einsum("nai,nbi->nab", dph, dpis)           # (N, 3, 3)
+    PH = np.eye(4) - xs[:, :, None] * xs[:, None, :] - xis[:, :, None] * xis[:, None, :]
+    dph = dpis @ PH                                    # (N, 3, 4)
     yhat = 2.0 * ys
-    G = G + np.einsum("na,nb->nab", yhat, yhat)
-    w3 = np.linalg.solve(G, us[:, :, None])[:, :, 0]
-    return np.einsum("nij,naj,na->ni", PH, dpis, w3)
+    G = dph @ np.swapaxes(dpis, 1, 2) + yhat[:, :, None] * yhat[:, None, :]
+    rhs = np.moveaxis(us.reshape(-1, *us.shape[-2:]), 0, -1)   # (N, 3, R)
+    w3 = np.linalg.solve(G, rhs)
+    # PH is symmetric, so PH dpi^T w3 = dph^T w3
+    return np.moveaxis(np.swapaxes(dph, 1, 2) @ w3, -1, 0).reshape(*us.shape[:-1], 4)
 
 
 def so3_basis() -> list[np.ndarray]:
@@ -284,13 +310,18 @@ def lift_potential(bundle: HopfBundle, base_gen: np.ndarray,
     """Potential f at y with df = -(base field) contracted into the curvature
     two-form, normalized to vanish at the bundle anchor.
 
-    ``y`` is one base point (3,), giving a float, or a stack (N, 3), giving
-    an (N,) array.  Quadrature: Gauss–Legendre with
-    ``bundle.quadrature_steps`` nodes along each great-circle arc from the
-    anchor to y, all arcs lifted in one batch.  Base points too close to the
-    anchor's antipode are refused (the batteries filter samples instead of
-    integrating through the bad chart).
+    ``base_gen`` is one base generator (3, 3) or a stack (G, 3, 3); ``y`` is
+    one base point (3,) or a stack (N, 3).  One generator and one point give
+    a float, one generator and a stack an (N,) array, a stack of generators
+    a (G,) or (G, N) array.  Quadrature: the Gauss–Legendre rule
+    ``bundle.rule`` along each great-circle arc from the anchor to y.  The
+    arc points, their sections and the lift of the arc tangent are built
+    once and shared by every generator's integrand, and all lifts take one
+    batched solve.  Base points too close to the anchor's antipode are
+    refused (the batteries filter samples instead of integrating through the
+    bad chart).
     """
+    gens = np.asarray(base_gen, dtype=float)
     ys = np.atleast_2d(np.asarray(y, dtype=float))
     r = bundle.base_radius
     a = bundle.anchor / r
@@ -299,11 +330,10 @@ def lift_potential(bundle: HopfBundle, base_gen: np.ndarray,
     if np.any(theta > math.pi - 0.2):
         raise ValueError("base point too close to the anchor antipode; "
                          "filter samples before lifting")
-    out = np.zeros(len(ys))
+    out = np.zeros((*gens.shape[:-2], len(ys)))
     live = theta >= 1e-9
     if live.any():
-        nodes, weights = np.polynomial.legendre.leggauss(bundle.quadrature_steps)
-        ts = 0.5 * (nodes + 1.0)                      # nodes mapped onto [0, 1]
+        ts, weights = bundle.rule
         th = theta[live, None, None]                  # (M, 1, 1)
         t = ts[None, :, None]                         # (1, K, 1)
         scale = r / np.sin(th)
@@ -311,36 +341,46 @@ def lift_potential(bundle: HopfBundle, base_gen: np.ndarray,
         gam = (np.sin((1 - t) * th) * a + np.sin(t * th) * bl) * scale
         dgam = th * (np.cos(t * th) * bl - np.cos((1 - t) * th) * a) * scale
         pts = gam.reshape(-1, 3)
-        xs = _batched_sections(pts)
+        us = pts @ np.swapaxes(gens, -1, -2)          # (..., M K, 3)
         lifts = horizontal_lift_batch(
-            bundle.j0, np.concatenate([xs, xs]), np.concatenate([pts, pts]),
-            np.concatenate([pts @ base_gen.T, dgam.reshape(-1, 3)]))
-        lift_x, lift_d = np.split(lifts, 2)
+            bundle.j0, _batched_sections(pts), pts,
+            np.concatenate([dgam.reshape(1, -1, 3), us.reshape(-1, *pts.shape)]))
+        lift_d, lift_x = lifts[0], lifts[1:].reshape(*us.shape[:-1], 4)
         # integrand: F(X, gamma') with F(u, v) = 2 <j0 u*, v*>
-        integrand = 2.0 * np.einsum("ni,ni->n", lift_x @ bundle.j0.T, lift_d)
-        out[live] = -integrand.reshape(-1, len(ts)) @ (0.5 * weights)
-    return float(out[0]) if np.ndim(y) == 1 else out
+        integrand = 2.0 * np.einsum("...ni,ni->...n", lift_x @ bundle.j0.T, lift_d)
+        out[..., live] = -integrand.reshape(*gens.shape[:-2], -1, len(ts)) @ weights
+    if np.ndim(y) == 1:
+        out = out[..., 0]
+    return float(out) if out.ndim == 0 else out
 
 
 def lifted_field_value(bundle: HopfBundle, base_gen: np.ndarray,
                        x: np.ndarray) -> np.ndarray:
     """Value at x of the lift of the base Killing field: horizontal lift of
-    the base value plus the potential times the circle field.  ``x`` is one
-    point (4,) or a stack (N, 4)."""
+    the base value plus the potential times the circle field.  ``base_gen``
+    is one generator (3, 3) or a stack (G, 3, 3), ``x`` one point (4,) or a
+    stack (N, 4); a stack of generators puts G in front of the result."""
+    gens = np.asarray(base_gen, dtype=float)
     xs = np.atleast_2d(np.asarray(x, dtype=float))
     ys = hopf_projection(xs)
-    f = lift_potential(bundle, base_gen, ys)
-    lift = horizontal_lift_batch(bundle.j0, xs, ys, ys @ base_gen.T)
-    out = lift + f[:, None] * (xs @ bundle.j0.T)
-    return out[0] if np.ndim(x) == 1 else out
+    f = lift_potential(bundle, gens, ys)
+    lift = horizontal_lift_batch(bundle.j0, xs, ys, ys @ np.swapaxes(gens, -1, -2))
+    out = lift + f[..., None] * (xs @ bundle.j0.T)
+    return out[..., 0, :] if np.ndim(x) == 1 else out
 
 
-def fit_linear_generator(xs: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, float]:
-    """Least-squares ambient matrix B with B x_i ~ values_i, plus max defect."""
-    sol, *_ = np.linalg.lstsq(xs, values, rcond=None)
-    B = sol.T
-    resid = float(np.abs(xs @ sol - values).max())
-    return B, resid
+def fit_linear_generator(xs: np.ndarray,
+                         values: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
+    """Least-squares ambient matrix B with B x_i ~ values_i, plus max defect.
+
+    ``values`` is (N, k) or a stack (G, N, k); a stack takes all G fits in
+    one ``lstsq`` and returns (G, k, d) matrices with a (G,) defect array."""
+    values = np.moveaxis(np.asarray(values, dtype=float), -2, 0)   # (N, [G,] k)
+    cols = values.reshape(len(xs), -1)
+    sol, *_ = np.linalg.lstsq(xs, cols, rcond=None)
+    defect = np.abs(xs @ sol - cols).reshape(values.shape).max(axis=(0, -1))
+    B = np.moveaxis(sol.reshape(-1, *values.shape[1:]), 0, -1)
+    return B, float(defect) if defect.ndim == 0 else defect
 
 
 def hopf_sample_filter(xs: np.ndarray, margin: float = 0.05) -> np.ndarray:
@@ -352,13 +392,15 @@ def hopf_sample_filter(xs: np.ndarray, margin: float = 0.05) -> np.ndarray:
 
 
 def solve_lift(bundle: HopfBundle, base_gen: np.ndarray,
-               xs: np.ndarray) -> tuple[np.ndarray, float]:
+               xs: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
     """Lift a base Killing generator through sampled potentials and fit the
     resulting ambient field by one linear generator.
 
     Returns (fitted matrix, max fit defect).  The defect doubles as the
     check that the lift construction lands on a linear — hence genuinely
-    Killing — field.
+    Killing — field.  A stack of generators (G, 3, 3) is lifted in one
+    quadrature and fitted in one least-squares solve, giving (G, 4, 4)
+    matrices and a (G,) defect array.
     """
     xs = np.asarray(xs, dtype=float)
     return fit_linear_generator(xs, lifted_field_value(bundle, base_gen, xs))

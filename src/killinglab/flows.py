@@ -6,8 +6,9 @@ is a question about Q-linear dependence of the rates, which floats cannot
 answer.  Rates are therefore carried exactly as p + q*sqrt(k) with rational
 p, q (``ExactScalar``); classification over Q is exact integer arithmetic.
 
-A numeric probe (matrix exponential along the flow, coarse grid plus a
-bounded Brent refinement of near-returns) cross-checks the exact verdicts.
+A numeric probe (the closed-form distance of the skew flow from its start,
+coarse grid plus a bounded Brent refinement of near-returns) cross-checks the
+exact verdicts.
 """
 
 from __future__ import annotations
@@ -287,25 +288,37 @@ def numeric_orbit_probe(xi: np.ndarray, x0: np.ndarray, t_max: float,
                         max_candidates: int = 4096) -> OrbitProbe:
     """Scan |exp(t xi) x0 - x0| on a coarse grid and refine its local minima.
 
-    Local minima below ``candidate_threshold`` are polished by Brent's
-    bounded minimization (``_bounded_min``) over one coarse step on either
-    side; polished minima below ``return_tol`` count as returns.
-    ``min_distance`` is the smallest distance seen anywhere past the initial
-    departure from x0, so an orbit that never returns reports a large floor
-    instead of a spurious period.
+    ``xi`` must be skew (a non-skew matrix is refused by name).  The distance
+    is the closed form of a skew flow: with i xi = V W V^H (``eigh``, as in
+    ``metrics.skew_exp``) and c = V^H x0,
+
+        |e^(t xi) x0 - x0| = 2 sqrt(sum_j |c_j|^2 sin^2(w_j t / 2)),
+
+    real arithmetic on (n, d) with no cancellation of e^(t xi) x0 - x0, and
+    V orthonormal also at repeated rates.  Local minima below
+    ``candidate_threshold`` are polished by Brent's bounded minimization
+    (``_bounded_min``) over one coarse step on either side; polished minima
+    below ``return_tol`` count as returns.  ``min_distance`` is the smallest
+    distance seen anywhere past the initial departure from x0, so an orbit
+    that never returns reports a large floor instead of a spurious period.
     """
     xi = np.asarray(xi, dtype=float)
     x0 = np.asarray(x0, dtype=float)
-    evals, evecs = np.linalg.eig(xi)
-    c0 = np.linalg.solve(evecs, x0.astype(complex))
+    if xi.ndim != 2 or xi.shape[0] != xi.shape[1] \
+            or np.abs(xi + xi.T).max() > 1e-12 * max(1.0, np.abs(xi).max()):
+        raise ValueError("numeric_orbit_probe needs a skew generator xi, a square matrix "
+                         f"with xi^T = -xi; got a {'x'.join(map(str, xi.shape))} array "
+                         "that is not one")
+    w, V = np.linalg.eigh(1j * xi)
+    weights = np.abs(V.conj().T @ x0) ** 2
+    half = 0.5 * w
 
     def dist(ts: np.ndarray) -> np.ndarray:
-        phases = np.exp(np.multiply.outer(np.asarray(ts, dtype=float), evals))
-        pos = (phases * c0) @ evecs.T
-        return np.linalg.norm(pos.real - x0, axis=-1)
+        s = np.sin(np.multiply.outer(ts, half))
+        return 2.0 * np.sqrt((s * s) @ weights)
 
     def dist_scalar(t: float) -> float:
-        return float(dist(np.array([t]))[0])
+        return float(dist(t))
 
     n = int(np.ceil(t_max / coarse_step))
     ts_all = coarse_step * np.arange(1, n + 1)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 import re
 import sys
 from pathlib import Path
@@ -37,3 +38,30 @@ def test_rows_cover_every_battery_and_sum_to_its_total(monkeypatch, capsys):
                     "check_flip_quaternionic"} <= set(rows), label
         total = rows.pop("total")
         assert abs(sum(rows.values()) - total) <= 0.05 * total, (label, rows, total)
+
+
+def test_json_record_holds_quartiles_settings_and_environment(monkeypatch, capsys, tmp_path):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location("check_times", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    path = tmp_path / "BENCH_tiny.json"
+    assert module.main(["--samples", "5", "--repeats", "1", "--json", str(path)]) == 0
+    printed = capsys.readouterr().out
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    assert set(doc) == {"schema", "environment", "settings", "batteries"}
+    assert doc["schema"] == module.SCHEMA == 1
+    assert set(doc["environment"]) == {"python", "numpy", "blas_threads", "nproc", "machine",
+                                       "git_head", "git_dirty", "src_sha256"}
+    assert doc["environment"]["blas_threads"] == "1"
+    assert len(doc["environment"]["src_sha256"]) == 64
+    assert doc["settings"] == {"samples": 5, "seed": 42, "repeats": 1}
+    assert [b["example"] for b in doc["batteries"]] == [e for e, _ in module.BATTERIES]
+    for battery in doc["batteries"]:
+        assert set(battery) == {"battery", "example", "params", "total_ms", "rows_ms"}
+        assert f"{battery['battery']}: " in printed
+        assert {"setup", "extras"} <= set(battery["rows_ms"])
+        for q in [battery["total_ms"], *battery["rows_ms"].values()]:
+            assert set(q) == {"median", "q1", "q3"}
+            assert 0.0 <= q["q1"] <= q["median"] <= q["q3"]

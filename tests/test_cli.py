@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -381,3 +382,47 @@ def test_support_fraction_does_not_depend_on_the_sign_of_c(capsys):
               "--format", "json", "--no-timestamp"])
         fractions.append(json.loads(capsys.readouterr().out)["extras"]["support_fraction"])
     assert fractions[0] == fractions[1] == 0.925
+
+
+class _ClosedStdout:
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+def test_closed_stdout_is_not_a_usage_error_in_process(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+    code = main(["verify", "--example", "round", "--n", "1", "--samples", "5",
+                 "--no-timestamp"])
+    err = capsys.readouterr().err
+    assert code == 0, err
+    assert err == ""
+
+
+def test_closed_stdout_pipe_exits_with_the_verdict():
+    """The child writes its report into a pipe whose read end is already
+    closed, as under `| head`: no message, and the verdict's exit code."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "killinglab", "verify", "--example",
+                               "hopf-lift", "--samples", "8", "--no-timestamp"],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True,
+                              timeout=300)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+
+
+def test_unreadable_config_file_is_a_usage_error_naming_it(tmp_path, capsys):
+    missing = tmp_path / "absent.cfg"
+    assert main(["verify", "--config", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert f"usage error: cannot read config file {str(missing)!r}" in err
+    assert main(["verify", "--config", str(tmp_path)]) == 2
+    assert "cannot read config file" in capsys.readouterr().err

@@ -28,8 +28,10 @@ from killinglab import (
     standard_decomposition,
 )
 from killinglab.algebra import centralizer_check, field_bracket
+from killinglab import cli, constructions
 from killinglab.constructions import (
     fit_linear_generator,
+    gauss_legendre_rule,
     hopf_differential,
     hopf_projection,
     hopf_sample_filter,
@@ -234,6 +236,78 @@ def test_lift_potential_is_moment_map(hopf):
         assert np.abs(np.array(single) - want).max() < 1e-12
     with pytest.raises(ValueError, match="antipode"):
         lift_potential(hopf, so3_basis()[0], np.stack([ys[1], -hopf.anchor]))
+
+
+def test_stacked_lifts_equal_per_generator_calls(hopf):
+    """A (3, 3, 3) stack of generators lifts in one quadrature to what three
+    per-generator calls give, at one point and on a stack that holds the
+    anchor itself (potential 0 there) and a fiber point over it."""
+    gens = so3_basis()
+    stack = np.stack(gens)
+    pts = np.concatenate([[[0.0, 0.0, 0.0, 1.0]],       # projects onto the anchor
+                          hopf_sample_filter(sample_sphere(1, 40, seed=3).points)[:20]])
+    ys = hopf_projection(pts)
+    assert np.abs(ys[0] - hopf.anchor).max() < 1e-15
+    for y in (ys, ys[5], hopf.anchor):
+        got = lift_potential(hopf, stack, y)
+        want = np.stack([np.asarray(lift_potential(hopf, g, y)) for g in gens])
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-15
+    assert np.all(lift_potential(hopf, stack, ys)[:, 0] == 0.0)
+    for x in (pts, pts[5], pts[0]):
+        got = lifted_field_value(hopf, stack, x)
+        want = np.stack([lifted_field_value(hopf, g, x) for g in gens])
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-15
+    mats, defects = solve_lift(hopf, stack, pts)
+    assert mats.shape == (3, 4, 4) and defects.shape == (3,)
+    for g, B, d in zip(gens, mats, defects):
+        B1, d1 = solve_lift(hopf, g, pts)
+        assert isinstance(d1, float)
+        assert np.abs(B - B1).max() <= 1e-15
+        assert abs(d - d1) <= 1e-15
+
+
+@pytest.mark.parametrize("steps", [4, 16, 33])
+def test_quadrature_rule_is_gauss_legendre_on_the_unit_interval(hopf, steps):
+    ts, ws = gauss_legendre_rule(steps)
+    nodes, weights = np.polynomial.legendre.leggauss(steps)
+    assert np.array_equal(ts, 0.5 * (nodes + 1.0))
+    assert np.array_equal(ws, 0.5 * weights)
+    assert not ts.flags.writeable and not ws.flags.writeable
+    bundle = replace(hopf, quadrature_steps=steps)
+    assert bundle.rule is gauss_legendre_rule(steps)
+    assert replace(bundle, anchor=np.array([0.5, 0.0, 0.0])).rule is bundle.rule
+
+
+def test_hopf_battery_makes_three_quadratures_and_one_rule(monkeypatch, capsys):
+    """One quadrature lifts the three generators, and the path-independence
+    check takes two; the rule comes from one leggauss call per process."""
+    calls = []
+    real_potential = constructions.lift_potential
+
+    def counting_potential(*args):
+        calls.append(args)
+        return real_potential(*args)
+
+    real_leggauss = np.polynomial.legendre.leggauss
+    rules = []
+
+    def counting_leggauss(k):
+        rules.append(k)
+        return real_leggauss(k)
+
+    monkeypatch.setattr(constructions, "lift_potential", counting_potential)
+    monkeypatch.setattr(cli, "lift_potential", counting_potential)
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting_leggauss)
+    gauss_legendre_rule.cache_clear()
+    argv = ["verify", "--example", "hopf-lift", "--samples", "20", "--no-timestamp"]
+    assert cli.main(argv) == 0
+    assert len(calls) == 3
+    assert cli.main(argv) == 0
+    assert len(calls) == 6
+    assert rules == [16]
+    capsys.readouterr()
 
 
 def test_pushdown_matches_base(hopf):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from killinglab import ExactScalar, RotationProfile, classify, numeric_orbit_probe, parse_rate
 from killinglab import cli, flows
+from killinglab.constructions import build_irregular
 from killinglab.flows import rotation_profile
 
 from oracles import orbit_min_distance_grid
@@ -189,6 +190,66 @@ def test_probe_min_distance_matches_grid_oracle():
     oracle = orbit_min_distance_grid(gen, x0, 60.0)
     assert probe.min_distance <= oracle + 1e-9
     assert probe.min_distance > 0.5 * oracle
+
+
+def _rotated(gen: np.ndarray, seed: int) -> np.ndarray:
+    """gen conjugated by a seeded orthogonal matrix: the same rates in a
+    basis that is not block-diagonal."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal(gen.shape))
+    return q @ gen @ q.T
+
+
+def _unit(v) -> np.ndarray:
+    v = np.asarray(v, dtype=float)
+    return v / np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("gen, x0, t_max", [
+    (block_gen(math.sqrt(2.0), 1.0), _unit([0.6, 0.0, 0.8, 0.0]), 60.0),
+    (_rotated(block_gen(1.0, (1 + math.sqrt(5.0)) / 2), 1), _unit([1, 2, -1, 1]), 50.0),
+    (build_irregular(n=2).field.matrix, _unit([0.5, 0.1, -0.4, 0.3, 0.6, -0.2]), 60.0),
+    (_rotated(block_gen(math.sqrt(2.0), 1.0, 1.0), 2), _unit([1, -2, 1, 3, 0, 1]), 60.0),
+], ids=["d4-sqrt2", "d4-golden-rotated", "d6-irregular", "d6-repeated-rotated"])
+def test_probe_agrees_with_the_grid_oracle(monkeypatch, gen, x0, t_max):
+    """The closed-form distance against the oracle's complex-eig propagation
+    on a 200 000-point grid, and pointwise against scipy's expm wherever the
+    probe refined a near-return; d = 6 holds the repeated rates (1 + a, 1, 1)."""
+    from scipy.linalg import expm
+
+    refined = []
+    real = flows._bounded_min
+
+    def record(func, a, b, xatol):
+        refined.append((func, a, b))
+        return real(func, a, b, xatol)
+
+    monkeypatch.setattr(flows, "_bounded_min", record)
+    probe = numeric_orbit_probe(gen, x0, t_max=t_max)
+    oracle = orbit_min_distance_grid(gen, x0, t_max)
+    assert probe.return_times == ()
+    assert probe.min_distance <= oracle + 1e-12    # refined minima sit below the grid's
+    assert oracle - probe.min_distance < 1e-6      # ... by the grid's resolution only
+    assert refined
+    for func, a, b in refined[:20]:
+        for t in (a, 0.5 * (a + b), b):
+            want = float(np.linalg.norm(expm(t * gen) @ x0 - x0))
+            assert abs(func(t) - want) < 1e-12
+
+
+def test_probe_return_on_a_repeated_rate_generator():
+    gen = _rotated(block_gen(1.0, 1.0, 2.0), 3)
+    x0 = _unit([1, 0, 2, -1, 1, 1])
+    probe = numeric_orbit_probe(gen, x0, t_max=8.0)
+    assert probe.return_times[0] == pytest.approx(2 * math.pi, abs=1e-9)
+    assert probe.min_distance <= orbit_min_distance_grid(gen, x0, 8.0) + 1e-12
+
+
+@pytest.mark.parametrize("xi", [block_gen(1.0, 2.0) + 0.1 * np.eye(4), np.ones((4, 4)),
+                                np.zeros((4, 3)), np.zeros(4)],
+                         ids=["skew-plus-scalar", "symmetric", "not-square", "vector"])
+def test_probe_refuses_a_non_skew_generator(xi):
+    with pytest.raises(ValueError, match="numeric_orbit_probe needs a skew generator"):
+        numeric_orbit_probe(xi, _unit([1, 0, 1, 0]), t_max=8.0)
 
 
 # -- bounded Brent minimizer, against scipy's as the oracle --------------------
