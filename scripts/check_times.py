@@ -5,7 +5,9 @@ Runs ``verify --example gF --n 3 --c 0.3``, ``--example irregular --n 2``,
 ``--example round --n 2``, ``--example quaternionic`` at ``--m 1`` and
 ``--m 2`` and ``--example hopf-lift`` in-process on one BLAS thread, at the
 default 200 samples and seed 42 unless told otherwise, and prints for each row
-the median over ``--repeats`` runs after one warm-up run.
+the median over ``--repeats`` runs after one warm-up run of every battery.
+The repeats are interleaved: repeat r of every battery runs before repeat
+r + 1 of any, so a slow spell of the host spreads over all batteries.
 
 The rows come from the report's own clock (``VerificationReport.clock``): a
 check's time is the wall time from the previous result (or from the report's
@@ -24,11 +26,16 @@ Usage:
 It imports killinglab from the ``src`` directory of its own checkout, so the
 copy of the script in another checkout measures that checkout.
 
-With ``--json PATH`` it also writes every battery's rows, each as the median
-and quartiles over the repeats in milliseconds, with the settings and the
-environment (Python, numpy, BLAS threads, ``nproc``, the checkout's git HEAD
-and whether its tree is dirty, and a SHA-256 of its ``src/killinglab`` sources,
-which names the measured code exactly); ``schema`` versions the layout.  The
+Each repeat also times one ``killinglab.cli.main`` call on the battery's argv
+(``verify --example ... --no-timestamp``) with its stdout captured: argument
+parsing, the battery and the report, as an in-process caller pays them.
+
+With ``--json PATH`` it also writes every battery's rows and that call as
+``main_ms``, each as the median and quartiles over the repeats in
+milliseconds, with the settings and the environment (Python, numpy, BLAS
+threads, ``nproc``, the checkout's git HEAD and whether its tree is dirty,
+and a SHA-256 of its ``src/killinglab`` sources, which names the measured
+code exactly); ``schema`` versions the layout (2 adds ``main_ms``).  The
 committed ``BENCH_<label>.json`` files at the repository root are such records.
 """
 
@@ -40,12 +47,14 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy loads
 
 import argparse  # noqa: E402
 import hashlib  # noqa: E402
+import io  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
+from contextlib import redirect_stdout  # noqa: E402
 from dataclasses import replace  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -56,18 +65,25 @@ import numpy as np  # noqa: E402
 
 from killinglab import cli  # noqa: E402
 
-SCHEMA = 1
+SCHEMA = 2
 
 BATTERIES = (("gF", {"n": 3, "c": 0.3}), ("irregular", {"n": 2}), ("round", {"n": 2}),
              ("quaternionic", {"m": 1}), ("quaternionic", {"m": 2}), ("hopf-lift", {}))
 
 
-def run_once(example: str, cfg: cli.RunConfig) -> tuple[dict, float]:
-    """The rows of one battery run, in seconds, and its total."""
+def run_once(example: str, cfg: cli.RunConfig, argv: list[str]) -> tuple[dict, float, float]:
+    """The rows of one battery run, in seconds, its total, and the seconds of
+    one ``cli.main`` call on argv with its report captured."""
     t0 = time.perf_counter()
     rep = cli._BATTERIES[example](cfg)
     rep.lap("extras")
-    return {"setup": rep.opened - t0, **rep.clock}, time.perf_counter() - t0
+    t1 = time.perf_counter()
+    with redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    t2 = time.perf_counter()
+    if code != cli.EXIT_OK:
+        raise SystemExit(f"check_times: killinglab {' '.join(argv)} exited {code}")
+    return {"setup": rep.opened - t0, **rep.clock}, t1 - t0, t2 - t1
 
 
 def _git(*args: str) -> str | None:
@@ -108,21 +124,29 @@ def main(argv=None) -> int:
     p.add_argument("--json", type=Path, default=None,
                    help="also write the rows with quartiles to this file")
     args = p.parse_args(argv)
+    sizes = ["".join(f" --{k} {v}" for k, v in params.items()) for _, params in BATTERIES]
+    jobs = [(example, replace(cli.RunConfig(), example=example, samples=args.samples,
+                              seed=args.seed, **params),
+             ["verify", "--example", example, "--samples", str(args.samples),
+              "--seed", str(args.seed), *size.split(), "--no-timestamp"])
+            for (example, params), size in zip(BATTERIES, sizes)]
+    for job in jobs:  # warm-up
+        run_once(*job)
+    runs = [[] for _ in jobs]
+    for _ in range(args.repeats):  # repeat r of every battery before repeat r + 1
+        for job, out in zip(jobs, runs):
+            out.append(run_once(*job))
     record = []
-    for example, params in BATTERIES:
-        cfg = replace(cli.RunConfig(), example=example, samples=args.samples,
-                      seed=args.seed, **params)
-        run_once(example, cfg)  # warm-up
-        runs = [run_once(example, cfg) for _ in range(args.repeats)]
-        total = statistics.median(r[1] for r in runs)
-        size = "".join(f" --{k} {v}" for k, v in params.items())
+    for (example, params), size, reps in zip(BATTERIES, sizes, runs):
+        total = statistics.median(r[1] for r in reps)
         print(f"{example}{size}: {1e3 * total:.2f} ms in all, median of {args.repeats}")
-        for name in runs[0][0]:
-            print(f"  {name:<34} {1e3 * statistics.median(r[0][name] for r in runs):8.2f}")
+        for name in reps[0][0]:
+            print(f"  {name:<34} {1e3 * statistics.median(r[0][name] for r in reps):8.2f}")
         record.append({"battery": f"{example}{size}", "example": example, "params": params,
-                       "total_ms": quartiles([r[1] for r in runs]),
-                       "rows_ms": {name: quartiles([r[0][name] for r in runs])
-                                   for name in runs[0][0]}})
+                       "total_ms": quartiles([r[1] for r in reps]),
+                       "main_ms": quartiles([r[2] for r in reps]),
+                       "rows_ms": {name: quartiles([r[0][name] for r in reps])
+                                   for name in reps[0][0]}})
     if args.json is not None:
         doc = {"schema": SCHEMA, "environment": environment(),
                "settings": {"samples": args.samples, "seed": args.seed,

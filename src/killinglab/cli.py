@@ -13,6 +13,7 @@ point of the deformed examples — is a first-class green result.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import asdict, dataclass, replace
@@ -43,7 +44,7 @@ from .constructions import (
     solve_lift,
 )
 from .constructions import J2
-from .flows import RotationProfile, classify, numeric_orbit_probe, parse_rate
+from .flows import COARSE_STEP, RotationProfile, classify, numeric_orbit_probe, parse_rate
 from .metrics import (
     LeviCivita,
     MetricDegeneracyError,
@@ -70,6 +71,11 @@ HOPF_MIN_KEPT = 4
 GF_WEDGE_FLOOR = 1e-2
 GF_TORSION_FLOOR = 1e-3
 GF_MIN_C = 5e-3
+# the orbit probe's coarse grid holds ceil(horizon / COARSE_STEP) points; --horizon
+# may ask for 3 (the fewest that hold a local minimum) to 2**21: 16 MiB of grid
+# times, 4096 turns of 2 pi, past which a flow returning once a turn has filled
+# the probe's 4096 candidates
+PROBE_MAX_POINTS = 2**21
 
 
 @dataclass
@@ -137,9 +143,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         except OSError as exc:
             raise ValueError(f"cannot read config file {args.config!r}: "
                              f"{exc.strerror or exc}") from None
-        unknown = set(file_vals) - set(asdict(cfg)) - {"rates", "horizon"}
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        unknown = set(file_vals) - set(asdict(cfg))
+        if unknown:  # rates and horizon among them: classify-flow reads those as flags
+            raise ValueError(f"unknown config keys: {sorted(unknown)}; a config file "
+                             f"sets {', '.join(asdict(cfg))}")
         # a file value gets the choices its flag would (classify-flow takes no example)
         choices = {"example": EXAMPLES.get(getattr(args, "command", None)), "format": FORMATS}
         for key, allowed in choices.items():
@@ -520,6 +527,10 @@ def cmd_decompose(cfg: RunConfig) -> int:
 
 
 def cmd_classify_flow(args: argparse.Namespace, cfg: RunConfig) -> int:
+    if args.horizon is not None and not 2 < args.horizon / COARSE_STEP <= PROBE_MAX_POINTS:
+        raise ValueError(f"--horizon must be a time over {2 * COARSE_STEP:.6g} and at most "
+                         f"{PROBE_MAX_POINTS * COARSE_STEP:.6g} (a probe grid of 3 to "
+                         f"{PROBE_MAX_POINTS} points of step 2pi/512), got {args.horizon:g}")
     rates = tuple(parse_rate(r) for r in args.rates)
     profile = RotationProfile(rates)
     cls = classify(profile)
@@ -542,8 +553,9 @@ def cmd_classify_flow(args: argparse.Namespace, cfg: RunConfig) -> int:
             gen[2 * i:2 * i + 2, 2 * i:2 * i + 2] = r.value() * J2
         x0 = np.zeros(2 * k)
         x0[0::2] = 1.0 / np.sqrt(k)
-        horizon = args.horizon or (1.5 * cls.generic_period
-                                   if cls.generic_period else 50.0)
+        horizon = args.horizon
+        if horizon is None:
+            horizon = 1.5 * cls.generic_period if cls.generic_period else 50.0
         probe = numeric_orbit_probe(gen, x0, t_max=horizon)
         rep.extras["orbit_probe"] = {
             "return_times": list(probe.return_times),
@@ -607,6 +619,7 @@ def _add_common(parser: argparse.ArgumentParser, examples: tuple[str, ...] = ())
                         help="flat key=value config file; flags override it")
 
 
+@functools.cache  # one per process: parse_args never writes to it
 def make_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="killinglab",

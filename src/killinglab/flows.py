@@ -208,6 +208,8 @@ class OrbitProbe:
 
 _GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))
 _SQRT_EPS = math.sqrt(2.2e-16)
+# the orbit probe's default grid step: 512 points per turn of 2 pi
+COARSE_STEP = 2.0 * math.pi / 512.0
 
 
 def _bounded_min(func, a: float, b: float, xatol: float) -> tuple[float, float]:
@@ -281,7 +283,7 @@ def _bounded_min(func, a: float, b: float, xatol: float) -> tuple[float, float]:
 
 
 def numeric_orbit_probe(xi: np.ndarray, x0: np.ndarray, t_max: float,
-                        coarse_step: float = 2.0 * math.pi / 512.0,
+                        coarse_step: float = COARSE_STEP,
                         candidate_threshold: float = 0.25,
                         return_tol: float = 1e-7,
                         chunk: int = 16384,

@@ -6,18 +6,24 @@ import importlib.util
 import json
 import re
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "check_times.py"
 HEADER = re.compile(r"^(\S.*): ([\d.]+) ms in all")
 
 
-def test_rows_cover_every_battery_and_sum_to_its_total(monkeypatch, capsys):
+def _load_script(monkeypatch):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # the script sets it; restore after
     monkeypatch.setattr(sys, "path", list(sys.path))
     spec = importlib.util.spec_from_file_location("check_times", SCRIPT)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def test_rows_cover_every_battery_and_sum_to_its_total(monkeypatch, capsys):
+    module = _load_script(monkeypatch)
     assert module.main(["--samples", "5", "--repeats", "1"]) == 0
 
     batteries = {}
@@ -41,17 +47,13 @@ def test_rows_cover_every_battery_and_sum_to_its_total(monkeypatch, capsys):
 
 
 def test_json_record_holds_quartiles_settings_and_environment(monkeypatch, capsys, tmp_path):
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    monkeypatch.setattr(sys, "path", list(sys.path))
-    spec = importlib.util.spec_from_file_location("check_times", SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    module = _load_script(monkeypatch)
     path = tmp_path / "BENCH_tiny.json"
     assert module.main(["--samples", "5", "--repeats", "1", "--json", str(path)]) == 0
     printed = capsys.readouterr().out
     doc = json.loads(path.read_text(encoding="utf-8"))
     assert set(doc) == {"schema", "environment", "settings", "batteries"}
-    assert doc["schema"] == module.SCHEMA == 1
+    assert doc["schema"] == module.SCHEMA == 2
     assert set(doc["environment"]) == {"python", "numpy", "blas_threads", "nproc", "machine",
                                        "git_head", "git_dirty", "src_sha256"}
     assert doc["environment"]["blas_threads"] == "1"
@@ -59,9 +61,31 @@ def test_json_record_holds_quartiles_settings_and_environment(monkeypatch, capsy
     assert doc["settings"] == {"samples": 5, "seed": 42, "repeats": 1}
     assert [b["example"] for b in doc["batteries"]] == [e for e, _ in module.BATTERIES]
     for battery in doc["batteries"]:
-        assert set(battery) == {"battery", "example", "params", "total_ms", "rows_ms"}
+        assert set(battery) == {"battery", "example", "params", "total_ms", "main_ms",
+                               "rows_ms"}
         assert f"{battery['battery']}: " in printed
         assert {"setup", "extras"} <= set(battery["rows_ms"])
-        for q in [battery["total_ms"], *battery["rows_ms"].values()]:
+        for q in [battery["total_ms"], battery["main_ms"], *battery["rows_ms"].values()]:
             assert set(q) == {"median", "q1", "q3"}
             assert 0.0 <= q["q1"] <= q["median"] <= q["q3"]
+
+
+def test_repeats_run_across_batteries_after_one_warm_up_each(monkeypatch, capsys):
+    """Repeat r of every battery runs before repeat r + 1 of any, and the
+    timed ``cli.main`` call runs the battery's own configuration."""
+    module = _load_script(monkeypatch)
+    order = []
+    run_once = module.run_once
+
+    def recording(example, cfg, argv):
+        cli = module.cli
+        parsed = cli.build_config(cli.make_parser().parse_args(argv))
+        for key, value in asdict(cfg).items():  # n stays None where no battery reads it
+            assert value is None or key == "no_timestamp" or getattr(parsed, key) == value
+        order.append((example, cfg.m))
+        return run_once(example, cfg, argv)
+
+    monkeypatch.setattr(module, "run_once", recording)
+    assert module.main(["--samples", "5", "--repeats", "2"]) == 0
+    one_round = [(e, p.get("m", 1)) for e, p in module.BATTERIES]
+    assert order == one_round * 3  # the warm-up round, then two repeats

@@ -9,9 +9,10 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
-from killinglab.cli import main
+from killinglab.cli import main, make_parser
 
 SCHEMA = json.loads(
     (Path(__file__).parent.parent / "src" / "killinglab" / "schema"
@@ -426,3 +427,72 @@ def test_unreadable_config_file_is_a_usage_error_naming_it(tmp_path, capsys):
     assert f"usage error: cannot read config file {str(missing)!r}" in err
     assert main(["verify", "--config", str(tmp_path)]) == 2
     assert "cannot read config file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "-1", "0", "1e-9", "1e12"])
+def test_bad_horizon_is_refused_by_name(capsys, value):
+    """Refused before the probe builds its grid: 1e12 would ask for 593 TiB."""
+    assert main(["classify-flow", "1", "2", "--probe", "--horizon", value]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error: --horizon must be a time over ")
+    assert captured.out == ""
+
+
+def test_explicit_horizon_reaches_the_probe(capsys):
+    assert main(["classify-flow", "1", "2", "--probe", "--horizon", "7",
+                 "--format", "json", "--no-timestamp"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["config"]["horizon"] == 7.0
+    assert doc["extras"]["orbit_probe"]["return_times"] == pytest.approx([2 * np.pi])
+
+
+@pytest.mark.parametrize("line", ["horizon = 3", "rates = 1 2"])
+def test_classify_flow_keys_in_a_config_file_are_refused_by_name(tmp_path, capsys, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    assert main(["classify-flow", "1", "2", "--probe", "--config", str(cfg)]) == 2
+    key = line.split(" =")[0]
+    assert f"usage error: unknown config keys: ['{key}']" in capsys.readouterr().err
+
+
+def test_parser_is_built_once_per_process():
+    assert make_parser() is make_parser()
+
+
+def test_reused_parser_carries_no_value_into_the_next_call(capsys):
+    configs = []
+    for extra in (["--c", "0.1"], []):
+        assert main(["verify", "--example", "gF", *extra, "--samples", "5",
+                     "--format", "json", "--no-timestamp"]) == 0
+        configs.append(json.loads(capsys.readouterr().out)["config"])
+    assert (configs[0]["c"], configs[1]["c"]) == (0.1, 0.3)
+    assert {k: v for k, v in configs[0].items() if k != "c"} \
+        == {k: v for k, v in configs[1].items() if k != "c"}
+
+
+def test_usage_errors_leave_the_parser_as_a_fresh_process_has_it(capsys):
+    argv = ["decompose", "--example", "round", "--n", "2", "--samples", "15",
+            "--format", "json", "--no-timestamp"]
+    with pytest.raises(SystemExit) as exc:  # refused by argparse itself
+        main(["decompose", "--example", "quaternionic", "--n", "3"])
+    assert exc.value.code == 2
+    assert main(["decompose", "--example", "round", "--samples", "0"]) == 2
+    capsys.readouterr()
+    assert main(argv) == 0
+    in_process = capsys.readouterr().out
+    code, fresh, err = run_cli(*argv)
+    assert code == 0, err
+    assert in_process == fresh
+
+
+def test_help_is_the_same_each_time_and_follows_the_terminal_width(monkeypatch, capsys):
+    pages = []
+    for columns in ("100", "100", "60"):
+        monkeypatch.setenv("COLUMNS", columns)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--help"])
+        assert exc.value.code == 0
+        pages.append(capsys.readouterr().out)
+    assert pages[0] == pages[1]
+    assert "--no-timestamp" in pages[0]
+    assert len(pages[2].splitlines()) > len(pages[0].splitlines())  # wrapped narrower
