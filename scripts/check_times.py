@@ -17,8 +17,9 @@ stage (``structure_at``, ``second_nabla_frame``, ``triple_psi``, and
 is a row of its own, out of the check that follows it.  A frame or structure
 built inside a stage or a check counts in that row.  The
 ``setup`` row runs from the battery's start to the report's opening (metric,
-sample, step canary); ``extras`` from the last result to the end
-(decomposition, flow class, orbit probe).
+sample); ``covariant_canary``, the step canary, is a stage of the batteries
+that take finite differences (gF and irregular); ``extras`` runs from the last
+result to the end (decomposition, flow class, orbit probe).
 
 Usage:
     python3 scripts/check_times.py [--samples N] [--seed S] [--repeats R] [--json PATH]

@@ -44,7 +44,8 @@ from .constructions import (
     solve_lift,
 )
 from .constructions import J2
-from .flows import COARSE_STEP, RotationProfile, classify, numeric_orbit_probe, parse_rate
+from .flows import (COARSE_STEP, PROBE_MAX_POINTS, RotationProfile, classify,
+                    numeric_orbit_probe, parse_rate)
 from .metrics import (
     LeviCivita,
     MetricDegeneracyError,
@@ -72,10 +73,7 @@ GF_WEDGE_FLOOR = 1e-2
 GF_TORSION_FLOOR = 1e-3
 GF_MIN_C = 5e-3
 # the orbit probe's coarse grid holds ceil(horizon / COARSE_STEP) points; --horizon
-# may ask for 3 (the fewest that hold a local minimum) to 2**21: 16 MiB of grid
-# times, 4096 turns of 2 pi, past which a flow returning once a turn has filled
-# the probe's 4096 candidates
-PROBE_MAX_POINTS = 2**21
+# may ask for 3 (the fewest that hold a local minimum) to flows.PROBE_MAX_POINTS
 
 
 @dataclass
@@ -205,14 +203,23 @@ def _eigenfield_check(name: str, res: dict, detail: str = "") -> CheckResult:
 # verification batteries
 # ---------------------------------------------------------------------------
 
+def _step_canary(lc: LeviCivita, fld, x: np.ndarray, rep: VerificationReport) -> None:
+    """The step canary at x, timed as a row of its own, when fld takes finite
+    differences on lc's metric; a closed form reads no step to guard."""
+    if not lc.closed_form(fld):
+        with rep.stage("covariant_canary"):
+            verify.covariant_canary(lc, fld, x)
+
+
 def _open(cfg: RunConfig, metric, fld, n: int,
           title: str) -> tuple[LeviCivita, np.ndarray, VerificationReport]:
     """Every battery's opening: the connection, the sample on S^(2n+1), the
-    step canary on the first sample point and the report."""
+    report and the step canary on the first sample point."""
     lc = LeviCivita(metric, fd_step=cfg.fd_step)
     X = sample_sphere(n, cfg.samples, cfg.seed).coords
-    verify.covariant_canary(lc, fld, X[0])
-    return lc, X, VerificationReport(title=title, config=asdict(cfg))
+    rep = VerificationReport(title=title, config=asdict(cfg))
+    _step_canary(lc, fld, X[0], rep)
+    return lc, X, rep
 
 
 def _unit_killing(cfg: RunConfig, title: str, killing_tol: float):
@@ -508,7 +515,11 @@ def cmd_decompose(cfg: RunConfig) -> int:
     rep = VerificationReport(
         title=f"adjoint-square decomposition ({cfg.example}, S^{2 * cfg.n + 1})",
         config=asdict(cfg))
-    st = lc.structure_at(s.field, sample_sphere(cfg.n, min(cfg.samples, 40), cfg.seed).coords)
+    st = None
+    if any(rate != 0.0 for rate in dec.rates):  # the eigenfield checks read st
+        X = sample_sphere(cfg.n, min(cfg.samples, 40), cfg.seed).coords
+        _step_canary(lc, s.field, X[0], rep)
+        st = lc.structure_at(s.field, X)
     for rate, block in zip(dec.rates, dec.blocks):
         if rate == 0.0:  # the commutant of xi, first
             rep.add(_single("zero_block_commutes",

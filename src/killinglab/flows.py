@@ -210,6 +210,10 @@ _GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))
 _SQRT_EPS = math.sqrt(2.2e-16)
 # the orbit probe's default grid step: 512 points per turn of 2 pi
 COARSE_STEP = 2.0 * math.pi / 512.0
+# the most points the probe's coarse grid may hold, ceil(t_max / coarse_step):
+# 2**21 is 4096 turns of 2 pi at COARSE_STEP, past which a flow returning once a
+# turn has filled the probe's default 4096 candidates
+PROBE_MAX_POINTS = 2**21
 
 
 def _bounded_min(func, a: float, b: float, xatol: float) -> tuple[float, float]:
@@ -290,9 +294,11 @@ def numeric_orbit_probe(xi: np.ndarray, x0: np.ndarray, t_max: float,
                         max_candidates: int = 4096) -> OrbitProbe:
     """Scan |exp(t xi) x0 - x0| on a coarse grid and refine its local minima.
 
-    ``xi`` must be skew (a non-skew matrix is refused by name).  The distance
-    is the closed form of a skew flow: with i xi = V W V^H (``eigh``, as in
-    ``metrics.skew_exp``) and c = V^H x0,
+    ``xi`` must be skew and ``t_max`` over 0 with a grid of at most
+    PROBE_MAX_POINTS points; any other is refused by name.  The grid times are
+    built one chunk at a time.  The distance is the closed form of a skew
+    flow: with i xi = V W V^H (``eigh``, as in ``metrics.skew_exp``) and
+    c = V^H x0,
 
         |e^(t xi) x0 - x0| = 2 sqrt(sum_j |c_j|^2 sin^2(w_j t / 2)),
 
@@ -311,6 +317,11 @@ def numeric_orbit_probe(xi: np.ndarray, x0: np.ndarray, t_max: float,
         raise ValueError("numeric_orbit_probe needs a skew generator xi, a square matrix "
                          f"with xi^T = -xi; got a {'x'.join(map(str, xi.shape))} array "
                          "that is not one")
+    if not 0 < t_max / coarse_step <= PROBE_MAX_POINTS:  # also refuses NaN
+        raise ValueError(f"numeric_orbit_probe needs a t_max over 0 and at most "
+                         f"{PROBE_MAX_POINTS * coarse_step:.6g} (a grid of at most "
+                         f"{PROBE_MAX_POINTS} points of step {coarse_step:.6g}), "
+                         f"got t_max={t_max:g}")
     w, V = np.linalg.eigh(1j * xi)
     weights = np.abs(V.conj().T @ x0) ** 2
     half = 0.5 * w
@@ -323,14 +334,13 @@ def numeric_orbit_probe(xi: np.ndarray, x0: np.ndarray, t_max: float,
         return float(dist(t))
 
     n = int(np.ceil(t_max / coarse_step))
-    ts_all = coarse_step * np.arange(1, n + 1)
     min_dist = np.inf
     departed = False  # true once the distance has passed its first local max
     last_d: float | None = None
     candidates: list[float] = []
-    prev_tail: np.ndarray | None = None  # last two (t, d) rows of previous chunk
+    prev_tail: tuple | None = None  # (t, d) of the last two grid points scanned
     for start in range(0, n, chunk):
-        ts = ts_all[start:start + chunk]
+        ts = coarse_step * np.arange(start + 1, min(start + chunk, n) + 1)
         ds = dist(ts)
         if prev_tail is not None:
             ts_ext = np.concatenate([prev_tail[0], ts])
@@ -351,7 +361,7 @@ def numeric_orbit_probe(xi: np.ndarray, x0: np.ndarray, t_max: float,
         for t in ts_ext[1:-1][interior]:
             if len(candidates) < max_candidates:
                 candidates.append(float(t))
-        prev_tail = (ts[-2:], ds[-2:])
+        prev_tail = (ts_ext[-2:], ds_ext[-2:])
 
     returns: list[tuple[float, float]] = []
     for t in candidates:

@@ -362,9 +362,10 @@ class LeviCivita:
         self.metric = metric
         self.fd_step = float(fd_step)
 
-    def _use_exact(self, fld: VectorField) -> bool:
-        """Exact-vs-FD dispatch: the closed form needs the round metric and a
-        linear field."""
+    def closed_form(self, fld: VectorField) -> bool:
+        """Exact-vs-FD dispatch: the closed forms need the round metric and a
+        linear field, and read no fd_step; every other pair takes finite
+        differences."""
         return self.metric.exact_round and fld.kind == "linear"
 
     # -- the extended metric ---------------------------------------------------
@@ -429,7 +430,7 @@ class LeviCivita:
         """
         x = np.asarray(x, dtype=float)
         P = np.eye(x.shape[-1]) - x[..., :, None] * x[..., None, :]
-        if self._use_exact(fld):
+        if self.closed_form(fld):
             return P @ fld.matrix @ P
         h = self.fd_step
         H = self._endo(fld, x, h)
@@ -458,7 +459,7 @@ class LeviCivita:
         (N, d, k) give (N, d, k, k).
         """
         x = np.asarray(x, dtype=float)
-        if self._use_exact(fld):
+        if self.closed_form(fld):
             Ef = fld.matrix @ frame
             Pf = frame - x[..., :, None] * (x[..., None, :] @ frame)
             Ex = matvec(fld.matrix, x)

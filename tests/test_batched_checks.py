@@ -333,7 +333,8 @@ def test_quaternionic_battery_builds_one_frame_and_one_structure_per_field(monke
     rep = cli._BATTERIES["quaternionic"](cli.RunConfig(example="quaternionic", m=1,
                                                        samples=20))
     assert rep.all_as_expected
-    # step canary, battery frame, horizontal exclude= frame; xi_1..3 and the completed xi_3
+    # battery frame, horizontal exclude= frame (the closed-form battery runs no step
+    # canary, which would build one more); xi_1..3 and the completed xi_3
     assert counts["g_orthonormal_frame"] <= 3 and counts["structure_at"] <= 4
 
 

@@ -12,6 +12,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from killinglab import cli
 from killinglab.cli import main, make_parser
 
 SCHEMA = json.loads(
@@ -106,12 +107,73 @@ def test_exit_codes_numerical_failures():
                            "--fd-step", "1e30", *FAST)
     assert code == 3
     assert "numerical quality failure" in err
-    code, _, err = run_cli("verify", "--example", "round", "--n", "1",
+    code, _, err = run_cli("verify", "--example", "irregular", "--n", "1",
                            "--fd-step", "1e-13", *FAST)
     assert code == 3
+    assert "at fd_step=1.000e-13" in err
+    # the round battery takes no finite difference, so no step can spoil it
+    code, _, err = run_cli("verify", "--example", "round", "--n", "1",
+                           "--fd-step", "1e-13", *FAST)
+    assert code == 0, err
     code, _, err = run_cli("verify", "--example", "gF", "--n", "3",
                            "--c", "25", *FAST)
     assert code == 3
+
+
+@pytest.mark.parametrize("flags", [["--example", "round", "--n", "2"],
+                                   ["--example", "quaternionic", "--m", "1"],
+                                   ["--example", "hopf-lift"]], ids=lambda f: f[1])
+def test_exact_batteries_read_no_fd_step(capsys, flags):
+    """Every residual of an exact battery is a closed form, so neither a step
+    lost to cancellation (1e-13) nor the largest one accepted (0.02) moves a
+    check or an extra."""
+    docs = []
+    for step in ("1e-4", "1e-13", "0.02"):
+        assert main(["verify", *flags, "--fd-step", step, "--samples", "25",
+                     "--format", "json", "--no-timestamp"]) == 0, step
+        doc = json.loads(capsys.readouterr().out)
+        docs.append((doc["checks"], doc["extras"]))
+    assert docs[1] == docs[0] and docs[2] == docs[0]
+
+
+def test_decompose_on_an_fd_metric_guards_its_step(capsys):
+    """gF's eigenfield identities read a finite-difference structure: a step
+    lost to cancellation is a numerical failure naming the step."""
+    assert main(["decompose", "--example", "gF", "--fd-step", "1e-13", "--samples", "25"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical quality failure: ")
+    assert "at fd_step=1.000e-13" in err
+
+
+@pytest.mark.parametrize("example, canary, structures", [
+    ("round", 0, 1), ("gF", 1, 1), ("irregular", 0, 0)])
+def test_decompose_builds_the_structure_only_for_a_nonzero_rate(monkeypatch, capsys,
+                                                                 example, canary, structures):
+    """The structure feeds the eigenfield checks alone, and the canary guards
+    it only where it takes finite differences."""
+    calls = {"canary": 0, "structure_at": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli.verify, "covariant_canary",
+                        counted("canary", cli.verify.covariant_canary))
+    monkeypatch.setattr(cli.LeviCivita, "structure_at",
+                        counted("structure_at", cli.LeviCivita.structure_at))
+    assert main(["decompose", "--example", example, "--samples", "10"]) == 0
+    assert calls == {"canary": canary, "structure_at": structures}
+
+
+@pytest.mark.parametrize("example, canary", [
+    ("round", False), ("quaternionic", False), ("hopf-lift", False),
+    ("gF", True), ("irregular", True)])
+def test_the_step_canary_is_a_clock_row_of_the_fd_batteries(example, canary):
+    rep = cli._BATTERIES[example](cli.RunConfig(example=example, n=3, samples=10))
+    assert ("covariant_canary" in rep.clock) is canary
+    assert rep.all_as_expected
 
 
 def test_json_reports_are_byte_identical():

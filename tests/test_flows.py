@@ -252,6 +252,32 @@ def test_probe_refuses_a_non_skew_generator(xi):
         numeric_orbit_probe(xi, _unit([1, 0, 1, 0]), t_max=8.0)
 
 
+@pytest.mark.parametrize("t_max", [math.inf, 1e12, math.nan, 0.0, -1.0])
+def test_probe_refuses_a_t_max_off_its_grid_by_name(t_max):
+    """Refused before any grid time is built: 1e12 would be 8.1e13 points."""
+    with pytest.raises(ValueError, match=r"numeric_orbit_probe needs a t_max over 0 and "
+                                         r"at most 25735\.9 .*, got t_max="):
+        numeric_orbit_probe(block_gen(1.0, 2.0), _unit([1, 0, 1, 0]), t_max=t_max)
+
+
+def test_probe_takes_a_t_max_up_to_its_point_bound(monkeypatch):
+    monkeypatch.setattr(flows, "PROBE_MAX_POINTS", 1000)
+    gen, x0 = block_gen(1.0, 2.0), _unit([1, 0, 1, 0])
+    t_max = 1000 * flows.COARSE_STEP
+    assert numeric_orbit_probe(gen, x0, t_max=t_max).t_max == t_max
+    with pytest.raises(ValueError, match="a grid of at most 1000 points"):
+        numeric_orbit_probe(gen, x0, t_max=1.000001 * t_max)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7, 1000])
+def test_probe_does_not_depend_on_its_chunk_size(chunk):
+    """A chunk boundary may fall next to any grid point, a near-return among
+    them; at one point a chunk every grid point sits at one."""
+    gen, x0 = block_gen(1.0, 2.0), _unit([1, 0, 1, 0])
+    assert numeric_orbit_probe(gen, x0, t_max=60.0, chunk=chunk) \
+        == numeric_orbit_probe(gen, x0, t_max=60.0)
+
+
 # -- bounded Brent minimizer, against scipy's as the oracle --------------------
 
 def _scipy_bounded(func, a, b, xatol):
