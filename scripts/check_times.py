@@ -23,6 +23,7 @@ result to the end (decomposition, flow class, orbit probe).
 
 Usage:
     python3 scripts/check_times.py [--samples N] [--seed S] [--repeats R] [--json PATH]
+                                   [--decompose-n N [N ...]]
 
 It imports killinglab from the ``src`` directory of its own checkout, so the
 copy of the script in another checkout measures that checkout.
@@ -36,8 +37,17 @@ With ``--json PATH`` it also writes every battery's rows and that call as
 milliseconds, with the settings and the environment (Python, numpy, BLAS
 threads, ``nproc``, the checkout's git HEAD and whether its tree is dirty,
 and a SHA-256 of its ``src/killinglab`` sources, which names the measured
-code exactly); ``schema`` versions the layout (2 adds ``main_ms``).  The
-committed ``BENCH_<label>.json`` files at the repository root are such records.
+code exactly); ``schema`` versions the layout (2 adds ``main_ms``, 3 the
+``decompose`` rows).  The committed ``BENCH_<label>.json`` files at the
+repository root are such records.
+
+With ``--decompose-n 10 20 40`` it also runs ``killinglab decompose --example
+round --n N`` for each N as a whole process, ``--repeats`` times after the
+batteries and interleaved as they are (repeat r of every N before repeat
+r + 1), and reports its wall time (interpreter start-up and imports
+included) and its peak RSS, both as median and quartiles.  The peak RSS is
+the child's own ``ru_maxrss`` from ``os.wait4``: the ``RUSAGE_CHILDREN``
+figure of that one child, not the running maximum over earlier children.
 """
 
 from __future__ import annotations
@@ -66,7 +76,7 @@ import numpy as np  # noqa: E402
 
 from killinglab import cli  # noqa: E402
 
-SCHEMA = 2
+SCHEMA = 3
 
 BATTERIES = (("gF", {"n": 3, "c": 0.3}), ("irregular", {"n": 2}), ("round", {"n": 2}),
              ("quaternionic", {"m": 1}), ("quaternionic", {"m": 2}), ("hopf-lift", {}))
@@ -85,6 +95,22 @@ def run_once(example: str, cfg: cli.RunConfig, argv: list[str]) -> tuple[dict, f
     if code != cli.EXIT_OK:
         raise SystemExit(f"check_times: killinglab {' '.join(argv)} exited {code}")
     return {"setup": rep.opened - t0, **rep.clock}, t1 - t0, t2 - t1
+
+
+def run_decompose(n: int) -> tuple[float, float]:
+    """Wall seconds and peak RSS in MB of one ``killinglab decompose --example
+    round --n n`` process on this checkout's src."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    argv = [sys.executable, "-m", "killinglab", "decompose", "--example", "round",
+            "--n", str(n), "--no-timestamp"]
+    t0 = time.perf_counter()
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)  # reaps it: Popen is told the code below
+    wall = time.perf_counter() - t0
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    if proc.returncode != cli.EXIT_OK:
+        raise SystemExit(f"check_times: killinglab {' '.join(argv[3:])} exited {proc.returncode}")
+    return wall, usage.ru_maxrss / 1024.0  # Linux reports kilobytes
 
 
 def _git(*args: str) -> str | None:
@@ -110,9 +136,10 @@ def environment() -> dict:
             "src_sha256": digest.hexdigest()}
 
 
-def quartiles(values: list[float]) -> dict:
-    """Median and quartiles of times in seconds, in milliseconds."""
-    q1, med, q3 = np.percentile(1e3 * np.asarray(values), [25, 50, 75])
+def quartiles(values: list[float], scale: float = 1e3) -> dict:
+    """Median and quartiles of values times scale: of times in seconds, in
+    milliseconds by default."""
+    q1, med, q3 = np.percentile(scale * np.asarray(values), [25, 50, 75])
     return {"median": round(float(med), 4), "q1": round(float(q1), 4),
             "q3": round(float(q3), 4)}
 
@@ -124,6 +151,8 @@ def main(argv=None) -> int:
     p.add_argument("--repeats", type=int, default=3)
     p.add_argument("--json", type=Path, default=None,
                    help="also write the rows with quartiles to this file")
+    p.add_argument("--decompose-n", type=int, nargs="+", default=[], metavar="N",
+                   help="also time whole decompose --example round --n N processes")
     args = p.parse_args(argv)
     sizes = ["".join(f" --{k} {v}" for k, v in params.items()) for _, params in BATTERIES]
     jobs = [(example, replace(cli.RunConfig(), example=example, samples=args.samples,
@@ -148,11 +177,19 @@ def main(argv=None) -> int:
                        "main_ms": quartiles([r[2] for r in reps]),
                        "rows_ms": {name: quartiles([r[0][name] for r in reps])
                                    for name in reps[0][0]}})
+    decompose = []
+    dec_runs = zip(*[[run_decompose(n) for n in args.decompose_n]  # repeat r of every N
+                     for _ in range(args.repeats)])                # before repeat r + 1
+    for n, runs_n in zip(args.decompose_n, dec_runs):
+        wall_ms, rss = quartiles([r[0] for r in runs_n]), quartiles([r[1] for r in runs_n], 1.0)
+        print(f"decompose --example round --n {n}: {wall_ms['median']:.1f} ms, "
+              f"peak RSS {rss['median']:.1f} MB, median of {args.repeats}")
+        decompose.append({"n": n, "wall_ms": wall_ms, "peak_rss_mb": rss})
     if args.json is not None:
         doc = {"schema": SCHEMA, "environment": environment(),
                "settings": {"samples": args.samples, "seed": args.seed,
                             "repeats": args.repeats},
-               "batteries": record}
+               "batteries": record, "decompose": decompose}
         args.json.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     return 0
 

@@ -1,10 +1,10 @@
 """Isometry algebras of sphere metrics and their spectral splitting.
 
 All Killing fields handled here are linear: x -> A x with A skew, so an
-isometry algebra is a list of skew ambient matrices closed under the field
-bracket.  The field bracket of x -> A x and x -> B x is x -> (BA - AB) x
-(the sign follows the flow commutator and is frozen by a finite-difference
-conformance test).
+isometry algebra is a (G, d, d) stack of skew ambient generators closed under
+the field bracket.  The field bracket of x -> A x and x -> B x is
+x -> (BA - AB) x (the sign follows the flow commutator and is frozen by a
+finite-difference conformance test).
 
 An algebra factors its basis once, by one QR of the trace-form coordinates
 (sqrt 2 times the strict upper triangle).  Membership, closure and the
@@ -14,7 +14,8 @@ coordinates in the given basis (``ad_matrix``) and the Killing gram R^T R.
 The main operation is ``standard_decomposition``: split an algebra into the
 kernel and the rotation-rate eigenblocks of the adjoint action of a chosen
 unit Killing generator, using eigenvalue clustering of the squared adjoint
-in the trace-form orthonormal basis Q.
+in the trace-form orthonormal basis Q: the sorted eigenvalues split wherever
+a consecutive gap exceeds ``cluster_tol * scale``, one (b, d, d) stack each.
 """
 
 from __future__ import annotations
@@ -43,47 +44,47 @@ def killing_inner(A: np.ndarray, B: np.ndarray) -> float:
     return -float(np.trace(A @ B))
 
 
-def so_basis(d: int) -> list[np.ndarray]:
-    """Elementary rotation generators E_ij (i < j) spanning all skew matrices."""
-    basis = []
-    for i in range(d):
-        for j in range(i + 1, d):
-            E = np.zeros((d, d))
-            E[i, j] = 1.0
-            E[j, i] = -1.0
-            basis.append(E)
+def so_basis(d: int) -> np.ndarray:
+    """One read-only (d(d-1)/2, d, d) stack of the rotation generators E_ij
+    (i < j, row-major; +1 at (i, j), -1 at (j, i)) spanning all skew matrices."""
+    i, j = np.triu_indices(d, 1)
+    k = np.arange(len(i))
+    basis = np.zeros((len(i), d, d))
+    basis[k, i, j], basis[k, j, i] = 1.0, -1.0
+    basis.setflags(write=False)
     return basis
 
 
 class IsometryAlgebra:
     """Lie algebra of linear Killing generators, closed under the field bracket.
 
-    The basis is one read-only (n, d, d) stack with the one factorisation
-    S = Q R (diag R > 0) of its trace-form coordinates; ``_project`` works
-    in Q, and only basis coordinates need R."""
+    ``basis`` is the given (G, d, d) stack of generators itself, as a
+    read-only view, with the one factorisation S = Q R (diag R > 0) of its
+    trace-form coordinates; ``_project`` works in Q, and only basis
+    coordinates need R."""
 
     def __init__(self, basis, name: str = "", validate: bool = True,
                  closure_tol: float = CLOSURE_TOL):
-        mats = [np.asarray(b, dtype=float) for b in basis]
-        if not mats:
+        try:  # a view, so the read-only flag below is its own
+            stack = np.asarray(basis, dtype=float).view()
+        except ValueError:  # a ragged sequence of matrices
+            raise ValueError("basis matrices have mismatched shapes") from None
+        if stack.size == 0:
             raise ValueError("empty basis")
-        d = mats[0].shape[0]
-        if any(b.shape != (d, d) for b in mats):
+        if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
             raise ValueError("basis matrices have mismatched shapes")
-        stack = np.array(mats)
+        d = stack.shape[1]
         scale = np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))
         if np.any(np.abs(stack + stack.swapaxes(1, 2)).max(axis=(1, 2)) > SKEW_TOL * scale):
             raise ValueError("basis matrices must be skew-symmetric")
         stack.setflags(write=False)
-        self._stack = stack
-        self.basis = list(stack)
+        self.basis = stack
         self.name = name
-        self.ambient_dim = d
         self._upper = np.triu_indices(d, 1)
         # |R_kk| >= the least singular value of S, and QR does not square the
         # condition number as a Cholesky of the gram would.
         q, r = np.linalg.qr(self._skew_coords(stack).T)
-        if len(mats) > d * (d - 1) // 2 or np.abs(np.diag(r)).min() <= 1e-10:
+        if len(stack) > d * (d - 1) // 2 or np.abs(np.diag(r)).min() <= 1e-10:
             raise ValueError("basis matrices are linearly dependent")
         signs = np.sign(np.diag(r))
         self._q, self._r = q * signs, r * signs[:, None]
@@ -102,44 +103,45 @@ class IsometryAlgebra:
     def _unskew(self, coords: np.ndarray) -> np.ndarray:
         """Skew matrices (..., d, d) with the given ``_skew_coords`` (..., m)."""
         half = coords / np.sqrt(2.0)
-        out = np.zeros(coords.shape[:-1] + self._stack.shape[1:])
+        out = np.zeros(coords.shape[:-1] + self.basis.shape[1:])
         out[..., self._upper[0], self._upper[1]] = half
         out[..., self._upper[1], self._upper[0]] = -half
         return out
 
-    def _project(self, targets, tol: float, refusal: str) -> np.ndarray:
+    def _project(self, targets, tol: float, refusal: str | None) -> np.ndarray:
         """Coordinates y = Q^T s(A) (n, k) of a stack (k, d, d) of matrices A
         in the trace-orthonormal basis, one column each; raises ``refusal``
         unless every full matrix, not only its upper triangle, is rebuilt as
-        the skew matrix with coordinates Q y to ``tol * max(1, |A|max)``."""
+        the skew matrix with coordinates Q y to ``tol * max(1, |A|max)``.
+        With no refusal it returns instead the (k,) mask of the rebuilt A."""
         targets = np.asarray(targets, dtype=float)
-        if targets.shape[1:] != self._stack.shape[1:]:
+        if targets.shape[1:] != self.basis.shape[1:]:
             raise ValueError(f"{refusal} (shape {targets.shape[1:]})")
         y = self._q.T @ self._skew_coords(targets).T
         resid = self._unskew((self._q @ y).T)
         resid -= targets
         resid = np.abs(resid, out=resid).max(axis=(1, 2))
-        if np.any(resid > tol * np.maximum(1.0, np.abs(targets).max(axis=(1, 2)))):
+        bad = resid > tol * np.maximum(1.0, np.abs(targets).max(axis=(1, 2)))
+        if refusal is None:
+            return ~bad
+        if np.any(bad):
             raise ValueError(f"{refusal} (residual {float(resid.max()):.3e})")
         return y
 
     def contains(self, A: np.ndarray, tol: float = 1e-8) -> bool:
-        try:
-            self._project([A], tol, "matrix lies outside the algebra")
-            return True
-        except ValueError:
-            return False
+        A = np.asarray(A, dtype=float)
+        return A.shape == self.basis.shape[1:] and bool(self._project([A], tol, None)[0])
 
     def validate_closure(self, tol: float = CLOSURE_TOL) -> None:
         """Brackets of each basis element with all later ones, projected at once."""
         for i, Bi in enumerate(self.basis[:-1]):
-            self._project(field_bracket(Bi, self._stack[i + 1:]), tol,
+            self._project(field_bracket(Bi, self.basis[i + 1:]), tol,
                           "basis is not closed under the field bracket")
 
     def ad_matrix(self, X: np.ndarray) -> np.ndarray:
         """Matrix of Y -> [X, Y] (field bracket) in the algebra basis; raises
         if a bracket leaves the algebra."""
-        return np.linalg.solve(self._r, self._project(field_bracket(X, self._stack), 1e-8,
+        return np.linalg.solve(self._r, self._project(field_bracket(X, self.basis), 1e-8,
                                                       "bracket lies outside the algebra"))
 
     def killing_gram(self) -> np.ndarray:
@@ -152,27 +154,29 @@ class Decomposition:
     """Splitting of an algebra along the adjoint action of a generator.
 
     ``rates[k]`` is the rotation rate (>= 0, zero block first) and
-    ``blocks[k]`` the matching tuple of generators, eigenvectors of the
-    squared adjoint taken in the trace-orthonormal basis Q, so each block is
-    trace-orthonormal.  ``s_eigenvalues`` are the raw eigenvalues of the
-    squared adjoint.
+    ``blocks[k]`` the matching read-only (b, d, d) stack of generators,
+    eigenvectors of the squared adjoint taken in the trace-orthonormal basis
+    Q, so each block is trace-orthonormal: slices of one stack, cut between
+    clusters of ``s_eigenvalues``, the raw eigenvalues of the squared adjoint.
     """
 
     xi: np.ndarray
     rates: tuple[float, ...]
-    blocks: tuple[tuple[np.ndarray, ...], ...]
+    blocks: tuple[np.ndarray, ...]
     s_eigenvalues: np.ndarray
 
     @property
     def zero_block_dim(self) -> int:
-        for lam, blk in zip(self.rates, self.blocks):
-            if lam == 0.0:
-                return len(blk)
-        return 0
+        return next((len(blk) for lam, blk in zip(self.rates, self.blocks) if lam == 0.0), 0)
 
     def summary(self) -> list[tuple[float, int]]:
         """(rate rounded to 9 decimals, block dimension) per block."""
         return [(round(lam, 9), len(blk)) for lam, blk in zip(self.rates, self.blocks)]
+
+
+def _cluster_cuts(vals: np.ndarray, tol: float) -> np.ndarray:
+    """``np.split`` indices of ascending vals: each value over tol above the last."""
+    return np.flatnonzero(np.diff(vals) > tol) + 1
 
 
 def standard_decomposition(algebra: IsometryAlgebra, xi: np.ndarray,
@@ -182,10 +186,10 @@ def standard_decomposition(algebra: IsometryAlgebra, xi: np.ndarray,
 
     The adjoint of a Killing generator is skew for the trace pairing, so its
     square is symmetric nonpositive; the algebra splits into the kernel
-    (commutant of xi) plus blocks on which the square is -rate^2.  Eigenvalues
-    are clustered with ``cluster_tol``; if two clusters sit closer than
-    ``gap_tol`` the split is numerically meaningless and
-    DegenerateClusterError is raised.
+    (commutant of xi) plus blocks on which the square is -rate^2.  Sorted
+    eigenvalues split wherever a consecutive gap exceeds ``cluster_tol *
+    scale``; if two cluster means sit within ``gap_tol * scale`` the split is
+    numerically meaningless and DegenerateClusterError is raised.
     """
     xi = np.asarray(xi, dtype=float)
     if not algebra.contains(xi):
@@ -204,13 +208,8 @@ def standard_decomposition(algebra: IsometryAlgebra, xi: np.ndarray,
     vals, vecs = np.linalg.eigh(S)  # ascending: most negative first
 
     scale = max(1.0, float(np.abs(vals).max()))
-    clusters: list[list[int]] = [[0]]
-    for k in range(1, len(vals)):
-        if vals[k] - vals[clusters[-1][-1]] <= cluster_tol * scale:
-            clusters[-1].append(k)
-        else:
-            clusters.append([k])
-    means = [float(np.mean(vals[idx])) for idx in clusters]
+    cuts = _cluster_cuts(vals, cluster_tol * scale)
+    means = [float(c.mean()) for c in np.split(vals, cuts)]
     for m1, m2 in zip(means, means[1:]):
         if m2 - m1 <= gap_tol * scale:
             raise DegenerateClusterError(
@@ -218,11 +217,11 @@ def standard_decomposition(algebra: IsometryAlgebra, xi: np.ndarray,
                 f"closer than the resolvable gap {gap_tol:.1e} * {scale:.3g}")
 
     gens = algebra._unskew((algebra._q @ vecs).T)
+    gens.setflags(write=False)
     rates = [0.0 if -m <= gap_tol * scale else float(np.sqrt(-m)) for m in means]
-    blocks = sorted(zip(rates, clusters))
-    return Decomposition(xi=xi, rates=tuple(rate for rate, _ in blocks),
-                         blocks=tuple(tuple(gens[k] for k in idx) for _, idx in blocks),
-                         s_eigenvalues=vals)
+    order, blocks = np.argsort(rates, kind="stable"), np.split(gens, cuts)
+    return Decomposition(xi=xi, rates=tuple(rates[k] for k in order),
+                         blocks=tuple(blocks[k] for k in order), s_eigenvalues=vals)
 
 
 def eigenfield_residuals(xi_field, mats, st, rate: float | None = None) -> dict[str, float]:
@@ -233,7 +232,8 @@ def eigenfield_residuals(xi_field, mats, st, rate: float | None = None) -> dict[
     cancels the metric dual of contracting A x into the two-form of xi's dual
     one-form.  ``mats`` is one generator (d, d) or a block (b, d, d); the
     structure tensors ``st`` = ``lc.structure_at(xi_field, X)`` cover the
-    sample X and are shared by the whole block.  Returns max residuals over
+    sample X and are shared by the whole block, each per-point factor
+    contracted before the generator axis.  Returns max residuals over
     generators and samples {"orthogonality", "bracket_identity"}; when the
     block rate is given, also "eigenvalue_identity": the square of the raised
     two-form applied to A x equals -(rate^2) A x.
@@ -243,33 +243,32 @@ def eigenfield_residuals(xi_field, mats, st, rate: float | None = None) -> dict[
         raise ValueError("xi_field must be linear to evaluate bracket identities")
     mats = np.asarray(mats, dtype=float)
     mats = mats.reshape(-1, *mats.shape[-2:])
-    brackets = field_bracket(xi_mat, mats)
-    xs = st.x
-    a = np.einsum("bde,ne->nbd", mats, xs)          # (N, b, d): one row per field
-    Ft = np.swapaxes(st.frame, -1, -2)
+    # one matmul over the flattened stack: A_k x_n, then [xi, A_k] x_n, each (N, k, d)
+    ab = st.x @ np.concatenate([mats, field_bracket(xi_mat, mats)]).reshape(-1, mats.shape[-1]).T
+    a, brackets = np.swapaxes(ab.reshape(len(st.x), 2, len(mats), -1), 0, 1)
+    F, Ft = st.frame, np.swapaxes(st.frame, -1, -2)
     out = {"orthogonality": float(np.abs(a @ (st.metric_matrix @ st.xi[..., None])).max())}
-    w = a @ st.dxi @ st.frame @ Ft
-    out["bracket_identity"] = float(np.linalg.norm(
-        np.einsum("bde,ne->nbd", brackets, xs) + w, axis=-1).max())
+    out["bracket_identity"] = float(np.linalg.norm(brackets + a @ (st.dxi @ F @ Ft),
+                                                   axis=-1).max())
     if rate is not None:
         # raised two-form = 2 phi on the g-orthonormal frame
-        af = a @ np.swapaxes(st.metric_matrix, -1, -2) @ st.frame
+        MF = np.swapaxes(st.metric_matrix, -1, -2) @ F
         phi_t = np.swapaxes(st.phi_frame, -1, -2)
-        out["eigenvalue_identity"] = float(np.abs(4.0 * (af @ phi_t @ phi_t)
-                                                  + rate**2 * af).max())
+        out["eigenvalue_identity"] = float(np.abs(4.0 * (a @ (MF @ phi_t @ phi_t))
+                                                  + rate**2 * (a @ MF)).max())
     return out
 
 
 def centralizer_check(alg: "IsometryAlgebra", mats, member_tol: float = 1e-8,
                       central_tol: float = 1e-10) -> dict:
-    """Are the given generators central elements of the algebra?
+    """Are the given generators, a stack (k, d, d), central elements of the algebra?
 
     Returns the max commutator entry against the whole basis and whether each
     generator lies in the algebra's span, plus the combined boolean verdict.
     """
-    worst = max((float(np.abs(field_bracket(m, alg._stack)).max()) for m in mats),
-                default=0.0)
-    members = [alg.contains(m, tol=member_tol) for m in mats]
+    mats = np.asarray(mats, dtype=float)
+    worst = float(np.abs(field_bracket(mats[:, None], alg.basis)).max(initial=0.0))
+    members = alg._project(mats, member_tol, None).tolist()
     return {
         "max_commutator": worst,
         "central": worst <= central_tol,

@@ -16,7 +16,7 @@ import argparse
 import functools
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -46,14 +46,7 @@ from .constructions import (
 from .constructions import J2
 from .flows import (COARSE_STEP, PROBE_MAX_POINTS, RotationProfile, classify,
                     numeric_orbit_probe, parse_rate)
-from .metrics import (
-    LeviCivita,
-    MetricDegeneracyError,
-    NumericalQualityError,
-    StructureTensors,
-    g_orthonormal_frame,
-    linear_field,
-)
+from .metrics import LeviCivita, MetricDegeneracyError, NumericalQualityError, StructureTensors
 from .report import CheckResult, VerificationReport
 from .sphere import matvec, rowdot, sample_sphere
 
@@ -72,6 +65,10 @@ HOPF_MIN_KEPT = 4
 GF_WEDGE_FLOOR = 1e-2
 GF_TORSION_FLOOR = 1e-3
 GF_MIN_C = 5e-3
+# the largest --n of verify and decompose where the example reads it: so(2n+2) is a
+# stack of (n+1)(2n+1) (2n+2)^2 doubles, a decomposition peaks near six stacks (n = 40:
+# 179 MB, 1.06 GB peak RSS), and n = 47 (336 MB) is the largest within a 2 GiB budget
+MAX_N = 47
 # the orbit probe's coarse grid holds ceil(horizon / COARSE_STEP) points; --horizon
 # may ask for 3 (the fewest that hold a local minimum) to flows.PROBE_MAX_POINTS
 
@@ -141,26 +138,25 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         except OSError as exc:
             raise ValueError(f"cannot read config file {args.config!r}: "
                              f"{exc.strerror or exc}") from None
-        unknown = set(file_vals) - set(asdict(cfg))
+        unknown = set(file_vals) - set(vars(cfg))
         if unknown:  # rates and horizon among them: classify-flow reads those as flags
             raise ValueError(f"unknown config keys: {sorted(unknown)}; a config file "
-                             f"sets {', '.join(asdict(cfg))}")
+                             f"sets {', '.join(vars(cfg))}")
         # a file value gets the choices its flag would (classify-flow takes no example)
         choices = {"example": EXAMPLES.get(getattr(args, "command", None)), "format": FORMATS}
         for key, allowed in choices.items():
             if allowed and key in file_vals and file_vals[key] not in allowed:
                 raise ValueError(f"config key '{key}' = {file_vals[key]!r} is not one of "
                                  f"{', '.join(allowed)}")
-        cfg = replace(cfg, **{k: v for k, v in file_vals.items()
-                              if k in asdict(cfg)})
-    overrides = {}
-    for key in asdict(cfg):
-        val = getattr(args, key, None)
-        if val is not None:
-            overrides[key] = val
-    cfg = replace(cfg, **overrides)
+        cfg = replace(cfg, **file_vals)
+    cfg = replace(cfg, **{key: val for key in vars(cfg)
+                          if (val := getattr(args, key, None)) is not None})
     if cfg.n is None:
         cfg = replace(cfg, n=DEFAULT_N.get(cfg.example, 2))
+    if cfg.n > MAX_N and cfg.example in _STRUCTURES and getattr(args, "command", None) in EXAMPLES:
+        raise ValueError(f"--n {cfg.n} is out of reach: --n may be at most {MAX_N}, whose "
+                         f"so(2n+2) generator stack (336 MB) keeps a decomposition's peak "
+                         f"memory within a 2 GiB budget")
     if cfg.samples < 1:
         raise ValueError(f"samples must be >= 1, got {cfg.samples}")
     if cfg.seed < 0:
@@ -217,7 +213,7 @@ def _open(cfg: RunConfig, metric, fld, n: int,
     report and the step canary on the first sample point."""
     lc = LeviCivita(metric, fd_step=cfg.fd_step)
     X = sample_sphere(n, cfg.samples, cfg.seed).coords
-    rep = VerificationReport(title=title, config=asdict(cfg))
+    rep = VerificationReport(title=title, config=dict(vars(cfg)))
     _step_canary(lc, fld, X[0], rep)
     return lc, X, rep
 
@@ -271,9 +267,8 @@ def _battery_quaternionic(cfg: RunConfig) -> VerificationReport:
         triple = verify.triple_psi(lc, qs.fields, X)
     rep.add(verify.check_triple_orthonormality(lc, qs.fields, X, tol=1e-10))
     rep.add(verify.check_triple_brackets(qs.fields, tol=1e-12))
-    rep.add(_merge("triple_killing",
-                   [verify.check_killing(lc, f, X, tol=verify.EXACT_TOL, frame=triple.F)
-                    for f in qs.fields], tol=verify.EXACT_TOL))
+    rep.add(verify.check_killing(lc, qs.generators, X, tol=verify.EXACT_TOL,
+                                 name="triple_killing", frame=triple.F))
     with rep.stage("second_nabla_frame"):
         Ts = [lc.second_nabla_frame(f, X, triple.F) for f in qs.fields]
     rep.add(_merge("triple_wedge_second_derivative",
@@ -317,7 +312,7 @@ def _battery_hopf(cfg: RunConfig) -> VerificationReport:
             f"base points near the anchor antipode; the 4x4 linear fit of each "
             f"lift needs at least {HOPF_MIN_KEPT} (raise --samples)")
 
-    gens = np.stack(so3_basis())
+    gens = so3_basis()
     mats, defects = solve_lift(bundle, gens, kept)  # all three in one quadrature
     rep.add(CheckResult(name="lift_fit_defect", max_residual=float(defects.max()),
                         mean_residual=float(defects.mean()),
@@ -325,11 +320,7 @@ def _battery_hopf(cfg: RunConfig) -> VerificationReport:
                         detail="largest pointwise defect of the linear fit"))
     rep.add(_single("lift_skewness", float(np.abs(mats + np.swapaxes(mats, 1, 2)).max()),
                     1e-10))
-    frame = g_orthonormal_frame(rs.metric.matrix_at(X), X)
-    rep.add(_merge("lift_killing",
-                   [verify.check_killing(lc, linear_field(B, name=f"lift{i}"),
-                                         X, tol=1e-5, frame=frame)
-                    for i, B in enumerate(mats)], tol=1e-5))
+    rep.add(verify.check_killing(lc, mats, X, tol=1e-5, name="lift_killing"))
 
     # path independence: direct potential vs a two-leg path through a waypoint;
     # the waypoint's own potential (the first leg) rides in the direct quadrature
@@ -367,17 +358,15 @@ def _battery_hopf(cfg: RunConfig) -> VerificationReport:
     rep.add(_single("pushdown_kernel_is_vertical", float(k_res), 1e-6,
                     detail=f"singular values {np.round(sv, 8).tolist()}"))
 
-    # brackets close modulo the vertical direction
-    worst_vert = 0.0
-    for (i, j, k) in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        C = field_bracket(mats[i], mats[j])
-        base_br = field_bracket(gens[i], gens[j])
-        coef = np.array([np.tensordot(base_br, g) / np.tensordot(g, g)
-                         for g in gens])
-        D = C - sum(cc * B for cc, B in zip(coef, mats))
-        lam = np.tensordot(D, bundle.j0) / np.tensordot(bundle.j0, bundle.j0)
-        worst_vert = max(worst_vert, float(np.abs(D - lam * bundle.j0).max()))
-    rep.add(_single("brackets_close_mod_vertical", worst_vert, 1e-8))
+    # brackets close modulo the vertical direction: for each cyclic pair, the
+    # lifted bracket less the lift of the base bracket is a multiple of j0
+    i, j = [0, 1, 2], [1, 2, 0]
+    flat = gens.reshape(3, -1)
+    coef = field_bracket(gens[i], gens[j]).reshape(3, -1) @ flat.T / (flat * flat).sum(1)
+    D = field_bracket(mats[i], mats[j]) - (coef @ mats.reshape(3, -1)).reshape(3, 4, 4)
+    lam = D.reshape(3, -1) @ bundle.j0.ravel() / np.tensordot(bundle.j0, bundle.j0)
+    rep.add(_single("brackets_close_mod_vertical",
+                    float(np.abs(D - lam[:, None, None] * bundle.j0).max()), 1e-8))
     rep.extras["kept_samples"] = len(kept)
     return rep
 
@@ -402,14 +391,10 @@ def _deformed_scaling_check(ds, st: StructureTensors, tol: float) -> CheckResult
 
 
 def _invariance_killing(lc: LeviCivita, alg, X: np.ndarray, frame: np.ndarray) -> CheckResult:
-    """Killing checks of an algebra's basis on X, all on one g-orthonormal
-    frame, from one exact-flow quotient of the stacked basis: the one
-    ``lie_metric_frame`` takes for each generator on a non-round metric."""
-    lie = lc.flow_lie_frame(np.stack(alg.basis), X, frame=frame)
-    return _merge("invariance_algebra_killing",
-                  [verify.check_killing(lc, linear_field(B, name=f"inv{i}"), X, tol=1e-5,
-                                        lie=L)
-                   for i, (B, L) in enumerate(zip(alg.basis, lie))], tol=1e-5)
+    """Killing checks of an algebra's basis stack on X, all on one
+    g-orthonormal frame, from one exact-flow quotient on a non-round metric."""
+    return verify.check_killing(lc, alg.basis, X, tol=1e-5, name="invariance_algebra_killing",
+                                frame=frame)
 
 
 def _battery_deformed(cfg: RunConfig) -> VerificationReport:
@@ -448,7 +433,7 @@ def _battery_irregular(cfg: RunConfig) -> VerificationReport:
     rep.add(verify.check_transverse_derivative(lc, ir.field, ir.j0, st, tol=verify.FD_TOL))
 
     alg = ir.isometry_algebra()
-    cen = centralizer_check(alg, [ir.j0, ir.j1])
+    cen = centralizer_check(alg, np.stack([ir.j0, ir.j1]))
     cen_res = cen["max_commutator"] + (0.0 if all(cen["members"]) else 1.0)
     rep.add(_single("central_pair", cen_res, 1e-10,
                     detail="J0, J1 commute with and belong to the algebra"))
@@ -514,7 +499,7 @@ def cmd_decompose(cfg: RunConfig) -> int:
     dec = standard_decomposition(alg, s.field.matrix)
     rep = VerificationReport(
         title=f"adjoint-square decomposition ({cfg.example}, S^{2 * cfg.n + 1})",
-        config=asdict(cfg))
+        config=dict(vars(cfg)))
     st = None
     if any(rate != 0.0 for rate in dec.rates):  # the eigenfield checks read st
         X = sample_sphere(cfg.n, min(cfg.samples, 40), cfg.seed).coords
@@ -523,7 +508,7 @@ def cmd_decompose(cfg: RunConfig) -> int:
     for rate, block in zip(dec.rates, dec.blocks):
         if rate == 0.0:  # the commutant of xi, first
             rep.add(_single("zero_block_commutes",
-                            float(np.abs(field_bracket(s.field.matrix, np.stack(block))).max()),
+                            float(np.abs(field_bracket(s.field.matrix, block)).max()),
                             1e-10, detail="[xi, A] = 0 for every A of the rate-0 block"))
         else:
             rep.add(_eigenfield_check(f"eigenfield_identities_rate_{rate:g}",
@@ -546,7 +531,7 @@ def cmd_classify_flow(args: argparse.Namespace, cfg: RunConfig) -> int:
     profile = RotationProfile(rates)
     cls = classify(profile)
     rep = VerificationReport(title="flow classification", config={
-        **asdict(cfg), "rates": list(args.rates),
+        **vars(cfg), "rates": list(args.rates),
         "horizon": args.horizon, "probe": bool(args.probe)})
     rep.extras["classification"] = {
         "kind": cls.kind,

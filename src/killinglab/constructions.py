@@ -37,6 +37,7 @@ from .flows import ExactScalar, RotationProfile
 from .metrics import (
     MetricDegeneracyError,
     MetricField,
+    NumericalQualityError,
     VectorField,
     general_field,
     linear_field,
@@ -90,29 +91,24 @@ def std_complex_structure(d: int) -> np.ndarray:
 
 
 def block_embed(block: np.ndarray, d: int, offset: int) -> np.ndarray:
-    out = np.zeros((d, d))
-    k = block.shape[0]
-    out[offset:offset + k, offset:offset + k] = block
+    """A k x k block, or each of a stack (..., k, k), at offset in zero d x d."""
+    k = block.shape[-1]
+    out = np.zeros(block.shape[:-2] + (d, d))
+    out[..., offset:offset + k, offset:offset + k] = block
     return out
 
 
-def unitary_block_basis(n: int) -> list[np.ndarray]:
-    """Real 2n x 2n generators of the skew matrices commuting with the
-    standard complex structure (complex skew-hermitian matrices)."""
-    eye2 = np.eye(2)
-    basis = []
-
-    def put(p, q, re, im):
-        A = np.zeros((2 * n, 2 * n))
-        A[2 * p:2 * p + 2, 2 * q:2 * q + 2] = re * eye2 + im * J2
-        return A
-
-    for p in range(n):
-        basis.append(put(p, p, 0.0, 1.0))
-    for p in range(n):
-        for q in range(p + 1, n):
-            basis.append(put(p, q, 1.0, 0.0) - put(q, p, 1.0, 0.0))
-            basis.append(put(p, q, 0.0, 1.0) + put(q, p, 0.0, 1.0))
+def unitary_block_basis(n: int) -> np.ndarray:
+    """(n^2, 2n, 2n) stack of the skew matrices commuting with the standard complex
+    structure (complex skew-hermitian): J2 at 2x2 block (p, p) for each p, then for
+    each p < q (row-major) Id at (p, q) with -Id at (q, p), and J2 at both."""
+    p, q = np.triu_indices(n, 1)
+    diag, re = np.arange(n), n + 2 * np.arange(len(p))
+    basis = np.zeros((n * n, 2 * n, 2 * n))
+    blocks = basis.reshape(n * n, n, 2, n, 2)  # blocks[k, p, :, q, :]: block (p, q)
+    blocks[diag, diag, :, diag, :] = J2
+    blocks[re, p, :, q, :], blocks[re, q, :, p, :] = np.eye(2), np.diag([-1.0, -1.0])
+    blocks[re + 1, p, :, q, :] = blocks[re + 1, q, :, p, :] = J2
     return basis
 
 
@@ -157,7 +153,7 @@ class QuaternionicStructure:
     dim: int
     metric: MetricField
     fields: tuple[VectorField, VectorField, VectorField]
-    generators: tuple[np.ndarray, np.ndarray, np.ndarray]
+    generators: np.ndarray      # (3, d, d): xi_a = generators[a] x
 
 
 def build_quaternionic(m: int) -> QuaternionicStructure:
@@ -165,7 +161,7 @@ def build_quaternionic(m: int) -> QuaternionicStructure:
     if m < 0:
         raise ValueError("m must be >= 0")
     d = 4 * m + 4
-    gens = tuple(np.kron(np.eye(m + 1), R) for R in (RIGHT_I, RIGHT_J, RIGHT_K))
+    gens = np.stack([np.kron(np.eye(m + 1), R) for R in (RIGHT_I, RIGHT_J, RIGHT_K)])
     fields = tuple(linear_field(g, name=f"triple_{k}") for k, g in enumerate(gens))
     return QuaternionicStructure(m=m, dim=d, metric=round_metric(d),
                                  fields=fields, generators=gens)
@@ -281,11 +277,12 @@ def horizontal_lift_batch(j0: np.ndarray, xs: np.ndarray, ys: np.ndarray,
     """Horizontal lifts of base vectors us at base points ys to fiber points xs.
 
     The lift is tangent, orthogonal to the circle field, and pushes forward
-    to us; computed by a regularized batched 3x3 solve (the radial base
-    direction is added to make the pushforward Gram invertible).  ``us`` is
-    (N, 3) or a stack (R, N, 3) of vectors at the same points; the lift is
-    linear in us, so one solve with R right-hand sides serves the stack, and
-    the result is (N, 4) or (R, N, 4).
+    to us; computed by a regularized 3x3 solve (the radial base direction is
+    added to make the pushforward Gram G invertible), adjugate over det G
+    for the whole stack; a point where det G <= eps |G|max^3 is refused.
+    ``us`` is (N, 3) or a stack (R, N, 3) of vectors at the same points; the
+    lift is linear in us, so one solve serves the stack, and the result is
+    (N, 4) or (R, N, 4).
     """
     xis = xs @ j0.T
     dpis = hopf_differential(xs)
@@ -293,16 +290,25 @@ def horizontal_lift_batch(j0: np.ndarray, xs: np.ndarray, ys: np.ndarray,
     dph = dpis @ PH                                    # (N, 3, 4)
     yhat = 2.0 * ys
     G = dph @ np.swapaxes(dpis, 1, 2) + yhat[:, :, None] * yhat[:, None, :]
+    up, dn = [1, 2, 0], [2, 0, 1]  # cof[i, j] = G[i+1, j+1] G[i+2, j+2] - G[i+1, j+2] G[i+2, j+1]
+    cof = G[:, up][..., up] * G[:, dn][..., dn] - G[:, up][..., dn] * G[:, dn][..., up]
+    det = rowdot(G[:, 0], cof[:, 0])
+    ok = det > np.finfo(float).eps * np.abs(G).max(axis=(1, 2)) ** 3  # false on NaN
+    if not ok.all():
+        k = int(np.argmin(ok))
+        raise NumericalQualityError(f"horizontal lift: the pushforward Gram is singular at "
+                                    f"base point {np.round(ys[k], 6).tolist()} (det {det[k]:.3e})")
     rhs = np.moveaxis(us.reshape(-1, *us.shape[-2:]), 0, -1)   # (N, 3, R)
-    w3 = np.linalg.solve(G, rhs)
+    w3 = np.swapaxes(cof, 1, 2) @ rhs / det[:, None, None]
     # PH is symmetric, so PH dpi^T w3 = dph^T w3
     return np.moveaxis(np.swapaxes(dph, 1, 2) @ w3, -1, 0).reshape(*us.shape[:-1], 4)
 
 
-def so3_basis() -> list[np.ndarray]:
-    return [np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]]),
-            np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]),
-            np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])]
+def so3_basis() -> np.ndarray:
+    """Rotation generators x -> e_a cross x of R^3, one (3, 3, 3) stack."""
+    return np.array([[[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]],
+                     [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]],
+                     [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]])
 
 
 def lift_potential(bundle: HopfBundle, base_gen: np.ndarray,
@@ -317,7 +323,7 @@ def lift_potential(bundle: HopfBundle, base_gen: np.ndarray,
     ``bundle.rule`` along each great-circle arc from the anchor to y.  The
     arc points, their sections and the lift of the arc tangent are built
     once and shared by every generator's integrand, and all lifts take one
-    batched solve.  Base points too close to the anchor's antipode are
+    closed-form solve.  Base points too close to the anchor's antipode are
     refused (the batteries filter samples instead of integrating through the
     bad chart).
     """
@@ -425,7 +431,7 @@ class DeformedStructure:
 
     def isometry_algebra(self) -> IsometryAlgebra:
         d = self.dim
-        basis = [block_embed(B, d, 0) for B in so_basis(d - 4)] + [self.j0]
+        basis = np.concatenate([block_embed(so_basis(d - 4), d, 0), self.j0[None]])
         return IsometryAlgebra(basis, name="deformation_invariance", validate=False)
 
 
@@ -531,8 +537,8 @@ class IrregularStructure:
 
     def isometry_algebra(self) -> IsometryAlgebra:
         d = self.dim
-        basis = [block_embed(J2, d, 0)]
-        basis += [block_embed(B, d, 2) for B in unitary_block_basis((d - 2) // 2)]
+        basis = np.concatenate([block_embed(J2, d, 0)[None],
+                                block_embed(unitary_block_basis((d - 2) // 2), d, 2)])
         return IsometryAlgebra(basis, name="irregular_invariance", validate=False)
 
 

@@ -70,7 +70,8 @@ FLOW_TIME = 1e-3
 
 
 class NumericalQualityError(RuntimeError):
-    """A finite-difference result failed its step-halving consistency check."""
+    """A finite-difference result failed its step-halving consistency check,
+    or a solve met a singular system."""
 
 
 class MetricDegeneracyError(ValueError):
@@ -502,21 +503,27 @@ class LeviCivita:
     # -- derived structure ----------------------------------------------------
     # Each takes one point (d,) or a stack (N, d), giving results stacked along N.
 
-    def lie_metric_frame(self, fld: VectorField, x: np.ndarray,
+    def lie_metric_frame(self, fld, x: np.ndarray,
                          frame: np.ndarray | None = None) -> np.ndarray:
         """Lie derivative of g along the field, as a matrix in a g-orthonormal
         frame; identically zero iff the field is Killing at this point.
 
-        ``frame``, ``g_orthonormal_frame(M, x)``, is built here when not given.
-        A linear field on a metric other than the round one takes the
-        exact-flow quotient ``flow_lie_frame``; every other pair takes
-        N^T M + M N with N from ``nabla_endo``."""
+        ``fld`` is a field or a stack (G, d, d) of linear generators, put in
+        front.  ``frame``, ``g_orthonormal_frame(M, x)``, is built here when
+        not given.  A linear field on a metric other than the round one takes
+        the exact-flow quotient ``flow_lie_frame``; every other pair takes
+        N^T M + M N, N = P A P on the round metric, else from ``nabla_endo``."""
         x = np.asarray(x, dtype=float)
-        if fld.kind == "linear" and not self.metric.exact_round:
-            return self.flow_lie_frame(fld.matrix, x, frame=frame)
+        A = fld.matrix if isinstance(fld, VectorField) else np.asarray(fld, dtype=float)
+        if A is not None and not self.metric.exact_round:
+            return self.flow_lie_frame(A, x, frame=frame)
         M = self.metric.matrix_at(x)
         F = g_orthonormal_frame(M, x) if frame is None else frame
-        N = self.nabla_endo(fld, x)
+        if A is None:
+            N = self.nabla_endo(fld, x)
+        else:  # the closed form, each generator against every point
+            P = np.eye(x.shape[-1]) - x[..., :, None] * x[..., None, :]
+            N = P @ A.reshape(A.shape[:-2] + (1,) * (x.ndim - 1) + A.shape[-2:]) @ P
         return np.swapaxes(F, -1, -2) @ (np.swapaxes(N, -1, -2) @ M + M @ N) @ F
 
     def flow_lie_frame(self, A: np.ndarray, x: np.ndarray, t: float = FLOW_TIME,

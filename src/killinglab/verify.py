@@ -74,11 +74,12 @@ CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 def _check(name: str, per_point: Sequence[float], tol: float, expected: str = "pass",
            fail_floor: float | None = None, detail: str = "") -> CheckResult:
+    """Per-point residuals (N,), or (G, N) for G fields: the mean of field means."""
     arr = np.asarray(per_point, dtype=float)
     if arr.size == 0:
         raise ValueError(f"check '{name}' got no samples to evaluate")
     return CheckResult(name=name, max_residual=float(arr.max()),
-                       mean_residual=float(arr.mean()), tolerance=tol,
+                       mean_residual=float(arr.mean(axis=-1).mean()), tolerance=tol,
                        expected=expected, fail_floor=fail_floor, detail=detail)
 
 
@@ -112,23 +113,26 @@ def check_unit_length(lc: LeviCivita, fld: VectorField, points,
     return _check(name, np.abs(rowdot(v, matvec(lc.metric.matrix_at(X), v)) - 1.0), tol)
 
 
-def check_killing(lc: LeviCivita, fld: VectorField, points, tol: float,
+def check_killing(lc: LeviCivita, fld, points, tol: float,
                   expected: str = "pass",
                   fail_floor: float | None = None,
                   name: str = "killing", frame: np.ndarray | None = None,
                   lie: np.ndarray | None = None) -> CheckResult:
     """Max entry of the Lie derivative of g along the field, frame components.
 
-    ``lie`` is ``lc.lie_metric_frame(fld, points, frame=frame)``, built here
-    when not given.  An identically vanishing field is trivially Killing; the
-    result is then flagged degenerate in its detail string rather than
-    reported as a clean pass.
+    ``fld`` is a field or a stack (G, d, d) of linear generators, one check
+    of all G.  ``lie`` is ``lc.lie_metric_frame(fld, points, frame=frame)``,
+    built here when not given.  An identically vanishing field is trivially
+    Killing; the result is then flagged degenerate in its detail string
+    rather than reported as a clean pass.
     """
     X = _stack(name, points)
-    res = _worst(lc.lie_metric_frame(fld, X, frame=frame) if lie is None else lie)
-    scale = float(np.abs(fld.value(X)).max())
-    detail = "" if scale > 1e-12 else "degenerate: field vanishes on all samples"
-    return _check(name, res, tol, expected, fail_floor, detail=detail)
+    lie = lc.lie_metric_frame(fld, X, frame=frame) if lie is None else lie
+    values = fld.value(X) if isinstance(fld, VectorField) else X @ np.swapaxes(fld, -1, -2)
+    detail = ("degenerate: field vanishes on all samples"
+              if (np.abs(values).max(axis=(-2, -1)) <= 1e-12).any() else "")
+    return _check(name, np.abs(lie).reshape(*lie.shape[:-2], -1).max(axis=-1), tol,
+                  expected, fail_floor, detail=detail)
 
 
 def check_sasakian(st: StructureTensors, T: np.ndarray, tol: float,
@@ -214,24 +218,26 @@ def covariant_canary(lc: LeviCivita, fld: VectorField, x: np.ndarray) -> float:
 # triple structures
 # ---------------------------------------------------------------------------
 
+def _cyclic_halves(fields: Sequence[VectorField]) -> tuple[np.ndarray, np.ndarray]:
+    """Half brackets [xi_a, xi_b] / 2 and third generators xi_c over the cyclic
+    (a, b, c), as two (3, d, d) stacks; the fields must be linear."""
+    if any(f.matrix is None for f in fields):
+        raise ValueError("cyclic sign needs linear fields")
+    mats = np.array([f.matrix for f in fields])
+    return 0.5 * field_bracket(mats[[0, 1, 2]], mats[[1, 2, 0]]), mats[[2, 0, 1]]
+
+
 def measured_cyclic_sign(fields: Sequence[VectorField], tol: float = 1e-10) -> int:
     """Sign eps with [xi_a, xi_b] = 2 eps xi_c for all cyclic (a, b, c).
 
     Requires linear fields; raises if the brackets do not close onto the
     third generator with a single uniform sign.
     """
-    mats = [f.matrix for f in fields]
-    if any(m is None for m in mats):
-        raise ValueError("cyclic sign needs linear fields")
-    eps_seen = set()
-    for a, b, c in CYCLIC:
-        half = 0.5 * field_bracket(mats[a], mats[b])
-        if np.abs(half - mats[c]).max() <= tol:
-            eps_seen.add(1)
-        elif np.abs(half + mats[c]).max() <= tol:
-            eps_seen.add(-1)
-        else:
-            raise ValueError("triple brackets do not close onto the generators")
+    half, third = _cyclic_halves(fields)
+    plus, minus = (np.abs(half - s * third).max(axis=(1, 2)) <= tol for s in (1, -1))
+    if not (plus | minus).all():
+        raise ValueError("triple brackets do not close onto the generators")
+    eps_seen = set(np.where(plus, 1, -1).tolist())
     if len(eps_seen) != 1:
         raise ValueError(f"cyclic bracket signs are not uniform: {eps_seen}")
     return eps_seen.pop()
@@ -251,11 +257,8 @@ def check_triple_brackets(fields: Sequence[VectorField], tol: float,
                           name: str = "triple_brackets") -> CheckResult:
     """Exact matrix identity [xi_a, xi_b] = 2 eps xi_c, cyclic, uniform sign."""
     eps = measured_cyclic_sign(fields, tol=max(tol, 1e-6))
-    mats = [f.matrix for f in fields]
-    worst = 0.0
-    for a, b, c in CYCLIC:
-        half = 0.5 * field_bracket(mats[a], mats[b])
-        worst = max(worst, float(np.abs(half - eps * mats[c]).max()))
+    half, third = _cyclic_halves(fields)
+    worst = float(np.abs(half - eps * third).max())
     return CheckResult(name=name, max_residual=worst, mean_residual=worst,
                        tolerance=tol, expected="pass",
                        detail=f"uniform bracket sign eps={eps:+d}")

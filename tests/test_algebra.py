@@ -17,7 +17,12 @@ from killinglab import (
     so_basis,
     standard_decomposition,
 )
-from killinglab.algebra import centralizer_check, eigenfield_residuals
+from killinglab.algebra import (
+    CLUSTER_TOL,
+    _cluster_cuts,
+    centralizer_check,
+    eigenfield_residuals,
+)
 from killinglab.constructions import J2
 from killinglab.metrics import linear_field
 
@@ -34,6 +39,32 @@ def test_so_basis_dimension_and_skewness():
         assert len(basis) == d * (d - 1) // 2
         for B in basis:
             assert np.array_equal(B, -B.T)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 7])
+def test_so_basis_is_the_e_ij_stack_bit_for_bit(d):
+    """E_ij (i < j, row-major) has +1 at (i, j) and -1 at (j, i)."""
+    want = []
+    for i in range(d):
+        for j in range(i + 1, d):
+            E = np.zeros((d, d))
+            E[i, j] = 1.0
+            E[j, i] = -1.0
+            want.append(E)
+    got = so_basis(d)
+    assert got.shape == (d * (d - 1) // 2, d, d)
+    assert not got.flags.writeable
+    assert got.tobytes() == np.array(want, dtype=float).tobytes()
+
+
+def test_algebra_basis_is_the_given_stack():
+    """The stack is kept as a read-only view: no copy, and the caller's array
+    stays writable."""
+    stack = np.array(so_basis(4))
+    alg = IsometryAlgebra(stack, name="so(4)")
+    assert np.shares_memory(alg.basis, stack)
+    assert alg.basis.shape == stack.shape and not alg.basis.flags.writeable
+    assert stack.flags.writeable
 
 
 def test_bracket_closure_so4():
@@ -84,19 +115,19 @@ def test_refuses_non_skew_basis_matrix():
     sym = np.zeros((4, 4))
     sym[0, 1] = sym[1, 0] = 1.0
     with pytest.raises(ValueError, match="skew-symmetric"):
-        IsometryAlgebra(so_basis(4)[:2] + [sym], validate=False)
+        IsometryAlgebra(np.concatenate([so_basis(4)[:2], sym[None]]), validate=False)
 
 
 def test_refuses_exactly_dependent_basis():
     basis = so_basis(4)
     with pytest.raises(ValueError, match="linearly dependent"):
-        IsometryAlgebra(basis + [basis[0] + basis[1]], validate=False)
+        IsometryAlgebra(np.concatenate([basis, [basis[0] + basis[1]]]), validate=False)
 
 
 def test_refuses_basis_dependent_to_1e_12():
     basis = so_basis(4)
     with pytest.raises(ValueError, match="linearly dependent"):
-        IsometryAlgebra(basis[:3] + [basis[0] * (1 + 1e-12)], validate=False)
+        IsometryAlgebra(np.concatenate([basis[:3], [basis[0] * (1 + 1e-12)]]), validate=False)
 
 
 def test_refuses_basis_not_closed():
@@ -163,6 +194,54 @@ def test_decomposition_blocks_are_eigenblocks():
         for A in block:
             ad2 = field_bracket(xi, field_bracket(xi, A))
             assert np.abs(ad2 + rate * rate * A).max() < 1e-10
+
+
+def _clusters_by_loop(vals, tol):
+    """The clustering as one Python step per eigenvalue: join the current
+    cluster unless the value sits more than tol above its predecessor."""
+    clusters = [[0]]
+    for k in range(1, len(vals)):
+        if vals[k] - vals[clusters[-1][-1]] <= tol:
+            clusters[-1].append(k)
+        else:
+            clusters.append([k])
+    return clusters
+
+
+TOL = 2.0 ** -27  # dyadic, so the gaps below are exact
+
+
+@pytest.mark.parametrize("vals", [
+    [0.0],
+    [-1.0, -1.0 + TOL, -1.0 + 2 * TOL],                 # gaps exactly at tol: one cluster
+    [-1.0, -1.0 + 2 * TOL, -1.0 + 4 * TOL],             # gaps over tol: three
+    [0.0, 0.75 * TOL, 1.5 * TOL, 2.25 * TOL, 3.0 * TOL],  # a chain wider than tol: one
+    [-4.0, -4.0, -4.0 + TOL, -1.0, -1.0 + TOL, 0.0, TOL, 3 * TOL],
+    sorted(np.random.default_rng(5).choice([-4.0, -1.0, 0.0], 30)
+           + TOL * np.random.default_rng(6).integers(0, 3, 30)),
+])
+def test_vectorized_clustering_matches_the_loop(vals):
+    vals = np.asarray(vals, dtype=float)
+    got = [c.tolist() for c in np.split(np.arange(len(vals)), _cluster_cuts(vals, TOL))]
+    assert got == _clusters_by_loop(vals, TOL)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_decomposition_blocks_are_the_loop_clusters_of_one_stack(n):
+    """At the default tolerance on real spectra: the blocks are read-only
+    (b, d, d) slices of one stack, sized by the loop's clusters."""
+    d = 2 * n + 2
+    a = np.sqrt(2.0) - 1.0
+    xi = np.kron(np.eye(n + 1), J2)
+    xi[:2, :2] *= 1.0 + a
+    dec = standard_decomposition(IsometryAlgebra(so_basis(d), validate=False), xi)
+    vals = dec.s_eigenvalues
+    scale = max(1.0, float(np.abs(vals).max()))
+    sizes = sorted(len(c) for c in _clusters_by_loop(vals, CLUSTER_TOL * scale))
+    assert sorted(len(b) for b in dec.blocks) == sizes
+    for block in dec.blocks:
+        assert block.shape[1:] == (d, d) and not block.flags.writeable
+    assert sum(len(b) for b in dec.blocks) == d * (d - 1) // 2
 
 
 def test_decomposition_rejects_foreign_xi():
@@ -285,3 +364,18 @@ def test_eigenfield_residuals_block_matches_per_generator(example, round1, lc_ro
     assert want["eigenvalue_identity"] > 0.1
     for key, val in want.items():
         assert got[key] == pytest.approx(val, rel=1e-12, abs=1e-14)
+
+
+def test_stacked_eigenfield_call_matches_the_per_generator_oracle(round2, lc_round2, pts2):
+    """The whole rate-2 block of so(6), one call, against one generator and
+    one sample at a time."""
+    dec = standard_decomposition(round2.isometry_algebra(), round2.j0)
+    mats = dec.blocks[-1]
+    got = eigenfield_residuals(round2.field, mats, lc_round2.structure_at(round2.field,
+                                                                          pts2[:10]),
+                               rate=dec.rates[-1])
+    want = eigenfield_residuals_per_generator(lc_round2, round2.field, mats, pts2[:10],
+                                              dec.rates[-1])
+    assert set(got) == set(want)
+    for key, val in want.items():
+        assert abs(got[key] - val) <= 1e-14, key

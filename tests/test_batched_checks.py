@@ -288,6 +288,30 @@ def test_shared_structures_of_the_gf_and_quaternionic_batteries():
     assert all(s.frame is triple.F for s in triple.sts)  # one frame for the three fields
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_killing_check_of_a_generator_stack_on_the_round_metric(n):
+    """The closed form over a stack: each slice of the Lie derivative is its
+    generator's own, and the one check is the max and the mean of means of
+    the per-generator checks."""
+    rs = build_round(n)
+    lc = LeviCivita(rs.metric)
+    X = sample_sphere(n, 20, seed=67).coords
+    basis = rs.isometry_algebra().basis
+    F = g_orthonormal_frame(rs.metric.matrix_at(X), X)
+    L = lc.lie_metric_frame(basis, X, frame=F)
+    assert L.shape[0] == len(basis)
+    assert all(np.array_equal(L[i], lc.lie_metric_frame(linear_field(B), X, frame=F))
+               for i, B in enumerate(basis))
+    shared = check_killing(lc, basis, X, tol=1e-5, frame=F)
+    own = [check_killing(lc, linear_field(B), X, tol=1e-5, frame=F) for B in basis]
+    assert shared.max_residual == max(r.max_residual for r in own)
+    assert shared.mean_residual == np.mean([r.mean_residual for r in own])
+    assert shared.detail == ""
+    zero = check_killing(lc, np.concatenate([basis[:1], np.zeros((1,) + basis.shape[1:])]),
+                         X, tol=1e-5)
+    assert zero.detail == "degenerate: field vanishes on all samples"
+
+
 def _same_arrays(a, b) -> bool:
     """Every field of two dataclasses equal bit for bit, nested ones (alone or
     in a list or tuple) field by field."""
@@ -326,7 +350,7 @@ def test_quaternionic_battery_builds_one_frame_and_one_structure_per_field(monke
         return wrapper
 
     frame = counted("g_orthonormal_frame", metrics.g_orthonormal_frame)
-    for module in (metrics, verify, cli):
+    for module in (metrics, verify):  # cli builds no frame of its own
         monkeypatch.setattr(module, "g_orthonormal_frame", frame)
     monkeypatch.setattr(LeviCivita, "structure_at",
                         counted("structure_at", LeviCivita.structure_at))

@@ -155,6 +155,6 @@ def test_algebra_coords_recover_integer_combinations():
         assert alg.contains(sum(int(k) * B for k, B in zip(c, basis6)))
     basis = so_basis(4)
     with pytest.raises(ValueError, match="linearly dependent"):
-        IsometryAlgebra(basis + [basis[0] + basis[1]], validate=False)
+        IsometryAlgebra(np.concatenate([basis, [basis[0] + basis[1]]]), validate=False)
     small = IsometryAlgebra(basis[:2], validate=False)
     assert not small.contains(basis[3])

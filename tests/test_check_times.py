@@ -52,8 +52,9 @@ def test_json_record_holds_quartiles_settings_and_environment(monkeypatch, capsy
     assert module.main(["--samples", "5", "--repeats", "1", "--json", str(path)]) == 0
     printed = capsys.readouterr().out
     doc = json.loads(path.read_text(encoding="utf-8"))
-    assert set(doc) == {"schema", "environment", "settings", "batteries"}
-    assert doc["schema"] == module.SCHEMA == 2
+    assert set(doc) == {"schema", "environment", "settings", "batteries", "decompose"}
+    assert doc["schema"] == module.SCHEMA == 3
+    assert doc["decompose"] == []  # no --decompose-n
     assert set(doc["environment"]) == {"python", "numpy", "blas_threads", "nproc", "machine",
                                        "git_head", "git_dirty", "src_sha256"}
     assert doc["environment"]["blas_threads"] == "1"
@@ -89,3 +90,38 @@ def test_repeats_run_across_batteries_after_one_warm_up_each(monkeypatch, capsys
     assert module.main(["--samples", "5", "--repeats", "2"]) == 0
     one_round = [(e, p.get("m", 1)) for e, p in module.BATTERIES]
     assert order == one_round * 3  # the warm-up round, then two repeats
+
+
+def test_decompose_rows_time_whole_processes(monkeypatch, capsys, tmp_path):
+    """--decompose-n 10 adds one row: the wall time and the child's own peak
+    RSS of a ``decompose --example round --n 10`` process."""
+    module = _load_script(monkeypatch)
+    monkeypatch.setattr(module, "BATTERIES", module.BATTERIES[2:3])  # round --n 2 only
+    path = tmp_path / "BENCH_tiny.json"
+    assert module.main(["--samples", "5", "--repeats", "1", "--json", str(path),
+                        "--decompose-n", "10"]) == 0
+    assert "decompose --example round --n 10: " in capsys.readouterr().out
+    rows = json.loads(path.read_text(encoding="utf-8"))["decompose"]
+    assert [row["n"] for row in rows] == [10]
+    assert set(rows[0]) == {"n", "wall_ms", "peak_rss_mb"}
+    for q in (rows[0]["wall_ms"], rows[0]["peak_rss_mb"]):
+        assert set(q) == {"median", "q1", "q3"}
+        assert 0.0 < q["q1"] <= q["median"] <= q["q3"]
+    assert 10.0 < rows[0]["peak_rss_mb"]["median"] < 1000.0
+
+
+def test_decompose_repeats_interleave_across_n(monkeypatch, capsys):
+    """Repeat r of every --decompose-n runs before repeat r + 1 of any."""
+    module = _load_script(monkeypatch)
+    monkeypatch.setattr(module, "BATTERIES", ())
+    order = []
+
+    def fake(n):
+        order.append(n)
+        return 0.001 * n, float(n)
+
+    monkeypatch.setattr(module, "run_decompose", fake)
+    assert module.main(["--repeats", "2", "--decompose-n", "10", "20"]) == 0
+    assert order == [10, 20, 10, 20]
+    out = capsys.readouterr().out
+    assert "--n 10: 10.0 ms, peak RSS 10.0 MB" in out and "--n 20: 20.0 ms" in out

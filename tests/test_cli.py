@@ -83,6 +83,61 @@ def test_exit_codes_usage_errors():
     assert run_cli("decompose", "--example", "quaternionic", *FAST)[0] == 2
 
 
+def _as_limited(limit_bytes: int):
+    """A preexec_fn capping the child's address space, so a run that tries
+    to allocate beyond it fails at once instead of growing."""
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit_bytes, limit_bytes))
+    return cap
+
+
+@pytest.mark.parametrize("command", ["decompose", "verify"])
+def test_out_of_reach_n_is_refused_before_allocating(command):
+    """so(200002) would not fit in memory: --n is refused by name with the
+    bound and the budget, under a 2 GiB address-space cap, with no
+    traceback (numpy's ArrayMemoryError before)."""
+    proc = subprocess.run([sys.executable, "-m", "killinglab", command, "--example", "round",
+                           "--n", "100000", "--no-timestamp"],
+                          capture_output=True, text=True, timeout=120,
+                          preexec_fn=_as_limited(2 << 30))
+    assert proc.returncode == 2, proc.stderr
+    assert "--n 100000" in proc.stderr and f"at most {cli.MAX_N}" in proc.stderr
+    assert "2 GiB" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_n_bound_applies_where_an_example_reads_n(tmp_path):
+    parser = make_parser()
+
+    def config(*argv):
+        return cli.build_config(parser.parse_args(list(argv)))
+
+    assert config("decompose", "--example", "round", "--n", "40").n == 40
+    assert config("verify", "--example", "irregular", "--n", str(cli.MAX_N)).n == cli.MAX_N
+    for argv in (["decompose", "--example", "gF"], ["verify", "--example", "round"]):
+        with pytest.raises(ValueError, match=f"--n {cli.MAX_N + 1} is out of reach"):
+            config(*argv, "--n", str(cli.MAX_N + 1))
+    cfg_file = tmp_path / "big.cfg"
+    cfg_file.write_text("n = 100000\n")
+    with pytest.raises(ValueError, match="--n 100000"):
+        config("decompose", "--config", str(cfg_file))
+    # quaternionic, hopf-lift and classify-flow read no n
+    assert config("verify", "--example", "quaternionic", "--n", "100000").n == 100000
+    assert config("classify-flow", "1", "2", "--n", "100000").n == 100000
+
+
+def test_reports_echo_every_config_field(capsys):
+    """The config echo is the dataclass's fields by name, as asdict gave it."""
+    from dataclasses import asdict
+
+    argv = ["decompose", "--example", "round", "--n", "2", "--format", "json",
+            "--no-timestamp"]
+    assert main(argv) == 0
+    cfg = cli.build_config(make_parser().parse_args(argv))
+    assert json.loads(capsys.readouterr().out)["config"] == asdict(cfg)
+
+
 def test_verify_gf_default_n():
     """gF needs n >= 3; with n unset the run uses 3 instead of failing."""
     code, out, err = run_cli("verify", "--example", "gF", "--samples", "20",

@@ -27,18 +27,21 @@ from killinglab import (
     sample_sphere,
     standard_decomposition,
 )
-from killinglab.algebra import centralizer_check, field_bracket
+from killinglab.algebra import centralizer_check, field_bracket, so_basis
 from killinglab import cli, constructions
 from killinglab.constructions import (
+    J2,
     fit_linear_generator,
     gauss_legendre_rule,
     hopf_differential,
     hopf_projection,
     hopf_sample_filter,
+    horizontal_lift_batch,
     lift_potential,
     lifted_field_value,
     so3_basis,
     solve_lift,
+    unitary_block_basis,
 )
 from killinglab.metrics import NumericalQualityError
 from killinglab.verify import (
@@ -419,7 +422,7 @@ def test_deformed_invariance_algebra(deformed):
     lc = LeviCivita(deformed.metric)
     pts = sample_sphere(deformed.n, 10, seed=42).points
     from killinglab.metrics import linear_field
-    for B in alg.basis[:4] + [alg.basis[-1]]:
+    for B in alg.basis[[0, 1, 2, 3, -1]]:
         fld = linear_field(B, name="invariance")
         assert check_killing(lc, fld, pts, tol=1e-5).passed
 
@@ -511,3 +514,72 @@ def test_irregular_rejects_degenerate_offset():
     from fractions import Fraction
     with pytest.raises(MetricDegeneracyError):
         build_irregular(a=ExactScalar(Fraction(-999, 1000)))
+
+
+def _embedded(block, d, offset):
+    out = np.zeros((d, d))
+    out[offset:offset + len(block), offset:offset + len(block)] = block
+    return out
+
+
+def _unitary_block_basis_loop(n):
+    """One matrix at a time: J2 on each diagonal 2x2 block, then for p < q
+    Id at (p, q) with -Id at (q, p), and J2 at both."""
+    def put(p, q, block):
+        A = np.zeros((2 * n, 2 * n))
+        A[2 * p:2 * p + 2, 2 * q:2 * q + 2] = block
+        return A
+    basis = [put(p, p, J2) for p in range(n)]
+    for p in range(n):
+        for q in range(p + 1, n):
+            basis.append(put(p, q, np.eye(2)) - put(q, p, np.eye(2)))
+            basis.append(put(p, q, J2) + put(q, p, J2))
+    return np.array(basis)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_invariance_algebras_are_the_per_generator_stacks(n):
+    """unitary_block_basis and the gF and irregular invariance algebras,
+    built by index and slice assignment, equal their one-matrix-at-a-time
+    definitions bit for bit."""
+    assert unitary_block_basis(n).tobytes() == _unitary_block_basis_loop(n).tobytes()
+    ir = build_irregular(n=n)
+    want = [_embedded(J2, ir.dim, 0)] + [_embedded(B, ir.dim, 2)
+                                          for B in _unitary_block_basis_loop(n)]
+    assert ir.isometry_algebra().basis.tobytes() == np.array(want).tobytes()
+    ds = build_deformed(n=n + 2)
+    want = [_embedded(B, ds.dim, 0) for B in so_basis(ds.dim - 4)] + [ds.j0]
+    assert ds.isometry_algebra().basis.tobytes() == np.array(want).tobytes()
+
+
+def test_closed_form_lift_solve_matches_lapack(hopf):
+    """Adjugate over determinant against LAPACK on the same regularised
+    Gram, and the lift's defining properties for tangent base vectors."""
+    xs = hopf_sample_filter(sample_sphere(1, 60, seed=13).coords)
+    ys = hopf_projection(xs)
+    rng = np.random.default_rng(14)
+    us = rng.normal(size=(2, len(xs), 3))
+    us -= (us * ys).sum(-1, keepdims=True) * ys / (ys * ys).sum(-1, keepdims=True)
+    got = horizontal_lift_batch(hopf.j0, xs, ys, us)
+    dpi = hopf_differential(xs)
+    xis = xs @ hopf.j0.T
+    PH = np.eye(4) - xs[:, :, None] * xs[:, None, :] - xis[:, :, None] * xis[:, None, :]
+    G = dpi @ PH @ np.swapaxes(dpi, 1, 2) + 4.0 * ys[:, :, None] * ys[:, None, :]
+    for r in range(2):
+        want = (PH @ np.swapaxes(dpi, 1, 2) @ np.linalg.solve(G, us[r][..., None]))[..., 0]
+        assert np.abs(got[r] - want).max() <= 1e-13
+        assert np.abs((got[r] * xs).sum(-1)).max() <= 1e-13       # tangent
+        assert np.abs((got[r] * xis).sum(-1)).max() <= 1e-13      # horizontal
+        assert np.abs((dpi @ got[r][..., None])[..., 0] - us[r]).max() <= 1e-13
+
+
+def test_lift_solve_refuses_a_singular_gram_by_its_base_point(hopf):
+    """At x = 0 the pushforward vanishes and G = 4 y y^T has rank one; a NaN
+    point fails the same test.  LAPACK raised LinAlgError on the first."""
+    ys = np.array([[0.1, 0.2, 0.3], [0.0, 0.0, 0.5]])
+    xs = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+    with pytest.raises(NumericalQualityError, match=r"base point \[0.0, 0.0, 0.5\]"):
+        horizontal_lift_batch(hopf.j0, xs, ys, np.ones((2, 3)))
+    xs[1] = np.nan
+    with pytest.raises(NumericalQualityError, match="singular"):
+        horizontal_lift_batch(hopf.j0, xs, ys, np.ones((2, 3)))
