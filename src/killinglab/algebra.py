@@ -15,7 +15,12 @@ The main operation is ``standard_decomposition``: split an algebra into the
 kernel and the rotation-rate eigenblocks of the adjoint action of a chosen
 unit Killing generator, using eigenvalue clustering of the squared adjoint
 in the trace-form orthonormal basis Q: the sorted eigenvalues split wherever
-a consecutive gap exceeds ``cluster_tol * scale``, one (b, d, d) stack each.
+a consecutive gap exceeds ``CLUSTER_TOL * scale``, one (b, d, d) stack each.
+
+The tolerances are module constants: CLUSTER_TOL and GAP_TOL for the
+clustering, CLOSURE_TOL for the bracket closure of a basis, MEMBER_TOL for
+membership (``contains``, ``centralizer_check``) and CENTRAL_TOL for a
+central commutator.
 """
 
 from __future__ import annotations
@@ -28,6 +33,8 @@ CLUSTER_TOL = 1e-8   # eigenvalues closer than this fall into one cluster
 GAP_TOL = 1e-6       # distinct clusters must be separated by more than this
 SKEW_TOL = 1e-10
 CLOSURE_TOL = 1e-9
+MEMBER_TOL = 1e-8    # relative rebuild defect of a member of the algebra's span
+CENTRAL_TOL = 1e-10  # largest commutator entry of a central element
 
 
 class DegenerateClusterError(RuntimeError):
@@ -63,8 +70,7 @@ class IsometryAlgebra:
     trace-form coordinates; ``_project`` works in Q, and only basis
     coordinates need R."""
 
-    def __init__(self, basis, name: str = "", validate: bool = True,
-                 closure_tol: float = CLOSURE_TOL):
+    def __init__(self, basis, name: str = "", validate: bool = True):
         try:  # a view, so the read-only flag below is its own
             stack = np.asarray(basis, dtype=float).view()
         except ValueError:  # a ragged sequence of matrices
@@ -89,7 +95,7 @@ class IsometryAlgebra:
         signs = np.sign(np.diag(r))
         self._q, self._r = q * signs, r * signs[:, None]
         if validate:
-            self.validate_closure(closure_tol)
+            self.validate_closure()
 
     @property
     def dim(self) -> int:
@@ -128,14 +134,14 @@ class IsometryAlgebra:
             raise ValueError(f"{refusal} (residual {float(resid.max()):.3e})")
         return y
 
-    def contains(self, A: np.ndarray, tol: float = 1e-8) -> bool:
+    def contains(self, A: np.ndarray) -> bool:
         A = np.asarray(A, dtype=float)
-        return A.shape == self.basis.shape[1:] and bool(self._project([A], tol, None)[0])
+        return A.shape == self.basis.shape[1:] and bool(self._project([A], MEMBER_TOL, None)[0])
 
-    def validate_closure(self, tol: float = CLOSURE_TOL) -> None:
+    def validate_closure(self) -> None:
         """Brackets of each basis element with all later ones, projected at once."""
         for i, Bi in enumerate(self.basis[:-1]):
-            self._project(field_bracket(Bi, self.basis[i + 1:]), tol,
+            self._project(field_bracket(Bi, self.basis[i + 1:]), CLOSURE_TOL,
                           "basis is not closed under the field bracket")
 
     def ad_matrix(self, X: np.ndarray) -> np.ndarray:
@@ -179,16 +185,14 @@ def _cluster_cuts(vals: np.ndarray, tol: float) -> np.ndarray:
     return np.flatnonzero(np.diff(vals) > tol) + 1
 
 
-def standard_decomposition(algebra: IsometryAlgebra, xi: np.ndarray,
-                           cluster_tol: float = CLUSTER_TOL,
-                           gap_tol: float = GAP_TOL) -> Decomposition:
+def standard_decomposition(algebra: IsometryAlgebra, xi: np.ndarray) -> Decomposition:
     """Split ``algebra`` into eigenblocks of the squared adjoint of ``xi``.
 
     The adjoint of a Killing generator is skew for the trace pairing, so its
     square is symmetric nonpositive; the algebra splits into the kernel
     (commutant of xi) plus blocks on which the square is -rate^2.  Sorted
-    eigenvalues split wherever a consecutive gap exceeds ``cluster_tol *
-    scale``; if two cluster means sit within ``gap_tol * scale`` the split is
+    eigenvalues split wherever a consecutive gap exceeds ``CLUSTER_TOL *
+    scale``; if two cluster means sit within ``GAP_TOL * scale`` the split is
     numerically meaningless and DegenerateClusterError is raised.
     """
     xi = np.asarray(xi, dtype=float)
@@ -208,17 +212,17 @@ def standard_decomposition(algebra: IsometryAlgebra, xi: np.ndarray,
     vals, vecs = np.linalg.eigh(S)  # ascending: most negative first
 
     scale = max(1.0, float(np.abs(vals).max()))
-    cuts = _cluster_cuts(vals, cluster_tol * scale)
+    cuts = _cluster_cuts(vals, CLUSTER_TOL * scale)
     means = [float(c.mean()) for c in np.split(vals, cuts)]
     for m1, m2 in zip(means, means[1:]):
-        if m2 - m1 <= gap_tol * scale:
+        if m2 - m1 <= GAP_TOL * scale:
             raise DegenerateClusterError(
                 f"adjoint-square eigenvalue clusters at {m1:.6e} and {m2:.6e} are "
-                f"closer than the resolvable gap {gap_tol:.1e} * {scale:.3g}")
+                f"closer than the resolvable gap {GAP_TOL:.1e} * {scale:.3g}")
 
     gens = algebra._unskew((algebra._q @ vecs).T)
     gens.setflags(write=False)
-    rates = [0.0 if -m <= gap_tol * scale else float(np.sqrt(-m)) for m in means]
+    rates = [0.0 if -m <= GAP_TOL * scale else float(np.sqrt(-m)) for m in means]
     order, blocks = np.argsort(rates, kind="stable"), np.split(gens, cuts)
     return Decomposition(xi=xi, rates=tuple(rates[k] for k in order),
                          blocks=tuple(blocks[k] for k in order), s_eigenvalues=vals)
@@ -259,8 +263,7 @@ def eigenfield_residuals(xi_field, mats, st, rate: float | None = None) -> dict[
     return out
 
 
-def centralizer_check(alg: "IsometryAlgebra", mats, member_tol: float = 1e-8,
-                      central_tol: float = 1e-10) -> dict:
+def centralizer_check(alg: "IsometryAlgebra", mats) -> dict:
     """Are the given generators, a stack (k, d, d), central elements of the algebra?
 
     Returns the max commutator entry against the whole basis and whether each
@@ -268,10 +271,10 @@ def centralizer_check(alg: "IsometryAlgebra", mats, member_tol: float = 1e-8,
     """
     mats = np.asarray(mats, dtype=float)
     worst = float(np.abs(field_bracket(mats[:, None], alg.basis)).max(initial=0.0))
-    members = alg._project(mats, member_tol, None).tolist()
+    members = alg._project(mats, MEMBER_TOL, None).tolist()
     return {
         "max_commutator": worst,
-        "central": worst <= central_tol,
+        "central": worst <= CENTRAL_TOL,
         "members": members,
-        "ok": worst <= central_tol and all(members),
+        "ok": worst <= CENTRAL_TOL and all(members),
     }

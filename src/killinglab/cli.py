@@ -46,7 +46,8 @@ from .constructions import (
 from .constructions import J2
 from .flows import (COARSE_STEP, PROBE_MAX_POINTS, RotationProfile, classify,
                     numeric_orbit_probe, parse_rate)
-from .metrics import LeviCivita, MetricDegeneracyError, NumericalQualityError, StructureTensors
+from .metrics import (STENCIL_CHUNK, LeviCivita, MetricDegeneracyError, NumericalQualityError,
+                      StructureTensors)
 from .report import CheckResult, VerificationReport
 from .sphere import matvec, rowdot, sample_sphere
 
@@ -65,10 +66,26 @@ HOPF_MIN_KEPT = 4
 GF_WEDGE_FLOOR = 1e-2
 GF_TORSION_FLOOR = 1e-3
 GF_MIN_C = 5e-3
+# the fewest samples at which gF's expected-fail checks meet their floors on every seed:
+# over seeds 0-199 (c = 0.3, n = 3), 1 to 6 samples left 94, 45, 16, 6, 4 and 2 seeds
+# with wedge_second_derivative (and at 1 sample cr_torsion) below its floor, 7 to 12 none
+GF_MIN_SAMPLES = 7
+# the peak memory one run may ask for
+MEMORY_BUDGET_GIB = 2
 # the largest --n of verify and decompose where the example reads it: so(2n+2) is a
-# stack of (n+1)(2n+1) (2n+2)^2 doubles, a decomposition peaks near six stacks (n = 40:
-# 179 MB, 1.06 GB peak RSS), and n = 47 (336 MB) is the largest within a 2 GiB budget
+# stack of (n+1)(2n+1) (2n+2)^2 doubles, a decomposition peaks near SO_STACKS stacks
+# (n = 40: 179 MB, 1.06 GB peak RSS), and n = 47 (336 MB) is the largest within the budget
+SO_STACKS = 6
 MAX_N = 47
+# verify's peak memory grows as samples * d^3, d the ambient dimension (2n+2; 4m+4 on
+# quaternionic; 4 on hopf-lift), the Nijenhuis contraction's N (d-1)^3 temporaries
+# first.  Whole-process peak RSS less the interpreter's 40 MB, per sample and d^3, was
+# on round 35-68 B (n = 1-28 at 200-100000 samples), on quaternionic 35-45 (m = 1-6 at
+# 200-20000), on gF and irregular 34-114 counting STENCIL_CHUNK * d more samples for
+# their chunked second differences (n = 2-12 at 16-5000), and on hopf-lift 98-258,
+# whose lift quadrature holds its nodes for every sample (200-200000 samples)
+VERIFY_BYTES_PER_SAMPLE_D3 = {"round": 72, "quaternionic": 48, "gF": 120, "irregular": 120,
+                              "hopf-lift": 260}
 # the orbit probe's coarse grid holds ceil(horizon / COARSE_STEP) points; --horizon
 # may ask for 3 (the fewest that hold a local minimum) to flows.PROBE_MAX_POINTS
 
@@ -156,29 +173,34 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     if cfg.n > MAX_N and cfg.example in _STRUCTURES and getattr(args, "command", None) in EXAMPLES:
         raise ValueError(f"--n {cfg.n} is out of reach: --n may be at most {MAX_N}, whose "
                          f"so(2n+2) generator stack (336 MB) keeps a decomposition's peak "
-                         f"memory within a 2 GiB budget")
+                         f"memory within a {MEMORY_BUDGET_GIB} GiB budget")
     if cfg.samples < 1:
         raise ValueError(f"samples must be >= 1, got {cfg.samples}")
     if cfg.seed < 0:
         raise ValueError(f"seed must be >= 0, got {cfg.seed}")
+    if getattr(args, "command", None) == "verify":
+        _refuse_out_of_memory(cfg)
     return cfg
 
 
-def _merge(name: str, parts: list[CheckResult], tol: float) -> CheckResult:
-    """Aggregate same-shaped pass checks: max of maxes, mean of means."""
-    return CheckResult(
-        name=name,
-        max_residual=max(p.max_residual for p in parts),
-        mean_residual=float(np.mean([p.mean_residual for p in parts])),
-        tolerance=tol,
-        detail="; ".join(sorted({p.detail for p in parts if p.detail})),
-    )
-
-
-def _single(name: str, res: float, tol: float, detail: str = "") -> CheckResult:
-    """A check of one residual, which is both its max and its mean."""
-    return CheckResult(name=name, max_residual=res, mean_residual=res, tolerance=tol,
-                       detail=detail)
+def _refuse_out_of_memory(cfg: RunConfig) -> None:
+    """Refuse a verify run whose arrays would outgrow the memory budget, before any exists."""
+    flag, d = {"hopf-lift": ("", 4), "quaternionic": (f"--m {cfg.m} ", 4 * cfg.m + 4)}.get(
+        cfg.example, (f"--n {cfg.n} ", 2 * cfg.n + 2))
+    per = d**3 * VERIFY_BYTES_PER_SAMPLE_D3[cfg.example]
+    # bytes whatever the sample count: the FD batteries' chunked second
+    # differences, and round's so(d) decomposition (the MAX_N bound)
+    fixed = {"gF": per * STENCIL_CHUNK * d, "irregular": per * STENCIL_CHUNK * d,
+             "round": SO_STACKS * 4 * d**3 * (d - 1)}.get(cfg.example, 0)
+    need, budget = per * cfg.samples + fixed, MEMORY_BUDGET_GIB << 30
+    if need > budget:
+        most = (budget - fixed) // per
+        raise ValueError(
+            f"{flag}--samples {cfg.samples} is out of reach: verify --example {cfg.example} "
+            f"would hold about {need / 2**30:.3g} GiB ({per // d**3} bytes per sample and d^3, "
+            f"d = {d}, and {fixed / 2**30:.3g} GiB more), against a {MEMORY_BUDGET_GIB} GiB "
+            f"budget; " + (f"--samples may be at most {most} here" if most >= 1
+                           else "no --samples fits"))
 
 
 _STRUCTURES = {
@@ -186,13 +208,6 @@ _STRUCTURES = {
     "gF": lambda cfg: build_deformed(n=cfg.n, c=cfg.c),
     "irregular": lambda cfg: build_irregular(n=cfg.n, a=parse_rate(cfg.a)),
 }
-
-
-def _eigenfield_check(name: str, res: dict, detail: str = "") -> CheckResult:
-    """The eigenfield identities of one rate block, from their residuals by name."""
-    return CheckResult(name=name, max_residual=max(res.values()),
-                       mean_residual=float(np.mean(list(res.values()))),
-                       tolerance=1e-6, detail=detail)
 
 
 # ---------------------------------------------------------------------------
@@ -252,9 +267,10 @@ def _battery_round(cfg: RunConfig) -> VerificationReport:
     dec = standard_decomposition(alg, rs.j0)
     nz = [k for k, lam in enumerate(dec.rates) if lam > 0.5][0]
     res = eigenfield_residuals(rs.field, dec.blocks[nz], st, rate=dec.rates[nz])
-    rep.add(_eigenfield_check("eigenfield_identities", res,
-                              detail="orthogonality + bracket + eigenvalue identities "
-                                     "over the whole nonzero-rate block"))
+    rep.add(CheckResult.from_residuals(
+        "eigenfield_identities", list(res.values()), 1e-6,
+        detail="orthogonality + bracket + eigenvalue identities over the whole "
+               "nonzero-rate block"))
     rep.extras["decomposition"] = dec.summary()
     return rep
 
@@ -271,9 +287,10 @@ def _battery_quaternionic(cfg: RunConfig) -> VerificationReport:
                                  name="triple_killing", frame=triple.F))
     with rep.stage("second_nabla_frame"):
         Ts = [lc.second_nabla_frame(f, X, triple.F) for f in qs.fields]
-    rep.add(_merge("triple_wedge_second_derivative",
-                   [verify.check_sasakian(st, T, tol=verify.EXACT_TOL)
-                    for st, T in zip(triple.sts, Ts)], tol=verify.EXACT_TOL))
+    rep.add(CheckResult.from_residuals(
+        "triple_wedge_second_derivative",
+        np.stack([verify.sasakian_residual(st, T) for st, T in zip(triple.sts, Ts)]),
+        verify.EXACT_TOL))
     rep.add(verify.check_triple_products(triple, tol=1e-10, variant="aligned"))
     rep.add(verify.check_triple_products(triple, tol=1e-10, variant="transposed",
                                          expected="fail", fail_floor=1e-2,
@@ -287,8 +304,9 @@ def _battery_quaternionic(cfg: RunConfig) -> VerificationReport:
                           sp.invariance_residual, sp.commutation_residual,
                           sp.split.dim_plus]))
     dims = np.unique(np.stack([sp.split.dim_plus, sp.split.dim_minus], axis=-1), axis=0)
-    rep.add(_single("horizontal_split_plus_trivial", worst, 1e-8,
-                    detail=f"(dim+, dim-) over samples: {[tuple(d) for d in dims.tolist()]}"))
+    rep.add(CheckResult.from_residuals(
+        "horizontal_split_plus_trivial", worst, 1e-8,
+        detail=f"(dim+, dim-) over samples: {[tuple(d) for d in dims.tolist()]}"))
 
     fixture = build_flip_fixture()
     with rep.stage("check_flip_quaternionic"):
@@ -314,12 +332,10 @@ def _battery_hopf(cfg: RunConfig) -> VerificationReport:
 
     gens = so3_basis()
     mats, defects = solve_lift(bundle, gens, kept)  # all three in one quadrature
-    rep.add(CheckResult(name="lift_fit_defect", max_residual=float(defects.max()),
-                        mean_residual=float(defects.mean()),
-                        tolerance=1e-8,
-                        detail="largest pointwise defect of the linear fit"))
-    rep.add(_single("lift_skewness", float(np.abs(mats + np.swapaxes(mats, 1, 2)).max()),
-                    1e-10))
+    rep.add(CheckResult.from_residuals("lift_fit_defect", defects, 1e-8,
+                                       detail="largest pointwise defect of the linear fit"))
+    rep.add(CheckResult.from_residuals("lift_skewness",
+                                       np.abs(mats + np.swapaxes(mats, 1, 2)).max(), 1e-10))
     rep.add(verify.check_killing(lc, mats, X, tol=1e-5, name="lift_killing"))
 
     # path independence: direct potential vs a two-leg path through a waypoint;
@@ -335,8 +351,9 @@ def _battery_hopf(cfg: RunConfig) -> VerificationReport:
     if n_path:
         two_leg = direct[0] + lift_potential(alt, gens[0], ys)
         worst_path = float(np.abs(direct[1:] - two_leg).max())
-    rep.add(_single("potential_path_independence", worst_path, 1e-6,
-                    detail=f"two-leg vs direct quadrature at {n_path} targets"))
+    rep.add(CheckResult.from_residuals("potential_path_independence", worst_path, 1e-6,
+                                       detail=f"two-leg vs direct quadrature at {n_path} "
+                                              f"targets"))
 
     # pushdown: fitted lifts project onto the base generators; the kernel of
     # the projection on span{lifts, circle generator} is the circle generator
@@ -345,8 +362,10 @@ def _battery_hopf(cfg: RunConfig) -> VerificationReport:
     downs, push_res = fit_linear_generator(
         hopf_projection(xs), matvec(hopf_differential(xs), xs @ np.swapaxes(ups, 1, 2)))
     agree = float(np.abs(downs[:3] - gens).max())
-    rep.add(_single("pushdown_matches_base", max(float(push_res.max()), agree), 1e-8,
-                    detail="fitted lifts project onto the requested rotations"))
+    rep.add(CheckResult.from_residuals("pushdown_matches_base",
+                                       max(float(push_res.max()), agree), 1e-8,
+                                       detail="fitted lifts project onto the requested "
+                                              "rotations"))
     u, sv, _ = np.linalg.svd(downs.reshape(4, -1))
     # left null vector = coefficients (in the {lift1..3, circle} basis) of the
     # combination the pushdown annihilates; it must be the circle generator
@@ -355,8 +374,8 @@ def _battery_hopf(cfg: RunConfig) -> VerificationReport:
     k_align = min(float(np.abs(kvec - e_vert).max()),
                   float(np.abs(kvec + e_vert).max()))
     k_res = max(float(sv[3]), k_align)
-    rep.add(_single("pushdown_kernel_is_vertical", float(k_res), 1e-6,
-                    detail=f"singular values {np.round(sv, 8).tolist()}"))
+    rep.add(CheckResult.from_residuals("pushdown_kernel_is_vertical", k_res, 1e-6,
+                                       detail=f"singular values {np.round(sv, 8).tolist()}"))
 
     # brackets close modulo the vertical direction: for each cyclic pair, the
     # lifted bracket less the lift of the base bracket is a multiple of j0
@@ -365,8 +384,8 @@ def _battery_hopf(cfg: RunConfig) -> VerificationReport:
     coef = field_bracket(gens[i], gens[j]).reshape(3, -1) @ flat.T / (flat * flat).sum(1)
     D = field_bracket(mats[i], mats[j]) - (coef @ mats.reshape(3, -1)).reshape(3, 4, 4)
     lam = D.reshape(3, -1) @ bundle.j0.ravel() / np.tensordot(bundle.j0, bundle.j0)
-    rep.add(_single("brackets_close_mod_vertical",
-                    float(np.abs(D - lam[:, None, None] * bundle.j0).max()), 1e-8))
+    rep.add(CheckResult.from_residuals("brackets_close_mod_vertical",
+                                       np.abs(D - lam[:, None, None] * bundle.j0).max(), 1e-8))
     rep.extras["kept_samples"] = len(kept)
     return rep
 
@@ -384,10 +403,9 @@ def _deformed_scaling_check(ds, st: StructureTensors, tol: float) -> CheckResult
         r1 = np.abs(matvec(phi, X) - np.exp(-2 * F) * J0X).max(axis=1)
         r2 = np.abs(matvec(phi, J0X) + np.exp(2 * F) * X).max(axis=1)
         arr = np.maximum(r1, r2)
-    return CheckResult(name="deformed_transverse_scaling",
-                       max_residual=float(arr.max()),
-                       mean_residual=float(arr.mean()), tolerance=tol,
-                       detail=f"{int(keep.sum())} samples carry the transverse plane")
+    return CheckResult.from_residuals("deformed_transverse_scaling", arr, tol,
+                                      detail=f"{int(keep.sum())} samples carry the "
+                                             f"transverse plane")
 
 
 def _invariance_killing(lc: LeviCivita, alg, X: np.ndarray, frame: np.ndarray) -> CheckResult:
@@ -405,6 +423,11 @@ def _battery_deformed(cfg: RunConfig) -> VerificationReport:
                          f"{GF_TORSION_FLOOR:g}")
     ds, lc, X, rep, st, T = _unit_killing(
         cfg, f"boundary-localized deformation on S^{2 * cfg.n + 1} (c={cfg.c})", 1e-6)
+    if cfg.samples < GF_MIN_SAMPLES:
+        raise ValueError(f"gF needs --samples >= {GF_MIN_SAMPLES}, got {cfg.samples}: below "
+                         f"it some seeds place no sample where the deformation bends "
+                         f"wedge_second_derivative past its expected-fail floor "
+                         f"{GF_WEDGE_FLOOR:g}")
     lc_round = LeviCivita(build_round(cfg.n).metric, fd_step=cfg.fd_step)
     rep.add(verify.check_kcontact(st))
     rep.add(verify.check_contact_form_preserved(lc, lc_round, ds.field, X,
@@ -435,8 +458,8 @@ def _battery_irregular(cfg: RunConfig) -> VerificationReport:
     alg = ir.isometry_algebra()
     cen = centralizer_check(alg, np.stack([ir.j0, ir.j1]))
     cen_res = cen["max_commutator"] + (0.0 if all(cen["members"]) else 1.0)
-    rep.add(_single("central_pair", cen_res, 1e-10,
-                    detail="J0, J1 commute with and belong to the algebra"))
+    rep.add(CheckResult.from_residuals("central_pair", cen_res, 1e-10,
+                                       detail="J0, J1 commute with and belong to the algebra"))
     rep.add(_invariance_killing(lc, alg, X[:40], st.frame[:40]))
 
     dec = standard_decomposition(alg, ir.field.matrix)
@@ -507,12 +530,13 @@ def cmd_decompose(cfg: RunConfig) -> int:
         st = lc.structure_at(s.field, X)
     for rate, block in zip(dec.rates, dec.blocks):
         if rate == 0.0:  # the commutant of xi, first
-            rep.add(_single("zero_block_commutes",
-                            float(np.abs(field_bracket(s.field.matrix, block)).max()),
-                            1e-10, detail="[xi, A] = 0 for every A of the rate-0 block"))
+            rep.add(CheckResult.from_residuals(
+                "zero_block_commutes", np.abs(field_bracket(s.field.matrix, block)).max(),
+                1e-10, detail="[xi, A] = 0 for every A of the rate-0 block"))
         else:
-            rep.add(_eigenfield_check(f"eigenfield_identities_rate_{rate:g}",
-                                      eigenfield_residuals(s.field, block, st, rate=rate)))
+            res = eigenfield_residuals(s.field, block, st, rate=rate)
+            rep.add(CheckResult.from_residuals(f"eigenfield_identities_rate_{rate:g}",
+                                               list(res.values()), 1e-6))
     summary = dec.summary()
     rep.extras["table"] = "; ".join(
         [f"g0: {dec.zero_block_dim}"]
@@ -560,12 +584,12 @@ def cmd_classify_flow(args: argparse.Namespace, cfg: RunConfig) -> int:
         if cls.generic_period is not None:
             res = (abs(probe.return_times[0] - cls.generic_period)
                    if probe.return_times else np.inf)
-            rep.add(_single("orbit_return_matches_period", float(res), 1e-5))
+            rep.add(CheckResult.from_residuals("orbit_return_matches_period", res, 1e-5))
         else:
             res = 0.0 if not probe.return_times else 1.0
-            rep.add(_single("orbit_never_returns", float(res), 0.5,
-                            detail=f"min distance {probe.min_distance:.3e} "
-                                   f"over horizon {horizon:g}"))
+            rep.add(CheckResult.from_residuals("orbit_never_returns", res, 0.5,
+                                               detail=f"min distance {probe.min_distance:.3e} "
+                                                      f"over horizon {horizon:g}"))
     return _emit(rep, cfg)
 
 

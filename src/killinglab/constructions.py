@@ -206,6 +206,10 @@ def build_flip_fixture() -> FlipFixture:
 # circle bundle over the half-radius 2-sphere
 # ---------------------------------------------------------------------------
 
+HOPF_QUADRATURE_STEPS = 16   # Gauss–Legendre nodes of build_hopf's lift quadrature
+HOPF_ANTIPODE_MARGIN = 0.05  # base distance hopf_sample_filter keeps from the anchor antipode
+
+
 @dataclass(frozen=True, eq=False)
 class HopfBundle:
     """The circle bundle S^3 -> S^2(1/2) with its lift data.
@@ -239,11 +243,11 @@ def gauss_legendre_rule(steps: int) -> tuple[np.ndarray, np.ndarray]:
     return rule
 
 
-def build_hopf(quadrature_steps: int = 16) -> HopfBundle:
+def build_hopf() -> HopfBundle:
     j0 = std_complex_structure(4)
     return HopfBundle(metric=round_metric(4), field=linear_field(j0, name="fiber_field"),
                       j0=j0, base_radius=0.5, anchor=np.array([0.0, 0.0, -0.5]),
-                      quadrature_steps=quadrature_steps)
+                      quadrature_steps=HOPF_QUADRATURE_STEPS)
 
 
 def hopf_projection(x: np.ndarray) -> np.ndarray:
@@ -389,12 +393,12 @@ def fit_linear_generator(xs: np.ndarray,
     return B, float(defect) if defect.ndim == 0 else defect
 
 
-def hopf_sample_filter(xs: np.ndarray, margin: float = 0.05) -> np.ndarray:
-    """The rows of a sample xs (N, 4) whose base image sits away from the
-    anchor antipode (there the quadrature path and the section gauge both
-    degenerate)."""
+def hopf_sample_filter(xs: np.ndarray) -> np.ndarray:
+    """The rows of a sample xs (N, 4) whose base image sits more than
+    HOPF_ANTIPODE_MARGIN away from the anchor antipode (there the quadrature
+    path and the section gauge both degenerate)."""
     xs = np.asarray(xs, dtype=float)
-    return xs[0.5 - hopf_projection(xs)[:, 2] > margin]
+    return xs[0.5 - hopf_projection(xs)[:, 2] > HOPF_ANTIPODE_MARGIN]
 
 
 def solve_lift(bundle: HopfBundle, base_gen: np.ndarray,

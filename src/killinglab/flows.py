@@ -8,7 +8,10 @@ p, q (``ExactScalar``); classification over Q is exact integer arithmetic.
 
 A numeric probe (the closed-form distance of the skew flow from its start,
 coarse grid plus a bounded Brent refinement of near-returns) cross-checks the
-exact verdicts.
+exact verdicts.  Its settings are module constants: the grid step COARSE_STEP,
+the candidate threshold PROBE_CANDIDATE_DIST, the return tolerance
+PROBE_RETURN_TOL and the candidate cap PROBE_MAX_CANDIDATES; declared rates
+match a generator's spectrum to RATE_MATCH_TOL.
 """
 
 from __future__ import annotations
@@ -25,6 +28,9 @@ TAG_VALUES = {
     "sqrt2": math.sqrt(2.0),
     "sqrt5": math.sqrt(5.0),
 }
+
+# largest mismatch of a declared rate and the generator's spectrum (rotation_profile)
+RATE_MATCH_TOL = 1e-9
 
 # CLI-facing aliases for common irrational rate offsets
 RATE_ALIASES = {
@@ -100,12 +106,11 @@ class RotationProfile:
         return RotationProfile(tuple(r.scaled(c) for r in self.rates))
 
 
-def rotation_profile(xi: np.ndarray, declared: Sequence[ExactScalar],
-                     tol: float = 1e-9) -> RotationProfile:
+def rotation_profile(xi: np.ndarray, declared: Sequence[ExactScalar]) -> RotationProfile:
     """Validate declared exact rates against the spectrum of a skew matrix.
 
     The positive imaginary parts of the eigenvalues of ``xi`` must match the
-    absolute declared rates (with multiplicity) within ``tol``.
+    absolute declared rates (with multiplicity) within RATE_MATCH_TOL.
     """
     xi = np.asarray(xi, dtype=float)
     d = xi.shape[0]
@@ -116,7 +121,7 @@ def rotation_profile(xi: np.ndarray, declared: Sequence[ExactScalar],
     numeric = np.sort(ev.imag[ev.imag > -1e-14])[-d // 2:]
     numeric = np.sort(np.abs(numeric))
     stated = np.sort([abs(r.value()) for r in declared])
-    if float(np.abs(numeric - stated).max()) > tol:
+    if float(np.abs(numeric - stated).max()) > RATE_MATCH_TOL:
         raise ValueError(
             f"declared rates {stated} disagree with generator spectrum {numeric}")
     return RotationProfile(tuple(declared))
@@ -208,11 +213,16 @@ class OrbitProbe:
 
 _GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))
 _SQRT_EPS = math.sqrt(2.2e-16)
-# the orbit probe's default grid step: 512 points per turn of 2 pi
+# the orbit probe's grid step: 512 points per turn of 2 pi
 COARSE_STEP = 2.0 * math.pi / 512.0
-# the most points the probe's coarse grid may hold, ceil(t_max / coarse_step):
+# grid minima below this distance from x0 are refined; refined minima below
+# PROBE_RETURN_TOL count as returns; at most PROBE_MAX_CANDIDATES are refined
+PROBE_CANDIDATE_DIST = 0.25
+PROBE_RETURN_TOL = 1e-7
+PROBE_MAX_CANDIDATES = 4096
+# the most points the probe's coarse grid may hold, ceil(t_max / COARSE_STEP):
 # 2**21 is 4096 turns of 2 pi at COARSE_STEP, past which a flow returning once a
-# turn has filled the probe's default 4096 candidates
+# turn has filled the probe's PROBE_MAX_CANDIDATES candidates
 PROBE_MAX_POINTS = 2**21
 
 
@@ -287,11 +297,7 @@ def _bounded_min(func, a: float, b: float, xatol: float) -> tuple[float, float]:
 
 
 def numeric_orbit_probe(xi: np.ndarray, x0: np.ndarray, t_max: float,
-                        coarse_step: float = COARSE_STEP,
-                        candidate_threshold: float = 0.25,
-                        return_tol: float = 1e-7,
-                        chunk: int = 16384,
-                        max_candidates: int = 4096) -> OrbitProbe:
+                        chunk: int = 16384) -> OrbitProbe:
     """Scan |exp(t xi) x0 - x0| on a coarse grid and refine its local minima.
 
     ``xi`` must be skew and ``t_max`` over 0 with a grid of at most
@@ -304,9 +310,10 @@ def numeric_orbit_probe(xi: np.ndarray, x0: np.ndarray, t_max: float,
 
     real arithmetic on (n, d) with no cancellation of e^(t xi) x0 - x0, and
     V orthonormal also at repeated rates.  Local minima below
-    ``candidate_threshold`` are polished by Brent's bounded minimization
-    (``_bounded_min``) over one coarse step on either side; polished minima
-    below ``return_tol`` count as returns.  ``min_distance`` is the smallest
+    PROBE_CANDIDATE_DIST (the first PROBE_MAX_CANDIDATES of them) are
+    polished by Brent's bounded minimization (``_bounded_min``) over one
+    coarse step on either side; polished minima below PROBE_RETURN_TOL count
+    as returns.  ``min_distance`` is the smallest
     distance seen anywhere past the initial departure from x0, so an orbit
     that never returns reports a large floor instead of a spurious period.
     """
@@ -317,10 +324,10 @@ def numeric_orbit_probe(xi: np.ndarray, x0: np.ndarray, t_max: float,
         raise ValueError("numeric_orbit_probe needs a skew generator xi, a square matrix "
                          f"with xi^T = -xi; got a {'x'.join(map(str, xi.shape))} array "
                          "that is not one")
-    if not 0 < t_max / coarse_step <= PROBE_MAX_POINTS:  # also refuses NaN
+    if not 0 < t_max / COARSE_STEP <= PROBE_MAX_POINTS:  # also refuses NaN
         raise ValueError(f"numeric_orbit_probe needs a t_max over 0 and at most "
-                         f"{PROBE_MAX_POINTS * coarse_step:.6g} (a grid of at most "
-                         f"{PROBE_MAX_POINTS} points of step {coarse_step:.6g}), "
+                         f"{PROBE_MAX_POINTS * COARSE_STEP:.6g} (a grid of at most "
+                         f"{PROBE_MAX_POINTS} points of step {COARSE_STEP:.6g}), "
                          f"got t_max={t_max:g}")
     w, V = np.linalg.eigh(1j * xi)
     weights = np.abs(V.conj().T @ x0) ** 2
@@ -333,14 +340,14 @@ def numeric_orbit_probe(xi: np.ndarray, x0: np.ndarray, t_max: float,
     def dist_scalar(t: float) -> float:
         return float(dist(t))
 
-    n = int(np.ceil(t_max / coarse_step))
+    n = int(np.ceil(t_max / COARSE_STEP))
     min_dist = np.inf
     departed = False  # true once the distance has passed its first local max
     last_d: float | None = None
     candidates: list[float] = []
     prev_tail: tuple | None = None  # (t, d) of the last two grid points scanned
     for start in range(0, n, chunk):
-        ts = coarse_step * np.arange(start + 1, min(start + chunk, n) + 1)
+        ts = COARSE_STEP * np.arange(start + 1, min(start + chunk, n) + 1)
         ds = dist(ts)
         if prev_tail is not None:
             ts_ext = np.concatenate([prev_tail[0], ts])
@@ -357,18 +364,18 @@ def numeric_orbit_probe(xi: np.ndarray, x0: np.ndarray, t_max: float,
                 min_dist = min(min_dist, float(full[drops[0] + 1:].min()))
             last_d = float(ds[-1])
         interior = (ds_ext[1:-1] < ds_ext[:-2]) & (ds_ext[1:-1] <= ds_ext[2:]) \
-            & (ds_ext[1:-1] < candidate_threshold)
+            & (ds_ext[1:-1] < PROBE_CANDIDATE_DIST)
         for t in ts_ext[1:-1][interior]:
-            if len(candidates) < max_candidates:
+            if len(candidates) < PROBE_MAX_CANDIDATES:
                 candidates.append(float(t))
         prev_tail = (ts_ext[-2:], ds_ext[-2:])
 
     returns: list[tuple[float, float]] = []
     for t in candidates:
-        t_ref, d_ref = _bounded_min(dist_scalar, t - coarse_step, t + coarse_step, 1e-12)
+        t_ref, d_ref = _bounded_min(dist_scalar, t - COARSE_STEP, t + COARSE_STEP, 1e-12)
         min_dist = min(min_dist, d_ref)
-        if d_ref < return_tol and t_ref > coarse_step:
-            if not returns or t_ref - returns[-1][0] > 10 * coarse_step:
+        if d_ref < PROBE_RETURN_TOL and t_ref > COARSE_STEP:
+            if not returns or t_ref - returns[-1][0] > 10 * COARSE_STEP:
                 returns.append((t_ref, d_ref))
     if not np.isfinite(min_dist):
         # the orbit was still monotonically departing at t_max

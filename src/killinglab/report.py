@@ -6,6 +6,11 @@ deliberately broken structure expect "fail" and carry a fail floor — the
 residual must not only exceed the tolerance but clear the floor, so a
 wrong-for-the-wrong-reason near-zero residual is still flagged.
 
+Every check is built by ``CheckResult.from_residuals`` from its residual
+array, by one rule: the max is taken over every entry, the mean over the
+last (sample) axis and then over any leading (field) axis, and a scalar is
+its own max and mean.
+
 Reports serialize with sorted keys and no incidental state, so a rerun with
 the same configuration is byte-identical (timestamps are optional).  A
 report's clock (the wall time of each check and shared build) stays out of
@@ -20,13 +25,13 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from time import perf_counter
 
+import numpy as np
+
 SCHEMA_VERSION = 1
 
 
 def _jsonify(value):
     """Recursively coerce numpy scalars/arrays and tuples to JSON-safe values."""
-    import numpy as np
-
     if isinstance(value, dict):
         return {str(k): _jsonify(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -53,6 +58,22 @@ class CheckResult:
     expected: str = "pass"          # "pass" | "fail"
     fail_floor: float | None = None  # expected-fail only: residual must exceed this
     detail: str = ""
+
+    @staticmethod
+    def from_residuals(name: str, residuals, tol: float, expected: str = "pass",
+                       fail_floor: float | None = None, detail: str = "") -> CheckResult:
+        """The check of a residual: a scalar, per-point residuals (N,), or
+        (G, N) for G fields, whose mean is the mean of the field means."""
+        arr = np.asarray(residuals, dtype=float)
+        if arr.size == 0:
+            raise ValueError(f"check '{name}' got no samples to evaluate")
+        if arr.ndim == 0:  # a scalar is its own max and mean
+            mx = mean = float(arr)
+        else:
+            mx = float(arr.max())
+            mean = float(arr.mean(axis=-1).mean() if arr.ndim > 1 else arr.mean())
+        return CheckResult(name=name, max_residual=mx, mean_residual=mean, tolerance=tol,
+                           expected=expected, fail_floor=fail_floor, detail=detail)
 
     def __post_init__(self):
         if self.expected not in ("pass", "fail"):

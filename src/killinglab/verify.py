@@ -31,8 +31,7 @@ structures its battery built once on the sample: ``st`` =
 st.frame)`` and ``triple`` = ``triple_psi(lc, fields, X)``, of which
 ``triple.rows(sl)`` serves a check on the rows ``X[sl]``.  A bad sample is
 refused by name where it enters: by the check that takes ``points``, or by
-``structure_at``.  ``check_killing`` alone may be handed a shared frame or
-Lie derivative.
+``structure_at``.  ``check_killing`` alone may be handed a shared frame.
 """
 
 from __future__ import annotations
@@ -72,17 +71,6 @@ TANGENCY_TOL = 1e-10
 CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 
-def _check(name: str, per_point: Sequence[float], tol: float, expected: str = "pass",
-           fail_floor: float | None = None, detail: str = "") -> CheckResult:
-    """Per-point residuals (N,), or (G, N) for G fields: the mean of field means."""
-    arr = np.asarray(per_point, dtype=float)
-    if arr.size == 0:
-        raise ValueError(f"check '{name}' got no samples to evaluate")
-    return CheckResult(name=name, max_residual=float(arr.max()),
-                       mean_residual=float(arr.mean(axis=-1).mean()), tolerance=tol,
-                       expected=expected, fail_floor=fail_floor, detail=detail)
-
-
 def _stack(name: str, points) -> np.ndarray:
     """The sample (N, d) as a float array: an (N, d) array or a sequence of
     SpherePoints, refused unless it is non-empty, 2-D and on the unit sphere."""
@@ -98,48 +86,47 @@ def _worst(R: np.ndarray) -> np.ndarray:
 # basic pointwise batteries
 # ---------------------------------------------------------------------------
 
-def check_tangency(fld: VectorField, points, tol: float = TANGENCY_TOL,
-                   name: str = "tangency") -> CheckResult:
+def check_tangency(fld: VectorField, points) -> CheckResult:
     """<field, base point> must vanish: values live in the tangent bundle."""
-    X = _stack(name, points)
-    return _check(name, np.abs(rowdot(fld.value(X), X)), tol)
+    X = _stack("tangency", points)
+    return CheckResult.from_residuals("tangency", np.abs(rowdot(fld.value(X), X)),
+                                      TANGENCY_TOL)
+
+
+def _unit_residual(lc: LeviCivita, fld: VectorField, X: np.ndarray) -> np.ndarray:
+    """|g(xi, xi) - 1| at each point of the sample X (N, d)."""
+    v = fld.value(X)
+    return np.abs(rowdot(v, matvec(lc.metric.matrix_at(X), v)) - 1.0)
 
 
 def check_unit_length(lc: LeviCivita, fld: VectorField, points,
-                      tol: float = UNIT_TOL, name: str = "unit_length") -> CheckResult:
+                      tol: float = UNIT_TOL) -> CheckResult:
     """|g(xi, xi) - 1| over the sample."""
-    X = _stack(name, points)
-    v = fld.value(X)
-    return _check(name, np.abs(rowdot(v, matvec(lc.metric.matrix_at(X), v)) - 1.0), tol)
+    X = _stack("unit_length", points)
+    return CheckResult.from_residuals("unit_length", _unit_residual(lc, fld, X), tol)
 
 
-def check_killing(lc: LeviCivita, fld, points, tol: float,
-                  expected: str = "pass",
-                  fail_floor: float | None = None,
-                  name: str = "killing", frame: np.ndarray | None = None,
-                  lie: np.ndarray | None = None) -> CheckResult:
+def check_killing(lc: LeviCivita, fld, points, tol: float, name: str = "killing",
+                  frame: np.ndarray | None = None) -> CheckResult:
     """Max entry of the Lie derivative of g along the field, frame components.
 
     ``fld`` is a field or a stack (G, d, d) of linear generators, one check
-    of all G.  ``lie`` is ``lc.lie_metric_frame(fld, points, frame=frame)``,
-    built here when not given.  An identically vanishing field is trivially
-    Killing; the result is then flagged degenerate in its detail string
-    rather than reported as a clean pass.
+    of all G, on ``frame`` when given.  An identically vanishing field is
+    trivially Killing; the result is then flagged degenerate in its detail
+    string rather than reported as a clean pass.
     """
     X = _stack(name, points)
-    lie = lc.lie_metric_frame(fld, X, frame=frame) if lie is None else lie
+    lie = lc.lie_metric_frame(fld, X, frame=frame)
     values = fld.value(X) if isinstance(fld, VectorField) else X @ np.swapaxes(fld, -1, -2)
     detail = ("degenerate: field vanishes on all samples"
               if (np.abs(values).max(axis=(-2, -1)) <= 1e-12).any() else "")
-    return _check(name, np.abs(lie).reshape(*lie.shape[:-2], -1).max(axis=-1), tol,
-                  expected, fail_floor, detail=detail)
+    return CheckResult.from_residuals(
+        name, np.abs(lie).reshape(*lie.shape[:-2], -1).max(axis=-1), tol, detail=detail)
 
 
-def check_sasakian(st: StructureTensors, T: np.ndarray, tol: float,
-                   expected: str = "pass",
-                   fail_floor: float | None = None,
-                   name: str = "wedge_second_derivative") -> CheckResult:
-    """Residual of nabla^2 xi(u,v) = WEDGE_SIGN (g(u,v) xi - eta(v) u).
+def sasakian_residual(st: StructureTensors, T: np.ndarray) -> np.ndarray:
+    """Residual of nabla^2 xi(u,v) = WEDGE_SIGN (g(u,v) xi - eta(v) u) at each
+    point of the sample of ``st``, an (N,) array.
 
     Evaluated on the g-orthonormal frame ``st.frame`` of T =
     ``lc.second_nabla_frame(fld, st.x, st.frame)``; the residual is the
@@ -154,25 +141,29 @@ def check_sasakian(st: StructureTensors, T: np.ndarray, tol: float,
     defect_diag = defect[..., diag, diag]
     defect += T
     defect[..., diag, diag] = (T[..., diag, diag] - WEDGE_SIGN * xi[..., None]) + defect_diag
-    res = np.sqrt(np.einsum("ndij,ndij->nij", defect, defect)).reshape(len(xi), -1).max(axis=1)
-    return _check(name, res, tol, expected, fail_floor)
+    return np.sqrt(np.einsum("ndij,ndij->nij", defect, defect)).reshape(len(xi), -1).max(axis=1)
 
 
-def check_kcontact(st: StructureTensors, tol: float = CONTACT_TOL,
+def check_sasakian(st: StructureTensors, T: np.ndarray, tol: float,
                    expected: str = "pass",
                    fail_floor: float | None = None,
-                   name: str = "contact_endomorphism") -> CheckResult:
+                   name: str = "wedge_second_derivative") -> CheckResult:
+    """The wedge form of nabla^2 xi (``sasakian_residual``) over the sample of ``st``."""
+    return CheckResult.from_residuals(name, sasakian_residual(st, T), tol, expected, fail_floor)
+
+
+def check_kcontact(st: StructureTensors, tol: float = CONTACT_TOL) -> CheckResult:
     """phi^2 = -Id + eta (x) xi together with phi xi = 0, frame components."""
     xi_f = (matvec(st.metric_matrix, st.xi)[:, None, :] @ st.frame)[:, 0]  # (N, k)
     k = st.frame.shape[-1]
     r1 = st.phi_frame @ st.phi_frame + np.eye(k) - xi_f[:, :, None] * xi_f[:, None, :]
     r2 = matvec(st.phi_frame, xi_f)
-    return _check(name, np.maximum(_worst(r1), _worst(r2)), tol, expected, fail_floor)
+    return CheckResult.from_residuals("contact_endomorphism",
+                                      np.maximum(_worst(r1), _worst(r2)), tol)
 
 
-def check_dxi_spectrum(st: StructureTensors, reference: Sequence[float], tol: float,
-                       expected: str = "pass", fail_floor: float | None = None,
-                       name: str = "two_form_square_spectrum") -> CheckResult:
+def check_dxi_spectrum(st: StructureTensors, reference: Sequence[float],
+                       tol: float) -> CheckResult:
     """Sorted eigenvalues of the square of the two-form endomorphism e
     (g(e u, v) = d(eta)(u, v)) against a reference.
 
@@ -186,7 +177,7 @@ def check_dxi_spectrum(st: StructureTensors, reference: Sequence[float], tol: fl
     if vals.shape[-1:] != ref.shape:
         raise ValueError(f"reference spectrum has {ref.shape[0]} entries; "
                          f"the tangent space gives {vals.shape[-1]}")
-    return _check(name, _worst(vals - ref), tol, expected, fail_floor)
+    return CheckResult.from_residuals("two_form_square_spectrum", _worst(vals - ref), tol)
 
 
 def covariant_canary(lc: LeviCivita, fld: VectorField, x: np.ndarray) -> float:
@@ -244,24 +235,21 @@ def measured_cyclic_sign(fields: Sequence[VectorField], tol: float = 1e-10) -> i
 
 
 def check_triple_orthonormality(lc: LeviCivita, fields: Sequence[VectorField],
-                                points, tol: float,
-                                name: str = "triple_orthonormality") -> CheckResult:
+                                points, tol: float) -> CheckResult:
     """g(xi_a, xi_b) = delta_ab at every sample."""
-    X = _stack(name, points)
+    X = _stack("triple_orthonormality", points)
     vals = np.stack([f.value(X) for f in fields], axis=1)        # (N, a, d)
     gram = vals @ lc.metric.matrix_at(X) @ np.swapaxes(vals, -1, -2)
-    return _check(name, _worst(gram - np.eye(len(fields))), tol)
+    return CheckResult.from_residuals("triple_orthonormality",
+                                      _worst(gram - np.eye(len(fields))), tol)
 
 
-def check_triple_brackets(fields: Sequence[VectorField], tol: float,
-                          name: str = "triple_brackets") -> CheckResult:
+def check_triple_brackets(fields: Sequence[VectorField], tol: float) -> CheckResult:
     """Exact matrix identity [xi_a, xi_b] = 2 eps xi_c, cyclic, uniform sign."""
     eps = measured_cyclic_sign(fields, tol=max(tol, 1e-6))
     half, third = _cyclic_halves(fields)
-    worst = float(np.abs(half - eps * third).max())
-    return CheckResult(name=name, max_residual=worst, mean_residual=worst,
-                       tolerance=tol, expected="pass",
-                       detail=f"uniform bracket sign eps={eps:+d}")
+    return CheckResult.from_residuals("triple_brackets", np.abs(half - eps * third).max(), tol,
+                                      detail=f"uniform bracket sign eps={eps:+d}")
 
 
 @dataclass(frozen=True)
@@ -323,8 +311,15 @@ def check_triple_products(triple: Triple, tol: float, variant: str = "aligned",
     """
     if variant not in ("aligned", "transposed"):
         raise ValueError(f"unknown variant {variant!r}")
+    eps, res = _products_residual(triple, variant)
+    return CheckResult.from_residuals(name or "triple_products_" + variant, res, tol,
+                                      expected, fail_floor, detail=f"bracket sign eps={eps:+d}")
+
+
+def _products_residual(triple: Triple, variant: str) -> tuple[int, np.ndarray]:
+    """The measured bracket sign eps and the per-point residual of the cyclic
+    product identity ``variant`` of ``check_triple_products``."""
     eps = measured_cyclic_sign(triple.fields)
-    name = name or "triple_products_" + variant
     F, psis, eta = triple.F, triple.psis, triple.eta
     res = 0.0
     for a, b, c in CYCLIC:
@@ -333,12 +328,10 @@ def check_triple_products(triple: Triple, tol: float, variant: str = "aligned",
         else:
             R = psis[b] @ psis[a] - eps * psis[c] + eta(a, b)
         res = np.maximum(res, _worst(R @ F))
-    return _check(name, res, tol, expected, fail_floor,
-                  detail=f"bracket sign eps={eps:+d}")
+    return eps, res
 
 
-def check_anticommutators(triple: Triple, tol: float,
-                          name: str = "triple_anticommutators") -> CheckResult:
+def check_anticommutators(triple: Triple, tol: float) -> CheckResult:
     """psi_a psi_b + psi_b psi_a = eta_a (x) xi_b + eta_b (x) xi_a for a != b.
 
     Sign-convention-free companion of the cyclic product identities.
@@ -348,27 +341,27 @@ def check_anticommutators(triple: Triple, tol: float,
     for a, b in ((0, 1), (0, 2), (1, 2)):
         R = psis[a] @ psis[b] + psis[b] @ psis[a] - eta(b, a) - eta(a, b)
         res = np.maximum(res, _worst(R @ F))
-    return _check(name, res, tol)
+    return CheckResult.from_residuals("triple_anticommutators", res, tol)
 
 
-def check_squares(triple: Triple, tol: float, name: str = "structure_squares") -> CheckResult:
+def check_squares(triple: Triple, tol: float) -> CheckResult:
     """psi_a^2 = -Id + eta_a (x) xi_a on tangent vectors, for each a."""
     F, psis, eta = triple.F, triple.psis, triple.eta
     res = 0.0
     for a in range(3):
         R = psis[a] @ psis[a] + np.eye(F.shape[-2]) - eta(a, a)
         res = np.maximum(res, _worst(R @ F))
-    return _check(name, res, tol)
+    return CheckResult.from_residuals("structure_squares", res, tol)
 
 
-def check_pair_completion(lc: LeviCivita, triple: Triple, tol: float,
-                          name: str = "pair_completion") -> CheckResult:
+def check_pair_completion(lc: LeviCivita, triple: Triple, tol: float) -> CheckResult:
     """Half the bracket of the first two fields of ``triple`` completes the triple.
 
     xi_3 := [xi_1, xi_2] / 2 must be another unit Killing generator making
-    the cyclic product identity hold; the residual aggregates unit length
-    and the aligned triple identity for the completed family.  ``triple``
-    lends xi_3 its frame, so only xi_3's structure is built here.
+    the cyclic product identity hold.  The residual rows are the unit length
+    of xi_3, the aligned triple identity for the completed family and, as a
+    constant row, the global-sign reconstruction of xi_3.  ``triple`` lends
+    xi_3 its frame, so only xi_3's structure is built here.
     """
     f1, f2 = triple.fields[:2]
     A1, A2 = f1.matrix, f2.matrix
@@ -379,22 +372,19 @@ def check_pair_completion(lc: LeviCivita, triple: Triple, tol: float,
         raise ValueError("bracket of the pair is not skew")
     f3 = linear_field(A3, name="completed")
     X = triple.x
-    unit = check_unit_length(lc, f3, X, tol=max(tol, UNIT_TOL))
+    unit = _unit_residual(lc, f3, X)
     st3 = lc.structure_at(f3, X, frame=triple.F)
-    products = check_triple_products(Triple((f1, f2, f3), (*triple.sts[:2], st3)), tol=tol)
+    _, products = _products_residual(Triple((f1, f2, f3), (*triple.sts[:2], st3)), "aligned")
     # pointwise reconstruction: the covariant derivative of the second field
     # along the first reproduces the completed field up to a global sign
     d = matvec(triple.sts[1].nabla_endo, triple.sts[0].xi)
     rec_plus = float(np.abs(d - st3.xi).max())
     rec_minus = float(np.abs(d + st3.xi).max())
-    rec = min(rec_plus, rec_minus)
     sign = "+" if rec_plus <= rec_minus else "-"
-    worst = max(unit.max_residual, products.max_residual, rec)
-    mean = (unit.mean_residual + products.mean_residual + rec) / 3.0
-    return CheckResult(name=name, max_residual=worst, mean_residual=mean,
-                       tolerance=tol, expected="pass",
-                       detail="unit + aligned cyclic products + covariant "
-                              f"reconstruction (sign {sign}) of completed triple")
+    return CheckResult.from_residuals(
+        "pair_completion", np.stack([unit, products, np.full(len(X), min(rec_plus, rec_minus))]),
+        tol, detail="unit + aligned cyclic products + covariant "
+                    f"reconstruction (sign {sign}) of completed triple")
 
 
 # ---------------------------------------------------------------------------
@@ -537,43 +527,29 @@ def check_flip_quaternionic(J: Sequence[np.ndarray], M: np.ndarray,
     S = flip_operator(projector_plus)
     Jp = [S @ Ja for Ja in J]
     Mh = M @ S
-    checks: list[CheckResult] = []
-
     eps0, res0 = quaternionic_relation_residual(J)
-    checks.append(CheckResult(
-        name="unflipped_uniform_cyclic", max_residual=res0, mean_residual=res0,
-        tolerance=tol, expected="fail", fail_floor=0.5,
-        detail="mixed triple must not satisfy one uniform cyclic relation"))
-
     eps1, res1 = quaternionic_relation_residual(Jp)
-    checks.append(CheckResult(
-        name="flipped_uniform_cyclic", max_residual=res1, mean_residual=res1,
-        tolerance=tol, detail=f"uniform sign after flip: {eps1}"))
-
-    sq = max(float(np.abs(Jp[a] @ Jp[a] + np.eye(d)).max()) for a in range(3))
-    checks.append(CheckResult(name="flipped_squares", max_residual=sq,
-                              mean_residual=sq, tolerance=tol))
-
-    ac = 0.0
-    for a in range(3):
-        for b in range(a + 1, 3):
-            ac = max(ac, float(np.abs(Jp[a] @ Jp[b] + Jp[b] @ Jp[a]).max()))
-    checks.append(CheckResult(name="flipped_anticommutators", max_residual=ac,
-                              mean_residual=ac, tolerance=tol))
-
-    sym = float(np.abs(Mh - Mh.T).max())
-    checks.append(CheckResult(name="flipped_pairing_symmetric", max_residual=sym,
-                              mean_residual=sym, tolerance=tol))
-
-    skew = max(float(np.abs(Jp[a].T @ Mh + Mh @ Jp[a]).max()) for a in range(3))
-    checks.append(CheckResult(name="flipped_pairing_skewness", max_residual=skew,
-                              mean_residual=skew, tolerance=tol))
-
-    comm = max(float(np.abs((J[0] @ J[1] @ J[2]) @ Ja
-                            - Ja @ (J[0] @ J[1] @ J[2])).max()) for Ja in J)
-    checks.append(CheckResult(name="triple_product_commutes", max_residual=comm,
-                              mean_residual=comm, tolerance=tol))
-
+    P = J[0] @ J[1] @ J[2]
+    checks = [
+        CheckResult.from_residuals(
+            "unflipped_uniform_cyclic", res0, tol, expected="fail", fail_floor=0.5,
+            detail="mixed triple must not satisfy one uniform cyclic relation"),
+        CheckResult.from_residuals("flipped_uniform_cyclic", res1, tol,
+                                   detail=f"uniform sign after flip: {eps1}"),
+        CheckResult.from_residuals(
+            "flipped_squares", max(np.abs(Jp[a] @ Jp[a] + np.eye(d)).max() for a in range(3)),
+            tol),
+        CheckResult.from_residuals(
+            "flipped_anticommutators",
+            max(np.abs(Jp[a] @ Jp[b] + Jp[b] @ Jp[a]).max() for a, b in ((0, 1), (0, 2), (1, 2))),
+            tol),
+        CheckResult.from_residuals("flipped_pairing_symmetric", np.abs(Mh - Mh.T).max(), tol),
+        CheckResult.from_residuals(
+            "flipped_pairing_skewness",
+            max(np.abs(Jp[a].T @ Mh + Mh @ Jp[a]).max() for a in range(3)), tol),
+        CheckResult.from_residuals("triple_product_commutes",
+                                   max(np.abs(P @ Ja - Ja @ P).max() for Ja in J), tol),
+    ]
     return checks, {"flipped_sign": eps1, "unflipped_best_sign": eps0}
 
 
@@ -623,7 +599,7 @@ def check_nijenhuis(st: StructureTensors, T: np.ndarray, tol: float = NIJENHUIS_
                     expected: str = "pass", fail_floor: float | None = None,
                     name: str = "cr_torsion") -> CheckResult:
     """Horizontal Nijenhuis-type torsion over the sample of ``st``."""
-    return _check(name, nijenhuis_residual(st, T), tol, expected, fail_floor)
+    return CheckResult.from_residuals(name, nijenhuis_residual(st, T), tol, expected, fail_floor)
 
 
 # ---------------------------------------------------------------------------
@@ -631,8 +607,7 @@ def check_nijenhuis(st: StructureTensors, T: np.ndarray, tol: float = NIJENHUIS_
 # ---------------------------------------------------------------------------
 
 def check_contact_form_preserved(lc_def: LeviCivita, lc_ref: LeviCivita,
-                                 fld: VectorField, points, tol: float,
-                                 name: str = "contact_form_preserved") -> CheckResult:
+                                 fld: VectorField, points, tol: float) -> CheckResult:
     """Metric-dual one-form and its exterior derivative agree between metrics.
 
     The one-forms are compared pointwise in ambient components.  Their
@@ -643,7 +618,7 @@ def check_contact_form_preserved(lc_def: LeviCivita, lc_ref: LeviCivita,
     connection enters, so the comparison resolves far below
     covariant-derivative noise.
     """
-    X = _stack(name, points)
+    X = _stack("contact_form_preserved", points)
     xi = fld.value(X)
     res = _worst(matvec(lc_def.metric.matrix_at(X), xi) - matvec(lc_ref.metric.matrix_at(X), xi))
     G = [central_diff(lambda y: matvec(lc.metric.matrix_at(y), fld.value(y)), X, lc_def.fd_step)
@@ -651,12 +626,12 @@ def check_contact_form_preserved(lc_def: LeviCivita, lc_ref: LeviCivita,
     D = G[0] - G[1]                                     # D[n, l, k] = d_l (eta_def - eta_ref)_k
     E = sphere.orthonormal_tangent_frame(X)
     ext = np.swapaxes(E, -1, -2) @ (D - np.swapaxes(D, -1, -2)) @ E
-    return _check(name, np.maximum(res, _worst(ext)), tol)
+    return CheckResult.from_residuals("contact_form_preserved", np.maximum(res, _worst(ext)),
+                                      tol)
 
 
 def check_transverse_derivative(lc: LeviCivita, fld: VectorField, j0: np.ndarray,
-                                st: StructureTensors, tol: float,
-                                name: str = "transverse_derivative") -> CheckResult:
+                                st: StructureTensors, tol: float) -> CheckResult:
     """Covariant derivative along the transverse distribution is the reference
     rotation: nabla_v (field) = J0 v for every v Euclidean-orthogonal to both
     the position and the reference circle direction J0 x, read from N at
@@ -668,4 +643,4 @@ def check_transverse_derivative(lc: LeviCivita, fld: VectorField, j0: np.ndarray
     N_half = richardson_guard(st.nabla_endo, half.nabla_endo(fld, X), lc.fd_step)
     _, _, vt = np.linalg.svd(np.stack([X, matvec(j0, X)], axis=1))
     V = np.swapaxes(vt[:, 2:], -1, -2)
-    return _check(name, _worst(N_half @ V - j0 @ V), tol)
+    return CheckResult.from_residuals("transverse_derivative", _worst(N_half @ V - j0 @ V), tol)

@@ -11,6 +11,7 @@ from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "check_times.py"
 HEADER = re.compile(r"^(\S.*): ([\d.]+) ms in all")
+SAMPLES = 7  # the fewest the gF battery takes (cli.GF_MIN_SAMPLES)
 
 
 def _load_script(monkeypatch):
@@ -24,7 +25,7 @@ def _load_script(monkeypatch):
 
 def test_rows_cover_every_battery_and_sum_to_its_total(monkeypatch, capsys):
     module = _load_script(monkeypatch)
-    assert module.main(["--samples", "5", "--repeats", "1"]) == 0
+    assert module.main(["--samples", str(SAMPLES), "--repeats", "1"]) == 0
 
     batteries = {}
     for line in capsys.readouterr().out.splitlines():
@@ -49,7 +50,7 @@ def test_rows_cover_every_battery_and_sum_to_its_total(monkeypatch, capsys):
 def test_json_record_holds_quartiles_settings_and_environment(monkeypatch, capsys, tmp_path):
     module = _load_script(monkeypatch)
     path = tmp_path / "BENCH_tiny.json"
-    assert module.main(["--samples", "5", "--repeats", "1", "--json", str(path)]) == 0
+    assert module.main(["--samples", str(SAMPLES), "--repeats", "1", "--json", str(path)]) == 0
     printed = capsys.readouterr().out
     doc = json.loads(path.read_text(encoding="utf-8"))
     assert set(doc) == {"schema", "environment", "settings", "batteries", "decompose"}
@@ -59,7 +60,7 @@ def test_json_record_holds_quartiles_settings_and_environment(monkeypatch, capsy
                                        "git_head", "git_dirty", "src_sha256"}
     assert doc["environment"]["blas_threads"] == "1"
     assert len(doc["environment"]["src_sha256"]) == 64
-    assert doc["settings"] == {"samples": 5, "seed": 42, "repeats": 1}
+    assert doc["settings"] == {"samples": SAMPLES, "seed": 42, "repeats": 1}
     assert [b["example"] for b in doc["batteries"]] == [e for e, _ in module.BATTERIES]
     for battery in doc["batteries"]:
         assert set(battery) == {"battery", "example", "params", "total_ms", "main_ms",
@@ -87,7 +88,7 @@ def test_repeats_run_across_batteries_after_one_warm_up_each(monkeypatch, capsys
         return run_once(example, cfg, argv)
 
     monkeypatch.setattr(module, "run_once", recording)
-    assert module.main(["--samples", "5", "--repeats", "2"]) == 0
+    assert module.main(["--samples", str(SAMPLES), "--repeats", "2"]) == 0
     one_round = [(e, p.get("m", 1)) for e, p in module.BATTERIES]
     assert order == one_round * 3  # the warm-up round, then two repeats
 

@@ -114,7 +114,10 @@ def test_n_bound_applies_where_an_example_reads_n(tmp_path):
         return cli.build_config(parser.parse_args(list(argv)))
 
     assert config("decompose", "--example", "round", "--n", "40").n == 40
-    assert config("verify", "--example", "irregular", "--n", str(cli.MAX_N)).n == cli.MAX_N
+    # verify's memory bound is the tighter one: irregular at 200 samples reaches n = 13
+    assert config("verify", "--example", "irregular", "--n", "13").n == 13
+    with pytest.raises(ValueError, match="--n 14 --samples 200 is out of reach"):
+        config("verify", "--example", "irregular", "--n", "14")
     for argv in (["decompose", "--example", "gF"], ["verify", "--example", "round"]):
         with pytest.raises(ValueError, match=f"--n {cli.MAX_N + 1} is out of reach"):
             config(*argv, "--n", str(cli.MAX_N + 1))
@@ -125,6 +128,52 @@ def test_n_bound_applies_where_an_example_reads_n(tmp_path):
     # quaternionic, hopf-lift and classify-flow read no n
     assert config("verify", "--example", "quaternionic", "--n", "100000").n == 100000
     assert config("classify-flow", "1", "2", "--n", "100000").n == 100000
+
+
+@pytest.mark.parametrize("argv, flags", [
+    (["--example", "round", "--n", "47"], "--n 47 --samples 200"),
+    (["--example", "quaternionic", "--m", "100000"], "--m 100000 --samples 200"),
+    (["--example", "round", "--samples", str(10**15)], f"--n 2 --samples {10**15}"),
+    (["--example", "hopf-lift", "--samples", str(10**15)], f"--samples {10**15}"),
+], ids=["round-n47", "quaternionic-m100000", "round-samples", "hopf-samples"])
+def test_verify_out_of_memory_is_refused_before_allocating(argv, flags):
+    """verify's arrays grow as samples * d^3: a run that would outgrow the
+    2 GiB budget is refused by its flags with the bound and the budget,
+    under a 2 GiB address-space cap, with no traceback (numpy's
+    ArrayMemoryError before)."""
+    proc = subprocess.run([sys.executable, "-m", "killinglab", "verify", *argv,
+                           "--no-timestamp"],
+                          capture_output=True, text=True, timeout=120,
+                          preexec_fn=_as_limited(2 << 30))
+    assert proc.returncode == 2, proc.stderr
+    assert f"usage error: {flags} is out of reach" in proc.stderr
+    assert "2 GiB budget" in proc.stderr and "Traceback" not in proc.stderr
+    assert "--samples may be at most" in proc.stderr or "no --samples fits" in proc.stderr
+
+
+def test_verify_memory_bound_keeps_every_shipped_setting():
+    """The defaults, the benchmark's and check_times.py's settings and the
+    largest measured runs that fit (round n = 20, irregular n = 12 at 200
+    samples) stay within the bound."""
+    parser = make_parser()
+    for argv in (["--example", "round"], ["--example", "quaternionic", "--m", "2"],
+                 ["--example", "hopf-lift"], ["--example", "gF", "--n", "3"],
+                 ["--example", "irregular"], ["--example", "round", "--n", "20"],
+                 ["--example", "irregular", "--n", "12"],
+                 ["--example", "gF", "--n", "10"], ["--example", "quaternionic", "--m", "6"]):
+        cli.build_config(parser.parse_args(["verify", *argv]))
+
+
+def test_gf_refuses_fewer_samples_than_its_floor(capsys):
+    """Below GF_MIN_SAMPLES some seeds leave gF's expected-fail checks under
+    their floors (exit 1 for a sound battery); the count is refused by name."""
+    few = str(cli.GF_MIN_SAMPLES - 1)
+    assert main(["verify", "--example", "gF", "--samples", few, "--no-timestamp"]) == 2
+    err = capsys.readouterr().err
+    assert f"gF needs --samples >= {cli.GF_MIN_SAMPLES}, got {few}" in err
+    # seed 36 missed a floor at 6 samples
+    assert main(["verify", "--example", "gF", "--samples", str(cli.GF_MIN_SAMPLES),
+                 "--seed", "36", "--no-timestamp"]) == 0
 
 
 def test_reports_echo_every_config_field(capsys):
@@ -400,8 +449,8 @@ CHECK_ORDER = {
 def test_every_battery_keeps_its_check_order(capsys):
     """compare_reports.py matches checks by name, so it alone misses a reorder."""
     for example, names in CHECK_ORDER.items():
-        main(["verify", "--example", example, "--samples", "5", "--format", "json",
-              "--no-timestamp"])
+        main(["verify", "--example", example, "--samples", str(cli.GF_MIN_SAMPLES),
+              "--format", "json", "--no-timestamp"])
         doc = json.loads(capsys.readouterr().out)
         assert [c["name"] for c in doc["checks"]] == names, example
 
@@ -579,8 +628,8 @@ def test_parser_is_built_once_per_process():
 def test_reused_parser_carries_no_value_into_the_next_call(capsys):
     configs = []
     for extra in (["--c", "0.1"], []):
-        assert main(["verify", "--example", "gF", *extra, "--samples", "5",
-                     "--format", "json", "--no-timestamp"]) == 0
+        assert main(["verify", "--example", "gF", *extra, "--samples",
+                     str(cli.GF_MIN_SAMPLES), "--format", "json", "--no-timestamp"]) == 0
         configs.append(json.loads(capsys.readouterr().out)["config"])
     assert (configs[0]["c"], configs[1]["c"]) == (0.1, 0.3)
     assert {k: v for k, v in configs[0].items() if k != "c"} \

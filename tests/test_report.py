@@ -7,6 +7,7 @@ import time
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +24,54 @@ def make(name="c", mx=1e-9, mean=1e-10, tol=1e-8, expected="pass", floor=None,
     return CheckResult(name=name, max_residual=mx, mean_residual=mean,
                        tolerance=tol, expected=expected, fail_floor=floor,
                        detail=detail)
+
+
+def _residuals(rng, shape):
+    """Nonnegative residuals spread over many decades, as real checks give."""
+    return np.exp(rng.uniform(-40.0, 2.0, size=shape))
+
+
+def test_from_residuals_reproduces_the_four_old_aggregations():
+    """One constructor, bit for bit the max and mean that four helpers took
+    each their own way; the old formulas are written out as oracles."""
+    for seed in range(200):
+        _old_aggregations_agree(np.random.default_rng(seed))
+
+
+def _old_aggregations_agree(rng):
+    n, g = int(rng.integers(1, 300)), int(rng.integers(2, 6))
+
+    def same(chk, mx, mean):
+        assert (chk.max_residual, chk.mean_residual) == (mx, mean)
+
+    # per-point residuals (N,) and (G, N): max of all, mean of the field means
+    for arr in (_residuals(rng, n), _residuals(rng, (g, n))):
+        same(CheckResult.from_residuals("c", arr, 1e-8),
+             float(arr.max()), float(arr.mean(axis=-1).mean()))
+    # same-shaped parts merged: max of maxes, mean of means
+    parts = [_residuals(rng, n) for _ in range(g)]
+    same(CheckResult.from_residuals("c", np.stack(parts), 1e-8),
+         max(float(p.max()) for p in parts), float(np.mean([float(p.mean()) for p in parts])))
+    # residuals by name: max and mean of the values
+    named = {"orthogonality": float(_residuals(rng, ())),
+             "bracket_identity": float(_residuals(rng, ())),
+             "eigenvalue_identity": float(_residuals(rng, ()))}
+    same(CheckResult.from_residuals("c", list(named.values()), 1e-6),
+         max(named.values()), float(np.mean(list(named.values()))))
+    # one residual: its own max and mean
+    one = float(_residuals(rng, ()))
+    same(CheckResult.from_residuals("c", one, 1e-8), one, one)
+
+
+def test_from_residuals_carries_expectation_and_refuses_no_samples():
+    chk = CheckResult.from_residuals("torsion", [0.5, 2.0], 1e-4, expected="fail",
+                                     fail_floor=1e-3, detail="d")
+    assert (chk.name, chk.tolerance, chk.expected, chk.fail_floor, chk.detail) \
+        == ("torsion", 1e-4, "fail", 1e-3, "d")
+    assert chk.as_expected and (chk.max_residual, chk.mean_residual) == (2.0, 1.25)
+    for empty in ([], np.zeros((3, 0))):
+        with pytest.raises(ValueError, match="check 'torsion' got no samples to evaluate"):
+            CheckResult.from_residuals("torsion", empty, 1e-4)
 
 
 def test_pass_semantics():
