@@ -6,9 +6,14 @@ For every report and every check it prints the verdict on each side
 absolute and relative to the first directory, and the larger of the two
 absolute movements as a fraction of the check's tolerance (``move/tol``): the
 scale that decides a verdict, where the relative column blows a rounding move
-on a residual near zero up to order one.  Exits 1 if any verdict
-changed, a report or check is present on one side only, or the checks both
-reports hold come in another order, else 0.
+on a residual near zero up to order one.  It then walks both reports'
+``extras`` (the orbit probe's return times and minimum distance, the
+decomposition tables, ...) side by side and prints the absolute and relative
+move of every numeric leaf.  Exits 1 if any verdict changed, a report or
+check is present on one side only, the checks both reports hold come in
+another order, or the extras changed in anything but the value of a float:
+a string, flag or integer count, a key held on one side only, or the length
+of a list; else 0.
 
 Usage:
     python3 scripts/run_all_examples.py --samples 200 --out A_DIR   # before
@@ -27,9 +32,9 @@ import sys
 
 def movement(a: float, b: float) -> tuple[float, float]:
     """Absolute and relative (to a) distance between two residuals."""
-    diff = abs(b - a)
-    if diff == 0.0:
+    if a == b:
         return 0.0, 0.0
+    diff = abs(b - a)
     return diff, diff / abs(a) if a != 0.0 else math.inf
 
 
@@ -68,6 +73,32 @@ def compare_report(a: dict, b: dict) -> tuple[list[dict], bool]:
     return rows, changed
 
 
+def compare_extras(a, b, path: str) -> tuple[list[tuple[str, float, float]], list[str]]:
+    """Two ``extras`` trees side by side: (path, absolute, relative move) for
+    every numeric leaf both hold, and one line for every other change."""
+    moves, changes = [], []
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in list(a) + [k for k in b if k not in a]:
+            if key in a and key in b:
+                m, c = compare_extras(a[key], b[key], f"{path}.{key}")
+                moves, changes = moves + m, changes + c
+            else:
+                changes.append(f"{path}.{key} only in {'A' if key in a else 'B'}")
+    elif isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            changes.append(f"{path} length {len(a)} -> {len(b)}")
+        for i, (x, y) in enumerate(zip(a, b)):
+            m, c = compare_extras(x, y, f"{path}[{i}]")
+            moves, changes = moves + m, changes + c
+    elif all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (a, b)):
+        moves.append((path, *movement(a, b)))
+        if isinstance(a, int) and isinstance(b, int) and a != b:
+            changes.append(f"{path} count {a} -> {b}")
+    elif a != b:
+        changes.append(f"{path} {a!r} -> {b!r}")
+    return moves, changes
+
+
 def check_order(a: dict, b: dict) -> tuple[list[str], list[str]]:
     """The names of the checks both reports hold, in each report's order."""
     names_a = [c["name"] for c in a["checks"]]
@@ -92,7 +123,9 @@ def main(argv: list[str] | None = None) -> int:
         a, b = json.loads(pa.read_text()), json.loads(pb.read_text())
         rows, changed = compare_report(a, b)
         order_a, order_b = check_order(a, b)
-        any_changed = any_changed or changed or order_a != order_b
+        moves, extras_changes = compare_extras(a.get("extras", {}), b.get("extras", {}),
+                                               "extras")
+        any_changed = any_changed or changed or order_a != order_b or bool(extras_changes)
         print(f"{fname}")
         if order_a != order_b:
             print(f"  CHECK ORDER CHANGED: {order_a} -> {order_b}")
@@ -104,7 +137,14 @@ def main(argv: list[str] | None = None) -> int:
             flag = "  VERDICT CHANGED" if r["changed"] else ""
             print(f"  {r['name']:<34} {r['verdict_a'] + ' -> ' + r['verdict_b']:<32} "
                   f"{moved}{flag}")
-    print("\nverdicts or check order changed" if any_changed else "\nverdicts identical")
+        if moves:
+            print(f"  {'extras leaf':<67} {'abs':>9} {'rel':>9}")
+        for leaf, moved_abs, moved_rel in moves:
+            print(f"  {leaf:<67} {moved_abs:9.2e} {moved_rel:9.2e}")
+        for line in extras_changes:
+            print(f"  EXTRAS CHANGED: {line}")
+    print("\nverdicts, check order or extras changed" if any_changed
+          else "\nverdicts identical")
     return 1 if any_changed else 0
 
 

@@ -3,7 +3,8 @@
 
 For a family of two-block rotation profiles (1, a) the script prints the
 classifier verdict (regular / quasi-regular / irregular, predicted periods)
-next to what a matrix-exponential integration of the actual orbit sees:
+next to what the numeric orbit probe (the closed-form distance of the
+actual orbit from its start) sees:
 the first return time on a generic point, the first return time on the
 exceptional coordinate plane, and — for irrational a — how close the orbit
 ever comes back within the horizon.

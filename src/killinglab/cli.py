@@ -86,8 +86,6 @@ MAX_N = 47
 # whose lift quadrature holds its nodes for every sample (200-200000 samples)
 VERIFY_BYTES_PER_SAMPLE_D3 = {"round": 72, "quaternionic": 48, "gF": 120, "irregular": 120,
                               "hopf-lift": 260}
-# the orbit probe's coarse grid holds ceil(horizon / COARSE_STEP) points; --horizon
-# may ask for 3 (the fewest that hold a local minimum) to flows.PROBE_MAX_POINTS
 
 
 @dataclass
@@ -547,6 +545,8 @@ def cmd_decompose(cfg: RunConfig) -> int:
 
 
 def cmd_classify_flow(args: argparse.Namespace, cfg: RunConfig) -> int:
+    # the probe grid holds ceil(horizon / COARSE_STEP) points; --horizon may ask for 3
+    # (the fewest that hold a local minimum) to flows.PROBE_MAX_POINTS
     if args.horizon is not None and not 2 < args.horizon / COARSE_STEP <= PROBE_MAX_POINTS:
         raise ValueError(f"--horizon must be a time over {2 * COARSE_STEP:.6g} and at most "
                          f"{PROBE_MAX_POINTS * COARSE_STEP:.6g} (a probe grid of 3 to "
@@ -661,7 +661,7 @@ def make_parser() -> argparse.ArgumentParser:
                        help="rotation rates: integers, fractions, or "
                             "irr:<alias> tagged irrationals")
     p_cls.add_argument("--probe", action="store_true",
-                       help="cross-check with a matrix-exponential orbit probe")
+                       help="cross-check with the closed-form orbit-distance probe")
     p_cls.add_argument("--horizon", type=float, default=None,
                        help="orbit probe time horizon")
     _add_common(p_cls)

@@ -430,8 +430,6 @@ class DeformedStructure:
     j0: np.ndarray
     x_field: VectorField        # the deformation direction field (vertical part)
     f_of: Callable[[np.ndarray], float]
-    support_lo: float           # chi = 0 at |X|^2 <= support_lo
-    support_hi: float
 
     def isometry_algebra(self) -> IsometryAlgebra:
         d = self.dim
@@ -517,7 +515,7 @@ def build_deformed(n: int = 3, c: float = 0.3) -> DeformedStructure:
         n=n, c=c, dim=d, metric=metric,
         field=linear_field(j0, name="circle_field"), j0=j0,
         x_field=general_field(x_vec, name="deformation_direction"),
-        f_of=f_of, support_lo=lo, support_hi=hi)
+        f_of=f_of)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@ answer.  Rates are therefore carried exactly as p + q*sqrt(k) with rational
 p, q (``ExactScalar``); classification over Q is exact integer arithmetic.
 
 A numeric probe (the closed-form distance of the skew flow from its start,
-coarse grid plus a bounded Brent refinement of near-returns) cross-checks the
-exact verdicts.  Its settings are module constants: the grid step COARSE_STEP,
+coarse grid plus a safeguarded Newton refinement of near-returns) cross-checks
+the exact verdicts.  Its settings are module constants: the grid step COARSE_STEP,
 the candidate threshold PROBE_CANDIDATE_DIST, the return tolerance
 PROBE_RETURN_TOL and the candidate cap PROBE_MAX_CANDIDATES; declared rates
 match a generator's spectrum to RATE_MATCH_TOL.
@@ -206,13 +206,10 @@ class OrbitProbe:
     """Numeric near-return survey of one orbit of a linear flow."""
 
     return_times: tuple[float, ...]
-    return_distances: tuple[float, ...]
     min_distance: float
     t_max: float
 
 
-_GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))
-_SQRT_EPS = math.sqrt(2.2e-16)
 # the orbit probe's grid step: 512 points per turn of 2 pi
 COARSE_STEP = 2.0 * math.pi / 512.0
 # grid minima below this distance from x0 are refined; refined minima below
@@ -224,76 +221,9 @@ PROBE_MAX_CANDIDATES = 4096
 # 2**21 is 4096 turns of 2 pi at COARSE_STEP, past which a flow returning once a
 # turn has filled the probe's PROBE_MAX_CANDIDATES candidates
 PROBE_MAX_POINTS = 2**21
-
-
-def _bounded_min(func, a: float, b: float, xatol: float) -> tuple[float, float]:
-    """Minimum (x, func(x)) of a scalar function on [a, b] by Brent's method.
-
-    Golden-section steps with parabolic interpolation (Brent, *Algorithms for
-    Minimization without Derivatives*, 1973, ch. 5), operation for operation
-    as scipy's ``minimize_scalar(method="bounded")``, so the result is the
-    same to the last bit.  Stops when x is known to ``xatol`` or after
-    500 evaluations.
-    """
-    fulc = a + _GOLDEN_MEAN * (b - a)
-    nfc = xf = fulc
-    rat = e = 0.0
-    fx = func(xf)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:  # try a parabolic fit through the last three points
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if x - a < tol2 or b - x < tol2:
-                    rat = tol1 if xm - xf >= 0.0 else -tol1
-            else:
-                golden = True
-        if golden:
-            e = a - xf if xf >= xm else b - xf
-            rat = _GOLDEN_MEAN * e
-        x = xf + (1.0 if rat >= 0.0 else -1.0) * max(abs(rat), tol1)
-        fu = func(x)
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= 500:
-            break
-    return xf, fx
+# the probe's Newton refinement stops at a step of NEWTON_STOP_ULPS ulps of t
+NEWTON_STOP_ULPS = 4
+NEWTON_MAX_ITER = 100
 
 
 def numeric_orbit_probe(xi: np.ndarray, x0: np.ndarray, t_max: float,
@@ -301,19 +231,23 @@ def numeric_orbit_probe(xi: np.ndarray, x0: np.ndarray, t_max: float,
     """Scan |exp(t xi) x0 - x0| on a coarse grid and refine its local minima.
 
     ``xi`` must be skew and ``t_max`` over 0 with a grid of at most
-    PROBE_MAX_POINTS points; any other is refused by name.  The grid times are
-    built one chunk at a time.  The distance is the closed form of a skew
-    flow: with i xi = V W V^H (``eigh``, as in ``metrics.skew_exp``) and
-    c = V^H x0,
+    PROBE_MAX_POINTS points; any other is refused by name.  The distance is
+    the closed form of a skew flow: with i xi = V W V^H (``eigh``, as in
+    ``metrics.skew_exp``), weights c_j = |(V^H x0)_j|^2 and rates w_j,
 
-        |e^(t xi) x0 - x0| = 2 sqrt(sum_j |c_j|^2 sin^2(w_j t / 2)),
+        |e^(t xi) x0 - x0|^2 = 4 sum_j c_j sin^2(w_j t / 2)
+                             = 2 sum_j c_j (1 - cos w_j t),
 
     real arithmetic on (n, d) with no cancellation of e^(t xi) x0 - x0, and
-    V orthonormal also at repeated rates.  Local minima below
-    PROBE_CANDIDATE_DIST (the first PROBE_MAX_CANDIDATES of them) are
-    polished by Brent's bounded minimization (``_bounded_min``) over one
-    coarse step on either side; polished minima below PROBE_RETURN_TOL count
-    as returns.  ``min_distance`` is the smallest
+    V orthonormal also at repeated rates.  The grid distance is built ``chunk``
+    points at a time, which bounds the (chunk, d) sine temporary.  Its local
+    minima below PROBE_CANDIDATE_DIST (the first PROBE_MAX_CANDIDATES of them)
+    are refined together by safeguarded Newton on the derivative
+    g = sum_j c_j w_j sin w_j t, with g' = sum_j c_j w_j^2 cos w_j t (Press et
+    al., *Numerical Recipes*, 9.4, ``rtsafe``): each iterate stays within one
+    coarse step of its grid time, in a bracket shrunk by the sign of g, and a
+    step that leaves the bracket or meets g' <= 0 bisects it.  Refined minima
+    below PROBE_RETURN_TOL count as returns.  ``min_distance`` is the smallest
     distance seen anywhere past the initial departure from x0, so an orbit
     that never returns reports a large floor instead of a spurious period.
     """
@@ -337,51 +271,40 @@ def numeric_orbit_probe(xi: np.ndarray, x0: np.ndarray, t_max: float,
         s = np.sin(np.multiply.outer(ts, half))
         return 2.0 * np.sqrt((s * s) @ weights)
 
-    def dist_scalar(t: float) -> float:
-        return float(dist(t))
-
     n = int(np.ceil(t_max / COARSE_STEP))
-    min_dist = np.inf
-    departed = False  # true once the distance has passed its first local max
-    last_d: float | None = None
-    candidates: list[float] = []
-    prev_tail: tuple | None = None  # (t, d) of the last two grid points scanned
-    for start in range(0, n, chunk):
-        ts = COARSE_STEP * np.arange(start + 1, min(start + chunk, n) + 1)
-        ds = dist(ts)
-        if prev_tail is not None:
-            ts_ext = np.concatenate([prev_tail[0], ts])
-            ds_ext = np.concatenate([prev_tail[1], ds])
-        else:
-            ts_ext, ds_ext = ts, ds
-        if departed:
-            min_dist = min(min_dist, float(ds.min()))
-        else:
-            full = np.concatenate([[last_d], ds]) if last_d is not None else ds
-            drops = np.nonzero(np.diff(full) < 0.0)[0]
-            if drops.size:
-                departed = True
-                min_dist = min(min_dist, float(full[drops[0] + 1:].min()))
-            last_d = float(ds[-1])
-        interior = (ds_ext[1:-1] < ds_ext[:-2]) & (ds_ext[1:-1] <= ds_ext[2:]) \
-            & (ds_ext[1:-1] < PROBE_CANDIDATE_DIST)
-        for t in ts_ext[1:-1][interior]:
-            if len(candidates) < PROBE_MAX_CANDIDATES:
-                candidates.append(float(t))
-        prev_tail = (ts_ext[-2:], ds_ext[-2:])
+    ts = COARSE_STEP * np.arange(1, n + 1)
+    ds = np.empty(n)
+    for i in range(0, n, chunk):
+        ds[i:i + chunk] = dist(ts[i:i + chunk])
+    # the orbit has departed from x0 at the first grid point below its predecessor,
+    # or is still departing at the last
+    first_drop = int(np.append(ds[1:] < ds[:-1], True).argmax())
+    min_dist = float(ds[min(first_drop + 1, n - 1):].min())
+    mid = ds[1:-1]
+    t = ts[1:-1][(mid < ds[:-2]) & (mid <= ds[2:])
+                 & (mid < PROBE_CANDIDATE_DIST)][:PROBE_MAX_CANDIDATES]
 
-    returns: list[tuple[float, float]] = []
-    for t in candidates:
-        t_ref, d_ref = _bounded_min(dist_scalar, t - COARSE_STEP, t + COARSE_STEP, 1e-12)
+    lo, hi = t - COARSE_STEP, t + COARSE_STEP
+    live = np.ones(t.shape, dtype=bool)
+    cw, cw2 = weights * w, weights * w * w
+    for _ in range(NEWTON_MAX_ITER):
+        if not live.any():
+            break
+        phase = np.multiply.outer(t, w)
+        g, gp = np.sin(phase) @ cw, np.cos(phase) @ cw2
+        lo, hi = np.where(g < 0.0, t, lo), np.where(g > 0.0, t, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_new = t - g / gp
+        t_new = np.where((gp > 0.0) & (lo <= t_new) & (t_new <= hi), t_new, 0.5 * (lo + hi))
+        t_new = np.where(live, t_new, t)
+        live &= np.abs(t_new - t) > NEWTON_STOP_ULPS * np.spacing(t)
+        t = t_new
+
+    returns: list[float] = []
+    for t_ref, d_ref in zip(t.tolist(), dist(t).tolist()):
         min_dist = min(min_dist, d_ref)
         if d_ref < PROBE_RETURN_TOL and t_ref > COARSE_STEP:
-            if not returns or t_ref - returns[-1][0] > 10 * COARSE_STEP:
-                returns.append((t_ref, d_ref))
-    if not np.isfinite(min_dist):
-        # the orbit was still monotonically departing at t_max
-        min_dist = last_d if last_d is not None else 0.0
-    return OrbitProbe(
-        return_times=tuple(t for t, _ in returns),
-        return_distances=tuple(d for _, d in returns),
-        min_distance=float(min_dist),
-        t_max=float(t_max))
+            if not returns or t_ref - returns[-1] > 10 * COARSE_STEP:
+                returns.append(t_ref)
+    return OrbitProbe(return_times=tuple(returns), min_distance=float(min_dist),
+                      t_max=float(t_max))

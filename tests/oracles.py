@@ -106,6 +106,41 @@ def orbit_min_distance_grid(gen, x0, t_max: float, n: int = 200_000,
     return float(np.linalg.norm(pos.real - x0, axis=1).min())
 
 
+def orbit_min_distance_mp(rates, plane_weights, t_lo: float, t_hi: float) -> float:
+    """Minimum over [t_lo, t_hi] of |exp(t gen) x0 - x0| at 30 digits, for a
+    flow that rotates its i-th invariant plane at ``rates[i]``, x0 holding
+    squared norm ``plane_weights[i]`` in that plane:
+
+        dist^2 = 4 sum_i c_i sin^2(rho_i t / 2).
+
+    Written from the plane rates, not from an eigendecomposition.  A float grid
+    of 200 001 points finds the local minima within 1e-6 (in dist^2) of its
+    lowest; each is the root of the derivative's sum_i c_i rho_i sin(rho_i t)
+    between its grid neighbours, solved by mpmath at mp.dps = 30.
+    """
+    import mpmath as mp
+
+    rates = np.asarray(rates, dtype=float)
+    weights = np.asarray(plane_weights, dtype=float)
+    ts = np.linspace(t_lo, t_hi, 200_001)
+    d2 = 4.0 * np.sin(0.5 * np.multiply.outer(ts, rates)) ** 2 @ weights
+    mid = d2[1:-1]
+    lows = 1 + np.flatnonzero((mid <= d2[:-2]) & (mid <= d2[2:]) & (mid <= d2.min() + 1e-6))
+    with mp.workdps(30):
+        rho = [mp.mpf(float(r)) for r in rates]
+        c = [mp.mpf(float(w)) for w in weights]
+
+        def slope(t):
+            return mp.fsum(ci * ri * mp.sin(ri * t) for ci, ri in zip(c, rho))
+
+        def dist(t):
+            return 2 * mp.sqrt(mp.fsum(ci * mp.sin(ri * t / 2) ** 2 for ci, ri in zip(c, rho)))
+
+        return float(min(dist(mp.findroot(slope, (mp.mpf(ts[k - 1]), mp.mpf(ts[k + 1])),
+                                          solver="anderson"))
+                         for k in lows))
+
+
 def adjoint_rates(lams, tol: float = 1e-9):
     """Closed-form spectrum of ad(xi) on so(2k) for xi rotating k coordinate
     planes at rates ``lams``.

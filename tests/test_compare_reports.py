@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_reports.py"
 
 
@@ -16,9 +18,9 @@ def _check(name, max_res, mean_res, passed=True, as_expected=True):
             "tolerance": 1e-6}
 
 
-def _write(d: Path, fname: str, checks: list[dict]) -> None:
+def _write(d: Path, fname: str, checks: list[dict], extras: dict | None = None) -> None:
     d.mkdir(exist_ok=True)
-    (d / fname).write_text(json.dumps({"checks": checks}))
+    (d / fname).write_text(json.dumps({"checks": checks, "extras": extras or {}}))
 
 
 def _run(a: Path, b: Path) -> subprocess.CompletedProcess:
@@ -83,4 +85,40 @@ def test_check_order_change_exits_one(tmp_path):
     proc = _run(a, b)
     assert proc.returncode == 1, proc.stdout
     assert "CHECK ORDER CHANGED: ['killing', 'tangency'] -> ['tangency', 'killing']" in proc.stdout
+    assert "VERDICT CHANGED" not in proc.stdout
+
+
+def _probe(return_times, min_distance, table="g0: 5"):
+    return {"orbit_probe": {"return_times": return_times, "min_distance": min_distance,
+                            "returns": len(return_times)},
+            "table": table, "blocks": [[0.0, 5]]}
+
+
+def test_extras_numeric_leaves_report_their_move(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    _write(a, "r.json", [_check("killing", 2e-8, 1e-8)], _probe([6.0, 12.0], 4e-4))
+    _write(b, "r.json", [_check("killing", 2e-8, 1e-8)], _probe([6.0, 12.003], 3e-4))
+    proc = _run(a, b)
+    assert proc.returncode == 0, proc.stdout
+    leaves = {ln.split()[0]: ln.split()[1:] for ln in proc.stdout.splitlines()
+              if ln.startswith("  extras.")}
+    assert leaves["extras.orbit_probe.return_times[0]"] == ["0.00e+00", "0.00e+00"]
+    assert leaves["extras.orbit_probe.return_times[1]"] == ["3.00e-03", "2.50e-04"]
+    assert leaves["extras.orbit_probe.min_distance"] == ["1.00e-04", "2.50e-01"]
+    assert leaves["extras.blocks[0][1]"] == ["0.00e+00", "0.00e+00"]
+    assert "verdicts identical" in proc.stdout
+
+
+@pytest.mark.parametrize("extras_b, change", [
+    (_probe([6.0], 4e-4), "extras.orbit_probe.return_times length 2 -> 1"),
+    (_probe([6.0, 12.0], 4e-4, table="g0: 4"), "extras.table 'g0: 5' -> 'g0: 4'"),
+    ({**_probe([6.0, 12.0], 4e-4), "flow": {"kind": "regular"}}, "extras.flow only in B"),
+], ids=["list-length", "string", "key"])
+def test_extras_structure_change_exits_one(tmp_path, extras_b, change):
+    a, b = tmp_path / "a", tmp_path / "b"
+    _write(a, "r.json", [_check("killing", 2e-8, 1e-8)], _probe([6.0, 12.0], 4e-4))
+    _write(b, "r.json", [_check("killing", 2e-8, 1e-8)], extras_b)
+    proc = _run(a, b)
+    assert proc.returncode == 1, proc.stdout
+    assert f"EXTRAS CHANGED: {change}" in proc.stdout
     assert "VERDICT CHANGED" not in proc.stdout

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from killinglab import cli, flows
 from killinglab.constructions import build_irregular
 from killinglab.flows import rotation_profile
 
-from oracles import orbit_min_distance_grid
+from oracles import orbit_min_distance_grid, orbit_min_distance_mp
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -192,10 +193,15 @@ def test_probe_min_distance_matches_grid_oracle():
     assert probe.min_distance > 0.5 * oracle
 
 
+def _orthogonal(seed: int, d: int) -> np.ndarray:
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)))
+    return q
+
+
 def _rotated(gen: np.ndarray, seed: int) -> np.ndarray:
     """gen conjugated by a seeded orthogonal matrix: the same rates in a
     basis that is not block-diagonal."""
-    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal(gen.shape))
+    q = _orthogonal(seed, gen.shape[0])
     return q @ gen @ q.T
 
 
@@ -204,36 +210,62 @@ def _unit(v) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-@pytest.mark.parametrize("gen, x0, t_max", [
-    (block_gen(math.sqrt(2.0), 1.0), _unit([0.6, 0.0, 0.8, 0.0]), 60.0),
-    (_rotated(block_gen(1.0, (1 + math.sqrt(5.0)) / 2), 1), _unit([1, 2, -1, 1]), 50.0),
-    (build_irregular(n=2).field.matrix, _unit([0.5, 0.1, -0.4, 0.3, 0.6, -0.2]), 60.0),
-    (_rotated(block_gen(math.sqrt(2.0), 1.0, 1.0), 2), _unit([1, -2, 1, 3, 0, 1]), 60.0),
+def _plane_weights(q: np.ndarray, x0: np.ndarray) -> np.ndarray:
+    """Squared norm of x0 in each invariant plane of q @ block_gen(...) @ q.T."""
+    y = q.T @ x0
+    return y[0::2] ** 2 + y[1::2] ** 2
+
+
+GOLDEN = (1 + math.sqrt(5.0)) / 2
+SQRT2 = math.sqrt(2.0)
+
+
+@pytest.mark.parametrize("gen, rates, q, x0, t_max", [
+    (block_gen(SQRT2, 1.0), (SQRT2, 1.0), np.eye(4), _unit([0.6, 0.0, 0.8, 0.0]), 60.0),
+    (_rotated(block_gen(1.0, GOLDEN), 1), (1.0, GOLDEN), _orthogonal(1, 4),
+     _unit([1, 2, -1, 1]), 50.0),
+    (build_irregular(n=2).field.matrix, (SQRT2, 1.0, 1.0), np.eye(6),
+     _unit([0.5, 0.1, -0.4, 0.3, 0.6, -0.2]), 60.0),
+    (_rotated(block_gen(SQRT2, 1.0, 1.0), 2), (SQRT2, 1.0, 1.0), _orthogonal(2, 6),
+     _unit([1, -2, 1, 3, 0, 1]), 60.0),
 ], ids=["d4-sqrt2", "d4-golden-rotated", "d6-irregular", "d6-repeated-rotated"])
-def test_probe_agrees_with_the_grid_oracle(monkeypatch, gen, x0, t_max):
+def test_probe_agrees_with_the_grid_oracle(gen, rates, q, x0, t_max):
     """The closed-form distance against the oracle's complex-eig propagation
-    on a 200 000-point grid, and pointwise against scipy's expm wherever the
-    probe refined a near-return; d = 6 holds the repeated rates (1 + a, 1, 1)."""
-    from scipy.linalg import expm
-
-    refined = []
-    real = flows._bounded_min
-
-    def record(func, a, b, xatol):
-        refined.append((func, a, b))
-        return real(func, a, b, xatol)
-
-    monkeypatch.setattr(flows, "_bounded_min", record)
+    on a 200 000-point grid, and its refined minimum against the plane-rate
+    distance minimised at 30 digits; d = 6 holds the repeated rates
+    (1 + a, 1, 1)."""
+    assert np.abs(q @ block_gen(*rates) @ q.T - gen).max() < 1e-15
     probe = numeric_orbit_probe(gen, x0, t_max=t_max)
     oracle = orbit_min_distance_grid(gen, x0, t_max)
     assert probe.return_times == ()
     assert probe.min_distance <= oracle + 1e-12    # refined minima sit below the grid's
     assert oracle - probe.min_distance < 1e-6      # ... by the grid's resolution only
-    assert refined
-    for func, a, b in refined[:20]:
-        for t in (a, 0.5 * (a + b), b):
-            want = float(np.linalg.norm(expm(t * gen) @ x0 - x0))
-            assert abs(func(t) - want) < 1e-12
+    exact = orbit_min_distance_mp(rates, _plane_weights(q, x0), 0.5, t_max)
+    assert abs(probe.min_distance - exact) < 1e-12
+
+
+def test_probe_finds_the_closest_approach_at_its_longest_horizon():
+    """Rates (1, golden) over the probe's largest grid: the closest approach,
+    near t = 16235.75, is 4.04251e-4; a refinement that stops early on its
+    coarse-grid bracket reads 4.7545e-4 there."""
+    x0 = _unit([1, 0, 1, 0])
+    probe = numeric_orbit_probe(block_gen(1.0, GOLDEN), x0, t_max=25735.0)
+    exact = orbit_min_distance_mp((1.0, GOLDEN), (0.5, 0.5), 16235.7, 16235.8)
+    assert probe.return_times == ()
+    assert abs(probe.min_distance - exact) < 1e-12
+
+
+@pytest.mark.parametrize("rates, period, count", [(("3", "6"), 2 * math.pi / 3, 28),
+                                                 (("5",), 2 * math.pi / 5, 47)],
+                         ids=["3-6", "5"])
+def test_probe_reports_every_return_off_its_grid(capsys, rates, period, count):
+    """Every return up to the horizon, the k-th at k periods; none of them
+    falls on the 2 pi / 512 grid."""
+    assert cli.main(["classify-flow", *rates, "--probe", "--horizon", "60",
+                     "--format", "json", "--no-timestamp"]) == 0
+    times = json.loads(capsys.readouterr().out)["extras"]["orbit_probe"]["return_times"]
+    assert len(times) == count == int(60.0 / period)
+    assert np.abs(np.array(times) - period * np.arange(1, count + 1)).max() < 1e-12
 
 
 def test_probe_return_on_a_repeated_rate_generator():
@@ -276,40 +308,3 @@ def test_probe_does_not_depend_on_its_chunk_size(chunk):
     gen, x0 = block_gen(1.0, 2.0), _unit([1, 0, 1, 0])
     assert numeric_orbit_probe(gen, x0, t_max=60.0, chunk=chunk) \
         == numeric_orbit_probe(gen, x0, t_max=60.0)
-
-
-# -- bounded Brent minimizer, against scipy's as the oracle --------------------
-
-def _scipy_bounded(func, a, b, xatol):
-    from scipy.optimize import minimize_scalar
-    res = minimize_scalar(func, bounds=(a, b), method="bounded", options={"xatol": xatol})
-    return res.x, res.fun
-
-
-@pytest.mark.parametrize("rates", [("1", "irr:golden"), ("1", "2")])
-def test_bounded_min_equals_scipy_on_the_probe_refinements(monkeypatch, rates):
-    """Every refinement `classify-flow --probe` makes, bit for bit."""
-    calls = []
-    real = flows._bounded_min
-
-    def record(func, a, b, xatol):
-        got = real(func, a, b, xatol)
-        calls.append((func, a, b, xatol, got))
-        return got
-
-    monkeypatch.setattr(flows, "_bounded_min", record)
-    assert cli.main(["classify-flow", *rates, "--probe", "--no-timestamp"]) == 0
-    assert calls
-    for func, a, b, xatol, got in calls:
-        assert xatol == 1e-12
-        assert got == _scipy_bounded(func, a, b, xatol)
-
-
-@pytest.mark.parametrize("func", [
-    lambda x: x,                                         # minimum on the lower bound
-    lambda x: 1.0,                                       # constant
-    lambda x: 0.3 - x if x < 0.3 else 1e3 * (x - 0.3),   # parabolic steps rejected
-], ids=["on-bound", "constant", "kinked"])
-def test_bounded_min_equals_scipy(func):
-    got = flows._bounded_min(func, -1.0, 2.0, 1e-12)
-    assert got == _scipy_bounded(func, -1.0, 2.0, 1e-12)
