@@ -301,10 +301,10 @@ def _battery_quaternionic(cfg: RunConfig) -> VerificationReport:
     worst = float(np.max([sp.split.involution_residual, sp.split.symmetry_residual,
                           sp.invariance_residual, sp.commutation_residual,
                           sp.split.dim_plus]))
-    dims = np.unique(np.stack([sp.split.dim_plus, sp.split.dim_minus], axis=-1), axis=0)
+    dims = sorted(set(zip(sp.split.dim_plus.tolist(), sp.split.dim_minus.tolist())))
     rep.add(CheckResult.from_residuals(
         "horizontal_split_plus_trivial", worst, 1e-8,
-        detail=f"(dim+, dim-) over samples: {[tuple(d) for d in dims.tolist()]}"))
+        detail=f"(dim+, dim-) over samples: {dims}"))
 
     fixture = build_flip_fixture()
     with rep.stage("check_flip_quaternionic"):
@@ -544,6 +544,27 @@ def cmd_decompose(cfg: RunConfig) -> int:
     return _emit(rep, cfg)
 
 
+def _period_residual(times: tuple[float, ...], period: float, t_max: float) -> float:
+    """Largest |t_k - k T| over the probe's returns t_1 < t_2 < ..., matched in
+    order with the multiples kT of the period T that its grid can hold; inf
+    when there is no return or their counts differ.
+
+    The grid of ``numeric_orbit_probe`` holds the times COARSE_STEP * (1, ..., n),
+    n = ceil(t_max / COARSE_STEP).  A return shows as a local minimum at its
+    nearest grid time, and only the interior times 2, ..., n - 1 can be one, so
+    the grid holds the kT with 1.5 < kT / COARSE_STEP < n - 1/2.  The edge
+    rule: a multiple in the last half step, kT within COARSE_STEP / 2 of
+    COARSE_STEP * n, is not held, even at kT = t_max; one at a bound itself,
+    where two grid times tie, may fall either way.
+    """
+    n = int(np.ceil(t_max / COARSE_STEP))
+    held = period * np.arange(1, np.ceil((n - 0.5) * COARSE_STEP / period))
+    held = held[held > 1.5 * COARSE_STEP]
+    if not times or len(times) != len(held):
+        return np.inf
+    return float(np.abs(np.array(times) - held).max())
+
+
 def cmd_classify_flow(args: argparse.Namespace, cfg: RunConfig) -> int:
     # the probe grid holds ceil(horizon / COARSE_STEP) points; --horizon may ask for 3
     # (the fewest that hold a local minimum) to flows.PROBE_MAX_POINTS
@@ -582,8 +603,7 @@ def cmd_classify_flow(args: argparse.Namespace, cfg: RunConfig) -> int:
             "min_distance": probe.min_distance,
         }
         if cls.generic_period is not None:
-            res = (abs(probe.return_times[0] - cls.generic_period)
-                   if probe.return_times else np.inf)
+            res = _period_residual(probe.return_times, cls.generic_period, probe.t_max)
             rep.add(CheckResult.from_residuals("orbit_return_matches_period", res, 1e-5))
         else:
             res = 0.0 if not probe.return_times else 1.0

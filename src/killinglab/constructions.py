@@ -506,8 +506,14 @@ def build_deformed(n: int = 3, c: float = 0.3) -> DeformedStructure:
         nx = np.where(nx > 0.0, nx, 1.0)  # F = 0 there, so M = Id
         Xh = X / nx
         Yh = matvec(j0, X) / nx
-        return (eye + (np.exp(-2.0 * F) - 1.0) * (Xh[..., :, None] * Xh[..., None, :])
-                + (np.exp(2.0 * F) - 1.0) * (Yh[..., :, None] * Yh[..., None, :]))
+        # eye + (e^(-2F) - 1) Xh Xh^T + (e^(2F) - 1) Yh Yh^T, accumulated in place
+        M = np.einsum("...i,...j->...ij", Xh, Xh)
+        M *= np.exp(-2.0 * F) - 1.0
+        M += eye
+        YY = np.einsum("...i,...j->...ij", Yh, Yh)
+        YY *= np.exp(2.0 * F) - 1.0
+        M += YY
+        return M
 
     metric = MetricField("deformed", matrix_func, dim=d, exact_round=False,
                          name=f"deformed(c={c})")

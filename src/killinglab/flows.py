@@ -238,9 +238,13 @@ def numeric_orbit_probe(xi: np.ndarray, x0: np.ndarray, t_max: float,
         |e^(t xi) x0 - x0|^2 = 4 sum_j c_j sin^2(w_j t / 2)
                              = 2 sum_j c_j (1 - cos w_j t),
 
-    real arithmetic on (n, d) with no cancellation of e^(t xi) x0 - x0, and
-    V orthonormal also at repeated rates.  The grid distance is built ``chunk``
-    points at a time, which bounds the (chunk, d) sine temporary.  Its local
+    real arithmetic with no cancellation of e^(t xi) x0 - x0, and V
+    orthonormal also at repeated rates.  Each term is even in w_j and zero at
+    w_j = 0, so the spectrum folds to one column per distinct positive rate
+    |w_j| (rates within RATE_MATCH_TOL of each other are one, as in
+    ``rotation_profile``) weighted by the sum of its c_j: an (n, r) grid for r
+    distinct rates.  The grid distance is built ``chunk`` points at a time,
+    which bounds the (chunk, r) sine temporary.  Its local
     minima below PROBE_CANDIDATE_DIST (the first PROBE_MAX_CANDIDATES of them)
     are refined together by safeguarded Newton on the derivative
     g = sum_j c_j w_j sin w_j t, with g' = sum_j c_j w_j^2 cos w_j t (Press et
@@ -265,6 +269,12 @@ def numeric_orbit_probe(xi: np.ndarray, x0: np.ndarray, t_max: float,
                          f"got t_max={t_max:g}")
     w, V = np.linalg.eigh(1j * xi)
     weights = np.abs(V.conj().T @ x0) ** 2
+    # every term is even in w_j and vanishes at w_j = 0: the +-w pairs and the repeated
+    # rates fold into one column per distinct positive rate, summing their weights
+    order = np.argsort(np.abs(w))
+    w, weights = np.abs(w)[order], weights[order]
+    starts = np.flatnonzero(np.diff(w, prepend=0.0) > RATE_MATCH_TOL)
+    w, weights = w[starts], np.add.reduceat(weights, starts)
     half = 0.5 * w
 
     def dist(ts: np.ndarray) -> np.ndarray:

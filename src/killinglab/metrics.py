@@ -33,9 +33,10 @@ their memory.
 Finite differences on the round metric are asked for through the inputs: a
 copy of a linear field with ``kind="general"`` takes the ambient stencil.  A
 finite-difference covariant derivative can be wrapped in a Richardson
-step-halving guard where a caller asks for it (``guard=True``); disagreement
-beyond ``RICHARDSON_REL_TOL`` raises ``NumericalQualityError`` instead of
-returning a silently bad number.
+step-halving guard (``nabla_endo(guard=True)``); disagreement beyond
+``RICHARDSON_REL_TOL`` raises ``NumericalQualityError`` instead of returning
+a silently bad number.  No battery asks for it: they run
+``verify.covariant_canary``, which applies the same guard at one point.
 """
 
 from __future__ import annotations
@@ -478,26 +479,29 @@ class LeviCivita:
             x0, F = xs[rows], fs[rows]
             f0, d1, d2 = central_diff(lambda y: self.metric_and_field(fld, y), x0, h, second=True)
             g, dg, X, dX, ddX = f0[..., :-1], d1[..., :-1], f0[..., -1], d1[..., -1], d2[..., -1]
+            n = len(x0)
             Gamma = _christoffel(g, dg)
+            Gl = Gamma.reshape(n, d * d, d)  # [n, (k, j), l]: contractions over l are matmuls
             # g d_p Gamma = d_p lower - (d_p g) Gamma, with dGamma[n, p, k, i, j] = d_p Gamma^k_ij
             R = _lower(d2[..., :-1])
             R -= (dg @ Gamma.reshape(-1, 1, d, d * d)).reshape(R.shape)
             dGamma = (np.linalg.inv(g)[:, None] @ R.reshape(R.shape[:3] + (-1,))).reshape(R.shape)
             # H^k_j = d_j X^k + Gamma^k_{jl} X^l and dH[n, i, k, j] = d_i H^k_j
-            H = np.swapaxes(dX, -1, -2) + np.einsum("nkjl,nl->nkj", Gamma, X)
-            dH = (np.swapaxes(ddX, -1, -2) + np.einsum("nikjl,nl->nikj", dGamma, X)
-                  + np.einsum("nkjl,nil->nikj", Gamma, dX))
+            H = np.swapaxes(dX, -1, -2) + (Gl @ X[..., None]).reshape(n, d, d)
+            dH = (np.swapaxes(ddX, -1, -2)
+                  + (dGamma.reshape(n, -1, d) @ X[..., None]).reshape(dGamma.shape[:-1])
+                  + (dX @ np.swapaxes(Gl, -1, -2)).reshape(n, d, d, d))
             # DH[n, k, i, j] = d_i H^k_j + Gamma^k_{i l} H^l_j - Gamma^l_{i j} H^k_l
-            DH = (np.einsum("nikj->nkij", dH)
-                  + np.einsum("nkil,nlj->nkij", Gamma, H)
-                  - np.einsum("nlij,nkl->nkij", Gamma, H))
+            DH = (np.swapaxes(dH, 1, 2) + (Gl @ H).reshape(n, d, d, d)
+                  - (H @ Gamma.reshape(n, d, d * d)).reshape(n, d, d, d))
             Ft = np.swapaxes(F, -1, -2)
             Tf = Ft[:, None] @ DH @ F[:, None]                            # (n, d, k, k)
-            W = F + np.einsum("nkab,nai,nb->nki", Gamma, F, x0)           # w(f_i)
+            W = F + (Gl @ x0[..., None]).reshape(n, d, d) @ F             # w(f_i)
             c1 = np.swapaxes(W, -1, -2) @ g @ F                           # w(f_i)^T M~ f_j
             c2 = (x0[:, None, :] @ H @ F)[:, 0]                           # x^T H~ f_j
             Tf -= c1[:, None] * matvec(H, x0)[:, :, None, None] + c2[:, None, None, :] * W[..., None]
-            T[rows] = Tf - x0[:, :, None, None] * np.einsum("nd,ndij->nij", x0, Tf)[:, None]
+            xTf = (x0[:, None, :] @ Tf.reshape(n, d, -1)).reshape(Tf.shape[:1] + Tf.shape[2:])
+            T[rows] = Tf - x0[:, :, None, None] * xTf[:, None]
         return T.reshape(frame.shape + frame.shape[-1:])
 
     # -- derived structure ----------------------------------------------------

@@ -165,7 +165,10 @@ def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """A @ v over the last axis of v, broadcasting stacked A and v."""
+    """A @ v over the last axis of v, broadcasting stacked A and v; one
+    operator A (d, d) meets a whole stack v (..., d) as one product v @ A^T."""
+    if A.ndim == 2:
+        return v @ A.T
     return (A @ v[..., None])[..., 0]
 
 

@@ -36,7 +36,7 @@ refused by name where it enters: by the check that takes ``points``, or by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -48,6 +48,7 @@ from .metrics import (
     LeviCivita,
     StructureTensors,
     VectorField,
+    _christoffel,
     central_diff,
     g_orthonormal_frame,
     linear_field,
@@ -181,28 +182,37 @@ def check_dxi_spectrum(st: StructureTensors, reference: Sequence[float],
 
 
 def covariant_canary(lc: LeviCivita, fld: VectorField, x: np.ndarray) -> float:
-    """One guarded finite-difference covariant derivative, of a general copy
-    of the field so that it takes finite differences on every metric, and
-    one guard on the pure second differences of [M~ | X] along the
-    g-orthonormal frame directions at x, at the step h_2 of
-    ``second_nabla_frame`` and at h_2 / 2.
+    """Two step-halving guards at the point x (d,), from one evaluation of
+    [M~ | X] on the union of their points: the ambient first derivative H~
+    of ``LeviCivita.nabla_endo``, from central differences along the d axes
+    at fd_step h and at h / 2, and the pure second differences of [M~ | X]
+    along the g-orthonormal frame directions f_i, at the step h_2 of
+    ``second_nabla_frame`` and at h_2 / 2.  Both H~ take one stacked
+    Christoffel solve.  It takes these differences whatever the metric and
+    field; the batteries run it only where ``closed_form`` is false.
 
-    Raises metrics.NumericalQualityError when the configured step cannot
-    produce trustworthy derivatives; batteries run this before committing to
-    a finite-difference pass so a bad --fd-step surfaces as a numerical
-    failure instead of silent garbage.
+    Returns |P H~ P f_1| at h / 2.  Raises metrics.NumericalQualityError when
+    the configured step cannot produce trustworthy derivatives; batteries run
+    this before committing to a finite-difference pass so a bad --fd-step
+    surfaces as a numerical failure instead of silent garbage.
     """
     x = np.asarray(x, dtype=float)
+    d, h = x.shape[-1], lc.fd_step
+    h2 = h * SECOND_DERIV_STEP_SCALE
     F = g_orthonormal_frame(lc.metric.matrix_at(x), x)
-    out = lc.nabla(replace(fld, kind="general"), x, F[:, 0], guard=True)
-    h = lc.fd_step * SECOND_DERIV_STEP_SCALE
-    # [M~ | X] at x + s f_i for s = h, -h, h/2, -h/2 and every frame column f_i, then at x
-    offsets = np.array([1.0, -1.0, 0.5, -0.5])[:, None, None] * h * F.T
-    f = lc.metric_and_field(fld, np.concatenate([(x + offsets).reshape(-1, x.shape[-1]), x[None]]))
-    f0, (fp, fm, fp2, fm2) = f[-1], f[:-1].reshape((4, -1) + f.shape[1:])
-    richardson_guard((fp + fm - 2.0 * f0) / h ** 2, (fp2 + fm2 - 2.0 * f0) / (h / 2) ** 2,
-                     lc.fd_step)
-    return float(np.linalg.norm(out))
+    # [M~ | X] at x + s u for s = 1, -1, 1/2, -1/2 and u = h e_l, then h_2 f_i, and at x
+    s = np.array([1.0, -1.0, 0.5, -0.5])[:, None, None]
+    u = np.concatenate([h * np.eye(d), h2 * F.T])
+    f = lc.metric_and_field(fld, np.concatenate([(x + s * u).reshape(-1, d), x[None]]))
+    f0, (p, m, p2, m2) = f[-1], f[:-1].reshape((4, len(u)) + f.shape[1:])
+    df = np.stack([(p - m)[:d] / (2 * h), (p2 - m2)[:d] / (2 * (h / 2))])  # [step, l, i, col]
+    Gamma = _christoffel(np.broadcast_to(f0[:, :-1], (2, d, d)), df[..., :-1])
+    X = np.ascontiguousarray(f0[:, -1])  # einsum sums a strided operand in another order
+    H = np.swapaxes(df[..., -1], -1, -2) + np.einsum("...kjl,...l->...kj", Gamma, X)
+    H = richardson_guard(H[0], H[1], h)
+    richardson_guard((p + m - 2.0 * f0)[d:] / h2 ** 2, (p2 + m2 - 2.0 * f0)[d:] / (h2 / 2) ** 2, h)
+    P = np.eye(d) - np.outer(x, x)
+    return float(np.linalg.norm(P @ H @ P @ F[:, 0]))
 
 
 # ---------------------------------------------------------------------------

@@ -505,6 +505,46 @@ def second_nabla_fd_per_point(lc, fld, x, frame):
     return T
 
 
+def canary_drifts_per_point(lc, fld, x, frame):
+    """Reference for the two drifts the step canary bounds at one point x
+    (d,) with g-orthonormal frame (d, k), one stencil offset at a time, each
+    |A - A_half|_F / max(1, |A_half|_F) as ``metrics.richardson_guard``
+    reads it:
+
+      (1) H[k, j] = d_j X^k + Gamma^k_{jl} X^l from central differences of
+          [M~ | X] (``lc.metric_and_field``) along the d axes at fd_step h
+          and at h / 2, Gamma formed one index at a time from M~^-1;
+      (2) the pure second differences (f(x + s u) + f(x - s u) - 2 f(x)) / s^2
+          of [M~ | X] along each frame column u at s = h_2 = fd_step *
+          SECOND_DERIV_STEP_SCALE and at h_2 / 2, the largest over the columns.
+
+    Returns (drift_1, drift_2)."""
+    from killinglab.metrics import SECOND_DERIV_STEP_SCALE
+
+    d = x.shape[0]
+
+    def f(y):  # a one-row stack: a single point would take np.dot, which rounds otherwise
+        return lc.metric_and_field(fld, y[None])[0]
+
+    def drift(A, A_half):
+        return np.linalg.norm(A - A_half) / max(1.0, np.linalg.norm(A_half))
+
+    f0 = f(x)
+    g, X = f0[:, :d], f0[:, d]
+
+    def endo(h):
+        D = _axis_diff(f, x, h)
+        Gamma = np.einsum("ka,aij->kij", np.linalg.inv(g), _lower(D[..., :d]))
+        return D[..., d].T + Gamma @ X
+
+    h = lc.fd_step
+    h2 = h * SECOND_DERIV_STEP_SCALE
+    second = max(drift((f(x + h2 * u) + f(x - h2 * u) - 2.0 * f0) / h2 ** 2,
+                       (f(x + h2 / 2 * u) + f(x - h2 / 2 * u) - 2.0 * f0) / (h2 / 2) ** 2)
+                 for u in frame.T)
+    return drift(endo(h), endo(h / 2)), second
+
+
 def second_nabla_nested_and_bound(lc, fld, X, F):
     """The nested chart B = ``second_nabla_nested_per_point`` at each row of
     X (N, d) on the frames F (N, d, k) at fd_step h, and a bound per point on

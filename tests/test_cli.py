@@ -224,6 +224,28 @@ def test_exit_codes_numerical_failures():
     assert code == 3
 
 
+FD_STEPS = ("1e-13", "5e-7", "1e-6", "2e-4", "5e-3")
+
+
+@pytest.mark.parametrize("argv, codes, drifts", [
+    (["verify", "--example", "gF"], (3, 3, 0, 0, 1), ("1.033e+00", "3.572e-03")),
+    (["verify", "--example", "irregular"], (3, 3, 3, 0, 1),
+     ("1.775e-03", "3.319e-03", "1.480e-03")),
+    (["decompose", "--example", "gF"], (3, 3, 0, 0, 0), ("1.033e+00", "3.572e-03")),
+], ids=["verify-gF", "verify-irregular", "decompose-gF"])
+def test_fd_step_exit_codes_and_canary_drifts_at_200_samples(capsys, argv, codes, drifts):
+    """The exit code at each step and the drift the step canary names where it
+    exits 3, at the default 200 samples and seed 42.  Exit 1 at 5e-3 is the
+    known defect of a coarse step blamed on the geometry."""
+    for step, code in zip(FD_STEPS, codes):
+        assert main([*argv, "--fd-step", step, "--samples", "200", "--seed", "42",
+                     "--no-timestamp"]) == code, step
+    err = capsys.readouterr().err
+    assert err.count("numerical quality failure") == len(drifts)
+    for step, drift in zip(FD_STEPS, drifts):
+        assert f"rel drift {drift} at fd_step={float(step):.3e}" in err
+
+
 @pytest.mark.parametrize("flags", [["--example", "round", "--n", "2"],
                                    ["--example", "quaternionic", "--m", "1"],
                                    ["--example", "hopf-lift"]], ids=lambda f: f[1])
@@ -481,6 +503,27 @@ def test_cli_process_never_loads_scipy():
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_no_verify_battery_loads_numpy_ma():
+    """numpy.ma costs 12-19 ms and about 1 MB on first import; no battery,
+    each at its fewest samples (hopf-lift at the fewest that keep
+    HOPF_MIN_KEPT at the default seed), brings it in."""
+    script = (
+        "import sys\n"
+        "from killinglab.cli import main\n"
+        "for argv in (['--example', 'round', '--samples', '1'],\n"
+        "             ['--example', 'quaternionic', '--samples', '1'],\n"
+        "             ['--example', 'hopf-lift', '--samples', '5'],\n"
+        "             ['--example', 'gF', '--samples', '7'],\n"
+        "             ['--example', 'irregular', '--samples', '1']):\n"
+        "    assert main(['verify', *argv, '--no-timestamp']) == 0, argv\n"
+        "    assert 'numpy.ma' not in sys.modules, argv\n"
+        "print('ok')\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "ok"
 
 
 def test_decompose_round():

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from killinglab import ExactScalar, RotationProfile, classify, numeric_orbit_probe, parse_rate
 from killinglab import cli, flows
+from killinglab.flows import COARSE_STEP, OrbitProbe
 from killinglab.constructions import build_irregular
 from killinglab.flows import rotation_profile
 
@@ -228,12 +229,19 @@ SQRT2 = math.sqrt(2.0)
      _unit([0.5, 0.1, -0.4, 0.3, 0.6, -0.2]), 60.0),
     (_rotated(block_gen(SQRT2, 1.0, 1.0), 2), (SQRT2, 1.0, 1.0), _orthogonal(2, 6),
      _unit([1, -2, 1, 3, 0, 1]), 60.0),
-], ids=["d4-sqrt2", "d4-golden-rotated", "d6-irregular", "d6-repeated-rotated"])
+    (_rotated(block_gen(GOLDEN, 1.0, 1.0, 1.0), 4), (GOLDEN, 1.0, 1.0, 1.0), _orthogonal(4, 8),
+     _unit([2, -1, 1, 3, -2, 1, 1, -1]), 60.0),
+    (_rotated(block_gen(SQRT2, 0.0, 1.0), 5), (SQRT2, 0.0, 1.0), _orthogonal(5, 6),
+     _unit([1, 2, -2, 1, 1, -1]), 60.0),
+], ids=["d4-sqrt2", "d4-golden-rotated", "d6-irregular", "d6-repeated-rotated",
+        "d8-repeated-golden-rotated", "d6-zero-rate-plane-rotated"])
 def test_probe_agrees_with_the_grid_oracle(gen, rates, q, x0, t_max):
     """The closed-form distance against the oracle's complex-eig propagation
     on a 200 000-point grid, and its refined minimum against the plane-rate
-    distance minimised at 30 digits; d = 6 holds the repeated rates
-    (1 + a, 1, 1)."""
+    distance minimised at 30 digits.  The probe folds iξ's spectrum to one
+    column per distinct positive rate: d = 6 and 8 hold repeated rates
+    (1 + a, 1, ..., 1), and one d = 6 generator a plane of rate 0, whose
+    eigenvalues drop out."""
     assert np.abs(q @ block_gen(*rates) @ q.T - gen).max() < 1e-15
     probe = numeric_orbit_probe(gen, x0, t_max=t_max)
     oracle = orbit_min_distance_grid(gen, x0, t_max)
@@ -266,6 +274,51 @@ def test_probe_reports_every_return_off_its_grid(capsys, rates, period, count):
     times = json.loads(capsys.readouterr().out)["extras"]["orbit_probe"]["return_times"]
     assert len(times) == count == int(60.0 / period)
     assert np.abs(np.array(times) - period * np.arange(1, count + 1)).max() < 1e-12
+
+
+def test_period_check_fails_a_probe_that_drops_later_returns(monkeypatch, capsys):
+    """Every return is matched with its multiple of the period, so a probe
+    that reports only the first of the 28 returns fails the check."""
+    probe = flows.numeric_orbit_probe
+
+    def first_return_only(*args, **kwargs):
+        p = probe(*args, **kwargs)
+        return OrbitProbe(p.return_times[:1], p.min_distance, p.t_max)
+
+    monkeypatch.setattr(cli, "numeric_orbit_probe", first_return_only)
+    assert cli.main(["classify-flow", "3", "6", "--probe", "--horizon", "60",
+                     "--format", "json", "--no-timestamp"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["checks"][0]["max_residual"] == math.inf
+
+
+@pytest.mark.parametrize("rates, period, k", [(("3", "6"), 2 * math.pi / 3, 28),
+                                              (("1",), 2 * math.pi, 2),
+                                              (("1", "2"), 2 * math.pi, 5)],
+                         ids=["3-6-at-28T", "1-at-2T", "1-2-at-5T"])
+def test_period_check_at_a_horizon_on_a_multiple_of_the_period(capsys, rates, period, k):
+    """At t_max = kT the last grid time lies within half a step of kT, so the
+    grid does not hold that return: k - 1 returns, and the check passes."""
+    n = math.ceil(k * period / COARSE_STEP)
+    assert abs(k * period - n * COARSE_STEP) < COARSE_STEP / 2  # kT in the last half step
+    assert cli.main(["classify-flow", *rates, "--probe", "--horizon", repr(k * period),
+                     "--format", "json", "--no-timestamp"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    times = doc["extras"]["orbit_probe"]["return_times"]
+    assert len(times) == k - 1
+    assert np.abs(np.array(times) - period * np.arange(1, k)).max() < 1e-12
+    assert doc["checks"][0]["max_residual"] < 1e-12
+
+
+@pytest.mark.parametrize("times, res", [
+    ((), math.inf),
+    ((2 * math.pi,), math.inf),                                     # the second is missing
+    ((2 * math.pi, 4 * math.pi, 4 * math.pi + 0.5), math.inf),      # an extra return
+    ((2 * math.pi + 1e-9, 4 * math.pi - 3e-9), 3e-9),
+], ids=["none", "missing", "extra", "all"])
+def test_period_residual_reads_inf_on_a_missing_or_extra_return(times, res):
+    """Over t_max = 4 pi + 1 the grid holds the multiples 2 pi and 4 pi."""
+    assert cli._period_residual(times, 2 * math.pi, 4 * math.pi + 1.0) == pytest.approx(res)
 
 
 def test_probe_return_on_a_repeated_rate_generator():

@@ -8,7 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from killinglab import Chart, ChartDomainError, SpherePoint, sample_sphere
+from killinglab.algebra import so_basis
+from killinglab.constructions import build_irregular, build_quaternionic, std_complex_structure
 from killinglab.sphere import (
+    matvec,
     POLE_EXCLUSION,
     chart_for_point,
     default_atlas,
@@ -108,3 +111,27 @@ def test_orthonormal_tangent_frame():
     assert F.shape == (6, 5)
     assert np.abs(F.T @ F - np.eye(5)).max() < 1e-12
     assert np.abs(x @ F).max() < 1e-12
+
+
+@pytest.mark.parametrize("ops", [
+    lambda: so_basis(6),
+    lambda: std_complex_structure(8)[None],
+    lambda: build_quaternionic(1).generators,
+    lambda: build_irregular(n=2).field.matrix[None],
+], ids=["so6-basis", "j0-8", "quaternion-units", "irregular-generator"])
+def test_matvec_of_a_shipped_generator_is_the_stacked_product_bit_for_bit(ops):
+    """One operator on a stack of points is one v @ A^T; every generator the
+    package ships has one nonzero entry per row, so each entry is a single
+    product and the result is bit-identical to the point-by-point one."""
+    for A in ops():
+        v = sample_sphere(A.shape[0] // 2 - 1, 30, seed=3).coords.reshape(5, 6, -1)
+        assert np.array_equal(matvec(A, v), (A @ v[..., None])[..., 0])
+
+
+def test_matvec_of_a_dense_operator_agrees_with_the_stacked_product():
+    """A dense skew operator of norm 1 on points of S^5: the two summation
+    orders agree to rounding."""
+    B = np.random.default_rng(8).standard_normal((6, 6))
+    A = (B - B.T) / np.linalg.norm(B - B.T, 2)
+    v = sample_sphere(2, 200, seed=8).coords
+    assert np.abs(matvec(A, v) - (A @ v[..., None])[..., 0]).max() < 1e-15

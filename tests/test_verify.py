@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import inspect
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 from killinglab import (
     WEDGE_SIGN,
+    LeviCivita,
     check_anticommutators,
     check_killing,
     check_kcontact,
@@ -18,8 +20,14 @@ from killinglab import (
     check_triple_products,
     check_unit_length,
     horizontal_split,
+    sample_sphere,
 )
-from killinglab.metrics import general_field
+from killinglab.metrics import (
+    RICHARDSON_REL_TOL,
+    NumericalQualityError,
+    g_orthonormal_frame,
+    general_field,
+)
 from killinglab.verify import (
     check_contact_form_preserved,
     check_dxi_spectrum,
@@ -35,7 +43,7 @@ from killinglab.verify import (
     triple_psi,
 )
 
-from oracles import built
+from oracles import built, canary_drifts_per_point, g_orthonormal_frame_mgs
 
 
 # -- basic round identities ----------------------------------------------------
@@ -125,6 +133,28 @@ def test_covariant_canary_default_step(round1, lc_round1, pts1):
     out = covariant_canary(lc_round1, round1.field, pts1[0])
     assert np.isfinite(out)
     assert out < 2.0
+
+
+@pytest.mark.parametrize("step", [1e-13, 3e-7, 5e-7, 1e-6, 1e-4, 2e-4, 5e-3])
+@pytest.mark.parametrize("structure", ["deformed", "irregular"])
+def test_covariant_canary_raises_exactly_when_an_oracle_drift_exceeds_the_bound(
+        request, structure, step):
+    """At the first point of the 200-sample seed-42 sample, where the gF and
+    irregular batteries run it, the canary raises iff either drift of the
+    per-point oracle exceeds RICHARDSON_REL_TOL, and names the first that
+    does.  The frame is the library's, checked against the reference one."""
+    s = request.getfixturevalue(structure)
+    x = sample_sphere(s.dim // 2 - 1, 200, seed=42).coords[0]
+    M = s.metric.matrix_at(x)
+    F = g_orthonormal_frame(M, x)
+    assert np.abs(F - g_orthonormal_frame_mgs(M, x)).max() < 1e-12
+    lc = LeviCivita(s.metric, step)
+    over = [r for r in canary_drifts_per_point(lc, s.field, x, F) if r > RICHARDSON_REL_TOL]
+    if not over:
+        assert np.isfinite(covariant_canary(lc, s.field, x))
+        return
+    with pytest.raises(NumericalQualityError, match=re.escape(f"rel drift {over[0]:.3e} at")):
+        covariant_canary(lc, s.field, x)
 
 
 # -- triple checks --------------------------------------------------------------
