@@ -1,6 +1,10 @@
 """Command-line surface: build example structures, run verification batteries,
 decompose isometry algebras, classify flows; emit text or JSON reports.
 
+Each parameter is declared once, as a ``RunConfig`` field that the flags and
+config keys are read from, and each bound the CLI owns once, as a row of
+``DOMAINS`` that ``build_config`` checks before any structure exists.
+
 Exit codes: 0 all checks as expected, 1 some check not as expected, 2 usage
 error (unknown selector, malformed rate, bad parameters), 3 numerical-quality
 failure (untrustworthy finite differences, degenerate metric or clustering).
@@ -16,7 +20,8 @@ import argparse
 import functools
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -40,12 +45,12 @@ from .constructions import (
     hopf_projection,
     hopf_sample_filter,
     lift_potential,
+    J2,
     so3_basis,
     solve_lift,
 )
-from .constructions import J2
-from .flows import (COARSE_STEP, PROBE_MAX_POINTS, RotationProfile, classify,
-                    numeric_orbit_probe, parse_rate)
+from .flows import (PROBE_MAX_POINTS, FlowClassification, OrbitProbe, RotationProfile,
+                    classify, numeric_orbit_probe, parse_rate, probe_step)
 from .metrics import (STENCIL_CHUNK, LeviCivita, MetricDegeneracyError, NumericalQualityError,
                       StructureTensors)
 from .report import CheckResult, VerificationReport
@@ -56,25 +61,20 @@ EXIT_CHECKS = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
+COMMANDS = ("verify", "decompose", "classify-flow")
 FORMATS = ("text", "json")
 # sphere index used when n is not set: build_deformed needs n >= 3
 DEFAULT_N = {"gF": 3}
 # kept samples the hopf-lift battery needs: the rank of the 4x4 linear fit
 HOPF_MIN_KEPT = 4
-# gF's expected-fail floors, and the smallest |c| whose defects clear both: from 5
-# to 200 samples wedge_second_derivative reads 2.0-4.0|c| and cr_torsion 0.96-2.0|c|
+# gF's expected-fail floors, and the least |c| and samples that clear them (DOMAINS)
 GF_WEDGE_FLOOR = 1e-2
 GF_TORSION_FLOOR = 1e-3
 GF_MIN_C = 5e-3
-# the fewest samples at which gF's expected-fail checks meet their floors on every seed:
-# over seeds 0-199 (c = 0.3, n = 3), 1 to 6 samples left 94, 45, 16, 6, 4 and 2 seeds
-# with wedge_second_derivative (and at 1 sample cr_torsion) below its floor, 7 to 12 none
 GF_MIN_SAMPLES = 7
-# the peak memory one run may ask for
+# the peak memory one run may ask for; the so(2n+2) stacks a decomposition peaks near,
+# and the largest --n whose decomposition fits (DOMAINS)
 MEMORY_BUDGET_GIB = 2
-# the largest --n of verify and decompose where the example reads it: so(2n+2) is a
-# stack of (n+1)(2n+1) (2n+2)^2 doubles, a decomposition peaks near SO_STACKS stacks
-# (n = 40: 179 MB, 1.06 GB peak RSS), and n = 47 (336 MB) is the largest within the budget
 SO_STACKS = 6
 MAX_N = 47
 # verify's peak memory grows as samples * d^3, d the ambient dimension (2n+2; 4m+4 on
@@ -86,119 +86,6 @@ MAX_N = 47
 # whose lift quadrature holds its nodes for every sample (200-200000 samples)
 VERIFY_BYTES_PER_SAMPLE_D3 = {"round": 72, "quaternionic": 48, "gF": 120, "irregular": 120,
                               "hopf-lift": 260}
-
-
-@dataclass
-class RunConfig:
-    """Effective run parameters; echoed verbatim into every report."""
-
-    example: str = "round"
-    n: int | None = None    # resolved per example by build_config
-    m: int = 1
-    c: float = 0.3
-    a: str = "irr:sqrt2m1"
-    seed: int = 42
-    samples: int = 200
-    fd_step: float = 1e-4
-    format: str = "text"
-    no_timestamp: bool = False
-
-
-_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
-               "0": False, "false": False, "no": False, "off": False}
-
-
-def _parse_bool(val: str) -> bool:
-    if val.lower() not in _BOOL_WORDS:
-        raise ValueError(val)
-    return _BOOL_WORDS[val.lower()]
-
-
-# config keys that are not strings: parser and the kind named in a refusal
-_TYPED_KEYS = {
-    **dict.fromkeys(("n", "m", "seed", "samples"), (int, "an integer")),
-    **dict.fromkeys(("c", "fd_step"), (float, "a number")),
-    "no_timestamp": (_parse_bool, f"a boolean ({'/'.join(_BOOL_WORDS)})"),
-}
-
-
-def load_config_file(path: str) -> dict:
-    """Flat key=value lines mirroring the flags; '#' starts a comment."""
-    out: dict = {}
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"malformed config line: {raw.strip()!r}")
-            key, val = (s.strip() for s in line.split("=", 1))
-            key = key.replace("-", "_")
-            if key not in _TYPED_KEYS:
-                out[key] = val
-                continue
-            parse, kind = _TYPED_KEYS[key]
-            try:
-                out[key] = parse(val)
-            except ValueError:
-                raise ValueError(f"config key '{key}' = {val!r} is not {kind}") from None
-    return out
-
-
-def build_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    if getattr(args, "config", None):
-        try:
-            file_vals = load_config_file(args.config)
-        except OSError as exc:
-            raise ValueError(f"cannot read config file {args.config!r}: "
-                             f"{exc.strerror or exc}") from None
-        unknown = set(file_vals) - set(vars(cfg))
-        if unknown:  # rates and horizon among them: classify-flow reads those as flags
-            raise ValueError(f"unknown config keys: {sorted(unknown)}; a config file "
-                             f"sets {', '.join(vars(cfg))}")
-        # a file value gets the choices its flag would (classify-flow takes no example)
-        choices = {"example": EXAMPLES.get(getattr(args, "command", None)), "format": FORMATS}
-        for key, allowed in choices.items():
-            if allowed and key in file_vals and file_vals[key] not in allowed:
-                raise ValueError(f"config key '{key}' = {file_vals[key]!r} is not one of "
-                                 f"{', '.join(allowed)}")
-        cfg = replace(cfg, **file_vals)
-    cfg = replace(cfg, **{key: val for key in vars(cfg)
-                          if (val := getattr(args, key, None)) is not None})
-    if cfg.n is None:
-        cfg = replace(cfg, n=DEFAULT_N.get(cfg.example, 2))
-    if cfg.n > MAX_N and cfg.example in _STRUCTURES and getattr(args, "command", None) in EXAMPLES:
-        raise ValueError(f"--n {cfg.n} is out of reach: --n may be at most {MAX_N}, whose "
-                         f"so(2n+2) generator stack (336 MB) keeps a decomposition's peak "
-                         f"memory within a {MEMORY_BUDGET_GIB} GiB budget")
-    if cfg.samples < 1:
-        raise ValueError(f"samples must be >= 1, got {cfg.samples}")
-    if cfg.seed < 0:
-        raise ValueError(f"seed must be >= 0, got {cfg.seed}")
-    if getattr(args, "command", None) == "verify":
-        _refuse_out_of_memory(cfg)
-    return cfg
-
-
-def _refuse_out_of_memory(cfg: RunConfig) -> None:
-    """Refuse a verify run whose arrays would outgrow the memory budget, before any exists."""
-    flag, d = {"hopf-lift": ("", 4), "quaternionic": (f"--m {cfg.m} ", 4 * cfg.m + 4)}.get(
-        cfg.example, (f"--n {cfg.n} ", 2 * cfg.n + 2))
-    per = d**3 * VERIFY_BYTES_PER_SAMPLE_D3[cfg.example]
-    # bytes whatever the sample count: the FD batteries' chunked second
-    # differences, and round's so(d) decomposition (the MAX_N bound)
-    fixed = {"gF": per * STENCIL_CHUNK * d, "irregular": per * STENCIL_CHUNK * d,
-             "round": SO_STACKS * 4 * d**3 * (d - 1)}.get(cfg.example, 0)
-    need, budget = per * cfg.samples + fixed, MEMORY_BUDGET_GIB << 30
-    if need > budget:
-        most = (budget - fixed) // per
-        raise ValueError(
-            f"{flag}--samples {cfg.samples} is out of reach: verify --example {cfg.example} "
-            f"would hold about {need / 2**30:.3g} GiB ({per // d**3} bytes per sample and d^3, "
-            f"d = {d}, and {fixed / 2**30:.3g} GiB more), against a {MEMORY_BUDGET_GIB} GiB "
-            f"budget; " + (f"--samples may be at most {most} here" if most >= 1
-                           else "no --samples fits"))
 
 
 _STRUCTURES = {
@@ -414,18 +301,8 @@ def _invariance_killing(lc: LeviCivita, alg, X: np.ndarray, frame: np.ndarray) -
 
 
 def _battery_deformed(cfg: RunConfig) -> VerificationReport:
-    if abs(cfg.c) < GF_MIN_C:
-        raise ValueError(f"gF needs |c| >= {GF_MIN_C:g}, got c={cfg.c:g}: below it the "
-                         f"defects of wedge_second_derivative and cr_torsion, linear in |c|, "
-                         f"miss their expected-fail floors {GF_WEDGE_FLOOR:g} and "
-                         f"{GF_TORSION_FLOOR:g}")
     ds, lc, X, rep, st, T = _unit_killing(
         cfg, f"boundary-localized deformation on S^{2 * cfg.n + 1} (c={cfg.c})", 1e-6)
-    if cfg.samples < GF_MIN_SAMPLES:
-        raise ValueError(f"gF needs --samples >= {GF_MIN_SAMPLES}, got {cfg.samples}: below "
-                         f"it some seeds place no sample where the deformation bends "
-                         f"wedge_second_derivative past its expected-fail floor "
-                         f"{GF_WEDGE_FLOOR:g}")
     lc_round = LeviCivita(build_round(cfg.n).metric, fd_step=cfg.fd_step)
     rep.add(verify.check_kcontact(st))
     rep.add(verify.check_contact_form_preserved(lc, lc_round, ds.field, X,
@@ -479,6 +356,213 @@ _BATTERIES = {
     "irregular": _battery_irregular,
 }
 EXAMPLES = {"verify": tuple(_BATTERIES), "decompose": tuple(_STRUCTURES)}
+
+
+# ---------------------------------------------------------------------------
+# parameters: each declared once, as a RunConfig field; each bound once, in DOMAINS
+# ---------------------------------------------------------------------------
+
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+               "0": False, "false": False, "no": False, "off": False}
+# how a field reads its value from text, and what a config value it cannot read is not
+_INT = {"parse": int, "kind": "an integer"}
+_FLOAT = {"parse": float, "kind": "a number"}
+_BOOL = {"parse": lambda val: _BOOL_WORDS[val.lower()],
+         "kind": f"a boolean ({'/'.join(_BOOL_WORDS)})"}
+
+
+@dataclass
+class RunConfig:
+    """Effective run parameters; echoed verbatim into every report.  Each field
+    declares its flag --<name> and config key: ``help``, ``parse`` and ``kind``
+    (text when unset), and ``choices`` by command (none: no such flag)."""
+
+    example: str = field(default="round", metadata={"help": "which construction to run",
+                                                    "choices": EXAMPLES})
+    n: int | None = field(default=None, metadata={  # resolved per example by build_config
+        "help": "odd-sphere index: the sphere is S^(2n+1)", **_INT})
+    m: int = field(default=1, metadata={"help": "quaternionic index: the sphere is S^(4m+3)",
+                                        **_INT})
+    c: float = field(default=0.3, metadata={"help": "deformation amplitude", **_FLOAT})
+    a: str = field(default="irr:sqrt2m1",
+                   metadata={"help": "irregularity rate offset (fraction or irr:<alias>)"})
+    seed: int = field(default=42, metadata={"help": "sampling seed", **_INT})
+    samples: int = field(default=200, metadata={"help": "number of sample points", **_INT})
+    fd_step: float = field(default=1e-4, metadata={"help": "finite-difference step", **_FLOAT})
+    format: str = field(default="text", metadata={"help": "report format",
+                                                  "choices": dict.fromkeys(COMMANDS, FORMATS)})
+    no_timestamp: bool = field(default=False, metadata={
+        "help": "suppress the timestamp field in JSON reports", **_BOOL})
+
+
+class Domain(NamedTuple):
+    """One bound the CLI owns: the parameter, the bound and its reason as
+    README's table states them, the commands and examples (None: every one)
+    that read the parameter, and its refusal, None while the bound holds."""
+
+    param: str
+    bound: str
+    reason: str
+    commands: tuple[str, ...]
+    examples: tuple[str, ...] | None
+    refuse: Callable[[RunConfig, argparse.Namespace], str | None]
+
+
+def _memory_refusal(cfg: RunConfig, args: argparse.Namespace) -> str | None:
+    """Refuse a verify run whose arrays would outgrow the memory budget: bytes per
+    sample, and bytes whatever the sample count (the FD batteries' chunked second
+    differences, and round's so(d) decomposition, the MAX_N bound)."""
+    flag, d = {"hopf-lift": ("", 4), "quaternionic": (f"--m {cfg.m} ", 4 * cfg.m + 4)}.get(
+        cfg.example, (f"--n {cfg.n} ", 2 * cfg.n + 2))
+    per = d**3 * VERIFY_BYTES_PER_SAMPLE_D3[cfg.example]
+    fixed = {"gF": per * STENCIL_CHUNK * d, "irregular": per * STENCIL_CHUNK * d,
+             "round": SO_STACKS * 4 * d**3 * (d - 1)}.get(cfg.example, 0)
+    need, budget = per * cfg.samples + fixed, MEMORY_BUDGET_GIB << 30
+    if need <= budget:
+        return None
+    most = (budget - fixed) // per
+    return (f"{flag}--samples {cfg.samples} is out of reach: verify --example {cfg.example} "
+            f"would hold about {need / 2**30:.3g} GiB ({per // d**3} bytes per sample and d^3, "
+            f"d = {d}, and {fixed / 2**30:.3g} GiB more), against a {MEMORY_BUDGET_GIB} GiB "
+            f"budget; " + (f"--samples may be at most {most} here" if most >= 1
+                           else "no --samples fits"))
+
+
+def _rate_error(spec: str) -> str | None:
+    """parse_rate's refusal of spec, None when it parses."""
+    try:
+        parse_rate(spec)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _horizon_refusal(cfg: RunConfig, args: argparse.Namespace) -> str | None:
+    """Refuse a probe horizon, --horizon or --probe's default, whose grid of
+    ``probe_step`` of the fastest rate holds under 3 or over PROBE_MAX_POINTS
+    points; a rate parse_rate refuses is named by it."""
+    if args.horizon is None and not args.probe:
+        return None
+    rates = [parse_rate(r) for r in args.rates]
+    w_max = max(abs(r.value()) for r in rates)
+    step = probe_step(w_max)
+    horizon = args.horizon
+    if horizon is None:
+        horizon = _default_horizon(classify(RotationProfile(rates)))
+    if 2 < horizon / step <= PROBE_MAX_POINTS:  # false for NaN
+        return None
+    grid = "points of step 2pi/512" + (f" / {w_max:g}, the fastest rate" if w_max > 1 else "")
+    bound = (f"must be a time over {2 * step:.6g} and at most {PROBE_MAX_POINTS * step:.6g} "
+             f"(a probe grid of 3 to {PROBE_MAX_POINTS} {grid}), got {horizon:g}")
+    if args.horizon is not None:
+        return f"--horizon {bound}"
+    return (f"the default --horizon (1.5 generic periods, or 50 on a flow that never closes) "
+            f"{bound}; pass a shorter --horizon")
+
+
+# Every bound the CLI owns, checked in this order by build_config before any structure,
+# sample or array exists.  The library's own refusals by name (the builders' n and m,
+# gF's n >= 3 and finite c, LeviCivita's fd_step, sample_sphere's count, the probe's
+# t_max) are its public API's guards and are not restated.
+DOMAINS = (
+    Domain("--n", f"n <= {MAX_N}",
+           f"so(2n+2) is a stack of (n+1)(2n+1) generators of (2n+2)^2 doubles, 336 MB at "
+           f"n = {MAX_N}; a decomposition peaks near {SO_STACKS} stacks (n = 40: 1.06 GB)",
+           ("verify", "decompose"), tuple(_STRUCTURES),
+           lambda cfg, args: None if cfg.n <= MAX_N else (
+               f"--n {cfg.n} is out of reach: --n may be at most {MAX_N}, whose so(2n+2) "
+               f"generator stack (336 MB) keeps a decomposition's peak memory within a "
+               f"{MEMORY_BUDGET_GIB} GiB budget")),
+    Domain("--samples", "samples >= 1", "a check needs a sample", COMMANDS, None,
+           lambda cfg, args: None if cfg.samples >= 1 else
+           f"samples must be >= 1, got {cfg.samples}"),
+    Domain("--seed", "seed >= 0", "numpy seeds no generator from a negative seed",
+           COMMANDS, None,
+           lambda cfg, args: None if cfg.seed >= 0 else f"seed must be >= 0, got {cfg.seed}"),
+    Domain("--samples", f"samples * d^3 * VERIFY_BYTES_PER_SAMPLE_D3 + fixed <= "
+           f"{MEMORY_BUDGET_GIB} GiB",
+           "verify's peak memory, measured per sample and d^3, d = 2n+2 or 4m+4",
+           ("verify",), None, _memory_refusal),
+    Domain("--c", f"abs(c) >= {GF_MIN_C:g}",
+           "from 5 to 200 samples wedge_second_derivative reads 2.0-4.0 abs(c) and cr_torsion "
+           "0.96-2.0 abs(c)", ("verify",), ("gF",),
+           lambda cfg, args: None if not abs(cfg.c) < GF_MIN_C else (  # NaN: build_deformed
+               f"gF needs |c| >= {GF_MIN_C:g}, got c={cfg.c:g}: below it the defects of "
+               f"wedge_second_derivative and cr_torsion, linear in |c|, miss their "
+               f"expected-fail floors {GF_WEDGE_FLOOR:g} and {GF_TORSION_FLOOR:g}")),
+    # a c or fd_step that build_deformed or LeviCivita refuses is left to them to name
+    Domain("--samples", f"samples >= {GF_MIN_SAMPLES}",
+           "over seeds 0-199 (c = 0.3, n = 3), 1 to 6 samples left 94, 45, 16, 6, 4 and 2 "
+           "seeds with an expected-fail check under its floor, 7 to 12 none",
+           ("verify",), ("gF",),
+           lambda cfg, args: None if (cfg.samples >= GF_MIN_SAMPLES
+                                      or not (np.isfinite(cfg.c) and cfg.fd_step > 0)) else (
+               f"gF needs --samples >= {GF_MIN_SAMPLES}, got {cfg.samples}: below it some "
+               f"seeds place no sample where the deformation bends wedge_second_derivative "
+               f"past its expected-fail floor {GF_WEDGE_FLOOR:g}")),
+    Domain("--a", "parses as a rate", "the offset is an exact rate",
+           ("verify", "decompose"), ("irregular",),
+           lambda cfg, args: ((err := _rate_error(cfg.a))
+                              and f"--a {cfg.a!r} is not a rate: {err}")),
+    Domain("--horizon", f"3 to {PROBE_MAX_POINTS} grid points of step 2pi/512 / max(1, w_max)",
+           "3 points hold one local minimum; 2**21 are 4096 turns of the fastest rate w_max",
+           ("classify-flow",), None, _horizon_refusal),
+)
+
+
+def load_config_file(path: str) -> dict:
+    """Flat key=value lines mirroring the flags; '#' starts a comment.  A
+    RunConfig key's value is read as its field declares, any other kept as
+    text for build_config to refuse."""
+    meta = {f.name: f.metadata for f in fields(RunConfig)}
+    out: dict = {}
+    with open(path, encoding="utf-8") as fh:
+        for raw in fh:
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ValueError(f"malformed config line: {raw.strip()!r}")
+            key, val = (s.strip() for s in line.split("=", 1))
+            key = key.replace("-", "_")
+            parse = meta.get(key, {}).get("parse", str)
+            try:
+                out[key] = parse(val)
+            except (KeyError, ValueError):
+                raise ValueError(f"config key '{key}' = {val!r} is not "
+                                 f"{meta[key]['kind']}") from None
+    return out
+
+
+def build_config(args: argparse.Namespace) -> RunConfig:
+    """Defaults, then the config file, then the flags; then every DOMAINS row
+    that reads the resolved parameters, in order."""
+    cfg = RunConfig()
+    if getattr(args, "config", None):
+        try:
+            file_vals = load_config_file(args.config)
+        except OSError as exc:
+            raise ValueError(f"cannot read config file {args.config!r}: "
+                             f"{exc.strerror or exc}") from None
+        unknown = set(file_vals) - set(vars(cfg))
+        if unknown:  # rates and horizon among them: classify-flow reads those as flags
+            raise ValueError(f"unknown config keys: {sorted(unknown)}; a config file "
+                             f"sets {', '.join(vars(cfg))}")
+        for f in fields(RunConfig):  # a file value gets the choices its flag would
+            allowed = f.metadata.get("choices", {}).get(args.command)
+            if allowed and f.name in file_vals and file_vals[f.name] not in allowed:
+                raise ValueError(f"config key '{f.name}' = {file_vals[f.name]!r} is not one "
+                                 f"of {', '.join(allowed)}")
+        cfg = replace(cfg, **file_vals)
+    cfg = replace(cfg, **{key: val for key in vars(cfg)
+                          if (val := getattr(args, key, None)) is not None})
+    if cfg.n is None:
+        cfg = replace(cfg, n=DEFAULT_N.get(cfg.example, 2))
+    for row in DOMAINS:
+        if args.command in row.commands and (row.examples is None or cfg.example in row.examples):
+            if refusal := row.refuse(cfg, args):
+                raise ValueError(refusal)
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -544,37 +628,38 @@ def cmd_decompose(cfg: RunConfig) -> int:
     return _emit(rep, cfg)
 
 
-def _period_residual(times: tuple[float, ...], period: float, t_max: float) -> float:
+def _period_residual(probe: OrbitProbe, period: float) -> float:
     """Largest |t_k - k T| over the probe's returns t_1 < t_2 < ..., matched in
     order with the multiples kT of the period T that its grid can hold; inf
     when there is no return or their counts differ.
 
-    The grid of ``numeric_orbit_probe`` holds the times COARSE_STEP * (1, ..., n),
-    n = ceil(t_max / COARSE_STEP).  A return shows as a local minimum at its
-    nearest grid time, and only the interior times 2, ..., n - 1 can be one, so
-    the grid holds the kT with 1.5 < kT / COARSE_STEP < n - 1/2.  The edge
-    rule: a multiple in the last half step, kT within COARSE_STEP / 2 of
-    COARSE_STEP * n, is not held, even at kT = t_max; one at a bound itself,
-    where two grid times tie, may fall either way.
+    The probe's grid holds the times h (1, ..., n), h = ``probe.step`` and
+    n = ceil(t_max / h).  A return shows as a local minimum at its nearest
+    grid time, and only the interior times 2, ..., n - 1 can be one, so the
+    grid holds the kT with 1.5 < kT / h < n - 1/2.  The edge rule: a multiple
+    in the last half step, kT within h / 2 of h n, is not held, even at
+    kT = t_max; one at a bound itself, where two grid times tie, may fall
+    either way.
     """
-    n = int(np.ceil(t_max / COARSE_STEP))
-    held = period * np.arange(1, np.ceil((n - 0.5) * COARSE_STEP / period))
-    held = held[held > 1.5 * COARSE_STEP]
+    h = probe.step
+    n = int(np.ceil(probe.t_max / h))
+    held = period * np.arange(1, np.ceil((n - 0.5) * h / period))
+    held = held[held > 1.5 * h]
+    times = probe.return_times
     if not times or len(times) != len(held):
         return np.inf
     return float(np.abs(np.array(times) - held).max())
 
 
+def _default_horizon(cls: FlowClassification) -> float:
+    """The probe's horizon when --horizon is unset: 1.5 generic periods, or 50
+    on a flow that never closes."""
+    return 1.5 * cls.generic_period if cls.generic_period else 50.0
+
+
 def cmd_classify_flow(args: argparse.Namespace, cfg: RunConfig) -> int:
-    # the probe grid holds ceil(horizon / COARSE_STEP) points; --horizon may ask for 3
-    # (the fewest that hold a local minimum) to flows.PROBE_MAX_POINTS
-    if args.horizon is not None and not 2 < args.horizon / COARSE_STEP <= PROBE_MAX_POINTS:
-        raise ValueError(f"--horizon must be a time over {2 * COARSE_STEP:.6g} and at most "
-                         f"{PROBE_MAX_POINTS * COARSE_STEP:.6g} (a probe grid of 3 to "
-                         f"{PROBE_MAX_POINTS} points of step 2pi/512), got {args.horizon:g}")
     rates = tuple(parse_rate(r) for r in args.rates)
-    profile = RotationProfile(rates)
-    cls = classify(profile)
+    cls = classify(RotationProfile(rates))
     rep = VerificationReport(title="flow classification", config={
         **vars(cfg), "rates": list(args.rates),
         "horizon": args.horizon, "probe": bool(args.probe)})
@@ -594,16 +679,14 @@ def cmd_classify_flow(args: argparse.Namespace, cfg: RunConfig) -> int:
             gen[2 * i:2 * i + 2, 2 * i:2 * i + 2] = r.value() * J2
         x0 = np.zeros(2 * k)
         x0[0::2] = 1.0 / np.sqrt(k)
-        horizon = args.horizon
-        if horizon is None:
-            horizon = 1.5 * cls.generic_period if cls.generic_period else 50.0
+        horizon = args.horizon if args.horizon is not None else _default_horizon(cls)
         probe = numeric_orbit_probe(gen, x0, t_max=horizon)
         rep.extras["orbit_probe"] = {
             "return_times": list(probe.return_times),
             "min_distance": probe.min_distance,
         }
         if cls.generic_period is not None:
-            res = _period_residual(probe.return_times, cls.generic_period, probe.t_max)
+            res = _period_residual(probe, cls.generic_period)
             rep.add(CheckResult.from_residuals("orbit_return_matches_period", res, 1e-5))
         else:
             res = 0.0 if not probe.return_times else 1.0
@@ -633,28 +716,19 @@ class _Parser(argparse.ArgumentParser):
         return None  # a value, not an option
 
 
-def _add_common(parser: argparse.ArgumentParser, examples: tuple[str, ...] = ()) -> None:
-    if examples:
-        parser.add_argument("--example", choices=examples, default=None,
-                            help="which construction to run")
-    parser.add_argument("--n", type=int, default=None,
-                        help="odd-sphere index: the sphere is S^(2n+1)")
-    parser.add_argument("--m", type=int, default=None,
-                        help="quaternionic index: the sphere is S^(4m+3)")
-    parser.add_argument("--c", type=float, default=None,
-                        help="deformation amplitude")
-    parser.add_argument("--a", type=str, default=None,
-                        help="irregularity rate offset (fraction or irr:<alias>)")
-    parser.add_argument("--seed", type=int, default=None, help="sampling seed")
-    parser.add_argument("--samples", type=int, default=None,
-                        help="number of sample points")
-    parser.add_argument("--fd-step", dest="fd_step", type=float, default=None,
-                        help="finite-difference step")
-    parser.add_argument("--format", choices=FORMATS, default=None,
-                        help="report format")
-    parser.add_argument("--no-timestamp", dest="no_timestamp",
-                        action="store_true", default=None,  # None: unset, the file decides
-                        help="suppress the timestamp field in JSON reports")
+def _add_common(parser: argparse.ArgumentParser, command: str) -> None:
+    """The command's flags: one per RunConfig field it reads, as the field
+    declares it, and --config."""
+    for f in fields(RunConfig):
+        meta = f.metadata
+        choices = meta.get("choices")
+        if choices is not None and command not in choices:
+            continue  # classify-flow takes no example
+        kind = ({"action": "store_true"} if isinstance(f.default, bool)
+                else {"type": meta.get("parse", str), "choices": choices and choices[command]})
+        parser.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                            default=None,  # None: unset, the file decides
+                            help=meta["help"], **kind)
     parser.add_argument("--config", type=str, default=None,
                         help="flat key=value config file; flags override it")
 
@@ -668,12 +742,12 @@ def make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run an example's check battery")
-    _add_common(p_verify, EXAMPLES["verify"])
+    _add_common(p_verify, "verify")
 
     p_dec = sub.add_parser("decompose",
                            help="adjoint-square decomposition of an example's "
                                 "invariance algebra")
-    _add_common(p_dec, EXAMPLES["decompose"])
+    _add_common(p_dec, "decompose")
 
     p_cls = sub.add_parser("classify-flow",
                            help="classify a rotation-rate profile")
@@ -684,7 +758,7 @@ def make_parser() -> argparse.ArgumentParser:
                        help="cross-check with the closed-form orbit-distance probe")
     p_cls.add_argument("--horizon", type=float, default=None,
                        help="orbit probe time horizon")
-    _add_common(p_cls)
+    _add_common(p_cls, "classify-flow")
     return parser
 
 

@@ -8,7 +8,8 @@ p, q (``ExactScalar``); classification over Q is exact integer arithmetic.
 
 A numeric probe (the closed-form distance of the skew flow from its start,
 coarse grid plus a safeguarded Newton refinement of near-returns) cross-checks
-the exact verdicts.  Its settings are module constants: the grid step COARSE_STEP,
+the exact verdicts.  Its settings are module constants: the grid step COARSE_STEP
+at rates up to 1 (``probe_step`` divides it by a faster flow's fastest rate),
 the candidate threshold PROBE_CANDIDATE_DIST, the return tolerance
 PROBE_RETURN_TOL and the candidate cap PROBE_MAX_CANDIDATES; declared rates
 match a generator's spectrum to RATE_MATCH_TOL.
@@ -76,16 +77,31 @@ class ExactScalar:
 
 
 def parse_rate(spec: str) -> ExactScalar:
-    """Parse "3", "-5/2", or "irr:<alias>" into an exact rate."""
+    """Parse "3", "-5/2", "0.25" or "irr:<alias>" into an exact rate.  Any other
+    spec, a zero denominator and a nonzero value that rounds to an infinite or
+    zero float are refused naming the spec."""
     spec = spec.strip()
     if spec.startswith("irr:"):
         alias = spec[4:]
         if alias not in RATE_ALIASES:
-            raise ValueError(f"unknown irrational alias {alias!r}; "
+            raise ValueError(f"rate {spec!r} names an unknown irrational alias; "
                              f"known: {sorted(RATE_ALIASES)}")
         _, p, q, tag = RATE_ALIASES[alias]
         return ExactScalar(p, q, tag)
-    return ExactScalar(Fraction(spec))
+    try:
+        p = Fraction(spec)
+    except ZeroDivisionError:
+        raise ValueError(f"rate {spec!r} has a zero denominator") from None
+    except ValueError:
+        raise ValueError(f"rate {spec!r} is not an integer, a fraction p/q, a decimal "
+                         f"or irr:<alias>") from None
+    try:
+        value = float(p)
+    except OverflowError:
+        value = math.inf if p > 0 else -math.inf
+    if math.isinf(value) or (p and not value):
+        raise ValueError(f"rate {spec!r} is outside the float range (it rounds to {value:g})")
+    return ExactScalar(p)
 
 
 @dataclass(frozen=True)
@@ -162,8 +178,8 @@ def classify(profile: RotationProfile) -> FlowClassification:
     rates = profile.rates
     tags = {r.tag for r in rates if r.q != 0}
     if len(tags) > 1:
-        raise ValueError(f"mixed irrational tags {sorted(tags)} are not comparable "
-                         f"with exact arithmetic")
+        raise ValueError(f"rates with mixed irrational tags {sorted(tags)} are not "
+                         f"comparable with exact arithmetic")
     if any(r.p == 0 and r.q == 0 for r in rates):
         raise ValueError("zero rotation rate: the generator vanishes on a subsphere "
                          "and the flow is not classified here")
@@ -203,22 +219,24 @@ def classify(profile: RotationProfile) -> FlowClassification:
 
 @dataclass(frozen=True)
 class OrbitProbe:
-    """Numeric near-return survey of one orbit of a linear flow."""
+    """Numeric near-return survey of one orbit of a linear flow, on a grid of
+    ``step``, ``probe_step`` of the flow's fastest rate."""
 
     return_times: tuple[float, ...]
     min_distance: float
     t_max: float
+    step: float
 
 
-# the orbit probe's grid step: 512 points per turn of 2 pi
+# the orbit probe's grid step at rates up to 1: 512 points per turn of 2 pi
 COARSE_STEP = 2.0 * math.pi / 512.0
 # grid minima below this distance from x0 are refined; refined minima below
 # PROBE_RETURN_TOL count as returns; at most PROBE_MAX_CANDIDATES are refined
 PROBE_CANDIDATE_DIST = 0.25
 PROBE_RETURN_TOL = 1e-7
 PROBE_MAX_CANDIDATES = 4096
-# the most points the probe's coarse grid may hold, ceil(t_max / COARSE_STEP):
-# 2**21 is 4096 turns of 2 pi at COARSE_STEP, past which a flow returning once a
+# the most points the probe's coarse grid may hold, ceil(t_max / probe_step(w_max)):
+# 2**21 is 4096 turns of the fastest rate, past which a flow returning once a
 # turn has filled the probe's PROBE_MAX_CANDIDATES candidates
 PROBE_MAX_POINTS = 2**21
 # the probe's Newton refinement stops at a step of NEWTON_STOP_ULPS ulps of t
@@ -226,12 +244,21 @@ NEWTON_STOP_ULPS = 4
 NEWTON_MAX_ITER = 100
 
 
+def probe_step(w_max: float) -> float:
+    """The probe's grid step for a flow whose fastest rate is w_max: COARSE_STEP
+    over max(1, w_max), 512 points per period of the fastest term."""
+    return COARSE_STEP / max(1.0, w_max)
+
+
 def numeric_orbit_probe(xi: np.ndarray, x0: np.ndarray, t_max: float,
                         chunk: int = 16384) -> OrbitProbe:
     """Scan |exp(t xi) x0 - x0| on a coarse grid and refine its local minima.
 
     ``xi`` must be skew and ``t_max`` over 0 with a grid of at most
-    PROBE_MAX_POINTS points; any other is refused by name.  The distance is
+    PROBE_MAX_POINTS points; any other is refused by name.  The grid step is
+    ``probe_step(w_max)``, w_max the fastest rate of xi, so the fastest term
+    of the distance gets 512 points a period (the Nyquist-Shannon criterion,
+    Shannon, Proc. IRE 37 (1949)).  The distance is
     the closed form of a skew flow: with i xi = V W V^H (``eigh``, as in
     ``metrics.skew_exp``), weights c_j = |(V^H x0)_j|^2 and rates w_j,
 
@@ -249,9 +276,12 @@ def numeric_orbit_probe(xi: np.ndarray, x0: np.ndarray, t_max: float,
     are refined together by safeguarded Newton on the derivative
     g = sum_j c_j w_j sin w_j t, with g' = sum_j c_j w_j^2 cos w_j t (Press et
     al., *Numerical Recipes*, 9.4, ``rtsafe``): each iterate stays within one
-    coarse step of its grid time, in a bracket shrunk by the sign of g, and a
-    step that leaves the bracket or meets g' <= 0 bisects it.  Refined minima
-    below PROBE_RETURN_TOL count as returns.  ``min_distance`` is the smallest
+    grid step of its grid time, in a bracket shrunk by the sign of g, and a
+    step that leaves the bracket or meets g' <= 0 bisects it.  The threshold
+    needs no scaling: the distance moves at the flow's speed |xi x0| <= w_max
+    for a unit x0, so some grid time lies within |xi x0| step / 2 <= pi / 512
+    of every return.  Refined minima below PROBE_RETURN_TOL, more than one
+    step in and ten steps apart, count as returns.  ``min_distance`` is the smallest
     distance seen anywhere past the initial departure from x0, so an orbit
     that never returns reports a large floor instead of a spurious period.
     """
@@ -262,12 +292,15 @@ def numeric_orbit_probe(xi: np.ndarray, x0: np.ndarray, t_max: float,
         raise ValueError("numeric_orbit_probe needs a skew generator xi, a square matrix "
                          f"with xi^T = -xi; got a {'x'.join(map(str, xi.shape))} array "
                          "that is not one")
-    if not 0 < t_max / COARSE_STEP <= PROBE_MAX_POINTS:  # also refuses NaN
-        raise ValueError(f"numeric_orbit_probe needs a t_max over 0 and at most "
-                         f"{PROBE_MAX_POINTS * COARSE_STEP:.6g} (a grid of at most "
-                         f"{PROBE_MAX_POINTS} points of step {COARSE_STEP:.6g}), "
-                         f"got t_max={t_max:g}")
     w, V = np.linalg.eigh(1j * xi)
+    w_max = float(np.abs(w).max(initial=0.0))
+    step = probe_step(w_max)
+    if not 0 < t_max / step <= PROBE_MAX_POINTS:  # also refuses NaN
+        raise ValueError(f"numeric_orbit_probe needs a t_max over 0 and at most "
+                         f"{PROBE_MAX_POINTS * COARSE_STEP:.6g} / max(1, w_max) = "
+                         f"{PROBE_MAX_POINTS * step:.6g} (a grid of at most {PROBE_MAX_POINTS} "
+                         f"points of step {COARSE_STEP:.6g} / max(1, w_max), w_max = {w_max:g}, "
+                         f"the fastest rate), got t_max={t_max:g}")
     weights = np.abs(V.conj().T @ x0) ** 2
     # every term is even in w_j and vanishes at w_j = 0: the +-w pairs and the repeated
     # rates fold into one column per distinct positive rate, summing their weights
@@ -281,8 +314,8 @@ def numeric_orbit_probe(xi: np.ndarray, x0: np.ndarray, t_max: float,
         s = np.sin(np.multiply.outer(ts, half))
         return 2.0 * np.sqrt((s * s) @ weights)
 
-    n = int(np.ceil(t_max / COARSE_STEP))
-    ts = COARSE_STEP * np.arange(1, n + 1)
+    n = int(np.ceil(t_max / step))
+    ts = step * np.arange(1, n + 1)
     ds = np.empty(n)
     for i in range(0, n, chunk):
         ds[i:i + chunk] = dist(ts[i:i + chunk])
@@ -294,7 +327,7 @@ def numeric_orbit_probe(xi: np.ndarray, x0: np.ndarray, t_max: float,
     t = ts[1:-1][(mid < ds[:-2]) & (mid <= ds[2:])
                  & (mid < PROBE_CANDIDATE_DIST)][:PROBE_MAX_CANDIDATES]
 
-    lo, hi = t - COARSE_STEP, t + COARSE_STEP
+    lo, hi = t - step, t + step
     live = np.ones(t.shape, dtype=bool)
     cw, cw2 = weights * w, weights * w * w
     for _ in range(NEWTON_MAX_ITER):
@@ -313,8 +346,8 @@ def numeric_orbit_probe(xi: np.ndarray, x0: np.ndarray, t_max: float,
     returns: list[float] = []
     for t_ref, d_ref in zip(t.tolist(), dist(t).tolist()):
         min_dist = min(min_dist, d_ref)
-        if d_ref < PROBE_RETURN_TOL and t_ref > COARSE_STEP:
-            if not returns or t_ref - returns[-1] > 10 * COARSE_STEP:
+        if d_ref < PROBE_RETURN_TOL and t_ref > step:
+            if not returns or t_ref - returns[-1] > 10 * step:
                 returns.append(t_ref)
     return OrbitProbe(return_times=tuple(returns), min_distance=float(min_dist),
-                      t_max=float(t_max))
+                      t_max=float(t_max), step=step)

@@ -32,11 +32,11 @@ their memory.
 
 Finite differences on the round metric are asked for through the inputs: a
 copy of a linear field with ``kind="general"`` takes the ambient stencil.  A
-finite-difference covariant derivative can be wrapped in a Richardson
-step-halving guard (``nabla_endo(guard=True)``); disagreement beyond
-``RICHARDSON_REL_TOL`` raises ``NumericalQualityError`` instead of returning
-a silently bad number.  No battery asks for it: they run
-``verify.covariant_canary``, which applies the same guard at one point.
+finite-difference result at fd_step can be checked against its value at
+fd_step / 2 by the Richardson step-halving guard ``richardson_guard``:
+disagreement beyond ``RICHARDSON_REL_TOL``, or a drift that is not finite,
+raises ``NumericalQualityError`` instead of returning a silently bad number.
+The batteries run it at one point through ``verify.covariant_canary``.
 """
 
 from __future__ import annotations
@@ -121,10 +121,11 @@ def central_diff(f: Callable[[np.ndarray], np.ndarray], U: np.ndarray, h: float,
 
 def richardson_guard(A: np.ndarray, A_half: np.ndarray, h: float) -> np.ndarray:
     """A_half, once the matrices A (..., r, c) at step h and A_half at h / 2
-    agree to RICHARDSON_REL_TOL in Frobenius norm at every point."""
+    agree to RICHARDSON_REL_TOL in Frobenius norm at every point; a drift that
+    is not finite (an overflowed or NaN difference) fails too."""
     rel = (np.linalg.norm(A - A_half, axis=(-2, -1))
            / np.maximum(1.0, np.linalg.norm(A_half, axis=(-2, -1))))
-    if np.any(rel > RICHARDSON_REL_TOL):
+    if not np.all(rel <= RICHARDSON_REL_TOL):
         raise NumericalQualityError(
             f"covariant derivative unstable under step halving: rel drift "
             f"{float(np.max(rel)):.3e} at fd_step={h:.3e}")
@@ -412,33 +413,25 @@ class LeviCivita:
         X = np.ascontiguousarray(vals[..., -1])  # einsum sums a strided operand in another order
         return np.swapaxes(dvals[..., -1], -1, -2) + np.einsum("...kjl,...l->...kj", Gamma, X)
 
-    def nabla(self, fld: VectorField, x: np.ndarray, direction: np.ndarray,
-              guard: bool = True) -> np.ndarray:
+    def nabla(self, fld: VectorField, x: np.ndarray, direction: np.ndarray) -> np.ndarray:
         """Ambient components of the covariant derivative of ``fld`` along
         ``direction`` (an ambient tangent vector) at x: ``nabla_endo`` applied
         to it."""
-        return matvec(self.nabla_endo(fld, x, guard=guard), np.asarray(direction, dtype=float))
+        return matvec(self.nabla_endo(fld, x), np.asarray(direction, dtype=float))
 
-    def nabla_endo(self, fld: VectorField, x: np.ndarray,
-                   guard: bool = False) -> np.ndarray:
+    def nabla_endo(self, fld: VectorField, x: np.ndarray) -> np.ndarray:
         """Ambient matrix N with N v = nabla_v(field) for tangent v, N x = 0.
 
         ``x`` is one ambient point (d,) or a stack (..., d), which gives
         (..., d, d).  The closed form serves the round metric with a linear
         field, N = P A P; every other pair takes N = P H~ P with H~ from
-        central differences of [M~ | X] at fd_step.  With ``guard`` H~ is
-        recomputed at half step and must agree to RICHARDSON_REL_TOL; the
-        half-step one is used.
+        central differences of [M~ | X] at fd_step.
         """
         x = np.asarray(x, dtype=float)
         P = np.eye(x.shape[-1]) - x[..., :, None] * x[..., None, :]
         if self.closed_form(fld):
             return P @ fld.matrix @ P
-        h = self.fd_step
-        H = self._endo(fld, x, h)
-        if guard:
-            H = richardson_guard(H, self._endo(fld, x, h / 2), h)
-        return P @ H @ P
+        return P @ self._endo(fld, x, self.fd_step) @ P
 
     # -- second covariant derivative ------------------------------------------
 

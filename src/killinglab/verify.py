@@ -46,6 +46,7 @@ from .algebra import field_bracket
 from .metrics import (
     SECOND_DERIV_STEP_SCALE,
     LeviCivita,
+    NumericalQualityError,
     StructureTensors,
     VectorField,
     _christoffel,
@@ -194,7 +195,9 @@ def covariant_canary(lc: LeviCivita, fld: VectorField, x: np.ndarray) -> float:
     Returns |P H~ P f_1| at h / 2.  Raises metrics.NumericalQualityError when
     the configured step cannot produce trustworthy derivatives; batteries run
     this before committing to a finite-difference pass so a bad --fd-step
-    surfaces as a numerical failure instead of silent garbage.
+    surfaces as a numerical failure instead of silent garbage.  A stencil
+    point that rounds to x itself differences to exactly 0 at both steps,
+    which agree, so it is refused before any evaluation.
     """
     x = np.asarray(x, dtype=float)
     d, h = x.shape[-1], lc.fd_step
@@ -203,7 +206,12 @@ def covariant_canary(lc: LeviCivita, fld: VectorField, x: np.ndarray) -> float:
     # [M~ | X] at x + s u for s = 1, -1, 1/2, -1/2 and u = h e_l, then h_2 f_i, and at x
     s = np.array([1.0, -1.0, 0.5, -0.5])[:, None, None]
     u = np.concatenate([h * np.eye(d), h2 * F.T])
-    f = lc.metric_and_field(fld, np.concatenate([(x + s * u).reshape(-1, d), x[None]]))
+    stencil = (x + s * u).reshape(-1, d)
+    if (stencil == x).all(axis=-1).any():
+        raise NumericalQualityError(
+            f"fd_step={h:.3e} does not move the stencil: a point x + s u rounds to x, so its "
+            f"difference reads 0 at every step")
+    f = lc.metric_and_field(fld, np.concatenate([stencil, x[None]]))
     f0, (p, m, p2, m2) = f[-1], f[:-1].reshape((4, len(u)) + f.shape[1:])
     df = np.stack([(p - m)[:d] / (2 * h), (p2 - m2)[:d] / (2 * (h / 2))])  # [step, l, i, col]
     Gamma = _christoffel(np.broadcast_to(f0[:, :-1], (2, d, d)), df[..., :-1])

@@ -43,7 +43,7 @@ from killinglab.constructions import (
     solve_lift,
     unitary_block_basis,
 )
-from killinglab.metrics import NumericalQualityError
+from killinglab.metrics import NumericalQualityError, richardson_guard
 from killinglab.verify import (
     check_contact_form_preserved,
     check_flip_quaternionic,
@@ -473,10 +473,13 @@ def test_transverse_derivative_differences_only_the_half_step(irregular, monkeyp
     monkeypatch.setattr(LeviCivita, "_endo", recorded)
     r = check_transverse_derivative(lc, irregular.field, irregular.j0, st, tol=1e-5)
     assert set(steps) == {lc.fd_step / 2}
-    # the residual reads the half-step N that nabla_endo(guard=True) returns
+    # the residual reads the half-step N that richardson_guard passes
     _, _, vt = np.linalg.svd(np.stack([X, X @ irregular.j0.T], axis=1))
     V = np.swapaxes(vt[:, 2:], -1, -2)
-    D = lc.nabla_endo(irregular.field, X, guard=True) @ V - irregular.j0 @ V
+    half = LeviCivita(irregular.metric, lc.fd_step / 2)
+    N = richardson_guard(lc.nabla_endo(irregular.field, X), half.nabla_endo(irregular.field, X),
+                         lc.fd_step)
+    D = N @ V - irregular.j0 @ V
     assert r.max_residual == np.abs(D).max()
 
 
@@ -484,8 +487,10 @@ def test_transverse_derivative_keeps_the_step_halving_guard(irregular):
     lc = LeviCivita(irregular.metric, fd_step=1e-13)
     X = sample_sphere(irregular.n, 5, seed=42).coords
     message = "unstable under step halving: rel drift .* at fd_step=1.000e-13"
+    half = LeviCivita(irregular.metric, lc.fd_step / 2)
     with pytest.raises(NumericalQualityError, match=message):
-        lc.nabla_endo(irregular.field, X, guard=True)
+        richardson_guard(lc.nabla_endo(irregular.field, X), half.nabla_endo(irregular.field, X),
+                         lc.fd_step)
     st = lc.structure_at(irregular.field, X)
     with pytest.raises(NumericalQualityError, match=message):
         check_transverse_derivative(lc, irregular.field, irregular.j0, st, tol=1e-5)

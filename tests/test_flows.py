@@ -253,12 +253,12 @@ def test_probe_agrees_with_the_grid_oracle(gen, rates, q, x0, t_max):
 
 
 def test_probe_finds_the_closest_approach_at_its_longest_horizon():
-    """Rates (1, golden) over the probe's largest grid: the closest approach,
-    near t = 16235.75, is 4.04251e-4; a refinement that stops early on its
-    coarse-grid bracket reads 4.7545e-4 there."""
+    """Rates (1, golden) over the probe's largest grid, 2**21 points of step
+    2 pi / 512 / golden: the closest approach, near t = 10034.25, is
+    6.54092e-4, where the grid alone reads 7.689e-4."""
     x0 = _unit([1, 0, 1, 0])
-    probe = numeric_orbit_probe(block_gen(1.0, GOLDEN), x0, t_max=25735.0)
-    exact = orbit_min_distance_mp((1.0, GOLDEN), (0.5, 0.5), 16235.7, 16235.8)
+    probe = numeric_orbit_probe(block_gen(1.0, GOLDEN), x0, t_max=15905.0)
+    exact = orbit_min_distance_mp((1.0, GOLDEN), (0.5, 0.5), 10034.2, 10034.3)
     assert probe.return_times == ()
     assert abs(probe.min_distance - exact) < 1e-12
 
@@ -283,7 +283,7 @@ def test_period_check_fails_a_probe_that_drops_later_returns(monkeypatch, capsys
 
     def first_return_only(*args, **kwargs):
         p = probe(*args, **kwargs)
-        return OrbitProbe(p.return_times[:1], p.min_distance, p.t_max)
+        return OrbitProbe(p.return_times[:1], p.min_distance, p.t_max, p.step)
 
     monkeypatch.setattr(cli, "numeric_orbit_probe", first_return_only)
     assert cli.main(["classify-flow", "3", "6", "--probe", "--horizon", "60",
@@ -318,7 +318,42 @@ def test_period_check_at_a_horizon_on_a_multiple_of_the_period(capsys, rates, pe
 ], ids=["none", "missing", "extra", "all"])
 def test_period_residual_reads_inf_on_a_missing_or_extra_return(times, res):
     """Over t_max = 4 pi + 1 the grid holds the multiples 2 pi and 4 pi."""
-    assert cli._period_residual(times, 2 * math.pi, 4 * math.pi + 1.0) == pytest.approx(res)
+    probe = OrbitProbe(times, 0.0, 4 * math.pi + 1.0, COARSE_STEP)
+    assert cli._period_residual(probe, 2 * math.pi) == pytest.approx(res)
+
+
+_RATIONAL_RATES = st.integers(1, 6).flatmap(
+    lambda q: st.builds(Fraction, st.integers(-200 * q, 200 * q).filter(bool), st.just(q)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_RATIONAL_RATES, min_size=1, max_size=3))
+def test_probe_returns_are_the_multiples_of_the_exact_period_its_grid_holds(rates):
+    """Rational profiles p/q (q <= 6, |rates| <= 200): the probe's returns are
+    the multiples kT of classify's exact generic period T that its grid of step
+    2 pi / 512 / max(1, w_max) holds, 1.5 < kT / step < n - 1/2, each to 1e-12.
+    The horizon is 2.5 periods, or 200 000 grid steps where that is shorter."""
+    period = classify(RotationProfile(tuple(ExactScalar(r) for r in rates))).generic_period
+    step = COARSE_STEP / max(1.0, max(abs(float(r)) for r in rates))
+    t_max = min(2.5 * period, 200_000 * step)
+    x0 = np.tile([1.0, 0.0], len(rates)) / np.sqrt(len(rates))
+    probe = numeric_orbit_probe(block_gen(*map(float, rates)), x0, t_max=t_max)
+    assert probe.step == pytest.approx(step, rel=1e-15)
+    n = math.ceil(t_max / probe.step)
+    held = [k * period for k in range(1, 4) if 1.5 < k * period / probe.step < n - 0.5]
+    assert len(probe.return_times) == len(held)
+    assert all(abs(t - kt) < 1e-12 for t, kt in zip(probe.return_times, held))
+
+
+@pytest.mark.parametrize("rates, horizon", [(("60",), None), (("100",), "10"),
+                                            (("49",), None), (("3", "199/2"), None)])
+def test_fast_flows_return_on_the_rate_scaled_grid(capsys, rates, horizon):
+    """A rate-60 flow has no grid point of step 2 pi / 512 within 0.25 of its
+    return; on the rate-scaled grid every return is found and the period
+    check passes."""
+    argv = ["classify-flow", *rates, "--probe"] + (["--horizon", horizon] if horizon else [])
+    assert cli.main(argv + ["--format", "json", "--no-timestamp"]) == 0
+    assert json.loads(capsys.readouterr().out)["checks"][0]["max_residual"] < 1e-12
 
 
 def test_probe_return_on_a_repeated_rate_generator():
@@ -348,7 +383,7 @@ def test_probe_refuses_a_t_max_off_its_grid_by_name(t_max):
 def test_probe_takes_a_t_max_up_to_its_point_bound(monkeypatch):
     monkeypatch.setattr(flows, "PROBE_MAX_POINTS", 1000)
     gen, x0 = block_gen(1.0, 2.0), _unit([1, 0, 1, 0])
-    t_max = 1000 * flows.COARSE_STEP
+    t_max = 1000 * numeric_orbit_probe(gen, x0, t_max=1.0).step  # step 2 pi / 512 / 2
     assert numeric_orbit_probe(gen, x0, t_max=t_max).t_max == t_max
     with pytest.raises(ValueError, match="a grid of at most 1000 points"):
         numeric_orbit_probe(gen, x0, t_max=1.000001 * t_max)
