@@ -23,7 +23,7 @@ result to the end (decomposition, flow class, orbit probe).
 
 Usage:
     python3 scripts/check_times.py [--samples N] [--seed S] [--repeats R] [--json PATH]
-                                   [--decompose-n N [N ...]]
+                                   [--decompose-n N [N ...]] [--verify ARGS ...]
 
 It imports killinglab from the ``src`` directory of its own checkout, so the
 copy of the script in another checkout measures that checkout.
@@ -38,8 +38,8 @@ milliseconds, with the settings and the environment (Python, numpy, BLAS
 threads, ``nproc``, the checkout's git HEAD and whether its tree is dirty,
 and a SHA-256 of its ``src/killinglab`` sources, which names the measured
 code exactly); ``schema`` versions the layout (2 adds ``main_ms``, 3 the
-``decompose`` rows).  The committed ``BENCH_<label>.json`` files at the
-repository root are such records.
+``decompose`` rows, 4 the ``verify`` rows).  The committed
+``BENCH_<label>.json`` files at the repository root are such records.
 
 With ``--decompose-n 10 20 40`` it also runs ``killinglab decompose --example
 round --n N`` for each N as a whole process, ``--repeats`` times after the
@@ -48,6 +48,13 @@ r + 1), and reports its wall time (interpreter start-up and imports
 included) and its peak RSS, both as median and quartiles.  The peak RSS is
 the child's own ``ru_maxrss`` from ``os.wait4``: the ``RUSAGE_CHILDREN``
 figure of that one child, not the running maximum over earlier children.
+Linux carries the high-water RSS of the process that forks a child through
+its exec, so the child is forked by a bare interpreter (``LAUNCH``), far
+smaller than any killinglab run, not by this one, which holds numpy and the
+batteries.
+``--verify "--example round --n 16 --samples 50"`` (repeatable) adds the same
+two readings of a whole ``killinglab verify`` process on those arguments,
+after the decompose rows and interleaved alike.
 """
 
 from __future__ import annotations
@@ -76,7 +83,7 @@ import numpy as np  # noqa: E402
 
 from killinglab import cli  # noqa: E402
 
-SCHEMA = 3
+SCHEMA = 4
 
 BATTERIES = (("gF", {"n": 3, "c": 0.3}), ("irregular", {"n": 2}), ("round", {"n": 2}),
              ("quaternionic", {"m": 1}), ("quaternionic", {"m": 2}), ("hopf-lift", {}))
@@ -97,20 +104,25 @@ def run_once(example: str, cfg: cli.RunConfig, argv: list[str]) -> tuple[dict, f
     return {"setup": rep.opened - t0, **rep.clock}, t1 - t0, t2 - t1
 
 
-def run_decompose(n: int) -> tuple[float, float]:
-    """Wall seconds and peak RSS in MB of one ``killinglab decompose --example
-    round --n n`` process on this checkout's src."""
+# Runs argv, prints its wall seconds, ru_maxrss (kilobytes on Linux) and exit code.
+LAUNCH = """import os, subprocess, sys, time
+t0 = time.perf_counter()
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(time.perf_counter() - t0, usage.ru_maxrss, os.waitstatus_to_exitcode(status))"""
+
+
+def run_process(args: list[str]) -> tuple[float, float]:
+    """Wall seconds and peak RSS in MB of one ``killinglab`` process on args
+    and this checkout's src, forked by ``LAUNCH``."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    argv = [sys.executable, "-m", "killinglab", "decompose", "--example", "round",
-            "--n", str(n), "--no-timestamp"]
-    t0 = time.perf_counter()
-    proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL)
-    _, status, usage = os.wait4(proc.pid, 0)  # reaps it: Popen is told the code below
-    wall = time.perf_counter() - t0
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    if proc.returncode != cli.EXIT_OK:
-        raise SystemExit(f"check_times: killinglab {' '.join(argv[3:])} exited {proc.returncode}")
-    return wall, usage.ru_maxrss / 1024.0  # Linux reports kilobytes
+    argv = [sys.executable, "-m", "killinglab", *args, "--no-timestamp"]
+    out = subprocess.run([sys.executable, "-c", LAUNCH, *argv], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    wall, maxrss, code = out.split()
+    if int(code) != cli.EXIT_OK:
+        raise SystemExit(f"check_times: killinglab {' '.join(args)} exited {code}")
+    return float(wall), int(maxrss) / 1024.0
 
 
 def _git(*args: str) -> str | None:
@@ -153,6 +165,8 @@ def main(argv=None) -> int:
                    help="also write the rows with quartiles to this file")
     p.add_argument("--decompose-n", type=int, nargs="+", default=[], metavar="N",
                    help="also time whole decompose --example round --n N processes")
+    p.add_argument("--verify", action="append", default=[], metavar="ARGS",
+                   help="also time a whole 'killinglab verify ARGS' process (repeatable)")
     args = p.parse_args(argv)
     sizes = ["".join(f" --{k} {v}" for k, v in params.items()) for _, params in BATTERIES]
     jobs = [(example, replace(cli.RunConfig(), example=example, samples=args.samples,
@@ -177,19 +191,23 @@ def main(argv=None) -> int:
                        "main_ms": quartiles([r[2] for r in reps]),
                        "rows_ms": {name: quartiles([r[0][name] for r in reps])
                                    for name in reps[0][0]}})
-    decompose = []
-    dec_runs = zip(*[[run_decompose(n) for n in args.decompose_n]  # repeat r of every N
-                     for _ in range(args.repeats)])                # before repeat r + 1
-    for n, runs_n in zip(args.decompose_n, dec_runs):
-        wall_ms, rss = quartiles([r[0] for r in runs_n]), quartiles([r[1] for r in runs_n], 1.0)
-        print(f"decompose --example round --n {n}: {wall_ms['median']:.1f} ms, "
+    rows = {"decompose": [], "verify": []}
+    procs = ([("decompose", {"n": n}, f"--example round --n {n}", ["decompose", "--example",
+                                                                   "round", "--n", str(n)])
+              for n in args.decompose_n]
+             + [("verify", {"args": line}, line, ["verify", *line.split()]) for line in args.verify])
+    # whole processes, repeat r of every one before repeat r + 1
+    proc_runs = zip(*[[run_process(argv) for *_, argv in procs] for _ in range(args.repeats)])
+    for (command, key, line, _), reps in zip(procs, proc_runs):
+        wall_ms, rss = quartiles([r[0] for r in reps]), quartiles([r[1] for r in reps], 1.0)
+        print(f"{command} {line}: {wall_ms['median']:.1f} ms, "
               f"peak RSS {rss['median']:.1f} MB, median of {args.repeats}")
-        decompose.append({"n": n, "wall_ms": wall_ms, "peak_rss_mb": rss})
+        rows[command].append({**key, "wall_ms": wall_ms, "peak_rss_mb": rss})
     if args.json is not None:
         doc = {"schema": SCHEMA, "environment": environment(),
                "settings": {"samples": args.samples, "seed": args.seed,
                             "repeats": args.repeats},
-               "batteries": record, "decompose": decompose}
+               "batteries": record, **rows}
         args.json.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     return 0
 

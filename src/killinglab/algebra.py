@@ -236,12 +236,17 @@ def eigenfield_residuals(xi_field, mats, st, rate: float | None = None) -> dict[
     cancels the metric dual of contracting A x into the two-form of xi's dual
     one-form.  ``mats`` is one generator (d, d) or a block (b, d, d); the
     structure tensors ``st`` = ``lc.structure_at(xi_field, X)`` cover the
-    sample X and are shared by the whole block, each per-point factor
-    contracted before the generator axis.  Returns max residuals over
+    sample X and are shared by the whole block.  Returns max residuals over
     generators and samples {"orthogonality", "bracket_identity"}; when the
     block rate is given, also "eigenvalue_identity": the square of the raised
     two-form applied to A x equals -(rate^2) A x.
     """
+    return {key: float(r.max()) for key, r in eigenfield_rows(xi_field, mats, st, rate).items()}
+
+
+def eigenfield_rows(xi_field, mats, st, rate: float | None = None) -> dict[str, np.ndarray]:
+    """``eigenfield_residuals`` at each sample point, (N,) arrays of the max
+    over the block, each per-point factor contracted before the block axis."""
     xi_mat = xi_field.matrix
     if xi_mat is None:
         raise ValueError("xi_field must be linear to evaluate bracket identities")
@@ -251,15 +256,15 @@ def eigenfield_residuals(xi_field, mats, st, rate: float | None = None) -> dict[
     ab = st.x @ np.concatenate([mats, field_bracket(xi_mat, mats)]).reshape(-1, mats.shape[-1]).T
     a, brackets = np.swapaxes(ab.reshape(len(st.x), 2, len(mats), -1), 0, 1)
     F, Ft = st.frame, np.swapaxes(st.frame, -1, -2)
-    out = {"orthogonality": float(np.abs(a @ (st.metric_matrix @ st.xi[..., None])).max())}
-    out["bracket_identity"] = float(np.linalg.norm(brackets + a @ (st.dxi @ F @ Ft),
-                                                   axis=-1).max())
+    out = {"orthogonality": np.abs(a @ (st.metric_matrix @ st.xi[..., None])).max(axis=(1, 2))}
+    out["bracket_identity"] = np.linalg.norm(brackets + a @ (st.dxi @ F @ Ft),
+                                             axis=-1).max(axis=1)
     if rate is not None:
         # raised two-form = 2 phi on the g-orthonormal frame
         MF = np.swapaxes(st.metric_matrix, -1, -2) @ F
         phi_t = np.swapaxes(st.phi_frame, -1, -2)
-        out["eigenvalue_identity"] = float(np.abs(4.0 * (a @ (MF @ phi_t @ phi_t))
-                                                  + rate**2 * (a @ MF)).max())
+        out["eigenvalue_identity"] = np.abs(4.0 * (a @ (MF @ phi_t @ phi_t))
+                                            + rate**2 * (a @ MF)).max(axis=(1, 2))
     return out
 
 

@@ -42,6 +42,7 @@ from .metrics import (
     general_field,
     linear_field,
     round_metric,
+    sample_chunks,
 )
 from .sphere import matvec, rowdot
 
@@ -208,6 +209,7 @@ def build_flip_fixture() -> FlipFixture:
 
 HOPF_QUADRATURE_STEPS = 16   # Gauss–Legendre nodes of build_hopf's lift quadrature
 HOPF_ANTIPODE_MARGIN = 0.05  # base distance hopf_sample_filter keeps from the anchor antipode
+LIFT_NODE_BYTES = 256  # per node and lifted vector: arc point, section, lift system, lift
 
 
 @dataclass(frozen=True, eq=False)
@@ -315,6 +317,12 @@ def so3_basis() -> np.ndarray:
                      [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]])
 
 
+def lift_point_bytes(steps: int, generators: int) -> int:
+    """Bytes a base point holds in a lift quadrature of the arc tangent and of
+    the given number of generators."""
+    return LIFT_NODE_BYTES * steps * (1 + generators)
+
+
 def lift_potential(bundle: HopfBundle, base_gen: np.ndarray,
                    y: np.ndarray) -> float | np.ndarray:
     """Potential f at y with df = -(base field) contracted into the curvature
@@ -324,12 +332,12 @@ def lift_potential(bundle: HopfBundle, base_gen: np.ndarray,
     one base point (3,) or a stack (N, 3).  One generator and one point give
     a float, one generator and a stack an (N,) array, a stack of generators
     a (G,) or (G, N) array.  Quadrature: the Gauss–Legendre rule
-    ``bundle.rule`` along each great-circle arc from the anchor to y.  The
-    arc points, their sections and the lift of the arc tangent are built
-    once and shared by every generator's integrand, and all lifts take one
-    closed-form solve.  Base points too close to the anchor's antipode are
-    refused (the batteries filter samples instead of integrating through the
-    bad chart).
+    ``bundle.rule`` along each great-circle arc from the anchor to y, over
+    ``sample_chunks`` of ``lift_point_bytes`` a point.  The arc points, their
+    sections and the lift of the arc tangent are built once and shared by
+    every generator's integrand, and a chunk's lifts take one closed-form
+    solve.  Base points too close to the anchor's antipode are refused (the
+    batteries filter samples instead of integrating through the bad chart).
     """
     gens = np.asarray(base_gen, dtype=float)
     ys = np.atleast_2d(np.asarray(y, dtype=float))
@@ -341,13 +349,14 @@ def lift_potential(bundle: HopfBundle, base_gen: np.ndarray,
         raise ValueError("base point too close to the anchor antipode; "
                          "filter samples before lifting")
     out = np.zeros((*gens.shape[:-2], len(ys)))
-    live = theta >= 1e-9
-    if live.any():
-        ts, weights = bundle.rule
-        th = theta[live, None, None]                  # (M, 1, 1)
+    live = np.flatnonzero(theta >= 1e-9)
+    ts, weights = bundle.rule
+    integrand = np.empty((*gens.shape[:-2], len(live), len(ts)))
+    for rows in sample_chunks(len(live), lift_point_bytes(len(ts), len(gens.reshape(-1, 3, 3)))):
+        th = theta[live[rows], None, None]            # (M, 1, 1)
         t = ts[None, :, None]                         # (1, K, 1)
         scale = r / np.sin(th)
-        bl = b[live, None, :]
+        bl = b[live[rows], None, :]
         gam = (np.sin((1 - t) * th) * a + np.sin(t * th) * bl) * scale
         dgam = th * (np.cos(t * th) * bl - np.cos((1 - t) * th) * a) * scale
         pts = gam.reshape(-1, 3)
@@ -357,8 +366,10 @@ def lift_potential(bundle: HopfBundle, base_gen: np.ndarray,
             np.concatenate([dgam.reshape(1, -1, 3), us.reshape(-1, *pts.shape)]))
         lift_d, lift_x = lifts[0], lifts[1:].reshape(*us.shape[:-1], 4)
         # integrand: F(X, gamma') with F(u, v) = 2 <j0 u*, v*>
-        integrand = 2.0 * np.einsum("...ni,ni->...n", lift_x @ bundle.j0.T, lift_d)
-        out[..., live] = -integrand.reshape(*gens.shape[:-2], -1, len(ts)) @ weights
+        integrand[..., rows, :] = 2.0 * np.einsum("...ni,ni->...n", lift_x @ bundle.j0.T,
+                                                  lift_d).reshape(*gens.shape[:-2], -1, len(ts))
+    # one weighted sum over every point: a BLAS gemv rounds a row by its place among the rows
+    out[..., live] = -integrand @ weights
     if np.ndim(y) == 1:
         out = out[..., 0]
     return float(out) if out.ndim == 0 else out

@@ -26,9 +26,9 @@ Differentiation strategy, chosen from the metric and the field alone:
 
 Tangent frames are Gram-Schmidt in Cholesky form; frames, the derived
 structure and the second covariant derivative take one point or a stack, so a
-battery builds them once per sample set and shares them between its checks.
-Second-difference stencils run in chunks of STENCIL_CHUNK points, bounding
-their memory.
+battery builds them once per chunk of its sample and shares them between its
+checks.  ``sample_chunks`` sizes every chunk, of a battery's sample and of the
+flat second-difference stencil of ``second_nabla_frame``, by one budget.
 
 Finite differences on the round metric are asked for through the inputs: a
 copy of a linear field with ``kind="general"`` takes the ambient stencil.  A
@@ -63,7 +63,10 @@ FRAME_RANK_TOL = 1e-8
 # about FRAME_RANK_TOL itself, so it cannot tell a dependent seed from a kept
 # one there; an ``exclude=`` frame with a smaller pivot takes the loop.
 FRAME_FALLBACK_PIVOT = FRAME_RANK_TOL ** 0.5
-STENCIL_CHUNK = 16  # sample points per second-difference stencil batch
+# The arrays one chunk of sample points may hold: at 200 samples every default battery's
+# own arrays are one chunk, and the flat stencil runs 14 points a chunk at d = 8 and 43
+# at d = 6 (16 was fastest on both; 200 in one chunk took 1.7 times as long at d = 8)
+CHUNK_BYTES = 9 << 19  # 4.5 MiB
 # Flow time t of ``flow_lie_frame``.  A Killing field reads rounding over t
 # (~4e-13 on gF and irregular), any other field L_xi g + O(t^2) (~1e-5
 # relative on gF); a smaller t raises the first, a larger one the second.
@@ -117,6 +120,21 @@ def central_diff(f: Callable[[np.ndarray], np.ndarray], U: np.ndarray, h: float,
     D2[np.arange(m), np.arange(m)] = (vals[:m] - 2.0 * f0 + vals[m:2 * m]) / h ** 2
     D2[i, j] = D2[j, i] = (pp + mm - axial[i] - axial[j] + 2.0 * f0) / (2.0 * h ** 2)
     return f0, diff, np.moveaxis(D2, (0, 1), (axis, axis + 1))
+
+
+def sample_bytes(d: int, stencil: bool) -> int:
+    """Bytes one sample point holds in ambient dimension d: 60 a value of
+    [M~ | X] over its flat stencil (``second_nabla_frame``), of which ~40 are
+    alive at once and the rest come and go, or the Nijenhuis contraction's
+    ~8 (d - 1)^3 doubles."""
+    return 60 * (d * d + d + 1) * d * (d + 1) if stencil else 64 * (d - 1) ** 3
+
+
+def sample_chunks(n: int, point_bytes: int) -> list[slice]:
+    """Row slices covering n points, as many a slice as CHUNK_BYTES holds at
+    point_bytes a point, and at least one."""
+    rows = max(1, CHUNK_BYTES // point_bytes)
+    return [slice(start, min(start + rows, n)) for start in range(0, n, rows)]
 
 
 def richardson_guard(A: np.ndarray, A_half: np.ndarray, h: float) -> np.ndarray:
@@ -450,8 +468,8 @@ class LeviCivita:
 
           T(u, v) = P[(D~_u H~) v] - (w(u)^T M~ v) P H~ x - (x^T H~ v) P w(u).
 
-        The points run in chunks of STENCIL_CHUNK.  Points (N, d) with frames
-        (N, d, k) give (N, d, k, k).
+        The points run in ``sample_chunks`` of the stencil's ``sample_bytes``.
+        Points (N, d) with frames (N, d, k) give (N, d, k, k).
         """
         x = np.asarray(x, dtype=float)
         if self.closed_form(fld):
@@ -467,8 +485,7 @@ class LeviCivita:
         xs, fs = x.reshape(-1, x.shape[-1]), frame.reshape((-1,) + frame.shape[-2:])
         T = np.empty(fs.shape + fs.shape[-1:])
         d, h = xs.shape[-1], self.fd_step * SECOND_DERIV_STEP_SCALE
-        for start in range(0, len(xs), STENCIL_CHUNK):
-            rows = slice(start, start + STENCIL_CHUNK)
+        for rows in sample_chunks(len(xs), sample_bytes(d, stencil=True)):
             x0, F = xs[rows], fs[rows]
             f0, d1, d2 = central_diff(lambda y: self.metric_and_field(fld, y), x0, h, second=True)
             g, dg, X, dX, ddX = f0[..., :-1], d1[..., :-1], f0[..., -1], d1[..., -1], d2[..., -1]

@@ -9,7 +9,7 @@ from dataclasses import is_dataclass, replace
 import numpy as np
 import pytest
 
-from killinglab import metrics
+from killinglab import cli, metrics
 from killinglab.constructions import (
     build_deformed,
     build_irregular,
@@ -201,7 +201,8 @@ def test_second_nabla_converges_quadratically_in_fd_step():
 
 
 @pytest.mark.parametrize("label", ["gF", "irregular"])
-def test_second_nabla_evaluates_the_flat_stencil_once_per_point(label):
+def test_second_nabla_evaluates_the_flat_stencil_once_per_point(label, monkeypatch):
+    """In chunks of 16 points, 35 points take three metric calls."""
     metric, fields, n = _structure(label)
     rows = []
 
@@ -210,11 +211,12 @@ def test_second_nabla_evaluates_the_flat_stencil_once_per_point(label):
         return metric.matrix_at(x)
 
     lc = LeviCivita(metrics.MetricField(metric.kind, counted, metric.dim))
-    X = _mixed_sample(n, 2 * metrics.STENCIL_CHUNK + 3, seed=73)
+    X = _mixed_sample(n, 35, seed=73)
     F = g_orthonormal_frame(metric.matrix_at(X), X)
-    lc.second_nabla_frame(fields[0], X, F)
     d = X.shape[-1]
-    assert sum(rows) == len(X) * (d * d + d + 1)
+    monkeypatch.setattr(metrics, "CHUNK_BYTES", 16 * metrics.sample_bytes(d, stencil=True))
+    lc.second_nabla_frame(fields[0], X, F)
+    assert len(rows) == 3 and sum(rows) == len(X) * (d * d + d + 1)
 
 
 @pytest.mark.parametrize("label", LABELS)
@@ -274,9 +276,8 @@ def test_shared_structures_of_the_gf_and_quaternionic_batteries():
     ds = build_deformed(n=3, c=0.3)
     lc = LeviCivita(ds.metric)
     X = sample_sphere(3, 30, seed=59).coords
-    st = lc.structure_at(ds.field, X)
     alg = ds.isometry_algebra()
-    shared = _invariance_killing(lc, alg, X[:12], st.frame[:12])
+    shared = _invariance_killing(lc, alg, X[:12])
     own = [check_killing(lc, linear_field(B), X[:12], tol=1e-5) for B in alg.basis]
     assert shared.max_residual == max(r.max_residual for r in own)
     assert shared.mean_residual == np.mean([r.mean_residual for r in own])
@@ -364,21 +365,30 @@ def test_quaternionic_battery_builds_one_frame_and_one_structure_per_field(monke
 
 # -- chunking and defaults ---------------------------------------------------------
 
-@pytest.mark.parametrize("label", ["gF", "irregular"])
-def test_results_do_not_depend_on_the_chunk_size(label, monkeypatch):
-    metric, fields, n = _structure(label)
-    lc = LeviCivita(metric)
-    X = _mixed_sample(n, 9, seed=41)
-    F = g_orthonormal_frame(metric.matrix_at(X), X)
-    runs = []
-    for chunk in (1, 7, len(X)):
-        monkeypatch.setattr(metrics, "STENCIL_CHUNK", chunk)
-        runs.append((nijenhuis_residual(*built(lc, fields[0], X)),
-                     lc.second_nabla_frame(fields[0], X, F)))
-    for nij, T in runs[1:]:
-        assert _rel(nij, runs[0][0]) <= 1e-14
-        assert _rel(T, runs[0][1]) <= 1e-14
+@pytest.mark.parametrize("example, params", [
+    ("round", {"n": 2}), ("gF", {"n": 3}), ("irregular", {"n": 2}), ("quaternionic", {"m": 1}),
+    ("hopf-lift", {})], ids=["round", "gF", "irregular", "quaternionic", "hopf-lift"])
+def test_results_do_not_depend_on_the_chunk_size(example, params, monkeypatch):
+    """A battery streamed in 4 chunks (and the FD stencil and the lift
+    quadrature in one point each) reports what it does in one chunk, byte
+    for byte."""
+    cfg = cli.RunConfig(example=example, samples=40, **{"n": 2, **params})
+    chunks = []
 
+    def counted(n, point_bytes):
+        rows = metrics.sample_chunks(n, point_bytes)
+        chunks.append(len(rows))
+        return rows
+
+    monkeypatch.setattr(cli, "sample_chunks", counted)
+    one = cli._BATTERIES[example](cfg).to_json(include_timestamp=False)
+    assert chunks[0] == 1  # the sample's, before any of an algebra's generators
+    d = 4 * cfg.m + 4 if example == "quaternionic" else 4 if example == "hopf-lift" else 2 * cfg.n + 2
+    monkeypatch.setattr(metrics, "CHUNK_BYTES", 13 * metrics.sample_bytes(d, stencil=False))
+    chunks.clear()
+    many = cli._BATTERIES[example](cfg).to_json(include_timestamp=False)
+    assert chunks[0] == 4
+    assert many == one
 
 def test_nijenhuis_converges_quadratically_in_fd_step():
     """The steps keep every difference >= 100x its rounding floor: the second

@@ -53,9 +53,9 @@ def test_json_record_holds_quartiles_settings_and_environment(monkeypatch, capsy
     assert module.main(["--samples", str(SAMPLES), "--repeats", "1", "--json", str(path)]) == 0
     printed = capsys.readouterr().out
     doc = json.loads(path.read_text(encoding="utf-8"))
-    assert set(doc) == {"schema", "environment", "settings", "batteries", "decompose"}
-    assert doc["schema"] == module.SCHEMA == 3
-    assert doc["decompose"] == []  # no --decompose-n
+    assert set(doc) == {"schema", "environment", "settings", "batteries", "decompose", "verify"}
+    assert doc["schema"] == module.SCHEMA == 4
+    assert doc["decompose"] == doc["verify"] == []  # no --decompose-n, no --verify
     assert set(doc["environment"]) == {"python", "numpy", "blas_threads", "nproc", "machine",
                                        "git_head", "git_dirty", "src_sha256"}
     assert doc["environment"]["blas_threads"] == "1"
@@ -94,35 +94,43 @@ def test_repeats_run_across_batteries_after_one_warm_up_each(monkeypatch, capsys
 
 
 def test_decompose_rows_time_whole_processes(monkeypatch, capsys, tmp_path):
-    """--decompose-n 10 adds one row: the wall time and the child's own peak
-    RSS of a ``decompose --example round --n 10`` process."""
+    """--decompose-n 10 adds one row, and --verify one: the wall time and
+    the child's own peak RSS of a ``decompose --example round --n 10`` and
+    of a ``verify --example round --n 1 --samples 7`` process."""
     module = _load_script(monkeypatch)
     monkeypatch.setattr(module, "BATTERIES", module.BATTERIES[2:3])  # round --n 2 only
     path = tmp_path / "BENCH_tiny.json"
     assert module.main(["--samples", "5", "--repeats", "1", "--json", str(path),
-                        "--decompose-n", "10"]) == 0
-    assert "decompose --example round --n 10: " in capsys.readouterr().out
-    rows = json.loads(path.read_text(encoding="utf-8"))["decompose"]
-    assert [row["n"] for row in rows] == [10]
-    assert set(rows[0]) == {"n", "wall_ms", "peak_rss_mb"}
-    for q in (rows[0]["wall_ms"], rows[0]["peak_rss_mb"]):
-        assert set(q) == {"median", "q1", "q3"}
-        assert 0.0 < q["q1"] <= q["median"] <= q["q3"]
-    assert 10.0 < rows[0]["peak_rss_mb"]["median"] < 1000.0
+                        "--decompose-n", "10", "--verify", "--example round --n 1 --samples 7"]) == 0
+    out = capsys.readouterr().out
+    assert "decompose --example round --n 10: " in out
+    assert "verify --example round --n 1 --samples 7: " in out
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    assert [row["n"] for row in doc["decompose"]] == [10]
+    assert [row["args"] for row in doc["verify"]] == ["--example round --n 1 --samples 7"]
+    for row, key in ((doc["decompose"][0], "n"), (doc["verify"][0], "args")):
+        assert set(row) == {key, "wall_ms", "peak_rss_mb"}
+        for q in (row["wall_ms"], row["peak_rss_mb"]):
+            assert set(q) == {"median", "q1", "q3"}
+            assert 0.0 < q["q1"] <= q["median"] <= q["q3"]
+        assert 10.0 < row["peak_rss_mb"]["median"] < 1000.0
 
 
 def test_decompose_repeats_interleave_across_n(monkeypatch, capsys):
-    """Repeat r of every --decompose-n runs before repeat r + 1 of any."""
+    """Repeat r of every --decompose-n and --verify process runs before
+    repeat r + 1 of any."""
     module = _load_script(monkeypatch)
     monkeypatch.setattr(module, "BATTERIES", ())
     order = []
 
-    def fake(n):
-        order.append(n)
-        return 0.001 * n, float(n)
+    def fake(args):
+        order.append(int(args[-1]))
+        return 0.001 * order[-1], float(order[-1])
 
-    monkeypatch.setattr(module, "run_decompose", fake)
-    assert module.main(["--repeats", "2", "--decompose-n", "10", "20"]) == 0
-    assert order == [10, 20, 10, 20]
+    monkeypatch.setattr(module, "run_process", fake)
+    assert module.main(["--repeats", "2", "--decompose-n", "10", "20",
+                        "--verify", "--example round --samples 30"]) == 0
+    assert order == [10, 20, 30, 10, 20, 30]
     out = capsys.readouterr().out
     assert "--n 10: 10.0 ms, peak RSS 10.0 MB" in out and "--n 20: 20.0 ms" in out
+    assert "verify --example round --samples 30: 30.0 ms" in out

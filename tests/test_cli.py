@@ -114,10 +114,10 @@ def test_n_bound_applies_where_an_example_reads_n(tmp_path):
         return cli.build_config(parser.parse_args(list(argv)))
 
     assert config("decompose", "--example", "round", "--n", "40").n == 40
-    # verify's memory bound is the tighter one: irregular at 200 samples reaches n = 13
-    assert config("verify", "--example", "irregular", "--n", "13").n == 13
-    with pytest.raises(ValueError, match="--n 14 --samples 200 is out of reach"):
-        config("verify", "--example", "irregular", "--n", "14")
+    # verify's work bound is the tighter one: irregular at 200 samples reaches n = 14
+    assert config("verify", "--example", "irregular", "--n", "14").n == 14
+    with pytest.raises(ValueError, match="--n 15 --samples 200 is out of reach"):
+        config("verify", "--example", "irregular", "--n", "15")
     for argv in (["decompose", "--example", "gF"], ["verify", "--example", "round"]):
         with pytest.raises(ValueError, match=f"--n {cli.MAX_N + 1} is out of reach"):
             config(*argv, "--n", str(cli.MAX_N + 1))
@@ -130,25 +130,67 @@ def test_n_bound_applies_where_an_example_reads_n(tmp_path):
     assert config("classify-flow", "1", "2", "--n", "100000").n == 100000
 
 
-@pytest.mark.parametrize("argv, flags", [
-    (["--example", "round", "--n", "47"], "--n 47 --samples 200"),
-    (["--example", "quaternionic", "--m", "100000"], "--m 100000 --samples 200"),
-    (["--example", "round", "--samples", str(10**15)], f"--n 2 --samples {10**15}"),
-    (["--example", "hopf-lift", "--samples", str(10**15)], f"--samples {10**15}"),
+@pytest.mark.parametrize("argv, flags, bound", [
+    (["--example", "round", "--n", "47"], "--n 47 --samples 200", "--samples may be at most"),
+    (["--example", "quaternionic", "--m", "100000"], "--m 100000", "one sample point"),
+    (["--example", "round", "--samples", str(10**15)], f"--n 2 --samples {10**15}",
+     "--samples may be at most"),
+    (["--example", "hopf-lift", "--samples", str(10**15)], f"--samples {10**15}",
+     "--samples may be at most"),
 ], ids=["round-n47", "quaternionic-m100000", "round-samples", "hopf-samples"])
-def test_verify_out_of_memory_is_refused_before_allocating(argv, flags):
-    """verify's arrays grow as samples * d^3: a run that would outgrow the
-    2 GiB budget is refused by its flags with the bound and the budget,
-    under a 2 GiB address-space cap, with no traceback (numpy's
-    ArrayMemoryError before)."""
+def test_verify_out_of_memory_is_refused_before_allocating(argv, flags, bound):
+    """verify streams its sample in chunks: a run one of whose points would
+    outgrow the 2 GiB memory budget, or whose samples times point bytes
+    would outgrow the work budget, is refused by its flags with the bound
+    and the budget, under a 2 GiB address-space cap, with no traceback
+    (numpy's ArrayMemoryError before)."""
     proc = subprocess.run([sys.executable, "-m", "killinglab", "verify", *argv,
                            "--no-timestamp"],
                           capture_output=True, text=True, timeout=120,
                           preexec_fn=_as_limited(2 << 30))
     assert proc.returncode == 2, proc.stderr
     assert f"usage error: {flags} is out of reach" in proc.stderr
-    assert "2 GiB budget" in proc.stderr and "Traceback" not in proc.stderr
-    assert "--samples may be at most" in proc.stderr or "no --samples fits" in proc.stderr
+    assert bound in proc.stderr and "Traceback" not in proc.stderr
+    assert (f"against a {cli.MEMORY_BUDGET_GIB} GiB budget" in proc.stderr
+            or f"against a {cli.WORK_BUDGET_GIB} GiB work budget" in proc.stderr)
+
+
+# Forks argv and prints its ru_maxrss (kilobytes on Linux) and exit code from os.wait4.
+# Linux carries the forking process's high-water RSS through exec, so the fork is made
+# by this bare interpreter, not by the test process.
+_LAUNCH = """import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(usage.ru_maxrss, os.waitstatus_to_exitcode(status))"""
+
+
+def _peak_rss_mb(argv: list[str]) -> list[float]:
+    """Peak RSS in MB of one ``killinglab verify`` process per argv, run side
+    by side."""
+    procs = [subprocess.Popen([sys.executable, "-c", _LAUNCH, sys.executable, "-m", "killinglab",
+                               "verify", *args, "--no-timestamp"],
+                              stdout=subprocess.PIPE, text=True) for args in argv]
+    peaks = []
+    for proc in procs:
+        maxrss, code = proc.communicate(timeout=60)[0].split()
+        assert code == "0"
+        peaks.append(int(maxrss) / 1024.0)
+    return peaks
+
+
+def test_verify_peak_memory_stops_growing_past_one_chunk():
+    """Ten chunks' worth of samples peak within 10 % of two chunks' worth:
+    round --n 16 (two points a chunk) and hopf-lift (a chunk of its lift
+    quadrature)."""
+    from killinglab.constructions import HOPF_QUADRATURE_STEPS, lift_point_bytes
+    from killinglab.metrics import sample_bytes, sample_chunks
+
+    runs = {("round", "--n", "16"): sample_bytes(34, stencil=False),
+            ("hopf-lift",): lift_point_bytes(HOPF_QUADRATURE_STEPS, 3)}
+    args = [["--example", *run, "--samples", str(k * sample_chunks(10**6, point)[0].stop)]
+            for run, point in runs.items() for k in (2, 10)]
+    round2, round10, hopf2, hopf10 = _peak_rss_mb(args)
+    assert round10 <= 1.1 * round2 and hopf10 <= 1.1 * hopf2, (round2, round10, hopf2, hopf10)
 
 
 def test_verify_memory_bound_keeps_every_shipped_setting():
@@ -554,6 +596,20 @@ def test_classify_flow_rational():
     cls = doc["extras"]["classification"]
     assert cls["kind"] == "quasi-regular"
     assert cls["integer_profile"] == [2, 3]
+
+
+@pytest.mark.parametrize("argv", [["1", "--horizon", "3"], ["1/1000000", "--horizon", "20"]],
+                         ids=["T-past-the-horizon", "slow-flow"])
+def test_a_horizon_holding_no_period_passes_with_no_return(argv):
+    """The grid holds no multiple of the period and the probe finds no
+    return: nothing to match, so the period check reads 0."""
+    code, out, err = run_cli("classify-flow", *argv, "--probe", "--format", "json",
+                             "--no-timestamp")
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["extras"]["orbit_probe"]["return_times"] == []
+    assert [(c["name"], c["max_residual"]) for c in doc["checks"]] == [
+        ("orbit_return_matches_period", 0.0)]
 
 
 def test_classify_flow_probe_agreement():

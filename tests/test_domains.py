@@ -156,7 +156,9 @@ def test_refusals_raise_only_while_building_the_config():
     (["verify", "--example", "gF", "--n", "2", "--samples", "3"], "--samples >= 7"),
     (["classify-flow", "1", "--samples", "0", "--horizon", "0"], "samples must be"),
     (["classify-flow", "1", "--seed", "-1", "--horizon", "0"], "seed must be"),
-], ids=["n", "samples", "seed", "memory", "c", "gF-samples", "cf-samples", "cf-seed"])
+    (["verify", "--example", "round", "--n", "-1000000", "--samples", "8"], "n must be >= 1"),
+], ids=["n", "samples", "seed", "memory", "c", "gF-samples", "cf-samples", "cf-seed",
+        "negative-n"])
 def test_the_first_broken_row_in_table_order_is_refused(argv, first):
     code, out, err = run(argv)
     assert code == 2 and out == ""
