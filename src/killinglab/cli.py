@@ -125,9 +125,15 @@ def _unit_killing(cfg: RunConfig, title: str, killing_tol: float):
     """Open a unit-Killing battery on the example's structure s and stream its
     sample X: on each chunk build the structure tensors st and the second
     derivative T once, add the tangency, unit-length and Killing checks, and
-    yield (s, lc, X, rep, st, T); st.x is the chunk."""
+    yield (s, lc, X, rep, st, T); st.x is the chunk.  A gF sample none of whose
+    points the deformation reaches is refused before the first chunk."""
     s = _STRUCTURES[cfg.example](cfg)
     lc, X, rep = _open(cfg, s.metric, s.field, cfg.n, title)
+    if cfg.example == "gF" and not np.any(s.f_of(X)):
+        raise NumericalQualityError(
+            f"none of gF's {len(X)} samples (seed {cfg.seed}) lands in the deformation's "
+            f"support, where F != 0, so its expected-fail checks have no defect to measure; "
+            f"raise --samples or pick another --seed")
     for x in _chunks(X):
         with rep.stage("structure_at"):
             st = lc.structure_at(s.field, x)
@@ -507,7 +513,8 @@ DOMAINS = (
     # a c or fd_step that build_deformed or LeviCivita refuses is left to them to name
     Domain("--samples", f"samples >= {GF_MIN_SAMPLES}",
            "over seeds 0-199 (c = 0.3, n = 3), 1 to 6 samples left 94, 45, 16, 6, 4 and 2 "
-           "seeds with an expected-fail check under its floor, 7 to 12 none",
+           "seeds with an expected-fail check under its floor, 7 to 12 none; at a larger n "
+           "a sample can miss the deformation's support, which is refused when drawn",
            ("verify",), ("gF",),
            lambda cfg, args: None if (cfg.samples >= GF_MIN_SAMPLES
                                       or not (np.isfinite(cfg.c) and cfg.fd_step > 0)) else (
@@ -777,9 +784,19 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _size_flags(cfg: RunConfig | None, command: str) -> str:
+    """The command with the flags that size its arrays, as the run resolved
+    them (the command alone for classify-flow, or before cfg exists)."""
+    if cfg is None or command == "classify-flow":
+        return command
+    size = {"quaternionic": f"--m {cfg.m} ", "hopf-lift": ""}.get(cfg.example, f"--n {cfg.n} ")
+    return f"{command} --example {cfg.example} {size}--samples {cfg.samples}"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
+    cfg = None
     try:
         cfg = build_config(args)
         if args.command == "verify":
@@ -793,6 +810,11 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_NUMERICAL
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # numpy's ArrayMemoryError is one
+        print(f"usage error: {_size_flags(cfg, args.command)} is out of reach: it ran out of "
+              f"the memory this process may allocate ({exc}); a smaller run fits",
+              file=sys.stderr)
         return EXIT_USAGE
 
 

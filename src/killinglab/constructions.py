@@ -37,14 +37,13 @@ from .flows import ExactScalar, RotationProfile
 from .metrics import (
     MetricDegeneracyError,
     MetricField,
-    NumericalQualityError,
     VectorField,
     general_field,
     linear_field,
     round_metric,
     sample_chunks,
 )
-from .sphere import matvec, rowdot
+from .sphere import matvec, rowdot, unit_sample
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -209,7 +208,9 @@ def build_flip_fixture() -> FlipFixture:
 
 HOPF_QUADRATURE_STEPS = 16   # Gauss–Legendre nodes of build_hopf's lift quadrature
 HOPF_ANTIPODE_MARGIN = 0.05  # base distance hopf_sample_filter keeps from the anchor antipode
-LIFT_NODE_BYTES = 256  # per node and lifted vector: arc point, section, lift system, lift
+# bytes per node and lifted vector: arc point, section, base vector and lift (tracemalloc
+# peak of one lift_potential chunk: 126)
+LIFT_NODE_BYTES = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,36 +279,18 @@ def _batched_sections(ys: np.ndarray) -> np.ndarray:
     return np.stack([ys[:, 0] / w, ys[:, 1] / w, w, np.zeros(len(ys))], axis=1)
 
 
-def horizontal_lift_batch(j0: np.ndarray, xs: np.ndarray, ys: np.ndarray,
-                          us: np.ndarray) -> np.ndarray:
-    """Horizontal lifts of base vectors us at base points ys to fiber points xs.
+def horizontal_lift_batch(xs: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """Horizontal lifts dpi(xs)^T us of base vectors us to fiber points xs.
 
-    The lift is tangent, orthogonal to the circle field, and pushes forward
-    to us; computed by a regularized 3x3 solve (the radial base direction is
-    added to make the pushforward Gram G invertible), adjugate over det G
-    for the whole stack; a point where det G <= eps |G|max^3 is refused.
-    ``us`` is (N, 3) or a stack (R, N, 3) of vectors at the same points; the
-    lift is linear in us, so one solve serves the stack, and the result is
-    (N, 4) or (R, N, 4).
+    The Hopf map is a Riemannian submersion: the rows of ``hopf_differential``
+    are pairwise orthogonal signed permutations of x, so dpi dpi^T = |x|^2 Id,
+    the identity on S^3.  So dpi^T u pushes forward to u, is orthogonal to the
+    circle field (dpi j0 x = 0), and is tangent when u is tangent to the base
+    at y = pi(x) (<x, dpi^T u> = <dpi x, u> = 2 <y, u>).  ``us`` is (N, 3) or
+    a stack (R, N, 3) of vectors at the same points; the result is (N, 4) or
+    (R, N, 4).
     """
-    xis = xs @ j0.T
-    dpis = hopf_differential(xs)
-    PH = np.eye(4) - xs[:, :, None] * xs[:, None, :] - xis[:, :, None] * xis[:, None, :]
-    dph = dpis @ PH                                    # (N, 3, 4)
-    yhat = 2.0 * ys
-    G = dph @ np.swapaxes(dpis, 1, 2) + yhat[:, :, None] * yhat[:, None, :]
-    up, dn = [1, 2, 0], [2, 0, 1]  # cof[i, j] = G[i+1, j+1] G[i+2, j+2] - G[i+1, j+2] G[i+2, j+1]
-    cof = G[:, up][..., up] * G[:, dn][..., dn] - G[:, up][..., dn] * G[:, dn][..., up]
-    det = rowdot(G[:, 0], cof[:, 0])
-    ok = det > np.finfo(float).eps * np.abs(G).max(axis=(1, 2)) ** 3  # false on NaN
-    if not ok.all():
-        k = int(np.argmin(ok))
-        raise NumericalQualityError(f"horizontal lift: the pushforward Gram is singular at "
-                                    f"base point {np.round(ys[k], 6).tolist()} (det {det[k]:.3e})")
-    rhs = np.moveaxis(us.reshape(-1, *us.shape[-2:]), 0, -1)   # (N, 3, R)
-    w3 = np.swapaxes(cof, 1, 2) @ rhs / det[:, None, None]
-    # PH is symmetric, so PH dpi^T w3 = dph^T w3
-    return np.moveaxis(np.swapaxes(dph, 1, 2) @ w3, -1, 0).reshape(*us.shape[:-1], 4)
+    return (us[..., None, :] @ hopf_differential(xs))[..., 0, :]
 
 
 def so3_basis() -> np.ndarray:
@@ -335,9 +318,10 @@ def lift_potential(bundle: HopfBundle, base_gen: np.ndarray,
     ``bundle.rule`` along each great-circle arc from the anchor to y, over
     ``sample_chunks`` of ``lift_point_bytes`` a point.  The arc points, their
     sections and the lift of the arc tangent are built once and shared by
-    every generator's integrand, and a chunk's lifts take one closed-form
-    solve.  Base points too close to the anchor's antipode are refused (the
-    batteries filter samples instead of integrating through the bad chart).
+    every generator's integrand, and a chunk's lifts take one product with
+    ``hopf_differential``.  Base points too close to the anchor's antipode,
+    or not finite, are refused (the batteries filter samples instead of
+    integrating through the bad chart).
     """
     gens = np.asarray(base_gen, dtype=float)
     ys = np.atleast_2d(np.asarray(y, dtype=float))
@@ -345,8 +329,8 @@ def lift_potential(bundle: HopfBundle, base_gen: np.ndarray,
     a = bundle.anchor / r
     b = ys / r
     theta = np.arccos(np.clip(b @ a, -1.0, 1.0))
-    if np.any(theta > math.pi - 0.2):
-        raise ValueError("base point too close to the anchor antipode; "
+    if not np.all(theta <= math.pi - 0.2):  # also refuses NaN
+        raise ValueError("base point too close to the anchor antipode, or not finite; "
                          "filter samples before lifting")
     out = np.zeros((*gens.shape[:-2], len(ys)))
     live = np.flatnonzero(theta >= 1e-9)
@@ -362,7 +346,7 @@ def lift_potential(bundle: HopfBundle, base_gen: np.ndarray,
         pts = gam.reshape(-1, 3)
         us = pts @ np.swapaxes(gens, -1, -2)          # (..., M K, 3)
         lifts = horizontal_lift_batch(
-            bundle.j0, _batched_sections(pts), pts,
+            _batched_sections(pts),
             np.concatenate([dgam.reshape(1, -1, 3), us.reshape(-1, *pts.shape)]))
         lift_d, lift_x = lifts[0], lifts[1:].reshape(*us.shape[:-1], 4)
         # integrand: F(X, gamma') with F(u, v) = 2 <j0 u*, v*>
@@ -380,12 +364,13 @@ def lifted_field_value(bundle: HopfBundle, base_gen: np.ndarray,
     """Value at x of the lift of the base Killing field: horizontal lift of
     the base value plus the potential times the circle field.  ``base_gen``
     is one generator (3, 3) or a stack (G, 3, 3), ``x`` one point (4,) or a
-    stack (N, 4); a stack of generators puts G in front of the result."""
+    stack (N, 4) on S^3, refused by name off it; a stack of generators puts
+    G in front of the result."""
     gens = np.asarray(base_gen, dtype=float)
-    xs = np.atleast_2d(np.asarray(x, dtype=float))
+    xs = np.atleast_2d(unit_sample("lifted_field_value", x, (1, 2)))
     ys = hopf_projection(xs)
     f = lift_potential(bundle, gens, ys)
-    lift = horizontal_lift_batch(bundle.j0, xs, ys, ys @ np.swapaxes(gens, -1, -2))
+    lift = horizontal_lift_batch(xs, ys @ np.swapaxes(gens, -1, -2))
     out = lift + f[..., None] * (xs @ bundle.j0.T)
     return out[..., 0, :] if np.ndim(x) == 1 else out
 
@@ -421,9 +406,10 @@ def solve_lift(bundle: HopfBundle, base_gen: np.ndarray,
     check that the lift construction lands on a linear — hence genuinely
     Killing — field.  A stack of generators (G, 3, 3) is lifted in one
     quadrature and fitted in one least-squares solve, giving (G, 4, 4)
-    matrices and a (G,) defect array.
+    matrices and a (G,) defect array.  ``xs`` is an (N, 4) sample on S^3,
+    refused by name off it.
     """
-    xs = np.asarray(xs, dtype=float)
+    xs = unit_sample("solve_lift", xs, (2,))
     return fit_linear_generator(xs, lifted_field_value(bundle, base_gen, xs))
 
 

@@ -275,7 +275,8 @@ def numeric_orbit_probe(xi: np.ndarray, x0: np.ndarray, t_max: float,
     minima below PROBE_CANDIDATE_DIST (the first PROBE_MAX_CANDIDATES of them)
     are refined together by safeguarded Newton on the derivative
     g = sum_j c_j w_j sin w_j t, with g' = sum_j c_j w_j^2 cos w_j t (Press et
-    al., *Numerical Recipes*, 9.4, ``rtsafe``): each iterate stays within one
+    al., *Numerical Recipes*, 9.4, ``rtsafe``), both with the rates in units
+    of max(1, w_max) so that no weight overflows: each iterate stays within one
     grid step of its grid time, in a bracket shrunk by the sign of g, and a
     step that leaves the bracket or meets g' <= 0 bisects it.  The threshold
     needs no scaling: the distance moves at the flow's speed |xi x0| <= w_max
@@ -329,7 +330,9 @@ def numeric_orbit_probe(xi: np.ndarray, x0: np.ndarray, t_max: float,
 
     lo, hi = t - step, t + step
     live = np.ones(t.shape, dtype=bool)
-    cw, cw2 = weights * w, weights * w * w
+    unit = max(1.0, w_max)
+    w_unit = w / unit
+    cw, cw2 = weights * w_unit, weights * w_unit * w_unit
     for _ in range(NEWTON_MAX_ITER):
         if not live.any():
             break
@@ -337,7 +340,7 @@ def numeric_orbit_probe(xi: np.ndarray, x0: np.ndarray, t_max: float,
         g, gp = np.sin(phase) @ cw, np.cos(phase) @ cw2
         lo, hi = np.where(g < 0.0, t, lo), np.where(g > 0.0, t, hi)
         with np.errstate(divide="ignore", invalid="ignore"):
-            t_new = t - g / gp
+            t_new = t - g / (gp * unit)
         t_new = np.where((gp > 0.0) & (lo <= t_new) & (t_new <= hi), t_new, 0.5 * (lo + hi))
         t_new = np.where(live, t_new, t)
         live &= np.abs(t_new - t) > NEWTON_STOP_ULPS * np.spacing(t)

@@ -74,8 +74,9 @@ FLOW_TIME = 1e-3
 
 
 class NumericalQualityError(RuntimeError):
-    """A finite-difference result failed its step-halving consistency check,
-    or a solve met a singular system."""
+    """A finite-difference step cannot be trusted (too large, rounded away, or
+    failing its step-halving check), or a drawn sample leaves a check nothing
+    to measure."""
 
 
 class MetricDegeneracyError(ValueError):

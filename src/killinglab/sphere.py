@@ -63,7 +63,7 @@ def unit_sample(owner: str, points, ndims: tuple[int, ...]) -> np.ndarray:
     """``points`` (an array, a SpherePoint or a sequence of them) as a float
     array, refused in the name of ``owner`` unless it is non-empty, has one of
     the ``ndims`` (1: one point (d,), 2: a sample (N, d)) and lies on the unit
-    sphere."""
+    sphere (a non-finite point does not)."""
     X = np.asarray(points, dtype=float)
     if X.size == 0:
         raise ValueError(f"{owner} got no samples to evaluate")
@@ -71,7 +71,7 @@ def unit_sample(owner: str, points, ndims: tuple[int, ...]) -> np.ndarray:
         shapes = " or ".join(("one point (d,)", "an (N, d) sample")[k - 1] for k in ndims)
         raise ValueError(f"{owner} needs {shapes}, got shape {X.shape}")
     off = float(np.abs(np.linalg.norm(X, axis=-1) - 1.0).max())
-    if off > UNIT_TOL:
+    if not off <= UNIT_TOL:  # also refuses NaN
         raise ValueError(f"{owner} got a sample off the unit sphere: ||x| - 1| = {off:.3e}")
     return X
 

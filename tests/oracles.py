@@ -167,14 +167,19 @@ def adjoint_rates(lams, tol: float = 1e-9):
 
 def curvature_form(bundle, y, u, v) -> float:
     """Two-form on the base measuring the bracket defect of the horizontal
-    lifts of ``constructions.horizontal_lift_batch``: twice the complex
-    pairing of the lifts of u and v at the fiber point (y0 / w, y1 / w, w, 0),
-    w = sqrt(1/2 - y2), over y."""
-    from killinglab.constructions import horizontal_lift_batch
+    lifts: twice the complex pairing of the lifts of u and v at the fiber
+    point x = (y0 / w, y1 / w, w, 0), w = sqrt(1/2 - y2), over y.  Each lift
+    is P_H dpi^T G^-1 t, P_H the projector off x and j0 x and G = dpi P_H
+    dpi^T + 4 y y^T the regularised pushforward Gram, solved by LAPACK."""
+    from killinglab.constructions import hopf_differential
 
     w = np.sqrt(0.5 - y[2])
-    x = np.array([[y[0] / w, y[1] / w, w, 0.0]])
-    lu, lv = (horizontal_lift_batch(bundle.j0, x, y[None, :], t[None, :])[0] for t in (u, v))
+    x = np.array([y[0] / w, y[1] / w, w, 0.0])
+    xi = bundle.j0 @ x
+    PH = np.eye(4) - np.outer(x, x) - np.outer(xi, xi)
+    dpi = hopf_differential(x)
+    G = dpi @ PH @ dpi.T + 4.0 * np.outer(y, y)
+    lu, lv = (PH @ dpi.T @ np.linalg.solve(G, t) for t in (u, v))
     return 2.0 * float((bundle.j0 @ lu) @ lv)
 
 

@@ -14,6 +14,8 @@ import pytest
 
 from killinglab import cli
 from killinglab.cli import main, make_parser
+from killinglab.constructions import build_deformed
+from killinglab.sphere import sample_sphere
 
 SCHEMA = json.loads(
     (Path(__file__).parent.parent / "src" / "killinglab" / "schema"
@@ -105,6 +107,26 @@ def test_out_of_reach_n_is_refused_before_allocating(command):
     assert proc.returncode == 2, proc.stderr
     assert "--n 100000" in proc.stderr and f"at most {cli.MAX_N}" in proc.stderr
     assert "2 GiB" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv, flags", [
+    (["decompose", "--example", "round", "--n", "40"],
+     "decompose --example round --n 40 --samples 200"),
+    (["verify", "--example", "round", "--n", "40", "--samples", "2"],
+     "verify --example round --n 40 --samples 2"),
+], ids=["decompose", "verify"])
+def test_an_allocation_failure_is_reported_by_its_size_flags(argv, flags):
+    """Within the --n bound but past a 400 MB address-space cap (the
+    interpreter and OpenBLAS need about 230 MB to load), so(82)'s 170 MiB
+    generator stack fails to allocate: the run exits 2 naming its size
+    flags and numpy's message, with no traceback (exit 1 with one before)."""
+    proc = subprocess.run([sys.executable, "-m", "killinglab", *argv, "--no-timestamp"],
+                          capture_output=True, text=True, timeout=120,
+                          preexec_fn=_as_limited(400 * 10**6))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(f"usage error: {flags} is out of reach: it ran out of the "
+                                  f"memory this process may allocate (Unable to allocate")
+    assert "Traceback" not in proc.stderr
 
 
 def test_n_bound_applies_where_an_example_reads_n(tmp_path):
@@ -204,6 +226,29 @@ def test_verify_memory_bound_keeps_every_shipped_setting():
                  ["--example", "irregular", "--n", "12"],
                  ["--example", "gF", "--n", "10"], ["--example", "quaternionic", "--m", "6"]):
         cli.build_config(parser.parse_args(["verify", *argv]))
+
+
+def test_gf_refuses_a_sample_that_misses_the_support(monkeypatch, capsys):
+    """At n = 25 none of 7 samples at seed 16 lands where the deformation
+    acts (support_fraction 0), so the expected-fail checks read rounding and
+    the battery exited 1 after 9 s, blaming the geometry.  The drawn sample
+    is refused (exit 3) by its support, naming the remedy, before any chunk's
+    structure is built; at seed 0 a sample lands in the support."""
+    calls = []
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return structure_at(self, *args, **kwargs)
+
+    structure_at = cli.LeviCivita.structure_at
+    monkeypatch.setattr(cli.LeviCivita, "structure_at", counted)
+    argv = ["verify", "--example", "gF", "--n", "25", "--samples", "7", "--no-timestamp"]
+    assert main([*argv, "--seed", "16"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical quality failure: none of gF's 7 samples (seed 16) lands "
+                          "in the deformation's support")
+    assert "raise --samples or pick another --seed" in err and calls == []
+    assert np.count_nonzero(build_deformed(n=25).f_of(sample_sphere(25, 7, 0).coords)) > 0
 
 
 def test_gf_refuses_fewer_samples_than_its_floor(capsys):

@@ -208,10 +208,14 @@ def test_lift_potential_path_independence(hopf):
 
 
 def test_lift_refuses_antipode(hopf):
+    """The antipode and, since the test is written so that NaN fails it, a
+    NaN base point."""
     gen = so3_basis()[0]
     antipode = -hopf.anchor
     with pytest.raises(ValueError, match="antipode"):
         lift_potential(hopf, gen, antipode)
+    with pytest.raises(ValueError, match="anchor antipode, or not finite"):
+        lift_potential(hopf, gen, np.array([[0.0, 0.3, 0.4], [np.nan, 0.0, 0.5]]))
 
 
 def test_lift_potential_is_moment_map(hopf):
@@ -558,14 +562,15 @@ def test_invariance_algebras_are_the_per_generator_stacks(n):
 
 
 def test_closed_form_lift_solve_matches_lapack(hopf):
-    """Adjugate over determinant against LAPACK on the same regularised
-    Gram, and the lift's defining properties for tangent base vectors."""
+    """The adjoint lift dpi^T u against LAPACK's solve of the regularised
+    pushforward Gram G = dpi P_H dpi^T + 4 y y^T, lifted by P_H dpi^T, and the
+    lift's defining properties for tangent base vectors."""
     xs = hopf_sample_filter(sample_sphere(1, 60, seed=13).coords)
     ys = hopf_projection(xs)
     rng = np.random.default_rng(14)
     us = rng.normal(size=(2, len(xs), 3))
     us -= (us * ys).sum(-1, keepdims=True) * ys / (ys * ys).sum(-1, keepdims=True)
-    got = horizontal_lift_batch(hopf.j0, xs, ys, us)
+    got = horizontal_lift_batch(xs, us)
     dpi = hopf_differential(xs)
     xis = xs @ hopf.j0.T
     PH = np.eye(4) - xs[:, :, None] * xs[:, None, :] - xis[:, :, None] * xis[:, None, :]
@@ -578,13 +583,16 @@ def test_closed_form_lift_solve_matches_lapack(hopf):
         assert np.abs((dpi @ got[r][..., None])[..., 0] - us[r]).max() <= 1e-13
 
 
-def test_lift_solve_refuses_a_singular_gram_by_its_base_point(hopf):
-    """At x = 0 the pushforward vanishes and G = 4 y y^T has rank one; a NaN
-    point fails the same test.  LAPACK raised LinAlgError on the first."""
-    ys = np.array([[0.1, 0.2, 0.3], [0.0, 0.0, 0.5]])
+@pytest.mark.parametrize("owner", ["lifted_field_value", "solve_lift"])
+def test_lift_refuses_a_fiber_point_off_the_sphere_by_name(hopf, owner):
+    """A fiber point at 0 (where the pushforward vanishes) and a NaN point
+    are refused where they enter, by the owner's name: the adjoint lift
+    dpi^T u holds only on S^3."""
+    lift = lifted_field_value if owner == "lifted_field_value" else solve_lift
     xs = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
-    with pytest.raises(NumericalQualityError, match=r"base point \[0.0, 0.0, 0.5\]"):
-        horizontal_lift_batch(hopf.j0, xs, ys, np.ones((2, 3)))
+    off = f"{owner} got a sample off the unit sphere: "
+    with pytest.raises(ValueError, match=off + r".* = 1\.000e\+00"):
+        lift(hopf, so3_basis()[0], xs)
     xs[1] = np.nan
-    with pytest.raises(NumericalQualityError, match="singular"):
-        horizontal_lift_batch(hopf.j0, xs, ys, np.ones((2, 3)))
+    with pytest.raises(ValueError, match=off + ".* = nan"):
+        lift(hopf, so3_basis()[0], xs)

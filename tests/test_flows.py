@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -160,6 +161,18 @@ def test_probe_regular_orbit_returns_at_2pi():
     x0 = np.array([0.6, 0.0, 0.8, 0.0])
     probe = numeric_orbit_probe(gen, x0, t_max=8.0)
     assert probe.return_times[0] == pytest.approx(2 * math.pi, abs=1e-5)
+
+
+def test_probe_finds_the_return_of_a_fast_flow_without_overflow():
+    """At rate 1e300 the Newton weights c_j w_j^2 overflowed to inf; in units
+    of the fastest rate they stay finite and no floating-point warning is
+    raised."""
+    period = 2.0 * math.pi / 1e300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        probe = numeric_orbit_probe(1e300 * J2, np.array([1.0, 0.0]), t_max=1.5 * period)
+    assert len(probe.return_times) == 1
+    assert probe.return_times[0] == pytest.approx(period, rel=1e-12)
 
 
 def test_probe_generic_vs_exceptional_2_3():

@@ -67,7 +67,8 @@ def test_checks_agree_on_array_and_point_samples(round2, lc_round2, quat1):
 def test_checks_refuse_bad_samples_by_name(name, round2, lc_round2, quat1):
     """The sample enters check_killing as its points, and the torsion and
     triple checks through structure_at, which takes one point (d,) too: a
-    stack of samples is its bad shape."""
+    stack of samples is its bad shape.  A NaN row is off the sphere too
+    (check_killing read max_residual nan on one and failed the geometry)."""
     n = 3 if name == "triple_products_aligned" else 2
     X = sample_sphere(n, 6, seed=1).arrays()
     if name == "killing":
@@ -86,5 +87,9 @@ def test_checks_refuse_bad_samples_by_name(name, round2, lc_round2, quat1):
     scaled[2] *= 1.001
     with pytest.raises(ValueError, match=f"{owner} got a sample off the unit sphere"):
         run(scaled)
+    scaled[2] = np.nan  # ||x| - 1| is NaN, which a test of the form off > tol lets through
+    with pytest.raises(ValueError, match=f"{owner} got a sample off the unit sphere: .* = nan"):
+        run(scaled)
     with pytest.raises(ValueError, match=f"{owner} got no samples to evaluate"):
         run(X[:0])
+
