@@ -24,11 +24,14 @@ Differentiation strategy, chosen from the metric and the field alone:
     the flat second-difference stencil (d^2 + d + 1 points) and forms Gamma~,
     d Gamma~, H~ and dH~ from it in closed algebra.
 
-Tangent frames are Gram-Schmidt in Cholesky form; frames, the derived
-structure and the second covariant derivative take one point or a stack, so a
-battery builds them once per chunk of its sample and shares them between its
-checks.  ``sample_chunks`` sizes every chunk, of a battery's sample and of the
-flat second-difference stencil of ``second_nabla_frame``, by one budget.
+Tangent frames are Gram-Schmidt of the Euclidean frame, in closed form on the
+round metric and in Cholesky form on any other (``LeviCivita.frame``), and the
+complement of excluded vectors is one Householder QR in a frame's coordinates;
+frames, the derived structure and the second covariant derivative take one
+point or a stack, so a battery builds them once per chunk of its sample and
+shares them between its checks.  ``sample_chunks`` sizes every chunk, of a
+battery's sample and of the flat second-difference stencil of
+``second_nabla_frame``, by one budget.
 
 Finite differences on the round metric are asked for through the inputs: a
 copy of a linear field with ``kind="general"`` takes the ambient stencil.  A
@@ -59,10 +62,6 @@ RICHARDSON_REL_TOL = 1e-3
 # floor eps / h^2 is that of a step-fd_step/3 difference nested in a step-10 fd_step one.
 SECOND_DERIV_STEP_SCALE = (10.0 / 3.0) ** 0.5
 FRAME_RANK_TOL = 1e-8
-# A Cholesky pivot of a Gram matrix carries an absolute error near sqrt(eps),
-# about FRAME_RANK_TOL itself, so it cannot tell a dependent seed from a kept
-# one there; an ``exclude=`` frame with a smaller pivot takes the loop.
-FRAME_FALLBACK_PIVOT = FRAME_RANK_TOL ** 0.5
 # The arrays one chunk of sample points may hold: at 200 samples every default battery's
 # own arrays are one chunk, and the flat stencil runs 14 points a chunk at d = 8 and 43
 # at d = 6 (16 was fastest on both; 200 in one chunk took 1.7 times as long at d = 8)
@@ -221,98 +220,69 @@ def round_metric(dim: int) -> MetricField:
         dim=dim, exact_round=True, name="round")
 
 
-def g_orthonormal_frame(metric_matrix: np.ndarray, x: np.ndarray,
-                        exclude: Sequence[np.ndarray] = ()) -> np.ndarray:
-    """g-orthonormal basis of the tangent space, columns of a (d, k) array.
+def g_orthonormal_frame(metric_matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """g-orthonormal basis of the tangent space, columns of a (d, d-1) array.
 
-    Gram-Schmidt of seed columns S in Cholesky form, S^T M S = L L^T and
-    F = S L^-T; points (N, d) with metrics (N, d, d) give (N, d, k).  With no
-    exclusions S is ``tangent_seeds``, k = d - 1, and a pivot below
-    FRAME_RANK_TOL raises MetricDegeneracyError.  Vectors in ``exclude``
-    (each (d,), or (N, d) for a stack) come first in S, followed by the first
-    d - 1 - len(exclude) columns of ``orthonormal_tangent_frame``, and their
-    columns are dropped, so the frame spans the g-orthogonal complement of
-    their span inside T_x.  A point whose pivot falls below
-    FRAME_FALLBACK_PIVOT, or whose excluded vectors leave T_x, runs the
-    Gram-Schmidt loop ``_exclude_frame_loop``, which drops dependent seeds
-    and refuses exclusions that are dependent or not tangent.
+    Gram-Schmidt of the ``tangent_seeds`` T in Cholesky form, T^T M T = L L^T
+    and F = T L^-T; points (N, d) with metrics (N, d, d) give (N, d, d-1).  A
+    pivot below FRAME_RANK_TOL raises MetricDegeneracyError.
     """
-    M = metric_matrix
     x = np.asarray(x, dtype=float)
-    if not len(exclude):
-        T = tangent_seeds(x)
-        Tt = np.swapaxes(T, -1, -2)
-        G = Tt @ M @ T
-        try:
-            L = np.linalg.cholesky(G)
-        except np.linalg.LinAlgError:
-            raise _degeneracy(G, x) from None
-        if np.diagonal(L, axis1=-2, axis2=-1).min() < FRAME_RANK_TOL:
-            raise _degeneracy(G, x)
-        return np.swapaxes(np.linalg.solve(L, Tt), -1, -2)
-    d, e = x.shape[-1], len(exclude)
-    V = np.stack([np.broadcast_to(v, x.shape) for v in exclude], axis=-1)  # (..., d, e)
-    k = max(d - 1 - e, 0)
-    S = np.concatenate([V, orthonormal_tangent_frame(x)[..., :k]], axis=-1)
-    S, V, xs = S.reshape(-1, d, S.shape[-1]), V.reshape(-1, d, e), x.reshape(-1, d)
-    Ms = np.broadcast_to(M, x.shape + (d,)).reshape(-1, d, d)
-    St = np.swapaxes(S, -1, -2)
-    G = St @ Ms @ S
+    T, _ = tangent_seeds(x)
+    Tt = np.swapaxes(T, -1, -2)
+    G = Tt @ metric_matrix @ T
     try:
         L = np.linalg.cholesky(G)
-        ok = np.diagonal(L, axis1=-2, axis2=-1).min(axis=-1) >= FRAME_FALLBACK_PIVOT
     except np.linalg.LinAlgError:
-        ok = (_pivots(G) >= FRAME_FALLBACK_PIVOT ** 2).all(axis=-1)
-        L = np.zeros_like(G)
-        L[ok] = np.linalg.cholesky(G[ok])
-    ok &= np.abs(np.einsum("nde,nd->ne", V, xs)).max(axis=-1) <= FRAME_RANK_TOL  # V in T_x
-    Qt = np.linalg.solve(L[ok], St[ok])
-    # a second pass (CholeskyQR2) takes the g-orthogonality lost to cond(S)^2 back to rounding
-    Q = np.swapaxes(Qt, -1, -2)
-    Qt = np.linalg.solve(np.linalg.cholesky(Qt @ Ms[ok] @ Q), Qt)
-    F = np.empty((len(xs), d, k))
-    F[ok] = np.swapaxes(Qt, -1, -2)[..., e:]
-    for i in np.flatnonzero(~ok):  # near-dependent or non-tangent seeds only
-        F[i] = _exclude_frame_loop(Ms[i], xs[i], V[i].T)
-    return F.reshape(x.shape + (k,))
+        raise _degeneracy(G, x) from None
+    if np.diagonal(L, axis1=-2, axis2=-1).min() < FRAME_RANK_TOL:
+        raise _degeneracy(G, x)
+    return np.swapaxes(np.linalg.solve(L, Tt), -1, -2)
 
 
-def _exclude_frame_loop(M: np.ndarray, x: np.ndarray, exclude: np.ndarray) -> np.ndarray:
-    """``exclude=`` frame at one point by modified Gram-Schmidt of the rows of
-    ``exclude`` followed by all columns of ``orthonormal_tangent_frame``; a
-    seed whose g-norm after projection falls below FRAME_RANK_TOL is dropped."""
-    kept: list[np.ndarray] = []
-    for idx, v in enumerate([*exclude, *orthonormal_tangent_frame(x).T]):
-        w = v.copy()
-        for c in kept:
-            w = w - (c @ M @ w) * c
-        nrm = float(np.sqrt(max(w @ M @ w, 0.0)))
-        if nrm >= FRAME_RANK_TOL:
-            kept.append(w / nrm)
-        elif idx < len(exclude):
-            raise ValueError("excluded vectors are g-degenerate or dependent")
-    if len(kept) != x.shape[0] - 1:
-        raise MetricDegeneracyError("tangent frame construction lost rank")
-    return np.array(kept[len(exclude):]).T.reshape(x.shape[0], -1)
+def g_orthonormal_complement(frame: np.ndarray, metric_matrix: np.ndarray, x: np.ndarray,
+                             exclude: Sequence[np.ndarray]) -> np.ndarray:
+    """Coordinates in the g-orthonormal tangent frame F (d, k) at x of a
+    g-orthonormal basis of the g-orthogonal complement in T_x of the e vectors
+    ``exclude`` (each (d,), or (N, d) with F (N, d, k)): (k, k - e), or (N, k, k - e).
+
+    For F from ``LeviCivita.frame`` (g-Gram-Schmidt of the Euclidean frame E),
+    F^T M E is upper triangular, so g-Gram-Schmidt of [V, E_0, ..., E_{k-e-1}]
+    is, in F's coordinates, Euclidean Gram-Schmidt of [F^T M V, e_0, ...,
+    e_{k-e-1}]: Q[:, e:] of one Householder QR (Golub & Van Loan, *Matrix
+    Computations*, 4th ed., sec. 5.2) signed so that diag R > 0, orthonormal
+    at any pivot.  An excluded vector off T_x (|v.x| > FRAME_RANK_TOL) raises
+    MetricDegeneracyError; one of R's first e pivots below FRAME_RANK_TOL
+    (dependent exclusions) raises ValueError.
+    """
+    x = np.asarray(x, dtype=float)
+    V = np.stack([np.broadcast_to(v, x.shape) for v in exclude], axis=-1)  # (..., d, e)
+    k, e = frame.shape[-1], V.shape[-1]
+    off = np.abs(x[..., None, :] @ V).max()
+    if not off <= FRAME_RANK_TOL:  # also refuses NaN
+        raise MetricDegeneracyError(
+            f"tangent frame construction lost rank: an excluded vector leaves the tangent "
+            f"space, |v.x| = {off:.3e}")
+    Vf = np.swapaxes(frame, -1, -2) @ metric_matrix @ V
+    seeds = np.broadcast_to(np.eye(k)[:, :max(k - e, 0)], Vf.shape[:-1] + (max(k - e, 0),))
+    Q, R = np.linalg.qr(np.concatenate([Vf, seeds], axis=-1))
+    pivots = np.diagonal(R, axis1=-2, axis2=-1)
+    if e > k or not np.abs(pivots[..., :e]).min() >= FRAME_RANK_TOL:
+        raise ValueError("excluded vectors are g-degenerate or dependent")
+    return (Q * np.where(pivots < 0.0, -1.0, 1.0)[..., None, :])[..., e:]
 
 
-def _pivots(G: np.ndarray) -> np.ndarray:
-    """Squared Cholesky pivots (N, k) of a stack G (N, k, k), by Schur
-    complements; a non-positive pivot gives non-finite or negative entries
-    from there on instead of an exception."""
+def _degeneracy(G: np.ndarray, x: np.ndarray) -> MetricDegeneracyError:
+    """Name the first point of x (..., d) and the first Cholesky pivot of its
+    tangent Gram matrix G (..., k, k) that falls below FRAME_RANK_TOL^2, the
+    squared pivots taken by Schur complements: a non-positive pivot gives
+    non-finite or negative entries from there on instead of an exception."""
+    G, x = G.reshape((-1,) + G.shape[-2:]), x.reshape(-1, x.shape[-1])
     piv = np.empty(G.shape[:-1])
     with np.errstate(all="ignore"):
         for k in range(G.shape[-1]):  # piv[:, k] = L[:, k, k]^2
             piv[:, k] = G[:, k, k]
             G = G - G[:, :, k, None] * G[:, None, k, :] / piv[:, k, None, None]
-    return piv
-
-
-def _degeneracy(G: np.ndarray, x: np.ndarray) -> MetricDegeneracyError:
-    """Name the first point of x (..., d) and the first Cholesky pivot of its
-    tangent Gram matrix G (..., k, k) that falls below FRAME_RANK_TOL^2."""
-    G, x = G.reshape((-1,) + G.shape[-2:]), x.reshape(-1, x.shape[-1])
-    piv = _pivots(G)
     bad = ~(piv >= FRAME_RANK_TOL ** 2)
     i, k = np.argwhere(bad)[0] if bad.any() else np.unravel_index(np.argmin(piv), piv.shape)
     return MetricDegeneracyError(
@@ -389,6 +359,14 @@ class LeviCivita:
         linear field, and read no fd_step; every other pair takes finite
         differences."""
         return self.metric.exact_round and fld.kind == "linear"
+
+    def frame(self, x: np.ndarray, metric_matrix: np.ndarray) -> np.ndarray:
+        """g-orthonormal tangent frame at x (d,) or at each row of x (N, d),
+        ``metric_matrix`` the metric there: on the round metric the closed
+        form ``orthonormal_tangent_frame``, else ``g_orthonormal_frame``."""
+        if self.metric.exact_round:
+            return orthonormal_tangent_frame(x)
+        return g_orthonormal_frame(metric_matrix, x)
 
     # -- the extended metric ---------------------------------------------------
     # Each takes one ambient point y (d,) or a stack (..., d) near the sphere.
@@ -524,8 +502,8 @@ class LeviCivita:
         frame; identically zero iff the field is Killing at this point.
 
         ``fld`` is a field or a stack (G, d, d) of linear generators, put in
-        front.  ``frame``, ``g_orthonormal_frame(M, x)``, is built here when
-        not given.  A linear field on a metric other than the round one takes
+        front.  ``frame``, ``LeviCivita.frame``, is built here when not
+        given.  A linear field on a metric other than the round one takes
         the exact-flow quotient ``flow_lie_frame``; every other pair takes
         N^T M + M N, N = P A P on the round metric, else from ``nabla_endo``."""
         x = np.asarray(x, dtype=float)
@@ -533,12 +511,14 @@ class LeviCivita:
         if A is not None and not self.metric.exact_round:
             return self.flow_lie_frame(A, x, frame=frame)
         M = self.metric.matrix_at(x)
-        F = g_orthonormal_frame(M, x) if frame is None else frame
-        if A is None:
-            N = self.nabla_endo(fld, x)
-        else:  # the closed form, each generator against every point
-            P = np.eye(x.shape[-1]) - x[..., :, None] * x[..., None, :]
-            N = P @ A.reshape(A.shape[:-2] + (1,) * (x.ndim - 1) + A.shape[-2:]) @ P
+        F = self.frame(x, M) if frame is None else frame
+        if A is not None:  # the closed form: M = Id and N = P A P, so the Lie derivative
+            # is B + B^T with B = (P F)^T A (P F), each generator against every point
+            PF = F - x[..., :, None] * (x[..., None, :] @ F)
+            B = np.swapaxes(PF, -1, -2) @ (
+                A.reshape(A.shape[:-2] + (1,) * (x.ndim - 1) + A.shape[-2:]) @ PF)
+            return B + np.swapaxes(B, -1, -2)
+        N = self.nabla_endo(fld, x)
         return np.swapaxes(F, -1, -2) @ (np.swapaxes(N, -1, -2) @ M + M @ N) @ F
 
     def flow_lie_frame(self, A: np.ndarray, x: np.ndarray, t: float = FLOW_TIME,
@@ -558,7 +538,7 @@ class LeviCivita:
         """
         x = np.asarray(x, dtype=float)
         if frame is None:
-            frame = g_orthonormal_frame(self.metric.matrix_at(x), x)
+            frame = self.frame(x, self.metric.matrix_at(x))
         E = skew_exp(t * A)
         Es = np.stack([E, np.swapaxes(E, -1, -2)])
         Es = Es.reshape(Es.shape[:-2] + (1,) * (x.ndim - 1) + Es.shape[-2:])
@@ -570,14 +550,14 @@ class LeviCivita:
                      frame: np.ndarray | None = None) -> StructureTensors:
         """Bundle: field value, metric, frame, first covariant derivative,
         two-form of the dual one-form, and the half-two-form endomorphism in
-        frame and ambient forms.  ``frame``, ``g_orthonormal_frame(M, x)``,
-        is built here when not given; it comes first, so a degenerate
+        frame and ambient forms.  ``frame``, ``LeviCivita.frame``, is built
+        here when not given; it comes first, so a degenerate
         metric raises MetricDegeneracyError before any differencing.  ``x``,
         one point (d,) or a sample (N, d), is refused unless non-empty and on
         the unit sphere."""
         x = unit_sample("structure_at", x, (1, 2))
         M = self.metric.matrix_at(x)
-        F = g_orthonormal_frame(M, x) if frame is None else frame
+        F = self.frame(x, M) if frame is None else frame
         Ft = np.swapaxes(F, -1, -2)
         xi = fld.value(x)
         N = self.nabla_endo(fld, x)

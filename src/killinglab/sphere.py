@@ -5,8 +5,8 @@ in R^(2n+2), a sample of N points one (N, d) array, and the finite
 differences of ``metrics`` step along the ambient axes.  Stereographic charts
 (projection from a pole, with closed-form inverse and Jacobian) are public API
 and serve as an independent discretisation to test against; samples keep
-clear of the default atlas's poles.  Tangent frames are Gram-Schmidt in
-Cholesky form and take one point (d,) or a stack of points (N, d).
+clear of the default atlas's poles.  The Euclidean tangent frame is
+Gram-Schmidt in closed form and takes one point (d,) or a stack of points (N, d).
 """
 
 from __future__ import annotations
@@ -76,26 +76,33 @@ def unit_sample(owner: str, points, ndims: tuple[int, ...]) -> np.ndarray:
     return X
 
 
-def tangent_seeds(x: np.ndarray) -> np.ndarray:
+def tangent_seeds(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Seeds of the tangent space at x (d,) or at each row of x (N, d): with
     the axis most parallel to x (argmax |x_i|) dropped, the other axes
-    projected to x^perp, e_i - x_i x, in index order, as (..., d, d-1) columns."""
+    projected to x^perp, e_i - x_i x, in index order, as (..., d, d-1) columns;
+    and the kept coordinates x_i, (..., d-1)."""
     d = x.shape[-1]
     col = np.arange(d - 1)
     idx = col + (col >= np.argmax(np.abs(x), axis=-1)[..., None])  # kept axes
-    x_idx = np.take_along_axis(x, idx, axis=-1)
-    return np.swapaxes(np.eye(d)[idx], -1, -2) - x[..., :, None] * x_idx[..., None, :]
+    v = np.take_along_axis(x, idx, axis=-1)
+    return np.swapaxes(np.eye(d)[idx], -1, -2) - x[..., :, None] * v[..., None, :], v
 
 
 def orthonormal_tangent_frame(x: np.ndarray) -> np.ndarray:
     """Euclidean orthonormal basis of x^perp, columns of a (d, d-1) array.
 
-    Gram-Schmidt of the ``tangent_seeds`` T in Cholesky form: T^T T = L L^T
-    and the frame is T L^-T.  A stack (N, d) of points gives (N, d, d-1).
+    Gram-Schmidt of the ``tangent_seeds`` t_j in closed form: their Gram
+    matrix is Id - v v^T, v the kept coordinates of x, so with c_j = 1 -
+    sum_{i<=j} v_i^2 >= x_m^2 >= 1/d (x_m the dropped coordinate) column j is
+    (t_j + v_j / c_{j-1} sum_{i<j} v_i t_i) sqrt(c_{j-1} / c_j).  A stack
+    (N, d) of points gives (N, d, d-1).
     """
-    T = tangent_seeds(x)
-    Tt = np.swapaxes(T, -1, -2)
-    return np.swapaxes(np.linalg.solve(np.linalg.cholesky(Tt @ T), Tt), -1, -2)
+    T, v = tangent_seeds(x)
+    c = 1.0 - np.cumsum(v * v, axis=-1)
+    c_prev = c + v * v
+    S = np.zeros_like(T)  # S[..., j] = sum_{i<j} v_i t_i
+    np.cumsum(T[..., :-1] * v[..., None, :-1], axis=-1, out=S[..., 1:])
+    return (T + (v / c_prev)[..., None, :] * S) * np.sqrt(c_prev / c)[..., None, :]
 
 
 @dataclass(frozen=True, eq=False)

@@ -51,7 +51,7 @@ from .metrics import (
     VectorField,
     _christoffel,
     central_diff,
-    g_orthonormal_frame,
+    g_orthonormal_complement,
     linear_field,
     richardson_guard,
     sample_chunks,
@@ -178,15 +178,21 @@ def check_dxi_spectrum(st: StructureTensors, reference: Sequence[float],
 
     The round unit structure gives -4 transversally and 0 along the field;
     localized metric boundary deformations shift the transverse part, which
-    is what the expected-fail variant of this check pins down.
+    is what the expected-fail variant of this check pins down.  e is skew,
+    so its square S is symmetric: the eigenvalues are those of the symmetric
+    eigenproblem of (S + S^T) / 2, and max |S - S^T| joins each point's
+    residual, so a two-form that is not skew cannot pass.
     """
     ref = np.sort(np.asarray(reference, dtype=float))
     e_frame = np.swapaxes(np.swapaxes(st.frame, -1, -2) @ st.dxi @ st.frame, -1, -2)
-    vals = np.sort(np.linalg.eigvals(e_frame @ e_frame).real, axis=-1)
+    S = e_frame @ e_frame
+    asym = S - np.swapaxes(S, -1, -2)
+    vals = np.linalg.eigvalsh(S - 0.5 * asym)  # ascending
     if vals.shape[-1:] != ref.shape:
         raise ValueError(f"reference spectrum has {ref.shape[0]} entries; "
                          f"the tangent space gives {vals.shape[-1]}")
-    return CheckResult.from_residuals("two_form_square_spectrum", _worst(vals - ref), tol)
+    return CheckResult.from_residuals("two_form_square_spectrum",
+                                      _worst(vals - ref) + _max_entry(asym), tol)
 
 
 def covariant_canary(lc: LeviCivita, fld: VectorField, x: np.ndarray) -> float:
@@ -209,7 +215,7 @@ def covariant_canary(lc: LeviCivita, fld: VectorField, x: np.ndarray) -> float:
     x = np.asarray(x, dtype=float)
     d, h = x.shape[-1], lc.fd_step
     h2 = h * SECOND_DERIV_STEP_SCALE
-    F = g_orthonormal_frame(lc.metric.matrix_at(x), x)
+    F = lc.frame(x, lc.metric.matrix_at(x))
     # [M~ | X] at x + s u for s = 1, -1, 1/2, -1/2 and u = h e_l, then h_2 f_i, and at x
     s = np.array([1.0, -1.0, 0.5, -0.5])[:, None, None]
     u = np.concatenate([h * np.eye(d), h2 * F.T])
@@ -497,7 +503,7 @@ def horizontal_split(triple: Triple) -> SplittingResult:
     On a dim-3 total space the horizontal space is empty and so is the split.
     """
     M, psis = triple.M, triple.psis
-    FD = g_orthonormal_frame(M, triple.x, exclude=[st.xi for st in triple.sts])
+    FD = triple.F @ g_orthonormal_complement(triple.F, M, triple.x, [st.xi for st in triple.sts])
     FDt_M = np.swapaxes(FD, -1, -2) @ M
     P_amb = psis[0] @ psis[1] @ psis[2]
     P_frame = FDt_M @ P_amb @ FD
@@ -598,24 +604,27 @@ def nijenhuis_residual(st: StructureTensors, T: np.ndarray):
     commutes with the g-adjoint, so in the g-orthonormal frame f_i of
     ``st.frame``, nabla_{f_i} phi is the skew part of the matrix
     g(f_a, T(f_i, f_j)) with T = nabla^2 xi.  X and Y run over the horizontal
-    frame ``g_orthonormal_frame(M, x, exclude=[xi])``; the residual is the
+    frame, ``g_orthonormal_complement`` of xi in ``st.frame``'s coordinates,
+    and every contraction is a batched matrix product; the residual is the
     largest g-norm over frame pairs of the horizontal part of [phi, phi] / 4.
     """
     x = st.x
     FtM = np.swapaxes(st.frame, -1, -2) @ st.metric_matrix      # ambient -> frame coordinates
-    A = np.einsum("...ad,...dij->...iaj", FtM, T)
+    A = (FtM @ T.reshape(T.shape[:-2] + (-1,))).reshape(T.shape[:-3] + T.shape[-1:] * 3)
+    A = np.swapaxes(A, -3, -2)  # [..., i, a, j]: g(f_a, T(f_i, f_j))
     dphi = 0.5 * (A - np.swapaxes(A, -1, -2))                    # dphi[..., i, :, :]: nabla_{f_i} phi
-    phi, H = st.phi_frame, FtM @ g_orthonormal_frame(st.metric_matrix, x, exclude=[st.xi])
-    dphi_H = dphi @ H[..., None, :, :]                           # [..., i, a, q]: (nabla_{f_i} phi) H_q
-    # [..., p, q, :]: (nabla_{phi H_p} phi) H_q and (nabla_{H_p} phi) H_q
-    along_phi = np.einsum("...ip,...iaq->...pqa", phi @ H, dphi_H)
-    along = np.einsum("...ip,...iaq->...pqa", H, dphi_H)
-    N = (along_phi - np.swapaxes(along_phi, -2, -3)
-         - (along - np.swapaxes(along, -2, -3)) @ np.swapaxes(phi, -1, -2)[..., None, :, :])
+    phi, H = st.phi_frame, g_orthonormal_complement(st.frame, st.metric_matrix, x, [st.xi])
+    h = H.shape[-1]
+    dphi_H = (dphi @ H[..., None, :, :]).reshape(A.shape[:-2] + (-1,))  # [..., i, (a, q)]
+    # [..., p, a, q]: (nabla_{phi H_p} phi) H_q and (nabla_{H_p} phi) H_q
+    along_phi, along = ((np.swapaxes(U, -1, -2) @ dphi_H).reshape(A.shape[:-3] + (h, -1, h))
+                        for U in (phi @ H, H))
+    N = (along_phi - np.swapaxes(along_phi, -3, -1)
+         - phi[..., None, :, :] @ (along - np.swapaxes(along, -3, -1)))
     xi_f = matvec(FtM, st.xi)
-    N_xi = np.einsum("...pqa,...a->...pq", N, xi_f) / rowdot(xi_f, xi_f)[..., None, None]
-    norms = 0.25 * np.linalg.norm(N - N_xi[..., None] * xi_f[..., None, None, :], axis=-1)
-    i, j = np.triu_indices(H.shape[-1], k=1)
+    N_xi = (xi_f[..., None, None, :] @ N) / rowdot(xi_f, xi_f)[..., None, None, None]
+    norms = 0.25 * np.linalg.norm(N - xi_f[..., None, :, None] * N_xi, axis=-2)
+    i, j = np.triu_indices(h, k=1)
     res = norms[..., i, j].max(axis=-1, initial=0.0)
     return float(res) if x.ndim == 1 else res
 

@@ -330,7 +330,7 @@ def g_orthonormal_frame_mgs(M, x):
 
 
 def g_orthonormal_frame_exclude_mgs(M, x, exclude):
-    """Reference ``exclude=`` frame at one point: modified Gram-Schmidt in the
+    """Reference complement of excluded vectors at one point: modified Gram-Schmidt in the
     inner product u^T M v of the excluded vectors followed by the reference
     Euclidean frame's columns; a seed whose g-norm after projection falls
     below 1e-8 is dropped (an excluded one raises ValueError), and the

@@ -1,6 +1,6 @@
 """Whole-sample Nijenhuis torsion, finite-difference second derivative,
-contact-form comparison, horizontal split and ``exclude=`` frame against the
-one-point references in tests/oracles.py."""
+contact-form comparison, horizontal split and the complement of excluded
+vectors against the one-point references in tests/oracles.py."""
 
 from __future__ import annotations
 
@@ -20,6 +20,7 @@ from killinglab.metrics import (
     DEFAULT_FD_STEP,
     LeviCivita,
     MetricDegeneracyError,
+    g_orthonormal_complement,
     g_orthonormal_frame,
     linear_field,
 )
@@ -329,7 +330,7 @@ def test_shared_frame_and_triple_give_identical_results(m):
     qs = build_quaternionic(m)
     lc = LeviCivita(qs.metric)
     X = sample_sphere(2 * m + 1, 30, seed=67).coords
-    F = g_orthonormal_frame(qs.metric.matrix_at(X), X)
+    F = lc.frame(X, qs.metric.matrix_at(X))
     for f in qs.fields:
         assert _same_arrays(lc.structure_at(f, X, frame=F), lc.structure_at(f, X))
     triple = triple_psi(lc, qs.fields, X, frame=F)
@@ -342,7 +343,7 @@ def test_shared_frame_and_triple_give_identical_results(m):
 def test_quaternionic_battery_builds_one_frame_and_one_structure_per_field(monkeypatch):
     from killinglab import cli, verify
 
-    counts = {"g_orthonormal_frame": 0, "structure_at": 0}
+    counts = {"frame": 0, "g_orthonormal_frame": 0, "structure_at": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -351,16 +352,18 @@ def test_quaternionic_battery_builds_one_frame_and_one_structure_per_field(monke
         return wrapper
 
     frame = counted("g_orthonormal_frame", metrics.g_orthonormal_frame)
-    for module in (metrics, verify):  # cli builds no frame of its own
-        monkeypatch.setattr(module, "g_orthonormal_frame", frame)
+    monkeypatch.setattr(metrics, "g_orthonormal_frame", frame)  # cli and verify build none
+    monkeypatch.setattr(LeviCivita, "frame", counted("frame", LeviCivita.frame))
     monkeypatch.setattr(LeviCivita, "structure_at",
                         counted("structure_at", LeviCivita.structure_at))
     rep = cli._BATTERIES["quaternionic"](cli.RunConfig(example="quaternionic", m=1,
                                                        samples=20))
     assert rep.all_as_expected
-    # battery frame, horizontal exclude= frame (the closed-form battery runs no step
-    # canary, which would build one more); xi_1..3 and the completed xi_3
-    assert counts["g_orthonormal_frame"] <= 3 and counts["structure_at"] <= 4
+    # the battery frame, in closed form (the horizontal split reads it, and the
+    # closed-form battery runs no step canary, which would build one more);
+    # xi_1..3 and the completed xi_3
+    assert counts["frame"] == 1 and counts["g_orthonormal_frame"] == 0
+    assert counts["structure_at"] <= 4
 
 
 # -- chunking and defaults ---------------------------------------------------------
@@ -427,7 +430,7 @@ def test_deformed_metric_matches_its_defining_formula():
         assert np.array_equal(ds.metric.matrix_at(x), ref)
 
 
-# -- the exclude= frame --------------------------------------------------------------
+# -- the complement of excluded vectors --------------------------------------------------------------
 
 def _tangent_exclusions(X: np.ndarray, e: int, seed: int) -> list[np.ndarray]:
     """e random tangent vectors (N, d) at each point of X."""
@@ -446,46 +449,50 @@ def _spd(n: int, d: int, seed: int) -> np.ndarray:
 
 @pytest.mark.parametrize("d", [4, 8, 12])
 @pytest.mark.parametrize("e", [1, 3])
-def test_cholesky_exclude_frame_matches_gram_schmidt(d, e, monkeypatch):
+def test_complement_matches_gram_schmidt(d, e):
     X = np.random.default_rng(d + e).standard_normal((7, d))
     X /= np.linalg.norm(X, axis=1)[:, None]
     M = _spd(7, d, seed=50 + d)
     V = _tangent_exclusions(X, e, seed=60 + d)
     if e < d - 1:
         # row 0: the first Euclidean frame column lies within 1e-10 of the span
-        # of the exclusions, so the loop drops it and takes the next one
+        # of the exclusions; the reference drops it and takes the next one, so
+        # only the spans agree there
         V[0][0] = orthonormal_tangent_frame(X[0])[:, 0] + 1e-10 * V[0][0]
-    fallback = []
-    loop = metrics._exclude_frame_loop
-    monkeypatch.setattr(metrics, "_exclude_frame_loop",
-                        lambda M_, x_, v_: fallback.append(x_) or loop(M_, x_, v_))
-    F = g_orthonormal_frame(M, X, exclude=V)
-    assert len(fallback) == (e < d - 1) and all(np.array_equal(x, X[0]) for x in fallback)
-    assert F.shape == (7, d, d - 1 - e)
+    F = g_orthonormal_frame(M, X)
+    C = g_orthonormal_complement(F, M, X, V)
+    assert C.shape == (7, d - 1, d - 1 - e)
     for i in range(7):
         ref = g_orthonormal_frame_exclude_mgs(M[i], X[i], [v[i] for v in V])
-        assert np.abs(F[i] - ref).max(initial=0.0) <= 1e-13
-        one = g_orthonormal_frame(M[i], X[i], exclude=[v[i] for v in V])
-        assert np.abs(one - ref).max(initial=0.0) <= 1e-13
+        one = F[i] @ g_orthonormal_complement(F[i], M[i], X[i], [v[i] for v in V])
+        assert np.abs(one - F[i] @ C[i]).max(initial=0.0) <= 1e-13
+        if i == 0 and e < d - 1:
+            assert np.abs(C[i].T @ C[i] - np.eye(d - 1 - e)).max() <= 1e-13
+            assert np.abs(one @ one.T @ M[i] - ref @ ref.T @ M[i]).max() <= 1e-13
+        else:
+            assert np.abs(one - ref).max(initial=0.0) <= 1e-13
 
 
 def test_dependent_or_normal_exclusions_and_whole_tangent_space():
     X = np.random.default_rng(3).standard_normal((4, 6))
     X /= np.linalg.norm(X, axis=1)[:, None]
+    F, M = orthonormal_tangent_frame(X), np.eye(6)
     v = _tangent_exclusions(X, 1, seed=4)[0]
     with pytest.raises(ValueError, match="dependent"):
-        g_orthonormal_frame(np.eye(6), X, exclude=[v, 2.0 * v])
+        g_orthonormal_complement(F, M, X, [v, 2.0 * v])
     with pytest.raises(ValueError, match="dependent"):
-        g_orthonormal_frame(np.eye(6), X[1], exclude=[v[1], -v[1]])
+        g_orthonormal_complement(F[1], M, X[1], [v[1], -v[1]])
     # an exclusion with a normal component leaves no g-orthogonal tangent frame
     w = v.copy()
     w[2] += 1e-6 * X[2]
     with pytest.raises(MetricDegeneracyError, match="lost rank"):
-        g_orthonormal_frame(np.eye(6), X, exclude=[w])
+        g_orthonormal_complement(F, M, X, [w])
     # the whole tangent space excluded: an empty frame at each point
     e1 = np.eye(4)[0]
     tangent = list(np.eye(4)[1:])
-    assert g_orthonormal_frame(np.eye(4), e1, exclude=tangent).shape == (4, 0)
+    F1 = orthonormal_tangent_frame(e1)
+    assert g_orthonormal_complement(F1, np.eye(4), e1, tangent).shape == (3, 0)
     stack = np.stack([e1, -e1])
-    F = g_orthonormal_frame(np.eye(4), stack, exclude=[np.stack([t, t]) for t in tangent])
-    assert F.shape == (2, 4, 0)
+    C = g_orthonormal_complement(orthonormal_tangent_frame(stack), np.eye(4), stack,
+                                 [np.stack([t, t]) for t in tangent])
+    assert C.shape == (2, 3, 0)

@@ -349,6 +349,21 @@ def test_exact_batteries_read_no_fd_step(capsys, flags):
     assert docs[1] == docs[0] and docs[2] == docs[0]
 
 
+@pytest.mark.parametrize("flags", [["--example", "round", "--n", "2"],
+                                   ["--example", "quaternionic", "--m", "1"]],
+                         ids=lambda f: f[1])
+def test_exact_batteries_take_no_cholesky_or_solve(monkeypatch, capsys, flags):
+    """The round metric's frames are closed forms and the horizontal frames one
+    Householder QR, so an exact battery makes no per-point Cholesky or LU."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("an exact battery called a Cholesky or LU solve")
+
+    monkeypatch.setattr(np.linalg, "cholesky", refuse)
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    assert main(["verify", *flags, "--samples", "7", "--no-timestamp"]) == 0
+    capsys.readouterr()
+
+
 def test_decompose_on_an_fd_metric_guards_its_step(capsys):
     """gF's eigenfield identities read a finite-difference structure: a step
     lost to cancellation is a numerical failure naming the step."""

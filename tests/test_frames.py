@@ -1,4 +1,5 @@
-"""Tangent frames in Cholesky form and structure tensors over a whole sample,
+"""Tangent frames (closed form on the round metric, Cholesky form on any other),
+the complement of excluded vectors and structure tensors over a whole sample,
 against the one-point reference loops in tests/oracles.py."""
 
 from __future__ import annotations
@@ -17,12 +18,14 @@ from killinglab.metrics import (
     LeviCivita,
     MetricDegeneracyError,
     MetricField,
+    g_orthonormal_complement,
     g_orthonormal_frame,
     general_field,
 )
 from killinglab.sphere import SpherePoint, orthonormal_tangent_frame, sample_sphere
 
 from oracles import (
+    g_orthonormal_frame_exclude_mgs,
     g_orthonormal_frame_mgs,
     orthonormal_tangent_frame_mgs,
     second_nabla_round_loop,
@@ -64,6 +67,63 @@ def test_chart_pole_frames_are_exact():
         e1 = np.zeros(6)
         e1[0] = sign
         assert np.array_equal(orthonormal_tangent_frame(e1), orthonormal_tangent_frame_mgs(e1))
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_round_structure_frame_is_gram_schmidt(n):
+    """The round metric's structure frame, the closed-form Euclidean frame,
+    is g-Gram-Schmidt with g = Id at every pivot, for a stack and one point."""
+    rs = build_round(n)
+    lc = LeviCivita(rs.metric)
+    d = 2 * n + 2
+    X = _pivot_points(d, seed=20 + d)
+    ref = np.stack([g_orthonormal_frame_mgs(np.eye(d), x) for x in X])
+    assert np.abs(lc.structure_at(rs.field, X).frame - ref).max() <= 1e-13
+    for i in range(len(X)):
+        assert np.abs(lc.structure_at(rs.field, X[i]).frame - ref[i]).max() <= 1e-13
+
+
+def _up_to_column_signs(A: np.ndarray, B: np.ndarray) -> float:
+    """max |A - B| with each column of A's sign chosen to fit B best."""
+    return float(np.minimum(np.abs(A - B).max(axis=0), np.abs(A + B).max(axis=0)).max(initial=0.0))
+
+
+@pytest.mark.parametrize("label", ["round", "gF", "irregular", "quaternionic-1",
+                                   "quaternionic-2"])
+def test_complement_matches_gram_schmidt_with_exclusions(label):
+    """The ξ-horizontal frame (one excluded field) and the triple's horizontal
+    frame (three) in the structure frame's coordinates, against modified
+    Gram-Schmidt of the excluded vectors and the Euclidean frame: at every
+    pivot, and at constructed exclusions whose frame coordinates on the last
+    e seed axes have a singular value 1e-9 or 0, where the last seed is
+    (nearly) dependent and the reference drops it for the next one."""
+    if label.startswith("quaternionic"):
+        qs = build_quaternionic(int(label[-1]))
+        metric, fields = qs.metric, list(qs.fields)
+    else:
+        metric, fields, _ = _structure(label)
+    lc, d, e = LeviCivita(metric), metric.dim, len(fields)
+    k = d - 1
+    X = _pivot_points(d, seed=30 + d)
+    M = metric.matrix_at(X)
+    F = lc.frame(X, M)
+    V = [f.value(X) for f in fields]
+    C = g_orthonormal_complement(F, M, X, V)
+    assert C.shape == (len(X), k, k - e)
+    for i in range(len(X)):
+        ref = g_orthonormal_frame_exclude_mgs(M[i], X[i], [v[i] for v in V])
+        assert np.abs(F[i] @ C[i] - ref).max() <= 1e-13
+        one = g_orthonormal_complement(F[i], M[i], X[i], [v[i] for v in V])
+        assert np.abs(F[i] @ one - ref).max() <= 1e-13
+    rng = np.random.default_rng(d + e)
+    for s in (1e-9, 0.0):
+        c = rng.standard_normal((k, e))
+        U, _, Wt = np.linalg.svd(rng.standard_normal((e, e)))
+        c[k - e:] = U @ np.diag([1.0] * (e - 1) + [s]) @ Wt
+        Vc = list((F[0] @ c).T)
+        ref = g_orthonormal_frame_exclude_mgs(M[0], X[0], Vc)
+        assert _up_to_column_signs(F[0] @ g_orthonormal_complement(F[0], M[0], X[0], Vc),
+                                   ref) <= 1e-13
 
 
 def _structure(label: str):

@@ -19,6 +19,7 @@ from killinglab.metrics import (
     MAX_FD_STEP,
     MetricField,
     central_diff,
+    g_orthonormal_complement,
     g_orthonormal_frame,
     general_field,
     richardson_guard,
@@ -178,11 +179,11 @@ def test_g_orthonormal_frame_properties():
     assert np.abs(x @ F).max() < 1e-10  # columns span the tangent space
 
 
-def test_g_orthonormal_frame_empty_exclusion():
+def test_g_orthonormal_complement_of_the_whole_tangent_space_is_empty():
     x = np.array([1.0, 0.0, 0.0, 0.0])
     exclude = list(np.eye(4)[:, 1:].T)  # the whole tangent space at x
-    F = g_orthonormal_frame(np.eye(4), x, exclude=exclude)
-    assert F.shape == (4, 0)
+    C = g_orthonormal_complement(g_orthonormal_frame(np.eye(4), x), np.eye(4), x, exclude)
+    assert C.shape == (3, 0)
 
 
 def test_linear_field_requires_skew():

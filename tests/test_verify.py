@@ -122,6 +122,17 @@ def test_dxi_spectrum_round(round2, lc_round2, pts2):
     assert r.passed
 
 
+def test_dxi_spectrum_fails_a_two_form_with_a_symmetric_part(round2, lc_round2, pts2):
+    """A symmetric part of 1e-3 in d(eta) moves the spectrum of the square at
+    second order only; its asymmetry, first order, joins the residual."""
+    st = lc_round2.structure_at(round2.field, pts2[:10])
+    S = np.random.default_rng(8).standard_normal(st.dxi.shape)
+    sym = 0.5e-3 * (S + np.swapaxes(S, -1, -2))
+    r = check_dxi_spectrum(replace(st, dxi=st.dxi + sym), reference=[-4.0] * 4 + [0.0],
+                           tol=1e-8)
+    assert not r.passed and r.max_residual > 1e-4
+
+
 def test_dxi_spectrum_shape_mismatch(round2, lc_round2, pts2):
     with pytest.raises(ValueError):
         check_dxi_spectrum(lc_round2.structure_at(round2.field, pts2[:2]),
