@@ -2,8 +2,9 @@
 """Run every built-in verification battery and print a one-line verdict each.
 
 Each battery is executed through the CLI in a fresh interpreter (the same
-path a user would take), the JSON report is parsed, and a compact summary
-table is printed.  Exits nonzero if any battery reports a check that did
+path a user would take) on the ``src`` directory of this checkout, the JSON
+report is parsed, and a compact summary table is printed; a child whose
+output is not a report stops the run with its stderr.  Exits nonzero if any battery reports a check that did
 not behave as expected.  The two ``classify-flow --probe`` rows run the
 numeric orbit probe, so ``compare_reports.py`` sees its checks too.
 
@@ -18,9 +19,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import pathlib
 import subprocess
 import sys
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 BATTERIES: list[tuple[str, list[str]]] = [
     ("round-s5", ["verify", "--example", "round", "--n", "2"]),
@@ -41,11 +45,16 @@ def run_battery(args: list[str], samples: int, seed: int) -> dict:
     cmd = [sys.executable, "-m", "killinglab", *args,
            "--samples", str(samples), "--seed", str(seed),
            "--format", "json", "--no-timestamp"]
-    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=600)
-    if proc.returncode not in (0, 1):
-        raise RuntimeError(
-            f"{' '.join(args)} exited {proc.returncode}: {proc.stderr.strip()}")
-    return json.loads(proc.stdout)
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=600,
+                          env={**os.environ, "PYTHONPATH": path})
+    try:
+        if proc.returncode in (0, 1):
+            return json.loads(proc.stdout)
+    except json.JSONDecodeError:
+        pass
+    raise RuntimeError(f"{' '.join(args)} exited {proc.returncode} without a report: "
+                       f"{proc.stderr.strip() or 'nothing on stderr'}")
 
 
 def main(argv: list[str] | None = None) -> int:

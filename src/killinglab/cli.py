@@ -21,7 +21,8 @@ import functools
 import os
 import sys
 from dataclasses import dataclass, field, fields, replace
-from typing import Callable, NamedTuple
+from types import SimpleNamespace
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -54,8 +55,8 @@ from .constructions import (
 )
 from .flows import (PROBE_MAX_POINTS, FlowClassification, OrbitProbe, RotationProfile,
                     classify, numeric_orbit_probe, parse_rate, probe_step)
-from .metrics import (LeviCivita, MetricDegeneracyError, NumericalQualityError,
-                      StructureTensors, sample_bytes, sample_chunks)
+from .metrics import (LeviCivita, MetricDegeneracyError, NumericalQualityError, VectorField,
+                      sample_bytes, sample_chunks)
 from .report import CheckResult, VerificationReport
 from .sphere import matvec, rowdot, sample_sphere
 
@@ -93,7 +94,7 @@ _STRUCTURES = {
 
 
 # ---------------------------------------------------------------------------
-# verification batteries
+# verification batteries: a table of rows each, run by one driver
 # ---------------------------------------------------------------------------
 
 def _step_canary(lc: LeviCivita, fld, x: np.ndarray, rep: VerificationReport) -> None:
@@ -104,269 +105,385 @@ def _step_canary(lc: LeviCivita, fld, x: np.ndarray, rep: VerificationReport) ->
             verify.covariant_canary(lc, fld, x)
 
 
-def _open(cfg: RunConfig, metric, fld, n: int,
-          title: str) -> tuple[LeviCivita, np.ndarray, VerificationReport]:
-    """Every battery's opening: the connection, the sample on S^(2n+1), the
-    report and the step canary on the first sample point."""
-    lc = LeviCivita(metric, fd_step=cfg.fd_step)
-    X = sample_sphere(n, cfg.samples, cfg.seed).coords
-    rep = VerificationReport(title=title, config=dict(vars(cfg)))
-    _step_canary(lc, fld, X[0], rep)
-    return lc, X, rep
-
-
 def _chunks(X: np.ndarray) -> list[np.ndarray]:
-    """The sample X (N, d) in chunks, each added check of which the report joins
-    by name (``second_nabla_frame`` chunks its stencil on its own)."""
+    """The sample X (N, d) in chunks (``second_nabla_frame`` chunks its stencil on its own)."""
     return [X[rows] for rows in sample_chunks(len(X), sample_bytes(X.shape[1], stencil=False))]
 
 
-def _unit_killing(cfg: RunConfig, title: str, killing_tol: float):
-    """Open a unit-Killing battery on the example's structure s and stream its
-    sample X: on each chunk build the structure tensors st and the second
-    derivative T once, add the tangency, unit-length and Killing checks, and
-    yield (s, lc, X, rep, st, T); st.x is the chunk.  A gF sample none of whose
-    points the deformation reaches is refused before the first chunk."""
-    s = _STRUCTURES[cfg.example](cfg)
-    lc, X, rep = _open(cfg, s.metric, s.field, cfg.n, title)
-    if cfg.example == "gF" and not np.any(s.f_of(X)):
+class _Context(SimpleNamespace):
+    """What a battery's rows read: its structure, ``cfg``, ``lc``, the sample
+    ``X``, the report ``rep``, the chunk ``x`` and what its stages build.  A
+    name of the battery's ``shared`` is built on its first read and kept, in
+    the time of the row that reads it first."""
+
+    def __getattr__(self, name: str):  # only for a name not yet set
+        build = vars(self).get("shared", {}).get(name)
+        if build is None:
+            raise AttributeError(name)
+        setattr(self, name, value := build(self))
+        return value
+
+
+class Row(NamedTuple):
+    """One check of a battery: its name; its residual, a function of the
+    context with the chunk ``c.x``'s points on its last axis, or, run
+    ``once``, of a fixed part of the battery; its tolerance; its fail floor,
+    set only for an expected-fail check; and its detail, or a function of the
+    residuals joined over the chunks and the context that returns the
+    check's residuals and detail, reading each sign, count and flag off the
+    whole sample."""
+
+    name: str
+    residual: Callable[[_Context], Any]
+    tol: float
+    floor: float | None = None
+    detail: str | Callable[[Any, _Context], tuple[Any, str]] = ""
+    once: bool = False
+
+
+class Battery(NamedTuple):
+    """A verify battery, run by calling it on a RunConfig.  ``open`` returns
+    the report's ``title`` and the structure the context holds: its
+    ``metric``, the step canary's ``field``, the sphere index ``n`` and what
+    the rows read.  Each chunk builds the ``stages`` (stage, name, builder)
+    in order, each timed under its stage; ``rows`` are the checks in report
+    order; ``shared`` names the fixed part; ``admit`` refuses, before the
+    first chunk, a sample the battery cannot judge; ``extras`` are the
+    report's."""
+
+    open: Callable[[RunConfig], dict]
+    stages: tuple[tuple[str, str, Callable[[_Context], Any]], ...]
+    rows: tuple[Row, ...]
+    shared: dict[str, Callable[[_Context], Any]] = {}
+    admit: Callable[[_Context], None] = lambda c: None
+    extras: Callable[[_Context], dict] = lambda c: {}
+
+    def context(self, cfg: RunConfig) -> _Context:
+        """The battery opened: its structure, the connection, the sample, the
+        report and the step canary on the first sample point, then ``admit``."""
+        c = _Context(cfg=cfg, shared=self.shared, **self.open(cfg))
+        c.lc = LeviCivita(c.metric, fd_step=cfg.fd_step)
+        c.X = sample_sphere(c.n, cfg.samples, cfg.seed).coords
+        c.rep = VerificationReport(title=c.title, config=dict(vars(cfg)))
+        _step_canary(c.lc, c.field, c.X[0], c.rep)
+        self.admit(c)
+        return c
+
+    def enter(self, c: _Context, x: np.ndarray) -> None:
+        """Move c to the chunk x and build its stages."""
+        c.x = x
+        for stage, name, build in self.stages:
+            with c.rep.stage(stage):
+                setattr(c, name, build(c))
+
+    def __call__(self, cfg: RunConfig) -> VerificationReport:
+        """Evaluate the rows in order on each chunk, each lapped on the report's
+        clock, and add one check a row from its residuals joined over the chunks."""
+        c = self.context(cfg)
+        parts: dict[str, list] = {row.name: [] for row in self.rows}
+        for i, x in enumerate(_chunks(c.X)):
+            self.enter(c, x)
+            for row in self.rows:
+                if not (row.once and i):
+                    parts[row.name].append(row.residual(c))
+                    c.rep.lap(row.name)
+        for row in self.rows:
+            got = parts[row.name]
+            res, detail = _verdict(row, got[0] if row.once else np.concatenate(got, axis=-1), c)
+            c.rep.add(CheckResult.from_residuals(
+                row.name, res, row.tol, "pass" if row.floor is None else "fail", row.floor, detail))
+        c.rep.extras.update(self.extras(c))
+        return c.rep
+
+
+def _verdict(row: Row, joined, c: _Context) -> tuple[Any, str]:
+    """The check's residuals and detail from a row's joined residuals."""
+    return row.detail(joined, c) if callable(row.detail) else (joined, row.detail)
+
+
+def _killing(c: _Context, fld, X: np.ndarray, frame: np.ndarray | None) -> np.ndarray:
+    """A Killing row's residual: of the field, or stack of linear generators,
+    fld at X on frame, stacked on each field's largest entry at each point."""
+    values = fld.value(X) if isinstance(fld, VectorField) else X @ np.swapaxes(fld, -1, -2)
+    return np.stack([verify.check_killing(c.lc, fld, X, frame=frame),
+                     np.abs(values).max(axis=-1)])
+
+
+def _degenerate(joined: np.ndarray, c: _Context) -> tuple[np.ndarray, str]:
+    """A field that vanishes on the whole sample is trivially Killing: its
+    check is flagged degenerate."""
+    res, size = joined
+    return res, ("degenerate: field vanishes on all samples"
+                 if (size.max(axis=-1) <= 1e-12).any() else "")
+
+
+# the unit Killing batteries: round, gF, irregular
+
+def _unit(title: str) -> Callable[[RunConfig], dict]:
+    def open_(cfg: RunConfig) -> dict:
+        s = _STRUCTURES[cfg.example](cfg)
+        return {"title": title.format(cfg=cfg, dim=2 * cfg.n + 1), "s": s, "metric": s.metric,
+                "field": s.field, "n": cfg.n}
+    return open_
+
+
+_UNIT_STAGES = (("structure_at", "st", lambda c: c.lc.structure_at(c.field, c.x)),
+                ("second_nabla_frame", "T",
+                 lambda c: c.lc.second_nabla_frame(c.field, c.x, c.st.frame)))
+_TANGENCY = Row("tangency", lambda c: verify.check_tangency(c.field, c.x), verify.TANGENCY_TOL)
+_UNIT_LENGTH = Row("unit_length", lambda c: verify.check_unit_length(c.lc, c.field, c.x),
+                   verify.UNIT_TOL)
+_KILLING = Row("killing", lambda c: _killing(c, c.field, c.x, c.st.frame), 1e-6,
+               detail=_degenerate)
+_CONTACT = Row("contact_endomorphism", lambda c: verify.check_kcontact(c.st), verify.CONTACT_TOL)
+_WEDGE = Row("wedge_second_derivative", lambda c: verify.check_sasakian(c.st, c.T),
+             verify.FD_TOL)
+_TORSION = Row("cr_torsion", lambda c: verify.check_nijenhuis(c.st, c.T), verify.NIJENHUIS_TOL)
+# squared two-form of a unit Killing field: -4 across the field, 0 along it
+_SPECTRUM = Row("two_form_square_spectrum", lambda c: verify.check_dxi_spectrum(
+    c.st, [-4.0] * (c.x.shape[1] - 2) + [0.0]), 1e-5)
+# Killing checks of an algebra's basis stack on X[:40], all on one g-orthonormal
+# frame, from one exact-flow quotient on a non-round metric
+_INVARIANCE = Row("invariance_algebra_killing", lambda c: _killing(c, c.alg.basis, c.X[:40], None),
+                  1e-5, detail=_degenerate, once=True)
+_ALGEBRA = {"alg": lambda c: c.s.isometry_algebra()}
+
+
+def _eigenfield_identities(c: _Context) -> np.ndarray:
+    nz = [k for k, lam in enumerate(c.dec.rates) if lam > 0.5][0]
+    return np.stack(list(eigenfield_rows(c.field, c.dec.blocks[nz], c.st,
+                                         rate=c.dec.rates[nz]).values()))
+
+
+def _deformed_scaling(c: _Context) -> np.ndarray:
+    """Pinned transverse scaling: phi X = e^{-2F} J0 X and phi J0 X = -e^{2F} X
+    at each point of the chunk; NaN where X = 0, off the transverse plane."""
+    ds, st = c.s, c.st
+    X, F = ds.x_field.value(st.x), ds.f_of(st.x)[:, None]
+    J0X = matvec(ds.j0, X)
+    r1 = np.abs(matvec(st.phi_ambient, X) - np.exp(-2 * F) * J0X).max(axis=1)
+    r2 = np.abs(matvec(st.phi_ambient, J0X) + np.exp(2 * F) * X).max(axis=1)
+    return np.where(rowdot(X, X) >= 1e-12, np.maximum(r1, r2), np.nan)
+
+
+def _transverse_count(joined: np.ndarray, c: _Context) -> tuple[np.ndarray | float, str]:
+    kept = joined[~np.isnan(joined)]
+    return (kept if kept.size else np.inf), f"{kept.size} samples carry the transverse plane"
+
+
+def _gf_support(c: _Context) -> None:
+    if not np.any(c.s.f_of(c.X)):
         raise NumericalQualityError(
-            f"none of gF's {len(X)} samples (seed {cfg.seed}) lands in the deformation's "
+            f"none of gF's {len(c.X)} samples (seed {c.cfg.seed}) lands in the deformation's "
             f"support, where F != 0, so its expected-fail checks have no defect to measure; "
             f"raise --samples or pick another --seed")
-    for x in _chunks(X):
-        with rep.stage("structure_at"):
-            st = lc.structure_at(s.field, x)
-        with rep.stage("second_nabla_frame"):
-            T = lc.second_nabla_frame(s.field, x, st.frame)
-        rep.add(verify.check_tangency(s.field, x))
-        rep.add(verify.check_unit_length(lc, s.field, x))
-        rep.add(verify.check_killing(lc, s.field, x, tol=killing_tol, frame=st.frame))
-        yield s, lc, X, rep, st, T
 
 
-def _spectrum_check(st: StructureTensors, tol: float) -> CheckResult:
-    """Squared two-form of a unit Killing field: -4 across the field, 0 along it."""
-    return verify.check_dxi_spectrum(st, reference=[-4.0] * (st.x.shape[1] - 2) + [0.0],
-                                     tol=tol)
+def _central_pair(c: _Context) -> float:
+    cen = centralizer_check(c.alg, np.stack([c.s.j0, c.s.j1]))
+    return cen["max_commutator"] + (0.0 if all(cen["members"]) else 1.0)
 
 
-def _battery_round(cfg: RunConfig) -> VerificationReport:
-    dec = None
-    for rs, _, _, rep, st, T in _unit_killing(
-            cfg, f"round unit Killing structure on S^{2 * cfg.n + 1}", verify.EXACT_TOL):
-        rep.add(verify.check_sasakian(st, T, tol=verify.EXACT_TOL))
-        rep.add(verify.check_kcontact(st))
-        rep.add(_spectrum_check(st, tol=1e-8))
-        rep.add(verify.check_nijenhuis(st, T))
-        dec = dec or standard_decomposition(rs.isometry_algebra(), rs.j0)
-        nz = [k for k, lam in enumerate(dec.rates) if lam > 0.5][0]
-        rows = eigenfield_rows(rs.field, dec.blocks[nz], st, rate=dec.rates[nz])
-        rep.add(CheckResult.from_residuals(
-            "eigenfield_identities", np.stack(list(rows.values())), 1e-6,
-            detail="orthogonality + bracket + eigenvalue identities over the whole "
-                   "nonzero-rate block"))
-    rep.extras["decomposition"] = dec.summary()
-    return rep
+def _irregular_extras(c: _Context) -> dict:
+    dec = standard_decomposition(c.alg, c.field.matrix)
+    cls = classify(c.s.profile())
+    probe = numeric_orbit_probe(c.field.matrix, c.X[0], t_max=60.0)
+    return {"decomposition": dec.summary(),
+            "flow": {"kind": cls.kind, "closure_torus_dim": cls.closure_torus_dim},
+            "orbit_probe": {"returns": len(probe.return_times),
+                            "min_distance": probe.min_distance}}
 
 
-def _battery_quaternionic(cfg: RunConfig) -> VerificationReport:
-    qs = build_quaternionic(cfg.m)
-    lc, X, rep = _open(cfg, qs.metric, qs.fields[0], 2 * cfg.m + 1,
-                       f"right-multiplication contact triple on S^{4 * cfg.m + 3}")
-    head = None  # the triple on X[:10], from the first chunk when it holds them
-    for i, x in enumerate(_chunks(X)):
-        with rep.stage("triple_psi"):
-            triple = verify.triple_psi(lc, qs.fields, x)
-        if i == 0 and len(x) >= len(X[:10]):
-            head = triple.rows(slice(10))
-        rep.add(verify.check_triple_orthonormality(lc, qs.fields, x, tol=1e-10))
-        if i == 0:  # the fields alone
-            rep.add(verify.check_triple_brackets(qs.fields, tol=1e-12))
-        rep.add(verify.check_killing(lc, qs.generators, x, tol=verify.EXACT_TOL,
-                                     name="triple_killing", frame=triple.F))
-        with rep.stage("second_nabla_frame"):
-            Ts = [lc.second_nabla_frame(f, x, triple.F) for f in qs.fields]
-        rep.add(CheckResult.from_residuals(
-            "triple_wedge_second_derivative",
-            np.stack([verify.sasakian_residual(st, T) for st, T in zip(triple.sts, Ts)]),
-            verify.EXACT_TOL))
-        rep.add(verify.check_triple_products(triple, tol=1e-10, variant="aligned"))
-        rep.add(verify.check_triple_products(triple, tol=1e-10, variant="transposed",
-                                             expected="fail", fail_floor=1e-2,
-                                             name="triple_products_transposed"))
-        rep.add(verify.check_anticommutators(triple, tol=1e-10))
-        rep.add(verify.check_squares(triple, tol=1e-10))
-        rep.add(verify.check_pair_completion(lc, triple, tol=1e-6))
+_ROUND = Battery(
+    _unit("round unit Killing structure on S^{dim}"), _UNIT_STAGES,
+    (_TANGENCY, _UNIT_LENGTH, _KILLING._replace(tol=verify.EXACT_TOL),
+     _WEDGE._replace(tol=verify.EXACT_TOL), _CONTACT, _SPECTRUM._replace(tol=1e-8), _TORSION,
+     Row("eigenfield_identities", _eigenfield_identities, 1e-6, detail="orthogonality + "
+         "bracket + eigenvalue identities over the whole nonzero-rate block")),
+    shared={"dec": lambda c: standard_decomposition(c.s.isometry_algebra(), c.s.j0)},
+    extras=lambda c: {"decomposition": c.dec.summary()})
 
-    sp = verify.horizontal_split(head or verify.triple_psi(lc, qs.fields, X[:10]))
-    worst = float(np.max([sp.split.involution_residual, sp.split.symmetry_residual,
-                          sp.invariance_residual, sp.commutation_residual,
-                          sp.split.dim_plus]))
-    dims = sorted(set(zip(sp.split.dim_plus.tolist(), sp.split.dim_minus.tolist())))
-    rep.add(CheckResult.from_residuals(
-        "horizontal_split_plus_trivial", worst, 1e-8,
-        detail=f"(dim+, dim-) over samples: {dims}"))
+_GF = Battery(
+    _unit("boundary-localized deformation on S^{dim} (c={cfg.c})"), _UNIT_STAGES,
+    (_TANGENCY, _UNIT_LENGTH, _KILLING, _CONTACT,
+     Row("contact_form_preserved", lambda c: verify.check_contact_form_preserved(
+         c.lc, c.lc_round, c.field, c.x), 1e-8),
+     _SPECTRUM, Row("deformed_transverse_scaling", _deformed_scaling, 1e-6,
+                    detail=_transverse_count),
+     _WEDGE._replace(floor=GF_WEDGE_FLOOR), _TORSION._replace(floor=GF_TORSION_FLOOR),
+     _INVARIANCE),
+    shared={**_ALGEBRA, "lc_round": lambda c: LeviCivita(build_round(c.cfg.n).metric,
+                                                         fd_step=c.cfg.fd_step)},
+    admit=_gf_support,
+    extras=lambda c: {"decomposition": standard_decomposition(c.alg, c.s.j0).summary(),
+                      "support_fraction": np.count_nonzero(c.s.f_of(c.X)) / len(c.X)})
 
+_IRREGULAR = Battery(
+    _unit("irregular unit Killing structure on S^{dim} (a={cfg.a})"), _UNIT_STAGES,
+    (_TANGENCY, _UNIT_LENGTH, _KILLING, _CONTACT, _WEDGE, _TORSION, _SPECTRUM,
+     Row("transverse_derivative", lambda c: verify.check_transverse_derivative(
+         c.lc, c.field, c.s.j0, c.st), verify.FD_TOL),
+     Row("central_pair", _central_pair, 1e-10,
+         detail="J0, J1 commute with and belong to the algebra", once=True),
+     _INVARIANCE),
+    shared=_ALGEBRA, extras=_irregular_extras)
+
+
+# the quaternionic triple
+
+def _bracket_sign(joined, c: _Context) -> tuple[Any, str]:
+    return joined, f"bracket sign eps={c.eps:+d}"
+
+
+def _completion_sign(joined: np.ndarray, c: _Context) -> tuple[np.ndarray, str]:
+    """Pair completion's unit and product rows and its reconstruction at the
+    sign that fits the whole sample best."""
+    unit, products, plus, minus = joined
+    sign = plus.max() <= minus.max()
+    return np.stack([unit, products, plus if sign else minus]), (
+        f"unit + aligned cyclic products + covariant reconstruction "
+        f"(sign {'+' if sign else '-'}) of completed triple")
+
+
+def _horizontal_split(c: _Context) -> verify.SplittingResult:
+    """The split at the first ten sample points, of the first chunk's triple when it holds them."""
+    return verify.horizontal_split(c.triple.rows(slice(10)) if len(c.x) >= len(c.X[:10])
+                                   else verify.triple_psi(c.lc, c.qs.fields, c.X[:10]))
+
+
+def _split_dims(sp: verify.SplittingResult, c: _Context) -> tuple[float, str]:
+    dims = sorted(set(zip(sp.dim_plus.tolist(), sp.dim_minus.tolist())))
+    return float(np.max([sp.split.involution_residual, sp.split.symmetry_residual,
+                         sp.invariance_residual, sp.commutation_residual, sp.dim_plus])), (
+        f"(dim+, dim-) over samples: {dims}")
+
+
+def _flip(c: _Context) -> tuple[dict[str, float], dict]:
     fixture = build_flip_fixture()
-    with rep.stage("check_flip_quaternionic"):
-        flip_checks, flip_extras = verify.check_flip_quaternionic(
-            fixture.J, fixture.metric_matrix, fixture.projector_plus)
-    for chk in flip_checks:
-        rep.add(chk)
-    rep.extras["flip_fixture"] = flip_extras
-    return rep
+    with c.rep.stage("check_flip_quaternionic"):
+        return verify.check_flip_quaternionic(fixture.J, fixture.metric_matrix,
+                                              fixture.projector_plus)
 
 
-def _battery_hopf(cfg: RunConfig) -> VerificationReport:
-    bundle = build_hopf()
-    rs = build_round(1)
-    lc, X, rep = _open(cfg, rs.metric, rs.field, 1,
-                       "circle-bundle lift of base rotation fields")
-    kept = hopf_sample_filter(X)
-    if len(kept) < HOPF_MIN_KEPT:
+def _flipped(name: str) -> Callable[[_Context], float]:
+    return lambda c: c.flip[0][name]
+
+
+_QUATERNIONIC = Battery(
+    lambda cfg: {"title": f"right-multiplication contact triple on S^{4 * cfg.m + 3}",
+                 "qs": (qs := build_quaternionic(cfg.m)), "metric": qs.metric,
+                 "field": qs.fields[0], "n": 2 * cfg.m + 1},
+    (("triple_psi", "triple", lambda c: verify.triple_psi(c.lc, c.qs.fields, c.x)),
+     ("second_nabla_frame", "Ts", lambda c: [
+         c.lc.second_nabla_frame(f, c.x, c.triple.F) for f in c.qs.fields])),
+    (Row("triple_orthonormality", lambda c: verify.check_triple_orthonormality(
+        c.lc, c.qs.fields, c.x), 1e-10),
+     Row("triple_brackets", lambda c: verify.check_triple_brackets(c.qs.fields), 1e-12,
+         detail=lambda r, c: (r, f"uniform bracket sign eps={c.eps:+d}"), once=True),
+     Row("triple_killing", lambda c: _killing(c, c.qs.generators, c.x, c.triple.F),
+         verify.EXACT_TOL, detail=_degenerate),
+     Row("triple_wedge_second_derivative", lambda c: np.stack([
+         verify.check_sasakian(st, T) for st, T in zip(c.triple.sts, c.Ts)]), verify.EXACT_TOL),
+     Row("triple_products_aligned", lambda c: verify.check_triple_products(c.triple, "aligned"),
+         1e-10, detail=_bracket_sign),
+     Row("triple_products_transposed", lambda c: verify.check_triple_products(
+         c.triple, "transposed"), 1e-10, 1e-2, _bracket_sign),
+     Row("triple_anticommutators", lambda c: verify.check_anticommutators(c.triple), 1e-10),
+     Row("structure_squares", lambda c: verify.check_squares(c.triple), 1e-10),
+     Row("pair_completion", lambda c: verify.check_pair_completion(c.lc, c.triple), 1e-6,
+         detail=_completion_sign),
+     Row("horizontal_split_plus_trivial", _horizontal_split, 1e-8, detail=_split_dims,
+         once=True),
+     Row("unflipped_uniform_cyclic", _flipped("unflipped_uniform_cyclic"), 1e-12, 0.5,
+         "mixed triple must not satisfy one uniform cyclic relation", once=True),
+     Row("flipped_uniform_cyclic", _flipped("flipped_uniform_cyclic"), 1e-12, once=True,
+         detail=lambda r, c: (r, f"uniform sign after flip: {c.flip[1]['flipped_sign']}")),
+     *(Row(name, _flipped(name), 1e-12, once=True)
+       for name in ("flipped_squares", "flipped_anticommutators", "flipped_pairing_symmetric",
+                    "flipped_pairing_skewness", "triple_product_commutes"))),
+    shared={"eps": lambda c: verify.measured_cyclic_sign(c.qs.fields), "flip": _flip},
+    extras=lambda c: {"flip_fixture": c.flip[1]})
+
+
+# the circle-bundle lift
+
+def _hopf_kept(c: _Context) -> None:
+    if len(c.kept) < HOPF_MIN_KEPT:
         raise ValueError(
-            f"hopf-lift keeps {len(kept)} of {len(X)} samples after dropping "
+            f"hopf-lift keeps {len(c.kept)} of {len(c.X)} samples after dropping "
             f"base points near the anchor antipode; the 4x4 linear fit of each "
             f"lift needs at least {HOPF_MIN_KEPT} (raise --samples)")
 
-    gens = so3_basis()
-    mats, defects = solve_lift(bundle, gens, kept)  # all three in one quadrature
-    rep.add(CheckResult.from_residuals("lift_fit_defect", defects, 1e-8,
-                                       detail="largest pointwise defect of the linear fit"))
-    rep.add(CheckResult.from_residuals("lift_skewness",
-                                       np.abs(mats + np.swapaxes(mats, 1, 2)).max(), 1e-10))
-    for x in _chunks(X):
-        rep.add(verify.check_killing(lc, mats, x, tol=1e-5, name="lift_killing"))
 
-    # path independence: direct potential vs a two-leg path through a waypoint;
-    # the waypoint's own potential (the first leg) rides in the direct quadrature
-    waypoint = hopf_projection(kept[1])
-    alt = replace(bundle, anchor=waypoint)
-    ys = hopf_projection(kept[2:])
-    # keep the second leg away from the waypoint's antipode
+def _path_independence(c: _Context) -> tuple[float, int]:
+    """Direct potential vs a two-leg path through a waypoint, at up to 8
+    targets away from its antipode (the first leg rides in the direct
+    quadrature): the worst gap and the number of targets."""
+    bundle, gen, waypoint = c.bundle, c.gens[0], hopf_projection(c.kept[1])
+    ys = hopf_projection(c.kept[2:])
     ys = ys[ys @ waypoint / bundle.base_radius**2 >= -0.8][:8]
-    n_path = len(ys)
-    direct = lift_potential(bundle, gens[0], np.vstack([waypoint, ys]))
-    worst_path = 0.0
-    if n_path:
-        two_leg = direct[0] + lift_potential(alt, gens[0], ys)
-        worst_path = float(np.abs(direct[1:] - two_leg).max())
-    rep.add(CheckResult.from_residuals("potential_path_independence", worst_path, 1e-6,
-                                       detail=f"two-leg vs direct quadrature at {n_path} "
-                                              f"targets"))
+    direct = lift_potential(bundle, gen, np.vstack([waypoint, ys]))
+    if not len(ys):
+        return 0.0, 0
+    two_leg = direct[0] + lift_potential(replace(bundle, anchor=waypoint), gen, ys)
+    return float(np.abs(direct[1:] - two_leg).max()), len(ys)
 
-    # pushdown: fitted lifts project onto the base generators; the kernel of
-    # the projection on span{lifts, circle generator} is the circle generator
-    xs = kept[:40]
-    ups = np.concatenate([mats, bundle.j0[None]])
-    downs, push_res = fit_linear_generator(
+
+def _pushdown(c: _Context) -> tuple[np.ndarray, np.ndarray]:
+    """The lifts and the circle generator projected onto the base at the
+    first 40 kept points: the base generators fitted, and the fit's residuals."""
+    xs, ups = c.kept[:40], np.concatenate([c.lift[0], c.bundle.j0[None]])
+    return fit_linear_generator(
         hopf_projection(xs), matvec(hopf_differential(xs), xs @ np.swapaxes(ups, 1, 2)))
-    agree = float(np.abs(downs[:3] - gens).max())
-    rep.add(CheckResult.from_residuals("pushdown_matches_base",
-                                       max(float(push_res.max()), agree), 1e-8,
-                                       detail="fitted lifts project onto the requested "
-                                              "rotations"))
-    u, sv, _ = np.linalg.svd(downs.reshape(4, -1))
-    # left null vector = coefficients (in the {lift1..3, circle} basis) of the
-    # combination the pushdown annihilates; it must be the circle generator
-    kvec = u[:, -1]
-    e_vert = np.array([0.0, 0.0, 0.0, 1.0])
-    k_align = min(float(np.abs(kvec - e_vert).max()),
-                  float(np.abs(kvec + e_vert).max()))
-    k_res = max(float(sv[3]), k_align)
-    rep.add(CheckResult.from_residuals("pushdown_kernel_is_vertical", k_res, 1e-6,
-                                       detail=f"singular values {np.round(sv, 8).tolist()}"))
 
-    # brackets close modulo the vertical direction: for each cyclic pair, the
-    # lifted bracket less the lift of the base bracket is a multiple of j0
+
+def _pushdown_kernel(c: _Context) -> tuple[float, np.ndarray]:
+    """The left null vector of the pushed-down stack holds the coefficients
+    (in the {lift1..3, circle} basis) of the combination the pushdown
+    annihilates, which must be the circle generator; and the singular values."""
+    u, sv, _ = np.linalg.svd(c.pushdown[0].reshape(4, -1))
+    kvec, e_vert = u[:, -1], np.array([0.0, 0.0, 0.0, 1.0])
+    return max(float(sv[3]), min(float(np.abs(kvec - e_vert).max()),
+                                 float(np.abs(kvec + e_vert).max()))), sv
+
+
+def _brackets_mod_vertical(c: _Context) -> float:
+    """For each cyclic pair, the lifted bracket less the lift of the base
+    bracket is a multiple of j0."""
+    mats, gens, j0 = c.lift[0], c.gens, c.bundle.j0
     i, j = [0, 1, 2], [1, 2, 0]
     flat = gens.reshape(3, -1)
     coef = field_bracket(gens[i], gens[j]).reshape(3, -1) @ flat.T / (flat * flat).sum(1)
     D = field_bracket(mats[i], mats[j]) - (coef @ mats.reshape(3, -1)).reshape(3, 4, 4)
-    lam = D.reshape(3, -1) @ bundle.j0.ravel() / np.tensordot(bundle.j0, bundle.j0)
-    rep.add(CheckResult.from_residuals("brackets_close_mod_vertical",
-                                       np.abs(D - lam[:, None, None] * bundle.j0).max(), 1e-8))
-    rep.extras["kept_samples"] = len(kept)
-    return rep
+    lam = D.reshape(3, -1) @ j0.ravel() / np.tensordot(j0, j0)
+    return np.abs(D - lam[:, None, None] * j0).max()
 
 
-def _deformed_scaling_check(ds, st: StructureTensors, tol: float) -> CheckResult:
-    """Pinned transverse scaling: phi X = e^{-2F} J0 X and phi J0 X = -e^{2F} X
-    at the points of st's sample that carry the transverse plane (X != 0);
-    with none, inf."""
-    X = ds.x_field.value(st.x)
-    keep = rowdot(X, X) >= 1e-12
-    phi, xs, X = st.phi_ambient[keep], st.x[keep], X[keep]
-    F = ds.f_of(xs)[:, None]
-    J0X = matvec(ds.j0, X)
-    r1 = np.abs(matvec(phi, X) - np.exp(-2 * F) * J0X).max(axis=1)
-    r2 = np.abs(matvec(phi, J0X) + np.exp(2 * F) * X).max(axis=1)
-    return CheckResult.from_residuals(
-        "deformed_transverse_scaling", np.maximum(r1, r2) if keep.any() else [np.inf], tol,
-        detail=lambda r: f"{np.count_nonzero(r != np.inf)} samples carry the transverse plane")
+_HOPF = Battery(
+    lambda cfg: {"title": "circle-bundle lift of base rotation fields", "bundle": build_hopf(),
+                 "gens": so3_basis(), "metric": (rs := build_round(1)).metric,
+                 "field": rs.field, "n": 1},
+    (),
+    (Row("lift_fit_defect", lambda c: c.lift[1], 1e-8,
+         detail="largest pointwise defect of the linear fit", once=True),
+     Row("lift_skewness", lambda c: np.abs(c.lift[0] + np.swapaxes(c.lift[0], 1, 2)).max(),
+         1e-10, once=True),
+     Row("lift_killing", lambda c: _killing(c, c.lift[0], c.x, None), 1e-5, detail=_degenerate),
+     Row("potential_path_independence", _path_independence, 1e-6, once=True,
+         detail=lambda r, c: (r[0], f"two-leg vs direct quadrature at {r[1]} targets")),
+     Row("pushdown_matches_base", lambda c: max(float(c.pushdown[1].max()), float(
+         np.abs(c.pushdown[0][:3] - c.gens).max())), 1e-8,
+         detail="fitted lifts project onto the requested rotations", once=True),
+     Row("pushdown_kernel_is_vertical", _pushdown_kernel, 1e-6, once=True,
+         detail=lambda r, c: (r[0], f"singular values {np.round(r[1], 8).tolist()}")),
+     Row("brackets_close_mod_vertical", _brackets_mod_vertical, 1e-8, once=True)),
+    shared={"kept": lambda c: hopf_sample_filter(c.X),
+            "lift": lambda c: solve_lift(c.bundle, c.gens, c.kept),  # the three in one quadrature
+            "pushdown": _pushdown},
+    admit=_hopf_kept, extras=lambda c: {"kept_samples": len(c.kept)})
 
-
-def _invariance_killing(lc: LeviCivita, alg, X: np.ndarray) -> CheckResult:
-    """Killing checks of an algebra's basis stack on X, all on one
-    g-orthonormal frame, from one exact-flow quotient on a non-round metric."""
-    return verify.check_killing(lc, alg.basis, X, tol=1e-5, name="invariance_algebra_killing")
-
-
-def _battery_deformed(cfg: RunConfig) -> VerificationReport:
-    for ds, lc, X, rep, st, T in _unit_killing(
-            cfg, f"boundary-localized deformation on S^{2 * cfg.n + 1} (c={cfg.c})", 1e-6):
-        lc_round = LeviCivita(build_round(cfg.n).metric, fd_step=cfg.fd_step)
-        rep.add(verify.check_kcontact(st))
-        rep.add(verify.check_contact_form_preserved(lc, lc_round, ds.field, st.x, tol=1e-8))
-        rep.add(_spectrum_check(st, tol=1e-5))
-        rep.add(_deformed_scaling_check(ds, st, tol=1e-6))
-        rep.add(verify.check_sasakian(st, T, tol=verify.FD_TOL, expected="fail",
-                                      fail_floor=GF_WEDGE_FLOOR))
-        rep.add(verify.check_nijenhuis(st, T, expected="fail", fail_floor=GF_TORSION_FLOOR))
-
-    alg = ds.isometry_algebra()
-    rep.add(_invariance_killing(lc, alg, X[:40]))
-    dec = standard_decomposition(alg, ds.j0)
-    rep.extras["decomposition"] = dec.summary()
-    rep.extras["support_fraction"] = np.count_nonzero(ds.f_of(X)) / len(X)
-    return rep
-
-
-def _battery_irregular(cfg: RunConfig) -> VerificationReport:
-    for ir, lc, X, rep, st, T in _unit_killing(
-            cfg, f"irregular unit Killing structure on S^{2 * cfg.n + 1} (a={cfg.a})", 1e-6):
-        rep.add(verify.check_kcontact(st))
-        rep.add(verify.check_sasakian(st, T, tol=verify.FD_TOL))
-        rep.add(verify.check_nijenhuis(st, T))
-        rep.add(_spectrum_check(st, tol=1e-5))
-        rep.add(verify.check_transverse_derivative(lc, ir.field, ir.j0, st, tol=verify.FD_TOL))
-
-    alg = ir.isometry_algebra()
-    cen = centralizer_check(alg, np.stack([ir.j0, ir.j1]))
-    cen_res = cen["max_commutator"] + (0.0 if all(cen["members"]) else 1.0)
-    rep.add(CheckResult.from_residuals("central_pair", cen_res, 1e-10,
-                                       detail="J0, J1 commute with and belong to the algebra"))
-    rep.add(_invariance_killing(lc, alg, X[:40]))
-
-    dec = standard_decomposition(alg, ir.field.matrix)
-    rep.extras["decomposition"] = dec.summary()
-    cls = classify(ir.profile())
-    rep.extras["flow"] = {"kind": cls.kind,
-                          "closure_torus_dim": cls.closure_torus_dim}
-    probe = numeric_orbit_probe(ir.field.matrix, X[0], t_max=60.0)
-    rep.extras["orbit_probe"] = {"returns": len(probe.return_times),
-                                 "min_distance": probe.min_distance}
-    return rep
-
-
-_BATTERIES = {
-    "round": _battery_round,
-    "quaternionic": _battery_quaternionic,
-    "hopf-lift": _battery_hopf,
-    "gF": _battery_deformed,
-    "irregular": _battery_irregular,
-}
+_BATTERIES = {"round": _ROUND, "quaternionic": _QUATERNIONIC, "hopf-lift": _HOPF, "gF": _GF,
+              "irregular": _IRREGULAR}
 EXAMPLES = {"verify": tuple(_BATTERIES), "decompose": tuple(_STRUCTURES)}
 
 

@@ -7,10 +7,9 @@ residual must not only exceed the tolerance but clear the floor, so a
 wrong-for-the-wrong-reason near-zero residual is still flagged.
 
 Every check is built by ``CheckResult.from_residuals`` from its residual
-array, by one rule: the max is taken over every entry, the mean over the
-last (sample) axis and then over any leading (field) axis, and a scalar is
-its own max and mean.  A check keeps that array out of its payload, so the
-checks of a sample's chunks join into the check of the whole sample.
+array over the whole sample, by one rule: the max is taken over every
+entry, the mean over the last (sample) axis and then over any leading
+(field) axis, and a scalar is its own max and mean.
 
 Reports serialize with sorted keys and no incidental state, so a rerun with
 the same configuration is byte-identical (timestamps are optional).  A
@@ -25,7 +24,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from time import perf_counter
-from typing import Callable
 
 import numpy as np
 
@@ -60,14 +58,10 @@ class CheckResult:
     expected: str = "pass"          # "pass" | "fail"
     fail_floor: float | None = None  # expected-fail only: residual must exceed this
     detail: str = ""
-    # from_residuals' array, and its detail or the rule forming it from the array
-    residuals: np.ndarray | None = field(default=None, compare=False, repr=False)
-    describe: str | Callable[[np.ndarray], str] = field(default="", compare=False, repr=False)
 
     @staticmethod
     def from_residuals(name: str, residuals, tol: float, expected: str = "pass",
-                       fail_floor: float | None = None,
-                       detail: str | Callable[[np.ndarray], str] = "") -> CheckResult:
+                       fail_floor: float | None = None, detail: str = "") -> CheckResult:
         """The check of a residual: a scalar, per-point residuals (N,), or
         (G, N) for G fields, whose mean is the mean of the field means."""
         arr = np.asarray(residuals, dtype=float)
@@ -79,18 +73,7 @@ class CheckResult:
             mx = float(arr.max())
             mean = float(arr.mean(axis=-1).mean() if arr.ndim > 1 else arr.mean())
         return CheckResult(name=name, max_residual=mx, mean_residual=mean, tolerance=tol,
-                           expected=expected, fail_floor=fail_floor,
-                           detail=detail(arr) if callable(detail) else detail,
-                           residuals=arr, describe=detail)
-
-    @staticmethod
-    def joined(parts: list[CheckResult]) -> CheckResult:
-        """The check of a sample from those of its chunks, in order: bit for
-        bit the check of one chunk of it all."""
-        a = parts[0]
-        return a if len(parts) == 1 else CheckResult.from_residuals(
-            a.name, np.concatenate([p.residuals for p in parts], axis=-1), a.tolerance,
-            a.expected, a.fail_floor, a.describe)
+                           expected=expected, fail_floor=fail_floor, detail=detail)
 
     def __post_init__(self):
         if self.expected not in ("pass", "fail"):
@@ -129,17 +112,16 @@ class CheckResult:
 class VerificationReport:
     """Named bundle of check results plus configuration and free-form extras.
 
-    ``added`` holds each check's chunks by name; ``checks`` joins them.
     ``clock`` maps each check's name to its wall time in seconds: the time
-    since the previous ``add`` (or since the report opened, at the
+    since the previous ``add`` or ``lap`` (or since the report opened, at the
     ``perf_counter`` reading ``opened``), less the time of any ``stage`` in
-    between, which gets a row of its own, summed over the adds of that name.
+    between, which gets a row of its own, summed over the laps of that name.
     """
 
     title: str
     config: dict = field(default_factory=dict)
     extras: dict = field(default_factory=dict)
-    added: dict[str, list[CheckResult]] = field(default_factory=dict, init=False, repr=False)
+    checks: list[CheckResult] = field(default_factory=list, init=False, repr=False)
     clock: dict[str, float] = field(default_factory=dict, init=False, repr=False,
                                     compare=False)
     opened: float = field(init=False, repr=False, compare=False)
@@ -165,13 +147,9 @@ class VerificationReport:
         self._mark -= owed
 
     def add(self, check: CheckResult) -> None:
-        """Add a check, or a later chunk of a check added before by name."""
+        """Add a check, lapping the clock under its name."""
         self.lap(check.name)
-        self.added.setdefault(check.name, []).append(check)
-
-    @property
-    def checks(self) -> list[CheckResult]:
-        return [CheckResult.joined(parts) for parts in self.added.values()]
+        self.checks.append(check)
 
     @property
     def all_as_expected(self) -> bool:

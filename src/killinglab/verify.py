@@ -1,11 +1,12 @@
-"""Verification batteries for unit Killing structures on odd spheres.
+"""Residuals of the verification checks for unit Killing structures on odd spheres.
 
-Each check function takes a sample of sphere points as one (N, d) array,
-evaluates a pointwise residual for one tensor identity at every point, and
-returns a CheckResult carrying the max and mean residual against a tolerance.
-Checks aimed at deliberately broken structures are declared
-``expected="fail"`` with a fail floor: the identity must be violated *by a
-margin*, so numerical luck cannot fake a verdict.
+Each ``check_*`` function takes a sample of sphere points as one (N, d)
+array, or the structures built on it, and returns the residual of one
+tensor identity at every point: an (N,) array, a (G, N) stack for G fields,
+or a scalar for a check of fixed matrices.  A check judges nothing: its
+name, tolerance, expectation and fail floor are its row in a battery's
+table in ``cli``, whose driver joins the row's residuals over the sample's
+chunks into one ``CheckResult``.
 
 Identity zoo, for a unit Killing field xi with dual one-form eta and
 half-two-form endomorphism phi (see metrics.StructureTensors):
@@ -56,7 +57,6 @@ from .metrics import (
     richardson_guard,
     sample_chunks,
 )
-from .report import CheckResult
 from .sphere import matvec, rowdot
 
 # Sign relating the second covariant derivative of a unit Killing field to
@@ -89,51 +89,35 @@ def _worst(R: np.ndarray) -> np.ndarray:
 # basic pointwise batteries
 # ---------------------------------------------------------------------------
 
-def check_tangency(fld: VectorField, points) -> CheckResult:
-    """<field, base point> must vanish: values live in the tangent bundle."""
+def check_tangency(fld: VectorField, points) -> np.ndarray:
+    """|<field, base point>| at each point: values live in the tangent bundle."""
     X = _stack("tangency", points)
-    return CheckResult.from_residuals("tangency", np.abs(rowdot(fld.value(X), X)),
-                                      TANGENCY_TOL)
+    return np.abs(rowdot(fld.value(X), X))
 
 
-def _unit_residual(lc: LeviCivita, fld: VectorField, X: np.ndarray) -> np.ndarray:
-    """|g(xi, xi) - 1| at each point of the sample X (N, d)."""
+def check_unit_length(lc: LeviCivita, fld: VectorField, points) -> np.ndarray:
+    """|g(xi, xi) - 1| at each point."""
+    X = _stack("unit_length", points)
     v = fld.value(X)
     return np.abs(rowdot(v, matvec(lc.metric.matrix_at(X), v)) - 1.0)
 
 
-def check_unit_length(lc: LeviCivita, fld: VectorField, points,
-                      tol: float = UNIT_TOL) -> CheckResult:
-    """|g(xi, xi) - 1| over the sample."""
-    X = _stack("unit_length", points)
-    return CheckResult.from_residuals("unit_length", _unit_residual(lc, fld, X), tol)
-
-
-def check_killing(lc: LeviCivita, fld, points, tol: float, name: str = "killing",
-                  frame: np.ndarray | None = None) -> CheckResult:
-    """Max entry of the Lie derivative of g along the field, frame components.
-
-    ``fld`` is a field or a stack (G, d, d) of linear generators, one check
-    of all G, on ``frame`` when given; the stack runs in ``sample_chunks`` of
-    the bytes a generator holds at the N points, about 64 (N + 1) d^2 in the
-    round metric's closed form and 128 (N + 1) d^2 along its exact flow.
-    An identically vanishing field is trivially Killing; the result is then
-    flagged degenerate in its detail string rather than reported as a clean
-    pass.
+def check_killing(lc: LeviCivita, fld, points, frame: np.ndarray | None = None) -> np.ndarray:
+    """Max entry of the Lie derivative of g along the field, frame components,
+    at each point: (N,) for a field, (G, N) for a stack (G, d, d) of linear
+    generators, on ``frame`` when given.  The stack runs in ``sample_chunks``
+    of the bytes a generator holds at the N points, about 64 (N + 1) d^2 in
+    the round metric's closed form and 128 (N + 1) d^2 along its exact flow.
     """
-    X = _stack(name, points)
+    X = _stack("killing", points)
     single = isinstance(fld, VectorField)
     lies = (lc.lie_metric_frame(g, X, frame=frame) for g in ([fld] if single else [
         fld[rows] for rows in sample_chunks(len(fld), (64 if lc.metric.exact_round else 128)
                                             * (len(X) + 1) * X.shape[1] ** 2)]))
-    res = np.concatenate([np.abs(L).reshape(*L.shape[:-2], -1).max(axis=-1) for L in lies])
-    values = fld.value(X) if single else X @ np.swapaxes(fld, -1, -2)
-    detail = ("degenerate: field vanishes on all samples"
-              if (np.abs(values).max(axis=(-2, -1)) <= 1e-12).any() else "")
-    return CheckResult.from_residuals(name, res, tol, detail=detail)
+    return np.concatenate([np.abs(L).reshape(*L.shape[:-2], -1).max(axis=-1) for L in lies])
 
 
-def sasakian_residual(st: StructureTensors, T: np.ndarray) -> np.ndarray:
+def check_sasakian(st: StructureTensors, T: np.ndarray) -> np.ndarray:
     """Residual of nabla^2 xi(u,v) = WEDGE_SIGN (g(u,v) xi - eta(v) u) at each
     point of the sample of ``st``, an (N,) array.
 
@@ -153,26 +137,16 @@ def sasakian_residual(st: StructureTensors, T: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ndij,ndij->nij", defect, defect)).reshape(len(xi), -1).max(axis=1)
 
 
-def check_sasakian(st: StructureTensors, T: np.ndarray, tol: float,
-                   expected: str = "pass",
-                   fail_floor: float | None = None,
-                   name: str = "wedge_second_derivative") -> CheckResult:
-    """The wedge form of nabla^2 xi (``sasakian_residual``) over the sample of ``st``."""
-    return CheckResult.from_residuals(name, sasakian_residual(st, T), tol, expected, fail_floor)
-
-
-def check_kcontact(st: StructureTensors, tol: float = CONTACT_TOL) -> CheckResult:
+def check_kcontact(st: StructureTensors) -> np.ndarray:
     """phi^2 = -Id + eta (x) xi together with phi xi = 0, frame components."""
     xi_f = (matvec(st.metric_matrix, st.xi)[:, None, :] @ st.frame)[:, 0]  # (N, k)
     k = st.frame.shape[-1]
     r1 = st.phi_frame @ st.phi_frame + np.eye(k) - xi_f[:, :, None] * xi_f[:, None, :]
     r2 = matvec(st.phi_frame, xi_f)
-    return CheckResult.from_residuals("contact_endomorphism",
-                                      np.maximum(_worst(r1), _worst(r2)), tol)
+    return np.maximum(_worst(r1), _worst(r2))
 
 
-def check_dxi_spectrum(st: StructureTensors, reference: Sequence[float],
-                       tol: float) -> CheckResult:
+def check_dxi_spectrum(st: StructureTensors, reference: Sequence[float]) -> np.ndarray:
     """Sorted eigenvalues of the square of the two-form endomorphism e
     (g(e u, v) = d(eta)(u, v)) against a reference.
 
@@ -191,8 +165,7 @@ def check_dxi_spectrum(st: StructureTensors, reference: Sequence[float],
     if vals.shape[-1:] != ref.shape:
         raise ValueError(f"reference spectrum has {ref.shape[0]} entries; "
                          f"the tangent space gives {vals.shape[-1]}")
-    return CheckResult.from_residuals("two_form_square_spectrum",
-                                      _worst(vals - ref) + _max_entry(asym), tol)
+    return _worst(vals - ref) + _max_entry(asym)
 
 
 def covariant_canary(lc: LeviCivita, fld: VectorField, x: np.ndarray) -> float:
@@ -266,21 +239,20 @@ def measured_cyclic_sign(fields: Sequence[VectorField], tol: float = 1e-10) -> i
 
 
 def check_triple_orthonormality(lc: LeviCivita, fields: Sequence[VectorField],
-                                points, tol: float) -> CheckResult:
+                                points) -> np.ndarray:
     """g(xi_a, xi_b) = delta_ab at every sample."""
     X = _stack("triple_orthonormality", points)
     vals = np.stack([f.value(X) for f in fields], axis=1)        # (N, a, d)
     gram = vals @ lc.metric.matrix_at(X) @ np.swapaxes(vals, -1, -2)
-    return CheckResult.from_residuals("triple_orthonormality",
-                                      _worst(gram - np.eye(len(fields))), tol)
+    return _worst(gram - np.eye(len(fields)))
 
 
-def check_triple_brackets(fields: Sequence[VectorField], tol: float) -> CheckResult:
-    """Exact matrix identity [xi_a, xi_b] = 2 eps xi_c, cyclic, uniform sign."""
-    eps = measured_cyclic_sign(fields, tol=max(tol, 1e-6))
+def check_triple_brackets(fields: Sequence[VectorField]) -> float:
+    """Exact matrix identity [xi_a, xi_b] = 2 eps xi_c, cyclic, with the
+    uniform sign eps of ``measured_cyclic_sign`` at a 1e-6 closure."""
+    eps = measured_cyclic_sign(fields, tol=1e-6)
     half, third = _cyclic_halves(fields)
-    return CheckResult.from_residuals("triple_brackets", np.abs(half - eps * third).max(), tol,
-                                      detail=f"uniform bracket sign eps={eps:+d}")
+    return float(np.abs(half - eps * third).max())
 
 
 @dataclass(frozen=True)
@@ -326,9 +298,7 @@ def triple_psi(lc: LeviCivita, fields, x: np.ndarray,
                                            for f in fields[1:])))
 
 
-def check_triple_products(triple: Triple, tol: float, variant: str = "aligned",
-                          expected: str = "pass", fail_floor: float | None = None,
-                          name: str | None = None) -> CheckResult:
+def check_triple_products(triple: Triple, variant: str = "aligned") -> np.ndarray:
     """Cyclic products of the triple's structure endomorphisms psi_a = -phi_a.
 
     With eps the measured bracket sign ([xi_a, xi_b] = 2 eps xi_c):
@@ -342,14 +312,6 @@ def check_triple_products(triple: Triple, tol: float, variant: str = "aligned",
     """
     if variant not in ("aligned", "transposed"):
         raise ValueError(f"unknown variant {variant!r}")
-    eps, res = _products_residual(triple, variant)
-    return CheckResult.from_residuals(name or "triple_products_" + variant, res, tol,
-                                      expected, fail_floor, detail=f"bracket sign eps={eps:+d}")
-
-
-def _products_residual(triple: Triple, variant: str) -> tuple[int, np.ndarray]:
-    """The measured bracket sign eps and the per-point residual of the cyclic
-    product identity ``variant`` of ``check_triple_products``."""
     eps = measured_cyclic_sign(triple.fields)
     F, psis, eta = triple.F, triple.psis, triple.eta
     res = 0.0
@@ -359,10 +321,10 @@ def _products_residual(triple: Triple, variant: str) -> tuple[int, np.ndarray]:
         else:
             R = psis[b] @ psis[a] - eps * psis[c] + eta(a, b)
         res = np.maximum(res, _worst(R @ F))
-    return eps, res
+    return res
 
 
-def check_anticommutators(triple: Triple, tol: float) -> CheckResult:
+def check_anticommutators(triple: Triple) -> np.ndarray:
     """psi_a psi_b + psi_b psi_a = eta_a (x) xi_b + eta_b (x) xi_a for a != b.
 
     Sign-convention-free companion of the cyclic product identities.
@@ -372,28 +334,29 @@ def check_anticommutators(triple: Triple, tol: float) -> CheckResult:
     for a, b in ((0, 1), (0, 2), (1, 2)):
         R = psis[a] @ psis[b] + psis[b] @ psis[a] - eta(b, a) - eta(a, b)
         res = np.maximum(res, _worst(R @ F))
-    return CheckResult.from_residuals("triple_anticommutators", res, tol)
+    return res
 
 
-def check_squares(triple: Triple, tol: float) -> CheckResult:
+def check_squares(triple: Triple) -> np.ndarray:
     """psi_a^2 = -Id + eta_a (x) xi_a on tangent vectors, for each a."""
     F, psis, eta = triple.F, triple.psis, triple.eta
     res = 0.0
     for a in range(3):
         R = psis[a] @ psis[a] + np.eye(F.shape[-2]) - eta(a, a)
         res = np.maximum(res, _worst(R @ F))
-    return CheckResult.from_residuals("structure_squares", res, tol)
+    return res
 
 
-def check_pair_completion(lc: LeviCivita, triple: Triple, tol: float) -> CheckResult:
+def check_pair_completion(lc: LeviCivita, triple: Triple) -> np.ndarray:
     """Half the bracket of the first two fields of ``triple`` completes the triple.
 
     xi_3 := [xi_1, xi_2] / 2 must be another unit Killing generator making
-    the cyclic product identity hold.  The residual rows are the unit length
-    of xi_3, the aligned triple identity for the completed family and the
-    reconstruction of xi_3 up to the sign that fits the sample best, each
-    per point.  ``triple`` lends xi_3 its frame, so only xi_3's structure is
-    built here.
+    the cyclic product identity hold.  Returns four rows (4, N) per point:
+    the unit length of xi_3, the aligned triple identity for the completed
+    family, and the reconstruction of xi_3 as + and as - the covariant
+    derivative of the second field along the first; the sign that fits the
+    whole sample best is the caller's to pick.  ``triple`` lends xi_3 its
+    frame, so only xi_3's structure is built here.
     """
     f1, f2 = triple.fields[:2]
     A1, A2 = f1.matrix, f2.matrix
@@ -404,18 +367,13 @@ def check_pair_completion(lc: LeviCivita, triple: Triple, tol: float) -> CheckRe
         raise ValueError("bracket of the pair is not skew")
     f3 = linear_field(A3, name="completed")
     X = triple.x
-    unit = _unit_residual(lc, f3, X)
+    unit = check_unit_length(lc, f3, X)
     st3 = lc.structure_at(f3, X, frame=triple.F)
-    _, products = _products_residual(Triple((f1, f2, f3), (*triple.sts[:2], st3)), "aligned")
+    products = check_triple_products(Triple((f1, f2, f3), (*triple.sts[:2], st3)), "aligned")
     # pointwise reconstruction: the covariant derivative of the second field
     # along the first reproduces the completed field up to a global sign
     d = matvec(triple.sts[1].nabla_endo, triple.sts[0].xi)
-    rec_plus, rec_minus = _worst(d - st3.xi), _worst(d + st3.xi)
-    plus = rec_plus.max() <= rec_minus.max()
-    return CheckResult.from_residuals(
-        "pair_completion", np.stack([unit, products, rec_plus if plus else rec_minus]),
-        tol, detail="unit + aligned cyclic products + covariant "
-                    f"reconstruction (sign {'+' if plus else '-'}) of completed triple")
+    return np.stack([unit, products, _worst(d - st3.xi), _worst(d + st3.xi)])
 
 
 # ---------------------------------------------------------------------------
@@ -542,9 +500,9 @@ def quaternionic_relation_residual(J: Sequence[np.ndarray]) -> tuple[int | None,
 
 
 def check_flip_quaternionic(J: Sequence[np.ndarray], M: np.ndarray,
-                            projector_plus: np.ndarray, tol: float = 1e-12,
-                            ) -> tuple[list[CheckResult], dict]:
-    """Sign-flip repair of a mixed-type anticommuting triple.
+                            projector_plus: np.ndarray) -> tuple[dict[str, float], dict]:
+    """Sign-flip repair of a mixed-type anticommuting triple: seven residuals
+    by name, and the best uniform signs before and after the flip.
 
     Input: three M-skew anticommuting complex structures J_a on a split
     space (projector onto the +1 eigenspace of J_1 J_2 J_3 supplied), with
@@ -561,27 +519,18 @@ def check_flip_quaternionic(J: Sequence[np.ndarray], M: np.ndarray,
     eps0, res0 = quaternionic_relation_residual(J)
     eps1, res1 = quaternionic_relation_residual(Jp)
     P = J[0] @ J[1] @ J[2]
-    checks = [
-        CheckResult.from_residuals(
-            "unflipped_uniform_cyclic", res0, tol, expected="fail", fail_floor=0.5,
-            detail="mixed triple must not satisfy one uniform cyclic relation"),
-        CheckResult.from_residuals("flipped_uniform_cyclic", res1, tol,
-                                   detail=f"uniform sign after flip: {eps1}"),
-        CheckResult.from_residuals(
-            "flipped_squares", max(np.abs(Jp[a] @ Jp[a] + np.eye(d)).max() for a in range(3)),
-            tol),
-        CheckResult.from_residuals(
-            "flipped_anticommutators",
-            max(np.abs(Jp[a] @ Jp[b] + Jp[b] @ Jp[a]).max() for a, b in ((0, 1), (0, 2), (1, 2))),
-            tol),
-        CheckResult.from_residuals("flipped_pairing_symmetric", np.abs(Mh - Mh.T).max(), tol),
-        CheckResult.from_residuals(
-            "flipped_pairing_skewness",
-            max(np.abs(Jp[a].T @ Mh + Mh @ Jp[a]).max() for a in range(3)), tol),
-        CheckResult.from_residuals("triple_product_commutes",
-                                   max(np.abs(P @ Ja - Ja @ P).max() for Ja in J), tol),
-    ]
-    return checks, {"flipped_sign": eps1, "unflipped_best_sign": eps0}
+    residuals = {
+        "unflipped_uniform_cyclic": res0,
+        "flipped_uniform_cyclic": res1,
+        "flipped_squares": max(np.abs(Jp[a] @ Jp[a] + np.eye(d)).max() for a in range(3)),
+        "flipped_anticommutators": max(np.abs(Jp[a] @ Jp[b] + Jp[b] @ Jp[a]).max()
+                                       for a, b in ((0, 1), (0, 2), (1, 2))),
+        "flipped_pairing_symmetric": np.abs(Mh - Mh.T).max(),
+        "flipped_pairing_skewness": max(np.abs(Jp[a].T @ Mh + Mh @ Jp[a]).max()
+                                        for a in range(3)),
+        "triple_product_commutes": max(np.abs(P @ Ja - Ja @ P).max() for Ja in J),
+    }
+    return residuals, {"flipped_sign": eps1, "unflipped_best_sign": eps0}
 
 
 # ---------------------------------------------------------------------------
@@ -629,11 +578,9 @@ def nijenhuis_residual(st: StructureTensors, T: np.ndarray):
     return float(res) if x.ndim == 1 else res
 
 
-def check_nijenhuis(st: StructureTensors, T: np.ndarray, tol: float = NIJENHUIS_TOL,
-                    expected: str = "pass", fail_floor: float | None = None,
-                    name: str = "cr_torsion") -> CheckResult:
-    """Horizontal Nijenhuis-type torsion over the sample of ``st``."""
-    return CheckResult.from_residuals(name, nijenhuis_residual(st, T), tol, expected, fail_floor)
+def check_nijenhuis(st: StructureTensors, T: np.ndarray) -> np.ndarray:
+    """Horizontal Nijenhuis-type torsion at each point of the sample of ``st``."""
+    return nijenhuis_residual(st, T)
 
 
 # ---------------------------------------------------------------------------
@@ -641,7 +588,7 @@ def check_nijenhuis(st: StructureTensors, T: np.ndarray, tol: float = NIJENHUIS_
 # ---------------------------------------------------------------------------
 
 def check_contact_form_preserved(lc_def: LeviCivita, lc_ref: LeviCivita,
-                                 fld: VectorField, points, tol: float) -> CheckResult:
+                                 fld: VectorField, points) -> np.ndarray:
     """Metric-dual one-form and its exterior derivative agree between metrics.
 
     The one-forms are compared pointwise in ambient components.  Their
@@ -660,12 +607,11 @@ def check_contact_form_preserved(lc_def: LeviCivita, lc_ref: LeviCivita,
     D = G[0] - G[1]                                     # D[n, l, k] = d_l (eta_def - eta_ref)_k
     E = sphere.orthonormal_tangent_frame(X)
     ext = np.swapaxes(E, -1, -2) @ (D - np.swapaxes(D, -1, -2)) @ E
-    return CheckResult.from_residuals("contact_form_preserved", np.maximum(res, _worst(ext)),
-                                      tol)
+    return np.maximum(res, _worst(ext))
 
 
 def check_transverse_derivative(lc: LeviCivita, fld: VectorField, j0: np.ndarray,
-                                st: StructureTensors, tol: float) -> CheckResult:
+                                st: StructureTensors) -> np.ndarray:
     """Covariant derivative along the transverse distribution is the reference
     rotation: nabla_v (field) = J0 v for every v Euclidean-orthogonal to both
     the position and the reference circle direction J0 x, read from N at
@@ -677,4 +623,4 @@ def check_transverse_derivative(lc: LeviCivita, fld: VectorField, j0: np.ndarray
     N_half = richardson_guard(st.nabla_endo, half.nabla_endo(fld, X), lc.fd_step)
     _, _, vt = np.linalg.svd(np.stack([X, matvec(j0, X)], axis=1))
     V = np.swapaxes(vt[:, 2:], -1, -2)
-    return CheckResult.from_residuals("transverse_derivative", _worst(N_half @ V - j0 @ V), tol)
+    return _worst(N_half @ V - j0 @ V)

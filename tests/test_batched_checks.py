@@ -117,7 +117,7 @@ def test_nijenhuis_closed_form_is_exact(build, n):
     lc = LeviCivita(st.metric)
     X = sample_sphere(st.metric.dim // 2 - 1, 200, seed=42).coords
     for fld in (st.fields if build is build_quaternionic else [st.field]):
-        assert check_nijenhuis(*built(lc, fld, X)).max_residual <= 1e-14
+        assert check_nijenhuis(*built(lc, fld, X)).max() <= 1e-14
 
 
 @pytest.mark.parametrize("label", LABELS)
@@ -227,11 +227,9 @@ def test_contact_form_matches_reference(label):
     X = _mixed_sample(n, 8, seed=31)
     pts = [SpherePoint(x) for x in X]
     ref = np.array([contact_form_residual_per_point(lc, lc_round, fields[0], p) for p in pts])
-    r = check_contact_form_preserved(lc, lc_round, fields[0], pts, tol=1e-8)
+    r = check_contact_form_preserved(lc, lc_round, fields[0], pts)
     # an O(1) one-form differenced at step 1e-4 carries rounding times 1 / 2h
-    scale = max(1.0, float(ref.max()))
-    assert abs(r.max_residual - ref.max()) <= 1e-10 * scale
-    assert abs(r.mean_residual - ref.mean()) <= 1e-10 * scale
+    assert np.abs(r - ref).max() <= 1e-10 * max(1.0, float(ref.max()))
 
 
 @pytest.mark.parametrize("m", [0, 1, 2])
@@ -264,24 +262,21 @@ def test_shared_structure_and_second_derivative_give_identical_checks(label):
     st = lc.structure_at(fld, X)
     T = lc.second_nabla_frame(fld, X, st.frame)
     T_before = T.copy()
-    assert (check_killing(lc, fld, X, tol=1e-6, frame=st.frame)
-            == check_killing(lc, fld, X, tol=1e-6))
-    check_sasakian(st, T, tol=1e-5)
+    assert np.array_equal(check_killing(lc, fld, X, frame=st.frame), check_killing(lc, fld, X))
+    check_sasakian(st, T)
     check_nijenhuis(st, T)
     assert np.array_equal(T, T_before)  # a shared T is read, never written
 
 
 def test_shared_structures_of_the_gf_and_quaternionic_batteries():
-    from killinglab.cli import _invariance_killing
-
     ds = build_deformed(n=3, c=0.3)
     lc = LeviCivita(ds.metric)
     X = sample_sphere(3, 30, seed=59).coords
     alg = ds.isometry_algebra()
-    shared = _invariance_killing(lc, alg, X[:12])
-    own = [check_killing(lc, linear_field(B), X[:12], tol=1e-5) for B in alg.basis]
-    assert shared.max_residual == max(r.max_residual for r in own)
-    assert shared.mean_residual == np.mean([r.mean_residual for r in own])
+    c = cli._Context(lc=lc, alg=alg, X=X[:12])
+    shared, detail = cli._verdict(cli._INVARIANCE, cli._INVARIANCE.residual(c), c)
+    own = [check_killing(lc, linear_field(B), X[:12]) for B in alg.basis]
+    assert np.array_equal(shared, np.stack(own)) and detail == ""
 
     qs = build_quaternionic(1)
     lc = LeviCivita(qs.metric)
@@ -304,14 +299,15 @@ def test_killing_check_of_a_generator_stack_on_the_round_metric(n):
     assert L.shape[0] == len(basis)
     assert all(np.array_equal(L[i], lc.lie_metric_frame(linear_field(B), X, frame=F))
                for i, B in enumerate(basis))
-    shared = check_killing(lc, basis, X, tol=1e-5, frame=F)
-    own = [check_killing(lc, linear_field(B), X, tol=1e-5, frame=F) for B in basis]
-    assert shared.max_residual == max(r.max_residual for r in own)
-    assert shared.mean_residual == np.mean([r.mean_residual for r in own])
-    assert shared.detail == ""
-    zero = check_killing(lc, np.concatenate([basis[:1], np.zeros((1,) + basis.shape[1:])]),
-                         X, tol=1e-5)
-    assert zero.detail == "degenerate: field vanishes on all samples"
+    shared = check_killing(lc, basis, X, frame=F)
+    own = [check_killing(lc, linear_field(B), X, frame=F) for B in basis]
+    assert np.array_equal(shared, np.stack(own))
+    # the Killing row flags a stack one of whose generators vanishes on the sample
+    for stack, flag in ((basis, ""), (np.concatenate([basis[:1], np.zeros_like(basis[:1])]),
+                                      "degenerate: field vanishes on all samples")):
+        c = cli._Context(lc=lc)
+        res, detail = cli._degenerate(cli._killing(c, stack, X, None), c)
+        assert res.shape == (len(stack), len(X)) and detail == flag
 
 
 def _same_arrays(a, b) -> bool:
@@ -413,7 +409,7 @@ def test_checks_on_empty_sample_name_the_check(round2, lc_round2):
     with pytest.raises(ValueError, match="structure_at got no samples to evaluate"):
         lc_round2.structure_at(round2.field, np.empty((0, 6)))
     with pytest.raises(ValueError, match="'contact_form_preserved' got no samples to evaluate"):
-        check_contact_form_preserved(lc_round2, lc_round2, round2.field, [], tol=1e-8)
+        check_contact_form_preserved(lc_round2, lc_round2, round2.field, [])
 
 
 def test_deformed_metric_matches_its_defining_formula():

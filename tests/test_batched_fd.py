@@ -142,7 +142,7 @@ def test_batched_nijenhuis_matches_per_point_reference(build, n):
 
 def test_check_on_empty_sample_names_the_check(round1, lc_round1):
     with pytest.raises(ValueError, match="'killing' got no samples"):
-        check_killing(lc_round1, round1.field, [], tol=1e-10)
+        check_killing(lc_round1, round1.field, [])
 
 
 def test_algebra_coords_recover_integer_combinations():

@@ -143,7 +143,7 @@ def test_refusals_raise_only_while_building_the_config():
             owners |= {fn.name for node in ast.walk(fn)
                        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
                        and getattr(node.exc.func, "id", None) == "ValueError"}
-    assert owners == {"load_config_file", "build_config", "_battery_hopf"}, owners
+    assert owners == {"load_config_file", "build_config", "_hopf_kept"}, owners
 
 
 @pytest.mark.parametrize("argv, first", [

@@ -28,7 +28,7 @@ def test_census_matches_calls_by_name_position_and_class(monkeypatch, capsys):
     assert options["flows.numeric_orbit_probe(chunk)"] == {"tests"}
     # __init__ by its class name; a method binds self, a class call binds the instance
     assert "src" in options["algebra.IsometryAlgebra.__init__(validate)"]
-    assert "src" in options["verify.check_killing(name)"]
+    assert "src" in options["verify.check_killing(frame)"]
     # a protocol hook is left out
     assert not any("__array__" in label for label in options)
     assert module.main(["--unset"]) == 0

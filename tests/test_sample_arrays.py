@@ -45,15 +45,15 @@ def _three_forms(n: int, count: int, seed: int):
 
 def test_checks_agree_on_array_and_point_samples(round2, lc_round2, quat1):
     forms = _three_forms(2, 12, 3)
-    for check in (lambda X: check_killing(lc_round2, round2.field, X, tol=1e-10),
+    for check in (lambda X: check_killing(lc_round2, round2.field, X),
                   lambda X: check_nijenhuis(*built(lc_round2, round2.field, X))):
         results = [check(X) for X in forms]
-        assert results[0] == results[1] == results[2]
+        assert np.array_equal(results[0], results[1]) and np.array_equal(results[0], results[2])
 
     lc_q = LeviCivita(quat1.metric)
-    results = [check_triple_products(triple_psi(lc_q, quat1.fields, X), tol=1e-10)
+    results = [check_triple_products(triple_psi(lc_q, quat1.fields, X))
                for X in _three_forms(3, 12, 3)]
-    assert results[0] == results[1] == results[2]
+    assert np.array_equal(results[0], results[1]) and np.array_equal(results[0], results[2])
 
     dec = standard_decomposition(round2.isometry_algebra(), round2.j0)
     k = next(i for i, lam in enumerate(dec.rates) if lam > 0.5)
@@ -72,14 +72,14 @@ def test_checks_refuse_bad_samples_by_name(name, round2, lc_round2, quat1):
     n = 3 if name == "triple_products_aligned" else 2
     X = sample_sphere(n, 6, seed=1).arrays()
     if name == "killing":
-        run = lambda X: check_killing(lc_round2, round2.field, X, tol=1e-10)
+        run = lambda X: check_killing(lc_round2, round2.field, X)
         owner, bad_shape = "check 'killing'", X[0]
     elif name == "cr_torsion":
         run = lambda X: check_nijenhuis(*built(lc_round2, round2.field, X))
         owner, bad_shape = "structure_at", X[None]
     else:
         lc_q = LeviCivita(quat1.metric)
-        run = lambda X: check_triple_products(triple_psi(lc_q, quat1.fields, X), tol=1e-10)
+        run = lambda X: check_triple_products(triple_psi(lc_q, quat1.fields, X))
         owner, bad_shape = "structure_at", X[None]
     with pytest.raises(ValueError, match=f"{owner} needs .*an \\(N, d\\) sample"):
         run(bad_shape)

@@ -11,6 +11,7 @@ import pytest
 
 from killinglab import (
     WEDGE_SIGN,
+    verify,
     LeviCivita,
     check_anticommutators,
     check_killing,
@@ -61,33 +62,34 @@ def test_structure_reading_checks_have_one_path():
 
 
 def test_tangency_and_unit_length(round2, lc_round2, pts2):
-    assert check_tangency(round2.field, pts2).passed
-    assert check_unit_length(lc_round2, round2.field, pts2).passed
+    assert check_tangency(round2.field, pts2).max() <= verify.TANGENCY_TOL
+    assert check_unit_length(lc_round2, round2.field, pts2).max() <= verify.UNIT_TOL
 
 
 def test_killing_round_exact(round2, lc_round2, pts2):
-    r = check_killing(lc_round2, round2.field, pts2, tol=1e-12)
-    assert r.passed
-    assert r.max_residual < 1e-13
+    r = check_killing(lc_round2, round2.field, pts2)
+    assert r.shape == (len(pts2),)
+    assert r.max() < 1e-13
 
 
-def test_killing_flags_zero_field(lc_round1, pts1):
+def test_killing_row_flags_zero_field(lc_round1, pts1):
+    from killinglab import cli
+
     zero = general_field(lambda x: np.zeros_like(x), name="zero")
-    r = check_killing(lc_round1, zero, pts1, tol=1e-12)
-    assert r.passed  # L_0 g = 0, vacuously
-    assert "degenerate" in r.detail
+    c = cli._Context(lc=lc_round1)
+    res, detail = cli._degenerate(cli._killing(c, zero, np.asarray(pts1), None), c)
+    assert res.max() <= 1e-12  # L_0 g = 0, vacuously
+    assert detail == "degenerate: field vanishes on all samples"
 
 
 def test_sasakian_round_exact(round2, lc_round2, pts2):
-    r = check_sasakian(*built(lc_round2, round2.field, pts2), tol=1e-10)
-    assert r.passed
-    assert r.max_residual < 1e-13
+    r = check_sasakian(*built(lc_round2, round2.field, pts2))
+    assert r.max() < 1e-13
 
 
 def test_sasakian_round_fd(round1, lc_round1, pts1):
-    r = check_sasakian(*built(lc_round1, replace(round1.field, kind="general"), pts1[:8]),
-                       tol=1e-5)
-    assert r.passed
+    r = check_sasakian(*built(lc_round1, replace(round1.field, kind="general"), pts1[:8]))
+    assert r.max() <= verify.FD_TOL
 
 
 def test_wedge_sign_locked(round1, lc_round1, pts1):
@@ -97,29 +99,26 @@ def test_wedge_sign_locked(round1, lc_round1, pts1):
     orig = V.WEDGE_SIGN
     try:
         V.WEDGE_SIGN = +1.0
-        r = check_sasakian(*built(lc_round1, round1.field, pts1[:8]), tol=1e-10)
-        assert not r.passed
-        assert r.max_residual > 1.0
+        r = check_sasakian(*built(lc_round1, round1.field, pts1[:8]))
+        assert r.max() > 1.0
     finally:
         V.WEDGE_SIGN = orig
 
 
 def test_kcontact_round(round2, lc_round2, pts2):
     r = check_kcontact(lc_round2.structure_at(round2.field, pts2))
-    assert r.passed
-    assert r.max_residual < 1e-12
+    assert r.max() < 1e-12
 
 
 def test_nijenhuis_round(round2, lc_round2, pts2):
     r = check_nijenhuis(*built(lc_round2, round2.field, pts2[:10]))
-    assert r.passed
-    assert r.max_residual < 1e-9
+    assert r.max() < 1e-9
 
 
 def test_dxi_spectrum_round(round2, lc_round2, pts2):
     ref = [-4.0] * 4 + [0.0]
-    r = check_dxi_spectrum(lc_round2.structure_at(round2.field, pts2[:10]), reference=ref, tol=1e-8)
-    assert r.passed
+    r = check_dxi_spectrum(lc_round2.structure_at(round2.field, pts2[:10]), reference=ref)
+    assert r.max() <= 1e-8
 
 
 def test_dxi_spectrum_fails_a_two_form_with_a_symmetric_part(round2, lc_round2, pts2):
@@ -128,15 +127,14 @@ def test_dxi_spectrum_fails_a_two_form_with_a_symmetric_part(round2, lc_round2, 
     st = lc_round2.structure_at(round2.field, pts2[:10])
     S = np.random.default_rng(8).standard_normal(st.dxi.shape)
     sym = 0.5e-3 * (S + np.swapaxes(S, -1, -2))
-    r = check_dxi_spectrum(replace(st, dxi=st.dxi + sym), reference=[-4.0] * 4 + [0.0],
-                           tol=1e-8)
-    assert not r.passed and r.max_residual > 1e-4
+    r = check_dxi_spectrum(replace(st, dxi=st.dxi + sym), reference=[-4.0] * 4 + [0.0])
+    assert r.max() > 1e-4
 
 
 def test_dxi_spectrum_shape_mismatch(round2, lc_round2, pts2):
     with pytest.raises(ValueError):
         check_dxi_spectrum(lc_round2.structure_at(round2.field, pts2[:2]),
-                           reference=[-4.0, 0.0], tol=1e-8)
+                           reference=[-4.0, 0.0])
 
 
 def test_covariant_canary_default_step(round1, lc_round1, pts1):
@@ -173,14 +171,12 @@ def test_covariant_canary_raises_exactly_when_an_oracle_drift_exceeds_the_bound(
 def test_triple_orthonormality(quat1, pts3):
     from killinglab import LeviCivita
     lc = LeviCivita(quat1.metric)
-    r = check_triple_orthonormality(lc, quat1.fields, pts3[:10], tol=1e-10)
-    assert r.passed
+    r = check_triple_orthonormality(lc, quat1.fields, pts3[:10])
+    assert r.max() <= 1e-10
 
 
 def test_triple_brackets_exact(quat1):
-    r = check_triple_brackets(quat1.fields, tol=1e-12)
-    assert r.passed
-    assert "eps=" in r.detail
+    assert check_triple_brackets(quat1.fields) <= 1e-12
 
 
 def test_measured_cyclic_sign_is_uniform(quat0, quat1):
@@ -193,35 +189,32 @@ def test_triple_products_aligned_vs_transposed(quat1, pts3):
     from killinglab import LeviCivita
     lc = LeviCivita(quat1.metric)
     triple = triple_psi(lc, quat1.fields, pts3[:8])
-    ok = check_triple_products(triple, tol=1e-10, variant="aligned")
-    bad = check_triple_products(triple, tol=1e-10, variant="transposed")
-    assert ok.passed
-    assert not bad.passed
-    assert bad.max_residual > 1.0
+    ok = check_triple_products(triple, variant="aligned")
+    bad = check_triple_products(triple, variant="transposed")
+    assert ok.max() <= 1e-10
+    assert bad.max() > 1.0
 
 
 def test_triple_products_rejects_unknown_variant(quat1, pts3):
     from killinglab import LeviCivita
     lc = LeviCivita(quat1.metric)
     with pytest.raises(ValueError):
-        check_triple_products(triple_psi(lc, quat1.fields, pts3[:2]), tol=1e-10,
-                              variant="upside")
+        check_triple_products(triple_psi(lc, quat1.fields, pts3[:2]), variant="upside")
 
 
 def test_anticommutators_and_squares(quat1, pts3):
     from killinglab import LeviCivita
     lc = LeviCivita(quat1.metric)
     triple = triple_psi(lc, quat1.fields, pts3[:8])
-    assert check_anticommutators(triple, tol=1e-10).passed
-    assert check_squares(triple, tol=1e-10).passed
+    assert check_anticommutators(triple).max() <= 1e-10
+    assert check_squares(triple).max() <= 1e-10
 
 
 def test_pair_completion(quat1, pts3):
     from killinglab import LeviCivita
     lc = LeviCivita(quat1.metric)
-    r = check_pair_completion(lc, triple_psi(lc, quat1.fields, pts3[:8]), tol=1e-6)
-    assert r.passed
-    assert "reconstruction" in r.detail
+    unit, products, plus, minus = check_pair_completion(lc, triple_psi(lc, quat1.fields, pts3[:8]))
+    assert max(unit.max(), products.max(), min(plus.max(), minus.max())) <= 1e-6
 
 
 # -- splits ----------------------------------------------------------------------
@@ -261,6 +254,5 @@ def test_quaternionic_relation_residual_detects_break():
 # -- contact-form comparison ------------------------------------------------------
 
 def test_contact_form_preserved_round_vs_itself(round2, lc_round2, pts2):
-    r = check_contact_form_preserved(lc_round2, lc_round2, round2.field,
-                                     pts2[:6], tol=1e-10)
-    assert r.passed
+    r = check_contact_form_preserved(lc_round2, lc_round2, round2.field, pts2[:6])
+    assert r.max() <= 1e-10
