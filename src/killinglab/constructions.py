@@ -429,8 +429,12 @@ class DeformedStructure:
     f_of: Callable[[np.ndarray], float]
 
     def isometry_algebra(self) -> IsometryAlgebra:
+        """so(d - 4) on V1, the circle generator j0, and right multiplication
+        by j on V2, which commutes with both factors of the direction field
+        (right multiplication by j and left multiplication by i)."""
         d = self.dim
-        basis = np.concatenate([block_embed(so_basis(d - 4), d, 0), self.j0[None]])
+        basis = np.concatenate([block_embed(so_basis(d - 4), d, 0), self.j0[None],
+                                block_embed(RIGHT_J, d, d - 4)[None]])
         return IsometryAlgebra(basis, name="deformation_invariance", validate=False)
 
 

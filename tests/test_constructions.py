@@ -31,6 +31,7 @@ from killinglab.algebra import centralizer_check, field_bracket, so_basis
 from killinglab import cli, constructions
 from killinglab.constructions import (
     J2,
+    RIGHT_J,
     fit_linear_generator,
     gauss_legendre_rule,
     hopf_differential,
@@ -422,7 +423,7 @@ def test_deformed_breaks_cr_integrability(deformed):
 
 def test_deformed_invariance_algebra(deformed):
     alg = deformed.isometry_algebra()
-    assert alg.dim == (deformed.dim - 4) * (deformed.dim - 5) // 2 + 1
+    assert alg.dim == (deformed.dim - 4) * (deformed.dim - 5) // 2 + 2
     lc = LeviCivita(deformed.metric)
     pts = sample_sphere(deformed.n, 10, seed=42).points
     from killinglab.metrics import linear_field
@@ -433,7 +434,24 @@ def test_deformed_invariance_algebra(deformed):
 
 def test_deformed_decomposition(deformed):
     dec = standard_decomposition(deformed.isometry_algebra(), deformed.j0)
-    assert [(round(r, 9), m) for r, m in dec.summary()] == [(0.0, 5), (2.0, 2)]
+    assert [(round(r, 9), m) for r, m in dec.summary()] == [(0.0, 6), (2.0, 2)]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_deformed_invariance_algebra_is_every_linear_killing_field(n):
+    """The linear Killing fields of gF are the null space of A -> F^T (L_{Ax} g) F
+    over so(d), read at 40 points: it has the listed algebra's dimension, and
+    the listed algebra lies in it.  Its singular values fall from ~3.6 to
+    ~1e-12 with nothing between."""
+    ds = build_deformed(n=n, c=0.3)
+    lc = LeviCivita(ds.metric)
+    X = sample_sphere(n, 40, seed=42).coords
+    so = so_basis(ds.dim)
+    sv = np.linalg.svd(lc.lie_metric_frame(so, X).reshape(len(so), -1), compute_uv=False)
+    alg = ds.isometry_algebra()
+    assert np.count_nonzero(sv <= 1e-8) == alg.dim
+    assert sv[sv > 1e-8].min() > 1.0
+    assert np.abs(lc.lie_metric_frame(alg.basis, X)).max() <= 1e-11
 
 
 # -- inhomogeneous-rate structure ---------------------------------------------------
@@ -557,7 +575,8 @@ def test_invariance_algebras_are_the_per_generator_stacks(n):
                                           for B in _unitary_block_basis_loop(n)]
     assert ir.isometry_algebra().basis.tobytes() == np.array(want).tobytes()
     ds = build_deformed(n=n + 2)
-    want = [_embedded(B, ds.dim, 0) for B in so_basis(ds.dim - 4)] + [ds.j0]
+    want = ([_embedded(B, ds.dim, 0) for B in so_basis(ds.dim - 4)] + [ds.j0]
+            + [_embedded(RIGHT_J, ds.dim, ds.dim - 4)])
     assert ds.isometry_algebra().basis.tobytes() == np.array(want).tobytes()
 
 
