@@ -10,12 +10,14 @@ The repeats are interleaved: repeat r of every battery runs before repeat
 r + 1 of any, so a slow spell of the host spreads over all batteries.
 
 The rows come from the report's own clock (``VerificationReport.clock``): a
-check's time is the wall time from the previous result (or from the report's
-opening) to its own result, and each shared build the battery times as a
-stage (``structure_at``, ``second_nabla_frame``, ``triple_psi``, and
-``check_flip_quaternionic``, the one call that returns the seven flip checks)
-is a row of its own, out of the check that follows it.  A frame or structure
-built inside a stage or a check counts in that row.  The
+check's time is the wall time of its row's evaluations, each from the
+previous row's (or from the report's opening), summed over the chunks, and
+each shared build the battery times as a stage (``structure_at``,
+``second_nabla_frame``, ``triple_psi``, and ``check_flip_quaternionic``, the
+one call that returns the seven flip checks) is a row of its own, out of the
+check that follows it.  A frame or structure built inside a stage or a check
+counts in that row, and a fixed part the battery shares in the row that
+reads it first.  The
 ``setup`` row runs from the battery's start to the report's opening (metric,
 sample); ``covariant_canary``, the step canary, is a stage of the batteries
 that take finite differences (gF and irregular); ``extras`` runs from the last

@@ -4,9 +4,10 @@
 Each battery is executed through the CLI in a fresh interpreter (the same
 path a user would take) on the ``src`` directory of this checkout, the JSON
 report is parsed, and a compact summary table is printed; a child whose
-output is not a report stops the run with its stderr.  Exits nonzero if any battery reports a check that did
-not behave as expected.  The two ``classify-flow --probe`` rows run the
-numeric orbit probe, so ``compare_reports.py`` sees its checks too.
+output is not a report stops the run with its stderr.  Exits nonzero if any
+battery reports a check that did not behave as expected.  The two
+``classify-flow --probe`` rows run the numeric orbit probe, so
+``compare_reports.py`` sees its checks too.
 
 Usage:
     python3 scripts/run_all_examples.py [--samples N] [--seed S] [--out DIR]

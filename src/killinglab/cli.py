@@ -9,9 +9,12 @@ Exit codes: 0 all checks as expected, 1 some check not as expected, 2 usage
 error (unknown selector, malformed rate, bad parameters), 3 numerical-quality
 failure (untrustworthy finite differences, degenerate metric or clustering).
 
-Every battery declares which checks are expected to pass and which are
-expected to fail (with a residual floor), so controlled breakage — the whole
-point of the deformed examples — is a first-class green result.
+Each check of a verify battery is declared once, as a ``Row`` of its
+battery's table: its name, its residual, its tolerance, and a fail floor for
+a check expected to fail, so controlled breakage — the whole point of the
+deformed examples — is a first-class green result.  One driver
+(``Battery.__call__``) streams the sample in chunks, evaluates the rows in
+order on each, and joins each row's residuals over the chunks into one check.
 """
 
 from __future__ import annotations
@@ -204,9 +207,9 @@ def _verdict(row: Row, joined, c: _Context) -> tuple[Any, str]:
 def _killing(c: _Context, fld, X: np.ndarray, frame: np.ndarray | None) -> np.ndarray:
     """A Killing row's residual: of the field, or stack of linear generators,
     fld at X on frame, stacked on each field's largest entry at each point."""
+    res = verify.check_killing(c.lc, fld, X, frame=frame)  # refuses a bad sample by name
     values = fld.value(X) if isinstance(fld, VectorField) else X @ np.swapaxes(fld, -1, -2)
-    return np.stack([verify.check_killing(c.lc, fld, X, frame=frame),
-                     np.abs(values).max(axis=-1)])
+    return np.stack([res, np.abs(values).max(axis=-1)])
 
 
 def _degenerate(joined: np.ndarray, c: _Context) -> tuple[np.ndarray, str]:

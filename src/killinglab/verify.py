@@ -3,7 +3,8 @@
 Each ``check_*`` function takes a sample of sphere points as one (N, d)
 array, or the structures built on it, and returns the residual of one
 tensor identity at every point: an (N,) array, a (G, N) stack for G fields,
-or a scalar for a check of fixed matrices.  A check judges nothing: its
+or a scalar for a check of fixed matrices (``check_flip_quaternionic``
+returns seven of them by name).  A check judges nothing: its
 name, tolerance, expectation and fail floor are its row in a battery's
 table in ``cli``, whose driver joins the row's residuals over the sample's
 chunks into one ``CheckResult``.

@@ -8,8 +8,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from killinglab import cli, verify
-from killinglab.constructions import J2, block_embed, build_deformed, build_quaternionic, build_round
+from killinglab import cli
+from killinglab.constructions import (J2, block_embed, build_deformed, build_quaternionic,
+                                      build_round)
 from killinglab.metrics import linear_field
 from killinglab.sphere import sample_sphere
 

@@ -72,7 +72,7 @@ def test_killing_round_exact(round2, lc_round2, pts2):
     assert r.max() < 1e-13
 
 
-def test_killing_row_flags_zero_field(lc_round1, pts1):
+def test_killing_flags_zero_field(lc_round1, pts1):
     from killinglab import cli
 
     zero = general_field(lambda x: np.zeros_like(x), name="zero")
