@@ -144,22 +144,33 @@ class Row(NamedTuple):
     once: bool = False
 
 
+class Stage(NamedTuple):
+    """A build the rows after it share, once a chunk: ``build(c)`` set as
+    ``c.<attr>``, timed under the clock row ``name``."""
+
+    name: str
+    attr: str
+    build: Callable[[_Context], Any]
+
+
 class Battery(NamedTuple):
     """A verify battery, run by calling it on a RunConfig.  ``open`` returns
     the report's ``title`` and the structure the context holds: its
     ``metric``, the step canary's ``field``, the sphere index ``n`` and what
-    the rows read.  Each chunk builds the ``stages`` (stage, name, builder)
-    in order, each timed under its stage; ``rows`` are the checks in report
-    order; ``shared`` names the fixed part; ``admit`` refuses, before the
-    first chunk, a sample the battery cannot judge; ``extras`` are the
-    report's."""
+    the rows read.  ``steps`` are its stages and its rows, each run on a
+    chunk in this order, the rows in report order; ``shared`` names the
+    fixed part; ``admit`` refuses, before the first chunk, a sample the
+    battery cannot judge; ``extras`` are the report's."""
 
     open: Callable[[RunConfig], dict]
-    stages: tuple[tuple[str, str, Callable[[_Context], Any]], ...]
-    rows: tuple[Row, ...]
+    steps: tuple[Stage | Row, ...]
     shared: dict[str, Callable[[_Context], Any]] = {}
     admit: Callable[[_Context], None] = lambda c: None
     extras: Callable[[_Context], dict] = lambda c: {}
+
+    @property
+    def rows(self) -> tuple[Row, ...]:
+        return tuple(step for step in self.steps if isinstance(step, Row))
 
     def context(self, cfg: RunConfig) -> _Context:
         """The battery opened: its structure, the connection, the sample, the
@@ -172,26 +183,27 @@ class Battery(NamedTuple):
         self.admit(c)
         return c
 
-    def enter(self, c: _Context, x: np.ndarray) -> None:
-        """Move c to the chunk x and build its stages."""
-        c.x = x
-        for stage, name, build in self.stages:
-            with c.rep.stage(stage):
-                setattr(c, name, build(c))
+    def evaluate(self, c: _Context, x: np.ndarray, first: bool) -> dict[str, Any]:
+        """The residuals of the rows at the chunk x by name, the rows run
+        ``once`` only on the ``first`` chunk: the steps in order, each stage
+        timed as its stage and each row lapped on the report's clock."""
+        c.x, out = x, {}
+        for step in self.steps:
+            if isinstance(step, Stage):
+                with c.rep.stage(step.name):
+                    setattr(c, step.attr, step.build(c))
+            elif first or not step.once:
+                out[step.name] = step.residual(c)
+                c.rep.lap(step.name)
+        return out
 
     def __call__(self, cfg: RunConfig) -> VerificationReport:
-        """Evaluate the rows in order on each chunk, each lapped on the report's
-        clock, and add one check a row from its residuals joined over the chunks."""
+        """Evaluate every chunk, and add one check a row from its residuals
+        joined over the chunks."""
         c = self.context(cfg)
-        parts: dict[str, list] = {row.name: [] for row in self.rows}
-        for i, x in enumerate(_chunks(c.X)):
-            self.enter(c, x)
-            for row in self.rows:
-                if not (row.once and i):
-                    parts[row.name].append(row.residual(c))
-                    c.rep.lap(row.name)
+        parts = [self.evaluate(c, x, not i) for i, x in enumerate(_chunks(c.X))]
         for row in self.rows:
-            got = parts[row.name]
+            got = [part[row.name] for part in parts if row.name in part]
             res, detail = _verdict(row, got[0] if row.once else np.concatenate(got, axis=-1), c)
             c.rep.add(CheckResult.from_residuals(
                 row.name, res, row.tol, "pass" if row.floor is None else "fail", row.floor, detail))
@@ -230,9 +242,9 @@ def _unit(title: str) -> Callable[[RunConfig], dict]:
     return open_
 
 
-_UNIT_STAGES = (("structure_at", "st", lambda c: c.lc.structure_at(c.field, c.x)),
-                ("second_nabla_frame", "T",
-                 lambda c: c.lc.second_nabla_frame(c.field, c.x, c.st.frame)))
+_UNIT_STAGES = (Stage("structure_at", "st", lambda c: c.lc.structure_at(c.field, c.x)),
+                Stage("second_nabla_frame", "T",
+                      lambda c: c.lc.second_nabla_frame(c.field, c.x, c.st.frame)))
 _TANGENCY = Row("tangency", lambda c: verify.check_tangency(c.field, c.x), verify.TANGENCY_TOL)
 _UNIT_LENGTH = Row("unit_length", lambda c: verify.check_unit_length(c.lc, c.field, c.x),
                    verify.UNIT_TOL)
@@ -298,8 +310,8 @@ def _irregular_extras(c: _Context) -> dict:
 
 
 _ROUND = Battery(
-    _unit("round unit Killing structure on S^{dim}"), _UNIT_STAGES,
-    (_TANGENCY, _UNIT_LENGTH, _KILLING._replace(tol=verify.EXACT_TOL),
+    _unit("round unit Killing structure on S^{dim}"),
+    (*_UNIT_STAGES, _TANGENCY, _UNIT_LENGTH, _KILLING._replace(tol=verify.EXACT_TOL),
      _WEDGE._replace(tol=verify.EXACT_TOL), _CONTACT, _SPECTRUM._replace(tol=1e-8), _TORSION,
      Row("eigenfield_identities", _eigenfield_identities, 1e-6, detail="orthogonality + "
          "bracket + eigenvalue identities over the whole nonzero-rate block")),
@@ -307,8 +319,8 @@ _ROUND = Battery(
     extras=lambda c: {"decomposition": c.dec.summary()})
 
 _GF = Battery(
-    _unit("boundary-localized deformation on S^{dim} (c={cfg.c})"), _UNIT_STAGES,
-    (_TANGENCY, _UNIT_LENGTH, _KILLING, _CONTACT,
+    _unit("boundary-localized deformation on S^{dim} (c={cfg.c})"),
+    (*_UNIT_STAGES, _TANGENCY, _UNIT_LENGTH, _KILLING, _CONTACT,
      Row("contact_form_preserved", lambda c: verify.check_contact_form_preserved(
          c.lc, c.lc_round, c.field, c.x), 1e-8),
      _SPECTRUM, Row("deformed_transverse_scaling", _deformed_scaling, 1e-6,
@@ -322,8 +334,8 @@ _GF = Battery(
                       "support_fraction": np.count_nonzero(c.s.f_of(c.X)) / len(c.X)})
 
 _IRREGULAR = Battery(
-    _unit("irregular unit Killing structure on S^{dim} (a={cfg.a})"), _UNIT_STAGES,
-    (_TANGENCY, _UNIT_LENGTH, _KILLING, _CONTACT, _WEDGE, _TORSION, _SPECTRUM,
+    _unit("irregular unit Killing structure on S^{dim} (a={cfg.a})"),
+    (*_UNIT_STAGES, _TANGENCY, _UNIT_LENGTH, _KILLING, _CONTACT, _WEDGE, _TORSION, _SPECTRUM,
      Row("transverse_derivative", lambda c: verify.check_transverse_derivative(
          c.lc, c.field, c.s.j0, c.st), verify.FD_TOL),
      Row("central_pair", _central_pair, 1e-10,
@@ -376,15 +388,15 @@ _QUATERNIONIC = Battery(
     lambda cfg: {"title": f"right-multiplication contact triple on S^{4 * cfg.m + 3}",
                  "qs": (qs := build_quaternionic(cfg.m)), "metric": qs.metric,
                  "field": qs.fields[0], "n": 2 * cfg.m + 1},
-    (("triple_psi", "triple", lambda c: verify.triple_psi(c.lc, c.qs.fields, c.x)),
-     ("second_nabla_frame", "Ts", lambda c: [
-         c.lc.second_nabla_frame(f, c.x, c.triple.F) for f in c.qs.fields])),
-    (Row("triple_orthonormality", lambda c: verify.check_triple_orthonormality(
-        c.lc, c.qs.fields, c.x), 1e-10),
+    (Stage("triple_psi", "triple", lambda c: verify.triple_psi(c.lc, c.qs.fields, c.x)),
+     Row("triple_orthonormality", lambda c: verify.check_triple_orthonormality(
+         c.lc, c.qs.fields, c.x), 1e-10),
      Row("triple_brackets", lambda c: verify.check_triple_brackets(c.qs.fields), 1e-12,
          detail=lambda r, c: (r, f"uniform bracket sign eps={c.eps:+d}"), once=True),
      Row("triple_killing", lambda c: _killing(c, c.qs.generators, c.x, c.triple.F),
          verify.EXACT_TOL, detail=_degenerate),
+     Stage("second_nabla_frame", "Ts", lambda c: [
+         c.lc.second_nabla_frame(f, c.x, c.triple.F) for f in c.qs.fields]),
      Row("triple_wedge_second_derivative", lambda c: np.stack([
          verify.check_sasakian(st, T) for st, T in zip(c.triple.sts, c.Ts)]), verify.EXACT_TOL),
      Row("triple_products_aligned", lambda c: verify.check_triple_products(c.triple, "aligned"),
@@ -466,7 +478,6 @@ _HOPF = Battery(
     lambda cfg: {"title": "circle-bundle lift of base rotation fields", "bundle": build_hopf(),
                  "gens": so3_basis(), "metric": (rs := build_round(1)).metric,
                  "field": rs.field, "n": 1},
-    (),
     (Row("lift_fit_defect", lambda c: c.lift[1], 1e-8,
          detail="largest pointwise defect of the linear fit", once=True),
      Row("lift_skewness", lambda c: np.abs(c.lift[0] + np.swapaxes(c.lift[0], 1, 2)).max(),

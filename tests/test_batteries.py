@@ -100,10 +100,11 @@ def test_every_per_sample_row_reads_points_outside_the_sample(example):
     c = battery.context(cli.RunConfig(example=example, samples=20, **PARAMS[example]))
     x = sample_sphere(c.n, 3, seed=1).coords
     assert not (x[:, None] == c.X[None]).all(axis=-1).any()
-    battery.enter(c, x)
+    got = battery.evaluate(c, x, first=False)
+    assert list(got) == [row.name for row in battery.rows if not row.once]
     for row in battery.rows:
         if not row.once:
-            res, _ = cli._verdict(row, row.residual(c), c)
+            res, _ = cli._verdict(row, got[row.name], c)
             res = np.asarray(res)
             assert res.shape[-1:] == (3,) and res.ndim in (1, 2), (row.name, res.shape)
             assert np.isfinite(res).all(), row.name
@@ -150,8 +151,8 @@ def test_killing_flags_a_field_that_vanishes_on_the_whole_sample_only(monkeypatc
     X = np.vstack([np.eye(6)[2], sample_sphere(2, 5, seed=42).coords])
     battery = cli.Battery(
         lambda cfg: {"title": "a plane rotation", "metric": rs.metric, "field": field, "n": 2},
-        (), (cli.Row("killing", lambda c: cli._killing(c, c.field, c.x, None), 1e-10,
-                     detail=cli._degenerate),))
+        (cli.Row("killing", lambda c: cli._killing(c, c.field, c.x, None), 1e-10,
+                 detail=cli._degenerate),))
     monkeypatch.setattr(cli, "sample_sphere", lambda n, count, seed: SimpleNamespace(coords=X))
     one, split = _one_and_split(battery, cli.RunConfig(n=2, samples=6), monkeypatch)
     assert split == one
@@ -167,13 +168,12 @@ def test_pair_completion_takes_its_sign_from_the_whole_sample(monkeypatch):
     battery = quaternionic._replace(
         open=lambda cfg: {"title": "a deformed triple", "qs": qs, "metric": ds.metric,
                           "field": qs.fields[0], "n": 3},
-        stages=quaternionic.stages[:1],
-        rows=tuple(r for r in quaternionic.rows if r.name == "pair_completion"),
+        steps=(quaternionic.steps[0], next(r for r in quaternionic.rows
+                                            if r.name == "pair_completion")),
         extras=lambda c: {})
     one, split = _one_and_split(battery, cli.RunConfig(samples=60, seed=3), monkeypatch)
     assert split == one
     assert "(sign -)" in _check(split, "pair_completion")["detail"]
     c = battery.context(cli.RunConfig(samples=60, seed=3))
-    battery.enter(c, c.X[:1])
-    _, plus, minus = battery.rows[0].residual(c)[1:]  # the first point alone fits +
-    assert plus[0] <= minus[0]
+    _, _, plus, minus = battery.evaluate(c, c.X[:1], first=True)["pair_completion"]
+    assert plus[0] <= minus[0]  # the first point alone fits +
