@@ -204,42 +204,42 @@ class Battery(NamedTuple):
         parts = [self.evaluate(c, x, not i) for i, x in enumerate(_chunks(c.X))]
         for row in self.rows:
             got = [part[row.name] for part in parts if row.name in part]
-            res, detail = _verdict(row, got[0] if row.once else np.concatenate(got, axis=-1), c)
+            res = got[0] if row.once else np.concatenate(got, axis=-1)
+            res, detail = row.detail(res, c) if callable(row.detail) else (res, row.detail)
             c.rep.add(CheckResult.from_residuals(
                 row.name, res, row.tol, "pass" if row.floor is None else "fail", row.floor, detail))
         c.rep.extras.update(self.extras(c))
         return c.rep
 
 
-def _verdict(row: Row, joined, c: _Context) -> tuple[Any, str]:
-    """The check's residuals and detail from a row's joined residuals."""
-    return row.detail(joined, c) if callable(row.detail) else (joined, row.detail)
+def _killing_row(name: str, tol: float, at: Callable[[_Context], tuple], once: bool) -> Row:
+    """The Killing check of the field, or stack (G, d, d) of linear
+    generators, at the points on the frame (None: its own) that ``at(c)``
+    returns.  One that vanishes on the whole sample is trivially Killing:
+    its check is flagged degenerate, from each field's largest entry at each
+    point, carried under its residual through the join."""
 
+    def residual(c: _Context) -> np.ndarray:
+        fld, X, frame = at(c)
+        res = verify.check_killing(c.lc, fld, X, frame=frame)  # refuses a bad sample by name
+        values = fld.value(X) if isinstance(fld, VectorField) else X @ np.swapaxes(fld, -1, -2)
+        return np.stack([res, np.abs(values).max(axis=-1)])
 
-def _killing(c: _Context, fld, X: np.ndarray, frame: np.ndarray | None) -> np.ndarray:
-    """A Killing row's residual: of the field, or stack of linear generators,
-    fld at X on frame, stacked on each field's largest entry at each point."""
-    res = verify.check_killing(c.lc, fld, X, frame=frame)  # refuses a bad sample by name
-    values = fld.value(X) if isinstance(fld, VectorField) else X @ np.swapaxes(fld, -1, -2)
-    return np.stack([res, np.abs(values).max(axis=-1)])
+    def degenerate(joined: np.ndarray, c: _Context) -> tuple[np.ndarray, str]:
+        res, size = joined
+        return res, ("degenerate: field vanishes on all samples"
+                     if (size.max(axis=-1) <= 1e-12).any() else "")
 
-
-def _degenerate(joined: np.ndarray, c: _Context) -> tuple[np.ndarray, str]:
-    """A field that vanishes on the whole sample is trivially Killing: its
-    check is flagged degenerate."""
-    res, size = joined
-    return res, ("degenerate: field vanishes on all samples"
-                 if (size.max(axis=-1) <= 1e-12).any() else "")
+    return Row(name, residual, tol, detail=degenerate, once=once)
 
 
 # the unit Killing batteries: round, gF, irregular
 
 def _unit(title: str) -> Callable[[RunConfig], dict]:
-    def open_(cfg: RunConfig) -> dict:
-        s = _STRUCTURES[cfg.example](cfg)
-        return {"title": title.format(cfg=cfg, dim=2 * cfg.n + 1), "s": s, "metric": s.metric,
-                "field": s.field, "n": cfg.n}
-    return open_
+    """The opening of a unit Killing battery on the example's structure ``s``."""
+    return lambda cfg: {"s": (s := _STRUCTURES[cfg.example](cfg)), "metric": s.metric,
+                        "title": title.format(cfg=cfg, dim=2 * cfg.n + 1), "field": s.field,
+                        "n": cfg.n}
 
 
 _UNIT_STAGES = (Stage("structure_at", "st", lambda c: c.lc.structure_at(c.field, c.x)),
@@ -248,8 +248,7 @@ _UNIT_STAGES = (Stage("structure_at", "st", lambda c: c.lc.structure_at(c.field,
 _TANGENCY = Row("tangency", lambda c: verify.check_tangency(c.field, c.x), verify.TANGENCY_TOL)
 _UNIT_LENGTH = Row("unit_length", lambda c: verify.check_unit_length(c.lc, c.field, c.x),
                    verify.UNIT_TOL)
-_KILLING = Row("killing", lambda c: _killing(c, c.field, c.x, c.st.frame), 1e-6,
-               detail=_degenerate)
+_KILLING = _killing_row("killing", 1e-6, lambda c: (c.field, c.x, c.st.frame), False)
 _CONTACT = Row("contact_endomorphism", lambda c: verify.check_kcontact(c.st), verify.CONTACT_TOL)
 _WEDGE = Row("wedge_second_derivative", lambda c: verify.check_sasakian(c.st, c.T),
              verify.FD_TOL)
@@ -259,8 +258,8 @@ _SPECTRUM = Row("two_form_square_spectrum", lambda c: verify.check_dxi_spectrum(
     c.st, [-4.0] * (c.x.shape[1] - 2) + [0.0]), 1e-5)
 # Killing checks of an algebra's basis stack on X[:40], all on one g-orthonormal
 # frame, from one exact-flow quotient on a non-round metric
-_INVARIANCE = Row("invariance_algebra_killing", lambda c: _killing(c, c.alg.basis, c.X[:40], None),
-                  1e-5, detail=_degenerate, once=True)
+_INVARIANCE = _killing_row("invariance_algebra_killing", 1e-5,
+                           lambda c: (c.alg.basis, c.X[:40], None), True)
 _ALGEBRA = {"alg": lambda c: c.s.isometry_algebra()}
 
 
@@ -347,6 +346,7 @@ _IRREGULAR = Battery(
 # the quaternionic triple
 
 def _bracket_sign(joined, c: _Context) -> tuple[Any, str]:
+    """The sign the triple's residuals are measured at, ``eps`` of its brackets."""
     return joined, f"bracket sign eps={c.eps:+d}"
 
 
@@ -380,9 +380,12 @@ def _flip(c: _Context) -> tuple[dict[str, float], dict]:
                                               fixture.projector_plus)
 
 
-def _flipped(name: str) -> Callable[[_Context], float]:
-    return lambda c: c.flip[0][name]
-
+# the floor and detail of a flip fixture row that has one
+_FLIP_ROWS = {
+    "unflipped_uniform_cyclic": (0.5, "mixed triple must not satisfy one uniform cyclic relation"),
+    "flipped_uniform_cyclic": (None, lambda r, c: (
+        r, f"uniform sign after flip: {c.flip[1]['flipped_sign']}")),
+}
 
 _QUATERNIONIC = Battery(
     lambda cfg: {"title": f"right-multiplication contact triple on S^{4 * cfg.m + 3}",
@@ -391,32 +394,28 @@ _QUATERNIONIC = Battery(
     (Stage("triple_psi", "triple", lambda c: verify.triple_psi(c.lc, c.qs.fields, c.x)),
      Row("triple_orthonormality", lambda c: verify.check_triple_orthonormality(
          c.lc, c.qs.fields, c.x), 1e-10),
-     Row("triple_brackets", lambda c: verify.check_triple_brackets(c.qs.fields), 1e-12,
+     Row("triple_brackets", lambda c: verify.check_triple_brackets(c.qs.fields, c.eps), 1e-12,
          detail=lambda r, c: (r, f"uniform bracket sign eps={c.eps:+d}"), once=True),
-     Row("triple_killing", lambda c: _killing(c, c.qs.generators, c.x, c.triple.F),
-         verify.EXACT_TOL, detail=_degenerate),
+     _killing_row("triple_killing", verify.EXACT_TOL,
+                  lambda c: (c.qs.generators, c.x, c.triple.F), False),
      Stage("second_nabla_frame", "Ts", lambda c: [
          c.lc.second_nabla_frame(f, c.x, c.triple.F) for f in c.qs.fields]),
      Row("triple_wedge_second_derivative", lambda c: np.stack([
          verify.check_sasakian(st, T) for st, T in zip(c.triple.sts, c.Ts)]), verify.EXACT_TOL),
-     Row("triple_products_aligned", lambda c: verify.check_triple_products(c.triple, "aligned"),
-         1e-10, detail=_bracket_sign),
+     Row("triple_products_aligned", lambda c: verify.check_triple_products(
+         c.triple, c.eps, "aligned"), 1e-10, detail=_bracket_sign),
      Row("triple_products_transposed", lambda c: verify.check_triple_products(
-         c.triple, "transposed"), 1e-10, 1e-2, _bracket_sign),
+         c.triple, c.eps, "transposed"), 1e-10, 1e-2, _bracket_sign),
      Row("triple_anticommutators", lambda c: verify.check_anticommutators(c.triple), 1e-10),
      Row("structure_squares", lambda c: verify.check_squares(c.triple), 1e-10),
      Row("pair_completion", lambda c: verify.check_pair_completion(c.lc, c.triple), 1e-6,
          detail=_completion_sign),
      Row("horizontal_split_plus_trivial", _horizontal_split, 1e-8, detail=_split_dims,
          once=True),
-     Row("unflipped_uniform_cyclic", _flipped("unflipped_uniform_cyclic"), 1e-12, 0.5,
-         "mixed triple must not satisfy one uniform cyclic relation", once=True),
-     Row("flipped_uniform_cyclic", _flipped("flipped_uniform_cyclic"), 1e-12, once=True,
-         detail=lambda r, c: (r, f"uniform sign after flip: {c.flip[1]['flipped_sign']}")),
-     *(Row(name, _flipped(name), 1e-12, once=True)
-       for name in ("flipped_squares", "flipped_anticommutators", "flipped_pairing_symmetric",
-                    "flipped_pairing_skewness", "triple_product_commutes"))),
-    shared={"eps": lambda c: verify.measured_cyclic_sign(c.qs.fields), "flip": _flip},
+     *(Row(name, lambda c, name=name: c.flip[0][name], 1e-12, *_FLIP_ROWS.get(name, ()),
+           once=True) for name in verify.FLIP_CHECKS)),
+    # the sign at the closure the bracket residual allows, read by every row that names it
+    shared={"eps": lambda c: verify.measured_cyclic_sign(c.qs.fields, tol=1e-6), "flip": _flip},
     extras=lambda c: {"flip_fixture": c.flip[1]})
 
 
@@ -482,7 +481,7 @@ _HOPF = Battery(
          detail="largest pointwise defect of the linear fit", once=True),
      Row("lift_skewness", lambda c: np.abs(c.lift[0] + np.swapaxes(c.lift[0], 1, 2)).max(),
          1e-10, once=True),
-     Row("lift_killing", lambda c: _killing(c, c.lift[0], c.x, None), 1e-5, detail=_degenerate),
+     _killing_row("lift_killing", 1e-5, lambda c: (c.lift[0], c.x, None), False),
      Row("potential_path_independence", _path_independence, 1e-6, once=True,
          detail=lambda r, c: (r[0], f"two-leg vs direct quadrature at {r[1]} targets")),
      Row("pushdown_matches_base", lambda c: max(float(c.pushdown[1].max()), float(

@@ -33,7 +33,8 @@ structures its battery built once on the sample: ``st`` =
 st.frame)`` and ``triple`` = ``triple_psi(lc, fields, X)``, of which
 ``triple.rows(sl)`` serves a check on the rows ``X[sl]``.  A bad sample is
 refused by name where it enters: by the check that takes ``points``, or by
-``structure_at``.  ``check_killing`` alone may be handed a shared frame.
+``structure_at``.  ``check_killing`` alone may be handed a shared frame, and
+the triple checks take the bracket sign of ``measured_cyclic_sign`` as given.
 """
 
 from __future__ import annotations
@@ -248,10 +249,9 @@ def check_triple_orthonormality(lc: LeviCivita, fields: Sequence[VectorField],
     return _worst(gram - np.eye(len(fields)))
 
 
-def check_triple_brackets(fields: Sequence[VectorField]) -> float:
-    """Exact matrix identity [xi_a, xi_b] = 2 eps xi_c, cyclic, with the
-    uniform sign eps of ``measured_cyclic_sign`` at a 1e-6 closure."""
-    eps = measured_cyclic_sign(fields, tol=1e-6)
+def check_triple_brackets(fields: Sequence[VectorField], eps: int) -> float:
+    """Exact matrix identity [xi_a, xi_b] = 2 eps xi_c, cyclic, at the sign
+    eps (``measured_cyclic_sign``)."""
     half, third = _cyclic_halves(fields)
     return float(np.abs(half - eps * third).max())
 
@@ -299,10 +299,10 @@ def triple_psi(lc: LeviCivita, fields, x: np.ndarray,
                                            for f in fields[1:])))
 
 
-def check_triple_products(triple: Triple, variant: str = "aligned") -> np.ndarray:
+def check_triple_products(triple: Triple, eps: int, variant: str = "aligned") -> np.ndarray:
     """Cyclic products of the triple's structure endomorphisms psi_a = -phi_a.
 
-    With eps the measured bracket sign ([xi_a, xi_b] = 2 eps xi_c):
+    With eps the bracket sign ([xi_a, xi_b] = 2 eps xi_c, ``measured_cyclic_sign``):
 
       aligned:    psi_a psi_b = eps psi_c + eta_b (x) xi_a
       transposed: psi_b psi_a = eps psi_c - eta_b (x) xi_a
@@ -313,7 +313,6 @@ def check_triple_products(triple: Triple, variant: str = "aligned") -> np.ndarra
     """
     if variant not in ("aligned", "transposed"):
         raise ValueError(f"unknown variant {variant!r}")
-    eps = measured_cyclic_sign(triple.fields)
     F, psis, eta = triple.F, triple.psis, triple.eta
     res = 0.0
     for a, b, c in CYCLIC:
@@ -370,7 +369,8 @@ def check_pair_completion(lc: LeviCivita, triple: Triple) -> np.ndarray:
     X = triple.x
     unit = check_unit_length(lc, f3, X)
     st3 = lc.structure_at(f3, X, frame=triple.F)
-    products = check_triple_products(Triple((f1, f2, f3), (*triple.sts[:2], st3)), "aligned")
+    products = check_triple_products(Triple((f1, f2, f3), (*triple.sts[:2], st3)),
+                                     measured_cyclic_sign((f1, f2, f3)))
     # pointwise reconstruction: the covariant derivative of the second field
     # along the first reproduces the completed field up to a global sign
     d = matvec(triple.sts[1].nabla_endo, triple.sts[0].xi)
@@ -500,6 +500,12 @@ def quaternionic_relation_residual(J: Sequence[np.ndarray]) -> tuple[int | None,
     return best, best_res
 
 
+# the residuals of ``check_flip_quaternionic``, by name in this order
+FLIP_CHECKS = ("unflipped_uniform_cyclic", "flipped_uniform_cyclic", "flipped_squares",
+               "flipped_anticommutators", "flipped_pairing_symmetric",
+               "flipped_pairing_skewness", "triple_product_commutes")
+
+
 def check_flip_quaternionic(J: Sequence[np.ndarray], M: np.ndarray,
                             projector_plus: np.ndarray) -> tuple[dict[str, float], dict]:
     """Sign-flip repair of a mixed-type anticommuting triple: seven residuals
@@ -520,17 +526,11 @@ def check_flip_quaternionic(J: Sequence[np.ndarray], M: np.ndarray,
     eps0, res0 = quaternionic_relation_residual(J)
     eps1, res1 = quaternionic_relation_residual(Jp)
     P = J[0] @ J[1] @ J[2]
-    residuals = {
-        "unflipped_uniform_cyclic": res0,
-        "flipped_uniform_cyclic": res1,
-        "flipped_squares": max(np.abs(Jp[a] @ Jp[a] + np.eye(d)).max() for a in range(3)),
-        "flipped_anticommutators": max(np.abs(Jp[a] @ Jp[b] + Jp[b] @ Jp[a]).max()
-                                       for a, b in ((0, 1), (0, 2), (1, 2))),
-        "flipped_pairing_symmetric": np.abs(Mh - Mh.T).max(),
-        "flipped_pairing_skewness": max(np.abs(Jp[a].T @ Mh + Mh @ Jp[a]).max()
-                                        for a in range(3)),
-        "triple_product_commutes": max(np.abs(P @ Ja - Ja @ P).max() for Ja in J),
-    }
+    residuals = dict(zip(FLIP_CHECKS, (
+        res0, res1, max(np.abs(Jp[a] @ Jp[a] + np.eye(d)).max() for a in range(3)),
+        max(np.abs(Jp[a] @ Jp[b] + Jp[b] @ Jp[a]).max() for a, b in ((0, 1), (0, 2), (1, 2))),
+        np.abs(Mh - Mh.T).max(), max(np.abs(Jp[a].T @ Mh + Mh @ Jp[a]).max() for a in range(3)),
+        max(np.abs(P @ Ja - Ja @ P).max() for Ja in J))))
     return residuals, {"flipped_sign": eps1, "unflipped_best_sign": eps0}
 
 

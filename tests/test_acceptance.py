@@ -53,6 +53,7 @@ from killinglab.verify import (
     check_transverse_derivative,
     check_triple_brackets,
     check_triple_orthonormality,
+    measured_cyclic_sign,
     triple_psi,
 )
 
@@ -165,8 +166,9 @@ def test_05_triple_structures():
         triple = triple_psi(lc, st.fields, pts)
         sq = check_squares(triple)
         ac = check_anticommutators(triple)
-        al = check_triple_products(triple, variant="aligned")
-        br = check_triple_brackets(st.fields)
+        eps = measured_cyclic_sign(st.fields, tol=1e-6)
+        al = check_triple_products(triple, eps, variant="aligned")
+        br = check_triple_brackets(st.fields, eps)
         unit, products, plus, minus = check_pair_completion(lc, triple)
         pc = max(unit.max(), products.max(), min(plus.max(), minus.max()))
         split = horizontal_split(triple_psi(lc, st.fields, pts[0]))

@@ -274,7 +274,7 @@ def test_shared_structures_of_the_gf_and_quaternionic_batteries():
     X = sample_sphere(3, 30, seed=59).coords
     alg = ds.isometry_algebra()
     c = cli._Context(lc=lc, alg=alg, X=X[:12])
-    shared, detail = cli._verdict(cli._INVARIANCE, cli._INVARIANCE.residual(c), c)
+    shared, detail = cli._INVARIANCE.detail(cli._INVARIANCE.residual(c), c)
     own = [check_killing(lc, linear_field(B), X[:12]) for B in alg.basis]
     assert np.array_equal(shared, np.stack(own)) and detail == ""
 
@@ -306,7 +306,8 @@ def test_killing_check_of_a_generator_stack_on_the_round_metric(n):
     for stack, flag in ((basis, ""), (np.concatenate([basis[:1], np.zeros_like(basis[:1])]),
                                       "degenerate: field vanishes on all samples")):
         c = cli._Context(lc=lc)
-        res, detail = cli._degenerate(cli._killing(c, stack, X, None), c)
+        row = cli._killing_row("killing", 1e-10, lambda c: (stack, X, None), False)
+        res, detail = row.detail(row.residual(c), c)
         assert res.shape == (len(stack), len(X)) and detail == flag
 
 

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from killinglab import cli
+from killinglab import cli, verify
 from killinglab.constructions import (J2, block_embed, build_deformed, build_quaternionic,
                                       build_round)
 from killinglab.metrics import linear_field
@@ -91,6 +91,14 @@ def test_every_battery_declares_its_rows():
         assert got == rows, example
 
 
+def test_every_killing_row_flags_a_vanishing_field():
+    """A Killing row's residual carries each field's size for its detail:
+    every one is built by the one helper that pairs them."""
+    killing = [r for b in cli._BATTERIES.values() for r in b.rows if r.name.endswith("killing")]
+    assert len(killing) == 7
+    assert all(r.detail.__code__ is cli._KILLING.detail.__code__ for r in killing)
+
+
 @pytest.mark.parametrize("example", list(ROWS))
 def test_every_per_sample_row_reads_points_outside_the_sample(example):
     """Through the driver's context builder, each row that runs per chunk
@@ -104,8 +112,8 @@ def test_every_per_sample_row_reads_points_outside_the_sample(example):
     assert list(got) == [row.name for row in battery.rows if not row.once]
     for row in battery.rows:
         if not row.once:
-            res, _ = cli._verdict(row, got[row.name], c)
-            res = np.asarray(res)
+            res = got[row.name]
+            res = np.asarray(row.detail(res, c)[0] if callable(row.detail) else res)
             assert res.shape[-1:] == (3,) and res.ndim in (1, 2), (row.name, res.shape)
             assert np.isfinite(res).all(), row.name
 
@@ -151,8 +159,7 @@ def test_killing_flags_a_field_that_vanishes_on_the_whole_sample_only(monkeypatc
     X = np.vstack([np.eye(6)[2], sample_sphere(2, 5, seed=42).coords])
     battery = cli.Battery(
         lambda cfg: {"title": "a plane rotation", "metric": rs.metric, "field": field, "n": 2},
-        (cli.Row("killing", lambda c: cli._killing(c, c.field, c.x, None), 1e-10,
-                 detail=cli._degenerate),))
+        (cli._killing_row("killing", 1e-10, lambda c: (c.field, c.x, None), False),))
     monkeypatch.setattr(cli, "sample_sphere", lambda n, count, seed: SimpleNamespace(coords=X))
     one, split = _one_and_split(battery, cli.RunConfig(n=2, samples=6), monkeypatch)
     assert split == one
@@ -177,3 +184,42 @@ def test_pair_completion_takes_its_sign_from_the_whole_sample(monkeypatch):
     c = battery.context(cli.RunConfig(samples=60, seed=3))
     _, _, plus, minus = battery.evaluate(c, c.X[:1], first=True)["pair_completion"]
     assert plus[0] <= minus[0]  # the first point alone fits +
+
+
+def test_triple_rows_name_the_sign_their_residuals_read():
+    """triple_brackets and both product rows name one bracket sign, the one
+    their residuals are measured at."""
+    doc = json.loads(cli._QUATERNIONIC(cli.RunConfig(m=1, samples=20)).to_json(
+        include_timestamp=False))
+    fields = build_quaternionic(1).fields
+    eps = verify.measured_cyclic_sign(fields, tol=1e-6)
+    brackets = _check(doc, "triple_brackets")
+    assert brackets["detail"] == f"uniform bracket sign eps={eps:+d}"
+    assert brackets["max_residual"] == verify.check_triple_brackets(fields, eps) <= 1e-12
+    assert verify.check_triple_brackets(fields, -eps) >= 1.0
+    for variant in ("aligned", "transposed"):
+        assert _check(doc, f"triple_products_{variant}")["detail"] == f"bracket sign eps={eps:+d}"
+
+
+def test_triple_sign_is_measured_once_at_the_bracket_closure():
+    """A triple whose brackets close to 1e-8, within the bracket residual's
+    1e-6 closure but not the default 1e-10: its rows are judged and named at
+    that one sign, where the product rows measured their own sign and
+    refused the triple."""
+    qs = build_quaternionic(1)
+    skew = np.random.default_rng(0).standard_normal((8, 8))
+    fields = (linear_field(qs.fields[0].matrix + 1e-8 * (skew - skew.T)), *qs.fields[1:])
+    eps = verify.measured_cyclic_sign(fields, tol=1e-6)
+    with pytest.raises(ValueError, match="do not close"):
+        verify.measured_cyclic_sign(fields)
+    quaternionic, names = cli._QUATERNIONIC, ("triple_brackets", "triple_products_aligned",
+                                              "triple_products_transposed")
+    battery = quaternionic._replace(
+        open=lambda cfg: {"title": "a perturbed triple", "qs": SimpleNamespace(fields=fields),
+                          "metric": qs.metric, "field": fields[0], "n": 3},
+        steps=(quaternionic.steps[0], *(r for r in quaternionic.rows if r.name in names)),
+        extras=lambda c: {})
+    doc = json.loads(battery(cli.RunConfig(samples=10)).to_json(include_timestamp=False))
+    assert [c["name"] for c in doc["checks"]] == list(names)
+    assert all(c["detail"].endswith(f"eps={eps:+d}") for c in doc["checks"])
+    assert 1e-10 < _check(doc, "triple_brackets")["max_residual"] < 1e-6

@@ -11,7 +11,8 @@ import pytest
 from killinglab.algebra import eigenfield_residuals, standard_decomposition
 from killinglab.metrics import LeviCivita
 from killinglab.sphere import sample_sphere
-from killinglab.verify import check_killing, check_nijenhuis, check_triple_products, triple_psi
+from killinglab.verify import (check_killing, check_nijenhuis, check_triple_products,
+                               measured_cyclic_sign, triple_psi)
 
 from oracles import built, sample_sphere_loop
 
@@ -51,7 +52,8 @@ def test_checks_agree_on_array_and_point_samples(round2, lc_round2, quat1):
         assert np.array_equal(results[0], results[1]) and np.array_equal(results[0], results[2])
 
     lc_q = LeviCivita(quat1.metric)
-    results = [check_triple_products(triple_psi(lc_q, quat1.fields, X))
+    eps = measured_cyclic_sign(quat1.fields)
+    results = [check_triple_products(triple_psi(lc_q, quat1.fields, X), eps)
                for X in _three_forms(3, 12, 3)]
     assert np.array_equal(results[0], results[1]) and np.array_equal(results[0], results[2])
 
@@ -79,7 +81,8 @@ def test_checks_refuse_bad_samples_by_name(name, round2, lc_round2, quat1):
         owner, bad_shape = "structure_at", X[None]
     else:
         lc_q = LeviCivita(quat1.metric)
-        run = lambda X: check_triple_products(triple_psi(lc_q, quat1.fields, X))
+        eps = measured_cyclic_sign(quat1.fields)
+        run = lambda X: check_triple_products(triple_psi(lc_q, quat1.fields, X), eps)
         owner, bad_shape = "structure_at", X[None]
     with pytest.raises(ValueError, match=f"{owner} needs .*an \\(N, d\\) sample"):
         run(bad_shape)

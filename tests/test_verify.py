@@ -76,8 +76,9 @@ def test_killing_flags_zero_field(lc_round1, pts1):
     from killinglab import cli
 
     zero = general_field(lambda x: np.zeros_like(x), name="zero")
-    c = cli._Context(lc=lc_round1)
-    res, detail = cli._degenerate(cli._killing(c, zero, np.asarray(pts1), None), c)
+    c, row = cli._Context(lc=lc_round1), cli._killing_row(
+        "killing", 1e-10, lambda c: (zero, np.asarray(pts1), None), False)
+    res, detail = row.detail(row.residual(c), c)
     assert res.max() <= 1e-12  # L_0 g = 0, vacuously
     assert detail == "degenerate: field vanishes on all samples"
 
@@ -176,7 +177,9 @@ def test_triple_orthonormality(quat1, pts3):
 
 
 def test_triple_brackets_exact(quat1):
-    assert check_triple_brackets(quat1.fields) <= 1e-12
+    eps = measured_cyclic_sign(quat1.fields, tol=1e-6)
+    assert check_triple_brackets(quat1.fields, eps) <= 1e-12
+    assert check_triple_brackets(quat1.fields, -eps) >= 1.0  # the residual reads the sign given
 
 
 def test_measured_cyclic_sign_is_uniform(quat0, quat1):
@@ -189,8 +192,9 @@ def test_triple_products_aligned_vs_transposed(quat1, pts3):
     from killinglab import LeviCivita
     lc = LeviCivita(quat1.metric)
     triple = triple_psi(lc, quat1.fields, pts3[:8])
-    ok = check_triple_products(triple, variant="aligned")
-    bad = check_triple_products(triple, variant="transposed")
+    eps = measured_cyclic_sign(quat1.fields)
+    ok = check_triple_products(triple, eps, variant="aligned")
+    bad = check_triple_products(triple, eps, variant="transposed")
     assert ok.max() <= 1e-10
     assert bad.max() > 1.0
 
@@ -199,7 +203,7 @@ def test_triple_products_rejects_unknown_variant(quat1, pts3):
     from killinglab import LeviCivita
     lc = LeviCivita(quat1.metric)
     with pytest.raises(ValueError):
-        check_triple_products(triple_psi(lc, quat1.fields, pts3[:2]), variant="upside")
+        check_triple_products(triple_psi(lc, quat1.fields, pts3[:2]), 1, variant="upside")
 
 
 def test_anticommutators_and_squares(quat1, pts3):
