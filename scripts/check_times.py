@@ -12,12 +12,13 @@ r + 1 of any, so a slow spell of the host spreads over all batteries.
 The rows come from the report's own clock (``VerificationReport.clock``): a
 check's time is the wall time of its row's evaluations, each from the
 previous row's (or from the report's opening), summed over the chunks, and
-each shared build the battery times as a stage (``structure_at``,
-``second_nabla_frame``, ``triple_psi``, and ``check_flip_quaternionic``, the
-one call that returns the seven flip checks) is a row of its own, out of the
-check that follows it.  A frame or structure built inside a stage or a check
-counts in that row, and a fixed part the battery shares in the row that
-reads it first.  The
+each build the battery times as a stage is a row of its own, out of the
+check that follows it: the per-chunk stages (``structure_at``,
+``second_nabla_frame``, ``triple_psi``) and the fixed part the battery builds
+once when it opens (the round ``decomposition``, an ``isometry_algebra``,
+the quaternionic ``bracket_sign`` and ``check_flip_quaternionic``, the one
+call that returns the seven flip checks, the Hopf ``lift``, ...).  A frame
+or structure built inside a stage or a check counts in that row.  The
 ``setup`` row runs from the battery's start to the report's opening (metric,
 sample); ``covariant_canary``, the step canary, is a stage of the batteries
 that take finite differences (gF and irregular); ``extras`` runs from the last
@@ -26,6 +27,7 @@ result to the end (decomposition, flow class, orbit probe).
 Usage:
     python3 scripts/check_times.py [--samples N] [--seed S] [--repeats R] [--json PATH]
                                    [--decompose-n N [N ...]] [--verify ARGS ...]
+    python3 scripts/check_times.py --against PARENT [--samples N] [--seed S] [--repeats R]
 
 It imports killinglab from the ``src`` directory of its own checkout, so the
 copy of the script in another checkout measures that checkout.
@@ -57,6 +59,19 @@ batteries.
 ``--verify "--example round --n 16 --samples 50"`` (repeatable) adds the same
 two readings of a whole ``killinglab verify`` process on those arguments,
 after the decompose rows and interleaved alike.
+
+``--against PARENT`` compares this checkout's code with the checkout at
+PARENT instead, where the rows above cannot: one process of the same code
+reads a battery 10-20 % apart from the next, while two packages run in one
+process agree within a few percent.  A child process copies both
+``src/killinglab`` trees into a temporary directory as two packages
+(``killinglab_change``, ``killinglab_parent``), imports them, and runs each
+battery of both, after one warm-up run each, in pairs battery by battery,
+``--repeats`` pairs a battery, the side that runs first alternating from
+pair to pair.  The package imported second can read about 1 % slower, so
+two children run, one per import order, and the script prints for each
+battery the median change/parent ratio of the battery's wall time in each
+order, their geometric mean, and the pairs each side won.
 """
 
 from __future__ import annotations
@@ -67,12 +82,15 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy loads
 
 import argparse  # noqa: E402
 import hashlib  # noqa: E402
+import importlib  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
+import shutil  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
 import time  # noqa: E402
 from contextlib import redirect_stdout  # noqa: E402
 from dataclasses import replace  # noqa: E402
@@ -158,6 +176,70 @@ def quartiles(values: list[float], scale: float = 1e3) -> dict:
             "q3": round(float(q3), 4)}
 
 
+SIDES = ("change", "parent")
+
+
+def pair_ratios(parent: Path, first: str, jobs: list[tuple[str, dict]], repeats: int) -> dict:
+    """The change/parent wall-time ratio of each of ``repeats`` pairs of runs
+    of each battery, by battery label: this checkout's and PARENT's package
+    imported in this process, the ``first`` side first."""
+    trees = {"change": ROOT, "parent": parent}
+    order = sorted(SIDES, key=lambda side: side != first)
+    with tempfile.TemporaryDirectory() as tmp:
+        for side in SIDES:
+            shutil.copytree(trees[side] / "src" / "killinglab", Path(tmp) / f"killinglab_{side}",
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        sys.path.insert(0, tmp)
+        clis = {side: importlib.import_module(f"killinglab_{side}.cli") for side in order}
+
+    def timed(side: str, params: dict) -> float:
+        battery = clis[side]._BATTERIES[params["example"]]
+        cfg = replace(clis[side].RunConfig(), **params)
+        t0 = time.perf_counter()
+        battery(cfg)
+        return time.perf_counter() - t0
+
+    for _, params in jobs:  # warm-up
+        for side in order:
+            timed(side, params)
+    ratios = {label: [] for label, _ in jobs}
+    for r in range(repeats):  # pair r of every battery before pair r + 1
+        for label, params in jobs:
+            times = {side: timed(side, params) for side in (order if r % 2 == 0 else order[::-1])}
+            ratios[label].append(times["change"] / times["parent"])
+    return ratios
+
+
+def against(parent: Path, args: argparse.Namespace, jobs: list[tuple[str, dict]]) -> int:
+    """Run ``pair_ratios`` in one child process per import order and print
+    each battery's ratios, their geometric mean and each side's wins."""
+    if not (parent / "src" / "killinglab" / "cli.py").is_file():
+        raise SystemExit(f"check_times: no src/killinglab/cli.py under {parent}")
+    if args.first is not None:
+        print(json.dumps(pair_ratios(parent, args.first, jobs, args.repeats)))
+        return 0
+    settings = ["--against", str(parent), "--samples", str(args.samples), "--seed",
+                str(args.seed), "--repeats", str(args.repeats)]
+    runs = {}
+    for first in SIDES:
+        proc = subprocess.run([sys.executable, str(Path(__file__).resolve()), *settings,
+                               "--first", first], capture_output=True, text=True)
+        if proc.returncode:
+            raise SystemExit(f"check_times: the {first}-first run exited {proc.returncode}:\n"
+                             f"{proc.stderr}")
+        runs[first] = json.loads(proc.stdout)
+    print(f"change {ROOT} / parent {parent}: battery wall time, median over {args.repeats} "
+          f"pairs in each import order")
+    for label, _ in jobs:
+        medians = {first: statistics.median(runs[first][label]) for first in SIDES}
+        every = runs["change"][label] + runs["parent"][label]
+        print(f"  {label:<30} change first {medians['change']:.4f}  parent first "
+              f"{medians['parent']:.4f}  geometric mean "
+              f"{(medians['change'] * medians['parent']) ** 0.5:.4f}  pairs won: change "
+              f"{sum(r < 1 for r in every)}, parent {sum(r > 1 for r in every)}")
+    return 0
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--samples", type=int, default=cli.RunConfig.samples)
@@ -169,8 +251,19 @@ def main(argv=None) -> int:
                    help="also time whole decompose --example round --n N processes")
     p.add_argument("--verify", action="append", default=[], metavar="ARGS",
                    help="also time a whole 'killinglab verify ARGS' process (repeatable)")
+    p.add_argument("--against", type=Path, default=None, metavar="PARENT",
+                   help="compare each battery's wall time with the checkout at PARENT instead")
+    p.add_argument("--first", choices=SIDES, default=None,
+                   help="with --against: run one import order in this process, print JSON")
     args = p.parse_args(argv)
     sizes = ["".join(f" --{k} {v}" for k, v in params.items()) for _, params in BATTERIES]
+    if args.against is not None:
+        if args.json or args.decompose_n or args.verify:
+            p.error("--against takes no --json, --decompose-n or --verify")
+        return against(args.against.resolve(), args, [
+            (f"{example}{size}", {"example": example, "samples": args.samples,
+                                  "seed": args.seed, **params})
+            for (example, params), size in zip(BATTERIES, sizes)])
     jobs = [(example, replace(cli.RunConfig(), example=example, samples=args.samples,
                               seed=args.seed, **params),
              ["verify", "--example", example, "--samples", str(args.samples),

@@ -113,20 +113,6 @@ def _chunks(X: np.ndarray) -> list[np.ndarray]:
     return [X[rows] for rows in sample_chunks(len(X), sample_bytes(X.shape[1], stencil=False))]
 
 
-class _Context(SimpleNamespace):
-    """What a battery's rows read: its structure, ``cfg``, ``lc``, the sample
-    ``X``, the report ``rep``, the chunk ``x`` and what its stages build.  A
-    name of the battery's ``shared`` is built on its first read and kept, in
-    the time of the row that reads it first."""
-
-    def __getattr__(self, name: str):  # only for a name not yet set
-        build = vars(self).get("shared", {}).get(name)
-        if build is None:
-            raise AttributeError(name)
-        setattr(self, name, value := build(self))
-        return value
-
-
 class Row(NamedTuple):
     """One check of a battery: its name; its residual, a function of the
     context with the chunk ``c.x``'s points on its last axis, or, run
@@ -137,20 +123,25 @@ class Row(NamedTuple):
     whole sample."""
 
     name: str
-    residual: Callable[[_Context], Any]
+    residual: Callable[[SimpleNamespace], Any]
     tol: float
     floor: float | None = None
-    detail: str | Callable[[Any, _Context], tuple[Any, str]] = ""
+    detail: str | Callable[[Any, SimpleNamespace], tuple[Any, str]] = ""
     once: bool = False
 
 
 class Stage(NamedTuple):
-    """A build the rows after it share, once a chunk: ``build(c)`` set as
-    ``c.<attr>``, timed under the clock row ``name``."""
+    """A build the rows after it share: ``build(c)`` set as ``c.<attr>``,
+    timed under the clock row ``name``, once a chunk among a battery's steps
+    and once a run in its fixed part."""
 
     name: str
     attr: str
-    build: Callable[[_Context], Any]
+    build: Callable[[SimpleNamespace], Any]
+
+    def __call__(self, c: SimpleNamespace) -> None:
+        with c.rep.stage(self.name):
+            setattr(c, self.attr, self.build(c))
 
 
 class Battery(NamedTuple):
@@ -158,40 +149,40 @@ class Battery(NamedTuple):
     the report's ``title`` and the structure the context holds: its
     ``metric``, the step canary's ``field``, the sphere index ``n`` and what
     the rows read.  ``steps`` are its stages and its rows, each run on a
-    chunk in this order, the rows in report order; ``shared`` names the
-    fixed part; ``admit`` refuses, before the first chunk, a sample the
-    battery cannot judge; ``extras`` are the report's."""
+    chunk in this order, the rows in report order; ``fixed`` are the stages
+    it builds once, when it opens: what its rows share over the whole
+    sample, and the refusals of a sample it cannot judge; ``extras`` are the
+    report's."""
 
     open: Callable[[RunConfig], dict]
     steps: tuple[Stage | Row, ...]
-    shared: dict[str, Callable[[_Context], Any]] = {}
-    admit: Callable[[_Context], None] = lambda c: None
-    extras: Callable[[_Context], dict] = lambda c: {}
+    fixed: tuple[Stage, ...] = ()
+    extras: Callable[[SimpleNamespace], dict] = lambda c: {}
 
     @property
     def rows(self) -> tuple[Row, ...]:
         return tuple(step for step in self.steps if isinstance(step, Row))
 
-    def context(self, cfg: RunConfig) -> _Context:
+    def context(self, cfg: RunConfig) -> SimpleNamespace:
         """The battery opened: its structure, the connection, the sample, the
-        report and the step canary on the first sample point, then ``admit``."""
-        c = _Context(cfg=cfg, shared=self.shared, **self.open(cfg))
+        report, the step canary on the first sample point, then ``fixed``."""
+        c = SimpleNamespace(cfg=cfg, **self.open(cfg))
         c.lc = LeviCivita(c.metric, fd_step=cfg.fd_step)
         c.X = sample_sphere(c.n, cfg.samples, cfg.seed).coords
         c.rep = VerificationReport(title=c.title, config=dict(vars(cfg)))
         _step_canary(c.lc, c.field, c.X[0], c.rep)
-        self.admit(c)
+        for stage in self.fixed:
+            stage(c)
         return c
 
-    def evaluate(self, c: _Context, x: np.ndarray, first: bool) -> dict[str, Any]:
+    def evaluate(self, c: SimpleNamespace, x: np.ndarray, first: bool) -> dict[str, Any]:
         """The residuals of the rows at the chunk x by name, the rows run
         ``once`` only on the ``first`` chunk: the steps in order, each stage
         timed as its stage and each row lapped on the report's clock."""
         c.x, out = x, {}
         for step in self.steps:
             if isinstance(step, Stage):
-                with c.rep.stage(step.name):
-                    setattr(c, step.attr, step.build(c))
+                step(c)
             elif first or not step.once:
                 out[step.name] = step.residual(c)
                 c.rep.lap(step.name)
@@ -212,20 +203,20 @@ class Battery(NamedTuple):
         return c.rep
 
 
-def _killing_row(name: str, tol: float, at: Callable[[_Context], tuple], once: bool) -> Row:
+def _killing_row(name: str, tol: float, at: Callable[[SimpleNamespace], tuple], once: bool) -> Row:
     """The Killing check of the field, or stack (G, d, d) of linear
     generators, at the points on the frame (None: its own) that ``at(c)``
     returns.  One that vanishes on the whole sample is trivially Killing:
     its check is flagged degenerate, from each field's largest entry at each
     point, carried under its residual through the join."""
 
-    def residual(c: _Context) -> np.ndarray:
+    def residual(c: SimpleNamespace) -> np.ndarray:
         fld, X, frame = at(c)
         res = verify.check_killing(c.lc, fld, X, frame=frame)  # refuses a bad sample by name
         values = fld.value(X) if isinstance(fld, VectorField) else X @ np.swapaxes(fld, -1, -2)
         return np.stack([res, np.abs(values).max(axis=-1)])
 
-    def degenerate(joined: np.ndarray, c: _Context) -> tuple[np.ndarray, str]:
+    def degenerate(joined: np.ndarray, c: SimpleNamespace) -> tuple[np.ndarray, str]:
         res, size = joined
         return res, ("degenerate: field vanishes on all samples"
                      if (size.max(axis=-1) <= 1e-12).any() else "")
@@ -260,16 +251,16 @@ _SPECTRUM = Row("two_form_square_spectrum", lambda c: verify.check_dxi_spectrum(
 # frame, from one exact-flow quotient on a non-round metric
 _INVARIANCE = _killing_row("invariance_algebra_killing", 1e-5,
                            lambda c: (c.alg.basis, c.X[:40], None), True)
-_ALGEBRA = {"alg": lambda c: c.s.isometry_algebra()}
+_ALGEBRA = Stage("isometry_algebra", "alg", lambda c: c.s.isometry_algebra())
 
 
-def _eigenfield_identities(c: _Context) -> np.ndarray:
+def _eigenfield_identities(c: SimpleNamespace) -> np.ndarray:
     nz = [k for k, lam in enumerate(c.dec.rates) if lam > 0.5][0]
     return np.stack(list(eigenfield_rows(c.field, c.dec.blocks[nz], c.st,
                                          rate=c.dec.rates[nz]).values()))
 
 
-def _deformed_scaling(c: _Context) -> np.ndarray:
+def _deformed_scaling(c: SimpleNamespace) -> np.ndarray:
     """Pinned transverse scaling: phi X = e^{-2F} J0 X and phi J0 X = -e^{2F} X
     at each point of the chunk; NaN where X = 0, off the transverse plane."""
     ds, st = c.s, c.st
@@ -280,25 +271,27 @@ def _deformed_scaling(c: _Context) -> np.ndarray:
     return np.where(rowdot(X, X) >= 1e-12, np.maximum(r1, r2), np.nan)
 
 
-def _transverse_count(joined: np.ndarray, c: _Context) -> tuple[np.ndarray | float, str]:
+def _transverse_count(joined: np.ndarray, c: SimpleNamespace) -> tuple[np.ndarray | float, str]:
     kept = joined[~np.isnan(joined)]
     return (kept if kept.size else np.inf), f"{kept.size} samples carry the transverse plane"
 
 
-def _gf_support(c: _Context) -> None:
-    if not np.any(c.s.f_of(c.X)):
+def _gf_support(c: SimpleNamespace) -> np.ndarray:
+    """The samples in the deformation's support, where F != 0; refused when none is."""
+    if not (support := c.s.f_of(c.X) != 0).any():
         raise NumericalQualityError(
             f"none of gF's {len(c.X)} samples (seed {c.cfg.seed}) lands in the deformation's "
             f"support, where F != 0, so its expected-fail checks have no defect to measure; "
             f"raise --samples or pick another --seed")
+    return support
 
 
-def _central_pair(c: _Context) -> float:
+def _central_pair(c: SimpleNamespace) -> float:
     cen = centralizer_check(c.alg, np.stack([c.s.j0, c.s.j1]))
     return cen["max_commutator"] + (0.0 if all(cen["members"]) else 1.0)
 
 
-def _irregular_extras(c: _Context) -> dict:
+def _irregular_extras(c: SimpleNamespace) -> dict:
     dec = standard_decomposition(c.alg, c.field.matrix)
     cls = classify(c.s.profile())
     probe = numeric_orbit_probe(c.field.matrix, c.X[0], t_max=60.0)
@@ -314,8 +307,9 @@ _ROUND = Battery(
      _WEDGE._replace(tol=verify.EXACT_TOL), _CONTACT, _SPECTRUM._replace(tol=1e-8), _TORSION,
      Row("eigenfield_identities", _eigenfield_identities, 1e-6, detail="orthogonality + "
          "bracket + eigenvalue identities over the whole nonzero-rate block")),
-    shared={"dec": lambda c: standard_decomposition(c.s.isometry_algebra(), c.s.j0)},
-    extras=lambda c: {"decomposition": c.dec.summary()})
+    (Stage("decomposition", "dec",
+           lambda c: standard_decomposition(c.s.isometry_algebra(), c.s.j0)),),
+    lambda c: {"decomposition": c.dec.summary()})
 
 _GF = Battery(
     _unit("boundary-localized deformation on S^{dim} (c={cfg.c})"),
@@ -326,11 +320,11 @@ _GF = Battery(
                     detail=_transverse_count),
      _WEDGE._replace(floor=GF_WEDGE_FLOOR), _TORSION._replace(floor=GF_TORSION_FLOOR),
      _INVARIANCE),
-    shared={**_ALGEBRA, "lc_round": lambda c: LeviCivita(build_round(c.cfg.n).metric,
-                                                         fd_step=c.cfg.fd_step)},
-    admit=_gf_support,
-    extras=lambda c: {"decomposition": standard_decomposition(c.alg, c.s.j0).summary(),
-                      "support_fraction": np.count_nonzero(c.s.f_of(c.X)) / len(c.X)})
+    (Stage("support", "support", _gf_support), _ALGEBRA,
+     Stage("round_connection", "lc_round", lambda c: LeviCivita(build_round(c.cfg.n).metric,
+                                                                fd_step=c.cfg.fd_step))),
+    lambda c: {"decomposition": standard_decomposition(c.alg, c.s.j0).summary(),
+               "support_fraction": np.count_nonzero(c.support) / len(c.X)})
 
 _IRREGULAR = Battery(
     _unit("irregular unit Killing structure on S^{dim} (a={cfg.a})"),
@@ -340,17 +334,17 @@ _IRREGULAR = Battery(
      Row("central_pair", _central_pair, 1e-10,
          detail="J0, J1 commute with and belong to the algebra", once=True),
      _INVARIANCE),
-    shared=_ALGEBRA, extras=_irregular_extras)
+    (_ALGEBRA,), _irregular_extras)
 
 
 # the quaternionic triple
 
-def _bracket_sign(joined, c: _Context) -> tuple[Any, str]:
+def _bracket_sign(joined, c: SimpleNamespace) -> tuple[Any, str]:
     """The sign the triple's residuals are measured at, ``eps`` of its brackets."""
     return joined, f"bracket sign eps={c.eps:+d}"
 
 
-def _completion_sign(joined: np.ndarray, c: _Context) -> tuple[np.ndarray, str]:
+def _completion_sign(joined: np.ndarray, c: SimpleNamespace) -> tuple[np.ndarray, str]:
     """Pair completion's unit and product rows and its reconstruction at the
     sign that fits the whole sample best."""
     unit, products, plus, minus = joined
@@ -360,24 +354,23 @@ def _completion_sign(joined: np.ndarray, c: _Context) -> tuple[np.ndarray, str]:
         f"(sign {'+' if sign else '-'}) of completed triple")
 
 
-def _horizontal_split(c: _Context) -> verify.SplittingResult:
+def _horizontal_split(c: SimpleNamespace) -> verify.SplittingResult:
     """The split at the first ten sample points, of the first chunk's triple when it holds them."""
     return verify.horizontal_split(c.triple.rows(slice(10)) if len(c.x) >= len(c.X[:10])
                                    else verify.triple_psi(c.lc, c.qs.fields, c.X[:10]))
 
 
-def _split_dims(sp: verify.SplittingResult, c: _Context) -> tuple[float, str]:
+def _split_dims(sp: verify.SplittingResult, c: SimpleNamespace) -> tuple[float, str]:
     dims = sorted(set(zip(sp.dim_plus.tolist(), sp.dim_minus.tolist())))
     return float(np.max([sp.split.involution_residual, sp.split.symmetry_residual,
                          sp.invariance_residual, sp.commutation_residual, sp.dim_plus])), (
         f"(dim+, dim-) over samples: {dims}")
 
 
-def _flip(c: _Context) -> tuple[dict[str, float], dict]:
+def _flip(c: SimpleNamespace) -> tuple[dict[str, float], dict]:
     fixture = build_flip_fixture()
-    with c.rep.stage("check_flip_quaternionic"):
-        return verify.check_flip_quaternionic(fixture.J, fixture.metric_matrix,
-                                              fixture.projector_plus)
+    return verify.check_flip_quaternionic(fixture.J, fixture.metric_matrix,
+                                          fixture.projector_plus)
 
 
 # the floor and detail of a flip fixture row that has one
@@ -415,35 +408,50 @@ _QUATERNIONIC = Battery(
      *(Row(name, lambda c, name=name: c.flip[0][name], 1e-12, *_FLIP_ROWS.get(name, ()),
            once=True) for name in verify.FLIP_CHECKS)),
     # the sign at the closure the bracket residual allows, read by every row that names it
-    shared={"eps": lambda c: verify.measured_cyclic_sign(c.qs.fields, tol=1e-6), "flip": _flip},
-    extras=lambda c: {"flip_fixture": c.flip[1]})
+    (Stage("bracket_sign", "eps", lambda c: verify.measured_cyclic_sign(c.qs.fields, tol=1e-6)),
+     Stage("check_flip_quaternionic", "flip", _flip)),
+    lambda c: {"flip_fixture": c.flip[1]})
 
 
 # the circle-bundle lift
 
-def _hopf_kept(c: _Context) -> None:
-    if len(c.kept) < HOPF_MIN_KEPT:
+def _hopf_kept(c: SimpleNamespace) -> np.ndarray:
+    """The samples away from the anchor antipode, refused when too few for
+    the fit, or when potential_path_independence has no target among them."""
+    kept = hopf_sample_filter(c.X)
+    if len(kept) < HOPF_MIN_KEPT:
         raise ValueError(
-            f"hopf-lift keeps {len(c.kept)} of {len(c.X)} samples after dropping "
+            f"hopf-lift keeps {len(kept)} of {len(c.X)} samples after dropping "
             f"base points near the anchor antipode; the 4x4 linear fit of each "
             f"lift needs at least {HOPF_MIN_KEPT} (raise --samples)")
+    if not len(_path_targets(c.bundle, kept)[1]):
+        raise ValueError(
+            f"hopf-lift's potential_path_independence has no target: none of the "
+            f"{len(kept) - 2} kept samples past the first two lies away from the antipode of "
+            f"its waypoint, the second's base point, so the check has nothing to measure "
+            f"(raise --samples)")
+    return kept
 
 
-def _path_independence(c: _Context) -> tuple[float, int]:
-    """Direct potential vs a two-leg path through a waypoint, at up to 8
-    targets away from its antipode (the first leg rides in the direct
-    quadrature): the worst gap and the number of targets."""
-    bundle, gen, waypoint = c.bundle, c.gens[0], hopf_projection(c.kept[1])
-    ys = hopf_projection(c.kept[2:])
-    ys = ys[ys @ waypoint / bundle.base_radius**2 >= -0.8][:8]
+def _path_targets(bundle, kept: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The waypoint, the second kept point's base image, and up to 8
+    targets, the later kept points' base images away from its antipode."""
+    waypoint, ys = hopf_projection(kept[1]), hopf_projection(kept[2:])
+    return waypoint, ys[ys @ waypoint / bundle.base_radius**2 >= -0.8][:8]
+
+
+def _path_independence(c: SimpleNamespace) -> tuple[float, int]:
+    """Direct potential vs a two-leg path through the waypoint at its
+    targets (the first leg rides in the direct quadrature): the worst gap
+    and the number of targets."""
+    bundle, gen = c.bundle, c.gens[0]
+    waypoint, ys = _path_targets(bundle, c.kept)
     direct = lift_potential(bundle, gen, np.vstack([waypoint, ys]))
-    if not len(ys):
-        return 0.0, 0
     two_leg = direct[0] + lift_potential(replace(bundle, anchor=waypoint), gen, ys)
     return float(np.abs(direct[1:] - two_leg).max()), len(ys)
 
 
-def _pushdown(c: _Context) -> tuple[np.ndarray, np.ndarray]:
+def _pushdown(c: SimpleNamespace) -> tuple[np.ndarray, np.ndarray]:
     """The lifts and the circle generator projected onto the base at the
     first 40 kept points: the base generators fitted, and the fit's residuals."""
     xs, ups = c.kept[:40], np.concatenate([c.lift[0], c.bundle.j0[None]])
@@ -451,7 +459,7 @@ def _pushdown(c: _Context) -> tuple[np.ndarray, np.ndarray]:
         hopf_projection(xs), matvec(hopf_differential(xs), xs @ np.swapaxes(ups, 1, 2)))
 
 
-def _pushdown_kernel(c: _Context) -> tuple[float, np.ndarray]:
+def _pushdown_kernel(c: SimpleNamespace) -> tuple[float, np.ndarray]:
     """The left null vector of the pushed-down stack holds the coefficients
     (in the {lift1..3, circle} basis) of the combination the pushdown
     annihilates, which must be the circle generator; and the singular values."""
@@ -461,7 +469,7 @@ def _pushdown_kernel(c: _Context) -> tuple[float, np.ndarray]:
                                  float(np.abs(kvec + e_vert).max()))), sv
 
 
-def _brackets_mod_vertical(c: _Context) -> float:
+def _brackets_mod_vertical(c: SimpleNamespace) -> float:
     """For each cyclic pair, the lifted bracket less the lift of the base
     bracket is a multiple of j0."""
     mats, gens, j0 = c.lift[0], c.gens, c.bundle.j0
@@ -490,10 +498,10 @@ _HOPF = Battery(
      Row("pushdown_kernel_is_vertical", _pushdown_kernel, 1e-6, once=True,
          detail=lambda r, c: (r[0], f"singular values {np.round(r[1], 8).tolist()}")),
      Row("brackets_close_mod_vertical", _brackets_mod_vertical, 1e-8, once=True)),
-    shared={"kept": lambda c: hopf_sample_filter(c.X),
-            "lift": lambda c: solve_lift(c.bundle, c.gens, c.kept),  # the three in one quadrature
-            "pushdown": _pushdown},
-    admit=_hopf_kept, extras=lambda c: {"kept_samples": len(c.kept)})
+    (Stage("sample_filter", "kept", _hopf_kept),
+     Stage("lift", "lift", lambda c: solve_lift(c.bundle, c.gens, c.kept)),  # one quadrature
+     Stage("pushdown", "pushdown", _pushdown)),
+    lambda c: {"kept_samples": len(c.kept)})
 
 _BATTERIES = {"round": _ROUND, "quaternionic": _QUATERNIONIC, "hopf-lift": _HOPF, "gF": _GF,
               "irregular": _IRREGULAR}

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import ast
 import json
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -116,6 +118,43 @@ def test_every_per_sample_row_reads_points_outside_the_sample(example):
             res = np.asarray(row.detail(res, c)[0] if callable(row.detail) else res)
             assert res.shape[-1:] == (3,) and res.ndim in (1, 2), (row.name, res.shape)
             assert np.isfinite(res).all(), row.name
+
+
+# what each battery builds once, when it opens, in order
+FIXED = {"round": ["decomposition"], "quaternionic": ["bracket_sign", "check_flip_quaternionic"],
+         "hopf-lift": ["sample_filter", "lift", "pushdown"],
+         "gF": ["support", "isometry_algebra", "round_connection"],
+         "irregular": ["isometry_algebra"]}
+
+
+@pytest.mark.parametrize("example", list(ROWS))
+def test_every_build_and_check_is_a_clock_row_of_its_own(example):
+    """The clock holds a row for each fixed stage, each per-chunk stage and
+    each check, and the step canary's on the batteries that take finite
+    differences: nothing a row reads is built in the time of another."""
+    battery = cli._BATTERIES[example]
+    assert [stage.name for stage in battery.fixed] == FIXED[example]
+    rep = battery(cli.RunConfig(example=example, samples=cli.GF_MIN_SAMPLES, **PARAMS[example]))
+    canary = {"covariant_canary"} if example in ("gF", "irregular") else set()
+    chunked = {step.name for step in battery.steps if isinstance(step, cli.Stage)}
+    assert set(rep.clock) == (canary | set(FIXED[example]) | chunked
+                              | {row.name for row in battery.rows})
+
+
+def test_only_the_driver_times_a_stage():
+    """Every ``rep.stage`` call in cli is the step canary's or a Stage's own."""
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+
+    def stage_calls(node):
+        return [call for call in ast.walk(node) if isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Attribute) and call.func.attr == "stage"]
+
+    stage_class = next(node for node in tree.body
+                       if isinstance(node, ast.ClassDef) and node.name == "Stage")
+    driver = [fn for fn in [*tree.body, *stage_class.body] if isinstance(fn, ast.FunctionDef)
+              and fn.name in ("_step_canary", "__call__")]
+    assert len(driver) == 2
+    assert len(stage_calls(tree)) == sum(len(stage_calls(fn)) for fn in driver) == 2
 
 
 # -- a verdict does not depend on where the chunks split ------------------------------

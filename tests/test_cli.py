@@ -293,6 +293,18 @@ def test_hopf_lift_too_few_kept_samples():
     assert "skew" not in err
 
 
+@pytest.mark.parametrize("samples, seed", [(4, 255), (5, 68), (6, 2192)])
+def test_hopf_lift_path_check_with_no_target_is_refused(capsys, samples, seed):
+    """A sample whose kept points past the first two all lie near the
+    antipode of the waypoint leaves potential_path_independence nothing to
+    measure: it is refused by name, where the check passed at 0 targets."""
+    assert main(["verify", "--example", "hopf-lift", "--samples", str(samples),
+                 "--seed", str(seed), "--no-timestamp"]) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "potential_path_independence has no target" in err and "(raise --samples)" in err
+
+
 def test_exit_codes_numerical_failures():
     code, _, err = run_cli("verify", "--example", "round", "--n", "1",
                            "--fd-step", "1e30", *FAST)

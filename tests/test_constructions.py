@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -398,7 +399,7 @@ def test_deformed_transverse_scaling(deformed):
     from killinglab import cli
     lc = LeviCivita(deformed.metric)
     pts = sample_sphere(deformed.n, 25, seed=42).points
-    c = cli._Context(s=deformed, st=lc.structure_at(deformed.field, pts))
+    c = SimpleNamespace(s=deformed, st=lc.structure_at(deformed.field, pts))
     res, detail = cli._transverse_count(cli._deformed_scaling(c), c)
     assert res.max() <= 1e-6
     assert detail == f"{len(res)} samples carry the transverse plane" and len(res) > 20

@@ -5,6 +5,7 @@ from __future__ import annotations
 import inspect
 import re
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -76,7 +77,7 @@ def test_killing_flags_zero_field(lc_round1, pts1):
     from killinglab import cli
 
     zero = general_field(lambda x: np.zeros_like(x), name="zero")
-    c, row = cli._Context(lc=lc_round1), cli._killing_row(
+    c, row = SimpleNamespace(lc=lc_round1), cli._killing_row(
         "killing", 1e-10, lambda c: (zero, np.asarray(pts1), None), False)
     res, detail = row.detail(row.residual(c), c)
     assert res.max() <= 1e-12  # L_0 g = 0, vacuously
