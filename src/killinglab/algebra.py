@@ -256,7 +256,7 @@ def eigenfield_rows(xi_field, mats, st, rate: float | None = None) -> dict[str, 
     ab = st.x @ np.concatenate([mats, field_bracket(xi_mat, mats)]).reshape(-1, mats.shape[-1]).T
     a, brackets = np.swapaxes(ab.reshape(len(st.x), 2, len(mats), -1), 0, 1)
     F, Ft = st.frame, np.swapaxes(st.frame, -1, -2)
-    out = {"orthogonality": np.abs(a @ (st.metric_matrix @ st.xi[..., None])).max(axis=(1, 2))}
+    out = {"orthogonality": np.abs(a @ st.eta[..., None]).max(axis=(1, 2))}
     out["bracket_identity"] = np.linalg.norm(brackets + a @ (st.dxi @ F @ Ft),
                                              axis=-1).max(axis=1)
     if rate is not None:

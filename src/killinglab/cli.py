@@ -224,6 +224,12 @@ def _killing_row(name: str, tol: float, at: Callable[[SimpleNamespace], tuple], 
     return Row(name, residual, tol, detail=degenerate, once=once)
 
 
+def _first_rows(c: SimpleNamespace, built, k: int):
+    """The first k sample points' rows of ``built``, a structure of the first
+    chunk (``c.st`` or ``c.triple``), when that chunk holds them; else None."""
+    return built.rows(slice(k)) if len(c.x) >= len(c.X[:k]) else None
+
+
 # the unit Killing batteries: round, gF, irregular
 
 def _unit(title: str) -> Callable[[RunConfig], dict]:
@@ -236,9 +242,8 @@ def _unit(title: str) -> Callable[[RunConfig], dict]:
 _UNIT_STAGES = (Stage("structure_at", "st", lambda c: c.lc.structure_at(c.field, c.x)),
                 Stage("second_nabla_frame", "T",
                       lambda c: c.lc.second_nabla_frame(c.field, c.x, c.st.frame)))
-_TANGENCY = Row("tangency", lambda c: verify.check_tangency(c.field, c.x), verify.TANGENCY_TOL)
-_UNIT_LENGTH = Row("unit_length", lambda c: verify.check_unit_length(c.lc, c.field, c.x),
-                   verify.UNIT_TOL)
+_TANGENCY = Row("tangency", lambda c: verify.check_tangency(c.st), verify.TANGENCY_TOL)
+_UNIT_LENGTH = Row("unit_length", lambda c: verify.check_unit_length(c.st), verify.UNIT_TOL)
 _KILLING = _killing_row("killing", 1e-6, lambda c: (c.field, c.x, c.st.frame), False)
 _CONTACT = Row("contact_endomorphism", lambda c: verify.check_kcontact(c.st), verify.CONTACT_TOL)
 _WEDGE = Row("wedge_second_derivative", lambda c: verify.check_sasakian(c.st, c.T),
@@ -249,8 +254,8 @@ _SPECTRUM = Row("two_form_square_spectrum", lambda c: verify.check_dxi_spectrum(
     c.st, [-4.0] * (c.x.shape[1] - 2) + [0.0]), 1e-5)
 # Killing checks of an algebra's basis stack on X[:40], all on one g-orthonormal
 # frame, from one exact-flow quotient on a non-round metric
-_INVARIANCE = _killing_row("invariance_algebra_killing", 1e-5,
-                           lambda c: (c.alg.basis, c.X[:40], None), True)
+_INVARIANCE = _killing_row("invariance_algebra_killing", 1e-5, lambda c: (
+    c.alg.basis, c.X[:40], getattr(_first_rows(c, c.st, 40), "frame", None)), True)
 _ALGEBRA = Stage("isometry_algebra", "alg", lambda c: c.s.isometry_algebra())
 
 
@@ -315,7 +320,7 @@ _GF = Battery(
     _unit("boundary-localized deformation on S^{dim} (c={cfg.c})"),
     (*_UNIT_STAGES, _TANGENCY, _UNIT_LENGTH, _KILLING, _CONTACT,
      Row("contact_form_preserved", lambda c: verify.check_contact_form_preserved(
-         c.lc, c.lc_round, c.field, c.x), 1e-8),
+         c.lc, c.lc_round, c.field, c.st), 1e-8),
      _SPECTRUM, Row("deformed_transverse_scaling", _deformed_scaling, 1e-6,
                     detail=_transverse_count),
      _WEDGE._replace(floor=GF_WEDGE_FLOOR), _TORSION._replace(floor=GF_TORSION_FLOOR),
@@ -356,8 +361,8 @@ def _completion_sign(joined: np.ndarray, c: SimpleNamespace) -> tuple[np.ndarray
 
 def _horizontal_split(c: SimpleNamespace) -> verify.SplittingResult:
     """The split at the first ten sample points, of the first chunk's triple when it holds them."""
-    return verify.horizontal_split(c.triple.rows(slice(10)) if len(c.x) >= len(c.X[:10])
-                                   else verify.triple_psi(c.lc, c.qs.fields, c.X[:10]))
+    return verify.horizontal_split(_first_rows(c, c.triple, 10)
+                                   or verify.triple_psi(c.lc, c.qs.fields, c.X[:10]))
 
 
 def _split_dims(sp: verify.SplittingResult, c: SimpleNamespace) -> tuple[float, str]:
@@ -385,8 +390,8 @@ _QUATERNIONIC = Battery(
                  "qs": (qs := build_quaternionic(cfg.m)), "metric": qs.metric,
                  "field": qs.fields[0], "n": 2 * cfg.m + 1},
     (Stage("triple_psi", "triple", lambda c: verify.triple_psi(c.lc, c.qs.fields, c.x)),
-     Row("triple_orthonormality", lambda c: verify.check_triple_orthonormality(
-         c.lc, c.qs.fields, c.x), 1e-10),
+     Row("triple_orthonormality", lambda c: verify.check_triple_orthonormality(c.triple),
+         1e-10),
      Row("triple_brackets", lambda c: verify.check_triple_brackets(c.qs.fields, c.eps), 1e-12,
          detail=lambda r, c: (r, f"uniform bracket sign eps={c.eps:+d}"), once=True),
      _killing_row("triple_killing", verify.EXACT_TOL,

@@ -314,18 +314,19 @@ def _christoffel(g: np.ndarray, dg: np.ndarray) -> np.ndarray:
 class StructureTensors:
     """Pointwise package used by the verification batteries.
 
-    ``nabla_endo`` is the ambient matrix N with N v = (covariant derivative
-    of the field along v) for tangent v; ``dxi`` is the ambient matrix D of
-    the exterior derivative of the field's metric-dual one-form, with
-    d(eta)(u, v) = u^T D v; ``phi_frame``/``phi_ambient`` represent the
-    skew endomorphism defined by g(phi u, v) = d(eta)(u, v) / 2.  ``x`` is
-    the point (d,) or the sample (N, d) it was built at; built at a sample,
-    every field carries a leading axis of N.
+    ``eta`` holds the ambient components M xi of the field's metric-dual
+    one-form eta; ``nabla_endo`` is the ambient matrix N with N v =
+    (covariant derivative of the field along v) for tangent v; ``dxi`` is the
+    ambient matrix D of d(eta), d(eta)(u, v) = u^T D v; ``phi_frame`` and
+    ``phi_ambient`` represent the skew endomorphism defined by g(phi u, v) =
+    d(eta)(u, v) / 2.  ``x`` is the point (d,) or the sample (N, d) it was
+    built at; built at a sample, every field carries a leading axis of N.
     """
 
     x: np.ndarray
     xi: np.ndarray
     metric_matrix: np.ndarray
+    eta: np.ndarray
     frame: np.ndarray
     nabla_endo: np.ndarray
     dxi: np.ndarray
@@ -510,14 +511,15 @@ class LeviCivita:
         A = fld.matrix if isinstance(fld, VectorField) else np.asarray(fld, dtype=float)
         if A is not None and not self.metric.exact_round:
             return self.flow_lie_frame(A, x, frame=frame)
-        M = self.metric.matrix_at(x)
-        F = self.frame(x, M) if frame is None else frame
         if A is not None:  # the closed form: M = Id and N = P A P, so the Lie derivative
             # is B + B^T with B = (P F)^T A (P F), each generator against every point
+            F = orthonormal_tangent_frame(x) if frame is None else frame
             PF = F - x[..., :, None] * (x[..., None, :] @ F)
             B = np.swapaxes(PF, -1, -2) @ (
                 A.reshape(A.shape[:-2] + (1,) * (x.ndim - 1) + A.shape[-2:]) @ PF)
             return B + np.swapaxes(B, -1, -2)
+        M = self.metric.matrix_at(x)
+        F = self.frame(x, M) if frame is None else frame
         N = self.nabla_endo(fld, x)
         return np.swapaxes(F, -1, -2) @ (np.swapaxes(N, -1, -2) @ M + M @ N) @ F
 
@@ -548,22 +550,24 @@ class LeviCivita:
 
     def structure_at(self, fld: VectorField, x: np.ndarray,
                      frame: np.ndarray | None = None) -> StructureTensors:
-        """Bundle: field value, metric, frame, first covariant derivative,
-        two-form of the dual one-form, and the half-two-form endomorphism in
-        frame and ambient forms.  ``frame``, ``LeviCivita.frame``, is built
-        here when not given; it comes first, so a degenerate
-        metric raises MetricDegeneracyError before any differencing.  ``x``,
-        one point (d,) or a sample (N, d), is refused unless non-empty and on
-        the unit sphere."""
+        """Bundle: field value, metric, dual one-form, frame, first covariant
+        derivative, two-form of the dual one-form, and the half-two-form
+        endomorphism in frame and ambient forms.  ``frame``,
+        ``LeviCivita.frame``, is built here when not given; it comes first, so
+        a degenerate metric raises MetricDegeneracyError before any
+        differencing.  ``x``, one point (d,) or a sample (N, d), is refused
+        unless non-empty and on the unit sphere."""
         x = unit_sample("structure_at", x, (1, 2))
         M = self.metric.matrix_at(x)
         F = self.frame(x, M) if frame is None else frame
         Ft = np.swapaxes(F, -1, -2)
         xi = fld.value(x)
         N = self.nabla_endo(fld, x)
-        D = np.swapaxes(N, -1, -2) @ M - M @ N
+        Nt = np.swapaxes(N, -1, -2)
+        eye = self.metric.exact_round  # M = Id, whose products are skipped
+        D = Nt - N if eye else Nt @ M - M @ N
         phi_frame = 0.5 * np.swapaxes(Ft @ D @ F, -1, -2)
-        phi_ambient = F @ phi_frame @ Ft @ M
-        return StructureTensors(x=x, xi=xi, metric_matrix=M, frame=F,
-                                nabla_endo=N, dxi=D, phi_frame=phi_frame,
-                                phi_ambient=phi_ambient)
+        phi_ambient = F @ phi_frame @ Ft
+        return StructureTensors(x=x, xi=xi, metric_matrix=M, eta=xi if eye else matvec(M, xi),
+                                frame=F, nabla_endo=N, dxi=D, phi_frame=phi_frame,
+                                phi_ambient=phi_ambient if eye else phi_ambient @ M)

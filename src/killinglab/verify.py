@@ -27,14 +27,14 @@ half-two-form endomorphism phi (see metrics.StructureTensors):
                    examples, and must not for the boundary-localized
                    deformation); contracted pointwise from nabla^2 xi.
 
-A check reads either the sample itself (``points``) or, and then only, the
-structures its battery built once on the sample: ``st`` =
-``lc.structure_at(fld, X)``, ``T`` = ``lc.second_nabla_frame(fld, X,
-st.frame)`` and ``triple`` = ``triple_psi(lc, fields, X)``, of which
-``triple.rows(sl)`` serves a check on the rows ``X[sl]``.  A bad sample is
-refused by name where it enters: by the check that takes ``points``, or by
-``structure_at``.  ``check_killing`` alone may be handed a shared frame, and
-the triple checks take the bracket sign of ``measured_cyclic_sign`` as given.
+At the sample's own points a check reads the field, the metric and the
+contact form eta = M xi only from the structures its battery built there:
+``st`` = ``lc.structure_at(fld, X)``, ``T`` = ``lc.second_nabla_frame(fld,
+X, st.frame)`` and ``triple`` = ``triple_psi(lc, fields, X)``, of which
+``triple.rows(sl)`` serves a check on the rows ``X[sl]``.  ``check_killing``
+alone takes the sample (``points``), refusing a bad one by name as
+``structure_at`` does, and may be handed a shared frame.  The triple checks
+take the bracket sign of ``measured_cyclic_sign`` as given.
 """
 
 from __future__ import annotations
@@ -76,12 +76,6 @@ TANGENCY_TOL = 1e-10
 CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 
-def _stack(name: str, points) -> np.ndarray:
-    """The sample (N, d) as a float array: an (N, d) array or a sequence of
-    SpherePoints, refused unless it is non-empty, 2-D and on the unit sphere."""
-    return sphere.unit_sample(f"check '{name}'", points, (2,))
-
-
 def _worst(R: np.ndarray) -> np.ndarray:
     """Per-point max |entry| of a stack R (N, ...)."""
     return np.abs(R).reshape(len(R), -1).max(axis=1)
@@ -91,28 +85,28 @@ def _worst(R: np.ndarray) -> np.ndarray:
 # basic pointwise batteries
 # ---------------------------------------------------------------------------
 
-def check_tangency(fld: VectorField, points) -> np.ndarray:
+def check_tangency(st: StructureTensors) -> np.ndarray:
     """|<field, base point>| at each point: values live in the tangent bundle."""
-    X = _stack("tangency", points)
-    return np.abs(rowdot(fld.value(X), X))
+    return np.abs(rowdot(st.xi, st.x))
 
 
-def check_unit_length(lc: LeviCivita, fld: VectorField, points) -> np.ndarray:
-    """|g(xi, xi) - 1| at each point."""
-    X = _stack("unit_length", points)
-    v = fld.value(X)
-    return np.abs(rowdot(v, matvec(lc.metric.matrix_at(X), v)) - 1.0)
+def check_unit_length(st: StructureTensors) -> np.ndarray:
+    """|g(xi, xi) - 1| = |eta(xi) - 1| at each point."""
+    return np.abs(rowdot(st.xi, st.eta) - 1.0)
 
 
 def check_killing(lc: LeviCivita, fld, points, frame: np.ndarray | None = None) -> np.ndarray:
     """Max entry of the Lie derivative of g along the field, frame components,
     at each point: (N,) for a field, (G, N) for a stack (G, d, d) of linear
-    generators, on ``frame`` when given.  The stack runs in ``sample_chunks``
-    of the bytes a generator holds at the N points, about 64 (N + 1) d^2 in
-    the round metric's closed form and 128 (N + 1) d^2 along its exact flow.
+    generators, at the sample ``points`` (N, d), refused unless non-empty and
+    on the unit sphere, on ``frame``, built here once when not given.  The
+    stack runs in ``sample_chunks`` of the bytes a generator holds at the N
+    points, about 64 (N + 1) d^2 in the round metric's closed form and
+    128 (N + 1) d^2 along its exact flow.
     """
-    X = _stack("killing", points)
+    X = sphere.unit_sample("check 'killing'", points, (2,))
     single = isinstance(fld, VectorField)
+    frame = lc.frame(X, lc.metric.matrix_at(X)) if frame is None else frame
     lies = (lc.lie_metric_frame(g, X, frame=frame) for g in ([fld] if single else [
         fld[rows] for rows in sample_chunks(len(fld), (64 if lc.metric.exact_round else 128)
                                             * (len(X) + 1) * X.shape[1] ** 2)]))
@@ -128,7 +122,7 @@ def check_sasakian(st: StructureTensors, T: np.ndarray) -> np.ndarray:
     largest ambient norm of the defect over all frame pairs.
     """
     F, xi = st.frame, st.xi
-    eta_f = (matvec(st.metric_matrix, xi)[:, None, :] @ F)[:, 0]   # eta(f_j), (N, k)
+    eta_f = (st.eta[:, None, :] @ F)[:, 0]   # eta(f_j), (N, k)
     # defect = (T - WEDGE_SIGN delta_ij xi) + WEDGE_SIGN eta(f_j) f_i, summed into the
     # second term so that the shared T is only read
     diag = np.arange(F.shape[-1])
@@ -141,7 +135,7 @@ def check_sasakian(st: StructureTensors, T: np.ndarray) -> np.ndarray:
 
 def check_kcontact(st: StructureTensors) -> np.ndarray:
     """phi^2 = -Id + eta (x) xi together with phi xi = 0, frame components."""
-    xi_f = (matvec(st.metric_matrix, st.xi)[:, None, :] @ st.frame)[:, 0]  # (N, k)
+    xi_f = (st.eta[:, None, :] @ st.frame)[:, 0]  # (N, k)
     k = st.frame.shape[-1]
     r1 = st.phi_frame @ st.phi_frame + np.eye(k) - xi_f[:, :, None] * xi_f[:, None, :]
     r2 = matvec(st.phi_frame, xi_f)
@@ -240,15 +234,6 @@ def measured_cyclic_sign(fields: Sequence[VectorField], tol: float = 1e-10) -> i
     return eps_seen.pop()
 
 
-def check_triple_orthonormality(lc: LeviCivita, fields: Sequence[VectorField],
-                                points) -> np.ndarray:
-    """g(xi_a, xi_b) = delta_ab at every sample."""
-    X = _stack("triple_orthonormality", points)
-    vals = np.stack([f.value(X) for f in fields], axis=1)        # (N, a, d)
-    gram = vals @ lc.metric.matrix_at(X) @ np.swapaxes(vals, -1, -2)
-    return _worst(gram - np.eye(len(fields)))
-
-
 def check_triple_brackets(fields: Sequence[VectorField], eps: int) -> float:
     """Exact matrix identity [xi_a, xi_b] = 2 eps xi_c, cyclic, at the sign
     eps (``measured_cyclic_sign``)."""
@@ -283,7 +268,7 @@ class Triple:
 
     def eta(self, a: int, b: int) -> np.ndarray:
         """eta_b (x) xi_a."""
-        return self.sts[a].xi[..., :, None] * matvec(self.M, self.sts[b].xi)[..., None, :]
+        return self.sts[a].xi[..., :, None] * self.sts[b].eta[..., None, :]
 
     def rows(self, sl: slice) -> Triple:
         """The same triple at the rows ``sl`` of a sample."""
@@ -297,6 +282,13 @@ def triple_psi(lc: LeviCivita, fields, x: np.ndarray,
     first = lc.structure_at(fields[0], x, frame=frame)
     return Triple(tuple(fields), (first, *(lc.structure_at(f, first.x, frame=first.frame)
                                            for f in fields[1:])))
+
+
+def check_triple_orthonormality(triple: Triple) -> np.ndarray:
+    """g(xi_a, xi_b) = eta_b(xi_a) = delta_ab at every sample of ``triple``."""
+    xis = np.stack([st.xi for st in triple.sts], axis=-2)     # (N, a, d)
+    etas = np.stack([st.eta for st in triple.sts], axis=-2)
+    return _worst(xis @ np.swapaxes(etas, -1, -2) - np.eye(len(triple.sts)))
 
 
 def check_triple_products(triple: Triple, eps: int, variant: str = "aligned") -> np.ndarray:
@@ -366,15 +358,13 @@ def check_pair_completion(lc: LeviCivita, triple: Triple) -> np.ndarray:
     if np.abs(A3 + A3.T).max() > 1e-12 * max(1.0, np.abs(A3).max()):
         raise ValueError("bracket of the pair is not skew")
     f3 = linear_field(A3, name="completed")
-    X = triple.x
-    unit = check_unit_length(lc, f3, X)
-    st3 = lc.structure_at(f3, X, frame=triple.F)
+    st3 = lc.structure_at(f3, triple.x, frame=triple.F)
     products = check_triple_products(Triple((f1, f2, f3), (*triple.sts[:2], st3)),
                                      measured_cyclic_sign((f1, f2, f3)))
     # pointwise reconstruction: the covariant derivative of the second field
     # along the first reproduces the completed field up to a global sign
     d = matvec(triple.sts[1].nabla_endo, triple.sts[0].xi)
-    return np.stack([unit, products, _worst(d - st3.xi), _worst(d + st3.xi)])
+    return np.stack([check_unit_length(st3), products, _worst(d - st3.xi), _worst(d + st3.xi)])
 
 
 # ---------------------------------------------------------------------------
@@ -589,20 +579,20 @@ def check_nijenhuis(st: StructureTensors, T: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def check_contact_form_preserved(lc_def: LeviCivita, lc_ref: LeviCivita,
-                                 fld: VectorField, points) -> np.ndarray:
-    """Metric-dual one-form and its exterior derivative agree between metrics.
+                                 fld: VectorField, st: StructureTensors) -> np.ndarray:
+    """Metric-dual one-form and its exterior derivative agree between metrics
+    at the sample of ``st`` = ``lc_def.structure_at(fld, X)``.
 
-    The one-forms are compared pointwise in ambient components.  Their
-    exterior derivatives are compared on the Euclidean tangent frame
-    ``orthonormal_tangent_frame``: each side differences the ambient one-form
-    M(y) X(y) along the d axes with step lc_def.fd_step and antisymmetrises,
-    which is d(eta) on tangent vectors because pull-back commutes with d.  No
-    connection enters, so the comparison resolves far below
-    covariant-derivative noise.
+    The one-forms, ``st.eta`` and lc_ref's, are compared pointwise in
+    ambient components.  Their exterior derivatives are compared on the
+    Euclidean tangent frame ``orthonormal_tangent_frame``: each side
+    differences the ambient one-form M(y) X(y) along the d axes with step
+    lc_def.fd_step and antisymmetrises, which is d(eta) on tangent vectors
+    because pull-back commutes with d.  No connection enters, so the
+    comparison resolves far below covariant-derivative noise.
     """
-    X = _stack("contact_form_preserved", points)
-    xi = fld.value(X)
-    res = _worst(matvec(lc_def.metric.matrix_at(X), xi) - matvec(lc_ref.metric.matrix_at(X), xi))
+    X = st.x
+    res = _worst(st.eta - matvec(lc_ref.metric.matrix_at(X), st.xi))
     G = [central_diff(lambda y: matvec(lc.metric.matrix_at(y), fld.value(y)), X, lc_def.fd_step)
          for lc in (lc_def, lc_ref)]
     D = G[0] - G[1]                                     # D[n, l, k] = d_l (eta_def - eta_ref)_k

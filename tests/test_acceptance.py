@@ -83,7 +83,7 @@ def test_01_round_identities():
         s, T = built(lc, st.field, pts)
         residuals = [
             check_killing(lc, st.field, pts),
-            check_unit_length(lc, st.field, pts),
+            check_unit_length(s),
             check_sasakian(s, T),
             check_kcontact(s),
             check_nijenhuis(s, T),
@@ -137,11 +137,12 @@ def test_04_deformed_structure():
     pts = _pts(3)
     on_support = [p for p in pts if ds.f_of(p.coords) > 0.1 * ds.c]
 
-    kc = check_kcontact(lc.structure_at(ds.field, pts))
+    whole = lc.structure_at(ds.field, pts)
+    kc = check_kcontact(whole)
     s, T = built(lc, ds.field, on_support)
     sa = check_sasakian(s, T)
     nj = check_nijenhuis(s, T)
-    cf = check_contact_form_preserved(lc, lc_round, ds.field, pts)
+    cf = check_contact_form_preserved(lc, lc_round, ds.field, whole)
     inv_ok = True
     for B in ds.isometry_algebra().basis:
         fld = linear_field(B, name="invariance")
@@ -162,8 +163,8 @@ def test_05_triple_structures():
         st = build_quaternionic(m)
         lc = LeviCivita(st.metric)
         pts = _pts((st.dim - 2) // 2)
-        orth = check_triple_orthonormality(lc, st.fields, pts)
         triple = triple_psi(lc, st.fields, pts)
+        orth = check_triple_orthonormality(triple)
         sq = check_squares(triple)
         ac = check_anticommutators(triple)
         eps = measured_cyclic_sign(st.fields, tol=1e-6)

@@ -228,7 +228,7 @@ def test_contact_form_matches_reference(label):
     X = _mixed_sample(n, 8, seed=31)
     pts = [SpherePoint(x) for x in X]
     ref = np.array([contact_form_residual_per_point(lc, lc_round, fields[0], p) for p in pts])
-    r = check_contact_form_preserved(lc, lc_round, fields[0], pts)
+    r = check_contact_form_preserved(lc, lc_round, fields[0], lc.structure_at(fields[0], pts))
     # an O(1) one-form differenced at step 1e-4 carries rounding times 1 / 2h
     assert np.abs(r - ref).max() <= 1e-10 * max(1.0, float(ref.max()))
 
@@ -274,10 +274,12 @@ def test_shared_structures_of_the_gf_and_quaternionic_batteries():
     lc = LeviCivita(ds.metric)
     X = sample_sphere(3, 30, seed=59).coords
     alg = ds.isometry_algebra()
-    c = SimpleNamespace(lc=lc, alg=alg, X=X[:12])
-    shared, detail = cli._INVARIANCE.detail(cli._INVARIANCE.residual(c), c)
     own = [check_killing(lc, linear_field(B), X[:12]) for B in alg.basis]
-    assert np.array_equal(shared, np.stack(own)) and detail == ""
+    # on the first chunk's frame when the chunk holds the rows, else on its own
+    for x in (X[:12], X[:5]):
+        c = SimpleNamespace(lc=lc, alg=alg, X=X[:12], x=x, st=lc.structure_at(ds.field, x))
+        shared, detail = cli._INVARIANCE.detail(cli._INVARIANCE.residual(c), c)
+        assert np.array_equal(shared, np.stack(own)) and detail == ""
 
     qs = build_quaternionic(1)
     lc = LeviCivita(qs.metric)
@@ -310,6 +312,74 @@ def test_killing_check_of_a_generator_stack_on_the_round_metric(n):
         row = cli._killing_row("killing", 1e-10, lambda c: (stack, X, None), False)
         res, detail = row.detail(row.residual(c), c)
         assert res.shape == (len(stack), len(X)) and detail == flag
+
+
+def test_killing_check_builds_a_missing_frame_once_for_a_chunked_stack(monkeypatch):
+    """A generator stack over several chunks, with no frame given, is checked
+    on one frame built once at X, and reads what the frame-given call reads."""
+    ds = build_deformed(n=3, c=0.3)
+    lc = LeviCivita(ds.metric)
+    X = sample_sphere(3, 12, seed=71).coords
+    basis = ds.isometry_algebra().basis
+    want = check_killing(lc, basis, X, frame=lc.frame(X, ds.metric.matrix_at(X)))
+    # two generators a chunk: the check's own budget of 128 (N + 1) d^2 bytes each
+    monkeypatch.setattr(metrics, "CHUNK_BYTES", 2 * 128 * (len(X) + 1) * X.shape[1] ** 2)
+    assert len(metrics.sample_chunks(len(basis), 128 * (len(X) + 1) * X.shape[1] ** 2)) == 4
+    at_X = []
+    matrix_at = metrics.MetricField.matrix_at
+
+    def counted(self, x):
+        at_X.append(np.shape(x) == X.shape and np.array_equal(x, X))
+        return matrix_at(self, x)
+
+    monkeypatch.setattr(metrics.MetricField, "matrix_at", counted)
+    got = check_killing(lc, basis, X)
+    assert sum(at_X) == 1
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("example, params", [
+    ("round", {"n": 2}), ("gF", {"n": 3}), ("irregular", {"n": 2}), ("quaternionic", {"m": 1})])
+def test_each_chunk_evaluates_the_battery_metric_at_its_points_only_in_structure_at(
+        example, params, monkeypatch):
+    """In a battery streamed in two chunks, every evaluation of its metric at
+    a chunk's own points comes from structure_at, once a structure built
+    there: the checks read the metric and eta = M xi from the structures."""
+    battery, cfg = cli._BATTERIES[example], cli.RunConfig(example=example, samples=40, **params)
+    d = 4 * cfg.m + 4 if example == "quaternionic" else 2 * cfg.n + 2
+    monkeypatch.setattr(metrics, "CHUNK_BYTES", 20 * metrics.sample_bytes(d, stencil=False))
+    calls, built_at, inside = [], [], []
+    matrix_at, structure_at = metrics.MetricField.matrix_at, LeviCivita.structure_at
+
+    def recorded_matrix_at(self, x):
+        if np.ndim(x) == 2:
+            calls.append((self, np.array(x), bool(inside)))
+        return matrix_at(self, x)
+
+    def recorded_structure_at(self, fld, x, frame=None):
+        built_at.append(np.array(x))
+        inside.append(True)
+        try:
+            return structure_at(self, fld, x, frame=frame)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(metrics.MetricField, "matrix_at", recorded_matrix_at)
+    monkeypatch.setattr(LeviCivita, "structure_at", recorded_structure_at)
+    c = battery.context(cfg)
+    chunks = cli._chunks(c.X)
+    assert len(chunks) == 2
+    for i, x in enumerate(chunks):
+        battery.evaluate(c, x, not i)
+
+    def same(y, x):
+        return y.shape == x.shape and np.array_equal(y, x)
+
+    for x in chunks:
+        structures = sum(same(y, x) for y in built_at)
+        at_x = [within for metric, y, within in calls if metric is c.metric and same(y, x)]
+        assert structures == (4 if example == "quaternionic" else 1)
+        assert at_x == [True] * structures, example
 
 
 def _same_arrays(a, b) -> bool:
@@ -410,8 +480,12 @@ def test_nijenhuis_converges_quadratically_in_fd_step():
 def test_checks_on_empty_sample_name_the_check(round2, lc_round2):
     with pytest.raises(ValueError, match="structure_at got no samples to evaluate"):
         lc_round2.structure_at(round2.field, np.empty((0, 6)))
-    with pytest.raises(ValueError, match="'contact_form_preserved' got no samples to evaluate"):
-        check_contact_form_preserved(lc_round2, lc_round2, round2.field, [])
+    # a check that takes structures meets an empty sample at structure_at
+    with pytest.raises(ValueError, match="structure_at got no samples to evaluate"):
+        check_contact_form_preserved(lc_round2, lc_round2, round2.field,
+                                     lc_round2.structure_at(round2.field, []))
+    with pytest.raises(ValueError, match="'killing' got no samples to evaluate"):
+        check_killing(lc_round2, round2.field, [])
 
 
 def test_deformed_metric_matches_its_defining_formula():

@@ -100,7 +100,7 @@ def test_quaternionic_triple_is_killing_s3_s7():
         pts = sample_sphere((st.dim - 2) // 2, 15, seed=42).points
         for f in st.fields:
             assert check_killing(lc, f, pts).max() <= 1e-12
-            assert check_unit_length(lc, f, pts).max() <= 1e-12
+            assert check_unit_length(lc.structure_at(f, pts)).max() <= 1e-12
 
 
 # -- flip fixture ----------------------------------------------------------------
@@ -383,15 +383,17 @@ def test_deformed_metric_is_round_off_support(deformed):
 def test_deformed_field_still_unit_killing(deformed):
     lc = LeviCivita(deformed.metric)
     pts = sample_sphere(deformed.n, 25, seed=42).points
-    assert check_unit_length(lc, deformed.field, pts).max() <= 1e-10
+    st = lc.structure_at(deformed.field, pts)
+    assert check_unit_length(st).max() <= 1e-10
     assert check_killing(lc, deformed.field, pts).max() <= 1e-6
-    assert check_kcontact(lc.structure_at(deformed.field, pts)).max() <= 1e-6
+    assert check_kcontact(st).max() <= 1e-6
 
 
 def test_deformed_contact_form_preserved(deformed, round3, lc_round3):
     lc = LeviCivita(deformed.metric)
     pts = sample_sphere(deformed.n, 20, seed=42).points
-    r = check_contact_form_preserved(lc, lc_round3, deformed.field, pts)
+    r = check_contact_form_preserved(lc, lc_round3, deformed.field,
+                                     lc.structure_at(deformed.field, pts))
     assert r.max() <= 1e-8
 
 
@@ -466,9 +468,9 @@ def test_irregular_default_rate(irregular):
 def test_irregular_field_identities(irregular):
     lc = LeviCivita(irregular.metric)
     pts = sample_sphere(irregular.n, 25, seed=42).points
-    assert check_unit_length(lc, irregular.field, pts).max() <= 1e-10
-    assert check_killing(lc, irregular.field, pts).max() <= 1e-6
     st, T = built(lc, irregular.field, pts)
+    assert check_unit_length(st).max() <= 1e-10
+    assert check_killing(lc, irregular.field, pts).max() <= 1e-6
     assert check_kcontact(st).max() <= 1e-6
     assert check_sasakian(st, T).max() <= 1e-5
     assert check_nijenhuis(*built(lc, irregular.field, pts[:12])).max() <= 1e-4

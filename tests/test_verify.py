@@ -63,8 +63,9 @@ def test_structure_reading_checks_have_one_path():
 
 
 def test_tangency_and_unit_length(round2, lc_round2, pts2):
-    assert check_tangency(round2.field, pts2).max() <= verify.TANGENCY_TOL
-    assert check_unit_length(lc_round2, round2.field, pts2).max() <= verify.UNIT_TOL
+    st = lc_round2.structure_at(round2.field, pts2)
+    assert check_tangency(st).max() <= verify.TANGENCY_TOL
+    assert check_unit_length(st).max() <= verify.UNIT_TOL
 
 
 def test_killing_round_exact(round2, lc_round2, pts2):
@@ -173,7 +174,7 @@ def test_covariant_canary_raises_exactly_when_an_oracle_drift_exceeds_the_bound(
 def test_triple_orthonormality(quat1, pts3):
     from killinglab import LeviCivita
     lc = LeviCivita(quat1.metric)
-    r = check_triple_orthonormality(lc, quat1.fields, pts3[:10])
+    r = check_triple_orthonormality(triple_psi(lc, quat1.fields, pts3[:10]))
     assert r.max() <= 1e-10
 
 
@@ -259,5 +260,6 @@ def test_quaternionic_relation_residual_detects_break():
 # -- contact-form comparison ------------------------------------------------------
 
 def test_contact_form_preserved_round_vs_itself(round2, lc_round2, pts2):
-    r = check_contact_form_preserved(lc_round2, lc_round2, round2.field, pts2[:6])
+    r = check_contact_form_preserved(lc_round2, lc_round2, round2.field,
+                                     lc_round2.structure_at(round2.field, pts2[:6]))
     assert r.max() <= 1e-10
