@@ -14,11 +14,14 @@ check's time is the wall time of its row's evaluations, each from the
 previous row's (or from the report's opening), summed over the chunks, and
 each build the battery times as a stage is a row of its own, out of the
 check that follows it: the per-chunk stages (``structure_at``,
-``second_nabla_frame``, ``triple_psi``) and the fixed part the battery builds
-once when it opens (the round ``decomposition``, an ``isometry_algebra``,
-the quaternionic ``bracket_sign`` and ``check_flip_quaternionic``, the one
-call that returns the seven flip checks, the Hopf ``lift``, ...).  A frame
-or structure built inside a stage or a check counts in that row.  The
+``second_nabla_frame``, and ``triple_psi``, the quaternionic battery's one
+``structure_at`` call on its generator stack, with ``triple``, the first
+three fields of it) and the fixed part the battery builds once when it opens
+(the round ``decomposition``, an ``isometry_algebra``, the quaternionic
+``bracket_sign``, ``complete_pair`` and ``check_flip_quaternionic``, the one
+call that returns the seven flip checks, the Hopf ``path_targets`` and
+``lift``, ...).  A frame or structure built inside a stage or a check counts
+in that row.  The
 ``setup`` row runs from the battery's start to the report's opening (metric,
 sample); ``covariant_canary``, the step canary, is a stage of the batteries
 that take finite differences (gF and irregular); ``extras`` runs from the last

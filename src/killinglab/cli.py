@@ -58,7 +58,7 @@ from .constructions import (
 )
 from .flows import (PROBE_MAX_POINTS, FlowClassification, OrbitProbe, RotationProfile,
                     classify, numeric_orbit_probe, parse_rate, probe_step)
-from .metrics import (LeviCivita, MetricDegeneracyError, NumericalQualityError, VectorField,
+from .metrics import (LeviCivita, MetricDegeneracyError, NumericalQualityError,
                       sample_bytes, sample_chunks)
 from .report import CheckResult, VerificationReport
 from .sphere import matvec, rowdot, sample_sphere
@@ -206,14 +206,16 @@ class Battery(NamedTuple):
 def _killing_row(name: str, tol: float, at: Callable[[SimpleNamespace], tuple], once: bool) -> Row:
     """The Killing check of the field, or stack (G, d, d) of linear
     generators, at the points on the frame (None: its own) that ``at(c)``
-    returns.  One that vanishes on the whole sample is trivially Killing:
-    its check is flagged degenerate, from each field's largest entry at each
-    point, carried under its residual through the join."""
+    returns, with the field's values there, which a structure holds (None
+    for a stack: computed here).  One that vanishes on the whole sample is
+    trivially Killing: its check is flagged degenerate, from each field's
+    largest entry at each point, carried under its residual through the
+    join."""
 
     def residual(c: SimpleNamespace) -> np.ndarray:
-        fld, X, frame = at(c)
+        fld, X, frame, values = at(c)
         res = verify.check_killing(c.lc, fld, X, frame=frame)  # refuses a bad sample by name
-        values = fld.value(X) if isinstance(fld, VectorField) else X @ np.swapaxes(fld, -1, -2)
+        values = X @ np.swapaxes(fld, -1, -2) if values is None else values
         return np.stack([res, np.abs(values).max(axis=-1)])
 
     def degenerate(joined: np.ndarray, c: SimpleNamespace) -> tuple[np.ndarray, str]:
@@ -244,7 +246,7 @@ _UNIT_STAGES = (Stage("structure_at", "st", lambda c: c.lc.structure_at(c.field,
                       lambda c: c.lc.second_nabla_frame(c.field, c.x, c.st.frame)))
 _TANGENCY = Row("tangency", lambda c: verify.check_tangency(c.st), verify.TANGENCY_TOL)
 _UNIT_LENGTH = Row("unit_length", lambda c: verify.check_unit_length(c.st), verify.UNIT_TOL)
-_KILLING = _killing_row("killing", 1e-6, lambda c: (c.field, c.x, c.st.frame), False)
+_KILLING = _killing_row("killing", 1e-6, lambda c: (c.field, c.x, c.st.frame, c.st.xi), False)
 _CONTACT = Row("contact_endomorphism", lambda c: verify.check_kcontact(c.st), verify.CONTACT_TOL)
 _WEDGE = Row("wedge_second_derivative", lambda c: verify.check_sasakian(c.st, c.T),
              verify.FD_TOL)
@@ -255,7 +257,7 @@ _SPECTRUM = Row("two_form_square_spectrum", lambda c: verify.check_dxi_spectrum(
 # Killing checks of an algebra's basis stack on X[:40], all on one g-orthonormal
 # frame, from one exact-flow quotient on a non-round metric
 _INVARIANCE = _killing_row("invariance_algebra_killing", 1e-5, lambda c: (
-    c.alg.basis, c.X[:40], getattr(_first_rows(c, c.st, 40), "frame", None)), True)
+    c.alg.basis, c.X[:40], getattr(_first_rows(c, c.st, 40), "frame", None), None), True)
 _ALGEBRA = Stage("isometry_algebra", "alg", lambda c: c.s.isometry_algebra())
 
 
@@ -362,7 +364,7 @@ def _completion_sign(joined: np.ndarray, c: SimpleNamespace) -> tuple[np.ndarray
 def _horizontal_split(c: SimpleNamespace) -> verify.SplittingResult:
     """The split at the first ten sample points, of the first chunk's triple when it holds them."""
     return verify.horizontal_split(_first_rows(c, c.triple, 10)
-                                   or verify.triple_psi(c.lc, c.qs.fields, c.X[:10]))
+                                   or c.lc.structure_at(c.qs.generators, c.X[:10]))
 
 
 def _split_dims(sp: verify.SplittingResult, c: SimpleNamespace) -> tuple[float, str]:
@@ -370,12 +372,6 @@ def _split_dims(sp: verify.SplittingResult, c: SimpleNamespace) -> tuple[float, 
     return float(np.max([sp.split.involution_residual, sp.split.symmetry_residual,
                          sp.invariance_residual, sp.commutation_residual, sp.dim_plus])), (
         f"(dim+, dim-) over samples: {dims}")
-
-
-def _flip(c: SimpleNamespace) -> tuple[dict[str, float], dict]:
-    fixture = build_flip_fixture()
-    return verify.check_flip_quaternionic(fixture.J, fixture.metric_matrix,
-                                          fixture.projector_plus)
 
 
 # the floor and detail of a flip fixture row that has one
@@ -389,60 +385,66 @@ _QUATERNIONIC = Battery(
     lambda cfg: {"title": f"right-multiplication contact triple on S^{4 * cfg.m + 3}",
                  "qs": (qs := build_quaternionic(cfg.m)), "metric": qs.metric,
                  "field": qs.fields[0], "n": 2 * cfg.m + 1},
-    (Stage("triple_psi", "triple", lambda c: verify.triple_psi(c.lc, c.qs.fields, c.x)),
+    # one structure a chunk: the triple's and, fourth, its pair completion's (``gens``)
+    (Stage("triple_psi", "family", lambda c: c.lc.structure_at(c.gens, c.x)),
+     Stage("triple", "triple", lambda c: c.family.fields(slice(3))),
      Row("triple_orthonormality", lambda c: verify.check_triple_orthonormality(c.triple),
          1e-10),
-     Row("triple_brackets", lambda c: verify.check_triple_brackets(c.qs.fields, c.eps), 1e-12,
-         detail=lambda r, c: (r, f"uniform bracket sign eps={c.eps:+d}"), once=True),
+     Row("triple_brackets", lambda c: verify.check_triple_brackets(c.qs.generators, c.eps),
+         1e-12, detail=lambda r, c: (r, f"uniform bracket sign eps={c.eps:+d}"), once=True),
      _killing_row("triple_killing", verify.EXACT_TOL,
-                  lambda c: (c.qs.generators, c.x, c.triple.F), False),
-     Stage("second_nabla_frame", "Ts", lambda c: [
-         c.lc.second_nabla_frame(f, c.x, c.triple.F) for f in c.qs.fields]),
-     Row("triple_wedge_second_derivative", lambda c: np.stack([
-         verify.check_sasakian(st, T) for st, T in zip(c.triple.sts, c.Ts)]), verify.EXACT_TOL),
+                  lambda c: (c.qs.generators, c.x, c.triple.frame, c.triple.xi), False),
+     Stage("second_nabla_frame", "T",
+           lambda c: c.lc.second_nabla_frame(c.qs.generators, c.x, c.triple.frame)),
+     Row("triple_wedge_second_derivative", lambda c: verify.check_sasakian(c.triple, c.T),
+         verify.EXACT_TOL),
      Row("triple_products_aligned", lambda c: verify.check_triple_products(
          c.triple, c.eps, "aligned"), 1e-10, detail=_bracket_sign),
      Row("triple_products_transposed", lambda c: verify.check_triple_products(
          c.triple, c.eps, "transposed"), 1e-10, 1e-2, _bracket_sign),
      Row("triple_anticommutators", lambda c: verify.check_anticommutators(c.triple), 1e-10),
      Row("structure_squares", lambda c: verify.check_squares(c.triple), 1e-10),
-     Row("pair_completion", lambda c: verify.check_pair_completion(c.lc, c.triple), 1e-6,
+     Row("pair_completion", lambda c: verify.check_pair_completion(c.family, c.gens), 1e-6,
          detail=_completion_sign),
      Row("horizontal_split_plus_trivial", _horizontal_split, 1e-8, detail=_split_dims,
          once=True),
      *(Row(name, lambda c, name=name: c.flip[0][name], 1e-12, *_FLIP_ROWS.get(name, ()),
            once=True) for name in verify.FLIP_CHECKS)),
     # the sign at the closure the bracket residual allows, read by every row that names it
-    (Stage("bracket_sign", "eps", lambda c: verify.measured_cyclic_sign(c.qs.fields, tol=1e-6)),
-     Stage("check_flip_quaternionic", "flip", _flip)),
+    (Stage("bracket_sign", "eps",
+           lambda c: verify.measured_cyclic_sign(c.qs.generators, tol=1e-6)),
+     Stage("complete_pair", "gens", lambda c: verify.complete_pair(c.qs.generators)),
+     Stage("check_flip_quaternionic", "flip",
+           lambda c: verify.check_flip_quaternionic(build_flip_fixture()))),
     lambda c: {"flip_fixture": c.flip[1]})
 
 
 # the circle-bundle lift
 
 def _hopf_kept(c: SimpleNamespace) -> np.ndarray:
-    """The samples away from the anchor antipode, refused when too few for
-    the fit, or when potential_path_independence has no target among them."""
+    """The samples away from the anchor antipode, refused when too few for the fit."""
     kept = hopf_sample_filter(c.X)
     if len(kept) < HOPF_MIN_KEPT:
         raise ValueError(
             f"hopf-lift keeps {len(kept)} of {len(c.X)} samples after dropping "
             f"base points near the anchor antipode; the 4x4 linear fit of each "
             f"lift needs at least {HOPF_MIN_KEPT} (raise --samples)")
-    if not len(_path_targets(c.bundle, kept)[1]):
-        raise ValueError(
-            f"hopf-lift's potential_path_independence has no target: none of the "
-            f"{len(kept) - 2} kept samples past the first two lies away from the antipode of "
-            f"its waypoint, the second's base point, so the check has nothing to measure "
-            f"(raise --samples)")
     return kept
 
 
-def _path_targets(bundle, kept: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _path_targets(c: SimpleNamespace) -> tuple[np.ndarray, np.ndarray]:
     """The waypoint, the second kept point's base image, and up to 8
-    targets, the later kept points' base images away from its antipode."""
-    waypoint, ys = hopf_projection(kept[1]), hopf_projection(kept[2:])
-    return waypoint, ys[ys @ waypoint / bundle.base_radius**2 >= -0.8][:8]
+    targets, the later kept points' base images away from its antipode;
+    refused when potential_path_independence has no target."""
+    waypoint, ys = hopf_projection(c.kept[1]), hopf_projection(c.kept[2:])
+    ys = ys[ys @ waypoint / c.bundle.base_radius**2 >= -0.8][:8]
+    if not len(ys):
+        raise ValueError(
+            f"hopf-lift's potential_path_independence has no target: none of the "
+            f"{len(c.kept) - 2} kept samples past the first two lies away from the antipode of "
+            f"its waypoint, the second's base point, so the check has nothing to measure "
+            f"(raise --samples)")
+    return waypoint, ys
 
 
 def _path_independence(c: SimpleNamespace) -> tuple[float, int]:
@@ -450,7 +452,7 @@ def _path_independence(c: SimpleNamespace) -> tuple[float, int]:
     targets (the first leg rides in the direct quadrature): the worst gap
     and the number of targets."""
     bundle, gen = c.bundle, c.gens[0]
-    waypoint, ys = _path_targets(bundle, c.kept)
+    waypoint, ys = c.targets
     direct = lift_potential(bundle, gen, np.vstack([waypoint, ys]))
     two_leg = direct[0] + lift_potential(replace(bundle, anchor=waypoint), gen, ys)
     return float(np.abs(direct[1:] - two_leg).max()), len(ys)
@@ -494,7 +496,7 @@ _HOPF = Battery(
          detail="largest pointwise defect of the linear fit", once=True),
      Row("lift_skewness", lambda c: np.abs(c.lift[0] + np.swapaxes(c.lift[0], 1, 2)).max(),
          1e-10, once=True),
-     _killing_row("lift_killing", 1e-5, lambda c: (c.lift[0], c.x, None), False),
+     _killing_row("lift_killing", 1e-5, lambda c: (c.lift[0], c.x, None, None), False),
      Row("potential_path_independence", _path_independence, 1e-6, once=True,
          detail=lambda r, c: (r[0], f"two-leg vs direct quadrature at {r[1]} targets")),
      Row("pushdown_matches_base", lambda c: max(float(c.pushdown[1].max()), float(
@@ -503,7 +505,7 @@ _HOPF = Battery(
      Row("pushdown_kernel_is_vertical", _pushdown_kernel, 1e-6, once=True,
          detail=lambda r, c: (r[0], f"singular values {np.round(r[1], 8).tolist()}")),
      Row("brackets_close_mod_vertical", _brackets_mod_vertical, 1e-8, once=True)),
-    (Stage("sample_filter", "kept", _hopf_kept),
+    (Stage("sample_filter", "kept", _hopf_kept), Stage("path_targets", "targets", _path_targets),
      Stage("lift", "lift", lambda c: solve_lift(c.bundle, c.gens, c.kept)),  # one quadrature
      Stage("pushdown", "pushdown", _pushdown)),
     lambda c: {"kept_samples": len(c.kept)})

@@ -29,9 +29,11 @@ round metric and in Cholesky form on any other (``LeviCivita.frame``), and the
 complement of excluded vectors is one Householder QR in a frame's coordinates;
 frames, the derived structure and the second covariant derivative take one
 point or a stack, so a battery builds them once per chunk of its sample and
-shares them between its checks.  ``sample_chunks`` sizes every chunk, of a
-battery's sample and of the flat second-difference stencil of
-``second_nabla_frame``, by one budget.
+shares them between its checks.  ``structure_at`` and ``second_nabla_frame``
+take a field, or on the round metric a (G, d, d) stack of linear generators,
+whose G fields share one metric evaluation and one frame.  ``sample_chunks``
+sizes every chunk, of a battery's sample and of the flat second-difference
+stencil of ``second_nabla_frame``, by one budget.
 
 Finite differences on the round metric are asked for through the inputs: a
 copy of a linear field with ``kind="general"`` takes the ambient stencil.  A
@@ -182,14 +184,22 @@ class VectorField:
 
 
 def linear_field(A, name: str = "") -> VectorField:
-    """Field x -> A x; A must be skew so the values are tangent everywhere."""
+    """Field x -> A x; A must be skew so the values are tangent everywhere.  A
+    stack (G, d, d) of skew generators is a family of G fields whose values
+    carry a leading G axis."""
     A = np.array(A, dtype=float)
     scale = max(1.0, float(np.abs(A).max()))
-    if np.abs(A + A.T).max() > 1e-12 * scale:
+    if np.abs(A + np.swapaxes(A, -1, -2)).max() > 1e-12 * scale:
         raise ValueError("linear_field requires a skew-symmetric generator")
     A.setflags(write=False)
-    return VectorField("linear", lambda x: A @ x if x.ndim == 1 else matvec(A, x),
+    return VectorField("linear", lambda x: A @ x if x.ndim == 1 else x @ np.swapaxes(A, -1, -2),
                        matrix=A, name=name)
+
+
+def at_points(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A generator (d, d), or a stack (G, d, d), with a unit axis after G for
+    each sample axis of x (..., d): every generator meets every point."""
+    return A.reshape(A.shape[:-2] + (1,) * (x.ndim - 1) + A.shape[-2:])
 
 
 def general_field(func: Callable[[np.ndarray], np.ndarray], name: str = "") -> VectorField:
@@ -320,7 +330,9 @@ class StructureTensors:
     ambient matrix D of d(eta), d(eta)(u, v) = u^T D v; ``phi_frame`` and
     ``phi_ambient`` represent the skew endomorphism defined by g(phi u, v) =
     d(eta)(u, v) / 2.  ``x`` is the point (d,) or the sample (N, d) it was
-    built at; built at a sample, every field carries a leading axis of N.
+    built at; built at a sample, every array carries an axis of N.  Built
+    for a stack of G generators, every array but the shared ``x``,
+    ``metric_matrix`` and ``frame`` carries a leading axis of G, before N.
     """
 
     x: np.ndarray
@@ -333,9 +345,18 @@ class StructureTensors:
     phi_frame: np.ndarray
     phi_ambient: np.ndarray
 
+    _SHARED = ("x", "metric_matrix", "frame")  # the arrays a stack's fields share
+
     def rows(self, sl: slice) -> StructureTensors:
         """The same structure at the rows ``sl`` of a sample."""
-        return StructureTensors(**{k: v[sl] for k, v in vars(self).items()})
+        per_field = (slice(None),) * (self.xi.ndim - self.x.ndim) + (sl,)
+        return StructureTensors(**{k: v[sl if k in self._SHARED else per_field]
+                                   for k, v in vars(self).items()})
+
+    def fields(self, index) -> StructureTensors:
+        """The structure of the fields ``index`` (an int, slice or index array) of a stack."""
+        return StructureTensors(**{k: v if k in self._SHARED else v[index]
+                                   for k, v in vars(self).items()})
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +381,17 @@ class LeviCivita:
         linear field, and read no fd_step; every other pair takes finite
         differences."""
         return self.metric.exact_round and fld.kind == "linear"
+
+    def _field(self, fld, owner: str) -> VectorField:
+        """``fld``, or a stack (G, d, d) of linear generators as one linear
+        field, refused where no closed form serves it."""
+        fld = fld if isinstance(fld, VectorField) else linear_field(fld)
+        if fld.matrix is not None and fld.matrix.ndim == 3 and not self.metric.exact_round:
+            raise ValueError(
+                f"{owner} takes a stack of generators only on the round metric, whose closed "
+                f"forms it reads; the {self.metric.name} metric takes finite differences, one "
+                f"field at a time")
+        return fld
 
     def frame(self, x: np.ndarray, metric_matrix: np.ndarray) -> np.ndarray:
         """g-orthonormal tangent frame at x (d,) or at each row of x (N, d),
@@ -428,13 +460,12 @@ class LeviCivita:
         x = np.asarray(x, dtype=float)
         P = np.eye(x.shape[-1]) - x[..., :, None] * x[..., None, :]
         if self.closed_form(fld):
-            return P @ fld.matrix @ P
+            return P @ at_points(fld.matrix, x) @ P
         return P @ self._endo(fld, x, self.fd_step) @ P
 
     # -- second covariant derivative ------------------------------------------
 
-    def second_nabla_frame(self, fld: VectorField, x: np.ndarray,
-                           frame: np.ndarray) -> np.ndarray:
+    def second_nabla_frame(self, fld, x: np.ndarray, frame: np.ndarray) -> np.ndarray:
         """Tensor T[:, i, j] = (nabla^2 field)(frame_i, frame_j), ambient values.
 
         T(u, v) = nabla_u (nabla field)(v); the closed form on the round
@@ -449,18 +480,26 @@ class LeviCivita:
           T(u, v) = P[(D~_u H~) v] - (w(u)^T M~ v) P H~ x - (x^T H~ v) P w(u).
 
         The points run in ``sample_chunks`` of the stencil's ``sample_bytes``.
-        Points (N, d) with frames (N, d, k) give (N, d, k, k).
+        Points (N, d) with frames (N, d, k) give (N, d, k, k).  ``fld`` is a
+        field, or on the round metric a (G, d, d) stack of linear generators,
+        which puts an axis of G in front.
         """
         x = np.asarray(x, dtype=float)
+        fld = self._field(fld, "second_nabla_frame")
         if self.closed_form(fld):
-            Ef = fld.matrix @ frame
+            Ef = at_points(fld.matrix, x) @ frame
             Pf = frame - x[..., :, None] * (x[..., None, :] @ frame)
-            Ex = matvec(fld.matrix, x)
-            PEx = Ex - rowdot(Ex, x)[..., None] * x
+            Ex = x @ np.swapaxes(fld.matrix, -1, -2)
+            # einsum, not rowdot's np.dot at one point: each slice of a stack sums as its own field
+            PEx = Ex - np.einsum("...i,...i->...", Ex, x)[..., None] * x
             xEf = (x[..., None, :] @ Ef)[..., 0, :]
             ff = np.swapaxes(frame, -1, -2) @ frame
-            T = np.einsum("...j,...di->...dij", -xEf, Pf)
-            T -= np.einsum("...ij,...d->...dij", ff, PEx)
+            # a stack fills T a slice at a time: a second array of the whole stack's size
+            # would take fresh pages from the allocator on every call
+            T = np.empty(xEf.shape[:-1] + Pf.shape[-2:] + xEf.shape[-1:])
+            for g in np.ndindex(xEf.shape[:-x.ndim]):
+                np.einsum("...j,...di->...dij", -xEf[g], Pf, out=T[g])
+                T[g] -= np.einsum("...ij,...d->...dij", ff, PEx[g])
             return T
         xs, fs = x.reshape(-1, x.shape[-1]), frame.reshape((-1,) + frame.shape[-2:])
         T = np.empty(fs.shape + fs.shape[-1:])
@@ -515,8 +554,7 @@ class LeviCivita:
             # is B + B^T with B = (P F)^T A (P F), each generator against every point
             F = orthonormal_tangent_frame(x) if frame is None else frame
             PF = F - x[..., :, None] * (x[..., None, :] @ F)
-            B = np.swapaxes(PF, -1, -2) @ (
-                A.reshape(A.shape[:-2] + (1,) * (x.ndim - 1) + A.shape[-2:]) @ PF)
+            B = np.swapaxes(PF, -1, -2) @ (at_points(A, x) @ PF)
             return B + np.swapaxes(B, -1, -2)
         M = self.metric.matrix_at(x)
         F = self.frame(x, M) if frame is None else frame
@@ -542,13 +580,12 @@ class LeviCivita:
         if frame is None:
             frame = self.frame(x, self.metric.matrix_at(x))
         E = skew_exp(t * A)
-        Es = np.stack([E, np.swapaxes(E, -1, -2)])
-        Es = Es.reshape(Es.shape[:-2] + (1,) * (x.ndim - 1) + Es.shape[-2:])
+        Es = at_points(np.stack([E, np.swapaxes(E, -1, -2)]), x)
         EF = Es @ frame
         P = np.swapaxes(EF, -1, -2) @ self.metric.matrix_at((Es @ x[..., None])[..., 0]) @ EF
         return (P[0] - P[1]) / (2.0 * t)
 
-    def structure_at(self, fld: VectorField, x: np.ndarray,
+    def structure_at(self, fld, x: np.ndarray,
                      frame: np.ndarray | None = None) -> StructureTensors:
         """Bundle: field value, metric, dual one-form, frame, first covariant
         derivative, two-form of the dual one-form, and the half-two-form
@@ -556,8 +593,11 @@ class LeviCivita:
         ``LeviCivita.frame``, is built here when not given; it comes first, so
         a degenerate metric raises MetricDegeneracyError before any
         differencing.  ``x``, one point (d,) or a sample (N, d), is refused
-        unless non-empty and on the unit sphere."""
+        unless non-empty and on the unit sphere.  ``fld`` is a field, or on
+        the round metric a (G, d, d) stack of linear generators, each G slice
+        of the structure the field's own."""
         x = unit_sample("structure_at", x, (1, 2))
+        fld = self._field(fld, "structure_at")
         M = self.metric.matrix_at(x)
         F = self.frame(x, M) if frame is None else frame
         Ft = np.swapaxes(F, -1, -2)

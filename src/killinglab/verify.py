@@ -29,17 +29,21 @@ half-two-form endomorphism phi (see metrics.StructureTensors):
 
 At the sample's own points a check reads the field, the metric and the
 contact form eta = M xi only from the structures its battery built there:
-``st`` = ``lc.structure_at(fld, X)``, ``T`` = ``lc.second_nabla_frame(fld,
-X, st.frame)`` and ``triple`` = ``triple_psi(lc, fields, X)``, of which
-``triple.rows(sl)`` serves a check on the rows ``X[sl]``.  ``check_killing``
+``st`` = ``lc.structure_at(fld, X)`` and ``T`` = ``lc.second_nabla_frame(fld,
+X, st.frame)``, where ``fld`` is a field, or a (G, d, d) stack of linear
+generators on the round metric, whose arrays carry a leading G axis; a
+triple's checks take the structure of its (3, d, d) generator stack, and
+``st.rows(sl)`` serves a check on the rows ``X[sl]``.  ``check_killing``
 alone takes the sample (``points``), refusing a bad one by name as
 ``structure_at`` does, and may be handed a shared frame.  The triple checks
-take the bracket sign of ``measured_cyclic_sign`` as given.
+take the bracket sign of ``measured_cyclic_sign`` as given, and their
+cyclic products, anticommutators and squares are one index-array kernel,
+``triple_defects``, that the flip fixture's complex structures share.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -55,7 +59,6 @@ from .metrics import (
     _christoffel,
     central_diff,
     g_orthonormal_complement,
-    linear_field,
     richardson_guard,
     sample_chunks,
 )
@@ -73,7 +76,9 @@ CONTACT_TOL = 1e-6
 NIJENHUIS_TOL = 1e-4
 UNIT_TOL = 1e-12
 TANGENCY_TOL = 1e-10
-CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+# index arrays: a, b, c over the cyclic triples (a, b, c), and a, b over the pairs a < b
+CYCLIC = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+PAIRS = np.array([[0, 0, 1], [1, 2, 2]])
 
 
 def _worst(R: np.ndarray) -> np.ndarray:
@@ -115,22 +120,25 @@ def check_killing(lc: LeviCivita, fld, points, frame: np.ndarray | None = None) 
 
 def check_sasakian(st: StructureTensors, T: np.ndarray) -> np.ndarray:
     """Residual of nabla^2 xi(u,v) = WEDGE_SIGN (g(u,v) xi - eta(v) u) at each
-    point of the sample of ``st``, an (N,) array.
+    point of the sample of ``st``, an (N,) array, or (G, N) for a stack.
 
     Evaluated on the g-orthonormal frame ``st.frame`` of T =
     ``lc.second_nabla_frame(fld, st.x, st.frame)``; the residual is the
     largest ambient norm of the defect over all frame pairs.
     """
     F, xi = st.frame, st.xi
-    eta_f = (st.eta[:, None, :] @ F)[:, 0]   # eta(f_j), (N, k)
+    eta_f = (st.eta[..., None, :] @ F)[..., 0, :]   # eta(f_j), (..., N, k)
     # defect = (T - WEDGE_SIGN delta_ij xi) + WEDGE_SIGN eta(f_j) f_i, summed into the
     # second term so that the shared T is only read
     diag = np.arange(F.shape[-1])
-    defect = np.einsum("nj,ndi->ndij", WEDGE_SIGN * eta_f, F)
+    # F copied along a stack's G axis: einsum multiplies a broadcast operand on a slow path
+    F_each = np.ascontiguousarray(np.broadcast_to(F, eta_f.shape[:-1] + F.shape[-2:]))
+    defect = np.einsum("...j,...di->...dij", WEDGE_SIGN * eta_f, F_each)
     defect_diag = defect[..., diag, diag]
     defect += T
     defect[..., diag, diag] = (T[..., diag, diag] - WEDGE_SIGN * xi[..., None]) + defect_diag
-    return np.sqrt(np.einsum("ndij,ndij->nij", defect, defect)).reshape(len(xi), -1).max(axis=1)
+    norms = np.sqrt(np.einsum("...dij,...dij->...ij", defect, defect))
+    return norms.reshape(xi.shape[:-1] + (-1,)).max(axis=-1)
 
 
 def check_kcontact(st: StructureTensors) -> np.ndarray:
@@ -209,89 +217,71 @@ def covariant_canary(lc: LeviCivita, fld: VectorField, x: np.ndarray) -> float:
 # triple structures
 # ---------------------------------------------------------------------------
 
-def _cyclic_halves(fields: Sequence[VectorField]) -> tuple[np.ndarray, np.ndarray]:
-    """Half brackets [xi_a, xi_b] / 2 and third generators xi_c over the cyclic
-    (a, b, c), as two (3, d, d) stacks; the fields must be linear."""
-    if any(f.matrix is None for f in fields):
-        raise ValueError("cyclic sign needs linear fields")
-    mats = np.array([f.matrix for f in fields])
-    return 0.5 * field_bracket(mats[[0, 1, 2]], mats[[1, 2, 0]]), mats[[2, 0, 1]]
+def check_triple_brackets(gens: np.ndarray, eps: int) -> float:
+    """Exact matrix identity [xi_a, xi_b] = 2 eps xi_c, cyclic, of the
+    generator stack (3, d, d) at the sign eps (``measured_cyclic_sign``)."""
+    a, b, c = CYCLIC
+    return float(np.abs(0.5 * field_bracket(gens[a], gens[b]) - eps * gens[c]).max())
 
 
-def measured_cyclic_sign(fields: Sequence[VectorField], tol: float = 1e-10) -> int:
-    """Sign eps with [xi_a, xi_b] = 2 eps xi_c for all cyclic (a, b, c).
-
-    Requires linear fields; raises if the brackets do not close onto the
-    third generator with a single uniform sign.
+def measured_cyclic_sign(gens: np.ndarray, tol: float = 1e-10) -> int:
+    """Sign eps with [xi_a, xi_b] = 2 eps xi_c to ``tol`` for all cyclic (a,
+    b, c) of the generator stack (3, d, d); raises if the brackets do not
+    close onto the third generator with one uniform sign.
     """
-    half, third = _cyclic_halves(fields)
-    plus, minus = (np.abs(half - s * third).max(axis=(1, 2)) <= tol for s in (1, -1))
-    if not (plus | minus).all():
-        raise ValueError("triple brackets do not close onto the generators")
-    eps_seen = set(np.where(plus, 1, -1).tolist())
-    if len(eps_seen) != 1:
-        raise ValueError(f"cyclic bracket signs are not uniform: {eps_seen}")
-    return eps_seen.pop()
+    for eps in (1, -1):
+        if check_triple_brackets(gens, eps) <= tol:
+            return eps
+    raise ValueError("triple brackets do not close onto the generators with one uniform sign")
 
 
-def check_triple_brackets(fields: Sequence[VectorField], eps: int) -> float:
-    """Exact matrix identity [xi_a, xi_b] = 2 eps xi_c, cyclic, at the sign
-    eps (``measured_cyclic_sign``)."""
-    half, third = _cyclic_halves(fields)
-    return float(np.abs(half - eps * third).max())
+def complete_pair(gens: np.ndarray) -> np.ndarray:
+    """The generator stack (3, d, d) of a triple and, fourth, the half
+    bracket [xi_1, xi_2] / 2 of its first pair, skew when they are."""
+    return np.concatenate([gens, 0.5 * field_bracket(gens[:1], gens[1:2])])
 
 
-@dataclass(frozen=True)
-class Triple:
-    """A family of fields xi_a, their structures at one point (d,) or sample
-    (N, d) on one shared g-orthonormal frame (``triple_psi``), and psi_a =
-    -phi_a, stacked alike."""
+def triple_defects(J: np.ndarray, relation: str, eps, units) -> np.ndarray:
+    """Defects of one relation of a triple J (3, ..., k, k), stacked over its
+    index tuples (CYCLIC, PAIRS, or each a for the squares): the relations of
+    ``check_triple_products`` (aligned, transposed), ``check_anticommutators``
+    and ``check_squares`` with psi_a = J_a, corrected by C_ab = eta_b (x) xi_a
+    for unit structures (``units`` = (xi, eta), each (3, ..., d)), or
+    uncorrected for complex structures on a whole space (``units`` None).
+    ``eps`` is ignored by the sign-free relations, and may be an array that
+    broadcasts."""
+    def C(a, b):
+        return 0.0 if units is None else units[0][a][..., :, None] * units[1][b][..., None, :]
 
-    fields: tuple[VectorField, ...]
-    sts: tuple[StructureTensors, ...]
-    psis: tuple[np.ndarray, ...] = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "psis", tuple(-st.phi_ambient for st in self.sts))
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.sts[0].x
-
-    @property
-    def M(self) -> np.ndarray:
-        return self.sts[0].metric_matrix
-
-    @property
-    def F(self) -> np.ndarray:
-        return self.sts[0].frame
-
-    def eta(self, a: int, b: int) -> np.ndarray:
-        """eta_b (x) xi_a."""
-        return self.sts[a].xi[..., :, None] * self.sts[b].eta[..., None, :]
-
-    def rows(self, sl: slice) -> Triple:
-        """The same triple at the rows ``sl`` of a sample."""
-        return Triple(self.fields, tuple(st.rows(sl) for st in self.sts))
+    if relation == "squares":
+        a = np.arange(3)
+        return J @ J + np.eye(J.shape[-1]) - C(a, a)
+    if relation == "anticommutators":
+        a, b = PAIRS
+        return J[a] @ J[b] + J[b] @ J[a] - C(b, a) - C(a, b)
+    a, b, c = CYCLIC
+    if relation == "aligned":
+        return J[a] @ J[b] - eps * J[c] - C(a, b)
+    if relation == "transposed":
+        return J[b] @ J[a] - eps * J[c] + C(a, b)
+    raise ValueError(f"unknown relation {relation!r}")
 
 
-def triple_psi(lc: LeviCivita, fields, x: np.ndarray,
-               frame: np.ndarray | None = None) -> Triple:
-    """The Triple of ``fields`` at x, one ``structure_at`` per field, all on
-    the first one's frame: ``frame`` when given."""
-    first = lc.structure_at(fields[0], x, frame=frame)
-    return Triple(tuple(fields), (first, *(lc.structure_at(f, first.x, frame=first.frame)
-                                           for f in fields[1:])))
+def _triple_worst(st: StructureTensors, relation: str, eps: int) -> np.ndarray:
+    """Per-point max |entry| of a relation's defects for the triple of
+    structures ``st``, psi_a = -phi_a, on tangent vectors (its frame)."""
+    R = triple_defects(-st.phi_ambient, relation, eps, (st.xi, st.eta))
+    return np.abs(R @ st.frame).max(axis=(0, -2, -1))
 
 
-def check_triple_orthonormality(triple: Triple) -> np.ndarray:
-    """g(xi_a, xi_b) = eta_b(xi_a) = delta_ab at every sample of ``triple``."""
-    xis = np.stack([st.xi for st in triple.sts], axis=-2)     # (N, a, d)
-    etas = np.stack([st.eta for st in triple.sts], axis=-2)
-    return _worst(xis @ np.swapaxes(etas, -1, -2) - np.eye(len(triple.sts)))
+def check_triple_orthonormality(st: StructureTensors) -> np.ndarray:
+    """g(xi_a, xi_b) = eta_b(xi_a) = delta_ab at every sample of the triple's
+    structure ``st``."""
+    xis, etas = np.moveaxis(st.xi, 0, -2), np.moveaxis(st.eta, 0, -2)  # (N, a, d)
+    return _worst(xis @ np.swapaxes(etas, -1, -2) - np.eye(len(st.xi)))
 
 
-def check_triple_products(triple: Triple, eps: int, variant: str = "aligned") -> np.ndarray:
+def check_triple_products(st: StructureTensors, eps: int, variant: str = "aligned") -> np.ndarray:
     """Cyclic products of the triple's structure endomorphisms psi_a = -phi_a.
 
     With eps the bracket sign ([xi_a, xi_b] = 2 eps xi_c, ``measured_cyclic_sign``):
@@ -305,66 +295,40 @@ def check_triple_products(triple: Triple, eps: int, variant: str = "aligned") ->
     """
     if variant not in ("aligned", "transposed"):
         raise ValueError(f"unknown variant {variant!r}")
-    F, psis, eta = triple.F, triple.psis, triple.eta
-    res = 0.0
-    for a, b, c in CYCLIC:
-        if variant == "aligned":
-            R = psis[a] @ psis[b] - eps * psis[c] - eta(a, b)
-        else:
-            R = psis[b] @ psis[a] - eps * psis[c] + eta(a, b)
-        res = np.maximum(res, _worst(R @ F))
-    return res
+    return _triple_worst(st, variant, eps)
 
 
-def check_anticommutators(triple: Triple) -> np.ndarray:
+def check_anticommutators(st: StructureTensors) -> np.ndarray:
     """psi_a psi_b + psi_b psi_a = eta_a (x) xi_b + eta_b (x) xi_a for a != b.
 
     Sign-convention-free companion of the cyclic product identities.
     """
-    F, psis, eta = triple.F, triple.psis, triple.eta
-    res = 0.0
-    for a, b in ((0, 1), (0, 2), (1, 2)):
-        R = psis[a] @ psis[b] + psis[b] @ psis[a] - eta(b, a) - eta(a, b)
-        res = np.maximum(res, _worst(R @ F))
-    return res
+    return _triple_worst(st, "anticommutators", 0)
 
 
-def check_squares(triple: Triple) -> np.ndarray:
+def check_squares(st: StructureTensors) -> np.ndarray:
     """psi_a^2 = -Id + eta_a (x) xi_a on tangent vectors, for each a."""
-    F, psis, eta = triple.F, triple.psis, triple.eta
-    res = 0.0
-    for a in range(3):
-        R = psis[a] @ psis[a] + np.eye(F.shape[-2]) - eta(a, a)
-        res = np.maximum(res, _worst(R @ F))
-    return res
+    return _triple_worst(st, "squares", 0)
 
 
-def check_pair_completion(lc: LeviCivita, triple: Triple) -> np.ndarray:
-    """Half the bracket of the first two fields of ``triple`` completes the triple.
+def check_pair_completion(st: StructureTensors, gens: np.ndarray) -> np.ndarray:
+    """Half the bracket of the first two fields completes the triple.
 
-    xi_3 := [xi_1, xi_2] / 2 must be another unit Killing generator making
-    the cyclic product identity hold.  Returns four rows (4, N) per point:
-    the unit length of xi_3, the aligned triple identity for the completed
-    family, and the reconstruction of xi_3 as + and as - the covariant
-    derivative of the second field along the first; the sign that fits the
-    whole sample best is the caller's to pick.  ``triple`` lends xi_3 its
-    frame, so only xi_3's structure is built here.
+    ``st`` is the structure of the stack ``gens`` = ``complete_pair(...)``,
+    whose fourth field xi_3' := [xi_1, xi_2] / 2 must be another unit Killing
+    generator making the cyclic product identity hold.  Returns four rows
+    (4, N) per point: the unit length of xi_3', the aligned triple identity
+    for the completed family (xi_1, xi_2, xi_3') at its own bracket sign, and
+    the reconstruction of xi_3' as + and as - the covariant derivative of the
+    second field along the first; the sign that fits the whole sample best is
+    the caller's to pick.
     """
-    f1, f2 = triple.fields[:2]
-    A1, A2 = f1.matrix, f2.matrix
-    if A1 is None or A2 is None:
-        raise ValueError("pair completion needs linear fields")
-    A3 = 0.5 * field_bracket(A1, A2)
-    if np.abs(A3 + A3.T).max() > 1e-12 * max(1.0, np.abs(A3).max()):
-        raise ValueError("bracket of the pair is not skew")
-    f3 = linear_field(A3, name="completed")
-    st3 = lc.structure_at(f3, triple.x, frame=triple.F)
-    products = check_triple_products(Triple((f1, f2, f3), (*triple.sts[:2], st3)),
-                                     measured_cyclic_sign((f1, f2, f3)))
+    completed = [0, 1, 3]
+    products = check_triple_products(st.fields(completed), measured_cyclic_sign(gens[completed]))
     # pointwise reconstruction: the covariant derivative of the second field
     # along the first reproduces the completed field up to a global sign
-    d = matvec(triple.sts[1].nabla_endo, triple.sts[0].xi)
-    return np.stack([check_unit_length(st3), products, _worst(d - st3.xi), _worst(d + st3.xi)])
+    d, xi3 = matvec(st.nabla_endo[1], st.xi[0]), st.xi[3]
+    return np.stack([check_unit_length(st.fields(3)), products, _worst(d - xi3), _worst(d + xi3)])
 
 
 # ---------------------------------------------------------------------------
@@ -441,9 +405,10 @@ class SplittingResult:
                     and np.all(self.commutation_residual < 1e-8))
 
 
-def horizontal_split(triple: Triple) -> SplittingResult:
+def horizontal_split(st: StructureTensors) -> SplittingResult:
     """Diagonalize psi_1 psi_2 psi_3 on the common horizontal space at the
-    point (d,) or at each point of the sample (N, d) of ``triple``.
+    point (d,) or at each point of the sample (N, d) of the triple's
+    structure ``st``.
 
     The horizontal space is the g-orthocomplement of the three generators in
     the tangent space; the triple product restricted there is a g-self-adjoint
@@ -451,15 +416,13 @@ def horizontal_split(triple: Triple) -> SplittingResult:
     the splitting invariants (the round quaternionic frame gives (0, 4n)).
     On a dim-3 total space the horizontal space is empty and so is the split.
     """
-    M, psis = triple.M, triple.psis
-    FD = triple.F @ g_orthonormal_complement(triple.F, M, triple.x, [st.xi for st in triple.sts])
+    M, psis = st.metric_matrix, -st.phi_ambient
+    FD = st.frame @ g_orthonormal_complement(st.frame, M, st.x, list(st.xi))
     FDt_M = np.swapaxes(FD, -1, -2) @ M
     P_amb = psis[0] @ psis[1] @ psis[2]
     P_frame = FDt_M @ P_amb @ FD
-    comm = 0.0
-    for psi in psis:
-        psi_f = FDt_M @ psi @ FD
-        comm = np.maximum(comm, _max_entry(P_frame @ psi_f - psi_f @ P_frame))
+    psi_f = FDt_M @ psis @ FD
+    comm = _max_entry(P_frame @ psi_f - psi_f @ P_frame).max(axis=0)
     return SplittingResult(split=involution_split(P_frame), horizontal_frame=FD,
                            p_frame=P_frame,
                            invariance_residual=_item(_max_entry(P_amb @ FD - FD @ P_frame)),
@@ -474,20 +437,15 @@ def flip_operator(projector_plus: np.ndarray) -> np.ndarray:
 def quaternionic_relation_residual(J: Sequence[np.ndarray]) -> tuple[int | None, float]:
     """Best uniform sign eps with J_a J_b = eps J_c cyclically, and its residual.
 
-    Returns (eps, residual) for the better sign; eps is None when neither
-    sign comes close (mixed-type triples, by design of the flip fixture).
+    Returns (eps, residual) for the better sign, +1 on a tie; eps is None
+    when neither sign comes close (mixed-type triples, by design of the flip
+    fixture).
     """
-    best = None
-    best_res = np.inf
-    for eps in (1, -1):
-        worst = 0.0
-        for a, b, c in CYCLIC:
-            worst = max(worst, float(np.abs(J[a] @ J[b] - eps * J[c]).max()))
-        if worst < best_res:
-            best, best_res = eps, worst
-    if best_res > 0.5:
-        return None, best_res
-    return best, best_res
+    signs = np.array([1, -1])
+    worst = np.abs(triple_defects(np.asarray(J, dtype=float), "aligned",
+                                  signs[:, None, None, None], None)).max(axis=(1, 2, 3))
+    best = int(np.argmin(worst))
+    return (None if worst[best] > 0.5 else int(signs[best])), float(worst[best])
 
 
 # the residuals of ``check_flip_quaternionic``, by name in this order
@@ -496,31 +454,30 @@ FLIP_CHECKS = ("unflipped_uniform_cyclic", "flipped_uniform_cyclic", "flipped_sq
                "flipped_pairing_skewness", "triple_product_commutes")
 
 
-def check_flip_quaternionic(J: Sequence[np.ndarray], M: np.ndarray,
-                            projector_plus: np.ndarray) -> tuple[dict[str, float], dict]:
+def check_flip_quaternionic(fixture) -> tuple[dict[str, float], dict]:
     """Sign-flip repair of a mixed-type anticommuting triple: seven residuals
     by name, and the best uniform signs before and after the flip.
 
-    Input: three M-skew anticommuting complex structures J_a on a split
-    space (projector onto the +1 eigenspace of J_1 J_2 J_3 supplied), with
-    J_1 J_2 J_3 = +Id on the plus part and -Id on the minus part.  Flipping
+    Input (``constructions.FlipFixture``): three M-skew anticommuting complex
+    structures J_a on a split space (projector P+ onto the +1 eigenspace of
+    J_1 J_2 J_3 supplied), with J_1 J_2 J_3 = +Id on the plus part and -Id on
+    the minus part.  Flipping
     with S = Id - 2 P+ must produce J'_a = S J_a that satisfy the uniform
     cyclic relations J'_a J'_b = eps' J'_c on the whole space, are skew for
     the flipped pairing M S, and keep squares and anticommutators; the
     original triple must NOT satisfy any uniform cyclic relation.
     """
-    d = J[0].shape[0]
-    S = flip_operator(projector_plus)
-    Jp = [S @ Ja for Ja in J]
+    J, M = np.asarray(fixture.J, dtype=float), fixture.metric_matrix
+    S = flip_operator(fixture.projector_plus)
+    Jp = S @ J
     Mh = M @ S
     eps0, res0 = quaternionic_relation_residual(J)
     eps1, res1 = quaternionic_relation_residual(Jp)
     P = J[0] @ J[1] @ J[2]
     residuals = dict(zip(FLIP_CHECKS, (
-        res0, res1, max(np.abs(Jp[a] @ Jp[a] + np.eye(d)).max() for a in range(3)),
-        max(np.abs(Jp[a] @ Jp[b] + Jp[b] @ Jp[a]).max() for a, b in ((0, 1), (0, 2), (1, 2))),
-        np.abs(Mh - Mh.T).max(), max(np.abs(Jp[a].T @ Mh + Mh @ Jp[a]).max() for a in range(3)),
-        max(np.abs(P @ Ja - Ja @ P).max() for Ja in J))))
+        res0, res1, np.abs(triple_defects(Jp, "squares", 0, None)).max(),
+        np.abs(triple_defects(Jp, "anticommutators", 0, None)).max(), np.abs(Mh - Mh.T).max(),
+        np.abs(np.swapaxes(Jp, -1, -2) @ Mh + Mh @ Jp).max(), np.abs(P @ J - J @ P).max())))
     return residuals, {"flipped_sign": eps1, "unflipped_best_sign": eps0}
 
 

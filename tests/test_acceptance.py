@@ -53,8 +53,8 @@ from killinglab.verify import (
     check_transverse_derivative,
     check_triple_brackets,
     check_triple_orthonormality,
+    complete_pair,
     measured_cyclic_sign,
-    triple_psi,
 )
 
 from oracles import brute_force_decomposition, built
@@ -163,16 +163,18 @@ def test_05_triple_structures():
         st = build_quaternionic(m)
         lc = LeviCivita(st.metric)
         pts = _pts((st.dim - 2) // 2)
-        triple = triple_psi(lc, st.fields, pts)
+        gens = complete_pair(st.generators)
+        family = lc.structure_at(gens, pts)
+        triple = family.fields(slice(3))
         orth = check_triple_orthonormality(triple)
         sq = check_squares(triple)
         ac = check_anticommutators(triple)
-        eps = measured_cyclic_sign(st.fields, tol=1e-6)
+        eps = measured_cyclic_sign(st.generators, tol=1e-6)
         al = check_triple_products(triple, eps, variant="aligned")
-        br = check_triple_brackets(st.fields, eps)
-        unit, products, plus, minus = check_pair_completion(lc, triple)
+        br = check_triple_brackets(st.generators, eps)
+        unit, products, plus, minus = check_pair_completion(family, gens)
         pc = max(unit.max(), products.max(), min(plus.max(), minus.max()))
-        split = horizontal_split(triple_psi(lc, st.fields, pts[0]))
+        split = horizontal_split(lc.structure_at(st.generators, pts[0]))
         ok = (ok and max(orth.max(), sq.max(), ac.max(), al.max()) <= 1e-10
               and br <= 1e-12 and pc <= 1e-6 and split.dim_plus == 0 and split.ok)
     _line(5, "S^3/S^7 triples: orthonormal, square/anticommutator/cyclic "
@@ -185,7 +187,7 @@ def test_05_triple_structures():
 def test_06_flip_fixture():
     from killinglab import build_flip_fixture
     fx = build_flip_fixture()
-    residuals, extras = check_flip_quaternionic(fx.J, fx.metric_matrix, fx.projector_plus)
+    residuals, extras = check_flip_quaternionic(fx)
     unflipped = residuals.pop("unflipped_uniform_cyclic")
     ok = (unflipped >= 0.5 and max(residuals.values()) <= 1e-5
           and extras["flipped_sign"] in (-1, 1))

@@ -42,7 +42,6 @@ from killinglab.verify import (
     check_sasakian,
     horizontal_split,
     nijenhuis_residual,
-    triple_psi,
 )
 
 from oracles import (
@@ -238,7 +237,7 @@ def test_stacked_horizontal_split_matches_reference(m):
     qs = build_quaternionic(m)
     lc = LeviCivita(qs.metric)
     X = _mixed_sample(2 * m + 1, 6, seed=37)
-    sp = horizontal_split(triple_psi(lc, qs.fields, X))
+    sp = horizontal_split(lc.structure_at(qs.generators, X))
     assert sp.ok and sp.horizontal_frame.shape == (6, 4 * m + 4, 4 * m)
     for i, x in enumerate(X):
         ref = horizontal_split_per_point(lc, qs.fields, SpherePoint(x))
@@ -248,7 +247,7 @@ def test_stacked_horizontal_split_matches_reference(m):
                          (sp.invariance_residual, "invariance"),
                          (sp.commutation_residual, "commutation")):
             assert got[i] <= 1e-13 and ref[key] <= 1e-13
-        one = horizontal_split(triple_psi(lc, qs.fields, SpherePoint(x)))
+        one = horizontal_split(lc.structure_at(qs.generators, SpherePoint(x)))
         assert isinstance(one.dim_plus, int) and isinstance(one.invariance_residual, float)
         assert np.abs(one.p_frame - sp.p_frame[i]).max(initial=0.0) <= 1e-14
 
@@ -284,8 +283,10 @@ def test_shared_structures_of_the_gf_and_quaternionic_batteries():
     qs = build_quaternionic(1)
     lc = LeviCivita(qs.metric)
     X = sample_sphere(3, 30, seed=61).coords
-    triple = triple_psi(lc, qs.fields, X)
-    assert all(s.frame is triple.F for s in triple.sts)  # one frame for the three fields
+    triple = lc.structure_at(qs.generators, X)
+    # one metric, one frame and one x for the three fields, whose arrays carry G in front
+    assert triple.frame.shape == (30, 8, 7) and triple.xi.shape == (3, 30, 8)
+    assert triple.nabla_endo.shape == (3, 30, 8, 8)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -309,7 +310,7 @@ def test_killing_check_of_a_generator_stack_on_the_round_metric(n):
     for stack, flag in ((basis, ""), (np.concatenate([basis[:1], np.zeros_like(basis[:1])]),
                                       "degenerate: field vanishes on all samples")):
         c = SimpleNamespace(lc=lc)
-        row = cli._killing_row("killing", 1e-10, lambda c: (stack, X, None), False)
+        row = cli._killing_row("killing", 1e-10, lambda c: (stack, X, None, None), False)
         res, detail = row.detail(row.residual(c), c)
         assert res.shape == (len(stack), len(X)) and detail == flag
 
@@ -378,7 +379,7 @@ def test_each_chunk_evaluates_the_battery_metric_at_its_points_only_in_structure
     for x in chunks:
         structures = sum(same(y, x) for y in built_at)
         at_x = [within for metric, y, within in calls if metric is c.metric and same(y, x)]
-        assert structures == (4 if example == "quaternionic" else 1)
+        assert structures == 1
         assert at_x == [True] * structures, example
 
 
@@ -401,11 +402,71 @@ def test_shared_frame_and_triple_give_identical_results(m):
     F = lc.frame(X, qs.metric.matrix_at(X))
     for f in qs.fields:
         assert _same_arrays(lc.structure_at(f, X, frame=F), lc.structure_at(f, X))
-    triple = triple_psi(lc, qs.fields, X, frame=F)
-    assert triple.F is F and _same_arrays(triple, triple_psi(lc, qs.fields, X))
+    triple = lc.structure_at(qs.generators, X, frame=F)
+    assert triple.frame is F and _same_arrays(triple, lc.structure_at(qs.generators, X))
     # the rows of a triple are the triple of those rows
+    assert _same_arrays(triple.rows(slice(10)), lc.structure_at(qs.generators, X[:10]))
     assert _same_arrays(horizontal_split(triple.rows(slice(10))),
-                        horizontal_split(triple_psi(lc, qs.fields, X[:10])))
+                        horizontal_split(lc.structure_at(qs.generators, X[:10])))
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_each_slice_of_a_stacked_structure_is_its_fields_own(m):
+    """structure_at and second_nabla_frame on the (3, d, d) generator stack:
+    slice g of every per-field array, at one point and at a sample, is the
+    call on the g-th field bit for bit, and the shared arrays are its own."""
+    qs = build_quaternionic(m)
+    lc = LeviCivita(qs.metric)
+    X = sample_sphere(2 * m + 1, 30, seed=73).coords
+    for x in (X[4], X):
+        st = lc.structure_at(qs.generators, x)
+        T = lc.second_nabla_frame(qs.generators, x, st.frame)
+        assert st.xi.shape == (3,) + x.shape and T.shape[0] == 3
+        for g, fld in enumerate(qs.fields):
+            own = lc.structure_at(fld, x)
+            assert _same_arrays(st.fields(g), own)
+            assert np.array_equal(T[g], lc.second_nabla_frame(fld, x, own.frame))
+
+
+def test_a_stack_on_a_metric_without_closed_forms_is_refused_by_name():
+    ds = build_deformed(n=3, c=0.3)
+    lc = LeviCivita(ds.metric)
+    X = sample_sphere(3, 5, seed=79).coords
+    gens = ds.isometry_algebra().basis[:3]
+    with pytest.raises(ValueError, match=r"structure_at takes a stack of generators only on "
+                                         r"the round metric.*deformed\(c=0.3\) metric takes "
+                                         r"finite differences, one field at a time"):
+        lc.structure_at(gens, X)
+    with pytest.raises(ValueError, match="second_nabla_frame takes a stack of generators only"):
+        lc.second_nabla_frame(gens, X, lc.frame(X, ds.metric.matrix_at(X)))
+
+
+@pytest.mark.parametrize("example, params", [
+    ("round", {"n": 2}), ("gF", {"n": 3}), ("irregular", {"n": 2})])
+def test_each_chunk_evaluates_the_field_at_its_points_only_in_structure_at(
+        example, params, monkeypatch):
+    """In a unit battery streamed in two chunks, the field is evaluated at a
+    chunk's own points once, in structure_at: the Killing row's degenerate
+    flag reads the values the structure holds."""
+    battery, cfg = cli._BATTERIES[example], cli.RunConfig(example=example, samples=40, **params)
+    monkeypatch.setattr(metrics, "CHUNK_BYTES",
+                        20 * metrics.sample_bytes(2 * cfg.n + 2, stencil=False))
+    calls = []
+    value = metrics.VectorField.value
+
+    def recorded_value(self, x):
+        calls.append((self, np.array(x)))
+        return value(self, x)
+
+    monkeypatch.setattr(metrics.VectorField, "value", recorded_value)
+    c = battery.context(cfg)
+    chunks = cli._chunks(c.X)
+    assert len(chunks) == 2
+    for i, x in enumerate(chunks):
+        battery.evaluate(c, x, not i)
+    for x in chunks:
+        at_x = [fld for fld, y in calls if y.shape == x.shape and np.array_equal(y, x)]
+        assert at_x.count(c.field) == 1, example
 
 
 def test_quaternionic_battery_builds_one_frame_and_one_structure_per_field(monkeypatch):
@@ -429,9 +490,9 @@ def test_quaternionic_battery_builds_one_frame_and_one_structure_per_field(monke
     assert rep.all_as_expected
     # the battery frame, in closed form (the horizontal split reads it, and the
     # closed-form battery runs no step canary, which would build one more);
-    # xi_1..3 and the completed xi_3
+    # one structure for xi_1..3 and the completed xi_3
     assert counts["frame"] == 1 and counts["g_orthonormal_frame"] == 0
-    assert counts["structure_at"] <= 4
+    assert counts["structure_at"] == 1
 
 
 # -- chunking and defaults ---------------------------------------------------------

@@ -13,7 +13,7 @@ import pytest
 from killinglab import cli, verify
 from killinglab.constructions import (J2, block_embed, build_deformed, build_quaternionic,
                                       build_round)
-from killinglab.metrics import linear_field
+from killinglab.metrics import StructureTensors, linear_field
 from killinglab.sphere import sample_sphere
 
 # (name, tolerance, expectation, fail floor, once) of every row, in report order
@@ -121,8 +121,9 @@ def test_every_per_sample_row_reads_points_outside_the_sample(example):
 
 
 # what each battery builds once, when it opens, in order
-FIXED = {"round": ["decomposition"], "quaternionic": ["bracket_sign", "check_flip_quaternionic"],
-         "hopf-lift": ["sample_filter", "lift", "pushdown"],
+FIXED = {"round": ["decomposition"],
+         "quaternionic": ["bracket_sign", "complete_pair", "check_flip_quaternionic"],
+         "hopf-lift": ["sample_filter", "path_targets", "lift", "pushdown"],
          "gF": ["support", "isometry_algebra", "round_connection"],
          "irregular": ["isometry_algebra"]}
 
@@ -198,11 +199,36 @@ def test_killing_flags_a_field_that_vanishes_on_the_whole_sample_only(monkeypatc
     X = np.vstack([np.eye(6)[2], sample_sphere(2, 5, seed=42).coords])
     battery = cli.Battery(
         lambda cfg: {"title": "a plane rotation", "metric": rs.metric, "field": field, "n": 2},
-        (cli._killing_row("killing", 1e-10, lambda c: (c.field, c.x, None), False),))
+        (cli._killing_row("killing", 1e-10,
+                          lambda c: (c.field, c.x, None, c.field.value(c.x)), False),))
     monkeypatch.setattr(cli, "sample_sphere", lambda n, count, seed: SimpleNamespace(coords=X))
     one, split = _one_and_split(battery, cli.RunConfig(n=2, samples=6), monkeypatch)
     assert split == one
     assert "detail" not in _check(split, "killing")
+
+
+def test_hopf_lift_projects_its_path_targets_once(monkeypatch):
+    """The sample refusal and the path check read one build of the targets:
+    the waypoint, the second kept point, is projected once a run."""
+    waypoints = []
+    projection = cli.hopf_projection
+
+    def recorded(x):
+        waypoints.append(np.ndim(x) == 1)
+        return projection(x)
+
+    monkeypatch.setattr(cli, "hopf_projection", recorded)
+    assert cli._HOPF(cli.RunConfig(example="hopf-lift", samples=20)).all_as_expected
+    assert sum(waypoints) == 1
+
+
+def _family_field_by_field(lc, gens, x):
+    """The structure of a generator stack on a metric that takes finite
+    differences, which refuses a stack: each field's own, stacked."""
+    sts = [lc.structure_at(linear_field(A), x) for A in gens]
+    return StructureTensors(**{k: v if k in ("x", "metric_matrix", "frame") else
+                               np.stack([vars(st)[k] for st in sts])
+                               for k, v in vars(sts[0]).items()})
 
 
 def test_pair_completion_takes_its_sign_from_the_whole_sample(monkeypatch):
@@ -214,8 +240,9 @@ def test_pair_completion_takes_its_sign_from_the_whole_sample(monkeypatch):
     battery = quaternionic._replace(
         open=lambda cfg: {"title": "a deformed triple", "qs": qs, "metric": ds.metric,
                           "field": qs.fields[0], "n": 3},
-        steps=(quaternionic.steps[0], next(r for r in quaternionic.rows
-                                            if r.name == "pair_completion")),
+        steps=(cli.Stage("triple_psi", "family",
+                         lambda c: _family_field_by_field(c.lc, c.gens, c.x)),
+               next(r for r in quaternionic.rows if r.name == "pair_completion")),
         extras=lambda c: {})
     one, split = _one_and_split(battery, cli.RunConfig(samples=60, seed=3), monkeypatch)
     assert split == one
@@ -230,12 +257,12 @@ def test_triple_rows_name_the_sign_their_residuals_read():
     their residuals are measured at."""
     doc = json.loads(cli._QUATERNIONIC(cli.RunConfig(m=1, samples=20)).to_json(
         include_timestamp=False))
-    fields = build_quaternionic(1).fields
-    eps = verify.measured_cyclic_sign(fields, tol=1e-6)
+    gens = build_quaternionic(1).generators
+    eps = verify.measured_cyclic_sign(gens, tol=1e-6)
     brackets = _check(doc, "triple_brackets")
     assert brackets["detail"] == f"uniform bracket sign eps={eps:+d}"
-    assert brackets["max_residual"] == verify.check_triple_brackets(fields, eps) <= 1e-12
-    assert verify.check_triple_brackets(fields, -eps) >= 1.0
+    assert brackets["max_residual"] == verify.check_triple_brackets(gens, eps) <= 1e-12
+    assert verify.check_triple_brackets(gens, -eps) >= 1.0
     for variant in ("aligned", "transposed"):
         assert _check(doc, f"triple_products_{variant}")["detail"] == f"bracket sign eps={eps:+d}"
 
@@ -248,15 +275,17 @@ def test_triple_sign_is_measured_once_at_the_bracket_closure():
     qs = build_quaternionic(1)
     skew = np.random.default_rng(0).standard_normal((8, 8))
     fields = (linear_field(qs.fields[0].matrix + 1e-8 * (skew - skew.T)), *qs.fields[1:])
-    eps = verify.measured_cyclic_sign(fields, tol=1e-6)
+    gens = np.array([f.matrix for f in fields])
+    eps = verify.measured_cyclic_sign(gens, tol=1e-6)
     with pytest.raises(ValueError, match="do not close"):
-        verify.measured_cyclic_sign(fields)
+        verify.measured_cyclic_sign(gens)
     quaternionic, names = cli._QUATERNIONIC, ("triple_brackets", "triple_products_aligned",
                                               "triple_products_transposed")
     battery = quaternionic._replace(
-        open=lambda cfg: {"title": "a perturbed triple", "qs": SimpleNamespace(fields=fields),
+        open=lambda cfg: {"title": "a perturbed triple",
+                          "qs": SimpleNamespace(generators=gens),
                           "metric": qs.metric, "field": fields[0], "n": 3},
-        steps=(quaternionic.steps[0], *(r for r in quaternionic.rows if r.name in names)),
+        steps=(*quaternionic.steps[:2], *(r for r in quaternionic.rows if r.name in names)),
         extras=lambda c: {})
     doc = json.loads(battery(cli.RunConfig(samples=10)).to_json(include_timestamp=False))
     assert [c["name"] for c in doc["checks"]] == list(names)

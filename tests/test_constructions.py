@@ -107,7 +107,7 @@ def test_quaternionic_triple_is_killing_s3_s7():
 
 def test_flip_fixture_repair():
     fx = build_flip_fixture()
-    residuals, extras = check_flip_quaternionic(fx.J, fx.metric_matrix, fx.projector_plus)
+    residuals, extras = check_flip_quaternionic(fx)
     assert list(residuals) == ["unflipped_uniform_cyclic", "flipped_uniform_cyclic",
                                "flipped_squares", "flipped_anticommutators",
                                "flipped_pairing_symmetric", "flipped_pairing_skewness",

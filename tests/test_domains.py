@@ -135,7 +135,8 @@ def test_readme_table_states_every_domain():
 
 def test_refusals_raise_only_while_building_the_config():
     """No ValueError is raised in cli outside the config's reading and its
-    DOMAINS walk, but for the hopf-lift floor, which reads the drawn sample."""
+    DOMAINS walk, but for the hopf-lift floor and its path check's targets,
+    which read the drawn sample."""
     tree = ast.parse((ROOT / "src" / "killinglab" / "cli.py").read_text())
     owners = set()
     for fn in ast.walk(tree):
@@ -143,7 +144,7 @@ def test_refusals_raise_only_while_building_the_config():
             owners |= {fn.name for node in ast.walk(fn)
                        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
                        and getattr(node.exc.func, "id", None) == "ValueError"}
-    assert owners == {"load_config_file", "build_config", "_hopf_kept"}, owners
+    assert owners == {"load_config_file", "build_config", "_hopf_kept", "_path_targets"}, owners
 
 
 @pytest.mark.parametrize("argv, first", [

@@ -38,11 +38,11 @@ from killinglab.verify import (
     check_tangency,
     check_triple_brackets,
     check_triple_orthonormality,
+    complete_pair,
     covariant_canary,
     involution_split,
     measured_cyclic_sign,
     quaternionic_relation_residual,
-    triple_psi,
 )
 
 from oracles import built, canary_drifts_per_point, g_orthonormal_frame_mgs
@@ -77,9 +77,9 @@ def test_killing_round_exact(round2, lc_round2, pts2):
 def test_killing_flags_zero_field(lc_round1, pts1):
     from killinglab import cli
 
-    zero = general_field(lambda x: np.zeros_like(x), name="zero")
+    zero, X = general_field(lambda x: np.zeros_like(x), name="zero"), np.asarray(pts1)
     c, row = SimpleNamespace(lc=lc_round1), cli._killing_row(
-        "killing", 1e-10, lambda c: (zero, np.asarray(pts1), None), False)
+        "killing", 1e-10, lambda c: (zero, X, None, zero.value(X)), False)
     res, detail = row.detail(row.residual(c), c)
     assert res.max() <= 1e-12  # L_0 g = 0, vacuously
     assert detail == "degenerate: field vanishes on all samples"
@@ -174,27 +174,28 @@ def test_covariant_canary_raises_exactly_when_an_oracle_drift_exceeds_the_bound(
 def test_triple_orthonormality(quat1, pts3):
     from killinglab import LeviCivita
     lc = LeviCivita(quat1.metric)
-    r = check_triple_orthonormality(triple_psi(lc, quat1.fields, pts3[:10]))
+    r = check_triple_orthonormality(lc.structure_at(quat1.generators, pts3[:10]))
     assert r.max() <= 1e-10
 
 
 def test_triple_brackets_exact(quat1):
-    eps = measured_cyclic_sign(quat1.fields, tol=1e-6)
-    assert check_triple_brackets(quat1.fields, eps) <= 1e-12
-    assert check_triple_brackets(quat1.fields, -eps) >= 1.0  # the residual reads the sign given
+    gens = quat1.generators
+    eps = measured_cyclic_sign(gens, tol=1e-6)
+    assert check_triple_brackets(gens, eps) <= 1e-12
+    assert check_triple_brackets(gens, -eps) >= 1.0  # the residual reads the sign given
 
 
 def test_measured_cyclic_sign_is_uniform(quat0, quat1):
-    assert measured_cyclic_sign(quat0.fields) in (-1, +1)
-    assert measured_cyclic_sign(quat1.fields) in (-1, +1)
+    assert measured_cyclic_sign(quat0.generators) in (-1, +1)
+    assert measured_cyclic_sign(quat1.generators) in (-1, +1)
 
 
 def test_triple_products_aligned_vs_transposed(quat1, pts3):
     """Exactly one product convention matches the realized frame."""
     from killinglab import LeviCivita
     lc = LeviCivita(quat1.metric)
-    triple = triple_psi(lc, quat1.fields, pts3[:8])
-    eps = measured_cyclic_sign(quat1.fields)
+    triple = lc.structure_at(quat1.generators, pts3[:8])
+    eps = measured_cyclic_sign(quat1.generators)
     ok = check_triple_products(triple, eps, variant="aligned")
     bad = check_triple_products(triple, eps, variant="transposed")
     assert ok.max() <= 1e-10
@@ -205,13 +206,13 @@ def test_triple_products_rejects_unknown_variant(quat1, pts3):
     from killinglab import LeviCivita
     lc = LeviCivita(quat1.metric)
     with pytest.raises(ValueError):
-        check_triple_products(triple_psi(lc, quat1.fields, pts3[:2]), 1, variant="upside")
+        check_triple_products(lc.structure_at(quat1.generators, pts3[:2]), 1, variant="upside")
 
 
 def test_anticommutators_and_squares(quat1, pts3):
     from killinglab import LeviCivita
     lc = LeviCivita(quat1.metric)
-    triple = triple_psi(lc, quat1.fields, pts3[:8])
+    triple = lc.structure_at(quat1.generators, pts3[:8])
     assert check_anticommutators(triple).max() <= 1e-10
     assert check_squares(triple).max() <= 1e-10
 
@@ -219,7 +220,8 @@ def test_anticommutators_and_squares(quat1, pts3):
 def test_pair_completion(quat1, pts3):
     from killinglab import LeviCivita
     lc = LeviCivita(quat1.metric)
-    unit, products, plus, minus = check_pair_completion(lc, triple_psi(lc, quat1.fields, pts3[:8]))
+    gens = complete_pair(quat1.generators)
+    unit, products, plus, minus = check_pair_completion(lc.structure_at(gens, pts3[:8]), gens)
     assert max(unit.max(), products.max(), min(plus.max(), minus.max())) <= 1e-6
 
 
@@ -230,7 +232,7 @@ def test_involution_split_of_product_operator(quat1, pts3):
     involution; on the round S^7 triple it is -Id there (empty + block)."""
     from killinglab import LeviCivita
     lc = LeviCivita(quat1.metric)
-    split = horizontal_split(triple_psi(lc, quat1.fields, pts3[0]))
+    split = horizontal_split(lc.structure_at(quat1.generators, pts3[0]))
     assert split.dim_plus == 0
     assert split.dim_minus == 4
     assert split.ok
@@ -239,7 +241,7 @@ def test_involution_split_of_product_operator(quat1, pts3):
 def test_involution_split_s3_is_empty(quat0, pts1):
     from killinglab import LeviCivita
     lc = LeviCivita(quat0.metric)
-    split = horizontal_split(triple_psi(lc, quat0.fields, pts1[0]))
+    split = horizontal_split(lc.structure_at(quat0.generators, pts1[0]))
     assert split.dim_plus == 0
     assert split.dim_minus == 0
     assert split.ok
