@@ -70,7 +70,7 @@ class IsometryAlgebra:
     trace-form coordinates; ``_project`` works in Q, and only basis
     coordinates need R."""
 
-    def __init__(self, basis, name: str = "", validate: bool = True):
+    def __init__(self, basis, validate: bool = True):
         try:  # a view, so the read-only flag below is its own
             stack = np.asarray(basis, dtype=float).view()
         except ValueError:  # a ragged sequence of matrices
@@ -85,7 +85,6 @@ class IsometryAlgebra:
             raise ValueError("basis matrices must be skew-symmetric")
         stack.setflags(write=False)
         self.basis = stack
-        self.name = name
         self._upper = np.triu_indices(d, 1)
         # |R_kk| >= the least singular value of S, and QR does not square the
         # condition number as a Cholesky of the gram would.

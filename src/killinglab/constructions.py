@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .algebra import IsometryAlgebra, so_basis
-from .flows import ExactScalar, RotationProfile
+from .flows import ExactScalar, RotationProfile, rotation_profile
 from .metrics import (
     MetricDegeneracyError,
     MetricField,
@@ -125,12 +125,11 @@ class RoundStructure:
     j0: np.ndarray
 
     def isometry_algebra(self) -> IsometryAlgebra:
-        return IsometryAlgebra(so_basis(self.dim), name=f"so({self.dim})",
-                               validate=False)
+        return IsometryAlgebra(so_basis(self.dim), validate=False)
 
     def profile(self) -> RotationProfile:
-        one = ExactScalar(Fraction(1))
-        return RotationProfile(tuple([one] * (self.dim // 2)))
+        """The field's rotation rates, all 1, checked against its generator's spectrum."""
+        return rotation_profile(self.field.matrix, [ExactScalar(Fraction(1))] * (self.dim // 2))
 
 
 def build_round(n: int) -> RoundStructure:
@@ -140,7 +139,7 @@ def build_round(n: int) -> RoundStructure:
     d = 2 * n + 2
     j0 = std_complex_structure(d)
     return RoundStructure(n=n, dim=d, metric=round_metric(d),
-                          field=linear_field(j0, name="circle_field"), j0=j0)
+                          field=linear_field(j0), j0=j0)
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +151,6 @@ class QuaternionicStructure:
     m: int
     dim: int
     metric: MetricField
-    fields: tuple[VectorField, VectorField, VectorField]
     generators: np.ndarray      # (3, d, d): xi_a = generators[a] x
 
 
@@ -162,9 +160,7 @@ def build_quaternionic(m: int) -> QuaternionicStructure:
         raise ValueError("m must be >= 0")
     d = 4 * m + 4
     gens = np.stack([np.kron(np.eye(m + 1), R) for R in (RIGHT_I, RIGHT_J, RIGHT_K)])
-    fields = tuple(linear_field(g, name=f"triple_{k}") for k, g in enumerate(gens))
-    return QuaternionicStructure(m=m, dim=d, metric=round_metric(d),
-                                 fields=fields, generators=gens)
+    return QuaternionicStructure(m=m, dim=d, metric=round_metric(d), generators=gens)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +244,7 @@ def gauss_legendre_rule(steps: int) -> tuple[np.ndarray, np.ndarray]:
 
 def build_hopf() -> HopfBundle:
     j0 = std_complex_structure(4)
-    return HopfBundle(metric=round_metric(4), field=linear_field(j0, name="fiber_field"),
+    return HopfBundle(metric=round_metric(4), field=linear_field(j0),
                       j0=j0, base_radius=0.5, anchor=np.array([0.0, 0.0, -0.5]),
                       quadrature_steps=HOPF_QUADRATURE_STEPS)
 
@@ -435,7 +431,7 @@ class DeformedStructure:
         d = self.dim
         basis = np.concatenate([block_embed(so_basis(d - 4), d, 0), self.j0[None],
                                 block_embed(RIGHT_J, d, d - 4)[None]])
-        return IsometryAlgebra(basis, name="deformation_invariance", validate=False)
+        return IsometryAlgebra(basis, validate=False)
 
 
 def smooth_transition(t):
@@ -516,13 +512,9 @@ def build_deformed(n: int = 3, c: float = 0.3) -> DeformedStructure:
         M += YY
         return M
 
-    metric = MetricField("deformed", matrix_func, dim=d, exact_round=False,
-                         name=f"deformed(c={c})")
     return DeformedStructure(
-        n=n, c=c, dim=d, metric=metric,
-        field=linear_field(j0, name="circle_field"), j0=j0,
-        x_field=general_field(x_vec, name="deformation_direction"),
-        f_of=f_of)
+        n=n, c=c, dim=d, metric=MetricField(matrix_func, dim=d, name=f"deformed(c={c})"),
+        field=linear_field(j0), j0=j0, x_field=general_field(x_vec), f_of=f_of)
 
 
 # ---------------------------------------------------------------------------
@@ -540,15 +532,16 @@ class IrregularStructure:
     j1: np.ndarray
 
     def profile(self) -> RotationProfile:
+        """Rates (1 + a, 1, ..., 1), checked against the field's generator spectrum."""
         one = ExactScalar(Fraction(1))
         first = ExactScalar(self.a.p + 1, self.a.q, self.a.tag)
-        return RotationProfile((first,) + (one,) * ((self.dim - 2) // 2))
+        return rotation_profile(self.field.matrix, (first,) + (one,) * ((self.dim - 2) // 2))
 
     def isometry_algebra(self) -> IsometryAlgebra:
         d = self.dim
         basis = np.concatenate([block_embed(J2, d, 0)[None],
                                 block_embed(unitary_block_basis((d - 2) // 2), d, 2)])
-        return IsometryAlgebra(basis, name="irregular_invariance", validate=False)
+        return IsometryAlgebra(basis, validate=False)
 
 
 def build_irregular(n: int = 2, a: ExactScalar | None = None) -> IrregularStructure:
@@ -586,8 +579,5 @@ def build_irregular(n: int = 2, a: ExactScalar | None = None) -> IrregularStruct
                 + alpha * (eye - alpha * (cross + np.swapaxes(cross, -1, -2))
                            + alpha * alpha * t_sq * outer00))
 
-    metric = MetricField("irregular", matrix_func, dim=d, exact_round=False,
-                         name=f"irregular(a={a})")
-    return IrregularStructure(n=n, a=a, dim=d, metric=metric,
-                              field=linear_field(gen, name="mixed_rate_field"),
-                              j0=j0, j1=j1)
+    return IrregularStructure(n=n, a=a, dim=d, metric=MetricField(
+        matrix_func, dim=d, name=f"irregular(a={a})"), field=linear_field(gen), j0=j0, j1=j1)

@@ -35,12 +35,14 @@ whose G fields share one metric evaluation and one frame.  ``sample_chunks``
 sizes every chunk, of a battery's sample and of the flat second-difference
 stencil of ``second_nabla_frame``, by one budget.
 
-Finite differences on the round metric are asked for through the inputs: a
-copy of a linear field with ``kind="general"`` takes the ambient stencil.  A
-finite-difference result at fd_step can be checked against its value at
-fd_step / 2 by the Richardson step-halving guard ``richardson_guard``:
-disagreement beyond ``RICHARDSON_REL_TOL``, or a drift that is not finite,
-raises ``NumericalQualityError`` instead of returning a silently bad number.
+``LeviCivita.path`` picks the route at every entry point from whether the
+metric is round and the field linear (``matrix`` set) alone, so finite
+differences on the round metric are asked for through the field:
+``general_field(fld.func)`` takes the ambient stencil.  A finite-difference
+result at fd_step can be checked against its value at fd_step / 2 by the
+Richardson step-halving guard ``richardson_guard``: disagreement beyond
+``RICHARDSON_REL_TOL``, or a drift that is not finite, raises
+``NumericalQualityError`` instead of returning a silently bad number.
 The batteries run it at one point through ``verify.covariant_canary``.
 """
 
@@ -166,24 +168,20 @@ def skew_exp(A: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class VectorField:
-    """Tangent vector field given by an ambient-coordinates callable.
-
-    ``kind`` is "linear" (value A x with A skew, hence tangent; ``matrix``
-    keeps A) or "general".  ``value`` takes one point (d,) or a stack
-    (..., d) and calls ``func`` once on it, so ``func`` of either kind maps
-    (..., d) to (..., d).
+    """Tangent vector field given by an ambient-coordinates callable, linear
+    (value A x with A skew, hence tangent) exactly when ``matrix`` keeps A.
+    ``value`` takes one point (d,) or a stack (..., d) and calls ``func`` once
+    on it, so ``func`` maps (..., d) to (..., d).
     """
 
-    kind: str
     func: Callable[[np.ndarray], np.ndarray]
     matrix: np.ndarray | None = None
-    name: str = ""
 
     def value(self, x: np.ndarray) -> np.ndarray:
         return self.func(np.asarray(x, dtype=float))
 
 
-def linear_field(A, name: str = "") -> VectorField:
+def linear_field(A) -> VectorField:
     """Field x -> A x; A must be skew so the values are tangent everywhere.  A
     stack (G, d, d) of skew generators is a family of G fields whose values
     carry a leading G axis."""
@@ -192,8 +190,12 @@ def linear_field(A, name: str = "") -> VectorField:
     if np.abs(A + np.swapaxes(A, -1, -2)).max() > 1e-12 * scale:
         raise ValueError("linear_field requires a skew-symmetric generator")
     A.setflags(write=False)
-    return VectorField("linear", lambda x: A @ x if x.ndim == 1 else x @ np.swapaxes(A, -1, -2),
-                       matrix=A, name=name)
+    return VectorField(lambda x: A @ x if x.ndim == 1 else x @ np.swapaxes(A, -1, -2), A)
+
+
+def as_field(fld) -> VectorField:
+    """A field as it is, or a generator (d, d) or stack (G, d, d) as its linear field."""
+    return fld if isinstance(fld, VectorField) else linear_field(fld)
 
 
 def at_points(A: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -202,8 +204,9 @@ def at_points(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     return A.reshape(A.shape[:-2] + (1,) * (x.ndim - 1) + A.shape[-2:])
 
 
-def general_field(func: Callable[[np.ndarray], np.ndarray], name: str = "") -> VectorField:
-    return VectorField("general", func, matrix=None, name=name)
+def general_field(func: Callable[[np.ndarray], np.ndarray]) -> VectorField:
+    """The field of ``func`` with no generator, whose derivatives take finite differences."""
+    return VectorField(func)
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,7 +214,6 @@ class MetricField:
     """Riemannian metric as an ambient Gram-operator field; ``matrix_func``
     maps one point (d,) to (d, d) and a stack (..., d) to (..., d, d)."""
 
-    kind: str
     matrix_func: Callable[[np.ndarray], np.ndarray]
     dim: int
     exact_round: bool = False
@@ -226,7 +228,7 @@ def round_metric(dim: int) -> MetricField:
     eye = np.eye(dim)
     eye.setflags(write=False)
     return MetricField(
-        "round", lambda x: eye if x.ndim == 1 else np.broadcast_to(eye, x.shape[:-1] + eye.shape),
+        lambda x: eye if x.ndim == 1 else np.broadcast_to(eye, x.shape[:-1] + eye.shape),
         dim=dim, exact_round=True, name="round")
 
 
@@ -376,22 +378,22 @@ class LeviCivita:
         self.metric = metric
         self.fd_step = float(fd_step)
 
-    def closed_form(self, fld: VectorField) -> bool:
-        """Exact-vs-FD dispatch: the closed forms need the round metric and a
-        linear field, and read no fd_step; every other pair takes finite
-        differences."""
-        return self.metric.exact_round and fld.kind == "linear"
-
-    def _field(self, fld, owner: str) -> VectorField:
-        """``fld``, or a stack (G, d, d) of linear generators as one linear
-        field, refused where no closed form serves it."""
-        fld = fld if isinstance(fld, VectorField) else linear_field(fld)
-        if fld.matrix is not None and fld.matrix.ndim == 3 and not self.metric.exact_round:
+    def path(self, fld, owner: str, lie: bool) -> tuple[VectorField, str]:
+        """``fld`` (``as_field``) and how ``owner`` differentiates it, read off
+        whether the metric is round and the field linear alone: "closed" forms
+        for a linear field on the round metric, reading no fd_step; the exact
+        "flow" for the Lie derivative (``lie``) of a linear field on any other
+        metric; else the finite-difference "stencil", where a stack of
+        generators is refused by name."""
+        fld = as_field(fld)
+        if fld.matrix is not None and (self.metric.exact_round or lie):
+            return fld, "closed" if self.metric.exact_round else "flow"
+        if fld.matrix is not None and fld.matrix.ndim == 3:
             raise ValueError(
                 f"{owner} takes a stack of generators only on the round metric, whose closed "
                 f"forms it reads; the {self.metric.name} metric takes finite differences, one "
                 f"field at a time")
-        return fld
+        return fld, "stencil"
 
     def frame(self, x: np.ndarray, metric_matrix: np.ndarray) -> np.ndarray:
         """g-orthonormal tangent frame at x (d,) or at each row of x (N, d),
@@ -449,17 +451,19 @@ class LeviCivita:
         to it."""
         return matvec(self.nabla_endo(fld, x), np.asarray(direction, dtype=float))
 
-    def nabla_endo(self, fld: VectorField, x: np.ndarray) -> np.ndarray:
+    def nabla_endo(self, fld, x: np.ndarray) -> np.ndarray:
         """Ambient matrix N with N v = nabla_v(field) for tangent v, N x = 0.
 
         ``x`` is one ambient point (d,) or a stack (..., d), which gives
         (..., d, d).  The closed form serves the round metric with a linear
-        field, N = P A P; every other pair takes N = P H~ P with H~ from
-        central differences of [M~ | X] at fd_step.
+        field, or a (G, d, d) generator stack put in front, N = P A P; every
+        other pair takes N = P H~ P with H~ from central differences of
+        [M~ | X] at fd_step.
         """
         x = np.asarray(x, dtype=float)
+        fld, how = self.path(fld, "nabla_endo", False)
         P = np.eye(x.shape[-1]) - x[..., :, None] * x[..., None, :]
-        if self.closed_form(fld):
+        if how == "closed":
             return P @ at_points(fld.matrix, x) @ P
         return P @ self._endo(fld, x, self.fd_step) @ P
 
@@ -485,13 +489,12 @@ class LeviCivita:
         which puts an axis of G in front.
         """
         x = np.asarray(x, dtype=float)
-        fld = self._field(fld, "second_nabla_frame")
-        if self.closed_form(fld):
+        fld, how = self.path(fld, "second_nabla_frame", False)
+        if how == "closed":
             Ef = at_points(fld.matrix, x) @ frame
             Pf = frame - x[..., :, None] * (x[..., None, :] @ frame)
             Ex = x @ np.swapaxes(fld.matrix, -1, -2)
-            # einsum, not rowdot's np.dot at one point: each slice of a stack sums as its own field
-            PEx = Ex - np.einsum("...i,...i->...", Ex, x)[..., None] * x
+            PEx = Ex - rowdot(Ex, x)[..., None] * x
             xEf = (x[..., None, :] @ Ef)[..., 0, :]
             ff = np.swapaxes(frame, -1, -2) @ frame
             # a stack fills T a slice at a time: a second array of the whole stack's size
@@ -547,14 +550,14 @@ class LeviCivita:
         the exact-flow quotient ``flow_lie_frame``; every other pair takes
         N^T M + M N, N = P A P on the round metric, else from ``nabla_endo``."""
         x = np.asarray(x, dtype=float)
-        A = fld.matrix if isinstance(fld, VectorField) else np.asarray(fld, dtype=float)
-        if A is not None and not self.metric.exact_round:
-            return self.flow_lie_frame(A, x, frame=frame)
-        if A is not None:  # the closed form: M = Id and N = P A P, so the Lie derivative
-            # is B + B^T with B = (P F)^T A (P F), each generator against every point
+        fld, how = self.path(fld, "lie_metric_frame", True)
+        if how == "flow":
+            return self.flow_lie_frame(fld.matrix, x, frame=frame)
+        if how == "closed":  # M = Id and N = P A P, so the Lie derivative is
+            # B + B^T with B = (P F)^T A (P F), each generator against every point
             F = orthonormal_tangent_frame(x) if frame is None else frame
             PF = F - x[..., :, None] * (x[..., None, :] @ F)
-            B = np.swapaxes(PF, -1, -2) @ (at_points(A, x) @ PF)
+            B = np.swapaxes(PF, -1, -2) @ (at_points(fld.matrix, x) @ PF)
             return B + np.swapaxes(B, -1, -2)
         M = self.metric.matrix_at(x)
         F = self.frame(x, M) if frame is None else frame
@@ -585,21 +588,19 @@ class LeviCivita:
         P = np.swapaxes(EF, -1, -2) @ self.metric.matrix_at((Es @ x[..., None])[..., 0]) @ EF
         return (P[0] - P[1]) / (2.0 * t)
 
-    def structure_at(self, fld, x: np.ndarray,
-                     frame: np.ndarray | None = None) -> StructureTensors:
+    def structure_at(self, fld, x: np.ndarray) -> StructureTensors:
         """Bundle: field value, metric, dual one-form, frame, first covariant
         derivative, two-form of the dual one-form, and the half-two-form
-        endomorphism in frame and ambient forms.  ``frame``,
-        ``LeviCivita.frame``, is built here when not given; it comes first, so
-        a degenerate metric raises MetricDegeneracyError before any
-        differencing.  ``x``, one point (d,) or a sample (N, d), is refused
-        unless non-empty and on the unit sphere.  ``fld`` is a field, or on
-        the round metric a (G, d, d) stack of linear generators, each G slice
-        of the structure the field's own."""
+        endomorphism in frame and ambient forms.  The frame,
+        ``LeviCivita.frame``, comes first, so a degenerate metric raises
+        MetricDegeneracyError before any differencing.  ``x``, one point (d,)
+        or a sample (N, d), is refused unless non-empty and on the unit
+        sphere.  ``fld`` is a field, or on the round metric a (G, d, d) stack
+        of linear generators, each G slice of the structure the field's own."""
         x = unit_sample("structure_at", x, (1, 2))
-        fld = self._field(fld, "structure_at")
+        fld, _ = self.path(fld, "structure_at", False)
         M = self.metric.matrix_at(x)
-        F = self.frame(x, M) if frame is None else frame
+        F = self.frame(x, M)
         Ft = np.swapaxes(F, -1, -2)
         xi = fld.value(x)
         N = self.nabla_endo(fld, x)

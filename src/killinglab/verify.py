@@ -110,11 +110,12 @@ def check_killing(lc: LeviCivita, fld, points, frame: np.ndarray | None = None) 
     128 (N + 1) d^2 along its exact flow.
     """
     X = sphere.unit_sample("check 'killing'", points, (2,))
-    single = isinstance(fld, VectorField)
+    fld, how = lc.path(fld, "check 'killing'", True)
     frame = lc.frame(X, lc.metric.matrix_at(X)) if frame is None else frame
-    lies = (lc.lie_metric_frame(g, X, frame=frame) for g in ([fld] if single else [
-        fld[rows] for rows in sample_chunks(len(fld), (64 if lc.metric.exact_round else 128)
-                                            * (len(X) + 1) * X.shape[1] ** 2)]))
+    A = fld.matrix
+    gens = [fld] if A is None or A.ndim == 2 else [A[rows] for rows in sample_chunks(
+        len(A), (64 if how == "closed" else 128) * (len(X) + 1) * X.shape[1] ** 2)]
+    lies = (lc.lie_metric_frame(g, X, frame=frame) for g in gens)
     return np.concatenate([np.abs(L).reshape(*L.shape[:-2], -1).max(axis=-1) for L in lies])
 
 
@@ -152,7 +153,7 @@ def check_kcontact(st: StructureTensors) -> np.ndarray:
 
 def check_dxi_spectrum(st: StructureTensors, reference: Sequence[float]) -> np.ndarray:
     """Sorted eigenvalues of the square of the two-form endomorphism e
-    (g(e u, v) = d(eta)(u, v)) against a reference.
+    (g(e u, v) = d(eta)(u, v)), 2 ``st.phi_frame`` in the frame, against a reference.
 
     The round unit structure gives -4 transversally and 0 along the field;
     localized metric boundary deformations shift the transverse part, which
@@ -162,7 +163,7 @@ def check_dxi_spectrum(st: StructureTensors, reference: Sequence[float]) -> np.n
     residual, so a two-form that is not skew cannot pass.
     """
     ref = np.sort(np.asarray(reference, dtype=float))
-    e_frame = np.swapaxes(np.swapaxes(st.frame, -1, -2) @ st.dxi @ st.frame, -1, -2)
+    e_frame = 2.0 * st.phi_frame
     S = e_frame @ e_frame
     asym = S - np.swapaxes(S, -1, -2)
     vals = np.linalg.eigvalsh(S - 0.5 * asym)  # ascending
@@ -180,7 +181,7 @@ def covariant_canary(lc: LeviCivita, fld: VectorField, x: np.ndarray) -> float:
     along the g-orthonormal frame directions f_i, at the step h_2 of
     ``second_nabla_frame`` and at h_2 / 2.  Both H~ take one stacked
     Christoffel solve.  It takes these differences whatever the metric and
-    field; the batteries run it only where ``closed_form`` is false.
+    field; the batteries run it only where ``LeviCivita.path`` takes the stencil.
 
     Returns |P H~ P f_1| at h / 2.  Raises metrics.NumericalQualityError when
     the configured step cannot produce trustworthy derivatives; batteries run

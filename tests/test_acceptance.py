@@ -145,7 +145,7 @@ def test_04_deformed_structure():
     cf = check_contact_form_preserved(lc, lc_round, ds.field, whole)
     inv_ok = True
     for B in ds.isometry_algebra().basis:
-        fld = linear_field(B, name="invariance")
+        fld = linear_field(B)
         inv_ok = inv_ok and check_killing(lc, fld, pts[:60]).max() <= 1e-5
 
     ok = (kc.max() <= 1e-5 and sa.max() >= 1e-2 and nj.max() >= 1e-3 and cf.max() <= 1e-8
@@ -209,7 +209,7 @@ def test_07_irregular_structure():
     cen = centralizer_check(st.isometry_algebra(), [st.j0, st.j1])
     inv_ok = True
     for B in st.isometry_algebra().basis:
-        fld = linear_field(B, name="invariance")
+        fld = linear_field(B)
         inv_ok = inv_ok and check_killing(lc, fld, pts[:60]).max() <= 1e-5
     ok = (sa.max() <= 1e-5 and td.max() <= 1e-5 and cls.kind == "irregular"
           and cls.closure_torus_dim == 2 and cen["ok"] and inv_ok)
@@ -256,7 +256,7 @@ def test_09_circle_bundle_lift():
     fits, defects = zip(*(solve_lift(bundle, g, pts) for g in gens))
     kill_ok = True
     for B in fits:
-        fld = linear_field(0.5 * (B - B.T), name="lift")
+        fld = linear_field(0.5 * (B - B.T))
         kill_ok = kill_ok and check_killing(lc, fld, pts[:60]).max() <= 1e-5
 
     # path independence: reroute every potential through a waypoint anchor

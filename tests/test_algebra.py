@@ -61,14 +61,14 @@ def test_algebra_basis_is_the_given_stack():
     """The stack is kept as a read-only view: no copy, and the caller's array
     stays writable."""
     stack = np.array(so_basis(4))
-    alg = IsometryAlgebra(stack, name="so(4)")
+    alg = IsometryAlgebra(stack)
     assert np.shares_memory(alg.basis, stack)
     assert alg.basis.shape == stack.shape and not alg.basis.flags.writeable
     assert stack.flags.writeable
 
 
 def test_bracket_closure_so4():
-    alg = IsometryAlgebra(so_basis(4), name="so(4)")
+    alg = IsometryAlgebra(so_basis(4))
     for A in alg.basis:
         for B in alg.basis:
             assert alg.contains(field_bracket(A, B))
@@ -92,7 +92,7 @@ def test_killing_inner_positive_definite():
 
 
 def test_ad_matrix_is_skew_in_trace_pairing():
-    alg = IsometryAlgebra(so_basis(4), name="so(4)")
+    alg = IsometryAlgebra(so_basis(4))
     xi = np.kron(np.eye(2), J2)
     G = alg.killing_gram()
     K = alg.ad_matrix(xi)
@@ -138,20 +138,20 @@ def test_refuses_basis_not_closed():
 def test_decomposition_refuses_xi_outside_subalgebra():
     """so(3) on the first three coordinates of R^4; E_03 is skew but outside."""
     basis = so_basis(4)
-    alg = IsometryAlgebra([basis[0], basis[1], basis[3]], name="so(3)")
+    alg = IsometryAlgebra([basis[0], basis[1], basis[3]])
     with pytest.raises(ValueError, match="xi must belong"):
         standard_decomposition(alg, basis[2])
 
 
 def test_contains_rejects_non_skew_matrix_with_upper_triangle_in_span():
     """The upper triangle of E_01 alone matches E_01 above the diagonal."""
-    alg = IsometryAlgebra(so_basis(4), name="so(4)")
+    alg = IsometryAlgebra(so_basis(4))
     upper = np.triu(so_basis(4)[0])
     assert not alg.contains(upper)
 
 
 def test_contains_rejects_matrix_of_another_size():
-    alg = IsometryAlgebra(so_basis(4), name="so(4)")
+    alg = IsometryAlgebra(so_basis(4))
     assert not alg.contains(so_basis(3)[0])
     assert not alg.contains(so_basis(5)[0])
 
@@ -245,7 +245,7 @@ def test_decomposition_blocks_are_the_loop_clusters_of_one_stack(n):
 
 
 def test_decomposition_rejects_foreign_xi():
-    alg = IsometryAlgebra(so_basis(4), name="so(4)")
+    alg = IsometryAlgebra(so_basis(4))
     not_in = np.zeros((4, 4))
     not_in[0, 1], not_in[1, 0] = 1.0, 1.0  # symmetric, not in so(4)
     with pytest.raises(ValueError):
@@ -254,7 +254,7 @@ def test_decomposition_rejects_foreign_xi():
 
 def test_degenerate_cluster_raises():
     """Two rates split by 3e-4 collide inside the cluster tolerance."""
-    alg = IsometryAlgebra(so_basis(4), name="so(4)")
+    alg = IsometryAlgebra(so_basis(4))
     eps = 3e-4
     xi = np.zeros((4, 4))
     xi[:2, :2] = J2
@@ -264,7 +264,7 @@ def test_degenerate_cluster_raises():
 
 
 def test_well_separated_rates_split_cleanly():
-    alg = IsometryAlgebra(so_basis(4), name="so(4)")
+    alg = IsometryAlgebra(so_basis(4))
     xi = np.zeros((4, 4))
     xi[:2, :2] = J2
     xi[2:, 2:] = 3.0 * J2
@@ -275,7 +275,7 @@ def test_well_separated_rates_split_cleanly():
 
 def test_adjoint_spectrum_of_j0_on_so6():
     """J0 on so(6): the commutant u(3) at rate 0 and a rate-2 block of 6."""
-    alg = IsometryAlgebra(so_basis(6), name="so(6)", validate=False)
+    alg = IsometryAlgebra(so_basis(6), validate=False)
     dec = standard_decomposition(alg, np.kron(np.eye(3), J2))
     assert [(round(r, 9), m) for r, m in dec.summary()] == [(0.0, 9), (2.0, 6)]
     assert adjoint_rates([1.0, 1.0, 1.0]) == [(0.0, 9), (2.0, 6)]
@@ -284,7 +284,7 @@ def test_adjoint_spectrum_of_j0_on_so6():
 def test_adjoint_spectrum_of_j0_on_so42():
     """The same closed form at scale: J0 on so(42) has the commutant u(21)
     at rate 0 and a rate-2 block of 420."""
-    alg = IsometryAlgebra(so_basis(42), name="so(42)", validate=False)
+    alg = IsometryAlgebra(so_basis(42), validate=False)
     dec = standard_decomposition(alg, np.kron(np.eye(21), J2))
     assert dec.summary() == [(0.0, 441), (2.0, 420)]
     assert adjoint_rates([1.0] * 21) == [(0.0, 441), (2.0, 420)]
@@ -301,7 +301,7 @@ def test_adjoint_spectrum_matches_closed_form(n):
     xi = np.zeros((d, d))
     for k, lam in enumerate(lams):
         xi[2 * k:2 * k + 2, 2 * k:2 * k + 2] = lam * J2
-    alg = IsometryAlgebra(so_basis(d), name=f"so({d})", validate=False)
+    alg = IsometryAlgebra(so_basis(d), validate=False)
     got = standard_decomposition(alg, xi).summary()
     want = adjoint_rates(lams)
     assert [m for _, m in got] == [m for _, m in want]
@@ -340,7 +340,7 @@ def test_centralizer_check(irregular):
 
 
 def test_centralizer_check_flags_non_central():
-    alg = IsometryAlgebra(so_basis(4), name="so(4)")
+    alg = IsometryAlgebra(so_basis(4))
     probe = so_basis(4)[0]
     out = centralizer_check(alg, [probe])
     assert not out["ok"]

@@ -4,7 +4,7 @@ vectors against the one-point references in tests/oracles.py."""
 
 from __future__ import annotations
 
-from dataclasses import is_dataclass, replace
+from dataclasses import is_dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,6 +23,7 @@ from killinglab.metrics import (
     MetricDegeneracyError,
     g_orthonormal_complement,
     g_orthonormal_frame,
+    general_field,
     linear_field,
 )
 from killinglab.sphere import (
@@ -68,7 +69,7 @@ def _structure(label: str):
         return rs.metric, [rs.field], 2
     if label == "quaternionic":
         qs = build_quaternionic(1)
-        return qs.metric, list(qs.fields), 3
+        return qs.metric, [linear_field(g) for g in qs.generators], 3
     if label == "gF":
         ds = build_deformed(n=3, c=0.3)
         return ds.metric, [ds.field], 3
@@ -116,7 +117,7 @@ def test_nijenhuis_closed_form_is_exact(build, n):
     st = build(n)
     lc = LeviCivita(st.metric)
     X = sample_sphere(st.metric.dim // 2 - 1, 200, seed=42).coords
-    for fld in (st.fields if build is build_quaternionic else [st.field]):
+    for fld in (st.generators if build is build_quaternionic else [st.field]):
         assert check_nijenhuis(*built(lc, fld, X)).max() <= 1e-14
 
 
@@ -126,7 +127,7 @@ def test_batched_fd_second_nabla_matches_reference(label):
     lc = LeviCivita(metric)
     X = _mixed_sample(n, 6, seed=29)
     F = g_orthonormal_frame(metric.matrix_at(X), X)
-    general = replace(fields[0], kind="general")  # finite differences on the round metric too
+    general = general_field(fields[0].func)  # finite differences on the round metric too
     T = lc.second_nabla_frame(general, X, F)
     for i, x in enumerate(X):
         ref = second_nabla_fd_per_point(lc, fields[0], x, F[i])
@@ -173,7 +174,7 @@ def test_ambient_derivatives_of_a_general_copy_meet_the_round_closed_forms():
     endomorphism and the nested chart stencil) on the same sample."""
     rs = build_round(2)
     lc, half = LeviCivita(rs.metric), LeviCivita(rs.metric, fd_step=DEFAULT_FD_STEP / 2)
-    general = replace(rs.field, kind="general")
+    general = general_field(rs.field.func)
     X = sample_sphere(2, 20, seed=5).coords
     F = g_orthonormal_frame(rs.metric.matrix_at(X), X)
     E = rs.field.matrix
@@ -211,7 +212,7 @@ def test_second_nabla_evaluates_the_flat_stencil_once_per_point(label, monkeypat
         rows.append(x.reshape(-1, x.shape[-1]).shape[0])
         return metric.matrix_at(x)
 
-    lc = LeviCivita(metrics.MetricField(metric.kind, counted, metric.dim))
+    lc = LeviCivita(metrics.MetricField(counted, metric.dim))
     X = _mixed_sample(n, 35, seed=73)
     F = g_orthonormal_frame(metric.matrix_at(X), X)
     d = X.shape[-1]
@@ -240,7 +241,7 @@ def test_stacked_horizontal_split_matches_reference(m):
     sp = horizontal_split(lc.structure_at(qs.generators, X))
     assert sp.ok and sp.horizontal_frame.shape == (6, 4 * m + 4, 4 * m)
     for i, x in enumerate(X):
-        ref = horizontal_split_per_point(lc, qs.fields, SpherePoint(x))
+        ref = horizontal_split_per_point(lc, qs.generators, SpherePoint(x))
         assert (sp.dim_plus[i], sp.dim_minus[i]) == (ref["dim_plus"], ref["dim_minus"])
         for got, key in ((sp.split.involution_residual, "involution"),
                          (sp.split.symmetry_residual, "symmetry"),
@@ -357,11 +358,11 @@ def test_each_chunk_evaluates_the_battery_metric_at_its_points_only_in_structure
             calls.append((self, np.array(x), bool(inside)))
         return matrix_at(self, x)
 
-    def recorded_structure_at(self, fld, x, frame=None):
+    def recorded_structure_at(self, fld, x):
         built_at.append(np.array(x))
         inside.append(True)
         try:
-            return structure_at(self, fld, x, frame=frame)
+            return structure_at(self, fld, x)
         finally:
             inside.pop()
 
@@ -394,16 +395,28 @@ def _same_arrays(a, b) -> bool:
     return fa.keys() == fb.keys() and all(_same_arrays(fa[k], fb[k]) for k in fa)
 
 
+@pytest.mark.parametrize("label", ["round", "gF", "irregular"])
+def test_the_structure_at_a_point_is_its_row_of_the_sample_call(label):
+    """One point (d,) and a sample (N, d) sum every row alike, so the
+    structure at each sample point is that row of the sample's, bit for bit."""
+    metric, fields, n = _structure(label)
+    lc = LeviCivita(metric)
+    X = sample_sphere(n, 30, seed=83).coords
+    st = lc.structure_at(fields[0], X)
+    for i, x in enumerate(X):
+        assert _same_arrays(lc.structure_at(fields[0], x), st.rows(i)), i
+
+
 @pytest.mark.parametrize("m", [0, 1])
 def test_shared_frame_and_triple_give_identical_results(m):
     qs = build_quaternionic(m)
     lc = LeviCivita(qs.metric)
     X = sample_sphere(2 * m + 1, 30, seed=67).coords
     F = lc.frame(X, qs.metric.matrix_at(X))
-    for f in qs.fields:
-        assert _same_arrays(lc.structure_at(f, X, frame=F), lc.structure_at(f, X))
-    triple = lc.structure_at(qs.generators, X, frame=F)
-    assert triple.frame is F and _same_arrays(triple, lc.structure_at(qs.generators, X))
+    for g in qs.generators:
+        assert np.array_equal(lc.structure_at(g, X).frame, F)
+    triple = lc.structure_at(qs.generators, X)
+    assert np.array_equal(triple.frame, F)
     # the rows of a triple are the triple of those rows
     assert _same_arrays(triple.rows(slice(10)), lc.structure_at(qs.generators, X[:10]))
     assert _same_arrays(horizontal_split(triple.rows(slice(10))),
@@ -422,7 +435,7 @@ def test_each_slice_of_a_stacked_structure_is_its_fields_own(m):
         st = lc.structure_at(qs.generators, x)
         T = lc.second_nabla_frame(qs.generators, x, st.frame)
         assert st.xi.shape == (3,) + x.shape and T.shape[0] == 3
-        for g, fld in enumerate(qs.fields):
+        for g, fld in enumerate(qs.generators):
             own = lc.structure_at(fld, x)
             assert _same_arrays(st.fields(g), own)
             assert np.array_equal(T[g], lc.second_nabla_frame(fld, x, own.frame))

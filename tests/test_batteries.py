@@ -239,7 +239,7 @@ def test_pair_completion_takes_its_sign_from_the_whole_sample(monkeypatch):
     quaternionic = cli._QUATERNIONIC
     battery = quaternionic._replace(
         open=lambda cfg: {"title": "a deformed triple", "qs": qs, "metric": ds.metric,
-                          "field": qs.fields[0], "n": 3},
+                          "field": qs.generators[0], "n": 3},
         steps=(cli.Stage("triple_psi", "family",
                          lambda c: _family_field_by_field(c.lc, c.gens, c.x)),
                next(r for r in quaternionic.rows if r.name == "pair_completion")),
@@ -274,7 +274,9 @@ def test_triple_sign_is_measured_once_at_the_bracket_closure():
     refused the triple."""
     qs = build_quaternionic(1)
     skew = np.random.default_rng(0).standard_normal((8, 8))
-    fields = (linear_field(qs.fields[0].matrix + 1e-8 * (skew - skew.T)), *qs.fields[1:])
+    perturbed = qs.generators.copy()
+    perturbed[0] += 1e-8 * (skew - skew.T)
+    fields = [linear_field(g) for g in perturbed]
     gens = np.array([f.matrix for f in fields])
     eps = verify.measured_cyclic_sign(gens, tol=1e-6)
     with pytest.raises(ValueError, match="do not close"):

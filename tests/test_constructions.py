@@ -45,7 +45,8 @@ from killinglab.constructions import (
     solve_lift,
     unitary_block_basis,
 )
-from killinglab.metrics import NumericalQualityError, richardson_guard
+from killinglab.flows import parse_rate
+from killinglab.metrics import NumericalQualityError, linear_field, richardson_guard
 from killinglab.verify import (
     check_contact_form_preserved,
     check_flip_quaternionic,
@@ -70,6 +71,16 @@ def test_round_profile_is_all_ones():
     st = build_round(3)
     assert st.profile().values() == (1.0,) * 4
     assert classify(st.profile()).kind == "regular"
+
+
+def test_declared_rates_are_checked_against_the_fields_generator():
+    """Rates (4/3, 1, 1) declared for a field whose first rate is sqrt 2, or
+    rates 1 for a field turning at 2, are refused, not classified."""
+    with pytest.raises(ValueError, match="disagree with generator spectrum"):
+        replace(build_irregular(2), a=parse_rate("1/3")).profile()
+    rs = build_round(2)
+    with pytest.raises(ValueError, match="disagree with generator spectrum"):
+        replace(rs, field=linear_field(2.0 * rs.j0)).profile()
 
 
 # -- quaternionic triple ---------------------------------------------------------
@@ -98,7 +109,7 @@ def test_quaternionic_triple_is_killing_s3_s7():
         st = build_quaternionic(m)
         lc = LeviCivita(st.metric)
         pts = sample_sphere((st.dim - 2) // 2, 15, seed=42).points
-        for f in st.fields:
+        for f in st.generators:
             assert check_killing(lc, f, pts).max() <= 1e-12
             assert check_unit_length(lc.structure_at(f, pts)).max() <= 1e-12
 
@@ -179,8 +190,7 @@ def test_solve_lift_fits_linear_killing(hopf):
         B, defect = solve_lift(hopf, gen, pts[:30])
         assert defect < 1e-8
         assert np.abs(B + B.T).max() < 1e-10  # skew: a genuine isometry generator
-        from killinglab.metrics import linear_field
-        lifted = linear_field(0.5 * (B - B.T), name="lift")
+        lifted = linear_field(0.5 * (B - B.T))
         probe = sample_sphere(1, 10, seed=7).points
         assert check_killing(lc, lifted, probe).max() <= 1e-12
 
@@ -429,9 +439,8 @@ def test_deformed_invariance_algebra(deformed):
     assert alg.dim == (deformed.dim - 4) * (deformed.dim - 5) // 2 + 2
     lc = LeviCivita(deformed.metric)
     pts = sample_sphere(deformed.n, 10, seed=42).points
-    from killinglab.metrics import linear_field
     for B in alg.basis[[0, 1, 2, 3, -1]]:
-        fld = linear_field(B, name="invariance")
+        fld = linear_field(B)
         assert check_killing(lc, fld, pts).max() <= 1e-5
 
 

@@ -21,6 +21,7 @@ from killinglab.metrics import (
     g_orthonormal_complement,
     g_orthonormal_frame,
     general_field,
+    linear_field,
 )
 from killinglab.sphere import SpherePoint, orthonormal_tangent_frame, sample_sphere
 
@@ -99,7 +100,7 @@ def test_complement_matches_gram_schmidt_with_exclusions(label):
     (nearly) dependent and the reference drops it for the next one."""
     if label.startswith("quaternionic"):
         qs = build_quaternionic(int(label[-1]))
-        metric, fields = qs.metric, list(qs.fields)
+        metric, fields = qs.metric, [linear_field(g) for g in qs.generators]
     else:
         metric, fields, _ = _structure(label)
     lc, d, e = LeviCivita(metric), metric.dim, len(fields)
@@ -133,7 +134,7 @@ def _structure(label: str):
         return rs.metric, [rs.field], 1e-14
     if label == "quaternionic":
         qs = build_quaternionic(1)
-        return qs.metric, list(qs.fields), 1e-14
+        return qs.metric, [linear_field(g) for g in qs.generators], 1e-14
     st = (build_deformed(n=3, c=0.3) if label == "gF"
           else build_irregular(n=2, a=parse_rate("irr:sqrt2m1")))
     return st.metric, [st.field], 1e-12
@@ -192,7 +193,7 @@ def test_degenerate_metric_frame_names_point_and_pivot():
 
 
 def test_degenerate_metric_structure_raises_before_differencing():
-    metric = MetricField("general", lambda x: np.broadcast_to(FLIP, x.shape[:-1] + (4, 4)),
+    metric = MetricField(lambda x: np.broadcast_to(FLIP, x.shape[:-1] + (4, 4)),
                          dim=4)
     lc = LeviCivita(metric)
     fld = general_field(lambda x: pytest.fail("field evaluated on a degenerate metric"))

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 from killinglab import (
     LeviCivita,
+    VerificationReport,
+    build_deformed,
+    build_irregular,
+    build_round,
+    check_killing,
+    cli,
     MetricDegeneracyError,
     NumericalQualityError,
     linear_field,
@@ -42,7 +46,7 @@ def test_christoffel_closed_form_matches_fd(lc_round1):
     x = sample_sphere(1, 3, seed=2).coords
     exact = lc_round1.christoffel(x)
     assert exact.shape == (3, 4, 4, 4) and not exact.any()
-    general = MetricField("general", round_metric(4).matrix_func, dim=4)
+    general = MetricField(round_metric(4).matrix_func, dim=4)
     fd = LeviCivita(general, fd_step=1e-5).christoffel(x)
     assert np.abs(exact - fd).max() < 1e-8
 
@@ -52,35 +56,60 @@ def test_nabla_exact_vs_fd(round2, lc_round2, pts2):
         v = np.random.default_rng(3).standard_normal(6)
         v = v - (v @ p.coords) * p.coords
         a = lc_round2.nabla(round2.field, p, v)
-        b = lc_round2.nabla(replace(round2.field, kind="general"), p, v)
+        b = lc_round2.nabla(general_field(round2.field.func), p, v)
         assert np.abs(a - b).max() < 1e-9
 
 
-class _FiniteDifferences(Exception):
-    pass
+# every entry point that differentiates a field, called on lc, the field and a sample
+ENTRY_POINTS = {
+    "nabla_endo": lambda lc, fld, X: lc.nabla_endo(fld, X),
+    "second_nabla_frame": lambda lc, fld, X: lc.second_nabla_frame(
+        fld, X, lc.frame(X, lc.metric.matrix_at(X))),
+    "structure_at": lambda lc, fld, X: lc.structure_at(fld, X),
+    "lie_metric_frame": lambda lc, fld, X: lc.lie_metric_frame(fld, X),
+    "check 'killing'": lambda lc, fld, X: check_killing(lc, fld, X),
+    "the step canary": lambda lc, fld, X: cli._step_canary(
+        lc, fld, X[0], VerificationReport(title="canary")),
+}
 
 
-def test_dispatch_follows_the_metric_and_the_field(monkeypatch, round2, irregular):
-    """Closed forms for the round metric with a linear field; finite
-    differences for a general copy of that field, and for a linear field on
-    another metric."""
-    def no_fd(*args):
-        raise _FiniteDifferences
-
-    monkeypatch.setattr(LeviCivita, "metric_and_field", no_fd)
-    X = sample_sphere(2, 5, seed=3).coords
-    lc = LeviCivita(round2.metric)
-    F = g_orthonormal_frame(lc.metric.matrix_at(X), X)
-    lc.nabla_endo(round2.field, X)
-    lc.second_nabla_frame(round2.field, X, F)
-    lc.structure_at(round2.field, X)
-    for lc, fld in ((lc, replace(round2.field, kind="general")),
-                    (LeviCivita(irregular.metric), irregular.field)):
-        F = g_orthonormal_frame(lc.metric.matrix_at(X), X)
-        for call in (lambda: lc.nabla_endo(fld, X), lambda: lc.second_nabla_frame(fld, X, F),
-                     lambda: lc.structure_at(fld, X)):
-            with pytest.raises(_FiniteDifferences):
-                call()
+@pytest.mark.parametrize("example", ["round", "gF", "irregular"])
+def test_every_entry_point_takes_the_path_of_the_metric_and_the_field(example, monkeypatch):
+    """A general field always takes the stencil (``metric_and_field``); a
+    linear field or a generator stack never does on the round metric; on any
+    other the Lie derivative of either takes the exact flow
+    (``flow_lie_frame``), the rest differences a linear field and refuse a
+    stack by name."""
+    s = {"round": lambda: build_round(2), "gF": lambda: build_deformed(n=3, c=0.3),
+         "irregular": lambda: build_irregular(n=2)}[example]()
+    lc, X = LeviCivita(s.metric), sample_sphere(s.dim // 2 - 1, 5, seed=3).coords
+    taken = []
+    for name in ("metric_and_field", "flow_lie_frame"):
+        def recorded(self, *args, _name=name, _method=getattr(LeviCivita, name), **kwargs):
+            taken.append("stencil" if _name == "metric_and_field" else "flow")
+            return _method(self, *args, **kwargs)
+        monkeypatch.setattr(LeviCivita, name, recorded)
+    fields = {"linear": s.field, "general": general_field(s.field.func),
+              "stack": s.isometry_algebra().basis[:3]}
+    for kind, fld in fields.items():
+        for entry, call in ENTRY_POINTS.items():
+            taken.clear()
+            if kind == "general":
+                expected = {"stencil"}
+            elif example == "round":
+                expected = set()
+            elif entry in ("lie_metric_frame", "check 'killing'"):
+                expected = {"flow"}
+            elif kind == "linear":
+                expected = {"stencil"}
+            else:
+                with pytest.raises(ValueError, match=f"^{entry} takes a stack of generators "
+                                                     f"only on the round metric"):
+                    call(lc, fld, X)
+                assert taken == [], entry
+                continue
+            call(lc, fld, X)
+            assert set(taken) == expected, (kind, entry)
 
 
 def test_general_field_is_called_once_on_a_stack():
@@ -104,7 +133,7 @@ def test_second_nabla_exact_vs_fd(round1, lc_round1, pts1):
     p = pts1[0]
     F = orthonormal_tangent_frame(p.coords)
     a = lc_round1.second_nabla_frame(round1.field, p, F)
-    b = lc_round1.second_nabla_frame(replace(round1.field, kind="general"), p, F)
+    b = lc_round1.second_nabla_frame(general_field(round1.field.func), p, F)
     assert np.abs(a - b).max() < 1e-5
 
 
@@ -119,7 +148,7 @@ def test_lie_metric_frame_zero_for_killing(round2, lc_round2, pts2):
 def test_lie_metric_frame_nonzero_for_non_killing(lc_round2, pts2):
     E = np.zeros((6, 6))
     E[0, 1] = 1.0  # not skew: shear, not an isometry generator
-    fld = general_field(lambda x: x @ E.T - rowdot(x, x @ E.T)[..., None] * x, name="shear")
+    fld = general_field(lambda x: x @ E.T - rowdot(x, x @ E.T)[..., None] * x)
     worst = max(np.abs(lc_round2.lie_metric_frame(fld, p)).max() for p in pts2[:10])
     assert worst > 0.1
     assert metric_pullback_drift(E, pts2[:10]) > 0.1
@@ -143,7 +172,7 @@ def test_fd_step_validation():
 def test_richardson_guard_rejects_tiny_step(round1, pts1):
     lc = LeviCivita(round1.metric, fd_step=1e-13)
     half = LeviCivita(round1.metric, fd_step=lc.fd_step / 2)
-    general = replace(round1.field, kind="general")
+    general = general_field(round1.field.func)
     hit = False
     for p in pts1[:5]:
         try:
@@ -161,7 +190,7 @@ def test_metric_degeneracy_detected():
         M[2, 2] = -0.5  # signature flip: not a metric
         return M
 
-    metric = MetricField("general", bad, dim=4)
+    metric = MetricField(bad, dim=4)
     x = np.array([1.0, 0.0, 0.0, 0.0])
     with pytest.raises(MetricDegeneracyError):
         g_orthonormal_frame(metric.matrix_at(x), x)

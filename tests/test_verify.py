@@ -77,7 +77,7 @@ def test_killing_round_exact(round2, lc_round2, pts2):
 def test_killing_flags_zero_field(lc_round1, pts1):
     from killinglab import cli
 
-    zero, X = general_field(lambda x: np.zeros_like(x), name="zero"), np.asarray(pts1)
+    zero, X = general_field(lambda x: np.zeros_like(x)), np.asarray(pts1)
     c, row = SimpleNamespace(lc=lc_round1), cli._killing_row(
         "killing", 1e-10, lambda c: (zero, X, None, zero.value(X)), False)
     res, detail = row.detail(row.residual(c), c)
@@ -91,7 +91,7 @@ def test_sasakian_round_exact(round2, lc_round2, pts2):
 
 
 def test_sasakian_round_fd(round1, lc_round1, pts1):
-    r = check_sasakian(*built(lc_round1, replace(round1.field, kind="general"), pts1[:8]))
+    r = check_sasakian(*built(lc_round1, general_field(round1.field.func), pts1[:8]))
     assert r.max() <= verify.FD_TOL
 
 
@@ -130,7 +130,9 @@ def test_dxi_spectrum_fails_a_two_form_with_a_symmetric_part(round2, lc_round2, 
     st = lc_round2.structure_at(round2.field, pts2[:10])
     S = np.random.default_rng(8).standard_normal(st.dxi.shape)
     sym = 0.5e-3 * (S + np.swapaxes(S, -1, -2))
-    r = check_dxi_spectrum(replace(st, dxi=st.dxi + sym), reference=[-4.0] * 4 + [0.0])
+    # the check reads e = 2 phi_frame = (F^T d(eta) F)^T, so the part enters through phi_frame
+    phi = st.phi_frame + 0.5 * np.swapaxes(st.frame, -1, -2) @ sym @ st.frame
+    r = check_dxi_spectrum(replace(st, phi_frame=phi), reference=[-4.0] * 4 + [0.0])
     assert r.max() > 1e-4
 
 
