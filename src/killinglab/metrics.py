@@ -190,12 +190,18 @@ def linear_field(A) -> VectorField:
     if np.abs(A + np.swapaxes(A, -1, -2)).max() > 1e-12 * scale:
         raise ValueError("linear_field requires a skew-symmetric generator")
     A.setflags(write=False)
+    return _linear(A)
+
+
+def _linear(A: np.ndarray) -> VectorField:
     return VectorField(lambda x: A @ x if x.ndim == 1 else x @ np.swapaxes(A, -1, -2), A)
 
 
 def as_field(fld) -> VectorField:
-    """A field as it is, or a generator (d, d) or stack (G, d, d) as its linear field."""
-    return fld if isinstance(fld, VectorField) else linear_field(fld)
+    """A field as it is, or a generator (d, d) or stack (G, d, d) as its linear
+    field, read as given: neither copied nor refused for skewness, so a fit
+    that is skew only to its own residual is measured, not refused."""
+    return fld if isinstance(fld, VectorField) else _linear(np.asarray(fld, dtype=float))
 
 
 def at_points(A: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -454,6 +454,25 @@ def test_a_stack_on_a_metric_without_closed_forms_is_refused_by_name():
         lc.second_nabla_frame(gens, X, lc.frame(X, ds.metric.matrix_at(X)))
 
 
+@pytest.mark.parametrize("structure", [build_round(2), build_deformed(n=3, c=0.3)],
+                         ids=["round", "deformed"])
+def test_a_stack_skew_only_to_a_fit_residual_is_measured_not_refused(structure):
+    """A least-squares lift is skew only up to its residual, which the hopf
+    battery reports in ``lift_skewness`` (bound 1e-10); ``check_killing``
+    measures such a stack, on the closed form and on the exact flow, though
+    ``linear_field`` refuses it."""
+    lc = LeviCivita(structure.metric)
+    X = sample_sphere(structure.metric.dim // 2 - 1, 6, seed=83).coords
+    basis = structure.isometry_algebra().basis[:3]
+    S = np.random.default_rng(83).standard_normal(basis.shape)
+    fit = basis + 1e-11 * (S + np.swapaxes(S, -1, -2))
+    with pytest.raises(ValueError, match="skew-symmetric generator"):
+        linear_field(fit)
+    got = check_killing(lc, fit, X)
+    assert got.shape == (3, len(X)) and np.all(np.isfinite(got))
+    assert np.abs(got - check_killing(lc, basis, X)).max() < 1e-9
+
+
 @pytest.mark.parametrize("example, params", [
     ("round", {"n": 2}), ("gF", {"n": 3}), ("irregular", {"n": 2})])
 def test_each_chunk_evaluates_the_field_at_its_points_only_in_structure_at(
