@@ -100,17 +100,8 @@ _STRUCTURES = {
 # verification batteries: a table of rows each, run by one driver
 # ---------------------------------------------------------------------------
 
-def _step_canary(lc: LeviCivita, fld, x: np.ndarray, rep: VerificationReport) -> None:
-    """The step canary at x, timed as a row of its own, when fld takes finite
-    differences on lc's metric; a closed form reads no step to guard."""
-    fld, how = lc.path(fld, "the step canary", False)
-    if how == "stencil":
-        with rep.stage("covariant_canary"):
-            verify.covariant_canary(lc, fld, x)
-
-
 def _chunks(X: np.ndarray) -> list[np.ndarray]:
-    """The sample X (N, d) in chunks (``second_nabla_frame`` chunks its stencil on its own)."""
+    """The sample X (N, d) in chunks of ``sample_bytes`` a point."""
     return [X[rows] for rows in sample_chunks(len(X), sample_bytes(X.shape[1], stencil=False))]
 
 
@@ -148,8 +139,7 @@ class Stage(NamedTuple):
 class Battery(NamedTuple):
     """A verify battery, run by calling it on a RunConfig.  ``open`` returns
     the report's ``title`` and the structure the context holds: its
-    ``metric``, the step canary's ``field``, the sphere index ``n`` and what
-    the rows read.  ``steps`` are its stages and its rows, each run on a
+    ``metric``, its ``field``, the sphere index ``n`` and what the rows read.  ``steps`` are its stages and its rows, each run on a
     chunk in this order, the rows in report order; ``fixed`` are the stages
     it builds once, when it opens: what its rows share over the whole
     sample, and the refusals of a sample it cannot judge; ``extras`` are the
@@ -166,12 +156,11 @@ class Battery(NamedTuple):
 
     def context(self, cfg: RunConfig) -> SimpleNamespace:
         """The battery opened: its structure, the connection, the sample, the
-        report, the step canary on the first sample point, then ``fixed``."""
+        report, then ``fixed``."""
         c = SimpleNamespace(cfg=cfg, **self.open(cfg))
-        c.lc = LeviCivita(c.metric, fd_step=cfg.fd_step)
+        c.lc = LeviCivita(c.metric)
         c.X = sample_sphere(c.n, cfg.samples, cfg.seed).coords
         c.rep = VerificationReport(title=c.title, config=dict(vars(cfg)))
-        _step_canary(c.lc, c.field, c.X[0], c.rep)
         for stage in self.fixed:
             stage(c)
         return c
@@ -244,7 +233,7 @@ def _unit(title: str) -> Callable[[RunConfig], dict]:
 
 _UNIT_STAGES = (Stage("structure_at", "st", lambda c: c.lc.structure_at(c.field, c.x)),
                 Stage("second_nabla_frame", "T",
-                      lambda c: c.lc.second_nabla_frame(c.field, c.x, c.st.frame)))
+                      lambda c: c.lc.second_nabla_frame(c.field, c.x, c.st.frame, c.st.jet)))
 _TANGENCY = Row("tangency", lambda c: verify.check_tangency(c.st), verify.TANGENCY_TOL)
 _UNIT_LENGTH = Row("unit_length", lambda c: verify.check_unit_length(c.st), verify.UNIT_TOL)
 _KILLING = _killing_row("killing", 1e-6, lambda c: (c.field, c.x, c.st.frame, c.st.xi), False)
@@ -329,16 +318,15 @@ _GF = Battery(
      _WEDGE._replace(floor=GF_WEDGE_FLOOR), _TORSION._replace(floor=GF_TORSION_FLOOR),
      _INVARIANCE),
     (Stage("support", "support", _gf_support), _ALGEBRA,
-     Stage("round_connection", "lc_round", lambda c: LeviCivita(build_round(c.cfg.n).metric,
-                                                                fd_step=c.cfg.fd_step))),
+     Stage("round_connection", "lc_round", lambda c: LeviCivita(build_round(c.cfg.n).metric))),
     lambda c: {"decomposition": standard_decomposition(c.alg, c.s.j0).summary(),
                "support_fraction": np.count_nonzero(c.support) / len(c.X)})
 
 _IRREGULAR = Battery(
     _unit("irregular unit Killing structure on S^{dim} (a={cfg.a})"),
     (*_UNIT_STAGES, _TANGENCY, _UNIT_LENGTH, _KILLING, _CONTACT, _WEDGE, _TORSION, _SPECTRUM,
-     Row("transverse_derivative", lambda c: verify.check_transverse_derivative(
-         c.lc, c.field, c.s.j0, c.st), verify.FD_TOL),
+     Row("transverse_derivative", lambda c: verify.check_transverse_derivative(c.st, c.s.j0),
+         verify.FD_TOL),
      Row("central_pair", _central_pair, 1e-10,
          detail="J0, J1 commute with and belong to the algebra", once=True),
      _INVARIANCE),
@@ -546,7 +534,6 @@ class RunConfig:
                    metadata={"help": "irregularity rate offset (fraction or irr:<alias>)"})
     seed: int = field(default=42, metadata={"help": "sampling seed", **_INT})
     samples: int = field(default=200, metadata={"help": "number of sample points", **_INT})
-    fd_step: float = field(default=1e-4, metadata={"help": "finite-difference step", **_FLOAT})
     format: str = field(default="text", metadata={"help": "report format",
                                                   "choices": dict.fromkeys(COMMANDS, FORMATS)})
     no_timestamp: bool = field(default=False, metadata={
@@ -569,9 +556,8 @@ class Domain(NamedTuple):
 def _work_refusal(cfg: RunConfig, args: argparse.Namespace) -> str | None:
     """Refuse a verify run one of whose points outgrows the memory budget, or
     whose samples times point bytes outgrow the work budget.  A point holds
-    hopf-lift's lift quadrature, or ``sample_bytes`` of its dimension d, with
-    the stencil on gF and irregular, whose metric is not round.  An n or m
-    its builder refuses is left to it to name."""
+    hopf-lift's lift quadrature, or ``sample_bytes`` of its dimension d.  An n
+    or m its builder refuses is left to it to name."""
     quaternionic = cfg.example == "quaternionic"
     if cfg.example == "hopf-lift":
         flags, d, per = "", 4, lift_point_bytes(HOPF_QUADRATURE_STEPS, 3)
@@ -580,7 +566,7 @@ def _work_refusal(cfg: RunConfig, args: argparse.Namespace) -> str | None:
     else:
         flags, d = (f"--m {cfg.m} ", 4 * cfg.m + 4) if quaternionic else (f"--n {cfg.n} ",
                                                                            2 * cfg.n + 2)
-        per = sample_bytes(d, stencil=cfg.example in ("gF", "irregular"))
+        per = sample_bytes(d, stencil=False)
     if per > MEMORY_BUDGET_GIB << 30:
         return (f"{flags.strip()} is out of reach: one sample point of verify --example "
                 f"{cfg.example} holds about {per / 2**30:.3g} GiB (d = {d}), against a "
@@ -627,8 +613,8 @@ def _horizon_refusal(cfg: RunConfig, args: argparse.Namespace) -> str | None:
 
 # Every bound the CLI owns, checked in this order by build_config before any structure,
 # sample or array exists.  The library's own refusals by name (the builders' n and m,
-# gF's n >= 3 and finite c, LeviCivita's fd_step, sample_sphere's count, the probe's
-# t_max) are its public API's guards and are not restated.
+# gF's n >= 3 and finite c, sample_sphere's count, the probe's t_max) are its public
+# API's guards and are not restated.
 DOMAINS = (
     Domain("--n", f"n <= {MAX_N}",
            f"so(2n+2) is a stack of (n+1)(2n+1) generators of (2n+2)^2 doubles, 336 MB at "
@@ -656,14 +642,13 @@ DOMAINS = (
                f"gF needs |c| >= {GF_MIN_C:g}, got c={cfg.c:g}: below it the defects of "
                f"wedge_second_derivative and cr_torsion, linear in |c|, miss their "
                f"expected-fail floors {GF_WEDGE_FLOOR:g} and {GF_TORSION_FLOOR:g}")),
-    # a c or fd_step that build_deformed or LeviCivita refuses is left to them to name
+    # a c that build_deformed refuses is left to it to name
     Domain("--samples", f"samples >= {GF_MIN_SAMPLES}",
            "over seeds 0-199 (c = 0.3, n = 3), 1 to 6 samples left 94, 45, 16, 6, 4 and 2 "
            "seeds with an expected-fail check under its floor, 7 to 12 none; at a larger n "
            "a sample can miss the deformation's support, which is refused when drawn",
            ("verify",), ("gF",),
-           lambda cfg, args: None if (cfg.samples >= GF_MIN_SAMPLES
-                                      or not (np.isfinite(cfg.c) and cfg.fd_step > 0)) else (
+           lambda cfg, args: None if cfg.samples >= GF_MIN_SAMPLES or not np.isfinite(cfg.c) else (
                f"gF needs --samples >= {GF_MIN_SAMPLES}, got {cfg.samples}: below it some "
                f"seeds place no sample where the deformation bends wedge_second_derivative "
                f"past its expected-fail floor {GF_WEDGE_FLOOR:g}")),
@@ -766,7 +751,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 def cmd_decompose(cfg: RunConfig) -> int:
     s = _STRUCTURES[cfg.example](cfg)
-    lc = LeviCivita(s.metric, fd_step=cfg.fd_step)
+    lc = LeviCivita(s.metric)
     alg = s.isometry_algebra()
     dec = standard_decomposition(alg, s.field.matrix)
     rep = VerificationReport(
@@ -775,7 +760,6 @@ def cmd_decompose(cfg: RunConfig) -> int:
     st = None
     if any(rate != 0.0 for rate in dec.rates):  # the eigenfield checks read st
         X = sample_sphere(cfg.n, min(cfg.samples, 40), cfg.seed).coords
-        _step_canary(lc, s.field, X[0], rep)
         st = lc.structure_at(s.field, X)
     for rate, block in zip(dec.rates, dec.blocks):
         if rate == 0.0:  # the commutant of xi, first

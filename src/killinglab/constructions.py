@@ -35,6 +35,7 @@ import numpy as np
 from .algebra import IsometryAlgebra, so_basis
 from .flows import ExactScalar, RotationProfile, rotation_profile
 from .metrics import (
+    Jet,
     MetricDegeneracyError,
     MetricField,
     VectorField,
@@ -446,6 +447,24 @@ def smooth_transition(t):
     return float(out) if out.ndim == 0 else out
 
 
+def smooth_transition_derivatives(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``smooth_transition`` and its first two derivatives at t (an array).
+    With chi = 1 / (1 + e^h), h = 1/t - 1/(1 - t): chi' = -chi (1 - chi) h'
+    and chi'' = -(1 - 2 chi) chi' h' - chi (1 - chi) h''.  Within 1/700 of
+    either end e^(-1/t) is below 1e-304, and the step reads as flat there."""
+    t = np.asarray(t, dtype=float)
+    f, f1, f2 = np.array(t >= 0.5, dtype=float), np.zeros(t.shape), np.zeros(t.shape)  # flat ends
+    mid = (t > 1.0 / 700) & (t < 1.0 - 1.0 / 700)
+    tm = t[mid]
+    b0, b1 = np.exp(-1.0 / tm), np.exp(-1.0 / (1.0 - tm))
+    chi = b0 / (b0 + b1)
+    h1 = -1.0 / tm ** 2 - 1.0 / (1.0 - tm) ** 2
+    h2 = 2.0 / tm ** 3 - 2.0 / (1.0 - tm) ** 3
+    f[mid], f1[mid] = chi, -chi * (1.0 - chi) * h1
+    f2[mid] = -(1.0 - 2.0 * chi) * f1[mid] * h1 - chi * (1.0 - chi) * h2
+    return f, f1, f2
+
+
 DEFORM_SUPPORT_LO = 0.05
 DEFORM_SUPPORT_HI = 0.5
 DEGENERACY_FLOOR = 1e-8
@@ -495,6 +514,35 @@ def build_deformed(n: int = 3, c: float = 0.3) -> DeformedStructure:
         return f_of_vec(x_vec(x))
 
     eye = np.eye(d)
+    sign = np.array([-1.0, 1.0])
+
+    def stretch(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """kappa(s) = (e^(-+2F) - 1) / s, F = c chi((s - lo) / (hi - lo)), and
+        two derivatives, at s = |X|^2 (..., 1), giving (..., 2): E = kappa s
+        gives kappa' = (E' - kappa) / s and kappa'' = (E'' - 2 kappa') / s."""
+        chi, chi1, chi2 = smooth_transition_derivatives((s - lo) / (hi - lo))
+        F, F1, F2 = c * chi, c * chi1 / (hi - lo), c * chi2 / (hi - lo) ** 2
+        e = np.exp(2.0 * sign * F)
+        s = np.where(F != 0.0, s, 1.0)  # E, E' and E'' vanish wherever F does
+        k0 = np.expm1(2.0 * sign * F) / s
+        k1 = (2.0 * sign * F1 * e - k0) / s
+        return k0, k1, ((4.0 * F1 * F1 + 2.0 * sign * F2) * e - 2.0 * k1) / s
+
+    def rank_jet(x: np.ndarray) -> tuple[Jet, Jet, Jet]:
+        """M~ = M = Id + kappa_1 X X^T + kappa_2 (J0 X)(J0 X)^T on the sphere (M x =
+        x: the extension adds nothing), X the direction field and J0 X = L_I X,
+        both in V2, functions of its four coordinates."""
+        z2 = Jet.point(x[..., -4:])
+        w, xi2 = z2.lin(RIGHT_J), z2.lin(LEFT_I)
+        n2 = (z2 * z2).sum()
+        n2v = np.where(n2.v >= 1e-14, n2.v, 1.0)  # kappa = 0 there, as M = Id
+        X = w - (w * xi2).sum() * n2.apply(1.0 / n2v, -1.0 / n2v ** 2, 2.0 / n2v ** 3) * xi2
+        s = (X * X).sum()
+        kappa = s.apply(*stretch(s.v))
+        U = Jet.stack([X, X.lin(LEFT_I)])
+        one = Jet(np.ones(s.v.shape), np.zeros(x.shape + (1,)), np.zeros(x.shape + (d, 1)))
+        a = Jet.stack([kappa.part(slice(0, 1)), kappa.part(slice(1, 2))]) * U
+        return one, a.embed(d), U.embed(d)
 
     def matrix_func(x: np.ndarray) -> np.ndarray:
         X = x_vec(x)
@@ -513,7 +561,8 @@ def build_deformed(n: int = 3, c: float = 0.3) -> DeformedStructure:
         return M
 
     return DeformedStructure(
-        n=n, c=c, dim=d, metric=MetricField(matrix_func, dim=d, name=f"deformed(c={c})"),
+        n=n, c=c, dim=d, metric=MetricField(matrix_func, dim=d, name=f"deformed(c={c})",
+                                            rank_jet=rank_jet),
         field=linear_field(j0), j0=j0, x_field=general_field(x_vec), f_of=f_of)
 
 
@@ -567,6 +616,20 @@ def build_irregular(n: int = 2, a: ExactScalar | None = None) -> IrregularStruct
     eye = np.eye(d)
     coef = 2.0 * a_val + a_val * a_val
 
+    def rank_jet(x: np.ndarray) -> tuple[Jet, Jet, Jet]:
+        """M~ = M + (1 - alpha) x x^T on the sphere (t0 . x = t . x = 0, so M x =
+        alpha x) = alpha Id + beta t0 t0^T - alpha^2 (t t0^T + t0 t^T) + (1 - alpha)
+        x x^T, beta = alpha^2 + alpha^3 t_sq, as functions of z."""
+        y = Jet.point(x)
+        y1 = y.part(slice(0, 2))
+        s = (y1 * y1).sum()
+        al = 1.0 / (1.0 + a_val * s.v)
+        alpha = s.apply(al, -a_val * al * al, 2.0 * a_val * a_val * al ** 3)
+        a2 = alpha * alpha
+        t0, t = y.lin(j0), y.lin(gen)
+        terms = Jet.stack([a2 + a2 * alpha * (1.0 + coef * s), -a2, -a2, 1.0 - alpha])
+        return alpha, terms * Jet.stack([t0, t, t0, y]), Jet.stack([t0, t0, t, y])
+
     def matrix_func(x: np.ndarray) -> np.ndarray:
         x1sq = (x[..., 0] * x[..., 0] + x[..., 1] * x[..., 1])[..., None, None]
         alpha = 1.0 / (1.0 + a_val * x1sq)
@@ -580,4 +643,5 @@ def build_irregular(n: int = 2, a: ExactScalar | None = None) -> IrregularStruct
                            + alpha * alpha * t_sq * outer00))
 
     return IrregularStructure(n=n, a=a, dim=d, metric=MetricField(
-        matrix_func, dim=d, name=f"irregular(a={a})"), field=linear_field(gen), j0=j0, j1=j1)
+        matrix_func, dim=d, name=f"irregular(a={a})", rank_jet=rank_jet),
+        field=linear_field(gen), j0=j0, j1=j1)

@@ -4,52 +4,55 @@ A metric is stored as an ambient Gram operator: a symmetric matrix field
 M(x) on R^d with g_x(u, v) = u^T M(x) v for tangent vectors u, v at x.
 The round metric is M = Id; deformed metrics supply their own M.
 
-Differentiation strategy, chosen from the metric and the field alone:
-  * round metric + linear field  ->  closed forms, no stepping;
+Covariant derivatives are taken in ambient coordinates, by the Gauss
+formula: the Levi-Civita connection of S in (R^d, M~) is the tangential part
+of the ambient one (do Carmo, *Riemannian Geometry*, ch. 6).  The metric is
+extended off the sphere as M~(y) = P M(y^) P + y^ y^T, y^ = y / |y|, P = Id -
+y^ y^T; on the sphere M~ agrees with M on tangent vectors and makes x the unit
+normal, so the tangential part is the Euclidean projection P.  The ambient
+Christoffel symbols Gamma~ of M~ give H~ = dX^T + Gamma~ X and nabla X =
+P H~ P, and their derivative the second covariant derivative.
+
+How the derivatives of [M~ | X] are taken is chosen from the metric and the
+field alone (``LeviCivita.path``):
+  * round metric + linear field  ->  "closed" forms, M~ = Id;
   * the Lie derivative of g along a linear field x -> A x on any other
-    metric  ->  the field's exact flow e^(tA) (``skew_exp``): the symmetric
+    metric  ->  the field's exact "flow" e^(tA) (``skew_exp``): the symmetric
     difference quotient of the pulled-back metric at flow time FLOW_TIME
-    (``flow_lie_frame``), exact for a Killing field and independent of the
-    finite-difference step;
-  * anything else  ->  finite differences in ambient coordinates, by the
-    Gauss formula: the Levi-Civita connection of S in (R^d, M~) is the
-    tangential part of the ambient one (do Carmo, *Riemannian Geometry*,
-    ch. 6).  The metric is extended off the sphere as M~(y) = P M(y^) P +
-    y^ y^T, y^ = y / |y|, P = Id - y^ y^T; on the sphere M~ agrees with M on
-    tangent vectors and makes x the unit normal, so the tangential part is
-    the Euclidean projection P.  ``metric_and_field`` gives [M~ | X] at a
-    stack of points, and one ``central_diff`` call over the d ambient axes
-    gives the ambient Christoffel symbols and H~ = dX^T + Gamma~ X, with
-    nabla X = P H~ P.  The second covariant derivative takes one call over
-    the flat second-difference stencil (d^2 + d + 1 points) and forms Gamma~,
-    d Gamma~, H~ and dH~ from it in closed algebra.
+    (``flow_lie_frame``), exact for a Killing field;
+  * a linear field on a metric that supplies ``rank_jet``, the 2-jet of M~
+    in the rank form alpha Id + sum_k a_k v_k^T  ->  the "jet": ``LeviCivita.jet``
+    pushes the 2-jet of y^ through the metric's ingredients (``Jet``, forward
+    mode, no step) and contracts them to M~, its derivative and the two
+    second-order contractions with X that nabla^2 X reads, never forming the
+    d^4 Hessian of M~;
+  * anything else (``general_field``)  ->  the finite-difference "stencil":
+    one ``central_diff`` call over the d ambient axes for nabla X, and one over
+    the flat second-difference stencil (d^2 + d + 1 points) for nabla^2 X.
+A finite-difference result at fd_step can be checked against its value at
+fd_step / 2 by the Richardson step-halving guard ``richardson_guard``:
+disagreement beyond ``RICHARDSON_REL_TOL``, or a drift that is not finite,
+raises ``NumericalQualityError`` instead of returning a silently bad number
+(``verify.covariant_canary`` runs it at one point).
 
 Tangent frames are Gram-Schmidt of the Euclidean frame, in closed form on the
 round metric and in Cholesky form on any other (``LeviCivita.frame``), and the
 complement of excluded vectors is one Householder QR in a frame's coordinates;
 frames, the derived structure and the second covariant derivative take one
 point or a stack, so a battery builds them once per chunk of its sample and
-shares them between its checks.  ``structure_at`` and ``second_nabla_frame``
-take a field, or on the round metric a (G, d, d) stack of linear generators,
-whose G fields share one metric evaluation and one frame.  ``sample_chunks``
-sizes every chunk, of a battery's sample and of the flat second-difference
-stencil of ``second_nabla_frame``, by one budget.
-
-``LeviCivita.path`` picks the route at every entry point from whether the
-metric is round and the field linear (``matrix`` set) alone, so finite
-differences on the round metric are asked for through the field:
-``general_field(fld.func)`` takes the ambient stencil.  A finite-difference
-result at fd_step can be checked against its value at fd_step / 2 by the
-Richardson step-halving guard ``richardson_guard``: disagreement beyond
-``RICHARDSON_REL_TOL``, or a drift that is not finite, raises
-``NumericalQualityError`` instead of returning a silently bad number.
-The batteries run it at one point through ``verify.covariant_canary``.
+shares them between its checks: ``structure_at`` builds the chunk's one jet,
+which ``second_nabla_frame`` and the checks read from the structure.
+``structure_at`` and ``second_nabla_frame`` take a field, or on the round
+metric a (G, d, d) stack of linear generators, whose G fields share one metric
+evaluation and one frame.  ``sample_chunks`` sizes every chunk, of a battery's
+sample and of the flat second-difference stencil of ``second_nabla_frame``,
+by one budget.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -127,11 +130,18 @@ def central_diff(f: Callable[[np.ndarray], np.ndarray], U: np.ndarray, h: float,
 
 
 def sample_bytes(d: int, stencil: bool) -> int:
-    """Bytes one sample point holds in ambient dimension d: 60 a value of
-    [M~ | X] over its flat stencil (``second_nabla_frame``), of which ~40 are
-    alive at once and the rest come and go, or the Nijenhuis contraction's
-    ~8 (d - 1)^3 doubles."""
-    return 60 * (d * d + d + 1) * d * (d + 1) if stencil else 64 * (d - 1) ** 3
+    """Bytes one sample point holds in ambient dimension d: with ``stencil``,
+    60 a value of [M~ | X] over the flat stencil of ``second_nabla_frame``
+    (a general field), of which ~40 are alive at once and the rest come and
+    go; else, in a battery's chunk, the larger of the arrays its FieldJet
+    holds, 4 d^3 + 3 d^2 + d doubles, and the Nijenhuis contraction's ~8 (d -
+    1)^3.  Building the jet and reading it pass through more, which come and
+    go: the tracemalloc peak of a gF or irregular chunk's rows reads 15-23
+    d^3 doubles a point at d = 6 to 18 (68 KB a point on gF at d = 8, 3.1
+    times this figure)."""
+    if stencil:
+        return 60 * (d * d + d + 1) * d * (d + 1)
+    return max(8 * (4 * d ** 3 + 3 * d * d + d), 64 * (d - 1) ** 3)
 
 
 def sample_chunks(n: int, point_bytes: int) -> list[slice]:
@@ -160,6 +170,171 @@ def skew_exp(A: np.ndarray) -> np.ndarray:
     e^A = V e^(-iW) V^H, real up to rounding."""
     w, V = np.linalg.eigh(1j * np.asarray(A, dtype=float))
     return ((V * np.exp(-1j * w)[..., None, :]) @ np.swapaxes(V.conj(), -1, -2)).real
+
+
+# ---------------------------------------------------------------------------
+# 2-jets: values with their first two derivatives, carried with no step
+# ---------------------------------------------------------------------------
+
+class Jet(NamedTuple):
+    """A function of the ambient point y in R^d with its first two
+    derivatives at a point or a stack of points, carried forward through each
+    operation by the product and chain rules (Rall, LNCS 120 (1981); Griewank
+    & Walther, *Evaluating Derivatives*, 2nd ed., SIAM (2008), ch. 13): the
+    value v (..., c), the gradient d (..., d, c) with d[..., l, :] = d_l v, and
+    the Hessian dd (..., d, d, c), the components on the last axis (a scalar
+    has one).  Products are componentwise and broadcast over leading axes and
+    components; a number stands for a constant."""
+
+    v: np.ndarray
+    d: np.ndarray
+    dd: np.ndarray
+
+    def __add__(self, other):
+        if not isinstance(other, Jet):
+            return Jet(self.v + other, self.d, self.dd)
+        return Jet(self.v + other.v, self.d + other.d, self.dd + other.dd)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Jet(-self.v, -self.d, -self.dd)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if not isinstance(other, Jet):
+            return Jet(self.v * other, self.d * other, self.dd * other)
+        a, b = self, other
+        d = a.d * b.v[..., None, :] + a.v[..., None, :] * b.d
+        ab = a.d[..., :, None, :] * b.d[..., None, :, :]
+        dd = (a.dd * b.v[..., None, None, :] + a.v[..., None, None, :] * b.dd
+              + ab + np.swapaxes(ab, -2, -3))
+        return Jet(a.v * b.v, d, dd)
+
+    __rmul__ = __mul__
+
+    def sum(self) -> Jet:
+        """The sum of the components, a scalar."""
+        return Jet(*(part.sum(axis=-1, keepdims=True) for part in self))
+
+    def part(self, sl) -> Jet:
+        """The components ``sl``."""
+        return Jet(*(part[..., sl] for part in self))
+
+    def lin(self, L: np.ndarray) -> Jet:
+        """The components mapped by the matrix L (c', c)."""
+        return Jet(*(part @ L.T for part in self))
+
+    def apply(self, f, f1, f2) -> Jet:
+        """A function of one variable applied to each component: f, f' and
+        f'' are its value and derivatives at the components' values."""
+        dd = f2[..., None, None, :] * self.d[..., :, None, :] * self.d[..., None, :, :]
+        return Jet(f, f1[..., None, :] * self.d, dd + f1[..., None, None, :] * self.dd)
+
+    def embed(self, d: int) -> Jet:
+        """A function of the last m of d coordinates with c components as one
+        of all d with d, its components the last c."""
+        m, c = self.d.shape[-2], self.v.shape[-1]
+        v, D, dd = (np.zeros(part.shape[:-1 - k] + (d,) * (k + 1)) for k, part in enumerate(self))
+        v[..., d - c:], D[..., d - m:, d - c:], dd[..., d - m:, d - m:, d - c:] = self
+        return Jet(v, D, dd)
+
+    @staticmethod
+    def point(x: np.ndarray) -> Jet:
+        """The coordinates z at the points x (..., m): gradient Id, Hessian 0."""
+        m = x.shape[-1]
+        return Jet(x, np.broadcast_to(np.eye(m), x.shape + (m,)),
+                   np.broadcast_to(0.0, x.shape + (m, m)))
+
+    @staticmethod
+    def stack(jets: Sequence[Jet]) -> Jet:
+        """The jets along a new axis before the derivative axes."""
+        return Jet(*(np.stack(parts, axis=-1 - k) for k, parts in enumerate(zip(*jets), 1)))
+
+
+def unit_jet(x: np.ndarray) -> Jet:
+    """The 2-jet of y^ = y / |y| at unit points x (..., d): value x, gradient
+    P = Id - x x^T, and d_p d_l y^_a = 3 x_p x_l x_a - delta_pa x_l - delta_la x_p
+    - delta_pl x_a."""
+    d = x.shape[-1]
+    P = np.eye(d) - x[..., :, None] * x[..., None, :]
+    xP = x[..., :, None, None] * P[..., None, :, :]   # x_p P_la
+    dd = -(xP + np.swapaxes(xP, -3, -2)) - x[..., None, None, :] * P[..., :, :, None]
+    return Jet(x, P, dd)
+
+
+class FieldJet(NamedTuple):
+    """[M~ | X] to second order at a stack of unit points x (N, d), in the
+    contractions the connection reads: M~ (N, d, d), its inverse, dg[n, l, i, j]
+    = d_l M~_ij, the Christoffel symbols Gamma~[n, k, i, j], the field X and
+    dX[n, l, k] = d_l X^k, H~ = dX^T + Gamma~ X, and with X held at its value
+    X0 at each point, Q[n, i, j, m] = d_i d_j (M~ X0)_m and R[n, i, j, m] =
+    d_i (D_X0 M~)_jm; ddX = d_i d_j X^k, or None for a linear field.  Built
+    once per chunk (``LeviCivita.jet``, or finite differences in
+    ``second_nabla_frame``) and read by nabla X and nabla^2 X."""
+
+    g: np.ndarray
+    ginv: np.ndarray
+    dg: np.ndarray
+    Gamma: np.ndarray
+    X: np.ndarray
+    dX: np.ndarray
+    H: np.ndarray
+    Q: np.ndarray
+    R: np.ndarray
+    ddX: np.ndarray | None
+
+
+def field_jet(g, dg, X, dX, Q, R, ddX=None) -> FieldJet:
+    """The FieldJet of M~, dg, X, dX, Q, R and ddX: the inverse, the
+    Christoffel symbols and H~ formed once."""
+    d = g.shape[-1]
+    ginv = np.linalg.inv(g)
+    lower = _lower(dg)
+    Gamma = (ginv @ lower.reshape(lower.shape[:-3] + (d, d * d))).reshape(lower.shape)
+    X = np.ascontiguousarray(X)
+    H = np.swapaxes(dX, -1, -2) + (Gamma.reshape(Gamma.shape[:-3] + (d * d, d))
+                                   @ X[..., None]).reshape(Gamma.shape[:-1])
+    return FieldJet(g, ginv, dg, Gamma, X, dX, H, Q, R, ddX)
+
+
+def second_nabla(fj: FieldJet, x: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """T[n, :, i, j] = (nabla^2 X)(f_i, f_j) at points x (n, d) on frames F (n,
+    d, k) from the FieldJet fj there: the tangential part (Gauss) of the
+    ambient second derivative, with w(u) = u + Gamma~(u, x) the ambient
+    derivative of the position,
+
+      T(u, v) = P[(D~_u H~) v] - (w(u)^T M~ v) P H~ x - (x^T H~ v) P w(u),
+
+    where d_i H~ needs d_i Gamma~ only against X: with LX[m, j] = Gamma_{m, jl}
+    X^l (first kind), d_i (Gamma~ X) = M~^-1 (d_i LX - (d_i M~) Gamma~ X) and
+    d_i LX[m, j] = (Q[i, j, m] - Q[i, m, j] + R[i, j, m]) / 2."""
+    n, d = x.shape
+    g, Gamma, H = fj.g, fj.Gamma, fj.H
+    Gl = Gamma.reshape(n, d * d, d)  # [n, (k, j), l]: contractions over l are matmuls
+    GX = (Gl @ fj.X[..., None]).reshape(n, d, d)
+    dLX = 0.5 * (np.swapaxes(fj.Q, -1, -2) - fj.Q + fj.R)            # [n, i, m, j]
+    # dH[n, i, k, j] = d_i H^k_j = d_i d_j X^k + d_i (Gamma X)^k_j + Gamma^k_{jl} d_i X^l
+    dH = fj.ginv[:, None] @ (dLX - fj.dg @ GX[:, None])
+    dH += (fj.dX @ np.swapaxes(Gl, -1, -2)).reshape(n, d, d, d)
+    if fj.ddX is not None:
+        dH += np.swapaxes(fj.ddX, -1, -2)
+    # DH[n, k, i, j] = d_i H^k_j + Gamma^k_{i l} H^l_j - Gamma^l_{i j} H^k_l
+    DH = (np.swapaxes(dH, 1, 2) + (Gl @ H).reshape(n, d, d, d)
+          - (H @ Gamma.reshape(n, d, d * d)).reshape(n, d, d, d))
+    Ft = np.swapaxes(F, -1, -2)
+    Tf = Ft[:, None] @ DH @ F[:, None]                            # (n, d, k, k)
+    W = F + (Gl @ x[..., None]).reshape(n, d, d) @ F              # w(f_i)
+    c1 = np.swapaxes(W, -1, -2) @ g @ F                           # w(f_i)^T M~ f_j
+    c2 = (x[:, None, :] @ H @ F)[:, 0]                            # x^T H~ f_j
+    Tf -= c1[:, None] * matvec(H, x)[:, :, None, None] + c2[:, None, None, :] * W[..., None]
+    xTf = (x[:, None, :] @ Tf.reshape(n, d, -1)).reshape(Tf.shape[:1] + Tf.shape[2:])
+    return Tf - x[:, :, None, None] * xTf[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -218,12 +393,18 @@ def general_field(func: Callable[[np.ndarray], np.ndarray]) -> VectorField:
 @dataclass(frozen=True, eq=False)
 class MetricField:
     """Riemannian metric as an ambient Gram-operator field; ``matrix_func``
-    maps one point (d,) to (d, d) and a stack (..., d) to (..., d, d)."""
+    maps one point (d,) to (d, d) and a stack (..., d) to (..., d, d).
+    ``rank_jet``, when given, maps unit points x (N, d) to the 2-jets at x of
+    the ingredients of the extended metric in rank form as functions of z in
+    R^d, G(z) = alpha(z) Id + sum_k a_k(z) v_k(z)^T equal to M~(z) wherever |z|
+    = 1: alpha a scalar, a and v stacks of K vectors (``Jet.stack``);
+    ``LeviCivita.jet`` composes them with y -> y^."""
 
     matrix_func: Callable[[np.ndarray], np.ndarray]
     dim: int
     exact_round: bool = False
     name: str = ""
+    rank_jet: Callable[[Jet], tuple[Jet, Jet, Jet]] | None = None
 
     def matrix_at(self, x: np.ndarray) -> np.ndarray:
         return self.matrix_func(np.asarray(x, dtype=float))
@@ -341,6 +522,8 @@ class StructureTensors:
     built at; built at a sample, every array carries an axis of N.  Built
     for a stack of G generators, every array but the shared ``x``,
     ``metric_matrix`` and ``frame`` carries a leading axis of G, before N.
+    ``jet`` is the FieldJet it was built from on the "jet" path, else None;
+    it belongs to the whole sample, so ``rows`` leaves it out.
     """
 
     x: np.ndarray
@@ -352,19 +535,24 @@ class StructureTensors:
     dxi: np.ndarray
     phi_frame: np.ndarray
     phi_ambient: np.ndarray
+    jet: FieldJet | None = None
 
     _SHARED = ("x", "metric_matrix", "frame")  # the arrays a stack's fields share
 
+    def _arrays(self) -> dict:
+        return {k: v for k, v in vars(self).items() if k != "jet"}
+
     def rows(self, sl: slice) -> StructureTensors:
-        """The same structure at the rows ``sl`` of a sample."""
+        """The same structure at the rows ``sl`` of a sample, without its jet."""
         per_field = (slice(None),) * (self.xi.ndim - self.x.ndim) + (sl,)
         return StructureTensors(**{k: v[sl if k in self._SHARED else per_field]
-                                   for k, v in vars(self).items()})
+                                   for k, v in self._arrays().items()})
 
     def fields(self, index) -> StructureTensors:
-        """The structure of the fields ``index`` (an int, slice or index array) of a stack."""
+        """The structure of the fields ``index`` (an int, slice or index array)
+        of a stack, which takes no jet."""
         return StructureTensors(**{k: v if k in self._SHARED else v[index]
-                                   for k, v in vars(self).items()})
+                                   for k, v in self._arrays().items()})
 
 
 # ---------------------------------------------------------------------------
@@ -386,20 +574,22 @@ class LeviCivita:
 
     def path(self, fld, owner: str, lie: bool) -> tuple[VectorField, str]:
         """``fld`` (``as_field``) and how ``owner`` differentiates it, read off
-        whether the metric is round and the field linear alone: "closed" forms
-        for a linear field on the round metric, reading no fd_step; the exact
-        "flow" for the Lie derivative (``lie``) of a linear field on any other
-        metric; else the finite-difference "stencil", where a stack of
-        generators is refused by name."""
+        the metric and whether the field is linear alone: "closed" forms for a
+        linear field on the round metric; the exact "flow" for the Lie
+        derivative (``lie``) of a linear field on any other metric; the "jet"
+        for a linear field on a metric with ``rank_jet``, where a stack of
+        generators is refused by name; else the finite-difference "stencil",
+        the only path that reads fd_step."""
         fld = as_field(fld)
-        if fld.matrix is not None and (self.metric.exact_round or lie):
+        if fld.matrix is None:
+            return fld, "stencil"
+        if self.metric.exact_round or lie:
             return fld, "closed" if self.metric.exact_round else "flow"
-        if fld.matrix is not None and fld.matrix.ndim == 3:
+        if fld.matrix.ndim == 3:
             raise ValueError(
                 f"{owner} takes a stack of generators only on the round metric, whose closed "
-                f"forms it reads; the {self.metric.name} metric takes finite differences, one "
-                f"field at a time")
-        return fld, "stencil"
+                f"forms it reads; the {self.metric.name} metric takes one field at a time")
+        return fld, "jet" if self.metric.rank_jet is not None else "stencil"
 
     def frame(self, x: np.ndarray, metric_matrix: np.ndarray) -> np.ndarray:
         """g-orthonormal tangent frame at x (d,) or at each row of x (N, d),
@@ -441,6 +631,62 @@ class LeviCivita:
         g, dg = central_diff(self.extended_metric, x, self.fd_step, center=True)
         return _christoffel(g, dg)
 
+    # -- the jet -----------------------------------------------------------------
+
+    def jet(self, fld, x: np.ndarray) -> FieldJet:
+        """The FieldJet of the linear field ``fld`` (x -> A x) at unit points x
+        (N, d), with no step.  The round metric's is M~ = Id, whose derivatives
+        vanish.  Any other's ``rank_jet`` gives the 2-jets at x of alpha, a_k
+        and v_k as functions of z, with G(z) = alpha Id + sum_k a_k v_k^T equal
+        to M~ on the unit sphere, so M~(y) = G(y^).  Its contractions with X0
+        = A x, nu_k = v_k . X0 and D = X0 . d,
+
+          dG[l, i, j] = d_l alpha delta_ij + sum_k (d_l a_ki v_kj + a_ki d_l v_kj),
+          Q[i, j, m]  = d_i d_j alpha X0_m + sum_k d_i d_j (a_km nu_k),
+          R[i, j, m]  = d_i D alpha delta_jm + sum_k d_i (D a_kj v_km + a_kj D v_km),
+
+        are each a matmul over the stacked k, and the chain rule through y ->
+        y^ (gradient P, Hessian Y of ``unit_jet``; X0 is tangent, P X0 = X0)
+        gives M~'s: dg = P dG, Q~ = P Q P + Y (dG X0) and R~ = P R + (Y X0) dG,
+        summed over the inner axis of y^.  No array of the d^4 second
+        derivatives of M~ is formed."""
+        A = as_field(fld).matrix
+        x = np.asarray(x, dtype=float)
+        n, d = x.shape
+        X0 = x @ A.T
+        dX = np.broadcast_to(A.T, (n, d, d))
+        if self.metric.exact_round:
+            zero = np.zeros((n, d, d, d))
+            return field_jet(np.broadcast_to(np.eye(d), (n, d, d)), zero, X0, dX, zero, zero)
+        alpha, a, v = self.metric.rank_jet(x)
+        aT, vT = np.swapaxes(a.v, -1, -2), np.swapaxes(v.v, -1, -2)
+        # the terms' axis k last: [n, ..., k], to contract against [n, k, ...]
+        ad_k, add_k = np.moveaxis(a.d, 1, -1), np.moveaxis(a.dd, 1, -1)
+        nu = v.v @ X0[:, :, None]                                           # (n, k, 1)
+        dnu = (v.d @ X0[:, None, :, None])[..., 0]                          # d_l nu_k
+        ddnu = (v.dd @ X0[:, None, None, :, None])[..., 0]                  # d_i d_j nu_k
+        Da, Dv = ((X0[:, None, None, :] @ jet.d)[:, :, 0] for jet in (a, v))  # D a_k, D v_k
+        dDa, dDv = ((X0[:, None, None, None, :] @ jet.dd)[:, :, :, 0] for jet in (a, v))
+        eye = np.eye(d)
+        g = alpha.v[:, :, None] * eye + aT @ v.v
+        dG = (alpha.d[..., None] * eye + ad_k @ v.v[:, None]
+              + aT[:, None] @ np.swapaxes(v.d, 1, 2))
+        S = np.swapaxes(ad_k @ dnu[:, None], -1, -2)                      # d_i a_km d_j nu_k
+        Q = (alpha.dd * X0[:, None, None, :] + S + np.swapaxes(S, 1, 2)
+             + (add_k @ nu[:, None, None])[..., 0]
+             + (np.moveaxis(ddnu, 1, -1).reshape(n, d * d, -1) @ a.v).reshape(n, d, d, d))
+        R = ((alpha.dd[..., 0] @ X0[:, :, None])[..., None] * eye
+             + np.moveaxis(dDa, 1, -1) @ v.v[:, None] + ad_k @ Dv[:, None]
+             + np.swapaxes(Da, -1, -2)[:, None] @ np.swapaxes(v.d, 1, 2)
+             + aT[:, None] @ np.swapaxes(dDv, 1, 2))
+        _, P, Y = unit_jet(x)
+        flat = dG.reshape(n, d, d * d)
+        YX = (X0[:, None, None, :] @ Y)[:, :, 0]                            # Y[i, l, a] X0_l
+        Qy = P[:, None] @ (P @ Q.reshape(n, d, d * d)).reshape(n, d, d, d) + (
+            Y.reshape(n, d * d, d) @ (dG @ X0[:, None, :, None])[..., 0]).reshape(n, d, d, d)
+        Ry = (P @ R.reshape(n, d, d * d) + YX @ flat).reshape(n, d, d, d)
+        return field_jet(g, (P @ flat).reshape(n, d, d, d), X0, dX, Qy, Ry)
+
     # -- first covariant derivative ------------------------------------------
 
     def _endo(self, fld: VectorField, x: np.ndarray, h: float) -> np.ndarray:
@@ -457,39 +703,40 @@ class LeviCivita:
         to it."""
         return matvec(self.nabla_endo(fld, x), np.asarray(direction, dtype=float))
 
-    def nabla_endo(self, fld, x: np.ndarray) -> np.ndarray:
+    def nabla_endo(self, fld, x: np.ndarray, jet: FieldJet | None = None) -> np.ndarray:
         """Ambient matrix N with N v = nabla_v(field) for tangent v, N x = 0.
 
         ``x`` is one ambient point (d,) or a stack (..., d), which gives
         (..., d, d).  The closed form serves the round metric with a linear
         field, or a (G, d, d) generator stack put in front, N = P A P; every
-        other pair takes N = P H~ P with H~ from central differences of
-        [M~ | X] at fd_step.
+        other pair takes N = P H~ P, with H~ from the FieldJet on the "jet"
+        path (``jet``, built here when not given) and else from central
+        differences of [M~ | X] at fd_step.
         """
         x = np.asarray(x, dtype=float)
         fld, how = self.path(fld, "nabla_endo", False)
         P = np.eye(x.shape[-1]) - x[..., :, None] * x[..., None, :]
         if how == "closed":
             return P @ at_points(fld.matrix, x) @ P
+        if how == "jet":
+            jet = self.jet(fld, x.reshape(-1, x.shape[-1])) if jet is None else jet
+            return P @ jet.H.reshape(P.shape) @ P
         return P @ self._endo(fld, x, self.fd_step) @ P
 
     # -- second covariant derivative ------------------------------------------
 
-    def second_nabla_frame(self, fld, x: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    def second_nabla_frame(self, fld, x: np.ndarray, frame: np.ndarray,
+                           jet: FieldJet | None = None) -> np.ndarray:
         """Tensor T[:, i, j] = (nabla^2 field)(frame_i, frame_j), ambient values.
 
         T(u, v) = nabla_u (nabla field)(v); the closed form on the round
         sphere with field E x is T(f_i, f_j) = -(x.E f_j) P f_i - (f_i.f_j) P E x,
-        P the tangent projector.  The FD path differences [M~ | X] once over
-        the flat stencil of d^2 + d + 1 points (``central_diff`` with
-        ``second``) of step fd_step * SECOND_DERIV_STEP_SCALE along the d
-        ambient axes, forms Gamma~, d Gamma~, H~ and dH~ from it, and takes
-        the tangential part (Gauss): with w(u) = u + Gamma~(u, x), the
-        ambient derivative of the position,
-
-          T(u, v) = P[(D~_u H~) v] - (w(u)^T M~ v) P H~ x - (x^T H~ v) P w(u).
-
-        The points run in ``sample_chunks`` of the stencil's ``sample_bytes``.
+        P the tangent projector.  Every other pair reads a FieldJet of
+        [M~ | X] (``second_nabla``): on the "jet" path ``jet``, the one
+        ``structure_at`` built at the points x (built here when not given); on
+        the stencil, one ``central_diff`` call over the flat stencil of d^2 + d
+        + 1 points of step fd_step * SECOND_DERIV_STEP_SCALE along the d
+        ambient axes, in ``sample_chunks`` of the stencil's ``sample_bytes``.
         Points (N, d) with frames (N, d, k) give (N, d, k, k).  ``fld`` is a
         field, or on the round metric a (G, d, d) stack of linear generators,
         which puts an axis of G in front.
@@ -511,35 +758,19 @@ class LeviCivita:
                 T[g] -= np.einsum("...ij,...d->...dij", ff, PEx[g])
             return T
         xs, fs = x.reshape(-1, x.shape[-1]), frame.reshape((-1,) + frame.shape[-2:])
-        T = np.empty(fs.shape + fs.shape[-1:])
-        d, h = xs.shape[-1], self.fd_step * SECOND_DERIV_STEP_SCALE
-        for rows in sample_chunks(len(xs), sample_bytes(d, stencil=True)):
-            x0, F = xs[rows], fs[rows]
-            f0, d1, d2 = central_diff(lambda y: self.metric_and_field(fld, y), x0, h, second=True)
-            g, dg, X, dX, ddX = f0[..., :-1], d1[..., :-1], f0[..., -1], d1[..., -1], d2[..., -1]
-            n = len(x0)
-            Gamma = _christoffel(g, dg)
-            Gl = Gamma.reshape(n, d * d, d)  # [n, (k, j), l]: contractions over l are matmuls
-            # g d_p Gamma = d_p lower - (d_p g) Gamma, with dGamma[n, p, k, i, j] = d_p Gamma^k_ij
-            R = _lower(d2[..., :-1])
-            R -= (dg @ Gamma.reshape(-1, 1, d, d * d)).reshape(R.shape)
-            dGamma = (np.linalg.inv(g)[:, None] @ R.reshape(R.shape[:3] + (-1,))).reshape(R.shape)
-            # H^k_j = d_j X^k + Gamma^k_{jl} X^l and dH[n, i, k, j] = d_i H^k_j
-            H = np.swapaxes(dX, -1, -2) + (Gl @ X[..., None]).reshape(n, d, d)
-            dH = (np.swapaxes(ddX, -1, -2)
-                  + (dGamma.reshape(n, -1, d) @ X[..., None]).reshape(dGamma.shape[:-1])
-                  + (dX @ np.swapaxes(Gl, -1, -2)).reshape(n, d, d, d))
-            # DH[n, k, i, j] = d_i H^k_j + Gamma^k_{i l} H^l_j - Gamma^l_{i j} H^k_l
-            DH = (np.swapaxes(dH, 1, 2) + (Gl @ H).reshape(n, d, d, d)
-                  - (H @ Gamma.reshape(n, d, d * d)).reshape(n, d, d, d))
-            Ft = np.swapaxes(F, -1, -2)
-            Tf = Ft[:, None] @ DH @ F[:, None]                            # (n, d, k, k)
-            W = F + (Gl @ x0[..., None]).reshape(n, d, d) @ F             # w(f_i)
-            c1 = np.swapaxes(W, -1, -2) @ g @ F                           # w(f_i)^T M~ f_j
-            c2 = (x0[:, None, :] @ H @ F)[:, 0]                           # x^T H~ f_j
-            Tf -= c1[:, None] * matvec(H, x0)[:, :, None, None] + c2[:, None, None, :] * W[..., None]
-            xTf = (x0[:, None, :] @ Tf.reshape(n, d, -1)).reshape(Tf.shape[:1] + Tf.shape[2:])
-            T[rows] = Tf - x0[:, :, None, None] * xTf[:, None]
+        if how == "jet":
+            T = second_nabla(self.jet(fld, xs) if jet is None else jet, xs, fs)
+        else:
+            T = np.empty(fs.shape + fs.shape[-1:])
+            d, h = xs.shape[-1], self.fd_step * SECOND_DERIV_STEP_SCALE
+            for rows in sample_chunks(len(xs), sample_bytes(d, stencil=True)):
+                f0, d1, d2 = central_diff(lambda y: self.metric_and_field(fld, y), xs[rows], h,
+                                          second=True)
+                d2g, X = d2[..., :-1], f0[..., -1]              # d2g[n, i, j, m, l] = d_i d_j M~_ml
+                Q = (d2g @ X[:, None, None, :, None])[..., 0]
+                R = (X[:, None, None, :] @ d2g.reshape(d2g.shape[:3] + (-1,))).reshape(Q.shape)
+                T[rows] = second_nabla(field_jet(f0[..., :-1], d1[..., :-1], X, d1[..., -1], Q, R,
+                                                 d2[..., -1]), xs[rows], fs[rows])
         return T.reshape(frame.shape + frame.shape[-1:])
 
     # -- derived structure ----------------------------------------------------
@@ -604,12 +835,13 @@ class LeviCivita:
         sphere.  ``fld`` is a field, or on the round metric a (G, d, d) stack
         of linear generators, each G slice of the structure the field's own."""
         x = unit_sample("structure_at", x, (1, 2))
-        fld, _ = self.path(fld, "structure_at", False)
+        fld, how = self.path(fld, "structure_at", False)
         M = self.metric.matrix_at(x)
         F = self.frame(x, M)
         Ft = np.swapaxes(F, -1, -2)
         xi = fld.value(x)
-        N = self.nabla_endo(fld, x)
+        jet = self.jet(fld, x.reshape(-1, x.shape[-1])) if how == "jet" else None
+        N = self.nabla_endo(fld, x, jet)
         Nt = np.swapaxes(N, -1, -2)
         eye = self.metric.exact_round  # M = Id, whose products are skipped
         D = Nt - N if eye else Nt @ M - M @ N
@@ -617,4 +849,4 @@ class LeviCivita:
         phi_ambient = F @ phi_frame @ Ft
         return StructureTensors(x=x, xi=xi, metric_matrix=M, eta=xi if eye else matvec(M, xi),
                                 frame=F, nabla_endo=N, dxi=D, phi_frame=phi_frame,
-                                phi_ambient=phi_ambient if eye else phi_ambient @ M)
+                                phi_ambient=phi_ambient if eye else phi_ambient @ M, jet=jet)

@@ -57,7 +57,6 @@ from .metrics import (
     StructureTensors,
     VectorField,
     _christoffel,
-    central_diff,
     g_orthonormal_complement,
     richardson_guard,
     sample_chunks,
@@ -539,37 +538,37 @@ def check_nijenhuis(st: StructureTensors, T: np.ndarray) -> np.ndarray:
 def check_contact_form_preserved(lc_def: LeviCivita, lc_ref: LeviCivita,
                                  fld: VectorField, st: StructureTensors) -> np.ndarray:
     """Metric-dual one-form and its exterior derivative agree between metrics
-    at the sample of ``st`` = ``lc_def.structure_at(fld, X)``.
+    at the sample of ``st`` = ``lc_def.structure_at(fld, X)``, for a linear
+    field x -> A x.
 
     The one-forms, ``st.eta`` and lc_ref's, are compared pointwise in
     ambient components.  Their exterior derivatives are compared on the
-    Euclidean tangent frame ``orthonormal_tangent_frame``: each side
-    differences the ambient one-form M(y) X(y) along the d axes with step
-    lc_def.fd_step and antisymmetrises, which is d(eta) on tangent vectors
-    because pull-back commutes with d.  No connection enters, so the
-    comparison resolves far below covariant-derivative noise.
+    Euclidean tangent frame ``orthonormal_tangent_frame``: each side's ambient
+    one-form M~(y) A y has d_l (M~ A y)_k = d_l M~_km (A x)_m + (M~ A)_kl, read
+    off the FieldJet (``st.jet``, else ``lc_def.jet``, and ``lc_ref.jet``),
+    antisymmetrised, which is d(eta) on tangent vectors because pull-back
+    commutes with d (M~ and M differ by terms in x, which vanish there).  No
+    connection enters, so the comparison resolves far below
+    covariant-derivative noise.
     """
     X = st.x
     res = _worst(st.eta - matvec(lc_ref.metric.matrix_at(X), st.xi))
-    G = [central_diff(lambda y: matvec(lc.metric.matrix_at(y), fld.value(y)), X, lc_def.fd_step)
-         for lc in (lc_def, lc_ref)]
-    D = G[0] - G[1]                                     # D[n, l, k] = d_l (eta_def - eta_ref)_k
+    D = 0.0                                             # D[n, l, k] = d_l (eta_def - eta_ref)_k
+    for jet, sign in ((st.jet or lc_def.jet(fld, X), 1.0), (lc_ref.jet(fld, X), -1.0)):
+        D = D + sign * ((jet.dg @ jet.X[:, None, :, None])[..., 0]
+                        + np.swapaxes(jet.g @ np.swapaxes(jet.dX, -1, -2), -1, -2))
     E = sphere.orthonormal_tangent_frame(X)
     ext = np.swapaxes(E, -1, -2) @ (D - np.swapaxes(D, -1, -2)) @ E
     return np.maximum(res, _worst(ext))
 
 
-def check_transverse_derivative(lc: LeviCivita, fld: VectorField, j0: np.ndarray,
-                                st: StructureTensors) -> np.ndarray:
+def check_transverse_derivative(st: StructureTensors, j0: np.ndarray) -> np.ndarray:
     """Covariant derivative along the transverse distribution is the reference
     rotation: nabla_v (field) = J0 v for every v Euclidean-orthogonal to both
-    the position and the reference circle direction J0 x, read from N at
-    fd_step / 2 once ``richardson_guard`` passes it against ``st.nabla_endo``
-    (``st`` = ``lc.structure_at(fld, X)``).
+    the position and the reference circle direction J0 x, read from
+    ``st.nabla_endo`` (``st`` = ``lc.structure_at(fld, X)``).
     """
     X = st.x
-    half = LeviCivita(lc.metric, lc.fd_step / 2)
-    N_half = richardson_guard(st.nabla_endo, half.nabla_endo(fld, X), lc.fd_step)
     _, _, vt = np.linalg.svd(np.stack([X, matvec(j0, X)], axis=1))
     V = np.swapaxes(vt[:, 2:], -1, -2)
-    return _worst(N_half @ V - j0 @ V)
+    return _worst(st.nabla_endo @ V - j0 @ V)

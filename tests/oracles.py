@@ -14,9 +14,9 @@ import numpy as np
 
 def built(lc, fld, points):
     """The structure st = ``lc.structure_at(fld, points)`` and T =
-    ``lc.second_nabla_frame(fld, st.x, st.frame)``, as a battery builds them."""
+    ``lc.second_nabla_frame(fld, st.x, st.frame, st.jet)``, as a battery builds them."""
     st = lc.structure_at(fld, points)
-    return st, lc.second_nabla_frame(fld, st.x, st.frame)
+    return st, lc.second_nabla_frame(fld, st.x, st.frame, st.jet)
 
 
 def brute_force_decomposition(basis, xi, rel_gap: float = 1e-6):
@@ -455,9 +455,9 @@ def second_nabla_fd_per_point(lc, fld, x, frame):
     fd_step * SECOND_DERIV_STEP_SCALE at a time, the first, pure second and
     seven-point mixed second differences taken one axis pair at a time, the
     last as (f(x + h(e_i + e_j)) + f(x - h(e_i + e_j)) - f(x +- h e_i) -
-    f(x +- h e_j) + 2 f(x)) / 2h^2, the Christoffel symbols, their
-    derivatives, H = dX^T + Gamma X and its derivatives formed one index at a
-    time from M~^-1, and the Gauss formula
+    f(x +- h e_j) + 2 f(x)) / 2h^2, the Christoffel symbols, H = dX^T +
+    Gamma X and its derivatives formed one index at a time from M~^-1, and
+    the Gauss formula
 
       T(u, v) = P[(D_u H) v] - (w(u)^T M~ v) P H x - (x^T H v) P w(u),
       w(u) = u + Gamma(u, x),
@@ -490,12 +490,15 @@ def second_nabla_fd_per_point(lc, fld, x, frame):
     dg, dX, ddg, ddX = D1[..., :d], D1[..., d], D2[..., :d], D2[..., d]
     ginv = np.linalg.inv(g)
     Gamma = np.einsum("ka,aij->kij", ginv, _lower(dg))
-    # g d_p Gamma = d_p lower - (d_p g) Gamma
-    dGamma = np.stack([np.einsum("ka,aij->kij", ginv,
-                                 _lower(ddg[p]) - np.einsum("ka,aij->kij", dg[p], Gamma))
-                       for p in range(d)])
     H = dX.T + Gamma @ X                                                    # H[k, j]
-    dH = np.stack([ddX[i].T + dGamma[i] @ X + Gamma @ dX[i] for i in range(d)])  # dH[i, k, j]
+    # d_i (Gamma X)^k_j with X held = M~^-1 (d_i LX - (d_i g) Gamma X), LX[m, j] = lower_{m, jl}
+    # X^l, whose derivative (Q[i, j, m] - Q[i, m, j] + R[i, j, m]) / 2 reads the second
+    # differences only against X: Q[i, j, m] = d_i d_j (M~ X)_m, R[i, j, m] = d_i (D_X M~)_jm
+    dH = []
+    for i in range(d):
+        Q, R = ddg[i] @ X, np.einsum("l,lab->ab", X, ddg[i])
+        dH.append(ddX[i].T + ginv @ (0.5 * (Q.T - Q + R) - dg[i] @ (Gamma @ X)) + Gamma @ dX[i])
+    dH = np.stack(dH)                                                       # dH[i, k, j]
     DH = _torsion_free_hessian(Gamma, H, dH)
     P = np.eye(d) - np.outer(x, x)
     k = frame.shape[1]
@@ -571,16 +574,18 @@ def second_nabla_nested_and_bound(lc, fld, X, F):
     return B, 2.0 * (4.0 / 3.0) * (worst(A - A_half) + worst(B - B_half))
 
 
-def contact_form_residual_per_point(lc_def, lc_ref, fld, point):
+def contact_form_residual_per_point(lc_def, lc_ref, fld, point, h=None):
     """Reference for the contact-form comparison at one point: the larger of
     the one-form defect and the defect of its exterior derivative on the
     reference Euclidean tangent frame, each side's ambient one-form M(y) X(y)
-    differenced one ambient axis at a time with step lc_def.fd_step."""
+    differenced one ambient axis at a time with step h (lc_def.fd_step when
+    not given)."""
     x = point.coords
     E = orthonormal_tangent_frame_mgs(x)
+    h = lc_def.fd_step if h is None else h
 
     def exterior(lc):
-        G = _axis_diff(lambda y: lc.metric.matrix_at(y) @ fld.value(y), x, lc_def.fd_step)
+        G = _axis_diff(lambda y: lc.metric.matrix_at(y) @ fld.value(y), x, h)
         return E.T @ (G - G.T) @ E
 
     xi = fld.value(x)
@@ -652,3 +657,148 @@ def sample_sphere_loop(n, count, seed, pole_margin=1e-3):
             if len(kept) == count:
                 break
     return np.array(kept)
+
+
+# -- the non-round metrics at 50 digits, restated from their docstrings ------------
+
+def rational_unit_point(u):
+    """The unit point (2u, |u|^2 - 1) / (|u|^2 + 1) of R^(m+1), exact in
+    Fractions: the inverse stereographic image of the rational u (m,)."""
+    from fractions import Fraction
+
+    u = [Fraction(a) for a in u]
+    s = sum(a * a for a in u)
+    return [2 * a / (s + 1) for a in u] + [(s - 1) / (s + 1)]
+
+
+def _mp_vector(values):
+    import mpmath
+
+    return np.array([mpmath.mpf(v.numerator) / v.denominator if hasattr(v, "numerator")
+                     else mpmath.mpf(v) for v in values], dtype=object)
+
+
+def _complex_structure(y):
+    """J0 y: a quarter turn in each coordinate pair (y_2k, y_2k+1)."""
+    out = np.empty_like(y)
+    out[0::2], out[1::2] = -y[1::2], y[0::2]
+    return out
+
+
+def gf_metric_mp(c):
+    """``build_deformed``'s metric, from its docstring, on object arrays of
+    mpf: in V2, the last four coordinates read as a quaternion q = (1, i, j,
+    k) components, the direction field X is q j less its component along
+    i q; F = c chi(t), t = (|X|^2 - 0.05) / (0.5 - 0.05), with the smooth
+    step chi(t) = e^(-1/t) / (e^(-1/t) + e^(-1/(1-t))) on (0, 1); and g is the
+    round metric but on the plane (X, J0 X), where |X|_g^2 = e^(-2F) |X|^2
+    and |J0 X|_g^2 = e^(2F) |J0 X|^2."""
+    import mpmath
+
+    def metric(y):
+        d = len(y)
+        a, b, cc, dd = y[-4:]
+        qj = np.array([-cc, -dd, a, b], dtype=object)       # q j
+        iq = np.array([-b, a, -dd, cc], dtype=object)       # i q
+        X = np.zeros(d, dtype=object) * mpmath.mpf(0)
+        X[-4:] = qj - (qj @ iq) / (iq @ iq) * iq
+        s = X @ X
+        t = (s - mpmath.mpf(1) / 20) / (mpmath.mpf(1) / 2 - mpmath.mpf(1) / 20)
+        chi = (mpmath.mpf(0) if t <= 0 else mpmath.mpf(1) if t >= 1 else
+               mpmath.exp(-1 / t) / (mpmath.exp(-1 / t) + mpmath.exp(-1 / (1 - t))))
+        F = c * chi
+        Xh, Yh = X / mpmath.sqrt(s), _complex_structure(X) / mpmath.sqrt(s)
+        eye = np.diag([mpmath.mpf(1)] * d)
+        return (eye + (mpmath.exp(-2 * F) - 1) * np.outer(Xh, Xh)
+                + (mpmath.exp(2 * F) - 1) * np.outer(Yh, Yh))
+
+    return metric
+
+
+def irregular_metric_mp(a):
+    """``build_irregular``'s metric, from its docstring, on object arrays of
+    mpf: xi = (J0 + a J1) y with J1 the quarter turn of the first pair alone,
+    alpha = 1 / (1 + a |y_1|^2), the contact form eta = alpha <J0 y, .> (so
+    eta(xi) = 1), and g(u, v) = alpha <u - eta(u) xi, v - eta(v) xi> + eta(u)
+    eta(v): unit along xi, alpha times the round metric on ker eta."""
+    import mpmath
+
+    def metric(y):
+        t0 = _complex_structure(y)
+        xi = t0.copy()
+        xi[0], xi[1] = xi[0] - a * y[1], xi[1] + a * y[0]
+        alpha = 1 / (1 + a * (y[0] ** 2 + y[1] ** 2))
+        eta = alpha * t0
+        L = np.diag([mpmath.mpf(1)] * len(y)) - np.outer(xi, eta)  # u -> u - eta(u) xi
+        return alpha * (L.T @ L) + np.outer(eta, eta)
+
+    return metric
+
+
+def second_order_oracle(metric, A, x, frame, dps=50, h="1e-15"):
+    """M~, dM~ [l, i, j], nabla xi = N and T[:, i, j] = (nabla^2 xi)(f_i, f_j)
+    of the field y -> A y at the exact unit point x (a list of Fractions) on
+    the frame (d, k), as floats, from the metric at ``dps`` digits (mpmath,
+    Johansson 2013): M~(y) = P M(y^) P + y^ y^T, y^ = y / |y|, P = Id - y^ y^T,
+    as the metrics module states it, differenced at step h, 1e-15 (the
+    truncation h^2 and the rounding 10^-dps / h^2 far below 1e-12), the
+    mixed second differences by the seven-point rule.  Then Koszul's
+    Christoffel symbols Gamma~ and their derivatives, H~ = A + Gamma~ X, N =
+    P H~ P, and along S, where nabla_u V = P (d_u V + Gamma~(u, V)) and V = P v
+    extends v,
+
+      T(u, v) = P (d_u N) v + P Gamma~(u, N v) - N Gamma~(u, v),
+
+    d_u N = d_u P H~ P + P d_u H~ P + P H~ d_u P and d_u P = -(u x^T + x u^T).
+    No library code enters."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        x = _mp_vector(x)
+        d, h = len(x), mpmath.mpf(h)
+        eye = np.diag([mpmath.mpf(1)] * d)
+
+        def ext(y):  # P M P + y^ y^T = M - y^ (M y^)^T - (M y^) y^T + (y^.M y^ + 1) y^ y^T
+            yh = y / mpmath.sqrt(y @ y)
+            M = metric(yh)
+            My = M @ yh
+            return (M - np.outer(yh, My) - np.outer(My, yh)
+                    + (yh @ My + 1) * np.outer(yh, yh))
+
+        E = eye * h
+        g0 = ext(x)
+        plus, minus = [ext(x + e) for e in E], [ext(x - e) for e in E]
+        dg = np.array([(p - m) / (2 * h) for p, m in zip(plus, minus)])
+        d2 = np.empty((d, d, d, d), dtype=object)
+        for i in range(d):
+            d2[i, i] = (plus[i] - 2 * g0 + minus[i]) / h ** 2
+            for j in range(i + 1, d):
+                d2[i, j] = d2[j, i] = (ext(x + E[i] + E[j]) + ext(x - E[i] - E[j]) - plus[i]
+                                       - minus[i] - plus[j] - minus[j] + 2 * g0) / (2 * h ** 2)
+        ginv = np.array(mpmath.inverse(mpmath.matrix(g0.tolist())).tolist(), dtype=object)
+        # first kind Gamma_{k, ij} = (d_i g_jk + d_j g_ik - d_k g_ij) / 2 and its derivatives,
+        # which d_p H~ reads against X alone: (d_p Gamma~) X = g^-1 (d_p lower X - d_p g Gamma~ X)
+        lower = (np.transpose(dg, (2, 0, 1)) + np.transpose(dg, (2, 1, 0)) - dg) / 2
+        A = np.array([[mpmath.mpf(float(v)) for v in row] for row in A], dtype=object)
+        X = A @ x
+        dlower_X = (np.transpose(d2, (0, 3, 1, 2)) + np.transpose(d2, (0, 3, 2, 1)) - d2) @ X / 2
+        Gamma = np.tensordot(ginv, lower, axes=1)
+        GX = Gamma @ X                                               # (Gamma~ X)[k, j]
+        H = A + GX                                                   # H[k, j]
+        dH = np.array([ginv @ (dlower_X[p] - dg[p] @ GX) + Gamma @ A[:, p]
+                       for p in range(d)])                           # d_p H~
+        P = eye - np.outer(x, x)
+        N = P @ H @ P
+
+        F = np.array([[mpmath.mpf(float(v)) for v in row] for row in frame], dtype=object)
+        k = F.shape[1]
+        T = np.empty((d, k, k), dtype=object)
+        for i in range(k):
+            u = F[:, i]
+            Gu = np.tensordot(Gamma, u, axes=([1], [0]))            # Gamma~(u, .)
+            dP = -(np.outer(u, x) + np.outer(x, u))
+            dN = dP @ H @ P + P @ np.tensordot(u, dH, axes=1) @ P + P @ H @ dP
+            for j in range(k):
+                v = F[:, j]
+                T[:, i, j] = P @ (dN @ v) + P @ (Gu @ (N @ v)) - N @ (Gu @ v)
+        return tuple(np.vectorize(float)(a).astype(float) for a in (g0, dg, N, T))

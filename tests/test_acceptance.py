@@ -204,7 +204,7 @@ def test_07_irregular_structure():
     pts = _pts(st.n)
     s, T = built(lc, st.field, pts)
     sa = check_sasakian(s, T)
-    td = check_transverse_derivative(lc, st.field, st.j0, s)
+    td = check_transverse_derivative(s, st.j0)
     cls = classify(st.profile())
     cen = centralizer_check(st.isometry_algebra(), [st.j0, st.j1])
     inv_ok = True

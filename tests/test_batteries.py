@@ -131,19 +131,17 @@ FIXED = {"round": ["decomposition"],
 @pytest.mark.parametrize("example", list(ROWS))
 def test_every_build_and_check_is_a_clock_row_of_its_own(example):
     """The clock holds a row for each fixed stage, each per-chunk stage and
-    each check, and the step canary's on the batteries that take finite
-    differences: nothing a row reads is built in the time of another."""
+    each check, and nothing else: nothing a row reads is built in the time of
+    another."""
     battery = cli._BATTERIES[example]
     assert [stage.name for stage in battery.fixed] == FIXED[example]
     rep = battery(cli.RunConfig(example=example, samples=cli.GF_MIN_SAMPLES, **PARAMS[example]))
-    canary = {"covariant_canary"} if example in ("gF", "irregular") else set()
     chunked = {step.name for step in battery.steps if isinstance(step, cli.Stage)}
-    assert set(rep.clock) == (canary | set(FIXED[example]) | chunked
-                              | {row.name for row in battery.rows})
+    assert set(rep.clock) == set(FIXED[example]) | chunked | {row.name for row in battery.rows}
 
 
 def test_only_the_driver_times_a_stage():
-    """Every ``rep.stage`` call in cli is the step canary's or a Stage's own."""
+    """Every ``rep.stage`` call in cli is a Stage's own."""
     tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
 
     def stage_calls(node):
@@ -152,10 +150,10 @@ def test_only_the_driver_times_a_stage():
 
     stage_class = next(node for node in tree.body
                        if isinstance(node, ast.ClassDef) and node.name == "Stage")
-    driver = [fn for fn in [*tree.body, *stage_class.body] if isinstance(fn, ast.FunctionDef)
-              and fn.name in ("_step_canary", "__call__")]
-    assert len(driver) == 2
-    assert len(stage_calls(tree)) == sum(len(stage_calls(fn)) for fn in driver) == 2
+    driver = [fn for fn in stage_class.body if isinstance(fn, ast.FunctionDef)
+              and fn.name == "__call__"]
+    assert len(driver) == 1
+    assert len(stage_calls(tree)) == len(stage_calls(driver[0])) == 1
 
 
 # -- a verdict does not depend on where the chunks split ------------------------------
@@ -223,12 +221,12 @@ def test_hopf_lift_projects_its_path_targets_once(monkeypatch):
 
 
 def _family_field_by_field(lc, gens, x):
-    """The structure of a generator stack on a metric that takes finite
-    differences, which refuses a stack: each field's own, stacked."""
+    """The structure of a generator stack on a metric that takes one field at
+    a time, which refuses a stack: each field's own, stacked, without the jets."""
     sts = [lc.structure_at(linear_field(A), x) for A in gens]
     return StructureTensors(**{k: v if k in ("x", "metric_matrix", "frame") else
                                np.stack([vars(st)[k] for st in sts])
-                               for k, v in vars(sts[0]).items()})
+                               for k, v in vars(sts[0]).items() if k != "jet"})
 
 
 def test_pair_completion_takes_its_sign_from_the_whole_sample(monkeypatch):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -45,3 +46,29 @@ def test_one_import_order_prints_the_ratio_of_every_pair():
     ratios = json.loads(_script("--repeats", "2", "--first", "parent"))
     assert list(ratios) == LABELS
     assert all(len(r) == 2 and all(0.25 < x < 4 for x in r) for r in ratios.values()), ratios
+
+
+def test_against_a_parent_with_a_step_canary_and_an_fd_step(tmp_path):
+    """A parent whose RunConfig still has ``fd_step`` and whose batteries
+    time a ``covariant_canary`` row is paired battery by battery: the pairs
+    read whole batteries at the settings both share."""
+    parent = tmp_path / "parent"
+    shutil.copytree(ROOT / "src", parent / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    cli = parent / "src" / "killinglab" / "cli.py"
+    text = cli.read_text(encoding="utf-8")
+    for old, new in (
+            ("    no_timestamp: bool = field(",
+             '    fd_step: float = field(default=1e-4, metadata={"help": "step", **_FLOAT})\n'
+             "    no_timestamp: bool = field("),
+            ("        for stage in self.fixed:\n",
+             '        with c.rep.stage("covariant_canary"):\n            pass\n'
+             "        for stage in self.fixed:\n")):
+        assert text.count(old) == 1, old
+        text = text.replace(old, new)
+    cli.write_text(text, encoding="utf-8")
+    proc = subprocess.run([sys.executable, str(SCRIPT), "--against", str(parent), "--samples",
+                           "7", "--repeats", "1", "--first", "parent"],
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    ratios = json.loads(proc.stdout)
+    assert list(ratios) == LABELS and all(len(r) == 1 for r in ratios.values())

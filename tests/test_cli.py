@@ -136,10 +136,10 @@ def test_n_bound_applies_where_an_example_reads_n(tmp_path):
         return cli.build_config(parser.parse_args(list(argv)))
 
     assert config("decompose", "--example", "round", "--n", "40").n == 40
-    # verify's work bound is the tighter one: irregular at 200 samples reaches n = 14
-    assert config("verify", "--example", "irregular", "--n", "14").n == 14
-    with pytest.raises(ValueError, match="--n 15 --samples 200 is out of reach"):
-        config("verify", "--example", "irregular", "--n", "15")
+    # verify's work bound is the tighter one: irregular at 200 samples reaches n = 46
+    assert config("verify", "--example", "irregular", "--n", "46").n == 46
+    with pytest.raises(ValueError, match="--n 47 --samples 200 is out of reach"):
+        config("verify", "--example", "irregular", "--n", "47")
     for argv in (["decompose", "--example", "gF"], ["verify", "--example", "round"]):
         with pytest.raises(ValueError, match=f"--n {cli.MAX_N + 1} is out of reach"):
             config(*argv, "--n", str(cli.MAX_N + 1))
@@ -306,59 +306,10 @@ def test_hopf_lift_path_check_with_no_target_is_refused(capsys, samples, seed):
 
 
 def test_exit_codes_numerical_failures():
-    code, _, err = run_cli("verify", "--example", "round", "--n", "1",
-                           "--fd-step", "1e30", *FAST)
-    assert code == 3
-    assert "numerical quality failure" in err
-    code, _, err = run_cli("verify", "--example", "irregular", "--n", "1",
-                           "--fd-step", "1e-13", *FAST)
-    assert code == 3
-    assert "at fd_step=1.000e-13" in err
-    # the round battery takes no finite difference, so no step can spoil it
-    code, _, err = run_cli("verify", "--example", "round", "--n", "1",
-                           "--fd-step", "1e-13", *FAST)
-    assert code == 0, err
     code, _, err = run_cli("verify", "--example", "gF", "--n", "3",
                            "--c", "25", *FAST)
     assert code == 3
-
-
-FD_STEPS = ("1e-13", "5e-7", "1e-6", "2e-4", "5e-3")
-
-
-@pytest.mark.parametrize("argv, codes, drifts", [
-    (["verify", "--example", "gF"], (3, 3, 0, 0, 1), ("1.033e+00", "3.572e-03")),
-    (["verify", "--example", "irregular"], (3, 3, 3, 0, 1),
-     ("1.775e-03", "3.319e-03", "1.480e-03")),
-    (["decompose", "--example", "gF"], (3, 3, 0, 0, 0), ("1.033e+00", "3.572e-03")),
-], ids=["verify-gF", "verify-irregular", "decompose-gF"])
-def test_fd_step_exit_codes_and_canary_drifts_at_200_samples(capsys, argv, codes, drifts):
-    """The exit code at each step and the drift the step canary names where it
-    exits 3, at the default 200 samples and seed 42.  Exit 1 at 5e-3 is the
-    known defect of a coarse step blamed on the geometry."""
-    for step, code in zip(FD_STEPS, codes):
-        assert main([*argv, "--fd-step", step, "--samples", "200", "--seed", "42",
-                     "--no-timestamp"]) == code, step
-    err = capsys.readouterr().err
-    assert err.count("numerical quality failure") == len(drifts)
-    for step, drift in zip(FD_STEPS, drifts):
-        assert f"rel drift {drift} at fd_step={float(step):.3e}" in err
-
-
-@pytest.mark.parametrize("flags", [["--example", "round", "--n", "2"],
-                                   ["--example", "quaternionic", "--m", "1"],
-                                   ["--example", "hopf-lift"]], ids=lambda f: f[1])
-def test_exact_batteries_read_no_fd_step(capsys, flags):
-    """Every residual of an exact battery is a closed form, so neither a step
-    lost to cancellation (1e-13) nor the largest one accepted (0.02) moves a
-    check or an extra."""
-    docs = []
-    for step in ("1e-4", "1e-13", "0.02"):
-        assert main(["verify", *flags, "--fd-step", step, "--samples", "25",
-                     "--format", "json", "--no-timestamp"]) == 0, step
-        doc = json.loads(capsys.readouterr().out)
-        docs.append((doc["checks"], doc["extras"]))
-    assert docs[1] == docs[0] and docs[2] == docs[0]
+    assert "numerical quality failure" in err
 
 
 @pytest.mark.parametrize("flags", [["--example", "round", "--n", "2"],
@@ -376,21 +327,11 @@ def test_exact_batteries_take_no_cholesky_or_solve(monkeypatch, capsys, flags):
     capsys.readouterr()
 
 
-def test_decompose_on_an_fd_metric_guards_its_step(capsys):
-    """gF's eigenfield identities read a finite-difference structure: a step
-    lost to cancellation is a numerical failure naming the step."""
-    assert main(["decompose", "--example", "gF", "--fd-step", "1e-13", "--samples", "25"]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("numerical quality failure: ")
-    assert "at fd_step=1.000e-13" in err
-
-
-@pytest.mark.parametrize("example, canary, structures", [
-    ("round", 0, 1), ("gF", 1, 1), ("irregular", 0, 0)])
+@pytest.mark.parametrize("example, structures", [("round", 1), ("gF", 1), ("irregular", 0)])
 def test_decompose_builds_the_structure_only_for_a_nonzero_rate(monkeypatch, capsys,
-                                                                 example, canary, structures):
-    """The structure feeds the eigenfield checks alone, and the canary guards
-    it only where it takes finite differences."""
+                                                                 example, structures):
+    """The structure feeds the eigenfield checks alone, and no step canary
+    runs: gF's structure takes the jet, with no step to guard."""
     calls = {"canary": 0, "structure_at": 0}
 
     def counted(name, fn):
@@ -404,15 +345,15 @@ def test_decompose_builds_the_structure_only_for_a_nonzero_rate(monkeypatch, cap
     monkeypatch.setattr(cli.LeviCivita, "structure_at",
                         counted("structure_at", cli.LeviCivita.structure_at))
     assert main(["decompose", "--example", example, "--samples", "10"]) == 0
-    assert calls == {"canary": canary, "structure_at": structures}
+    assert calls == {"canary": 0, "structure_at": structures}
 
 
-@pytest.mark.parametrize("example, canary", [
-    ("round", False), ("quaternionic", False), ("hopf-lift", False),
-    ("gF", True), ("irregular", True)])
-def test_the_step_canary_is_a_clock_row_of_the_fd_batteries(example, canary):
+@pytest.mark.parametrize("example", ["round", "quaternionic", "hopf-lift", "gF", "irregular"])
+def test_no_battery_runs_a_step_canary(example):
+    """Every battery reads closed forms, exact flows or jets: none takes a
+    step, so none has a step canary's clock row."""
     rep = cli._BATTERIES[example](cli.RunConfig(example=example, n=3, samples=10))
-    assert ("covariant_canary" in rep.clock) is canary
+    assert "covariant_canary" not in rep.clock
     assert rep.all_as_expected
 
 
@@ -434,7 +375,7 @@ def test_timestamp_present_by_default():
 def test_config_file_and_flag_precedence(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# comment line\nexample = round\nn = 2\nsamples = 25\n"
-                   "fd-step = 2e-4\n")
+                   "c = 0.25\n")
     code, out, err = run_cli("verify", "--config", str(cfg), "--samples", "35",
                              "--format", "json", "--no-timestamp")
     assert code == 0, err
@@ -442,7 +383,7 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert doc["config"]["example"] == "round"
     assert doc["config"]["n"] == 2
     assert doc["config"]["samples"] == 35       # flag beats file
-    assert doc["config"]["fd_step"] == 2e-4     # file beats default
+    assert doc["config"]["c"] == 0.25           # file beats default
 
 
 def test_config_file_unknown_key(tmp_path):
@@ -479,7 +420,7 @@ def test_config_file_boolean_words(tmp_path, capsys, word, stamped):
     ("no_timestamp = maybe", "config key 'no_timestamp' = 'maybe' is not a boolean"),
     ("samples = abc", "config key 'samples' = 'abc' is not an integer"),
     ("seed = 1.5", "config key 'seed' = '1.5' is not an integer"),
-    ("fd_step = x", "config key 'fd_step' = 'x' is not a number"),
+    ("c = x", "config key 'c' = 'x' is not a number"),
 ], ids=["bool", "int", "int-given-float", "float"])
 def test_config_file_value_of_the_wrong_type(tmp_path, capsys, line, message):
     cfg = tmp_path / "bad.cfg"
@@ -489,18 +430,19 @@ def test_config_file_value_of_the_wrong_type(tmp_path, capsys, line, message):
 
 
 @pytest.mark.parametrize("example", ["round", "gF", "irregular"])
-def test_fd_step_nan_flag_is_refused_by_name(capsys, example):
-    assert main(["verify", "--example", example, "--fd-step", "nan", "--samples", "5"]) == 2
-    err = capsys.readouterr().err
-    assert "usage error: fd_step must be a positive number, got nan" in err
-    assert "infs or NaNs" not in err
+def test_fd_step_flag_is_refused_by_name(capsys, example):
+    """No command reads a finite-difference step: the flag is gone."""
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--example", example, "--fd-step", "nan", "--samples", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --fd-step nan" in capsys.readouterr().err
 
 
-def test_fd_step_nan_config_value_is_refused_by_name(tmp_path, capsys):
+def test_fd_step_config_key_is_refused_by_name(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("example = gF\nfd_step = nan\n")
     assert main(["verify", "--config", str(cfg), "--samples", "5"]) == 2
-    assert "usage error: fd_step must be a positive number, got nan" in capsys.readouterr().err
+    assert "usage error: unknown config keys: ['fd_step']" in capsys.readouterr().err
 
 
 BAD_VALUES = [
@@ -594,8 +536,7 @@ def test_every_battery_keeps_its_check_order(capsys):
 @pytest.mark.parametrize("flags, message", [
     (["--example", "gF", "--c", "-inf"], "c must be a finite number, got -inf"),
     (["--example", "gF", "--c", "-nan"], "c must be a finite number, got nan"),
-    (["--example", "gF", "--fd-step", "-1e-4"], "fd_step must be a positive number, got -0.0001"),
-], ids=["c-minus-inf", "c-minus-nan", "fd-step-negative"])
+], ids=["c-minus-inf", "c-minus-nan"])
 def test_negative_flag_value_reaches_the_refusal_by_name(capsys, flags, message):
     assert main(["verify", "--samples", "5", *flags]) == 2
     err = capsys.readouterr().err

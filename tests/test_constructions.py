@@ -46,7 +46,7 @@ from killinglab.constructions import (
     unitary_block_basis,
 )
 from killinglab.flows import parse_rate
-from killinglab.metrics import NumericalQualityError, linear_field, richardson_guard
+from killinglab.metrics import MetricField, linear_field
 from killinglab.verify import (
     check_contact_form_preserved,
     check_flip_quaternionic,
@@ -488,46 +488,36 @@ def test_irregular_field_identities(irregular):
 def test_irregular_transverse_derivative(irregular):
     lc = LeviCivita(irregular.metric)
     pts = sample_sphere(irregular.n, 20, seed=42).points
-    r = check_transverse_derivative(lc, irregular.field, irregular.j0,
-                                    lc.structure_at(irregular.field, pts))
-    assert r.max() <= 1e-5
+    r = check_transverse_derivative(lc.structure_at(irregular.field, pts), irregular.j0)
+    assert r.max() <= 1e-12
 
 
-def test_transverse_derivative_differences_only_the_half_step(irregular, monkeypatch):
+def test_transverse_derivative_reads_the_structure_and_takes_no_step(irregular, monkeypatch):
+    """The check reads N from the structure: no derivative of its own, and no
+    metric evaluation."""
     lc = LeviCivita(irregular.metric)
     X = sample_sphere(irregular.n, 20, seed=42).coords
     st = lc.structure_at(irregular.field, X)
-    steps = []
-    endo = LeviCivita._endo
-
-    def recorded(self, fld, x, h):
-        steps.append(h)
-        return endo(self, fld, x, h)
-
-    monkeypatch.setattr(LeviCivita, "_endo", recorded)
-    r = check_transverse_derivative(lc, irregular.field, irregular.j0, st)
-    assert set(steps) == {lc.fd_step / 2}
-    # the residual reads the half-step N that richardson_guard passes
+    calls = []
+    for name in ("_endo", "jet", "metric_and_field"):
+        monkeypatch.setattr(LeviCivita, name, lambda *args, _name=name: calls.append(_name))
+    monkeypatch.setattr(MetricField, "matrix_at", lambda *args: calls.append("matrix"))
+    r = check_transverse_derivative(st, irregular.j0)
+    assert calls == []
     _, _, vt = np.linalg.svd(np.stack([X, X @ irregular.j0.T], axis=1))
     V = np.swapaxes(vt[:, 2:], -1, -2)
-    half = LeviCivita(irregular.metric, lc.fd_step / 2)
-    N = richardson_guard(lc.nabla_endo(irregular.field, X), half.nabla_endo(irregular.field, X),
-                         lc.fd_step)
-    D = N @ V - irregular.j0 @ V
+    D = st.nabla_endo @ V - irregular.j0 @ V
     assert np.array_equal(r, np.abs(D).reshape(len(X), -1).max(axis=1))
 
 
-def test_transverse_derivative_keeps_the_step_halving_guard(irregular):
-    lc = LeviCivita(irregular.metric, fd_step=1e-13)
+def test_transverse_derivative_does_not_read_the_step(irregular):
+    """A step whose differences round away (the step-halving guard refuses it,
+    ``test_richardson_guard_rejects_tiny_step``) leaves the linear field's
+    jet, and the check, as they are."""
     X = sample_sphere(irregular.n, 5, seed=42).coords
-    message = "unstable under step halving: rel drift .* at fd_step=1.000e-13"
-    half = LeviCivita(irregular.metric, lc.fd_step / 2)
-    with pytest.raises(NumericalQualityError, match=message):
-        richardson_guard(lc.nabla_endo(irregular.field, X), half.nabla_endo(irregular.field, X),
-                         lc.fd_step)
-    st = lc.structure_at(irregular.field, X)
-    with pytest.raises(NumericalQualityError, match=message):
-        check_transverse_derivative(lc, irregular.field, irregular.j0, st)
+    r = [check_transverse_derivative(LeviCivita(irregular.metric, fd_step=h).structure_at(
+        irregular.field, X), irregular.j0) for h in (1e-4, 1e-13)]
+    assert np.array_equal(r[0], r[1]) and r[0].max() <= 1e-12
 
 
 def test_irregular_flow_is_dense_in_two_torus(irregular):

@@ -7,12 +7,10 @@ import pytest
 
 from killinglab import (
     LeviCivita,
-    VerificationReport,
     build_deformed,
     build_irregular,
     build_round,
     check_killing,
-    cli,
     MetricDegeneracyError,
     NumericalQualityError,
     linear_field,
@@ -68,8 +66,6 @@ ENTRY_POINTS = {
     "structure_at": lambda lc, fld, X: lc.structure_at(fld, X),
     "lie_metric_frame": lambda lc, fld, X: lc.lie_metric_frame(fld, X),
     "check 'killing'": lambda lc, fld, X: check_killing(lc, fld, X),
-    "the step canary": lambda lc, fld, X: cli._step_canary(
-        lc, fld, X[0], VerificationReport(title="canary")),
 }
 
 
@@ -78,15 +74,16 @@ def test_every_entry_point_takes_the_path_of_the_metric_and_the_field(example, m
     """A general field always takes the stencil (``metric_and_field``); a
     linear field or a generator stack never does on the round metric; on any
     other the Lie derivative of either takes the exact flow
-    (``flow_lie_frame``), the rest differences a linear field and refuse a
-    stack by name."""
+    (``flow_lie_frame``), the rest take the jet of a linear field
+    (``LeviCivita.jet``, no stencil) and refuse a stack by name."""
     s = {"round": lambda: build_round(2), "gF": lambda: build_deformed(n=3, c=0.3),
          "irregular": lambda: build_irregular(n=2)}[example]()
     lc, X = LeviCivita(s.metric), sample_sphere(s.dim // 2 - 1, 5, seed=3).coords
     taken = []
-    for name in ("metric_and_field", "flow_lie_frame"):
-        def recorded(self, *args, _name=name, _method=getattr(LeviCivita, name), **kwargs):
-            taken.append("stencil" if _name == "metric_and_field" else "flow")
+    for name, path in (("metric_and_field", "stencil"), ("flow_lie_frame", "flow"),
+                       ("jet", "jet")):
+        def recorded(self, *args, _path=path, _method=getattr(LeviCivita, name), **kwargs):
+            taken.append(_path)
             return _method(self, *args, **kwargs)
         monkeypatch.setattr(LeviCivita, name, recorded)
     fields = {"linear": s.field, "general": general_field(s.field.func),
@@ -101,7 +98,7 @@ def test_every_entry_point_takes_the_path_of_the_metric_and_the_field(example, m
             elif entry in ("lie_metric_frame", "check 'killing'"):
                 expected = {"flow"}
             elif kind == "linear":
-                expected = {"stencil"}
+                expected = {"jet"}
             else:
                 with pytest.raises(ValueError, match=f"^{entry} takes a stack of generators "
                                                      f"only on the round metric"):
@@ -110,6 +107,22 @@ def test_every_entry_point_takes_the_path_of_the_metric_and_the_field(example, m
                 continue
             call(lc, fld, X)
             assert set(taken) == expected, (kind, entry)
+
+
+@pytest.mark.parametrize("example", ["gF", "irregular"])
+def test_the_jet_reads_no_step(example):
+    """A step the stencil loses to rounding (the step-halving guard refuses
+    1e-13, ``test_richardson_guard_rejects_tiny_step``), or the largest one
+    accepted, leaves a linear field's structure and second derivative bit
+    for bit as they are."""
+    s = build_deformed(n=3, c=0.3) if example == "gF" else build_irregular(n=2)
+    X = sample_sphere(s.dim // 2 - 1, 6, seed=5).coords
+    built = []
+    for h in (1e-4, 1e-13, 1e-300, MAX_FD_STEP):
+        lc = LeviCivita(s.metric, fd_step=h)
+        st = lc.structure_at(s.field, X)
+        built.append((st.nabla_endo, lc.second_nabla_frame(s.field, X, st.frame, st.jet)))
+    assert all(np.array_equal(a, b) for other in built[1:] for a, b in zip(built[0], other))
 
 
 def test_general_field_is_called_once_on_a_stack():
