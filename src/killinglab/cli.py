@@ -7,7 +7,7 @@ config keys are read from, and each bound the CLI owns once, as a row of
 
 Exit codes: 0 all checks as expected, 1 some check not as expected, 2 usage
 error (unknown selector, malformed rate, bad parameters), 3 numerical-quality
-failure (untrustworthy finite differences, degenerate metric or clustering).
+failure (degenerate metric or clustering, or a sample a check cannot judge).
 
 Each check of a verify battery is declared once, as a ``Row`` of its
 battery's table: its name, its residual, its tolerance, and a fail floor for
@@ -139,11 +139,11 @@ class Stage(NamedTuple):
 class Battery(NamedTuple):
     """A verify battery, run by calling it on a RunConfig.  ``open`` returns
     the report's ``title`` and the structure the context holds: its
-    ``metric``, its ``field``, the sphere index ``n`` and what the rows read.  ``steps`` are its stages and its rows, each run on a
-    chunk in this order, the rows in report order; ``fixed`` are the stages
-    it builds once, when it opens: what its rows share over the whole
-    sample, and the refusals of a sample it cannot judge; ``extras`` are the
-    report's."""
+    ``metric``, its ``field``, the sphere index ``n`` and what the rows
+    read.  ``steps`` are its stages and its rows, each run on a chunk in
+    this order, the rows in report order; ``fixed`` are the stages it builds
+    once, when it opens: what its rows share over the whole sample, and the
+    refusals of a sample it cannot judge; ``extras`` are the report's."""
 
     open: Callable[[RunConfig], dict]
     steps: tuple[Stage | Row, ...]
@@ -633,7 +633,7 @@ DOMAINS = (
     Domain("--samples", f"point_bytes <= {MEMORY_BUDGET_GIB} GiB and samples * point_bytes <= "
            f"{WORK_BUDGET_GIB} GiB",
            "verify holds a chunk of points at a time, at least one; at the work bound round "
-           "--n 1 took 66 s (1.1 GB), round --n 2 30 s and gF 12 s",
+           "--n 2 took 30 s, gF 52 s and irregular 98 s (282 MB)",
            ("verify",), None, _work_refusal),
     Domain("--c", f"abs(c) >= {GF_MIN_C:g}",
            "from 5 to 200 samples wedge_second_derivative reads 2.0-4.0 abs(c) and cr_torsion "

@@ -528,21 +528,34 @@ def build_deformed(n: int = 3, c: float = 0.3) -> DeformedStructure:
         k1 = (2.0 * sign * F1 * e - k0) / s
         return k0, k1, ((4.0 * F1 * F1 + 2.0 * sign * F2) * e - 2.0 * k1) / s
 
+    S, L = RIGHT_J.T @ LEFT_I, LEFT_I.T  # S symmetric: R_J and L_I commute
+
+    def direction_jet(z: np.ndarray) -> Jet:
+        """X = R_J z - k L_I z, k = z.S z / z.z, and its derivatives in the four
+        coordinates z (N, 4) of V2: dk = 2 (S z - k z) / z.z, d^2 k = 2 (S - k Id -
+        dk z^T - z dk^T) / z.z, d_l X_a = R_J[a, l] - d_l k (L_I z)_a - k L_I[a, l],
+        d_p d_l X_a = -d_p d_l k (L_I z)_a - d_l k L_I[a, p] - d_p k L_I[a, l]."""
+        n2 = rowdot(z, z)
+        n2 = np.where(n2 >= 1e-14, n2, 1.0)[..., None]  # kappa = 0 there, as M = Id
+        Sz, xi2 = z @ S, z @ L
+        k = rowdot(z, Sz)[..., None] / n2
+        dk = 2.0 * (Sz - k * z) / n2
+        dzk = dk[..., :, None] * z[..., None, :]
+        ddk = 2.0 * (S - k[..., None] * np.eye(4) - dzk - np.swapaxes(dzk, -1, -2)) / n2[..., None]
+        dX = RIGHT_J.T - dk[..., :, None] * xi2[..., None, :] - k[..., None] * L
+        ddX = -(ddk[..., None] * xi2[..., None, None, :] + dk[..., None, :, None] * L[:, None, :]
+                + dk[..., :, None, None] * L)
+        return Jet(z @ RIGHT_J.T - k * xi2, dX, ddX)
+
     def rank_jet(x: np.ndarray) -> tuple[Jet, Jet, Jet]:
         """M~ = M = Id + kappa_1 X X^T + kappa_2 (J0 X)(J0 X)^T on the sphere (M x =
         x: the extension adds nothing), X the direction field and J0 X = L_I X,
         both in V2, functions of its four coordinates."""
-        z2 = Jet.point(x[..., -4:])
-        w, xi2 = z2.lin(RIGHT_J), z2.lin(LEFT_I)
-        n2 = (z2 * z2).sum()
-        n2v = np.where(n2.v >= 1e-14, n2.v, 1.0)  # kappa = 0 there, as M = Id
-        X = w - (w * xi2).sum() * n2.apply(1.0 / n2v, -1.0 / n2v ** 2, 2.0 / n2v ** 3) * xi2
+        X = direction_jet(x[..., -4:])
         s = (X * X).sum()
-        kappa = s.apply(*stretch(s.v))
         U = Jet.stack([X, X.lin(LEFT_I)])
         one = Jet(np.ones(s.v.shape), np.zeros(x.shape + (1,)), np.zeros(x.shape + (d, 1)))
-        a = Jet.stack([kappa.part(slice(0, 1)), kappa.part(slice(1, 2))]) * U
-        return one, a.embed(d), U.embed(d)
+        return one, (s.apply(*stretch(s.v)).terms() * U).embed(d), U.embed(d)
 
     def matrix_func(x: np.ndarray) -> np.ndarray:
         X = x_vec(x)
@@ -619,16 +632,24 @@ def build_irregular(n: int = 2, a: ExactScalar | None = None) -> IrregularStruct
     def rank_jet(x: np.ndarray) -> tuple[Jet, Jet, Jet]:
         """M~ = M + (1 - alpha) x x^T on the sphere (t0 . x = t . x = 0, so M x =
         alpha x) = alpha Id + beta t0 t0^T - alpha^2 (t t0^T + t0 t^T) + (1 - alpha)
-        x x^T, beta = alpha^2 + alpha^3 t_sq, as functions of z."""
+        x x^T, beta = alpha^2 + alpha^3 t_sq, as functions of z.  The scalars are
+        functions of s = |z_1|^2: with alpha' = -a alpha^2, (alpha^2)' = -2a alpha^3,
+        (alpha^2)'' = 6a^2 alpha^4, (alpha^3)' = -3a alpha^4, (alpha^3)'' = 12a^2 alpha^5
+        and t_sq' = 2a + a^2."""
         y = Jet.point(x)
         y1 = y.part(slice(0, 2))
         s = (y1 * y1).sum()
         al = 1.0 / (1.0 + a_val * s.v)
-        alpha = s.apply(al, -a_val * al * al, 2.0 * a_val * a_val * al ** 3)
-        a2 = alpha * alpha
+        a2, a3, a4, tsq, b = al * al, al ** 3, al ** 4, 1.0 + coef * s.v, a_val * a_val
+        scalars = s.apply(  # alpha, beta, -alpha^2, 1 - alpha
+            np.concatenate([al, a2 + a3 * tsq, -a2, 1.0 - al], axis=-1),
+            np.concatenate([-a_val * a2, -2.0 * a_val * a3 - 3.0 * a_val * a4 * tsq + coef * a3,
+                            2.0 * a_val * a3, a_val * a2], axis=-1),
+            np.concatenate([2.0 * b * a3, 6.0 * b * a4 + 12.0 * b * a4 * al * tsq
+                            - 6.0 * a_val * coef * a4, -6.0 * b * a4, -2.0 * b * a3], axis=-1))
         t0, t = y.lin(j0), y.lin(gen)
-        terms = Jet.stack([a2 + a2 * alpha * (1.0 + coef * s), -a2, -a2, 1.0 - alpha])
-        return alpha, terms * Jet.stack([t0, t, t0, y]), Jet.stack([t0, t0, t, y])
+        terms = scalars.part([1, 2, 2, 3]).terms() * Jet.stack([t0, t, t0, y])
+        return scalars.part(slice(0, 1)), terms, Jet.stack([t0, t0, t, y])
 
     def matrix_func(x: np.ndarray) -> np.ndarray:
         x1sq = (x[..., 0] * x[..., 0] + x[..., 1] * x[..., 1])[..., None, None]

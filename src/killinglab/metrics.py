@@ -226,6 +226,11 @@ class Jet(NamedTuple):
         """The components ``sl``."""
         return Jet(*(part[..., sl] for part in self))
 
+    def terms(self) -> Jet:
+        """The components as a stack of scalars (``stack``)."""
+        return Jet(self.v[..., None], np.moveaxis(self.d, -1, -2)[..., None],
+                   np.moveaxis(self.dd, -1, -3)[..., None])
+
     def lin(self, L: np.ndarray) -> Jet:
         """The components mapped by the matrix L (c', c)."""
         return Jet(*(part @ L.T for part in self))
@@ -656,8 +661,9 @@ class LeviCivita:
         X0 = x @ A.T
         dX = np.broadcast_to(A.T, (n, d, d))
         if self.metric.exact_round:
-            zero = np.zeros((n, d, d, d))
-            return field_jet(np.broadcast_to(np.eye(d), (n, d, d)), zero, X0, dX, zero, zero)
+            eye, zero = np.broadcast_to(np.eye(d), (n, d, d)), np.broadcast_to(0.0, (n, d, d, d))
+            H = np.swapaxes(dX, -1, -2)
+            return FieldJet(eye, eye, zero, zero, X0, dX, H, zero, zero, None)
         alpha, a, v = self.metric.rank_jet(x)
         aT, vT = np.swapaxes(a.v, -1, -2), np.swapaxes(v.v, -1, -2)
         # the terms' axis k last: [n, ..., k], to contract against [n, k, ...]
@@ -766,7 +772,7 @@ class LeviCivita:
             for rows in sample_chunks(len(xs), sample_bytes(d, stencil=True)):
                 f0, d1, d2 = central_diff(lambda y: self.metric_and_field(fld, y), xs[rows], h,
                                           second=True)
-                d2g, X = d2[..., :-1], f0[..., -1]              # d2g[n, i, j, m, l] = d_i d_j M~_ml
+                d2g, X = d2[..., :-1], f0[..., -1]  # d2g[n, i, j, m, l] = d_i d_j M~_ml
                 Q = (d2g @ X[:, None, None, :, None])[..., 0]
                 R = (X[:, None, None, :] @ d2g.reshape(d2g.shape[:3] + (-1,))).reshape(Q.shape)
                 T[rows] = second_nabla(field_jet(f0[..., :-1], d1[..., :-1], X, d1[..., -1], Q, R,
@@ -828,9 +834,10 @@ class LeviCivita:
     def structure_at(self, fld, x: np.ndarray) -> StructureTensors:
         """Bundle: field value, metric, dual one-form, frame, first covariant
         derivative, two-form of the dual one-form, and the half-two-form
-        endomorphism in frame and ambient forms.  The frame,
+        endomorphism in frame and ambient forms, and on the "jet" path the
+        FieldJet of the points (``jet``) they were read from.  The frame,
         ``LeviCivita.frame``, comes first, so a degenerate metric raises
-        MetricDegeneracyError before any differencing.  ``x``, one point (d,)
+        MetricDegeneracyError before any derivative is taken.  ``x``, one point (d,)
         or a sample (N, d), is refused unless non-empty and on the unit
         sphere.  ``fld`` is a field, or on the round metric a (G, d, d) stack
         of linear generators, each G slice of the structure the field's own."""

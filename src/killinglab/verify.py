@@ -30,7 +30,7 @@ half-two-form endomorphism phi (see metrics.StructureTensors):
 At the sample's own points a check reads the field, the metric and the
 contact form eta = M xi only from the structures its battery built there:
 ``st`` = ``lc.structure_at(fld, X)`` and ``T`` = ``lc.second_nabla_frame(fld,
-X, st.frame)``, where ``fld`` is a field, or a (G, d, d) stack of linear
+X, st.frame, st.jet)``, where ``fld`` is a field, or a (G, d, d) stack of linear
 generators on the round metric, whose arrays carry a leading G axis; a
 triple's checks take the structure of its (3, d, d) generator stack, and
 ``st.rows(sl)`` serves a check on the rows ``X[sl]``.  ``check_killing``
@@ -180,14 +180,14 @@ def covariant_canary(lc: LeviCivita, fld: VectorField, x: np.ndarray) -> float:
     along the g-orthonormal frame directions f_i, at the step h_2 of
     ``second_nabla_frame`` and at h_2 / 2.  Both H~ take one stacked
     Christoffel solve.  It takes these differences whatever the metric and
-    field; the batteries run it only where ``LeviCivita.path`` takes the stencil.
+    field; they mean something only where ``LeviCivita.path`` takes the
+    stencil (a general field), which no battery does.
 
     Returns |P H~ P f_1| at h / 2.  Raises metrics.NumericalQualityError when
-    the configured step cannot produce trustworthy derivatives; batteries run
-    this before committing to a finite-difference pass so a bad --fd-step
-    surfaces as a numerical failure instead of silent garbage.  A stencil
-    point that rounds to x itself differences to exactly 0 at both steps,
-    which agree, so it is refused before any evaluation.
+    the step cannot produce trustworthy derivatives, a numerical failure
+    instead of silent garbage.  A stencil point that rounds to x itself
+    differences to exactly 0 at both steps, which agree, so it is refused
+    before any evaluation.
     """
     x = np.asarray(x, dtype=float)
     d, h = x.shape[-1], lc.fd_step
