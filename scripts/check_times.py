@@ -23,9 +23,10 @@ call that returns the seven flip checks, the Hopf ``path_targets`` and
 ``lift``, ...).  A frame or structure built inside a stage or a check counts
 in that row.  The
 ``setup`` row runs from the battery's start to the report's opening (metric,
-sample); ``covariant_canary``, the step canary, is a stage of the batteries
-that take finite differences (gF and irregular); ``extras`` runs from the last
-result to the end (decomposition, flow class, orbit probe).
+sample); ``extras`` runs from the last result to the end (decomposition, flow
+class, orbit probe).  A parent whose batteries still time a
+``covariant_canary`` row is compared by ``--against`` all the same: the pairs
+read whole batteries.
 
 Usage:
     python3 scripts/check_times.py [--samples N] [--seed S] [--repeats R] [--json PATH]

@@ -20,11 +20,11 @@ field alone (``LeviCivita.path``):
     metric  ->  the field's exact "flow" e^(tA) (``skew_exp``): the symmetric
     difference quotient of the pulled-back metric at flow time FLOW_TIME
     (``flow_lie_frame``), exact for a Killing field;
-  * a linear field on a metric that supplies ``rank_jet``, the 2-jet of M~
-    in the rank form alpha Id + sum_k a_k v_k^T  ->  the "jet": ``LeviCivita.jet``
-    pushes the 2-jet of y^ through the metric's ingredients (``Jet``, forward
-    mode, no step) and contracts them to M~, its derivative and the two
-    second-order contractions with X that nabla^2 X reads, never forming the
+  * a linear field on a metric that supplies ``rank_jet``, the 2-jets of the
+    ingredients of M~ in the rank form alpha Id + sum_k a_k v_k^T (``Jet``,
+    forward mode, no step)  ->  the "jet": ``LeviCivita.jet`` contracts them
+    to M~, its derivative and the two second-order contractions with X that
+    nabla^2 X reads, and composes those with y -> y^ once, never forming the
     d^4 Hessian of M~;
   * anything else (``general_field``)  ->  the finite-difference "stencil":
     one ``central_diff`` call over the d ambient axes for nabla X, and one over
@@ -177,46 +177,25 @@ def skew_exp(A: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class Jet(NamedTuple):
-    """A function of the ambient point y in R^d with its first two
-    derivatives at a point or a stack of points, carried forward through each
-    operation by the product and chain rules (Rall, LNCS 120 (1981); Griewank
-    & Walther, *Evaluating Derivatives*, 2nd ed., SIAM (2008), ch. 13): the
-    value v (..., c), the gradient d (..., d, c) with d[..., l, :] = d_l v, and
-    the Hessian dd (..., d, d, c), the components on the last axis (a scalar
-    has one).  Products are componentwise and broadcast over leading axes and
-    components; a number stands for a constant."""
+    """A function of a point z in R^m with its first two derivatives at a
+    point or a stack of points, carried forward through each operation by the
+    product and chain rules (Rall, LNCS 120 (1981); Griewank & Walther,
+    *Evaluating Derivatives*, 2nd ed., SIAM (2008), ch. 13): the value v (...,
+    c), the gradient d (..., m, c) with d[..., l, :] = d_l v, and the Hessian
+    dd (..., m, m, c), the components on the last axis (a scalar has one).  Products are componentwise and broadcast over leading axes and
+    components."""
 
     v: np.ndarray
     d: np.ndarray
     dd: np.ndarray
 
-    def __add__(self, other):
-        if not isinstance(other, Jet):
-            return Jet(self.v + other, self.d, self.dd)
-        return Jet(self.v + other.v, self.d + other.d, self.dd + other.dd)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Jet(-self.v, -self.d, -self.dd)
-
-    def __sub__(self, other):
-        return self + -other
-
-    def __rsub__(self, other):
-        return -self + other
-
-    def __mul__(self, other):
-        if not isinstance(other, Jet):
-            return Jet(self.v * other, self.d * other, self.dd * other)
+    def __mul__(self, other: Jet) -> Jet:
         a, b = self, other
         d = a.d * b.v[..., None, :] + a.v[..., None, :] * b.d
         ab = a.d[..., :, None, :] * b.d[..., None, :, :]
         dd = (a.dd * b.v[..., None, None, :] + a.v[..., None, None, :] * b.dd
               + ab + np.swapaxes(ab, -2, -3))
         return Jet(a.v * b.v, d, dd)
-
-    __rmul__ = __mul__
 
     def sum(self) -> Jet:
         """The sum of the components, a scalar."""
@@ -409,7 +388,7 @@ class MetricField:
     dim: int
     exact_round: bool = False
     name: str = ""
-    rank_jet: Callable[[Jet], tuple[Jet, Jet, Jet]] | None = None
+    rank_jet: Callable[[np.ndarray], tuple[Jet, Jet, Jet]] | None = None
 
     def matrix_at(self, x: np.ndarray) -> np.ndarray:
         return self.matrix_func(np.asarray(x, dtype=float))
@@ -665,7 +644,7 @@ class LeviCivita:
             H = np.swapaxes(dX, -1, -2)
             return FieldJet(eye, eye, zero, zero, X0, dX, H, zero, zero, None)
         alpha, a, v = self.metric.rank_jet(x)
-        aT, vT = np.swapaxes(a.v, -1, -2), np.swapaxes(v.v, -1, -2)
+        aT = np.swapaxes(a.v, -1, -2)
         # the terms' axis k last: [n, ..., k], to contract against [n, k, ...]
         ad_k, add_k = np.moveaxis(a.d, 1, -1), np.moveaxis(a.dd, 1, -1)
         nu = v.v @ X0[:, :, None]                                           # (n, k, 1)

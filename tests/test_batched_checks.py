@@ -141,8 +141,9 @@ def test_flat_second_nabla_within_the_step_halving_bound_of_the_nested_one(label
     lc = LeviCivita(metric)
     X = _mixed_sample(n, 6, seed=31)
     F = g_orthonormal_frame(metric.matrix_at(X), X)
-    nested, bound = second_nabla_nested_and_bound(lc, fields[0], X, F)
-    gap = np.abs(lc.second_nabla_frame(fields[0], X, F) - nested).reshape(len(X), -1).max(axis=1)
+    general = general_field(fields[0].func)  # the flat stencil; the linear field takes the jet
+    nested, bound = second_nabla_nested_and_bound(lc, general, X, F)
+    gap = np.abs(lc.second_nabla_frame(general, X, F) - nested).reshape(len(X), -1).max(axis=1)
     assert np.all(gap <= bound)
 
 
@@ -150,7 +151,8 @@ def test_flat_second_nabla_within_the_step_halving_bound_of_the_nested_one(label
 def test_flat_second_nabla_is_closer_to_the_exact_wedge_than_the_nested_one(n):
     """The irregular structure is Sasakian, so nabla^2 xi(u, v) is the closed
     form WEDGE_SIGN (g(u, v) xi - eta(v) u) on its g-orthonormal frame; the
-    nested stencil is the chart oracle."""
+    nested stencil is the chart oracle, and the linear field's jet meets the
+    closed form to rounding."""
     ir = build_irregular(n=n)
     lc = LeviCivita(ir.metric)
     X = sample_sphere(n, 12, seed=67).coords
@@ -160,10 +162,11 @@ def test_flat_second_nabla_is_closer_to_the_exact_wedge_than_the_nested_one(n):
     eta_f = (matvec(M, xi)[:, None, :] @ F)[:, 0]
     exact = WEDGE_SIGN * (np.eye(F.shape[-1]) * xi[:, :, None, None]
                           - np.einsum("nj,ndi->ndij", eta_f, F))
-    flat = np.abs(lc.second_nabla_frame(ir.field, X, F) - exact).max()
+    flat = np.abs(lc.second_nabla_frame(general_field(ir.field.func), X, F) - exact).max()
     nested = max(np.abs(second_nabla_nested_per_point(lc, ir.field, x, f) - e).max()
                  for x, f, e in zip(X, F, exact))
     assert flat <= nested
+    assert np.abs(lc.second_nabla_frame(ir.field, X, F) - exact).max() <= 1e-13
 
 
 def test_ambient_derivatives_of_a_general_copy_meet_the_round_closed_forms():
