@@ -182,7 +182,8 @@ class Jet(NamedTuple):
     product and chain rules (Rall, LNCS 120 (1981); Griewank & Walther,
     *Evaluating Derivatives*, 2nd ed., SIAM (2008), ch. 13): the value v (...,
     c), the gradient d (..., m, c) with d[..., l, :] = d_l v, and the Hessian
-    dd (..., m, m, c), the components on the last axis (a scalar has one).  Products are componentwise and broadcast over leading axes and
+    dd (..., m, m, c), the components on the last axis (a scalar has one).
+    Products are componentwise and broadcast over leading axes and
     components."""
 
     v: np.ndarray

@@ -547,9 +547,9 @@ def check_contact_form_preserved(lc_def: LeviCivita, lc_ref: LeviCivita,
     one-form M~(y) A y has d_l (M~ A y)_k = d_l M~_km (A x)_m + (M~ A)_kl, read
     off the FieldJet (``st.jet``, else ``lc_def.jet``, and ``lc_ref.jet``),
     antisymmetrised, which is d(eta) on tangent vectors because pull-back
-    commutes with d (M~ and M differ by terms in x, which vanish there).  No
-    connection enters, so the comparison resolves far below
-    covariant-derivative noise.
+    commutes with d (M~ A y and M A y differ by a multiple of y, whose d
+    vanishes on them).  No connection enters, so the comparison resolves far
+    below covariant-derivative noise.
     """
     X = st.x
     res = _worst(st.eta - matvec(lc_ref.metric.matrix_at(X), st.xi))
