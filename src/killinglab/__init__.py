@@ -44,7 +44,6 @@ from .metrics import (
     MetricField,
     NumericalQualityError,
     VectorField,
-    general_field,
     linear_field,
     round_metric,
 )
@@ -74,7 +73,7 @@ __all__ = [
     "build_quaternionic", "build_round", "check_anticommutators",
     "check_kcontact", "check_killing", "check_nijenhuis", "check_sasakian",
     "check_triple_products", "check_unit_length", "classify", "field_bracket",
-    "general_field", "horizontal_split", "killing_inner", "linear_field",
-    "numeric_orbit_probe", "parse_rate", "rotation_profile", "round_metric",
-    "sample_sphere", "so_basis", "standard_decomposition",
+    "horizontal_split", "killing_inner", "linear_field", "numeric_orbit_probe",
+    "parse_rate", "rotation_profile", "round_metric", "sample_sphere", "so_basis",
+    "standard_decomposition",
 ]

@@ -102,7 +102,7 @@ _STRUCTURES = {
 
 def _chunks(X: np.ndarray) -> list[np.ndarray]:
     """The sample X (N, d) in chunks of ``sample_bytes`` a point."""
-    return [X[rows] for rows in sample_chunks(len(X), sample_bytes(X.shape[1], stencil=False))]
+    return [X[rows] for rows in sample_chunks(len(X), sample_bytes(X.shape[1]))]
 
 
 class Row(NamedTuple):
@@ -566,7 +566,7 @@ def _work_refusal(cfg: RunConfig, args: argparse.Namespace) -> str | None:
     else:
         flags, d = (f"--m {cfg.m} ", 4 * cfg.m + 4) if quaternionic else (f"--n {cfg.n} ",
                                                                            2 * cfg.n + 2)
-        per = sample_bytes(d, stencil=False)
+        per = sample_bytes(d)
     if per > MEMORY_BUDGET_GIB << 30:
         return (f"{flags.strip()} is out of reach: one sample point of verify --example "
                 f"{cfg.example} holds about {per / 2**30:.3g} GiB (d = {d}), against a "
@@ -853,19 +853,29 @@ def cmd_classify_flow(args: argparse.Namespace, cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser that takes every string ``float()`` reads for a value.
+    """An ArgumentParser that takes every string ``float()`` or ``Fraction()``
+    reads for a value.
 
     argparse alone reads a leading '-' as a negative number only before
     digits with at most a decimal point, and takes any other, as in ``--c
-    -1e-3`` or ``--c -inf``, for an unknown flag, refusing the option for its
-    missing value.  Subparsers inherit the class."""
+    -1e-3``, ``--c -inf`` or the rate ``--a -1/2``, for an unknown flag,
+    refusing the option for its missing value.  A fraction with a zero
+    denominator is a value too, which its option's parser refuses by name.
+    Subparsers inherit the class."""
 
     def _parse_optional(self, arg_string):
-        try:
-            float(arg_string)
-        except ValueError:
-            return super()._parse_optional(arg_string)
-        return None  # a value, not an option
+        if arg_string.startswith("-") and not arg_string.startswith("--"):  # a sign, or a flag
+            from fractions import Fraction  # loaded with flows already
+
+            for read in (float, Fraction):
+                try:
+                    read(arg_string)
+                except ValueError:
+                    continue
+                except ZeroDivisionError:
+                    pass
+                return None  # a value, not an option
+        return super()._parse_optional(arg_string)
 
 
 def _add_common(parser: argparse.ArgumentParser, command: str) -> None:

@@ -39,7 +39,6 @@ from .metrics import (
     MetricDegeneracyError,
     MetricField,
     VectorField,
-    general_field,
     linear_field,
     round_metric,
     sample_chunks,
@@ -576,7 +575,7 @@ def build_deformed(n: int = 3, c: float = 0.3) -> DeformedStructure:
     return DeformedStructure(
         n=n, c=c, dim=d, metric=MetricField(matrix_func, dim=d, name=f"deformed(c={c})",
                                             rank_jet=rank_jet),
-        field=linear_field(j0), j0=j0, x_field=general_field(x_vec), f_of=f_of)
+        field=linear_field(j0), j0=j0, x_field=VectorField(x_vec), f_of=f_of)
 
 
 # ---------------------------------------------------------------------------

@@ -14,26 +14,19 @@ Christoffel symbols Gamma~ of M~ give H~ = dX^T + Gamma~ X and nabla X =
 P H~ P, and their derivative the second covariant derivative.
 
 How the derivatives of [M~ | X] are taken is chosen from the metric and the
-field alone (``LeviCivita.path``):
-  * round metric + linear field  ->  "closed" forms, M~ = Id;
-  * the Lie derivative of g along a linear field x -> A x on any other
-    metric  ->  the field's exact "flow" e^(tA) (``skew_exp``): the symmetric
-    difference quotient of the pulled-back metric at flow time FLOW_TIME
-    (``flow_lie_frame``), exact for a Killing field;
-  * a linear field on a metric that supplies ``rank_jet``, the 2-jets of the
-    ingredients of M~ in the rank form alpha Id + sum_k a_k v_k^T (``Jet``,
-    forward mode, no step)  ->  the "jet": ``LeviCivita.jet`` contracts them
-    to M~, its derivative and the two second-order contractions with X that
-    nabla^2 X reads, and composes those with y -> y^ once, never forming the
-    d^4 Hessian of M~;
-  * anything else (``general_field``)  ->  the finite-difference "stencil":
-    one ``central_diff`` call over the d ambient axes for nabla X, and one over
-    the flat second-difference stencil (d^2 + d + 1 points) for nabla^2 X.
-A finite-difference result at fd_step can be checked against its value at
-fd_step / 2 by the Richardson step-halving guard ``richardson_guard``:
-disagreement beyond ``RICHARDSON_REL_TOL``, or a drift that is not finite,
-raises ``NumericalQualityError`` instead of returning a silently bad number
-(``verify.covariant_canary`` runs it at one point).
+field alone (``LeviCivita.path``), and every path takes a linear field x -> A x:
+  * round metric  ->  "closed" forms, M~ = Id;
+  * the Lie derivative of g on any other metric  ->  the field's exact "flow"
+    e^(tA) (``skew_exp``): the symmetric difference quotient of the
+    pulled-back metric at flow time FLOW_TIME (``flow_lie_frame``), exact for
+    a Killing field;
+  * a metric that supplies ``rank_jet``, the 2-jets of the ingredients of M~
+    in the rank form alpha Id + sum_k a_k v_k^T (``Jet``, forward mode)  ->
+    the "jet": ``LeviCivita.jet`` contracts them to M~, its derivative and
+    the two second-order contractions with X that nabla^2 X reads, and
+    composes those with y -> y^ once, never forming the d^4 Hessian of M~.
+A field with no generator, and a metric other than the round one with no
+``rank_jet``, are refused by name.
 
 Tangent frames are Gram-Schmidt of the Euclidean frame, in closed form on the
 round metric and in Cholesky form on any other (``LeviCivita.frame``), and the
@@ -44,9 +37,8 @@ shares them between its checks: ``structure_at`` builds the chunk's one jet,
 which ``second_nabla_frame`` and the checks read from the structure.
 ``structure_at`` and ``second_nabla_frame`` take a field, or on the round
 metric a (G, d, d) stack of linear generators, whose G fields share one metric
-evaluation and one frame.  ``sample_chunks`` sizes every chunk, of a battery's
-sample and of the flat second-difference stencil of ``second_nabla_frame``,
-by one budget.
+evaluation and one frame.  ``sample_chunks`` sizes every chunk of a battery's
+sample by one budget.
 """
 
 from __future__ import annotations
@@ -58,20 +50,11 @@ import numpy as np
 
 from .sphere import matvec, orthonormal_tangent_frame, rowdot, tangent_seeds, unit_sample
 
-DEFAULT_FD_STEP = 1e-4
-# Stencil points x +- h e_l sit at distance ~h from x on a unit sphere, whose
-# curvature scale is 1.  A step beyond a few hundredths samples the metric far
-# outside the neighbourhood of the base point, where step halving cannot tell
-# a wrong value from a converged one (both halvings collapse to it).
-MAX_FD_STEP = 0.02
-RICHARDSON_REL_TOL = 1e-3
-# Flat second-difference step of ``second_nabla_frame`` over fd_step: its rounding
-# floor eps / h^2 is that of a step-fd_step/3 difference nested in a step-10 fd_step one.
-SECOND_DERIV_STEP_SCALE = (10.0 / 3.0) ** 0.5
 FRAME_RANK_TOL = 1e-8
-# The arrays one chunk of sample points may hold: at 200 samples every default battery's
-# own arrays are one chunk, and the flat stencil runs 14 points a chunk at d = 8 and 43
-# at d = 6 (16 was fastest on both; 200 in one chunk took 1.7 times as long at d = 8)
+# The arrays one chunk of sample points may hold, at ``sample_bytes`` a point: 214 points
+# at d = 8 (gF) and 589 at d = 6 (irregular), so at 200 samples every default battery but
+# quaternionic --m 2 is one chunk and builds one jet.  A quarter of it (53 points a jet at
+# d = 8) took 1.04 times as long on gF, a sixteenth (13) 1.7 times
 CHUNK_BYTES = 9 << 19  # 4.5 MiB
 # Flow time t of ``flow_lie_frame``.  A Killing field reads rounding over t
 # (~4e-13 on gF and irregular), any other field L_xi g + O(t^2) (~1e-5
@@ -80,67 +63,22 @@ FLOW_TIME = 1e-3
 
 
 class NumericalQualityError(RuntimeError):
-    """A finite-difference step cannot be trusted (too large, rounded away, or
-    failing its step-halving check), or a drawn sample leaves a check nothing
-    to measure."""
+    """A finite difference cannot be trusted (its spacing too large, rounded
+    away, or failing the halving check of ``verify.richardson_guard``), or a
+    drawn sample leaves a check nothing to measure."""
 
 
 class MetricDegeneracyError(ValueError):
     """A metric stopped being positive definite on the tangent space."""
 
 
-def central_diff(f: Callable[[np.ndarray], np.ndarray], U: np.ndarray, h: float,
-                 center: bool = False, second: bool = False):
-    """Central differences of f along every coordinate axis at U (..., m).
-
-    The stencil U +- h e_l is built as one (..., 2m, m) stack, with U itself
-    appended as row 2m when ``center`` or ``second`` is set, and f is called
-    once on it; f maps (..., k, m) to (..., k, *shape).  Returns D (..., m,
-    *shape) with D[..., l, :] = (f(U + h e_l) - f(U - h e_l)) / 2h, or (f(U), D)
-    with ``center``.  ``second`` appends U +- h (e_i + e_j) (i < j), the flat
-    stencil of m^2 + m + 1 points, and returns (f(U), D, D2) with D2 (..., m,
-    m, *shape) the O(h^2) second differences: the pure ones (Fornberg, Math.
-    Comp. 51 (1988)) (f(U + h e_i) - 2 f(U) + f(U - h e_i)) / h^2 and the
-    seven-point mixed ones (Abramowitz & Stegun, *Handbook of Mathematical
-    Functions*, sec. 25.3), which reuse the points U +- h e_i:
-
-      (f(U + h(e_i + e_j)) + f(U - h(e_i + e_j)) - f(U +- h e_i) - f(U +- h e_j)
-       + 2 f(U)) / 2h^2, each sign summed.
-
-    Both are exact on cubics.
-    """
-    U = np.asarray(U, dtype=float)
-    m = U.shape[-1]
-    E = h * np.eye(m)
-    shift = [E, -E, np.zeros((1, m))] if center or second else [E, -E]
-    if second:
-        i, j = np.triu_indices(m, 1)
-        shift += [E[i] + E[j], -E[i] - E[j]]
-    axis = U.ndim - 1
-    vals = np.moveaxis(f(U[..., None, :] + np.concatenate(shift)), axis, 0)
-    diff = np.moveaxis((vals[:m] - vals[m:2 * m]) / (2 * h), 0, axis)
-    if not second:
-        return (vals[2 * m], diff) if center else diff
-    f0, (pp, mm) = vals[2 * m], np.split(vals[2 * m + 1:], 2)
-    axial = vals[:m] + vals[m:2 * m]  # f(U + h e_l) + f(U - h e_l)
-    D2 = np.empty((m, m) + f0.shape)
-    D2[np.arange(m), np.arange(m)] = (vals[:m] - 2.0 * f0 + vals[m:2 * m]) / h ** 2
-    D2[i, j] = D2[j, i] = (pp + mm - axial[i] - axial[j] + 2.0 * f0) / (2.0 * h ** 2)
-    return f0, diff, np.moveaxis(D2, (0, 1), (axis, axis + 1))
-
-
-def sample_bytes(d: int, stencil: bool) -> int:
-    """Bytes one sample point holds in ambient dimension d: with ``stencil``,
-    60 a value of [M~ | X] over the flat stencil of ``second_nabla_frame``
-    (a general field), of which ~40 are alive at once and the rest come and
-    go; else, in a battery's chunk, the larger of the arrays its FieldJet
-    holds, 4 d^3 + 3 d^2 + d doubles, and the Nijenhuis contraction's ~8 (d -
-    1)^3.  Building the jet and reading it pass through more, which come and
-    go: the tracemalloc peak of a gF or irregular chunk's rows reads 15-23
-    d^3 doubles a point at d = 6 to 18 (68 KB a point on gF at d = 8, 3.1
-    times this figure)."""
-    if stencil:
-        return 60 * (d * d + d + 1) * d * (d + 1)
+def sample_bytes(d: int) -> int:
+    """Bytes one sample point of a battery's chunk holds in ambient dimension
+    d: the larger of the arrays its FieldJet holds, 4 d^3 + 3 d^2 + d
+    doubles, and the Nijenhuis contraction's ~8 (d - 1)^3.  Building the jet
+    and reading it pass through more, which come and go: the tracemalloc peak
+    of a gF or irregular chunk's rows reads 15-23 d^3 doubles a point at d =
+    6 to 18 (68 KB a point on gF at d = 8, 3.1 times this figure)."""
     return max(8 * (4 * d ** 3 + 3 * d * d + d), 64 * (d - 1) ** 3)
 
 
@@ -149,19 +87,6 @@ def sample_chunks(n: int, point_bytes: int) -> list[slice]:
     point_bytes a point, and at least one."""
     rows = max(1, CHUNK_BYTES // point_bytes)
     return [slice(start, min(start + rows, n)) for start in range(0, n, rows)]
-
-
-def richardson_guard(A: np.ndarray, A_half: np.ndarray, h: float) -> np.ndarray:
-    """A_half, once the matrices A (..., r, c) at step h and A_half at h / 2
-    agree to RICHARDSON_REL_TOL in Frobenius norm at every point; a drift that
-    is not finite (an overflowed or NaN difference) fails too."""
-    rel = (np.linalg.norm(A - A_half, axis=(-2, -1))
-           / np.maximum(1.0, np.linalg.norm(A_half, axis=(-2, -1))))
-    if not np.all(rel <= RICHARDSON_REL_TOL):
-        raise NumericalQualityError(
-            f"covariant derivative unstable under step halving: rel drift "
-            f"{float(np.max(rel)):.3e} at fd_step={h:.3e}")
-    return A_half
 
 
 def skew_exp(A: np.ndarray) -> np.ndarray:
@@ -173,7 +98,7 @@ def skew_exp(A: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# 2-jets: values with their first two derivatives, carried with no step
+# 2-jets: values with their first two derivatives, carried exactly
 # ---------------------------------------------------------------------------
 
 class Jet(NamedTuple):
@@ -259,9 +184,8 @@ class FieldJet(NamedTuple):
     = d_l M~_ij, the Christoffel symbols Gamma~[n, k, i, j], the field X and
     dX[n, l, k] = d_l X^k, H~ = dX^T + Gamma~ X, and with X held at its value
     X0 at each point, Q[n, i, j, m] = d_i d_j (M~ X0)_m and R[n, i, j, m] =
-    d_i (D_X0 M~)_jm; ddX = d_i d_j X^k, or None for a linear field.  Built
-    once per chunk (``LeviCivita.jet``, or finite differences in
-    ``second_nabla_frame``) and read by nabla X and nabla^2 X."""
+    d_i (D_X0 M~)_jm; X is linear, so d^2 X = 0.  Built once per chunk
+    (``LeviCivita.jet``) and read by nabla X and nabla^2 X."""
 
     g: np.ndarray
     ginv: np.ndarray
@@ -272,20 +196,18 @@ class FieldJet(NamedTuple):
     H: np.ndarray
     Q: np.ndarray
     R: np.ndarray
-    ddX: np.ndarray | None
 
 
-def field_jet(g, dg, X, dX, Q, R, ddX=None) -> FieldJet:
-    """The FieldJet of M~, dg, X, dX, Q, R and ddX: the inverse, the
-    Christoffel symbols and H~ formed once."""
+def field_jet(g, dg, X, dX, Q, R) -> FieldJet:
+    """The FieldJet of M~, dg, X, dX, Q and R: the inverse, the Christoffel
+    symbols and H~ formed once."""
     d = g.shape[-1]
     ginv = np.linalg.inv(g)
-    lower = _lower(dg)
-    Gamma = (ginv @ lower.reshape(lower.shape[:-3] + (d, d * d))).reshape(lower.shape)
+    Gamma = _christoffel(ginv, dg)
     X = np.ascontiguousarray(X)
     H = np.swapaxes(dX, -1, -2) + (Gamma.reshape(Gamma.shape[:-3] + (d * d, d))
                                    @ X[..., None]).reshape(Gamma.shape[:-1])
-    return FieldJet(g, ginv, dg, Gamma, X, dX, H, Q, R, ddX)
+    return FieldJet(g, ginv, dg, Gamma, X, dX, H, Q, R)
 
 
 def second_nabla(fj: FieldJet, x: np.ndarray, F: np.ndarray) -> np.ndarray:
@@ -304,11 +226,9 @@ def second_nabla(fj: FieldJet, x: np.ndarray, F: np.ndarray) -> np.ndarray:
     Gl = Gamma.reshape(n, d * d, d)  # [n, (k, j), l]: contractions over l are matmuls
     GX = (Gl @ fj.X[..., None]).reshape(n, d, d)
     dLX = 0.5 * (np.swapaxes(fj.Q, -1, -2) - fj.Q + fj.R)            # [n, i, m, j]
-    # dH[n, i, k, j] = d_i H^k_j = d_i d_j X^k + d_i (Gamma X)^k_j + Gamma^k_{jl} d_i X^l
+    # dH[n, i, k, j] = d_i H^k_j = d_i (Gamma X)^k_j + Gamma^k_{jl} d_i X^l, X linear
     dH = fj.ginv[:, None] @ (dLX - fj.dg @ GX[:, None])
     dH += (fj.dX @ np.swapaxes(Gl, -1, -2)).reshape(n, d, d, d)
-    if fj.ddX is not None:
-        dH += np.swapaxes(fj.ddX, -1, -2)
     # DH[n, k, i, j] = d_i H^k_j + Gamma^k_{i l} H^l_j - Gamma^l_{i j} H^k_l
     DH = (np.swapaxes(dH, 1, 2) + (Gl @ H).reshape(n, d, d, d)
           - (H @ Gamma.reshape(n, d, d * d)).reshape(n, d, d, d))
@@ -368,11 +288,6 @@ def at_points(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     """A generator (d, d), or a stack (G, d, d), with a unit axis after G for
     each sample axis of x (..., d): every generator meets every point."""
     return A.reshape(A.shape[:-2] + (1,) * (x.ndim - 1) + A.shape[-2:])
-
-
-def general_field(func: Callable[[np.ndarray], np.ndarray]) -> VectorField:
-    """The field of ``func`` with no generator, whose derivatives take finite differences."""
-    return VectorField(func)
 
 
 @dataclass(frozen=True, eq=False)
@@ -481,13 +396,13 @@ def _lower(dg: np.ndarray) -> np.ndarray:
     return 0.5 * (np.einsum("...ijk->...kij", dg) + np.einsum("...jik->...kij", dg) - dg)
 
 
-def _christoffel(g: np.ndarray, dg: np.ndarray) -> np.ndarray:
-    """Christoffel symbols Gamma[..., k, i, j] from the metric g (..., m, m)
-    and its derivatives dg[..., l, i, j] = d g_ij / d y_l."""
-    m = g.shape[-1]
+def _christoffel(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
+    """Christoffel symbols Gamma[..., k, i, j] from the inverse metric ginv
+    (..., m, m) and the metric derivatives dg[..., l, i, j] = d g_ij / d y_l."""
+    m = ginv.shape[-1]
     lower = _lower(dg)
     # inv then matmul: a batched solve with m^2 right-hand sides takes ~4x as long
-    return (np.linalg.inv(g) @ lower.reshape(lower.shape[:-3] + (m, m * m))).reshape(lower.shape)
+    return (ginv @ lower.reshape(lower.shape[:-3] + (m, m * m))).reshape(lower.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -547,34 +462,31 @@ class StructureTensors:
 class LeviCivita:
     """Covariant differentiation for a metric field on an odd sphere."""
 
-    def __init__(self, metric: MetricField, fd_step: float = DEFAULT_FD_STEP):
-        if not fd_step > 0:  # also refuses NaN, for which every comparison is false
-            raise ValueError(f"fd_step must be a positive number, got {fd_step!r}")
-        if fd_step > MAX_FD_STEP:
-            raise NumericalQualityError(
-                f"fd_step={fd_step:g} exceeds the usable difference scale "
-                f"(max {MAX_FD_STEP:g} on the unit sphere)")
+    def __init__(self, metric: MetricField):
         self.metric = metric
-        self.fd_step = float(fd_step)
 
     def path(self, fld, owner: str, lie: bool) -> tuple[VectorField, str]:
         """``fld`` (``as_field``) and how ``owner`` differentiates it, read off
-        the metric and whether the field is linear alone: "closed" forms for a
-        linear field on the round metric; the exact "flow" for the Lie
-        derivative (``lie``) of a linear field on any other metric; the "jet"
-        for a linear field on a metric with ``rank_jet``, where a stack of
-        generators is refused by name; else the finite-difference "stencil",
-        the only path that reads fd_step."""
+        the metric alone: "closed" forms on the round metric; the exact "flow"
+        for the Lie derivative (``lie``) on any other; else the "jet" of a
+        metric with ``rank_jet``.  A field with no generator, a metric with
+        neither closed forms nor ``rank_jet``, and a stack of generators
+        off the round metric are refused by name."""
         fld = as_field(fld)
         if fld.matrix is None:
-            return fld, "stencil"
+            raise ValueError(f"{owner} differentiates a linear field x -> A x, and this "
+                             f"field has no generator")
         if self.metric.exact_round or lie:
             return fld, "closed" if self.metric.exact_round else "flow"
+        if self.metric.rank_jet is None:
+            raise ValueError(f"{owner} differentiates a field on a metric other than the round "
+                             f"one through its rank_jet, which the {self.metric.name or 'unnamed'} "
+                             f"metric does not supply")
         if fld.matrix.ndim == 3:
             raise ValueError(
                 f"{owner} takes a stack of generators only on the round metric, whose closed "
                 f"forms it reads; the {self.metric.name} metric takes one field at a time")
-        return fld, "jet" if self.metric.rank_jet is not None else "stencil"
+        return fld, "jet"
 
     def frame(self, x: np.ndarray, metric_matrix: np.ndarray) -> np.ndarray:
         """g-orthonormal tangent frame at x (d,) or at each row of x (N, d),
@@ -605,22 +517,20 @@ class LeviCivita:
         return np.concatenate([self.extended_metric(y), fld.value(y)[..., None]], axis=-1)
 
     def christoffel(self, x: np.ndarray) -> np.ndarray:
-        """Ambient Christoffel symbols Gamma~[..., k, i, j] of M~ at x.
-
-        Round metric: M~ = Id, so zero.  Otherwise: central differences of
-        M~ at fd_step.
-        """
+        """Ambient Christoffel symbols Gamma~[..., k, i, j] of M~ at unit
+        points x (..., d): zero on the round metric, where M~ = Id, and else
+        the metric part of ``jet``, which no field enters (taken here along the
+        zero field)."""
         x = np.asarray(x, dtype=float)
-        if self.metric.exact_round:
-            return np.zeros(x.shape + x.shape[-1:] * 2)
-        g, dg = central_diff(self.extended_metric, x, self.fd_step, center=True)
-        return _christoffel(g, dg)
+        d = x.shape[-1]
+        fld, _ = self.path(np.zeros((d, d)), "christoffel", False)
+        return self.jet(fld, x.reshape(-1, d)).Gamma.reshape(x.shape + (d, d))
 
     # -- the jet -----------------------------------------------------------------
 
     def jet(self, fld, x: np.ndarray) -> FieldJet:
         """The FieldJet of the linear field ``fld`` (x -> A x) at unit points x
-        (N, d), with no step.  The round metric's is M~ = Id, whose derivatives
+        (N, d), exactly.  The round metric's is M~ = Id, whose derivatives
         vanish.  Any other's ``rank_jet`` gives the 2-jets at x of alpha, a_k
         and v_k as functions of z, with G(z) = alpha Id + sum_k a_k v_k^T equal
         to M~ on the unit sphere, so M~(y) = G(y^).  Its contractions with X0
@@ -643,7 +553,7 @@ class LeviCivita:
         if self.metric.exact_round:
             eye, zero = np.broadcast_to(np.eye(d), (n, d, d)), np.broadcast_to(0.0, (n, d, d, d))
             H = np.swapaxes(dX, -1, -2)
-            return FieldJet(eye, eye, zero, zero, X0, dX, H, zero, zero, None)
+            return FieldJet(eye, eye, zero, zero, X0, dX, H, zero, zero)
         alpha, a, v = self.metric.rank_jet(x)
         aT = np.swapaxes(a.v, -1, -2)
         # the terms' axis k last: [n, ..., k], to contract against [n, k, ...]
@@ -675,14 +585,6 @@ class LeviCivita:
 
     # -- first covariant derivative ------------------------------------------
 
-    def _endo(self, fld: VectorField, x: np.ndarray, h: float) -> np.ndarray:
-        """Ambient H~[..., k, j] = d_j X^k + Gamma~^k_{jl} X^l at x (..., d)
-        from central differences of [M~ | X] at step h."""
-        vals, dvals = central_diff(lambda y: self.metric_and_field(fld, y), x, h, center=True)
-        Gamma = _christoffel(vals[..., :-1], dvals[..., :-1])
-        X = np.ascontiguousarray(vals[..., -1])  # einsum sums a strided operand in another order
-        return np.swapaxes(dvals[..., -1], -1, -2) + np.einsum("...kjl,...l->...kj", Gamma, X)
-
     def nabla(self, fld: VectorField, x: np.ndarray, direction: np.ndarray) -> np.ndarray:
         """Ambient components of the covariant derivative of ``fld`` along
         ``direction`` (an ambient tangent vector) at x: ``nabla_endo`` applied
@@ -693,21 +595,18 @@ class LeviCivita:
         """Ambient matrix N with N v = nabla_v(field) for tangent v, N x = 0.
 
         ``x`` is one ambient point (d,) or a stack (..., d), which gives
-        (..., d, d).  The closed form serves the round metric with a linear
-        field, or a (G, d, d) generator stack put in front, N = P A P; every
-        other pair takes N = P H~ P, with H~ from the FieldJet on the "jet"
-        path (``jet``, built here when not given) and else from central
-        differences of [M~ | X] at fd_step.
+        (..., d, d).  The closed form serves the round metric, where a (G, d,
+        d) generator stack puts an axis of G in front, N = P A P; any other
+        takes N = P H~ P, with H~ from the FieldJet (``jet``, built here when
+        not given).
         """
         x = np.asarray(x, dtype=float)
         fld, how = self.path(fld, "nabla_endo", False)
         P = np.eye(x.shape[-1]) - x[..., :, None] * x[..., None, :]
         if how == "closed":
             return P @ at_points(fld.matrix, x) @ P
-        if how == "jet":
-            jet = self.jet(fld, x.reshape(-1, x.shape[-1])) if jet is None else jet
-            return P @ jet.H.reshape(P.shape) @ P
-        return P @ self._endo(fld, x, self.fd_step) @ P
+        jet = self.jet(fld, x.reshape(-1, x.shape[-1])) if jet is None else jet
+        return P @ jet.H.reshape(P.shape) @ P
 
     # -- second covariant derivative ------------------------------------------
 
@@ -717,15 +616,12 @@ class LeviCivita:
 
         T(u, v) = nabla_u (nabla field)(v); the closed form on the round
         sphere with field E x is T(f_i, f_j) = -(x.E f_j) P f_i - (f_i.f_j) P E x,
-        P the tangent projector.  Every other pair reads a FieldJet of
-        [M~ | X] (``second_nabla``): on the "jet" path ``jet``, the one
-        ``structure_at`` built at the points x (built here when not given); on
-        the stencil, one ``central_diff`` call over the flat stencil of d^2 + d
-        + 1 points of step fd_step * SECOND_DERIV_STEP_SCALE along the d
-        ambient axes, in ``sample_chunks`` of the stencil's ``sample_bytes``.
-        Points (N, d) with frames (N, d, k) give (N, d, k, k).  ``fld`` is a
-        field, or on the round metric a (G, d, d) stack of linear generators,
-        which puts an axis of G in front.
+        P the tangent projector.  Any other metric reads the FieldJet of
+        [M~ | X] (``second_nabla``) ``jet``, the one ``structure_at`` built at
+        the points x (built here when not given).  Points (N, d) with frames
+        (N, d, k) give (N, d, k, k).  ``fld`` is a field, or on the round
+        metric a (G, d, d) stack of linear generators, which puts an axis of G
+        in front.
         """
         x = np.asarray(x, dtype=float)
         fld, how = self.path(fld, "second_nabla_frame", False)
@@ -744,19 +640,7 @@ class LeviCivita:
                 T[g] -= np.einsum("...ij,...d->...dij", ff, PEx[g])
             return T
         xs, fs = x.reshape(-1, x.shape[-1]), frame.reshape((-1,) + frame.shape[-2:])
-        if how == "jet":
-            T = second_nabla(self.jet(fld, xs) if jet is None else jet, xs, fs)
-        else:
-            T = np.empty(fs.shape + fs.shape[-1:])
-            d, h = xs.shape[-1], self.fd_step * SECOND_DERIV_STEP_SCALE
-            for rows in sample_chunks(len(xs), sample_bytes(d, stencil=True)):
-                f0, d1, d2 = central_diff(lambda y: self.metric_and_field(fld, y), xs[rows], h,
-                                          second=True)
-                d2g, X = d2[..., :-1], f0[..., -1]  # d2g[n, i, j, m, l] = d_i d_j M~_ml
-                Q = (d2g @ X[:, None, None, :, None])[..., 0]
-                R = (X[:, None, None, :] @ d2g.reshape(d2g.shape[:3] + (-1,))).reshape(Q.shape)
-                T[rows] = second_nabla(field_jet(f0[..., :-1], d1[..., :-1], X, d1[..., -1], Q, R,
-                                                 d2[..., -1]), xs[rows], fs[rows])
+        T = second_nabla(self.jet(fld, xs) if jet is None else jet, xs, fs)
         return T.reshape(frame.shape + frame.shape[-1:])
 
     # -- derived structure ----------------------------------------------------
@@ -769,23 +653,18 @@ class LeviCivita:
 
         ``fld`` is a field or a stack (G, d, d) of linear generators, put in
         front.  ``frame``, ``LeviCivita.frame``, is built here when not
-        given.  A linear field on a metric other than the round one takes
-        the exact-flow quotient ``flow_lie_frame``; every other pair takes
-        N^T M + M N, N = P A P on the round metric, else from ``nabla_endo``."""
+        given.  The round metric takes the closed form N^T + N, N = P A P,
+        any other the exact-flow quotient ``flow_lie_frame``."""
         x = np.asarray(x, dtype=float)
         fld, how = self.path(fld, "lie_metric_frame", True)
         if how == "flow":
             return self.flow_lie_frame(fld.matrix, x, frame=frame)
-        if how == "closed":  # M = Id and N = P A P, so the Lie derivative is
-            # B + B^T with B = (P F)^T A (P F), each generator against every point
-            F = orthonormal_tangent_frame(x) if frame is None else frame
-            PF = F - x[..., :, None] * (x[..., None, :] @ F)
-            B = np.swapaxes(PF, -1, -2) @ (at_points(fld.matrix, x) @ PF)
-            return B + np.swapaxes(B, -1, -2)
-        M = self.metric.matrix_at(x)
-        F = self.frame(x, M) if frame is None else frame
-        N = self.nabla_endo(fld, x)
-        return np.swapaxes(F, -1, -2) @ (np.swapaxes(N, -1, -2) @ M + M @ N) @ F
+        # M = Id and N = P A P, so the Lie derivative is B + B^T with B = (P F)^T A (P F),
+        # each generator against every point
+        F = orthonormal_tangent_frame(x) if frame is None else frame
+        PF = F - x[..., :, None] * (x[..., None, :] @ F)
+        B = np.swapaxes(PF, -1, -2) @ (at_points(fld.matrix, x) @ PF)
+        return B + np.swapaxes(B, -1, -2)
 
     def flow_lie_frame(self, A: np.ndarray, x: np.ndarray, t: float = FLOW_TIME,
                        frame: np.ndarray | None = None) -> np.ndarray:
@@ -817,14 +696,15 @@ class LeviCivita:
         endomorphism in frame and ambient forms, and on the "jet" path the
         FieldJet of the points (``jet``) they were read from.  The frame,
         ``LeviCivita.frame``, comes first, so a degenerate metric raises
-        MetricDegeneracyError before any derivative is taken.  ``x``, one point (d,)
-        or a sample (N, d), is refused unless non-empty and on the unit
-        sphere.  ``fld`` is a field, or on the round metric a (G, d, d) stack
-        of linear generators, each G slice of the structure the field's own."""
+        MetricDegeneracyError before a field is refused (``path``) or any
+        derivative is taken.  ``x``, one point (d,) or a sample (N, d), is
+        refused unless non-empty and on the unit sphere.  ``fld`` is a field,
+        or on the round metric a (G, d, d) stack of linear generators, each G
+        slice of the structure the field's own."""
         x = unit_sample("structure_at", x, (1, 2))
-        fld, how = self.path(fld, "structure_at", False)
         M = self.metric.matrix_at(x)
         F = self.frame(x, M)
+        fld, how = self.path(fld, "structure_at", False)
         Ft = np.swapaxes(F, -1, -2)
         xi = fld.value(x)
         jet = self.jet(fld, x.reshape(-1, x.shape[-1])) if how == "jet" else None

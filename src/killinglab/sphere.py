@@ -1,8 +1,8 @@
 """Seeded samples, stereographic charts and tangent frames on odd spheres.
 
 Everything lives in ambient coordinates: a point of S^(2n+1) is a unit vector
-in R^(2n+2), a sample of N points one (N, d) array, and the finite
-differences of ``metrics`` step along the ambient axes.  Stereographic charts
+in R^(2n+2), a sample of N points one (N, d) array, and ``metrics``
+differentiates along the ambient axes.  Stereographic charts
 (projection from a pole, with closed-form inverse and Jacobian) are public API
 and serve as an independent discretisation to test against; samples keep
 clear of the default atlas's poles.  The Euclidean tangent frame is

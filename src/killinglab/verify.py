@@ -39,6 +39,11 @@ alone takes the sample (``points``), refusing a bad one by name as
 take the bracket sign of ``measured_cyclic_sign`` as given, and their
 cyclic products, anticommutators and squares are one index-array kernel,
 ``triple_defects``, that the flip fixture's complex structures share.
+
+No check takes a step: ``metrics`` differentiates by closed forms, exact
+flows and jets.  ``covariant_canary`` alone takes finite differences of
+[M~ | X] at a step it is given, and ``richardson_guard`` compares them at h
+and h / 2.
 """
 
 from __future__ import annotations
@@ -51,14 +56,12 @@ import numpy as np
 from . import sphere
 from .algebra import field_bracket
 from .metrics import (
-    SECOND_DERIV_STEP_SCALE,
     LeviCivita,
     NumericalQualityError,
     StructureTensors,
     VectorField,
     _christoffel,
     g_orthonormal_complement,
-    richardson_guard,
     sample_chunks,
 )
 from .sphere import matvec, rowdot
@@ -75,6 +78,17 @@ CONTACT_TOL = 1e-6
 NIJENHUIS_TOL = 1e-4
 UNIT_TOL = 1e-12
 TANGENCY_TOL = 1e-10
+# The steps of ``covariant_canary``, the package's only finite differences.  Its stencil
+# points x +- h e_l sit at distance ~h from x on a unit sphere, whose curvature scale is
+# 1.  A step beyond a few hundredths samples the metric far outside the neighbourhood of
+# the base point, where step halving cannot tell a wrong value from a converged one (both
+# halvings collapse to it).
+DEFAULT_FD_STEP = 1e-4
+MAX_FD_STEP = 0.02
+RICHARDSON_REL_TOL = 1e-3
+# Second-difference step over the first-difference one: its rounding floor eps / h^2
+# is that of a step-h/3 difference nested in a step-10h one.
+SECOND_DERIV_STEP_SCALE = (10.0 / 3.0) ** 0.5
 # index arrays: a, b, c over the cyclic triples (a, b, c), and a, b over the pairs a < b
 CYCLIC = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
 PAIRS = np.array([[0, 0, 1], [1, 2, 2]])
@@ -112,7 +126,7 @@ def check_killing(lc: LeviCivita, fld, points, frame: np.ndarray | None = None) 
     fld, how = lc.path(fld, "check 'killing'", True)
     frame = lc.frame(X, lc.metric.matrix_at(X)) if frame is None else frame
     A = fld.matrix
-    gens = [fld] if A is None or A.ndim == 2 else [A[rows] for rows in sample_chunks(
+    gens = [fld] if A.ndim == 2 else [A[rows] for rows in sample_chunks(
         len(A), (64 if how == "closed" else 128) * (len(X) + 1) * X.shape[1] ** 2)]
     lies = (lc.lie_metric_frame(g, X, frame=frame) for g in gens)
     return np.concatenate([np.abs(L).reshape(*L.shape[:-2], -1).max(axis=-1) for L in lies])
@@ -172,26 +186,44 @@ def check_dxi_spectrum(st: StructureTensors, reference: Sequence[float]) -> np.n
     return _worst(vals - ref) + _max_entry(asym)
 
 
-def covariant_canary(lc: LeviCivita, fld: VectorField, x: np.ndarray) -> float:
+def richardson_guard(A: np.ndarray, A_half: np.ndarray, h: float) -> np.ndarray:
+    """A_half, once the matrices A (..., r, c) at step h and A_half at h / 2
+    agree to RICHARDSON_REL_TOL in Frobenius norm at every point; a drift that
+    is not finite (an overflowed or NaN difference) fails too."""
+    rel = (np.linalg.norm(A - A_half, axis=(-2, -1))
+           / np.maximum(1.0, np.linalg.norm(A_half, axis=(-2, -1))))
+    if not np.all(rel <= RICHARDSON_REL_TOL):
+        raise NumericalQualityError(
+            f"covariant derivative unstable under step halving: rel drift "
+            f"{float(np.max(rel)):.3e} at fd_step={h:.3e}")
+    return A_half
+
+
+def covariant_canary(lc: LeviCivita, fld: VectorField, x: np.ndarray,
+                     h: float = DEFAULT_FD_STEP) -> float:
     """Two step-halving guards at the point x (d,), from one evaluation of
-    [M~ | X] on the union of their points: the ambient first derivative H~
-    of ``LeviCivita.nabla_endo``, from central differences along the d axes
-    at fd_step h and at h / 2, and the pure second differences of [M~ | X]
-    along the g-orthonormal frame directions f_i, at the step h_2 of
-    ``second_nabla_frame`` and at h_2 / 2.  Both H~ take one stacked
+    [M~ | X] (``LeviCivita.metric_and_field``) on the union of their points:
+    the ambient first derivative H~ = dX^T + Gamma~ X from central
+    differences along the d axes at step h and at h / 2, and the pure second
+    differences of [M~ | X] along the g-orthonormal frame directions f_i, at
+    h_2 = h SECOND_DERIV_STEP_SCALE and at h_2 / 2.  Both H~ take one stacked
     Christoffel solve.  It takes these differences whatever the metric and
-    field; they mean something only where ``LeviCivita.path`` takes the
-    stencil (a general field), which no battery does.
+    field, and no command runs it: the library differentiates with no step.
 
     Returns |P H~ P f_1| at h / 2.  Raises metrics.NumericalQualityError when
     the step cannot produce trustworthy derivatives, a numerical failure
-    instead of silent garbage.  A stencil point that rounds to x itself
-    differences to exactly 0 at both steps, which agree, so it is refused
-    before any evaluation.
+    instead of silent garbage.  A step that is not positive raises
+    ValueError, and one above MAX_FD_STEP NumericalQualityError.  A stencil
+    point that rounds to x itself differences to exactly 0 at both steps,
+    which agree, so it is refused before any evaluation.
     """
+    if not h > 0:  # also refuses NaN, for which every comparison is false
+        raise ValueError(f"fd_step must be a positive number, got {h!r}")
+    if h > MAX_FD_STEP:
+        raise NumericalQualityError(f"fd_step={h:g} exceeds the usable difference scale "
+                                    f"(max {MAX_FD_STEP:g} on the unit sphere)")
     x = np.asarray(x, dtype=float)
-    d, h = x.shape[-1], lc.fd_step
-    h2 = h * SECOND_DERIV_STEP_SCALE
+    d, h2 = x.shape[-1], h * SECOND_DERIV_STEP_SCALE
     F = lc.frame(x, lc.metric.matrix_at(x))
     # [M~ | X] at x + s u for s = 1, -1, 1/2, -1/2 and u = h e_l, then h_2 f_i, and at x
     s = np.array([1.0, -1.0, 0.5, -0.5])[:, None, None]
@@ -204,7 +236,7 @@ def covariant_canary(lc: LeviCivita, fld: VectorField, x: np.ndarray) -> float:
     f = lc.metric_and_field(fld, np.concatenate([stencil, x[None]]))
     f0, (p, m, p2, m2) = f[-1], f[:-1].reshape((4, len(u)) + f.shape[1:])
     df = np.stack([(p - m)[:d] / (2 * h), (p2 - m2)[:d] / (2 * (h / 2))])  # [step, l, i, col]
-    Gamma = _christoffel(np.broadcast_to(f0[:, :-1], (2, d, d)), df[..., :-1])
+    Gamma = _christoffel(np.linalg.inv(np.broadcast_to(f0[:, :-1], (2, d, d))), df[..., :-1])
     X = np.ascontiguousarray(f0[:, -1])  # einsum sums a strided operand in another order
     H = np.swapaxes(df[..., -1], -1, -2) + np.einsum("...kjl,...l->...kj", Gamma, X)
     H = richardson_guard(H[0], H[1], h)

@@ -204,18 +204,15 @@ def eigenfield_residuals_per_generator(lc, xi_field, mats, points, rate):
             "eigenvalue_identity": eig}
 
 
-def nijenhuis_residual_per_point(lc, fld, point, step=None):
+def nijenhuis_residual_per_point(lc, fld, point, step):
     """A second discretisation of the horizontal Nijenhuis torsion, free of
     nabla^2 xi: coordinate brackets of horizontal frame fields by central
-    differences in a stereographic chart of ``default_atlas``, with the full
-    structure bundle (g-orthonormal frame included) at every stencil point,
-    one point and one frame pair at a time, and the horizontal seeds from the
-    Gram-Schmidt loop.  The default step is 15 fd_step off the round metric
-    and fd_step / 10 on it."""
+    differences at ``step`` in a stereographic chart of ``default_atlas``,
+    with the full structure bundle (g-orthonormal frame included) at every
+    stencil point, one point and one frame pair at a time, and the
+    horizontal seeds from the Gram-Schmidt loop."""
     from killinglab.sphere import SpherePoint
 
-    if step is None:
-        step = lc.fd_step / 10 if lc.metric.exact_round else 15 * lc.fd_step
     x0 = point.coords
     st0 = lc.structure_at(fld, point)
     M0 = st0.metric_matrix
@@ -277,25 +274,20 @@ def nijenhuis_residual_per_point(lc, fld, point, step=None):
     return worst
 
 
-def nijenhuis_stencil_and_bound(lc, fld, X):
+def nijenhuis_stencil_and_bound(lc, fld, X, h):
     """The stencil torsion S = ``nijenhuis_residual_per_point`` at each row of
-    X (N, d) at fd_step h, and a bound on its gap to the contracted torsion
-    C = ``verify.nijenhuis_residual`` at the same h:
+    X (N, d) at step h, and a bound on its gap to the exact torsion:
 
-      |C(h) - S(h)| <= 2 (4/3) (|S(h) - S(h/2)| + |C(h) - C(h/2)|).
+      |C - S(h)| <= 2 (4/3) |S(h) - S(h/2)|.
 
-    Both are O(h^2) discretisations of one torsion, so each lies within
-    (4/3) of its step-halving change of the exact value (Richardson); the
-    factor 2 is margin."""
-    from killinglab.metrics import LeviCivita
+    S is an O(h^2) discretisation, so it lies within (4/3) of its
+    step-halving change of the exact value (Richardson); the factor 2 is
+    margin."""
     from killinglab.sphere import SpherePoint
-    from killinglab.verify import nijenhuis_residual
 
-    half = LeviCivita(lc.metric, fd_step=lc.fd_step / 2)
-    S, S_half = (np.array([nijenhuis_residual_per_point(c, fld, SpherePoint(x)) for x in X])
-                 for c in (lc, half))
-    C, C_half = (nijenhuis_residual(*built(c, fld, X)) for c in (lc, half))
-    return S, 2.0 * (4.0 / 3.0) * (np.abs(S - S_half) + np.abs(C - C_half))
+    S, S_half = (np.array([nijenhuis_residual_per_point(lc, fld, SpherePoint(x), s) for x in X])
+                 for s in (h, h / 2))
+    return S, 2.0 * (4.0 / 3.0) * np.abs(S - S_half)
 
 
 def orthonormal_tangent_frame_mgs(x):
@@ -409,12 +401,12 @@ def chart_endo(metric, fld, chart, u, h):
     return Gamma, D[..., m].T + Gamma @ f0[:, m]
 
 
-def chart_nabla_endo_per_point(lc, fld, x, h=None):
+def chart_nabla_endo_per_point(lc, fld, x, h):
     """Ambient covariant derivative N = J H J^T / lam^2 (d, d) at one point x
-    from ``chart_endo`` in its chart, at step h (default lc.fd_step)."""
+    from ``chart_endo`` in its chart, at step h."""
     chart = chart_of(x)
     u0 = chart.coords(x)
-    _, H = chart_endo(lc.metric, fld, chart, u0, lc.fd_step if h is None else h)
+    _, H = chart_endo(lc.metric, fld, chart, u0, h)
     J = chart.jacobian(u0)
     return J @ H @ J.T / chart.conformal_factor(u0) ** 2
 
@@ -432,15 +424,15 @@ def _contract_chart_second_nabla(chart, u0, T_chart, frame):
     return T
 
 
-def second_nabla_nested_per_point(lc, fld, x, frame):
+def second_nabla_nested_per_point(lc, fld, x, frame, h):
     """A chart discretisation of the second covariant derivative at one point
     x (d,) on a frame (d, k), (d, k, k), in the stereographic chart of x: the
     chart endomorphism H of the first covariant derivative at inner step
-    fd_step / 3, differenced one axis at a time at outer step 10 fd_step, with
-    the Christoffel symbols at the centre at the inner step."""
+    h / 3, differenced one axis at a time at outer step 10 h, with the
+    Christoffel symbols at the centre at the inner step."""
     chart = chart_of(x)
     u0 = chart.coords(x)
-    h_in, h_out = lc.fd_step / 3.0, lc.fd_step * 10.0
+    h_in, h_out = h / 3.0, h * 10.0
     Gamma, H0 = chart_endo(lc.metric, fld, chart, u0, h_in)
     dH = _axis_diff(lambda u: chart_endo(lc.metric, fld, chart, u, h_in)[1], u0, h_out)
     return _contract_chart_second_nabla(chart, u0, _torsion_free_hessian(Gamma, H0, dH), frame)
@@ -448,11 +440,11 @@ def second_nabla_nested_per_point(lc, fld, x, frame):
 
 # -- the ambient discretisation, one stencil offset at a time ----------------------
 
-def second_nabla_fd_per_point(lc, fld, x, frame):
-    """Reference for the batched ambient second covariant derivative at one
+def second_nabla_fd_per_point(lc, fld, x, frame, h):
+    """An ambient discretisation of the second covariant derivative at one
     point x (d,) on a frame (d, k), (d, k, k): [M~ | X] from
-    ``lc.metric_and_field`` at one offset of the flat stencil of step h =
-    fd_step * SECOND_DERIV_STEP_SCALE at a time, the first, pure second and
+    ``lc.metric_and_field`` at one offset of the flat stencil of step h at a
+    time, the first, pure second and
     seven-point mixed second differences taken one axis pair at a time, the
     last as (f(x + h(e_i + e_j)) + f(x - h(e_i + e_j)) - f(x +- h e_i) -
     f(x +- h e_j) + 2 f(x)) / 2h^2, the Christoffel symbols, H = dX^T +
@@ -463,10 +455,7 @@ def second_nabla_fd_per_point(lc, fld, x, frame):
       w(u) = u + Gamma(u, x),
 
     one frame pair at a time."""
-    from killinglab.metrics import SECOND_DERIV_STEP_SCALE
-
     d = x.shape[0]
-    h = lc.fd_step * SECOND_DERIV_STEP_SCALE
 
     def f(*steps):  # [M~ | X] at x + sum of sign * h e_axis over (axis, sign)
         off = np.zeros(d)
@@ -513,21 +502,21 @@ def second_nabla_fd_per_point(lc, fld, x, frame):
     return T
 
 
-def canary_drifts_per_point(lc, fld, x, frame):
+def canary_drifts_per_point(lc, fld, x, frame, h):
     """Reference for the two drifts the step canary bounds at one point x
     (d,) with g-orthonormal frame (d, k), one stencil offset at a time, each
-    |A - A_half|_F / max(1, |A_half|_F) as ``metrics.richardson_guard``
+    |A - A_half|_F / max(1, |A_half|_F) as ``verify.richardson_guard``
     reads it:
 
       (1) H[k, j] = d_j X^k + Gamma^k_{jl} X^l from central differences of
-          [M~ | X] (``lc.metric_and_field``) along the d axes at fd_step h
+          [M~ | X] (``lc.metric_and_field``) along the d axes at step h
           and at h / 2, Gamma formed one index at a time from M~^-1;
       (2) the pure second differences (f(x + s u) + f(x - s u) - 2 f(x)) / s^2
-          of [M~ | X] along each frame column u at s = h_2 = fd_step *
+          of [M~ | X] along each frame column u at s = h_2 = h *
           SECOND_DERIV_STEP_SCALE and at h_2 / 2, the largest over the columns.
 
     Returns (drift_1, drift_2)."""
-    from killinglab.metrics import SECOND_DERIV_STEP_SCALE
+    from killinglab.verify import SECOND_DERIV_STEP_SCALE
 
     d = x.shape[0]
 
@@ -545,7 +534,6 @@ def canary_drifts_per_point(lc, fld, x, frame):
         Gamma = np.einsum("ka,aij->kij", np.linalg.inv(g), _lower(D[..., :d]))
         return D[..., d].T + Gamma @ X
 
-    h = lc.fd_step
     h2 = h * SECOND_DERIV_STEP_SCALE
     second = max(drift((f(x + h2 * u) + f(x - h2 * u) - 2.0 * f0) / h2 ** 2,
                        (f(x + h2 / 2 * u) + f(x - h2 / 2 * u) - 2.0 * f0) / (h2 / 2) ** 2)
@@ -553,36 +541,28 @@ def canary_drifts_per_point(lc, fld, x, frame):
     return drift(endo(h), endo(h / 2)), second
 
 
-def second_nabla_nested_and_bound(lc, fld, X, F):
+def second_nabla_nested_and_bound(lc, fld, X, F, h):
     """The nested chart B = ``second_nabla_nested_per_point`` at each row of
-    X (N, d) on the frames F (N, d, k) at fd_step h, and a bound per point on
-    its gap to the ambient flat-stencil A = ``lc.second_nabla_frame`` at the
-    same h:
+    X (N, d) on the frames F (N, d, k) at step h, and a bound per point on
+    its gap to the exact tensor:
 
-      max |A(h) - B(h)| <= 2 (4/3) (max |A(h) - A(h/2)| + max |B(h) - B(h/2)|).
+      max |T - B(h)| <= 2 (4/3) max |B(h) - B(h/2)|.
 
-    Both are O(h^2) discretisations of one tensor, so each lies within (4/3)
-    of its step-halving change of the exact value (Richardson); the factor 2
-    is margin."""
-    from killinglab.metrics import LeviCivita
-
-    half = LeviCivita(lc.metric, fd_step=lc.fd_step / 2)
-    B, B_half = (np.array([second_nabla_nested_per_point(c, fld, x, f) for x, f in zip(X, F)])
-                 for c in (lc, half))
-    A, A_half = (c.second_nabla_frame(fld, X, F) for c in (lc, half))
-    worst = lambda D: np.abs(D).reshape(len(X), -1).max(axis=1)
-    return B, 2.0 * (4.0 / 3.0) * (worst(A - A_half) + worst(B - B_half))
+    B is an O(h^2) discretisation, so it lies within (4/3) of its
+    step-halving change of the exact value (Richardson); the factor 2 is
+    margin."""
+    B, B_half = (np.array([second_nabla_nested_per_point(lc, fld, x, f, s)
+                           for x, f in zip(X, F)]) for s in (h, h / 2))
+    return B, 2.0 * (4.0 / 3.0) * np.abs(B - B_half).reshape(len(X), -1).max(axis=1)
 
 
-def contact_form_residual_per_point(lc_def, lc_ref, fld, point, h=None):
+def contact_form_residual_per_point(lc_def, lc_ref, fld, point, h):
     """Reference for the contact-form comparison at one point: the larger of
     the one-form defect and the defect of its exterior derivative on the
     reference Euclidean tangent frame, each side's ambient one-form M(y) X(y)
-    differenced one ambient axis at a time with step h (lc_def.fd_step when
-    not given)."""
+    differenced one ambient axis at a time with step h."""
     x = point.coords
     E = orthonormal_tangent_frame_mgs(x)
-    h = lc_def.fd_step if h is None else h
 
     def exterior(lc):
         G = _axis_diff(lambda y: lc.metric.matrix_at(y) @ fld.value(y), x, h)

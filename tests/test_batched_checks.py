@@ -18,12 +18,10 @@ from killinglab.constructions import (
     build_round,
 )
 from killinglab.metrics import (
-    DEFAULT_FD_STEP,
     LeviCivita,
     MetricDegeneracyError,
     g_orthonormal_complement,
     g_orthonormal_frame,
-    general_field,
     linear_field,
 )
 from killinglab.sphere import (
@@ -101,10 +99,10 @@ def test_batched_nijenhuis_matches_reference(label):
     assert got.shape == (len(X),)
     if metric.exact_round:
         # nabla^2 xi in closed form: only the stencil reference carries FD noise
-        ref = [nijenhuis_residual_per_point(lc, fields[0], SpherePoint(x)) for x in X]
+        ref = [nijenhuis_residual_per_point(lc, fields[0], SpherePoint(x), 1e-5) for x in X]
         assert got.max() <= 1e-14 and np.abs(got - ref).max() <= 1e-9
     else:
-        ref, bound = nijenhuis_stencil_and_bound(lc, fields[0], X)
+        ref, bound = nijenhuis_stencil_and_bound(lc, fields[0], X, 1.5e-3)
         assert np.all(np.abs(got - ref) <= bound)
     assert (nijenhuis_residual(*built(lc, fields[0], SpherePoint(X[4])))
             == pytest.approx(got[4], abs=1e-12))
@@ -122,37 +120,38 @@ def test_nijenhuis_closed_form_is_exact(build, n):
 
 
 @pytest.mark.parametrize("label", LABELS)
-def test_batched_fd_second_nabla_matches_reference(label):
+def test_batched_second_nabla_within_the_step_halving_bound_of_the_ambient_stencil(label):
+    """The closed forms or the jet, at a sample and at one point, against the
+    ambient flat-stencil oracle at h and h / 2: within 2 (4/3) of its
+    step-halving change (Richardson), plus the oracle's rounding eps / h^2."""
     metric, fields, n = _structure(label)
     lc = LeviCivita(metric)
     X = _mixed_sample(n, 6, seed=29)
     F = g_orthonormal_frame(metric.matrix_at(X), X)
-    general = general_field(fields[0].func)  # finite differences on the round metric too
-    T = lc.second_nabla_frame(general, X, F)
+    T = lc.second_nabla_frame(fields[0], X, F)
     for i, x in enumerate(X):
-        ref = second_nabla_fd_per_point(lc, fields[0], x, F[i])
-        assert _rel(T[i], ref) <= 1e-12
-        assert _rel(lc.second_nabla_frame(general, SpherePoint(x), F[i]), ref) <= 1e-12
+        ref, ref_half = (second_nabla_fd_per_point(lc, fields[0], x, F[i], h) for h in (1e-3, 5e-4))
+        assert np.abs(T[i] - ref).max() <= 2.0 * (4.0 / 3.0) * np.abs(ref - ref_half).max() + 1e-9
+        assert _rel(lc.second_nabla_frame(fields[0], SpherePoint(x), F[i]), T[i]) <= 1e-12
 
 
 @pytest.mark.parametrize("label", ["gF", "irregular"])
-def test_flat_second_nabla_within_the_step_halving_bound_of_the_nested_one(label):
+def test_second_nabla_within_the_step_halving_bound_of_the_nested_chart_one(label):
     metric, fields, n = _structure(label)
     lc = LeviCivita(metric)
     X = _mixed_sample(n, 6, seed=31)
     F = g_orthonormal_frame(metric.matrix_at(X), X)
-    general = general_field(fields[0].func)  # the flat stencil; the linear field takes the jet
-    nested, bound = second_nabla_nested_and_bound(lc, general, X, F)
-    gap = np.abs(lc.second_nabla_frame(general, X, F) - nested).reshape(len(X), -1).max(axis=1)
+    nested, bound = second_nabla_nested_and_bound(lc, fields[0], X, F, 1e-4)
+    gap = np.abs(lc.second_nabla_frame(fields[0], X, F) - nested).reshape(len(X), -1).max(axis=1)
     assert np.all(gap <= bound)
 
 
 @pytest.mark.parametrize("n", [1, 2])
-def test_flat_second_nabla_is_closer_to_the_exact_wedge_than_the_nested_one(n):
+def test_second_nabla_meets_the_exact_wedge_closer_than_the_nested_chart_one(n):
     """The irregular structure is Sasakian, so nabla^2 xi(u, v) is the closed
-    form WEDGE_SIGN (g(u, v) xi - eta(v) u) on its g-orthonormal frame; the
-    nested stencil is the chart oracle, and the linear field's jet meets the
-    closed form to rounding."""
+    form WEDGE_SIGN (g(u, v) xi - eta(v) u) on its g-orthonormal frame: the
+    jet meets it to rounding, the nested chart oracle within its step-halving
+    bound."""
     ir = build_irregular(n=n)
     lc = LeviCivita(ir.metric)
     X = sample_sphere(n, 12, seed=67).coords
@@ -162,71 +161,53 @@ def test_flat_second_nabla_is_closer_to_the_exact_wedge_than_the_nested_one(n):
     eta_f = (matvec(M, xi)[:, None, :] @ F)[:, 0]
     exact = WEDGE_SIGN * (np.eye(F.shape[-1]) * xi[:, :, None, None]
                           - np.einsum("nj,ndi->ndij", eta_f, F))
-    flat = np.abs(lc.second_nabla_frame(general_field(ir.field.func), X, F) - exact).max()
-    nested = max(np.abs(second_nabla_nested_per_point(lc, ir.field, x, f) - e).max()
-                 for x, f, e in zip(X, F, exact))
-    assert flat <= nested
-    assert np.abs(lc.second_nabla_frame(ir.field, X, F) - exact).max() <= 1e-13
+    jet = np.abs(lc.second_nabla_frame(ir.field, X, F) - exact).max()
+    nested, bound = second_nabla_nested_and_bound(lc, ir.field, X, F, 1e-4)
+    gap = np.abs(nested - exact).reshape(len(X), -1).max(axis=1)
+    assert jet <= 1e-13 and np.all(jet <= gap) and np.all(gap <= bound)
 
 
-def test_ambient_derivatives_of_a_general_copy_meet_the_round_closed_forms():
+def test_the_chart_oracles_meet_the_round_closed_forms_within_their_step_halving_bounds():
     """On the round sphere the field J0 x has N = P J0 P and the closed-form
-    nabla^2 of ``second_nabla_round_loop``.  The ambient differences of a
-    general copy lie within their step-halving bound 2 (4/3) max |A(h) -
-    A(h/2)| of them, and no farther than the chart oracles (the chart
-    endomorphism and the nested chart stencil) on the same sample."""
+    nabla^2 of ``second_nabla_round_loop``, which the library reads to
+    rounding.  The chart oracles (the chart endomorphism and the nested chart
+    stencil) that the other metrics are checked against lie within 2 (4/3)
+    of their step-halving change of them."""
     rs = build_round(2)
-    lc, half = LeviCivita(rs.metric), LeviCivita(rs.metric, fd_step=DEFAULT_FD_STEP / 2)
-    general = general_field(rs.field.func)
+    lc = LeviCivita(rs.metric)
     X = sample_sphere(2, 20, seed=5).coords
     F = g_orthonormal_frame(rs.metric.matrix_at(X), X)
     E = rs.field.matrix
     P = np.eye(6) - X[:, :, None] * X[:, None, :]
-    N = lc.nabla_endo(general, X)
-    T = lc.second_nabla_frame(general, X, F)
+    N_exact = P @ E @ P
     T_exact = np.array([second_nabla_round_loop(E, x, f) for x, f in zip(X, F)])
-    N_err, T_err = np.abs(N - P @ E @ P).max(), np.abs(T - T_exact).max()
-    assert N_err <= 2.0 * (4.0 / 3.0) * np.abs(N - half.nabla_endo(general, X)).max()
-    assert T_err <= 2.0 * (4.0 / 3.0) * np.abs(T - half.second_nabla_frame(general, X, F)).max()
-    N_chart = np.array([chart_nabla_endo_per_point(lc, general, x) for x in X])
-    T_chart = np.array([second_nabla_nested_per_point(lc, general, x, f) for x, f in zip(X, F)])
-    assert N_err <= np.abs(N_chart - P @ E @ P).max()
-    assert T_err <= np.abs(T_chart - T_exact).max()
-
-
-def test_second_nabla_converges_quadratically_in_fd_step():
-    """The stencil of a general copy converges as h^2, to the jet of the
-    linear field: halving the step quarters both the change and the gap."""
-    metric, fields, n = _structure("gF")
-    X = _mixed_sample(n, 6, seed=71)
-    F = g_orthonormal_frame(metric.matrix_at(X), X)
-    general = general_field(fields[0].func)
-    T = [LeviCivita(metric, fd_step=h).second_nabla_frame(general, X, F)
-         for h in (4e-4, 2e-4, 1e-4, 5e-5)]
-    for a, b, c in zip(T, T[1:], T[2:]):
-        # O(h^2): halving the step quarters the change
-        assert 3.5 <= np.abs(a - b).max() / np.abs(b - c).max() <= 4.5
-    gap = [np.abs(t - LeviCivita(metric).second_nabla_frame(fields[0], X, F)).max() for t in T]
-    assert all(3.5 <= a / b <= 4.5 for a, b in zip(gap[:3], gap[1:3]))
+    assert np.abs(lc.nabla_endo(rs.field, X) - N_exact).max() <= 1e-15
+    assert np.abs(lc.second_nabla_frame(rs.field, X, F) - T_exact).max() <= 1e-14
+    N_chart, N_half = (np.array([chart_nabla_endo_per_point(lc, rs.field, x, h) for x in X])
+                       for h in (1e-4, 5e-5))
+    T_chart, T_half = (np.array([second_nabla_nested_per_point(lc, rs.field, x, f, h)
+                                 for x, f in zip(X, F)]) for h in (1e-4, 5e-5))
+    assert np.abs(N_chart - N_exact).max() <= 2.0 * (4.0 / 3.0) * np.abs(N_chart - N_half).max()
+    assert np.abs(T_chart - T_exact).max() <= 2.0 * (4.0 / 3.0) * np.abs(T_chart - T_half).max()
 
 
 @pytest.mark.parametrize("label", ["gF", "irregular"])
-def test_second_nabla_evaluates_the_flat_stencil_once_per_point(label, monkeypatch):
-    """In chunks of 16 points, 35 points take three metric calls."""
+def test_second_nabla_builds_one_jet_of_its_points_and_evaluates_no_metric(label):
+    """Given no jet, 35 points take one ``rank_jet`` call, on exactly them,
+    and no metric matrix."""
     metric, fields, n = _structure(label)
-    rows = []
-
-    def counted(x):
-        rows.append(x.reshape(-1, x.shape[-1]).shape[0])
-        return metric.matrix_at(x)
-
-    lc = LeviCivita(metrics.MetricField(counted, metric.dim))
     X = _mixed_sample(n, 35, seed=73)
     F = g_orthonormal_frame(metric.matrix_at(X), X)
-    d = X.shape[-1]
-    monkeypatch.setattr(metrics, "CHUNK_BYTES", 16 * metrics.sample_bytes(d, stencil=True))
+    calls = []
+
+    def counted(x):
+        calls.append(x.copy())
+        return metric.rank_jet(x)
+
+    lc = LeviCivita(replace(metric, matrix_func=lambda x: pytest.fail("metric evaluated"),
+                            rank_jet=counted))
     lc.second_nabla_frame(fields[0], X, F)
-    assert len(rows) == 3 and sum(rows) == len(X) * (d * d + d + 1)
+    assert len(calls) == 1 and np.array_equal(calls[0], X)
 
 
 @pytest.mark.parametrize("label", LABELS)
@@ -236,7 +217,7 @@ def test_contact_form_matches_reference(label):
     X = _mixed_sample(n, 8, seed=31)
     pts = [SpherePoint(x) for x in X]
     ref, ref_half = (np.array([contact_form_residual_per_point(lc, lc_round, fields[0], p, h)
-                               for p in pts]) for h in (lc.fd_step, lc.fd_step / 2))
+                               for p in pts]) for h in (1e-4, 5e-5))
     r = check_contact_form_preserved(lc, lc_round, fields[0], lc.structure_at(fields[0], pts))
     # an O(1) one-form differenced at step 1e-4 carries rounding times 1 / 2h; off the
     # round metric the jet is exact, and the reference within (4/3) of its step-halving
@@ -361,7 +342,7 @@ def test_each_chunk_evaluates_the_battery_metric_at_its_points_only_in_structure
     there: the checks read the metric and eta = M xi from the structures."""
     battery, cfg = cli._BATTERIES[example], cli.RunConfig(example=example, samples=40, **params)
     d = 4 * cfg.m + 4 if example == "quaternionic" else 2 * cfg.n + 2
-    monkeypatch.setattr(metrics, "CHUNK_BYTES", 20 * metrics.sample_bytes(d, stencil=False))
+    monkeypatch.setattr(metrics, "CHUNK_BYTES", 20 * metrics.sample_bytes(d))
     calls, built_at, inside = [], [], []
     matrix_at, structure_at = metrics.MetricField.matrix_at, LeviCivita.structure_at
 
@@ -404,8 +385,7 @@ def test_each_chunk_of_a_jet_battery_builds_its_jet_once_and_evaluates_only_the_
     evaluation of a metric, the jet's ingredients included, reaches a point
     off the sample but the exact flow's, e^(+-tA) x."""
     battery, cfg = cli._BATTERIES[example], cli.RunConfig(example=example, samples=40, **params)
-    monkeypatch.setattr(metrics, "CHUNK_BYTES", 20 * metrics.sample_bytes(2 * cfg.n + 2,
-                                                                           stencil=False))
+    monkeypatch.setattr(metrics, "CHUNK_BYTES", 20 * metrics.sample_bytes(2 * cfg.n + 2))
     jets, evaluated, in_flow = [], [], []
     jet, matrix_at, flow = LeviCivita.jet, metrics.MetricField.matrix_at, LeviCivita.flow_lie_frame
 
@@ -543,7 +523,7 @@ def test_each_chunk_evaluates_the_field_at_its_points_only_in_structure_at(
     flag reads the values the structure holds."""
     battery, cfg = cli._BATTERIES[example], cli.RunConfig(example=example, samples=40, **params)
     monkeypatch.setattr(metrics, "CHUNK_BYTES",
-                        20 * metrics.sample_bytes(2 * cfg.n + 2, stencil=False))
+                        20 * metrics.sample_bytes(2 * cfg.n + 2))
     calls = []
     value = metrics.VectorField.value
 
@@ -594,9 +574,8 @@ def test_quaternionic_battery_builds_one_frame_and_one_structure_per_field(monke
     ("round", {"n": 2}), ("gF", {"n": 3}), ("irregular", {"n": 2}), ("quaternionic", {"m": 1}),
     ("hopf-lift", {})], ids=["round", "gF", "irregular", "quaternionic", "hopf-lift"])
 def test_results_do_not_depend_on_the_chunk_size(example, params, monkeypatch):
-    """A battery streamed in 4 chunks (and the FD stencil and the lift
-    quadrature in one point each) reports what it does in one chunk, byte
-    for byte."""
+    """A battery streamed in 4 chunks (and the lift quadrature in one point
+    each) reports what it does in one chunk, byte for byte."""
     cfg = cli.RunConfig(example=example, samples=40, **{"n": 2, **params})
     chunks = []
 
@@ -609,28 +588,11 @@ def test_results_do_not_depend_on_the_chunk_size(example, params, monkeypatch):
     one = cli._BATTERIES[example](cfg).to_json(include_timestamp=False)
     assert chunks[0] == 1  # the sample's, before any of an algebra's generators
     d = 4 * cfg.m + 4 if example == "quaternionic" else 4 if example == "hopf-lift" else 2 * cfg.n + 2
-    monkeypatch.setattr(metrics, "CHUNK_BYTES", 13 * metrics.sample_bytes(d, stencil=False))
+    monkeypatch.setattr(metrics, "CHUNK_BYTES", 13 * metrics.sample_bytes(d))
     chunks.clear()
     many = cli._BATTERIES[example](cfg).to_json(include_timestamp=False)
     assert chunks[0] == 4
     assert many == one
-
-def test_nijenhuis_converges_quadratically_in_fd_step():
-    """The steps keep every difference >= 100x its rounding floor: the second
-    differences carry eps / h_2^2 = 0.3 eps / h^2, 1.7e-9 at h = 2e-4, against
-    a smallest difference |r(4e-4) - r(2e-4)| of 2.9e-7 on irregular (whose
-    torsion is truncation alone); at h = 5e-5 the floor, 2.6e-8, exceeds the
-    difference |r(1e-4) - r(5e-5)| = 1.7e-8."""
-    for label in ("gF", "irregular"):
-        metric, fields, n = _structure(label)
-        X = _mixed_sample(n, 6, seed=43)
-        general = general_field(fields[0].func)  # the stencil; the linear field takes the jet
-        r = [nijenhuis_residual(*built(LeviCivita(metric, fd_step=h), general, X))
-             for h in (1.6e-3, 8e-4, 4e-4, 2e-4)]
-        for a, b, c in zip(r, r[1:], r[2:]):
-            # O(h^2): halving the step quarters the change
-            assert 3.5 <= np.abs(a - b).max() / np.abs(b - c).max() <= 4.5
-
 
 def test_checks_on_empty_sample_name_the_check(round2, lc_round2):
     with pytest.raises(ValueError, match="structure_at got no samples to evaluate"):

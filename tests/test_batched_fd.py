@@ -1,4 +1,5 @@
-"""Batched finite-difference stencils against closed forms and per-point references."""
+"""Batched chart maps and covariant derivatives against closed forms and per-point
+chart references."""
 
 from __future__ import annotations
 
@@ -7,45 +8,10 @@ import pytest
 
 from killinglab import LeviCivita, build_deformed, build_irregular, sample_sphere
 from killinglab.algebra import IsometryAlgebra, so_basis
-from killinglab.metrics import central_diff, general_field
 from killinglab.sphere import SpherePoint, chart_for_point, chart_index, default_atlas
 from killinglab.verify import check_killing, nijenhuis_residual
 
-from oracles import built, nijenhuis_stencil_and_bound
-
-
-# -- central_diff --------------------------------------------------------------
-
-def test_central_diff_exact_on_quadratics():
-    rng = np.random.default_rng(0)
-    A = rng.standard_normal((4, 4))
-    b = rng.standard_normal(4)
-    U = rng.standard_normal((3, 2, 4))
-
-    def f(V):
-        return np.einsum("...i,ij,...j->...", V, A, V) + V @ b
-
-    for h in (1e-1, 1e-3):
-        val, D = central_diff(f, U, h, center=True)
-        assert D.shape == (3, 2, 4)
-        assert np.abs(D - (U @ (A + A.T) + b)).max() < 1e-11
-        assert np.array_equal(val, f(U))
-
-
-def test_central_diff_second_order_on_sin():
-    u = np.array([0.3, -1.1, 0.7])
-
-    def f(V):  # vector-valued: (..., k, m) -> (..., k, 2)
-        return np.stack([np.sin(V).sum(axis=-1), np.sin(2.0 * V[..., 0])], axis=-1)
-
-    exact = np.stack([np.cos(u), [2.0 * np.cos(2.0 * u[0]), 0.0, 0.0]], axis=-1)
-    errs = []
-    for h in (1e-2, 5e-3):
-        D = central_diff(f, u, h)
-        assert D.shape == (3, 2)
-        errs.append(np.abs(D - exact).max())
-    assert errs[0] <= (1e-2) ** 2 * 8.0 / 6.0  # h^2 max|f'''| / 6
-    assert 3.8 < errs[0] / errs[1] < 4.2  # error O(h^2)
+from oracles import built, chart_nabla_endo_per_point, nijenhuis_stencil_and_bound
 
 
 # -- batched chart maps -----------------------------------------------------------
@@ -88,14 +54,17 @@ def test_chart_index_matches_chart_for_point():
 
 # -- one covariant derivative per point -------------------------------------------
 
-def test_fd_nabla_endo_matches_closed_form_on_round(round2, lc_round2, pts2):
+def test_chart_nabla_endo_matches_closed_form_on_round(round2, lc_round2, pts2):
+    """The chart oracle's central differences against N = P E P, which the
+    library reads."""
     E = round2.field.matrix
     for p in pts2[:8]:
         x = p.coords
         P = np.eye(6) - np.outer(x, x)
-        N = lc_round2.nabla_endo(general_field(round2.field.func), p)
+        N = chart_nabla_endo_per_point(lc_round2, round2.field, x, 1e-4)
         assert np.abs(N - P @ E @ P).max() < 1e-7
         assert np.abs(N @ x).max() < 1e-12
+        assert np.array_equal(lc_round2.nabla_endo(round2.field, p), P @ E @ P)
 
 
 def _near_equator(n: int, count: int, seed: int) -> list[SpherePoint]:
@@ -119,7 +88,7 @@ def test_batched_nijenhuis_matches_per_point_reference(build, n):
     st = build(n)
     lc = LeviCivita(st.metric)
     pts = _near_equator(n, 5, seed=17)
-    step = 1.5e-3  # the reference stencil's step, 15 fd_step
+    step = 1.5e-3  # the reference stencil's step
     switched = 0
     for p in pts:
         # the reference's chart stencil around a point with |x0| < step crosses
@@ -132,7 +101,7 @@ def test_batched_nijenhuis_matches_per_point_reference(build, n):
     assert switched >= 2
     X = np.stack([p.coords for p in pts])
     got = np.array([nijenhuis_residual(*built(lc, st.field, p)) for p in pts])
-    ref, bound = nijenhuis_stencil_and_bound(lc, st.field, X)
+    ref, bound = nijenhuis_stencil_and_bound(lc, st.field, X, step)
     assert np.all(np.abs(got - ref) <= bound)
 
 

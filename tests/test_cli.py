@@ -207,7 +207,7 @@ def test_verify_peak_memory_stops_growing_past_one_chunk():
     from killinglab.constructions import HOPF_QUADRATURE_STEPS, lift_point_bytes
     from killinglab.metrics import sample_bytes, sample_chunks
 
-    runs = {("round", "--n", "16"): sample_bytes(34, stencil=False),
+    runs = {("round", "--n", "16"): sample_bytes(34),
             ("hopf-lift",): lift_point_bytes(HOPF_QUADRATURE_STEPS, 3)}
     args = [["--example", *run, "--samples", str(k * sample_chunks(10**6, point)[0].stop)]
             for run, point in runs.items() for k in (2, 10)]
@@ -357,6 +357,22 @@ def test_no_battery_runs_a_step_canary(example):
     assert rep.all_as_expected
 
 
+@pytest.mark.parametrize("command, example", [
+    *(("verify", ex) for ex in ("round", "quaternionic", "hopf-lift", "gF", "irregular")),
+    *(("decompose", ex) for ex in ("round", "gF", "irregular"))])
+def test_no_command_evaluates_the_metric_off_the_sphere(monkeypatch, capsys, command, example):
+    """[M~ | X] off the sample (``extended_metric``, ``metric_and_field``) is
+    what finite differences read; with both failing, every verify battery
+    and decompose still run as expected, so no command takes a step."""
+    def refuse(*args, **kwargs):
+        pytest.fail("a command evaluated the extended metric")
+
+    for name in ("metric_and_field", "extended_metric"):
+        monkeypatch.setattr(cli.LeviCivita, name, refuse)
+    assert main([command, "--example", example, "--samples", "10", "--no-timestamp"]) == 0
+    capsys.readouterr()
+
+
 def test_json_reports_are_byte_identical():
     args = ("verify", "--example", "round", "--n", "2", "--format", "json",
             "--samples", "30", "--no-timestamp")
@@ -475,13 +491,18 @@ def test_bad_config_value_is_refused_by_name(tmp_path, capsys, _flags, line, mes
     assert old not in err
 
 
-def test_negative_value_in_exponent_form_is_read_as_a_value(capsys):
-    """argparse alone took "-1e-3" for a flag and refused --c for its missing value."""
-    code = main(["decompose", "--example", "gF", "--c", "-1e-3", "--samples", "5",
-                 "--format", "json", "--no-timestamp"])
+@pytest.mark.parametrize("argv, key, value", [
+    (["decompose", "--example", "gF", "--c", "-1e-3"], "c", -1e-3),
+    (["verify", "--example", "irregular", "--a", "-1/2"], "a", "-1/2"),
+    (["decompose", "--example", "irregular", "--a", "-1/2"], "a", "-1/2"),
+    (["classify-flow", "1", "-1/2"], "rates", ["1", "-1/2"])])
+def test_negative_value_in_exponent_form_is_read_as_a_value(capsys, argv, key, value):
+    """argparse alone took "-1e-3" and the rate "-1/2" for flags, and refused
+    the option for its missing value or the rate as an unknown argument."""
+    code = main([*argv, "--samples", "5", "--format", "json", "--no-timestamp"])
     doc = json.loads(capsys.readouterr().out)
     assert code == 0
-    assert doc["config"]["c"] == -1e-3
+    assert doc["config"][key] == value
 
 
 @pytest.mark.parametrize("c", ["1e-3", "-1e-3", "0"])

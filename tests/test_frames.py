@@ -18,9 +18,9 @@ from killinglab.metrics import (
     LeviCivita,
     MetricDegeneracyError,
     MetricField,
+    VectorField,
     g_orthonormal_complement,
     g_orthonormal_frame,
-    general_field,
     linear_field,
 )
 from killinglab.sphere import SpherePoint, orthonormal_tangent_frame, sample_sphere
@@ -196,7 +196,8 @@ def test_degenerate_metric_structure_raises_before_differencing():
     metric = MetricField(lambda x: np.broadcast_to(FLIP, x.shape[:-1] + (4, 4)),
                          dim=4)
     lc = LeviCivita(metric)
-    fld = general_field(lambda x: pytest.fail("field evaluated on a degenerate metric"))
+    # no generator and no rank_jet: the degeneracy is named before either is refused
+    fld = VectorField(lambda x: pytest.fail("field evaluated on a degenerate metric"))
     with pytest.raises(MetricDegeneracyError, match="pivot 1"):
         lc.structure_at(fld, SpherePoint(E1))
     with pytest.raises(MetricDegeneracyError, match="pivot"):

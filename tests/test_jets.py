@@ -9,6 +9,7 @@ must meet it to 1e-12 relative at rational points of the sphere.
 
 from __future__ import annotations
 
+import functools
 import json
 
 import mpmath
@@ -22,6 +23,7 @@ from killinglab.verify import FD_TOL
 
 from oracles import (
     _complex_structure,
+    _lower,
     gf_metric_mp,
     irregular_metric_mp,
     orthonormal_tangent_frame_mgs,
@@ -42,43 +44,66 @@ def _rel(a, b) -> float:
     return float(np.abs(a - b).max() / max(1.0, float(np.abs(b).max())))
 
 
-def _against_the_oracle(s, metric_mp, A, u):
-    """The library's M~, dM~, nabla xi and nabla^2 xi at the rational point of
-    u against the oracle's, each as its relative gap."""
+@functools.cache
+def _oracle(label: str, where: str):
+    """The structure s, its generator A as the oracle restates it, the float
+    point x (1, d) of the rational point ``where``, the frame F there, and
+    ``second_order_oracle``'s (M~, dM~, nabla xi, nabla^2 xi)."""
+    if label == "gF":
+        s, u = build_deformed(n=3, c=0.3), GF_POINTS[where][0]
+        A, metric_mp = (np.array([_complex_structure(e) for e in np.eye(8)]).T,
+                        gf_metric_mp(mpmath.mpf(3) / 10))
+    else:
+        s, u = build_irregular(n=2), IRREGULAR_POINTS[where]
+        A = np.array([_complex_structure(e) for e in np.eye(6)]).T
+        A[:2, :2] *= np.sqrt(2.0)  # J0 + a J1 with a = sqrt(2) - 1: the first pair at rate 1 + a
+        with mpmath.workdps(50):
+            metric_mp = irregular_metric_mp(mpmath.sqrt(2) - 1)
     x = rational_unit_point(u)
     xf = np.array([float(t) for t in x])[None]
     F = orthonormal_tangent_frame_mgs(xf[0])
-    g, dg, N, T = second_order_oracle(metric_mp, A, x, F)
+    return s, A, xf, F, second_order_oracle(metric_mp, A, x, F)
+
+
+def _against_the_oracle(label, where):
+    """The library's M~, dM~, nabla xi and nabla^2 xi at the rational point
+    ``where`` against the oracle's, each as its relative gap."""
+    s, _, xf, F, want = _oracle(label, where)
     lc = LeviCivita(s.metric)
     jet = lc.jet(s.field, xf)
     got = (jet.g[0], jet.dg[0], lc.nabla_endo(s.field, xf)[0],
            lc.second_nabla_frame(s.field, xf, F[None])[0])
-    return [_rel(a, b) for a, b in zip(got, (g, dg, N, T))]
+    return [_rel(a, b) for a, b in zip(got, want)]
 
 
 @pytest.mark.parametrize("where", list(GF_POINTS))
 def test_gf_jets_match_the_50_digit_oracle(where):
-    ds = build_deformed(n=3, c=0.3)
-    u, s_at = GF_POINTS[where]
-    x = np.array([float(t) for t in rational_unit_point(u)])
-    X = ds.x_field.value(x)
-    assert X @ X == pytest.approx(s_at, abs=1e-4)
-    J0 = np.array([_complex_structure(e) for e in np.eye(8)]).T
+    ds, J0, xf, _, _ = _oracle("gF", where)
+    X = ds.x_field.value(xf[0])
+    assert X @ X == pytest.approx(GF_POINTS[where][1], abs=1e-4)
     assert np.array_equal(ds.field.matrix, J0)
-    gaps = _against_the_oracle(ds, gf_metric_mp(mpmath.mpf(3) / 10), J0, u)
+    gaps = _against_the_oracle("gF", where)
     assert max(gaps) <= 1e-12, gaps
 
 
 @pytest.mark.parametrize("where", list(IRREGULAR_POINTS))
 def test_irregular_jets_match_the_50_digit_oracle(where):
-    ir = build_irregular(n=2)
-    A = np.array([_complex_structure(e) for e in np.eye(6)]).T
-    A[:2, :2] *= np.sqrt(2.0)  # J0 + a J1 with a = sqrt(2) - 1: the first pair at rate 1 + a
+    ir, A, _, _, _ = _oracle("irregular", where)
     assert np.abs(ir.field.matrix - A).max() <= 1e-15
-    with mpmath.workdps(50):
-        a = mpmath.sqrt(2) - 1
-    gaps = _against_the_oracle(ir, irregular_metric_mp(a), A, IRREGULAR_POINTS[where])
+    gaps = _against_the_oracle("irregular", where)
     assert max(gaps) <= 1e-12, gaps
+
+
+@pytest.mark.parametrize("label, where", [("gF", w) for w in GF_POINTS]
+                         + [("irregular", w) for w in IRREGULAR_POINTS])
+def test_christoffel_matches_the_koszul_symbols_of_the_50_digit_oracle(label, where):
+    """Gamma~ = M~^-1 (d_i g_jk + d_j g_ik - d_k g_ij) / 2 from the oracle's
+    M~ and dM~, at one point and at a stack of one."""
+    s, _, xf, _, (g, dg, _, _) = _oracle(label, where)
+    koszul = np.einsum("ka,aij->kij", np.linalg.inv(g), _lower(dg))
+    lc = LeviCivita(s.metric)
+    for Gamma in (lc.christoffel(xf)[0], lc.christoffel(xf[0])):
+        assert _rel(Gamma, koszul) <= 1e-12
 
 
 def _report(*argv: str) -> dict:

@@ -24,13 +24,10 @@ from killinglab import (
     horizontal_split,
     sample_sphere,
 )
-from killinglab.metrics import (
-    RICHARDSON_REL_TOL,
-    NumericalQualityError,
-    g_orthonormal_frame,
-    general_field,
-)
+from killinglab.metrics import NumericalQualityError, g_orthonormal_frame, linear_field
 from killinglab.verify import (
+    MAX_FD_STEP,
+    RICHARDSON_REL_TOL,
     check_contact_form_preserved,
     check_dxi_spectrum,
     check_pair_completion,
@@ -43,9 +40,16 @@ from killinglab.verify import (
     involution_split,
     measured_cyclic_sign,
     quaternionic_relation_residual,
+    richardson_guard,
 )
 
-from oracles import built, canary_drifts_per_point, g_orthonormal_frame_mgs
+from oracles import (
+    built,
+    canary_drifts_per_point,
+    chart_nabla_endo_per_point,
+    g_orthonormal_frame_mgs,
+    second_nabla_nested_per_point,
+)
 
 
 # -- basic round identities ----------------------------------------------------
@@ -77,7 +81,7 @@ def test_killing_round_exact(round2, lc_round2, pts2):
 def test_killing_flags_zero_field(lc_round1, pts1):
     from killinglab import cli
 
-    zero, X = general_field(lambda x: np.zeros_like(x)), np.asarray(pts1)
+    zero, X = linear_field(np.zeros((4, 4))), np.asarray(pts1)
     c, row = SimpleNamespace(lc=lc_round1), cli._killing_row(
         "killing", 1e-10, lambda c: (zero, X, None, zero.value(X)), False)
     res, detail = row.detail(row.residual(c), c)
@@ -91,8 +95,12 @@ def test_sasakian_round_exact(round2, lc_round2, pts2):
 
 
 def test_sasakian_round_fd(round1, lc_round1, pts1):
-    r = check_sasakian(*built(lc_round1, general_field(round1.field.func), pts1[:8]))
-    assert r.max() <= verify.FD_TOL
+    """The check on the nested chart oracle's nabla^2 xi, central differences
+    at 1e-4, passes at FD_TOL."""
+    st = lc_round1.structure_at(round1.field, pts1[:8])
+    T = np.array([second_nabla_nested_per_point(lc_round1, round1.field, x, f, 1e-4)
+                  for x, f in zip(st.x, st.frame)])
+    assert check_sasakian(st, T).max() <= verify.FD_TOL
 
 
 def test_wedge_sign_locked(round1, lc_round1, pts1):
@@ -149,26 +157,51 @@ def test_covariant_canary_default_step(round1, lc_round1, pts1):
     assert out < 2.0
 
 
+def test_covariant_canary_step_validation(round1, lc_round1, pts1):
+    for h in (0.0, -1e-4, float("nan")):
+        with pytest.raises(ValueError, match="fd_step must be a positive number"):
+            covariant_canary(lc_round1, round1.field, pts1[0], h)
+    for h in (2 * MAX_FD_STEP, 1e30):
+        with pytest.raises(NumericalQualityError, match="difference scale"):
+            covariant_canary(lc_round1, round1.field, pts1[0], h)
+
+
+def test_richardson_guard_rejects_tiny_step(round1, lc_round1, pts1):
+    """The chart oracle's central differences at 1e-13 and its half are
+    rounding, and disagree beyond RICHARDSON_REL_TOL."""
+    hit = False
+    for p in pts1[:5]:
+        N, N_half = (chart_nabla_endo_per_point(lc_round1, round1.field, p.coords, h)
+                     for h in (1e-13, 5e-14))
+        try:
+            richardson_guard(N, N_half, 1e-13)
+        except NumericalQualityError as e:
+            assert "step halving" in str(e)
+            hit = True
+            break
+    assert hit, "cancellation-dominated step was not flagged at any probe point"
+
+
 @pytest.mark.parametrize("step", [1e-13, 3e-7, 5e-7, 1e-6, 1e-4, 2e-4, 5e-3])
 @pytest.mark.parametrize("structure", ["deformed", "irregular"])
 def test_covariant_canary_raises_exactly_when_an_oracle_drift_exceeds_the_bound(
         request, structure, step):
-    """At the first point of the 200-sample seed-42 sample, where the gF and
-    irregular batteries run it, the canary raises iff either drift of the
-    per-point oracle exceeds RICHARDSON_REL_TOL, and names the first that
-    does.  The frame is the library's, checked against the reference one."""
+    """At the first point of the 200-sample seed-42 sample, the canary at
+    each step raises iff either drift of the per-point oracle exceeds
+    RICHARDSON_REL_TOL, and names the first that does.  The frame is the
+    library's, checked against the reference one."""
     s = request.getfixturevalue(structure)
     x = sample_sphere(s.dim // 2 - 1, 200, seed=42).coords[0]
     M = s.metric.matrix_at(x)
     F = g_orthonormal_frame(M, x)
     assert np.abs(F - g_orthonormal_frame_mgs(M, x)).max() < 1e-12
-    lc = LeviCivita(s.metric, step)
-    over = [r for r in canary_drifts_per_point(lc, s.field, x, F) if r > RICHARDSON_REL_TOL]
+    lc = LeviCivita(s.metric)
+    over = [r for r in canary_drifts_per_point(lc, s.field, x, F, step) if r > RICHARDSON_REL_TOL]
     if not over:
-        assert np.isfinite(covariant_canary(lc, s.field, x))
+        assert np.isfinite(covariant_canary(lc, s.field, x, step))
         return
     with pytest.raises(NumericalQualityError, match=re.escape(f"rel drift {over[0]:.3e} at")):
-        covariant_canary(lc, s.field, x)
+        covariant_canary(lc, s.field, x, step)
 
 
 # -- triple checks --------------------------------------------------------------
